@@ -12,8 +12,6 @@ from .densela import (
     Tolerances,
     as_matrix,
     eigenvalues,
-    inverse,
-    matmul,
     matrix_exp,
     rank,
     rank_factorization,
@@ -24,7 +22,6 @@ from .errors import (
     NonexistentInverseError,
     NumericalError,
     ShapeError,
-    SingularMatrixError,
     SpectrumError,
 )
 from .ginv import (
@@ -74,16 +71,13 @@ __all__ = [
     "DEFAULT_TOL",
     "Tolerances",
     "as_matrix",
-    "matmul",
     "solve_right",
     "solve_left",
     "rank",
     "rank_factorization",
     "eigenvalues",
-    "inverse",
     "matrix_exp",
     "ShapeError",
-    "SingularMatrixError",
     "NumericalError",
     "SpectrumError",
     "NonexistentInverseError",

@@ -5,11 +5,12 @@ Matrix files are minimal JSON documents::
     {"rows": 2, "cols": 2, "data": [[re, im], [re, im], ...]}
 
 with ``data`` row-major and one [real, imaginary] pair per entry.  All
-reports are emitted as JSON with sorted keys so runs diff cleanly.
+reports are emitted as JSON with sorted keys so runs diff cleanly; each
+echoes the tolerances it ran with as ``Tolerances.to_json_dict``.
 
 Exit codes: 0 success, 1 verification-suite failures, 2 parse/validation
-error, 3 proven nonexistence, 4 numerical failure, 5 spectral
-precondition violated (represent only).
+error (shape errors included), 3 proven nonexistence, 4 numerical
+failure, 5 spectral precondition violated (represent only).
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .densela import DEFAULT_TOL, Tolerances, frob
-from .errors import (
-    NonexistentInverseError,
-    NumericalError,
-    ShapeError,
-    SingularMatrixError,
-    SpectrumError,
-)
+from .errors import NonexistentInverseError, NumericalError, SpectrumError
 from .ginv import drazin_inverse, group_inverse, moore_penrose
 from .prescribed import (
     DEFAULT_LAMBDA_SCHEDULE,
@@ -108,15 +103,6 @@ def _emit(doc: dict):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _tol_dict(tol: Tolerances) -> dict:
-    return {
-        "rank_rtol": tol.rank_rtol,
-        "eq_atol": tol.eq_atol,
-        "eq_rtol": tol.eq_rtol,
-        "conv_tol": tol.conv_tol,
-    }
-
-
 def _tolerances_from_args(args) -> Tolerances:
     rank_rtol = args.rank_rtol
     if rank_rtol is None:
@@ -169,7 +155,7 @@ _PQ_KINDS = {
 
 def _cmd_compute(args) -> int:
     tol = _tolerances_from_args(args)
-    doc: dict = {"kind": args.kind, "tolerances": _tol_dict(tol)}
+    doc: dict = {"kind": args.kind, "tolerances": tol.to_json_dict()}
     if args.kind in _PQ_KINDS:
         prob = _load_problem(args, tol)
         result = _PQ_KINDS[args.kind](prob, route=args.route)
@@ -257,10 +243,9 @@ def _cmd_represent(args) -> int:
         raise NumericalError(
             f"representation drifts from the direct value by {drift:.3e}"
         )
-    rows.append(
-        f"# tolerances: rank_rtol={tol.rank_rtol!r} eq_atol={tol.eq_atol!r} "
-        f"eq_rtol={tol.eq_rtol!r} conv_tol={tol.conv_tol!r}"
-    )
+    rows.append("# tolerances: " + " ".join(
+        f"{name}={value!r}" for name, value in tol.to_json_dict().items()
+    ))
     print("\n".join(rows))
     if args.out:
         write_matrix(args.out, final)
@@ -343,7 +328,7 @@ def main(argv=None) -> int:
     spectral_exit = EXIT_SPECTRUM if args.command == "represent" else EXIT_NUMERICAL
     try:
         return args.fn(args)
-    except (ValueError, ShapeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NonexistentInverseError as exc:
@@ -352,7 +337,7 @@ def main(argv=None) -> int:
     except SpectrumError as exc:
         print(f"spectral precondition: {exc}", file=sys.stderr)
         return spectral_exit
-    except (NumericalError, SingularMatrixError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

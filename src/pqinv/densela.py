@@ -4,33 +4,39 @@ All routines operate on 2-D ``numpy.ndarray`` values with ``complex128``
 entries.  The decision thresholds (numerical rank, matrix equality,
 convergence) live in a single :class:`Tolerances` value that is threaded
 through the whole package, so that no two modules can reach contradictory
-verdicts about the same matrix.
+verdicts about the same matrix.  Each numerical decision has one home
+here: :func:`count_rank` turns singular values into a rank,
+:func:`is_noise` decides that a computed matrix is cancellation noise
+(with :data:`PRODUCT_NOISE` the floor for products), and
+:meth:`Tolerances.to_json_dict` is the one serialised form of the
+thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, SingularMatrixError
+from .errors import NumericalError, ShapeError
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "PRODUCT_NOISE",
     "as_matrix",
     "frob",
+    "is_noise",
     "eq_bound",
     "matrices_equal",
-    "matmul",
     "adjoint",
     "singular_values",
+    "count_rank",
     "rank",
     "solve_right",
     "solve_left",
     "rank_factorization",
     "eigenvalues",
-    "inverse",
     "matrix_exp",
 ]
 
@@ -60,8 +66,16 @@ class Tolerances:
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
+    def to_json_dict(self) -> dict[str, float]:
+        """The thresholds by field name, in declaration order."""
+        return asdict(self)
+
 
 DEFAULT_TOL = Tolerances()
+
+# Relative rounding floor of a computed product: a product whose norm is
+# at most this times the product of its factors' norms is a true zero.
+PRODUCT_NOISE = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -87,6 +101,16 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def is_noise(m, floor: float) -> bool:
+    """True when ``m`` is at or below ``floor`` in Frobenius norm.
+
+    The one rule for snapping a computed matrix to zero.  Each caller
+    supplies the floor in the scale of its own factors; the relative rank
+    cutoff would otherwise count pure cancellation noise as rank.
+    """
+    return frob(m) <= floor
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
@@ -101,27 +125,21 @@ def matrices_equal(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
     return frob(np.asarray(x) - np.asarray(y)) <= eq_bound(x, y, tol)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def singular_values(a) -> np.ndarray:
     return np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
 
 
-def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank: count of singular values above rank_rtol * sigma_max."""
-    s = singular_values(a)
+def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank from descending singular values ``s``: the count of
+    those above rank_rtol * sigma_max (0 when sigma_max is 0)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
+
+
+def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank of ``a`` (see :func:`count_rank`)."""
+    return count_rank(singular_values(a), tol)
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -161,7 +179,7 @@ def rank_factorization(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     """
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a)
-    r = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol.rank_rtol * s[0]))
+    r = count_rank(s, tol)
     f = u[:, :r] * s[:r]
     g = vh[:r, :]
     return f, g
@@ -174,17 +192,6 @@ def eigenvalues(a) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration failure
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a numerically nonsingular square matrix."""
-    a = _require_square(as_matrix(a))
-    s = singular_values(a)
-    if s[0] == 0.0 or s[-1] <= tol.rank_rtol * s[0]:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
-        )
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=np.complex128))
 
 
 # [13/13] Pade coefficients for the scaling-and-squaring exponential.

@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible for the requested operation."""
 
 
-class SingularMatrixError(ValueError):
-    """A matrix required to be invertible is numerically singular."""
-
-
 class NumericalError(RuntimeError):
     """A computation finished but failed its own validation (axiom
     residuals above tolerance, non-convergence, internal inconsistency)."""

@@ -13,10 +13,13 @@ import numpy as np
 
 from .densela import (
     DEFAULT_TOL,
+    PRODUCT_NOISE,
     Tolerances,
     as_matrix,
+    count_rank,
     eq_bound,
     frob,
+    is_noise,
     rank,
     rank_factorization,
 )
@@ -38,9 +41,7 @@ def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse from the SVD with the package rank cutoff."""
     a = as_matrix(a)
     u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    r = int(np.count_nonzero(s > tol.rank_rtol * s[0]))
+    r = count_rank(s, tol)  # r = 0 gives the zero matrix
     return (vh[:r, :].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
@@ -63,10 +64,9 @@ def reflexive_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _product_rank(product: np.ndarray, scale: float, tol: Tolerances) -> int:
     """Rank of a computed product, treating cancellation noise as zero.
 
-    A product whose norm sits at the rounding floor of its factors is a
-    true zero; the relative rank cutoff would otherwise count the noise.
+    ``scale`` is the product of the factors' norms.
     """
-    if frob(product) <= 1e-12 * scale:
+    if is_noise(product, PRODUCT_NOISE * scale):
         return 0
     return rank(product, tol)
 
@@ -133,7 +133,7 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
     r_prev = n
     while True:
         nxt = power @ a_s
-        if frob(nxt) <= 1e-10:  # noise floor of the normalized power chain
+        if is_noise(nxt, 1e-10):  # noise floor of the normalized power chain
             nxt = np.zeros_like(nxt)
         r_next = rank(nxt, tol)
         if r_next == r_prev:

@@ -24,6 +24,7 @@ giving four independent numerical routes that cross-validate each other.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,10 +32,13 @@ import numpy as np
 from . import subspace as sub
 from .densela import (
     DEFAULT_TOL,
+    PRODUCT_NOISE,
     Tolerances,
     as_matrix,
+    eigenvalues,
     eq_bound,
     frob,
+    is_noise,
     matrices_equal,
     matrix_exp,
     rank,
@@ -78,7 +82,7 @@ def _snap_zero_idempotent(m: np.ndarray) -> np.ndarray:
     small can only be cancellation noise standing in for 0; snapping it
     keeps the relative rank cutoff from reading noise as full rank.
     """
-    return np.zeros_like(m) if frob(m) < 0.5 else m
+    return np.zeros_like(m) if is_noise(m, 0.5) else m
 
 
 @dataclass(frozen=True)
@@ -189,12 +193,7 @@ class ExistenceReport:
         }
         out["fragile"] = self.fragile
         out["equivalence_consistent"] = self.equivalence_consistent
-        out["tolerances"] = {
-            "rank_rtol": self.tol.rank_rtol,
-            "eq_atol": self.tol.eq_atol,
-            "eq_rtol": self.tol.eq_rtol,
-            "conv_tol": self.tol.conv_tol,
-        }
+        out["tolerances"] = self.tol.to_json_dict()
         return out
 
 
@@ -288,8 +287,8 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     image_match = sub.equals(a_ran_p, sub.range_of(one_mq, tol), tol)
 
     m = one_mq @ a @ p
-    if frob(m) <= 1e-12 * frob(one_mq) * frob(a) * frob(p):
-        m = np.zeros_like(m)  # true zero product, not rank-bearing noise
+    if is_noise(m, PRODUCT_NOISE * frob(one_mq) * frob(a) * frob(p)):
+        m = np.zeros_like(m)
     cond5 = sub.contains(
         sub.range_of(m.conj().T, tol), sub.range_of(p.conj().T, tol), tol
     ) and sub.contains(sub.range_of(m, tol), sub.range_of(one_mq, tol), tol)
@@ -327,18 +326,6 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     }
 
 
-_FLAG_KEYS = (
-    "ker_cap_ranp_trivial",
-    "direct_sum",
-    "image_match",
-    "cond5",
-    "strict_exists",
-    "l_exists",
-    "l12_exists",
-    "strict12_exists",
-)
-
-
 def diagnose(prob: PqProblem) -> ExistenceReport:
     """Evaluate every existence criterion and flag tolerance-fragile verdicts.
 
@@ -351,17 +338,15 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     tol = prob.tol
     base = _booleans_at(prob, tol)
 
-    def _flags(values: dict) -> tuple:
-        flags = tuple(values[k] for k in _FLAG_KEYS)
-        return flags + (values["cond6_t"] is not None and values["cond6_s"] is not None,)
+    def verdicts(values: dict) -> dict[str, bool]:
+        return ExistenceReport(fragile=False, tol=tol, **values).booleans()
 
-    fragile = False
-    for factor in (10.0, 0.1):
-        perturbed = _booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * factor))
-        if _flags(perturbed) != _flags(base):
-            fragile = True
-            break
-
+    # any() stops at the first flip, so the x0.1 pass runs only when needed
+    fragile = any(
+        verdicts(_booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * factor)))
+        != verdicts(base)
+        for factor in (10.0, 0.1)
+    )
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
@@ -496,16 +481,12 @@ def _check_w_preconditions(a: np.ndarray, w: np.ndarray, tol: Tolerances):
         raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
 
 
-def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """w (a w)^#, cross-checked against (w a)^# w and the anchor identities.
+def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The group-route value b = w (a w)^# together with (w a)^#.
 
-    The anchor identities  w a w c = w  and  b a w c = b  with
-    c = (a w)^# pin down that w really carries the prescribed range and
-    kernel; their failure indicates a precondition violation rather than
-    roundoff, so it raises.
+    Every cross-check of :func:`group_formula` runs here, so each caller
+    of the group route gets them all.
     """
-    a = as_matrix(a, "a")
-    w = as_matrix(w, "w")
     _check_w_preconditions(a, w, tol)
     aw = a @ w
     wa = w @ a
@@ -526,7 +507,18 @@ def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     anchor_b = b @ aw @ c
     if not matrices_equal(anchor_b, b, tol):
         raise NumericalError(f"b a w c = b failed (residual {frob(anchor_b - b):.3e})")
-    return b
+    return b, g_wa
+
+
+def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """w (a w)^#, cross-checked against (w a)^# w and the anchor identities.
+
+    The anchor identities  w a w c = w  and  b a w c = b  with
+    c = (a w)^# pin down that w really carries the prescribed range and
+    kernel; their failure indicates a precondition violation rather than
+    roundoff, so it raises.
+    """
+    return _group_route(as_matrix(a, "a"), as_matrix(w, "w"), tol)[0]
 
 
 def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -537,16 +529,13 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_matrix(a, "a")
     w = as_matrix(w, "w")
-    b_ref = group_formula(a, w, tol)
+    b_ref, g_wa = _group_route(a, w, tol)
     m = w @ a @ w
     b = w @ inner_inverse(m, tol) @ w
     if not matrices_equal(b, b_ref, tol):
         raise NumericalError(
             f"inner formula disagrees with group formula by {frob(b - b_ref):.3e}"
         )
-    g_wa = group_inverse(w @ a, tol)
-    if g_wa is None:  # pragma: no cover - group_formula above already validated
-        raise NonexistentInverseError("wa has no group inverse")
     witness = a @ g_wa @ g_wa
     if not matrices_equal(m @ witness @ m, m, tol):
         raise NumericalError("explicit witness failed (w a w) x (w a w) = w a w")
@@ -577,7 +566,7 @@ def limit_formula(
         raise ValueError("shift schedule must be strictly decreasing")
 
     aw = a @ w
-    spectrum = np.linalg.eigvals(-aw)
+    spectrum = eigenvalues(-aw)
     ident = np.eye(aw.shape[0], dtype=np.complex128)
     for s in schedule:
         margin = float(np.min(np.abs(spectrum - s))) if spectrum.size else np.inf
@@ -606,7 +595,7 @@ def limit_formula(
 
 def _integral_spectrum(aw: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray]:
     """Validate Re > 0 on the nonzero spectrum of aw; return the decay rate."""
-    eigs = np.linalg.eigvals(aw)
+    eigs = eigenvalues(aw)
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     zero_thr = tol.conv_tol * max(1.0, scale)
     nonzero = eigs[np.abs(eigs) > zero_thr]
@@ -675,24 +664,24 @@ def integral_formula(
     if steps % 2:
         steps += 1
 
-    # march exp(-(aw) t) at half-panel resolution; both Simpson sums reuse it
+    # march w exp(-(aw) t) at half-panel resolution; both Simpson sums take
+    # each panel as soon as its last node is reached, so only the last five
+    # nodes are held (steps is even, so the last node closes both sums)
     h = horizon / steps
     half_step = matrix_exp(-aw * (h / 2.0))
-    values = []
+    fine = np.zeros(w.shape, dtype=np.complex128)
+    coarse = np.zeros(w.shape, dtype=np.complex128)
+    nodes: deque = deque(maxlen=5)
     cursor = np.eye(aw.shape[0], dtype=np.complex128)
-    for _ in range(2 * steps + 1):
-        values.append(w @ cursor)
+    for k in range(2 * steps + 1):
+        nodes.append(w @ cursor)
+        if k and k % 2 == 0:
+            fine += (h / 6.0) * (nodes[-3] + 4.0 * nodes[-2] + nodes[-1])
+        if k and k % 4 == 0:
+            coarse += (h / 3.0) * (nodes[-5] + 4.0 * nodes[-3] + nodes[-1])
         cursor = cursor @ half_step
-    tail_norm = frob(values[-1])
+    tail_norm = frob(nodes[-1])
 
-    fine = sum(
-        (h / 6.0) * (values[2 * i] + 4.0 * values[2 * i + 1] + values[2 * i + 2])
-        for i in range(steps)
-    )
-    coarse = sum(
-        (h / 3.0) * (values[4 * i] + 4.0 * values[4 * i + 2] + values[4 * i + 4])
-        for i in range(steps // 2)
-    )
     estimate = (16.0 * fine - coarse) / 15.0
 
     tail_bound = tail_norm / alpha

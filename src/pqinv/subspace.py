@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import DEFAULT_TOL, Tolerances, as_matrix
+from .densela import (
+    DEFAULT_TOL,
+    PRODUCT_NOISE,
+    Tolerances,
+    as_matrix,
+    count_rank,
+    frob,
+    is_noise,
+)
 from .errors import ShapeError
 
 __all__ = [
@@ -101,8 +109,7 @@ def _orth_range(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     if m.shape[1] == 0:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m)
-    r = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol.rank_rtol * s[0]))
-    return _canonical_phases(u[:, :r])
+    return _canonical_phases(u[:, :count_rank(s, tol)])
 
 
 def _null_cols(m: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -110,8 +117,7 @@ def _null_cols(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
-    r = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol.rank_rtol * s[0]))
-    return _canonical_phases(vh[r:, :].conj().T)
+    return _canonical_phases(vh[count_rank(s, tol):, :].conj().T)
 
 
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -134,9 +140,8 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if s.dim == 0:
         return Subspace.zero(a.shape[0])
     mapped = a @ s.basis
-    # below the noise floor of the product the image is a true zero;
-    # a relative rank cutoff would otherwise count pure cancellation noise
-    if float(np.linalg.norm(mapped)) <= 1e-12 * float(np.linalg.norm(a)) * np.sqrt(s.dim):
+    # the basis has unit columns, so its norm is sqrt(dim)
+    if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])
     return Subspace(a.shape[0], _orth_range(mapped, tol))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspace as sub
-from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, rank
+from .densela import DEFAULT_TOL, Tolerances, eigenvalues, eq_bound, frob, rank
 from .errors import NonexistentInverseError
 from .ginv import (
     drazin_inverse,
@@ -102,12 +102,7 @@ class SuiteReport:
             "seed": self.seed,
             "trials": self.trials,
             "summary": self.counts(),
-            "tolerances": {
-                "rank_rtol": self.tol.rank_rtol,
-                "eq_atol": self.tol.eq_atol,
-                "eq_rtol": self.tol.eq_rtol,
-                "conv_tol": self.tol.conv_tol,
-            },
+            "tolerances": self.tol.to_json_dict(),
             "cases": [c.to_json_dict() for c in sorted(self.cases, key=lambda c: c.name)],
         }
 
@@ -605,7 +600,7 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_routes: bool, r
         rec.check("route_limit", frob(b_limit - b), ROUTE_TOL * bscale)
         if run_integral:
             aw = prob.a @ w
-            eigs = np.linalg.eigvals(aw)
+            eigs = eigenvalues(aw)
             nonzero = eigs[np.abs(eigs) > tol.conv_tol * max(1.0, float(np.max(np.abs(eigs))))]
             if nonzero.size and float(np.min(nonzero.real)) > 0.1:
                 b_int, _tail = integral_formula(prob.a, w, tol=tol)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pqinv.cli import main, matrix_to_file_dict, read_matrix, write_matrix
+from pqinv.densela import Tolerances
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -243,3 +244,28 @@ class TestSuites:
 
     def test_fuzz_dim_zero_exits_2(self, capsys):
         assert main(["fuzz", "--dim", "0", "--trials", "5"]) == 2
+
+
+class TestToleranceEcho:
+    FLAGS = ["--rank-rtol", "3e-11", "--eq-atol", "2e-10", "--eq-rtol", "5e-9",
+             "--conv-tol", "2e-8"]
+    TOL = Tolerances(rank_rtol=3e-11, eq_atol=2e-10, eq_rtol=5e-9, conv_tol=2e-8)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{a}", "{p}", "{q}"],
+        ["compute", "{a}", "{p}", "{q}", "--kind", "2l"],
+        ["verify"],
+        ["fuzz", "--trials", "2"],
+    ], ids=["check", "compute", "verify", "fuzz"])
+    def test_json_reports_echo_every_flag(self, counterexample_files, capsys, argv):
+        argv = [arg.format(**counterexample_files) for arg in argv]
+        assert main(argv + self.FLAGS) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tolerances"] == self.TOL.to_json_dict()
+
+    def test_represent_tolerance_line(self, tmp_path, capsys):
+        a = _write(tmp_path, "a", A22)
+        p = _write(tmp_path, "p", np.diag([1.0, 0.0]))
+        assert main(["represent", a, p, p, "--method", "limit"] + self.FLAGS) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == "# tolerances: rank_rtol=3e-11 eq_atol=2e-10 eq_rtol=5e-09 conv_tol=2e-08"

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pqinv.densela import DEFAULT_TOL, frob, inverse
+from pqinv.densela import DEFAULT_TOL, frob
 from pqinv.errors import NonexistentInverseError, ShapeError, SpectrumError
 from pqinv.ginv import drazin_inverse, moore_penrose
 from pqinv.prescribed import (
@@ -224,7 +226,7 @@ class TestOuterInverse:
         a = _cnormal(rng, 4, 4) + 3 * np.eye(4)
         prob = PqProblem(a, np.eye(4), np.zeros((4, 4)))
         result = outer_inverse(prob)
-        assert frob(result.b - inverse(a)) <= 1e-9 * frob(inverse(a))
+        assert frob(result.b - np.linalg.inv(a)) <= 1e-9 * frob(np.linalg.inv(a))
 
     def test_alternate_routes_agree(self):
         prob = counterexample_problem()
@@ -396,6 +398,20 @@ class TestIntegralFormula:
             assert frob(value - inst["b_ref"]) <= 1e-6 * (1 + frob(inst["b_ref"]))
             assert tail <= 1e-8
 
+    def test_memory_independent_of_step_count(self):
+        # a wide spectrum forces thousands of quadrature nodes; holding them
+        # all would take far more than a few dozen n x n matrices
+        n = 32
+        inst = diagonalizable_instance(np.random.default_rng(2), n, re_lo=0.1, re_hi=10.0)
+        tracemalloc.start()
+        try:
+            value, _tail = integral_formula(inst["a"], inst["w"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * n * 16
+        assert frob(value - inst["b_ref"]) <= 1e-6 * (1 + frob(inst["b_ref"]))
+
 
 class TestUniqueness:
     def test_witness_independence(self, rng):
@@ -436,7 +452,7 @@ class TestSpecialCases:
     def test_drazin_invertible(self, rng):
         a = _cnormal(rng, 4, 4) + 3 * np.eye(4)
         result = drazin_as_outer(a)
-        assert frob(result.b - inverse(a)) <= 1e-9 * frob(inverse(a))
+        assert frob(result.b - np.linalg.inv(a)) <= 1e-9 * frob(np.linalg.inv(a))
 
     def test_drazin_nilpotent(self):
         result = drazin_as_outer(np.array([[0, 1], [0, 0]], dtype=complex))
