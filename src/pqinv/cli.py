@@ -225,9 +225,7 @@ def _cmd_represent(args) -> int:
         rows.append("horizon,cauchy_error,tail_bound")
         for horizon in horizons:
             try:
-                estimate, tail = integral_formula(
-                    prob.a, w, horizon=horizon, steps=args.steps, tol=tol
-                )
+                estimate, tail = integral_formula(prob.a, w, horizon=horizon, tol=tol)
             except ValueError:
                 if horizon == horizons[-1]:
                     raise  # the requested horizon itself is too short
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     represent.add_argument("--method", required=True, choices=["limit", "integral"])
     represent.add_argument("--lambda-min", type=float, default=1e-8)
     represent.add_argument("--horizon", type=float, default=None)
-    represent.add_argument("--steps", type=int, default=None)
     represent.add_argument("--out", default=None, help="write the final matrix file here")
     _add_tol_flags(represent)
     represent.set_defaults(fn=_cmd_represent)

@@ -24,7 +24,6 @@ giving four independent numerical routes that cross-validate each other.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -371,9 +370,9 @@ def _pq_residuals(prob: PqProblem, b: np.ndarray) -> dict[str, float]:
 
 def _route_result(prob: PqProblem, w: np.ndarray, b_group: np.ndarray, route: str) -> tuple[np.ndarray, str]:
     tol = prob.tol
-    if route in ("group", "group_formula"):
+    if route == "group":
         return b_group, "group_formula"
-    if route in ("inner", "inner_formula"):
+    if route == "inner":
         return inner_formula(prob.a, w, tol), "inner_formula"
     if route == "limit":
         b, _trace = limit_formula(prob.a, w, tol=tol)
@@ -593,7 +592,7 @@ def limit_formula(
     return current, trace
 
 
-def _integral_spectrum(aw: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray]:
+def _integral_spectrum(aw: np.ndarray, tol: Tolerances) -> float:
     """Validate Re > 0 on the nonzero spectrum of aw; return the decay rate."""
     eigs = eigenvalues(aw)
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -607,36 +606,41 @@ def _integral_spectrum(aw: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarr
             f"aw has a nonzero eigenvalue with Re = {worst:.3e} <= 0; "
             "the exponential integral does not converge"
         )
-    return worst, nonzero
+    return worst
 
 
 def integral_formula(
     a,
     w,
     horizon: float | None = None,
-    steps: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
     """Exponential integral  integral_0^T w exp(-(a w) t) dt.
 
-    Composite Simpson quadrature on a uniform grid with one Richardson
-    extrapolation step (fine vs half-resolution sums share the same
-    exponential march).  Requires Re > 0 on the nonzero spectrum of
-    ``a w``, and that w annihilates the non-decaying spectral part.
-    Returns the estimate and the analytic tail bound
-    ||w exp(-(a w) T)||_F / alpha, which must come in under conv_tol.
+    Evaluated in closed form by Van Loan's block exponential (C. Van Loan,
+    IEEE Trans. Autom. Control 23 (1978) 395-404):
+
+        exp([[-a w, 1], [0, 0]] T) = [[exp(-(a w) T), integral_0^T exp(-(a w) t) dt],
+                                      [0,             1                             ]],
+
+    so one 2n x 2n exponential gives both the integral and the tail.
+    Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
+    annihilates the non-decaying spectral part.  Returns the estimate and
+    the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
+    in under conv_tol.
     """
     a = as_matrix(a, "a")
     w = as_matrix(w, "w")
     if a.shape[1] != w.shape[0] or a.shape[0] != w.shape[1]:
         raise ShapeError(f"incompatible shapes a {a.shape}, w {w.shape}")
     aw = a @ w
-    alpha, nonzero = _integral_spectrum(aw, tol)
+    alpha = _integral_spectrum(aw, tol)
 
     g_aw = group_inverse(aw, tol)
     if g_aw is None:
         raise SpectrumError("aw is not group invertible; non-decaying part persists")
-    static_part = w @ (np.eye(aw.shape[0], dtype=np.complex128) - aw @ g_aw)
+    n = aw.shape[0]
+    static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
     if frob(static_part) > eq_bound(w, w, tol):
         raise SpectrumError(
             "w does not annihilate the non-decaying spectral part of aw "
@@ -655,34 +659,12 @@ def integral_formula(
             "required by the convergence tolerance"
         )
 
-    sigma_max = float(np.max(np.abs(nonzero)))
-    if steps is None:
-        steps = int(min(8192, max(64, np.ceil(horizon * max(8.0, 4.0 * sigma_max)))))
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    if steps % 2:
-        steps += 1
-
-    # march w exp(-(aw) t) at half-panel resolution; both Simpson sums take
-    # each panel as soon as its last node is reached, so only the last five
-    # nodes are held (steps is even, so the last node closes both sums)
-    h = horizon / steps
-    half_step = matrix_exp(-aw * (h / 2.0))
-    fine = np.zeros(w.shape, dtype=np.complex128)
-    coarse = np.zeros(w.shape, dtype=np.complex128)
-    nodes: deque = deque(maxlen=5)
-    cursor = np.eye(aw.shape[0], dtype=np.complex128)
-    for k in range(2 * steps + 1):
-        nodes.append(w @ cursor)
-        if k and k % 2 == 0:
-            fine += (h / 6.0) * (nodes[-3] + 4.0 * nodes[-2] + nodes[-1])
-        if k and k % 4 == 0:
-            coarse += (h / 3.0) * (nodes[-5] + 4.0 * nodes[-3] + nodes[-1])
-        cursor = cursor @ half_step
-    tail_norm = frob(nodes[-1])
-
-    estimate = (16.0 * fine - coarse) / 15.0
+    block = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    block[:n, :n] = -aw * horizon
+    block[:n, n:] = np.eye(n) * horizon
+    flow = matrix_exp(block)
+    estimate = w @ flow[:n, n:]
+    tail_norm = frob(w @ flow[:n, :n])
 
     tail_bound = tail_norm / alpha
     if tail_bound > tol.conv_tol:

@@ -235,6 +235,11 @@ class TestOuterInverse:
             assert frob(res.b - B22) <= 1e-7
             assert res.route in ("inner_formula", "limit", "integral")
 
+    @pytest.mark.parametrize("route", ["group_formula", "inner_formula", "bogus"])
+    def test_only_short_route_names_accepted(self, route):
+        with pytest.raises(ValueError, match="unknown route"):
+            outer_inverse(counterexample_problem(), route=route)
+
 
 class TestOuterInverseStrict:
     def test_counterexample_nonexistence_names_residuals(self):
@@ -398,9 +403,19 @@ class TestIntegralFormula:
             assert frob(value - inst["b_ref"]) <= 1e-6 * (1 + frob(inst["b_ref"]))
             assert tail <= 1e-8
 
-    def test_memory_independent_of_step_count(self):
-        # a wide spectrum forces thousands of quadrature nodes; holding them
-        # all would take far more than a few dozen n x n matrices
+    def test_slow_decay_is_not_truncated(self):
+        # alpha ~ 1e-3 with |Im| ~ 1: the horizon (~3e4) spans thousands of
+        # oscillation periods of the integrand
+        inst = diagonalizable_instance(
+            np.random.default_rng(0), 6, r=3, re_lo=1e-3, re_hi=2e-3, im_amp=1.0
+        )
+        value, tail = integral_formula(inst["a"], inst["w"])
+        assert frob(value - inst["b_ref"]) <= 1e-6 * (1 + frob(inst["b_ref"]))
+        assert tail <= 1e-8
+
+    def test_memory_quadratic_in_n(self):
+        # one Pade exponential of the 2n x 2n Van Loan block holds a fixed
+        # number of 2n x 2n products, a few dozen n x n matrices at most
         n = 32
         inst = diagonalizable_instance(np.random.default_rng(2), n, re_lo=0.1, re_hi=10.0)
         tracemalloc.start()
