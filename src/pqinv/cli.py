@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,19 +69,24 @@ def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
         raise ValueError(f"{name}: malformed matrix file ({exc})") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"{name}: rows and cols must be positive, got {rows}x{cols}")
+    if not isinstance(data, list):
+        raise ValueError(f"{name}: data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(
             f"{name}: data length {len(data)} does not match rows*cols = {rows * cols}"
         )
-    entries = []
-    for pair in data:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"{name}: each entry must be a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ValueError(f"{name}: non-finite entry [{re}, {im}]")
-        entries.append(complex(re, im))
-    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: each entry must be a [re, im] pair ({exc})") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(f"{name}: each entry must be a [re, im] pair")
+    bad = ~np.isfinite(pairs).all(axis=1)
+    if bad.any():
+        re, im = pairs[np.argmax(bad)]
+        raise ValueError(f"{name}: non-finite entry [{float(re)}, {float(im)}]")
+    # one complex128 is a (re, im) float64 pair in memory: bit-exact, signed zeros kept
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -104,16 +110,12 @@ def _emit(doc: dict):
 
 
 def _tolerances_from_args(args) -> Tolerances:
-    rank_rtol = args.rank_rtol
-    if rank_rtol is None:
-        env = os.environ.get(RANK_RTOL_ENV)
-        rank_rtol = float(env) if env else DEFAULT_TOL.rank_rtol
-    return Tolerances(
-        rank_rtol=rank_rtol,
-        eq_atol=args.eq_atol if args.eq_atol is not None else DEFAULT_TOL.eq_atol,
-        eq_rtol=args.eq_rtol if args.eq_rtol is not None else DEFAULT_TOL.eq_rtol,
-        conv_tol=args.conv_tol if args.conv_tol is not None else DEFAULT_TOL.conv_tol,
-    )
+    """A flag wins, then the env var (rank_rtol only), then the default."""
+    given = {f.name: getattr(args, f.name) for f in fields(Tolerances)}
+    env = os.environ.get(RANK_RTOL_ENV)
+    if given["rank_rtol"] is None and env:
+        given["rank_rtol"] = float(env)
+    return replace(DEFAULT_TOL, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_tol_flags(parser: argparse.ArgumentParser):

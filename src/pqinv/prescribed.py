@@ -230,50 +230,65 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return ran_p.basis @ co_q.basis.conj().T
 
 
-def _candidate(prob: PqProblem, tol: Tolerances) -> tuple[np.ndarray | None, np.ndarray | None, str]:
+def _candidate(prob: PqProblem, tol: Tolerances) -> tuple:
     """Build and validate the subspace-outer candidate.
 
-    Returns (w, b, "") on success or (None, None, reason) when the
-    inverse does not exist.  Validation checks the defining equations
-    directly, so this is the definitional existence test, independent of
-    the subspace criteria used by :func:`diagnose`.
+    Returns (w, b, spaces, "") on success, with spaces the (Ran(b), Ker(b),
+    Ran(p), Ran(q)) the validation built, or (None, None, None, reason)
+    when the inverse does not exist.  Validation checks the defining
+    equations directly, so this is the definitional existence test,
+    independent of the subspace criteria used by :func:`diagnose`.
     """
     try:
         w = matrix_with_range_kernel(prob.p, prob.q, tol)
     except NonexistentInverseError as exc:
-        return None, None, exc.reason
+        return None, None, None, exc.reason
     aw = prob.a @ w
     g = group_inverse(aw, tol)
     if g is None:
-        return None, None, "aw is not group invertible (rank(aw)² drops)"
+        return None, None, None, "aw is not group invertible (rank(aw)² drops)"
     b = w @ g
     if not matrices_equal(b @ prob.a @ b, b, tol):
-        return None, None, "candidate fails b a b = b"
-    if not sub.equals(sub.range_of(b, tol), sub.range_of(prob.p, tol), tol):
-        return None, None, "candidate fails Ran(b) = Ran(p)"
-    if not sub.equals(sub.kernel_of(b, tol), sub.range_of(prob.q, tol), tol):
-        return None, None, "candidate fails Ker(b) = Ran(q)"
-    return w, b, ""
+        return None, None, None, "candidate fails b a b = b"
+    ran_b, ran_p = sub.range_of(b, tol), sub.range_of(prob.p, tol)
+    if not sub.equals(ran_b, ran_p, tol):
+        return None, None, None, "candidate fails Ran(b) = Ran(p)"
+    ker_b, ran_q = sub.kernel_of(b, tol), sub.range_of(prob.q, tol)
+    if not sub.equals(ker_b, ran_q, tol):
+        return None, None, None, "candidate fails Ker(b) = Ran(q)"
+    return w, b, (ran_b, ker_b, ran_p, ran_q), ""
 
 
-def _strict_residuals(prob: PqProblem, b: np.ndarray) -> tuple[float, float]:
-    return frob(b @ prob.a - prob.p), frob(prob.a @ b - prob.one_minus_q)
+def _strict_products(prob: PqProblem, b: np.ndarray, tol: Tolerances) -> tuple[bool, float, float]:
+    """Whether b a = p and a b = 1 - q hold, with both residuals."""
+    ba, ab, one_mq = b @ prob.a, prob.a @ b, prob.one_minus_q
+    ba_res, ab_res = frob(ba - prob.p), frob(ab - one_mq)
+    holds = ba_res <= eq_bound(ba, prob.p, tol) and ab_res <= eq_bound(ab, one_mq, tol)
+    return holds, ba_res, ab_res
 
 
-def _strict_holds(prob: PqProblem, b: np.ndarray, tol: Tolerances) -> bool:
-    ba = b @ prob.a
-    ab = prob.a @ b
-    return (
-        frob(ba - prob.p) <= eq_bound(ba, prob.p, tol)
-        and frob(ab - prob.one_minus_q) <= eq_bound(ab, prob.one_minus_q, tol)
-    )
+def _l12_failure(ran_a, ker_a, ran_p, ran_q, tol: Tolerances) -> str:
+    """The first failing decomposition of {1,2}-existence, or ""."""
+    if not sub.is_direct_sum_all(ran_a, ran_q, tol):
+        return "C^n = Ran(a) ∔ Ran(q)"
+    if not sub.is_direct_sum_all(ker_a, ran_p, tol):
+        return "C^n = Ker(a) ∔ Ran(p)"
+    return ""
+
+
+def _strict12_failure(prob: PqProblem, ran_a, ker_a, tol: Tolerances) -> str:
+    """The first failing subspace equality of strict {1,2}-existence, or ""."""
+    if not sub.equals(ran_a, sub.range_of(prob.one_minus_q, tol), tol):
+        return "Ran(a) = Ran(1-q)"
+    if not sub.equals(ker_a, sub.range_of(prob.one_minus_p, tol), tol):
+        return "Ker(a) = Ran(1-p)"
+    return ""
 
 
 def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     """All existence criteria at one rank threshold (each computed on its own)."""
     a, p, q = prob.a, prob.p, prob.q
     one_mq = prob.one_minus_q
-    one_mp = prob.one_minus_p
 
     ran_p = sub.range_of(p, tol)
     ran_q = sub.range_of(q, tol)
@@ -295,18 +310,12 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     t_witness = solve_left(m, p, tol)
     s_witness = solve_right(m, one_mq, tol)
 
-    _w, b, _reason = _candidate(prob, tol)
+    _w, b, _spaces, _reason = _candidate(prob, tol)
     l_exists = b is not None
-    strict = l_exists and _strict_holds(prob, b, tol)
+    strict = l_exists and _strict_products(prob, b, tol)[0]
 
-    l12 = sub.is_direct_sum_all(ran_a, ran_q, tol) and sub.is_direct_sum_all(
-        ker_a, ran_p, tol
-    )
-    strict12 = (
-        l12
-        and sub.equals(ran_a, sub.range_of(one_mq, tol), tol)
-        and sub.equals(ker_a, sub.range_of(one_mp, tol), tol)
-    )
+    l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
+    strict12 = l12 and not _strict12_failure(prob, ran_a, ker_a, tol)
 
     return {
         "ker_cap_ranp_trivial": ker_trivial,
@@ -349,16 +358,16 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
-def _pq_residuals(prob: PqProblem, b: np.ndarray) -> dict[str, float]:
-    a, p, q = prob.a, prob.p, prob.q
+def _pq_residuals(prob: PqProblem, b: np.ndarray, spaces: tuple) -> dict[str, float]:
+    a, p = prob.a, prob.p
     one_mq = prob.one_minus_q
-    tol = prob.tol
-    ba_res, ab_res = _strict_residuals(prob, b)
+    ran_b, ker_b, ran_p, ran_q = spaces
+    _holds, ba_res, ab_res = _strict_products(prob, b, prob.tol)
     return {
         "outer": frob(b @ a @ b - b),
         "inner": frob(a @ b @ a - a),
-        "range_gap": sub.gap(sub.range_of(b, tol), sub.range_of(p, tol)),
-        "kernel_gap": sub.gap(sub.kernel_of(b, tol), sub.range_of(q, tol)),
+        "range_gap": sub.gap(ran_b, ran_p),
+        "kernel_gap": sub.gap(ker_b, ran_q),
         "ba_minus_p": ba_res,
         "ab_minus_1mq": ab_res,
         "fix_left": frob(p @ b - b),
@@ -392,7 +401,7 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     value at the convergence tolerance.
     """
     tol = prob.tol
-    w, b_group, reason = _candidate(prob, tol)
+    w, b_group, spaces, reason = _candidate(prob, tol)
     if b_group is None:
         raise NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
     b, route_name = _route_result(prob, w, b_group, route)
@@ -402,7 +411,8 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
             raise NumericalError(
                 f"route '{route_name}' disagrees with the group formula by {drift:.3e}"
             )
-    return PqResult("outer2l", b, route_name, _pq_residuals(prob, b))
+        spaces = (sub.range_of(b, tol), sub.kernel_of(b, tol), *spaces[2:])
+    return PqResult("outer2l", b, route_name, _pq_residuals(prob, b, spaces))
 
 
 def outer_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
@@ -414,8 +424,8 @@ def outer_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     """
     result = outer_inverse(prob, route)
     b = result.b
-    if not _strict_holds(prob, b, prob.tol):
-        ba_res, ab_res = _strict_residuals(prob, b)
+    holds, ba_res, ab_res = _strict_products(prob, b, prob.tol)
+    if not holds:
         raise NonexistentInverseError(
             "strict (p,q)-outer inverse does not exist: "
             f"ba ≠ p (residual {ba_res:.3e}) or ab ≠ 1-q (residual {ab_res:.3e})",
@@ -424,20 +434,13 @@ def outer_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     return PqResult("outer2", b, result.route, result.residuals)
 
 
-def one_two_inverse(prob: PqProblem, route: str = "group") -> PqResult:
-    """The {1,2}-inverse with prescribed range and kernel subspaces."""
+def _one_two(prob: PqProblem, route: str, ran_a, ker_a) -> PqResult:
+    """The {1,2}-inverse with prescribed subspaces, given Ran(a) and Ker(a)."""
     tol = prob.tol
-    ran_a = sub.range_of(prob.a, tol)
-    ker_a = sub.kernel_of(prob.a, tol)
-    broken = []
-    if not sub.is_direct_sum_all(ran_a, sub.range_of(prob.q, tol), tol):
-        broken.append("C^n = Ran(a) ∔ Ran(q)")
-    if not sub.is_direct_sum_all(ker_a, sub.range_of(prob.p, tol), tol):
-        broken.append("C^n = Ker(a) ∔ Ran(p)")
+    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
     if broken:
-        raise NonexistentInverseError(
-            "decomposition " + " and ".join(broken) + " fails"
-        )
+        raise NonexistentInverseError(f"decomposition {broken} fails")
     result = outer_inverse(prob, route)
     inner_res = result.residuals["inner"]
     if inner_res > eq_bound(prob.a, prob.a, tol):
@@ -448,18 +451,23 @@ def one_two_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     return PqResult("one_two_l", result.b, result.route, result.residuals)
 
 
+def one_two_inverse(prob: PqProblem, route: str = "group") -> PqResult:
+    """The {1,2}-inverse with prescribed range and kernel subspaces."""
+    tol = prob.tol
+    return _one_two(prob, route, sub.range_of(prob.a, tol), sub.kernel_of(prob.a, tol))
+
+
 def one_two_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     """The {1,2}-inverse with b a = p and a b = 1 - q, when it exists."""
     tol = prob.tol
     ran_a = sub.range_of(prob.a, tol)
     ker_a = sub.kernel_of(prob.a, tol)
-    if not sub.equals(ran_a, sub.range_of(prob.one_minus_q, tol), tol):
-        raise NonexistentInverseError("subspace equality Ran(a) = Ran(1-q) fails")
-    if not sub.equals(ker_a, sub.range_of(prob.one_minus_p, tol), tol):
-        raise NonexistentInverseError("subspace equality Ker(a) = Ran(1-p) fails")
-    result = one_two_inverse(prob, route)
-    if not _strict_holds(prob, result.b, tol):
-        ba_res, ab_res = _strict_residuals(prob, result.b)
+    broken = _strict12_failure(prob, ran_a, ker_a, tol)
+    if broken:
+        raise NonexistentInverseError(f"subspace equality {broken} fails")
+    result = _one_two(prob, route, ran_a, ker_a)
+    holds, ba_res, ab_res = _strict_products(prob, result.b, tol)
+    if not holds:
         raise NumericalError(
             "product identities failed although the subspace equalities hold: "
             f"|ba-p|={ba_res:.3e}, |ab-(1-q)|={ab_res:.3e}"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspace as sub
-from .densela import DEFAULT_TOL, Tolerances, eigenvalues, eq_bound, frob, rank
-from .errors import NonexistentInverseError
+from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, rank
+from .errors import NonexistentInverseError, SpectrumError
 from .ginv import (
     drazin_inverse,
     gi_idempotents,
@@ -28,6 +28,7 @@ from .ginv import (
 )
 from .prescribed import (
     PqProblem,
+    _integral_spectrum,
     diagnose,
     drazin_as_outer,
     group_formula,
@@ -599,10 +600,11 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_routes: bool, r
         b_limit, _trace = limit_formula(prob.a, w, tol=tol)
         rec.check("route_limit", frob(b_limit - b), ROUTE_TOL * bscale)
         if run_integral:
-            aw = prob.a @ w
-            eigs = eigenvalues(aw)
-            nonzero = eigs[np.abs(eigs) > tol.conv_tol * max(1.0, float(np.max(np.abs(eigs))))]
-            if nonzero.size and float(np.min(nonzero.real)) > 0.1:
+            try:
+                admissible = _integral_spectrum(prob.a @ w, tol) > 0.1
+            except SpectrumError:
+                admissible = False
+            if admissible:
                 b_int, _tail = integral_formula(prob.a, w, tol=tol)
                 rec.check("route_integral", frob(b_int - b), ROUTE_TOL * bscale)
     return False

@@ -49,6 +49,29 @@ class TestMatrixFiles:
         with pytest.raises(ValueError, match="non-finite"):
             read_matrix(str(path))
 
+    @pytest.mark.parametrize("data", [
+        "[[null, 0]]",
+        "[[[1, 2], 0]]",
+        "[[1" + "0" * 400 + ", 0]]",
+        "5",
+        "null",
+    ], ids=["null_entry", "nested_entry", "int_beyond_float", "scalar_data", "null_data"])
+    def test_malformed_data_exits_2(self, tmp_path, counterexample_files, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": ' + data + "}")
+        argv = ["check", str(path), counterexample_files["p"], counterexample_files["q"]]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_parse_matches_per_entry_reference(self, tmp_path, rng):
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        m[0, 0], m[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        path = tmp_path / "m.json"
+        write_matrix(str(path), m)
+        data = json.loads(path.read_text())["data"]
+        reference = np.array([complex(re, im) for re, im in data]).reshape(3, 4)
+        assert read_matrix(str(path)).tobytes() == reference.tobytes()
+
     def test_file_dict_shape(self):
         doc = matrix_to_file_dict(B22)
         assert doc["rows"] == 2 and doc["cols"] == 2

@@ -26,6 +26,7 @@ from pqinv.verify import (
     diagonalizable_instance,
     guaranteed_instance,
     random_idempotent,
+    random_triple,
     varied_index_matrix,
     varied_rank_matrix,
 )
@@ -288,6 +289,13 @@ class TestOneTwoInverse:
         with pytest.raises(NonexistentInverseError, match="decomposition"):
             one_two_inverse(prob)
 
+    def test_double_failure_names_the_first_decomposition(self):
+        # both decompositions fail here; the report stops at the first
+        prob = PqProblem(np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(NonexistentInverseError) as exc:
+            one_two_inverse(prob)
+        assert exc.value.reason == "decomposition C^n = Ran(a) ∔ Ran(q) fails"
+
 
 class TestOneTwoInverseStrict:
     def test_identity(self):
@@ -303,6 +311,64 @@ class TestOneTwoInverseStrict:
     def test_counterexample_fails_subspace_equality(self):
         with pytest.raises(NonexistentInverseError, match="Ran"):
             one_two_inverse_strict(counterexample_problem())
+
+
+class TestComputeAgreesWithDiagnose:
+    VERDICTS = (
+        (outer_inverse, "l_exists"),
+        (outer_inverse_strict, "strict_exists"),
+        (one_two_inverse, "l12_exists"),
+        (one_two_inverse_strict, "strict12_exists"),
+    )
+
+    def test_nonexistence_exactly_when_verdict_false(self):
+        rng = np.random.default_rng(2024)
+        seen = {verdict: set() for _fn, verdict in self.VERDICTS}
+        for i in range(150):
+            n = int(rng.integers(1, 9))
+            if i % 2 == 0:
+                inst = guaranteed_instance(rng, n)
+                prob = PqProblem(inst["a"], inst["p"], inst["q"])
+            else:
+                prob = PqProblem(*random_triple(rng, n))
+            report = diagnose(prob)
+            if report.fragile:
+                continue
+            for fn, verdict in self.VERDICTS:
+                try:
+                    fn(prob)
+                    exists = True
+                except NonexistentInverseError:
+                    exists = False
+                assert exists == getattr(report, verdict), (i, fn.__name__)
+                seen[verdict].add(exists)
+        assert all(outcomes == {True, False} for outcomes in seen.values())
+
+
+class TestDecompositionCounts:
+    @staticmethod
+    def _svd_calls(monkeypatch, fn, prob) -> int:
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        fn(prob)
+        return len(calls)
+
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 10), (one_two_inverse, 18)])
+    def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
+        inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        assert self._svd_calls(monkeypatch, fn, prob) == expected
+
+    def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
+        assert self._svd_calls(monkeypatch, one_two_inverse_strict, prob) == 17
 
 
 class TestGroupFormula:
