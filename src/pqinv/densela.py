@@ -9,11 +9,15 @@ here: :func:`count_rank` turns singular values into a rank,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products), and
 :meth:`Tolerances.to_json_dict` is the one serialised form of the
-thresholds.
+thresholds.  Inside :func:`watch_rank_band`, every rank decision also
+records whether it lies within :data:`FRAGILITY_FACTOR` of its cutoff.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +28,8 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "PRODUCT_NOISE",
+    "FRAGILITY_FACTOR",
+    "FRAGILITY_SCALES",
     "as_matrix",
     "frob",
     "is_noise",
@@ -32,6 +38,8 @@ __all__ = [
     "adjoint",
     "singular_values",
     "count_rank",
+    "RankBand",
+    "watch_rank_band",
     "rank",
     "solve_right",
     "solve_left",
@@ -129,12 +137,65 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
 
 
+# A rank verdict is fragile when it changes with the cutoff scaled by this
+# factor either way; FRAGILITY_SCALES are the two scaled cutoffs' factors.
+FRAGILITY_FACTOR = 10.0
+FRAGILITY_SCALES = (FRAGILITY_FACTOR, 1.0 / FRAGILITY_FACTOR)
+
+
+@dataclass
+class RankBand:
+    """Whether some rank decision counted differently at a scaled cutoff."""
+
+    near: bool = False
+
+
+_RANK_BAND: ContextVar[RankBand | None] = ContextVar("pqinv_rank_band", default=None)
+
+
+@contextmanager
+def watch_rank_band() -> Iterator[RankBand]:
+    """Record, for the rank decisions made inside the block, whether any
+    would count differently at rank_rtol scaled by either of
+    FRAGILITY_SCALES.
+
+    The count is monotone in the cutoff, so equal counts at the two scaled
+    cutoffs mean equal counts at all three.  When ``near`` stays False, a
+    re-run of the block at either scaled tolerance makes the same rank
+    decisions and so repeats it operation for operation.
+    """
+    band = RankBand()
+    token = _RANK_BAND.set(band)
+    try:
+        yield band
+    finally:
+        _RANK_BAND.reset(token)
+
+
+def _count_above(s: np.ndarray, rtol: float) -> int:
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def _straddles_cutoff(s: np.ndarray, rtol: float) -> bool:
+    """True when the count of ``s`` differs between the two scaled cutoffs."""
+    hi, lo = (_count_above(s, rtol * scale) for scale in FRAGILITY_SCALES)
+    return hi != lo
+
+
+def _note_rank_decision(s: np.ndarray, rtol: float):
+    """Feed one rank decision to the active :func:`watch_rank_band`, if any."""
+    band = _RANK_BAND.get()
+    if band is not None and not band.near and s.size and s[0] != 0.0:
+        band.near = _straddles_cutoff(s, rtol)
+
+
 def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank from descending singular values ``s``: the count of
     those above rank_rtol * sigma_max (0 when sigma_max is 0)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rtol * s[0]))
+    _note_rank_decision(s, tol.rank_rtol)
+    return _count_above(s, tol.rank_rtol)
 
 
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -153,7 +214,12 @@ def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     b = as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but B has {b.shape[0]}")
-    x, *_ = np.linalg.lstsq(a, b, rcond=tol.rank_rtol)
+    x, _res, _rank, s = np.linalg.lstsq(a, b, rcond=tol.rank_rtol)
+    # lstsq keeps the singular values above rcond * s[0], count_rank's count.
+    # LAPACK reads an rcond >= 1 as machine epsilon, yet the band check still
+    # holds: a cutoff >= 1 counts none, so the two scales' counts differ
+    # unless all three cutoffs are >= 1 and lstsq runs alike at each.
+    _note_rank_decision(s, tol.rank_rtol)
     if frob(a @ x - b) > tol.eq_atol + tol.eq_rtol * frob(b):
         return None
     return x

@@ -75,17 +75,17 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Group inverse, or None when rank(a^2) < rank(a).
 
     Computed gauge-invariantly from a full-rank factorization a = F G as
-    F (G F)^-2 G.
+    F (G F)^-2 G; rank(a) is read from the same factorization.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"group inverse needs a square matrix, got {a.shape}")
-    r = rank(a, tol)
+    f, g = rank_factorization(a, tol)
+    r = f.shape[1]
     if r == 0:
         return np.zeros_like(a)
     if _product_rank(a @ a, frob(a) ** 2, tol) < r:
         return None
-    f, g = rank_factorization(a, tol)
     gf = g @ f
     try:
         core = np.linalg.solve(gf, np.eye(r, dtype=np.complex128))

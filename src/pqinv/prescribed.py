@@ -31,6 +31,7 @@ import numpy as np
 from . import subspace as sub
 from .densela import (
     DEFAULT_TOL,
+    FRAGILITY_SCALES,
     PRODUCT_NOISE,
     Tolerances,
     as_matrix,
@@ -43,6 +44,7 @@ from .densela import (
     rank,
     solve_left,
     solve_right,
+    watch_rank_band,
 )
 from .errors import (
     NonexistentInverseError,
@@ -137,7 +139,8 @@ class ExistenceReport:
     The boolean fields are computed independently of each other, so
     ``equivalence_consistent`` is a genuine cross-check of the theory
     rather than a tautology.  ``fragile`` flags verdicts that flip when
-    the rank threshold moves by a factor of ten either way.
+    the rank threshold moves by ``densela.FRAGILITY_FACTOR`` (ten) either
+    way.
     """
 
     ker_cap_ranp_trivial: bool
@@ -218,9 +221,12 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
-    n = p.shape[0]
-    ran_p = sub.range_of(p, tol)
-    ran_q = sub.range_of(q, tol)
+    return _w_from_spaces(sub.range_of(p, tol), sub.range_of(q, tol), tol)
+
+
+def _w_from_spaces(ran_p: sub.Subspace, ran_q: sub.Subspace, tol: Tolerances) -> np.ndarray:
+    """:func:`matrix_with_range_kernel` given Ran(p) and Ran(q)."""
+    n = ran_p.ambient
     if ran_p.dim + ran_q.dim != n:
         raise NonexistentInverseError(
             "dimension obstruction: dim Ran(p) + dim Ran(q) = "
@@ -230,17 +236,17 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return ran_p.basis @ co_q.basis.conj().T
 
 
-def _candidate(prob: PqProblem, tol: Tolerances) -> tuple:
-    """Build and validate the subspace-outer candidate.
+def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace, tol: Tolerances) -> tuple:
+    """Build and validate the subspace-outer candidate from Ran(p), Ran(q).
 
     Returns (w, b, spaces, "") on success, with spaces the (Ran(b), Ker(b),
-    Ran(p), Ran(q)) the validation built, or (None, None, None, reason)
+    Ran(p), Ran(q)) the validation used, or (None, None, None, reason)
     when the inverse does not exist.  Validation checks the defining
     equations directly, so this is the definitional existence test,
     independent of the subspace criteria used by :func:`diagnose`.
     """
     try:
-        w = matrix_with_range_kernel(prob.p, prob.q, tol)
+        w = _w_from_spaces(ran_p, ran_q, tol)
     except NonexistentInverseError as exc:
         return None, None, None, exc.reason
     aw = prob.a @ w
@@ -250,10 +256,10 @@ def _candidate(prob: PqProblem, tol: Tolerances) -> tuple:
     b = w @ g
     if not matrices_equal(b @ prob.a @ b, b, tol):
         return None, None, None, "candidate fails b a b = b"
-    ran_b, ran_p = sub.range_of(b, tol), sub.range_of(prob.p, tol)
+    ran_b = sub.range_of(b, tol)
     if not sub.equals(ran_b, ran_p, tol):
         return None, None, None, "candidate fails Ran(b) = Ran(p)"
-    ker_b, ran_q = sub.kernel_of(b, tol), sub.range_of(prob.q, tol)
+    ker_b = sub.kernel_of(b, tol)
     if not sub.equals(ker_b, ran_q, tol):
         return None, None, None, "candidate fails Ker(b) = Ran(q)"
     return w, b, (ran_b, ker_b, ran_p, ran_q), ""
@@ -310,7 +316,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     t_witness = solve_left(m, p, tol)
     s_witness = solve_right(m, one_mq, tol)
 
-    _w, b, _spaces, _reason = _candidate(prob, tol)
+    _w, b, _spaces, _reason = _candidate(prob, ran_p, ran_q, tol)
     l_exists = b is not None
     strict = l_exists and _strict_products(prob, b, tol)[0]
 
@@ -339,21 +345,28 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
 
     Each criterion is computed on its own (subspace dimensions, range
     containments, least-squares witnesses, and the definitional candidate
-    construction), so disagreement between fields is detectable.  The
-    whole diagnosis is repeated with the rank threshold scaled by 10 and
-    by 0.1; any verdict that flips marks the report fragile.
+    construction), so disagreement between fields is detectable.  A
+    verdict is fragile when it flips with the rank threshold scaled by
+    ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
+    repeated at those two thresholds only when one of its rank decisions
+    (a singular-value count or a least-squares rank) lies within that
+    factor of its cutoff.  Skipping the repeats otherwise is exact: the
+    threshold enters only through those decisions, so each repeat would
+    make the same decisions, perform the same operations and return the
+    same verdicts.
     """
     tol = prob.tol
-    base = _booleans_at(prob, tol)
+    with watch_rank_band() as band:
+        base = _booleans_at(prob, tol)
 
     def verdicts(values: dict) -> dict[str, bool]:
         return ExistenceReport(fragile=False, tol=tol, **values).booleans()
 
-    # any() stops at the first flip, so the x0.1 pass runs only when needed
-    fragile = any(
-        verdicts(_booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * factor)))
+    # any() stops at the first flip, so the second repeat runs only when needed
+    fragile = band.near and any(
+        verdicts(_booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * scale)))
         != verdicts(base)
-        for factor in (10.0, 0.1)
+        for scale in FRAGILITY_SCALES
     )
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
@@ -401,7 +414,13 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     value at the convergence tolerance.
     """
     tol = prob.tol
-    w, b_group, spaces, reason = _candidate(prob, tol)
+    return _outer(prob, route, sub.range_of(prob.p, tol), sub.range_of(prob.q, tol))
+
+
+def _outer(prob: PqProblem, route: str, ran_p: sub.Subspace, ran_q: sub.Subspace) -> PqResult:
+    """:func:`outer_inverse` given Ran(p) and Ran(q)."""
+    tol = prob.tol
+    w, b_group, spaces, reason = _candidate(prob, ran_p, ran_q, tol)
     if b_group is None:
         raise NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
     b, route_name = _route_result(prob, w, b_group, route)
@@ -441,7 +460,7 @@ def _one_two(prob: PqProblem, route: str, ran_a, ker_a) -> PqResult:
     broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
     if broken:
         raise NonexistentInverseError(f"decomposition {broken} fails")
-    result = outer_inverse(prob, route)
+    result = _outer(prob, route, ran_p, ran_q)
     inner_res = result.residuals["inner"]
     if inner_res > eq_bound(prob.a, prob.a, tol):
         raise NumericalError(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pqinv.densela import frob, rank
-from pqinv.errors import NonexistentInverseError
+from pqinv.errors import NonexistentInverseError, SpectrumError
 from pqinv.ginv import drazin_inverse, group_inverse, moore_penrose
 from pqinv.prescribed import (
     PqProblem,
@@ -129,10 +129,10 @@ def test_criterion_4_four_route_agreement():
         a, w = inst["a"], inst["w"]
         values = [group_formula(a, w), inner_formula(a, w)]
         values.append(limit_formula(a, w)[0])
-        eigs = np.linalg.eigvals(a @ w)
-        nonzero = eigs[np.abs(eigs) > 1e-8 * max(1.0, float(np.max(np.abs(eigs))))]
-        if nonzero.size and float(np.min(nonzero.real)) > 0.1:
+        try:
             values.append(integral_formula(a, w)[0])
+        except SpectrumError:
+            pass  # the spectrum of a w does not admit the integral route
         scale = 1.0 + frob(values[0])
         for i in range(len(values)):
             for j in range(i + 1, len(values)):

@@ -16,6 +16,7 @@ from pqinv.densela import (
     rank_factorization,
     solve_left,
     solve_right,
+    watch_rank_band,
 )
 from pqinv.errors import ShapeError
 
@@ -130,6 +131,47 @@ class TestRank:
         for _ in range(10):
             a = _cnormal(rng, 4, 6)
             assert rank(a) == rank(a.conj().T)
+
+
+class TestRankBand:
+    def test_decision_within_the_factor_band_is_near(self):
+        # the cutoff is 1e-10 * sigma_max; 3e-10 and 3e-11 count at one of
+        # the scaled cutoffs 1e-9 and 1e-11 but not at the other
+        for edge in (3e-10, 3e-11):
+            with watch_rank_band() as band:
+                assert count_rank(np.array([1.0, edge])) == (2 if edge > 1e-10 else 1)
+            assert band.near
+
+    def test_decisions_outside_the_band_are_not_near(self):
+        with watch_rank_band() as band:
+            count_rank(np.array([1.0, 2e-9, 1e-12, 0.0]))
+            count_rank(np.array([0.0, 0.0]))
+            rank(np.eye(3))
+        assert not band.near
+
+    def test_band_edges_match_the_scaled_cutoffs(self):
+        # a value counts when strictly above a cutoff, so the band is (lo, hi]
+        hi, lo = 1e-10 * 10.0, 1e-10 * 0.1
+        for edge, near in ((np.nextafter(hi, 1.0), False), (hi, True),
+                           (np.nextafter(lo, 1.0), True), (lo, False)):
+            with watch_rank_band() as band:
+                count_rank(np.array([1.0, edge]))
+            assert band.near == near, edge
+
+    def test_least_squares_rank_is_watched(self):
+        a = np.diag([1.0, 3e-10]).astype(complex)
+        with watch_rank_band() as band:
+            solve_right(a, np.eye(2))
+        assert band.near
+        with watch_rank_band() as band:
+            solve_left(np.diag([1.0, 0.5]), np.eye(2))
+        assert not band.near
+
+    def test_no_record_after_the_watch_ends(self):
+        with watch_rank_band() as band:
+            pass
+        count_rank(np.array([1.0, 3e-10]))
+        assert not band.near
 
 
 class TestRankFactorization:

@@ -120,6 +120,20 @@ class TestGroupInverse:
             g = group_inverse(a)
             assert (g is not None) == (rank(a) == rank(a @ a))
 
+    def test_one_factorization_of_a(self, monkeypatch):
+        # one full SVD of a gives both rank(a) and the factors; the rank
+        # test of a^2 takes the other
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(m, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert frob(group_inverse(np.diag([2.0, 0.0])) - np.diag([0.5, 0.0])) <= 1e-14
+        assert calls == [True, False]
+
     def test_axioms_when_it_exists(self, rng):
         for _ in range(20):
             inst = varied_index_matrix(rng, int(rng.integers(1, 8)), max_index=1)

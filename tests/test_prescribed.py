@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pqinv import densela, prescribed
 from pqinv.densela import DEFAULT_TOL, frob
 from pqinv.errors import NonexistentInverseError, ShapeError, SpectrumError
 from pqinv.ginv import drazin_inverse, moore_penrose
@@ -359,7 +360,7 @@ class TestDecompositionCounts:
         fn(prob)
         return len(calls)
 
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 10), (one_two_inverse, 18)])
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 7), (one_two_inverse, 13)])
     def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
@@ -368,7 +369,76 @@ class TestDecompositionCounts:
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._svd_calls(monkeypatch, one_two_inverse_strict, prob) == 17
+        assert self._svd_calls(monkeypatch, one_two_inverse_strict, prob) == 12
+
+
+def _knife_edge_problems():
+    """Problems with one singular value at 3e-10 or 3e-11 sigma_max, inside
+    the factor-10 band around the default cutoff: in p; in a and so in
+    (1-q) a p, the matrix of the least-squares witnesses; and in a with
+    p = 0, q = 1, where no verdict depends on rank(a)."""
+    q = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    for edge in (3e-10, 3e-11):
+        yield PqProblem(np.eye(3), np.diag([1.0, edge, 0.0]), q)
+        yield PqProblem(np.diag([1.0, edge, 1.0]), p, q)
+        yield PqProblem(np.diag([1.0, edge, 1.0]), np.zeros((3, 3)), np.eye(3))
+
+
+class TestOnePassDiagnose:
+    """diagnose repeats itself at the scaled thresholds only near a cutoff."""
+
+    @staticmethod
+    def _problems():
+        rng = np.random.default_rng(515)
+        for i in range(150):
+            n = int(rng.integers(1, 9))
+            if i % 2 == 0:
+                inst = guaranteed_instance(rng, n)
+                yield PqProblem(inst["a"], inst["p"], inst["q"])
+            else:
+                yield PqProblem(*random_triple(rng, n))
+        yield from _knife_edge_problems()
+
+    @staticmethod
+    def _summary(rep):
+        return rep.booleans(), (rep.dim_ran_p, rep.dim_ran_q, rep.rank_a), rep.fragile
+
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
+        passes = []
+        booleans_at = prescribed._booleans_at
+
+        def counting(prob, tol):
+            passes.append(tol.rank_rtol)
+            return booleans_at(prob, tol)
+
+        monkeypatch.setattr(prescribed, "_booleans_at", counting)
+        return passes
+
+    def test_equals_the_three_pass_rule(self, monkeypatch):
+        problems = list(self._problems())
+        one_pass = [self._summary(diagnose(prob)) for prob in problems]
+        # a band check that always reports "near" forces the repeats
+        monkeypatch.setattr(densela, "_straddles_cutoff", lambda s, rtol: True)
+        three_pass = [self._summary(diagnose(prob)) for prob in problems]
+        assert one_pass == three_pass
+        assert {fragile for _flags, _dims, fragile in one_pass} == {True, False}
+
+    def test_band_hit_without_flip_is_not_fragile(self, monkeypatch):
+        # rank(a) is 2 or 3 depending on the threshold, but Ran(a) never
+        # complements Ran(q) = C^3, so no verdict flips
+        prob = PqProblem(np.diag([1.0, 3e-10, 1.0]), np.zeros((3, 3)), np.eye(3))
+        passes = self._count_passes(monkeypatch)
+        rep = diagnose(prob)
+        assert not rep.fragile
+        assert passes == [1e-10, 1e-10 * 10.0, 1e-10 * 0.1]
+
+    def test_outside_the_band_takes_one_pass(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        rep = diagnose(counterexample_problem())
+        assert not rep.fragile
+        assert passes == [DEFAULT_TOL.rank_rtol]
 
 
 class TestGroupFormula:

@@ -1,0 +1,114 @@
+"""Fingerprints of pqinv's user-visible output, for byte-stability checks.
+
+Prints one line per output: a label, the exit code and the sha256 of the
+output.  Covered:
+
+* ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
+  their JSON with every ``elapsed`` dropped, and their per-case statuses
+  alone;
+* the stdout of ``check`` and ``compute --kind 2l|2|12l|12`` on the
+  seed-1 n = 64 ``diagonalizable_instance`` and the seed-1 n = 64
+  ``random_triple``.
+
+Run it on two checkouts and diff the output::
+
+    python3 tools/stability.py > after.txt
+    python3 tools/stability.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+``--src`` names the source directory to import pqinv from; it defaults
+to this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+N = 64
+COMPUTE_KINDS = ("2l", "2", "12l", "12")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(cli, argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _without_elapsed(value):
+    if isinstance(value, dict):
+        return {k: _without_elapsed(v) for k, v in value.items() if k != "elapsed"}
+    if isinstance(value, list):
+        return [_without_elapsed(v) for v in value]
+    return value
+
+
+def _suite_lines(cli, label: str, argv: list[str]) -> list[str]:
+    code, stdout = _run(cli, argv)
+    doc = _without_elapsed(json.loads(stdout))
+    statuses = [(case["name"], case["status"]) for case in doc["cases"]]
+    return [
+        f"{label}  exit={code}  {_sha(json.dumps(doc, sort_keys=True))}",
+        f"{label} statuses  {json.dumps(doc['summary'], sort_keys=True)}  "
+        f"{_sha(json.dumps(statuses))}",
+    ]
+
+
+def _problems(verify) -> dict[str, tuple]:
+    inst = verify.diagonalizable_instance(np.random.default_rng(1), N)
+    return {
+        f"diagonalizable-n{N}": (inst["a"], inst["p"], inst["q"]),
+        f"random-triple-n{N}": verify.random_triple(np.random.default_rng(1), N),
+    }
+
+
+def fingerprints(src: Path) -> list[str]:
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("pqinv.cli")
+    verify = importlib.import_module("pqinv.verify")
+    lines = _suite_lines(cli, "verify", ["verify"])
+    lines += _suite_lines(cli, "fuzz --seed 42 --trials 500 --dim 8",
+                          ["fuzz", "--seed", "42", "--trials", "500", "--dim", "8"])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, matrices in _problems(verify).items():
+            files = []
+            for letter, m in zip("apq", matrices):
+                path = Path(tmp) / f"{name}-{letter}.json"
+                cli.write_matrix(str(path), m)
+                files.append(str(path))
+            commands = [("check", ["check", *files])]
+            commands += [(f"compute --kind {kind}", ["compute", *files, "--kind", kind])
+                         for kind in COMPUTE_KINDS]
+            for label, argv in commands:
+                code, stdout = _run(cli, argv)
+                lines.append(f"{label} {name}  exit={code}  {_sha(stdout)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the pqinv package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    if not (args.src / "pqinv" / "__init__.py").is_file():
+        parser.error(f"no pqinv package under {args.src}")
+    print("\n".join(fingerprints(args.src.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
