@@ -164,37 +164,32 @@ def _cmd_compute(args) -> int:
         matrix = result.b
         doc["route"] = result.route
         doc["residuals"] = {k: float(v) for k, v in sorted(result.residuals.items())}
-    elif args.kind == "mp":
+    else:
         a = read_matrix(args.a_file)
-        matrix = moore_penrose(a, tol)
         doc["route"] = "direct"
-        doc["residuals"] = {
-            "penrose_1": frob(a @ matrix @ a - a),
-            "penrose_2": frob(matrix @ a @ matrix - matrix),
-        }
-    elif args.kind == "group":
-        a = read_matrix(args.a_file)
-        matrix = group_inverse(a, tol)
-        if matrix is None:
-            raise NonexistentInverseError("no group inverse: rank(a²) < rank(a)")
-        doc["route"] = "direct"
-        doc["residuals"] = {
-            "inner": frob(a @ matrix @ a - a),
-            "outer": frob(matrix @ a @ matrix - matrix),
-            "commute": frob(a @ matrix - matrix @ a),
-        }
-    elif args.kind == "drazin":
-        a = read_matrix(args.a_file)
-        dz = drazin_inverse(a, tol)
-        matrix = dz.inverse
-        doc["route"] = "direct"
-        doc["index"] = dz.index
-        doc["residuals"] = {
-            "outer": frob(matrix @ a @ matrix - matrix),
-            "commute": frob(a @ matrix - matrix @ a),
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind}")
+        if args.kind == "mp":
+            matrix = moore_penrose(a, tol)
+            doc["residuals"] = {
+                "penrose_1": frob(a @ matrix @ a - a),
+                "penrose_2": frob(matrix @ a @ matrix - matrix),
+            }
+        elif args.kind == "group":
+            matrix = group_inverse(a, tol)
+            if matrix is None:
+                raise NonexistentInverseError("no group inverse: rank(a²) < rank(a)")
+            doc["residuals"] = {
+                "inner": frob(a @ matrix @ a - a),
+                "outer": frob(matrix @ a @ matrix - matrix),
+                "commute": frob(a @ matrix - matrix @ a),
+            }
+        else:  # drazin; argparse restricts the choices
+            dz = drazin_inverse(a, tol)
+            matrix = dz.inverse
+            doc["index"] = dz.index
+            doc["residuals"] = {
+                "outer": frob(matrix @ a @ matrix - matrix),
+                "commute": frob(a @ matrix - matrix @ a),
+            }
 
     doc["matrix"] = matrix_to_file_dict(matrix)
     if args.out:

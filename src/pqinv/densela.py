@@ -9,7 +9,10 @@ here: :func:`count_rank` turns singular values into a rank,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products), and
 :meth:`Tolerances.to_json_dict` is the one serialised form of the
-thresholds.  Inside :func:`watch_rank_band`, every rank decision also
+thresholds.  :func:`svd` is the one call of LAPACK's SVD; its
+:class:`Factored` result gives the rank, range and null-space bases and
+the pseudo-inverse, so a caller that needs several of them factors the
+matrix once.  Inside :func:`watch_rank_band`, every rank decision also
 records whether it lies within :data:`FRAGILITY_FACTOR` of its cutoff.
 """
 
@@ -36,11 +39,13 @@ __all__ = [
     "eq_bound",
     "matrices_equal",
     "adjoint",
-    "singular_values",
     "count_rank",
     "RankBand",
     "watch_rank_band",
     "rank",
+    "Factored",
+    "svd",
+    "is_consistent",
     "solve_right",
     "solve_left",
     "rank_factorization",
@@ -133,10 +138,6 @@ def matrices_equal(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
     return frob(np.asarray(x) - np.asarray(y)) <= eq_bound(x, y, tol)
 
 
-def singular_values(a) -> np.ndarray:
-    return np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-
-
 # A rank verdict is fragile when it changes with the cutoff scaled by this
 # factor either way; FRAGILITY_SCALES are the two scaled cutoffs' factors.
 FRAGILITY_FACTOR = 10.0
@@ -198,15 +199,86 @@ def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return _count_above(s, tol.rank_rtol)
 
 
+def _canonical_phases(basis: np.ndarray) -> np.ndarray:
+    """Scale each column so its largest entry is real positive.
+
+    The SVD fixes basis columns only up to a unit phase; pinning the
+    phase makes every basis (and everything built from one) reproducible.
+    """
+    if basis.shape[1] == 0:
+        return basis
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    phases = np.where(np.abs(lead) == 0.0, 1.0, lead / np.abs(lead))
+    return basis / phases
+
+
+@dataclass(frozen=True)
+class Factored:
+    """An SVD m = u diag(s) vh with square u and vh; u and vh are None when
+    only s was taken.  Every rank below is :func:`count_rank`'s."""
+
+    u: np.ndarray | None
+    s: np.ndarray
+    vh: np.ndarray | None
+
+    def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
+        return count_rank(self.s, tol)
+
+    def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis of the column space (n x d, d may be 0)."""
+        return _canonical_phases(self.u[:, :self.rank(tol)])
+
+    def null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis of the (right) null space."""
+        return _canonical_phases(self.vh[self.rank(tol):, :].conj().T)
+
+    def pinv(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Moore-Penrose inverse (the zero matrix at rank 0)."""
+        r = self.rank(tol)
+        return (self.vh[:r, :].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+
+
+def svd(m, compute_uv: bool = True) -> Factored:
+    """The SVD of ``m``, the package's one call of LAPACK's SVD.
+
+    When LAPACK does not converge on ``m``, the adjoint is factored
+    instead and its factors swapped; when that fails too, NumericalError
+    is raised.  An empty matrix is factored without LAPACK.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.size == 0:
+        return Factored(np.eye(m.shape[0], dtype=np.complex128), np.zeros(0),
+                        np.eye(m.shape[1], dtype=np.complex128))
+    for target in (m, adjoint(m)):
+        try:
+            # looked up per call, so that wrappers installed on numpy.linalg see it
+            out = np.linalg.svd(target, compute_uv=compute_uv)
+        except np.linalg.LinAlgError as exc:
+            error = exc
+            continue
+        if not compute_uv:
+            return Factored(None, out, None)
+        u, s, vh = out
+        return Factored(u, s, vh) if target is m else Factored(adjoint(vh), s, adjoint(u))
+    raise NumericalError(
+        f"SVD of a {m.shape[0]}x{m.shape[1]} matrix and of its adjoint did not converge"
+    ) from error
+
+
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank of ``a`` (see :func:`count_rank`)."""
-    return count_rank(singular_values(a), tol)
+    return svd(a, compute_uv=False).rank(tol)
+
+
+def is_consistent(residual, b, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether a computed solution with this residual solves a system with
+    right-hand side ``b``: ||residual||_F <= eq_atol + eq_rtol * ||b||_F."""
+    return frob(residual) <= tol.eq_atol + tol.eq_rtol * frob(b)
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Solve A X = B in the least-squares sense; return X only if consistent.
+    """Solve A X = B as X = A^+ B; return X only if :func:`is_consistent`.
 
-    Consistency means ||A X - B||_F <= eq_atol + eq_rtol * ||B||_F.
     Returns None for an inconsistent system; raises ShapeError when the
     row counts disagree (a different failure from inconsistency).
     """
@@ -214,15 +286,8 @@ def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     b = as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but B has {b.shape[0]}")
-    x, _res, _rank, s = np.linalg.lstsq(a, b, rcond=tol.rank_rtol)
-    # lstsq keeps the singular values above rcond * s[0], count_rank's count.
-    # LAPACK reads an rcond >= 1 as machine epsilon, yet the band check still
-    # holds: a cutoff >= 1 counts none, so the two scales' counts differ
-    # unless all three cutoffs are >= 1 and lstsq runs alike at each.
-    _note_rank_decision(s, tol.rank_rtol)
-    if frob(a @ x - b) > tol.eq_atol + tol.eq_rtol * frob(b):
-        return None
-    return x
+    x = svd(a).pinv(tol) @ b
+    return x if is_consistent(a @ x - b, b, tol) else None
 
 
 def solve_left(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -243,12 +308,9 @@ def rank_factorization(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     to the singular-value scaling; consumers must be invariant under the
     regauging F -> F M, G -> M^-1 G.
     """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a)
-    r = count_rank(s, tol)
-    f = u[:, :r] * s[:r]
-    g = vh[:r, :]
-    return f, g
+    f = svd(as_matrix(a))
+    r = f.rank(tol)
+    return f.u[:, :r] * f.s[:r], f.vh[:r, :]
 
 
 def eigenvalues(a) -> np.ndarray:

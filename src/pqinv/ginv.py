@@ -16,12 +16,12 @@ from .densela import (
     PRODUCT_NOISE,
     Tolerances,
     as_matrix,
-    count_rank,
     eq_bound,
     frob,
     is_noise,
     rank,
     rank_factorization,
+    svd,
 )
 from .errors import NumericalError, ShapeError
 
@@ -39,10 +39,7 @@ __all__ = [
 
 def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse from the SVD with the package rank cutoff."""
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a)
-    r = count_rank(s, tol)  # r = 0 gives the zero matrix
-    return (vh[:r, :].conj().T / s[:r]) @ u[:, :r].conj().T
+    return svd(as_matrix(a)).pinv(tol)
 
 
 def inner_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -61,21 +58,12 @@ def reflexive_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return g @ a @ g
 
 
-def _product_rank(product: np.ndarray, scale: float, tol: Tolerances) -> int:
-    """Rank of a computed product, treating cancellation noise as zero.
-
-    ``scale`` is the product of the factors' norms.
-    """
-    if is_noise(product, PRODUCT_NOISE * scale):
-        return 0
-    return rank(product, tol)
-
-
 def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Group inverse, or None when rank(a^2) < rank(a).
 
     Computed gauge-invariantly from a full-rank factorization a = F G as
-    F (G F)^-2 G; rank(a) is read from the same factorization.
+    F (G F)^-2 G; rank(a) is read from the same factorization.  A square
+    a a at the rounding floor of its factors counts as rank 0.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -84,7 +72,8 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     r = f.shape[1]
     if r == 0:
         return np.zeros_like(a)
-    if _product_rank(a @ a, frob(a) ** 2, tol) < r:
+    aa = a @ a
+    if is_noise(aa, PRODUCT_NOISE * frob(a) ** 2) or rank(aa, tol) < r:
         return None
     gf = g @ f
     try:
@@ -169,15 +158,10 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances):
             )
 
 
-def one_five_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """An inner inverse commuting with ``a``, or None.
-
-    In the full matrix algebra a commuting inner inverse exists exactly
-    when the group inverse does, and the group inverse is always an
-    admissible representative of the (non-unique) class, so it is
-    returned as the canonical value.
-    """
-    return group_inverse(a, tol)
+# An inner inverse commuting with a, or None.  In the full matrix algebra
+# one exists exactly when the group inverse does, and the group inverse is
+# an admissible representative of the (non-unique) class.
+one_five_inverse = group_inverse
 
 
 def gi_idempotents(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

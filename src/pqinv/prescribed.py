@@ -38,12 +38,11 @@ from .densela import (
     eigenvalues,
     eq_bound,
     frob,
+    is_consistent,
     is_noise,
     matrices_equal,
     matrix_exp,
-    rank,
-    solve_left,
-    solve_right,
+    svd,
     watch_rank_band,
 )
 from .errors import (
@@ -173,18 +172,11 @@ class ExistenceReport:
             == self.cond6
         )
 
+    VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "image_match", "cond5", "cond6",
+                "strict_exists", "l_exists", "l12_exists", "strict12_exists")
+
     def booleans(self) -> dict[str, bool]:
-        return {
-            "ker_cap_ranp_trivial": self.ker_cap_ranp_trivial,
-            "direct_sum": self.direct_sum,
-            "image_match": self.image_match,
-            "cond5": self.cond5,
-            "cond6": self.cond6,
-            "strict_exists": self.strict_exists,
-            "l_exists": self.l_exists,
-            "l12_exists": self.l12_exists,
-            "strict12_exists": self.strict12_exists,
-        }
+        return {name: getattr(self, name) for name in self.VERDICTS}
 
     def to_json_dict(self) -> dict:
         out: dict = dict(sorted(self.booleans().items()))
@@ -256,10 +248,9 @@ def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace, tol: T
     b = w @ g
     if not matrices_equal(b @ prob.a @ b, b, tol):
         return None, None, None, "candidate fails b a b = b"
-    ran_b = sub.range_of(b, tol)
+    ran_b, ker_b = sub.range_and_kernel(b, tol)
     if not sub.equals(ran_b, ran_p, tol):
         return None, None, None, "candidate fails Ran(b) = Ran(p)"
-    ker_b = sub.kernel_of(b, tol)
     if not sub.equals(ker_b, ran_q, tol):
         return None, None, None, "candidate fails Ker(b) = Ran(q)"
     return w, b, (ran_b, ker_b, ran_p, ran_q), ""
@@ -282,46 +273,54 @@ def _l12_failure(ran_a, ker_a, ran_p, ran_q, tol: Tolerances) -> str:
     return ""
 
 
-def _strict12_failure(prob: PqProblem, ran_a, ker_a, tol: Tolerances) -> str:
+def _strict12_failure(prob: PqProblem, ran_a, ker_a, ran_1mq, tol: Tolerances) -> str:
     """The first failing subspace equality of strict {1,2}-existence, or ""."""
-    if not sub.equals(ran_a, sub.range_of(prob.one_minus_q, tol), tol):
+    if not sub.equals(ran_a, ran_1mq, tol):
         return "Ran(a) = Ran(1-q)"
     if not sub.equals(ker_a, sub.range_of(prob.one_minus_p, tol), tol):
         return "Ker(a) = Ran(1-p)"
     return ""
 
 
-def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
-    """All existence criteria at one rank threshold (each computed on its own)."""
-    a, p, q = prob.a, prob.p, prob.q
-    one_mq = prob.one_minus_q
+def _cond5_cond6(prob: PqProblem, ker_p, ran_1mq, tol: Tolerances) -> tuple:
+    """cond5, and the cond6 witnesses t (t m = p) and s (m s = 1 - q) or
+    None, from one factorization of m = (1-q) a p."""
+    a, p, one_mq = prob.a, prob.p, prob.one_minus_q
+    m = one_mq @ a @ p
+    if is_noise(m, PRODUCT_NOISE * frob(one_mq) * frob(a) * frob(p)):
+        m = np.zeros_like(m)
+    m_svd = svd(m)
+    ran_m, ker_m = sub.range_and_kernel(m_svd, tol)
+    # Ran(p^H) in Ran(m^H) is Ker(m) in Ker(p), their orthogonal complements
+    cond5 = sub.contains(ker_p, ker_m, tol) and sub.contains(ran_m, ran_1mq, tol)
+    m_pinv = m_svd.pinv(tol)
+    t, s = p @ m_pinv, m_pinv @ one_mq
+    return (cond5, t if is_consistent(t @ m - p, p, tol) else None,
+            s if is_consistent(m @ s - one_mq, one_mq, tol) else None)
 
-    ran_p = sub.range_of(p, tol)
+
+def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
+    """All existence criteria at one rank threshold, each computed on its own
+    from subspaces of the input matrices, each input factored once."""
+    a, p, q = prob.a, prob.p, prob.q
+
+    ran_p, ker_p = sub.range_and_kernel(p, tol)
     ran_q = sub.range_of(q, tol)
-    ran_a = sub.range_of(a, tol)
-    ker_a = sub.kernel_of(a, tol)
+    ran_a, ker_a = sub.range_and_kernel(a, tol)
+    ran_1mq = sub.range_of(prob.one_minus_q, tol)
     a_ran_p = sub.image(a, ran_p, tol)
 
     ker_trivial = sub.intersect(ker_a, ran_p, tol).dim == 0
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
-    image_match = sub.equals(a_ran_p, sub.range_of(one_mq, tol), tol)
-
-    m = one_mq @ a @ p
-    if is_noise(m, PRODUCT_NOISE * frob(one_mq) * frob(a) * frob(p)):
-        m = np.zeros_like(m)
-    cond5 = sub.contains(
-        sub.range_of(m.conj().T, tol), sub.range_of(p.conj().T, tol), tol
-    ) and sub.contains(sub.range_of(m, tol), sub.range_of(one_mq, tol), tol)
-
-    t_witness = solve_left(m, p, tol)
-    s_witness = solve_right(m, one_mq, tol)
+    image_match = sub.equals(a_ran_p, ran_1mq, tol)
+    cond5, t_witness, s_witness = _cond5_cond6(prob, ker_p, ran_1mq, tol)
 
     _w, b, _spaces, _reason = _candidate(prob, ran_p, ran_q, tol)
     l_exists = b is not None
     strict = l_exists and _strict_products(prob, b, tol)[0]
 
     l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
-    strict12 = l12 and not _strict12_failure(prob, ran_a, ker_a, tol)
+    strict12 = l12 and not _strict12_failure(prob, ran_a, ker_a, ran_1mq, tol)
 
     return {
         "ker_cap_ranp_trivial": ker_trivial,
@@ -336,7 +335,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
         "strict12_exists": strict12,
         "dim_ran_p": ran_p.dim,
         "dim_ran_q": ran_q.dim,
-        "rank_a": rank(a, tol),
+        "rank_a": ran_a.dim,
     }
 
 
@@ -349,11 +348,10 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     verdict is fragile when it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
-    (a singular-value count or a least-squares rank) lies within that
-    factor of its cutoff.  Skipping the repeats otherwise is exact: the
-    threshold enters only through those decisions, so each repeat would
-    make the same decisions, perform the same operations and return the
-    same verdicts.
+    (each a singular-value count) lies within that factor of its cutoff.
+    Skipping the repeats otherwise is exact: the threshold enters only
+    through those decisions, so each repeat would make the same decisions,
+    perform the same operations and return the same verdicts.
     """
     tol = prob.tol
     with watch_rank_band() as band:
@@ -430,7 +428,7 @@ def _outer(prob: PqProblem, route: str, ran_p: sub.Subspace, ran_q: sub.Subspace
             raise NumericalError(
                 f"route '{route_name}' disagrees with the group formula by {drift:.3e}"
             )
-        spaces = (sub.range_of(b, tol), sub.kernel_of(b, tol), *spaces[2:])
+        spaces = (*sub.range_and_kernel(b, tol), *spaces[2:])
     return PqResult("outer2l", b, route_name, _pq_residuals(prob, b, spaces))
 
 
@@ -472,16 +470,14 @@ def _one_two(prob: PqProblem, route: str, ran_a, ker_a) -> PqResult:
 
 def one_two_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     """The {1,2}-inverse with prescribed range and kernel subspaces."""
-    tol = prob.tol
-    return _one_two(prob, route, sub.range_of(prob.a, tol), sub.kernel_of(prob.a, tol))
+    return _one_two(prob, route, *sub.range_and_kernel(prob.a, prob.tol))
 
 
 def one_two_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     """The {1,2}-inverse with b a = p and a b = 1 - q, when it exists."""
     tol = prob.tol
-    ran_a = sub.range_of(prob.a, tol)
-    ker_a = sub.kernel_of(prob.a, tol)
-    broken = _strict12_failure(prob, ran_a, ker_a, tol)
+    ran_a, ker_a = sub.range_and_kernel(prob.a, tol)
+    broken = _strict12_failure(prob, ran_a, ker_a, sub.range_of(prob.one_minus_q, tol), tol)
     if broken:
         raise NonexistentInverseError(f"subspace equality {broken} fails")
     result = _one_two(prob, route, ran_a, ker_a)
@@ -500,20 +496,14 @@ def one_two_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_w_preconditions(a: np.ndarray, w: np.ndarray, tol: Tolerances):
-    ker_a = sub.kernel_of(a, tol)
-    ran_w = sub.range_of(w, tol)
-    if sub.intersect(ker_a, ran_w, tol).dim != 0:
-        raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
-
-
 def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The group-route value b = w (a w)^# together with (w a)^#.
 
     Every cross-check of :func:`group_formula` runs here, so each caller
     of the group route gets them all.
     """
-    _check_w_preconditions(a, w, tol)
+    if sub.intersect(sub.kernel_of(a, tol), sub.range_of(w, tol), tol).dim != 0:
+        raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
     aw = a @ w
     wa = w @ a
     g_aw = group_inverse(aw, tol)
@@ -707,35 +697,26 @@ def integral_formula(
 # ---------------------------------------------------------------------------
 
 
+def _as_strict_outer(prob: PqProblem, expected: np.ndarray, name: str) -> PqResult:
+    """The strict outer inverse of ``prob``, checked against ``expected``."""
+    result = outer_inverse_strict(prob)
+    drift = frob(result.b - expected)
+    if drift > eq_bound(result.b, expected, prob.tol):
+        raise NumericalError(f"strict outer inverse deviates from the {name} by {drift:.3e}")
+    return result
+
+
 def moore_penrose_as_outer(a, tol: Tolerances = DEFAULT_TOL) -> PqResult:
     """Recover a† as the strict outer inverse for p = a†a, q = 1 - aa†."""
     a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("square matrix required")
     pinv = moore_penrose(a, tol)
-    ident = np.eye(a.shape[0], dtype=np.complex128)
-    prob = PqProblem(a, pinv @ a, ident - a @ pinv, tol)
-    result = outer_inverse_strict(prob)
-    drift = frob(result.b - pinv)
-    if drift > eq_bound(result.b, pinv, tol):
-        raise NumericalError(
-            f"strict outer inverse deviates from the Moore-Penrose inverse by {drift:.3e}"
-        )
-    return result
+    q = np.eye(a.shape[0], dtype=np.complex128) - a @ pinv
+    return _as_strict_outer(PqProblem(a, pinv @ a, q, tol), pinv, "Moore-Penrose inverse")
 
 
 def drazin_as_outer(a, tol: Tolerances = DEFAULT_TOL) -> PqResult:
     """Recover a^D as the strict outer inverse for p = a a^D, q = 1 - a a^D."""
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("square matrix required")
     dz = drazin_inverse(a, tol)
-    ident = np.eye(a.shape[0], dtype=np.complex128)
-    prob = PqProblem(a, ident - dz.spectral_idempotent, dz.spectral_idempotent, tol)
-    result = outer_inverse_strict(prob)
-    drift = frob(result.b - dz.inverse)
-    if drift > eq_bound(result.b, dz.inverse, tol):
-        raise NumericalError(
-            f"strict outer inverse deviates from the Drazin inverse by {drift:.3e}"
-        )
-    return result
+    pi = dz.spectral_idempotent
+    prob = PqProblem(a, np.eye(pi.shape[0], dtype=np.complex128) - pi, pi, tol)
+    return _as_strict_outer(prob, dz.inverse, "Drazin inverse")

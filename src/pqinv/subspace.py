@@ -19,11 +19,13 @@ import numpy as np
 from .densela import (
     DEFAULT_TOL,
     PRODUCT_NOISE,
+    Factored,
     Tolerances,
     as_matrix,
-    count_rank,
     frob,
     is_noise,
+    rank,
+    svd,
 )
 from .errors import ShapeError
 
@@ -31,6 +33,7 @@ __all__ = [
     "Subspace",
     "range_of",
     "kernel_of",
+    "range_and_kernel",
     "image",
     "intersect",
     "sum_of",
@@ -91,45 +94,23 @@ class Subspace:
         return kernel_of(self.basis.conj().T, tol)
 
 
-def _canonical_phases(basis: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest entry is real positive.
-
-    The SVD fixes basis columns only up to a unit phase; pinning the
-    phase makes every basis (and everything built from one) reproducible.
-    """
-    if basis.shape[1] == 0:
-        return basis
-    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    phases = np.where(np.abs(lead) == 0.0, 1.0, lead / np.abs(lead))
-    return basis / phases
-
-
-def _orth_range(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the column space of ``m`` (n x d, d may be 0)."""
-    if m.shape[1] == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m)
-    return _canonical_phases(u[:, :count_rank(s, tol)])
-
-
-def _null_cols(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the (right) null space of ``m``."""
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m)
-    return _canonical_phases(vh[count_rank(s, tol):, :].conj().T)
-
-
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Column space of a matrix."""
     a = as_matrix(a)
-    return Subspace(a.shape[0], _orth_range(a, tol))
+    return Subspace(a.shape[0], svd(a).range_basis(tol))
 
 
 def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Null space of a matrix."""
     a = as_matrix(a)
-    return Subspace(a.shape[1], _null_cols(a, tol))
+    return Subspace(a.shape[1], svd(a).null_basis(tol))
+
+
+def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+    """Column space and null space of a matrix (or of the one a :class:`Factored`
+    factors), both from one factorization."""
+    f = a if isinstance(a, Factored) else svd(as_matrix(a))
+    return Subspace(f.u.shape[0], f.range_basis(tol)), Subspace(f.vh.shape[1], f.null_basis(tol))
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -143,7 +124,7 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])
-    return Subspace(a.shape[0], _orth_range(mapped, tol))
+    return Subspace(a.shape[0], svd(mapped).range_basis(tol))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):
@@ -157,26 +138,31 @@ def intersect(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspa
     if s.dim == 0 or t.dim == 0:
         return Subspace.zero(s.ambient)
     stacked = np.hstack([s.basis, -t.basis])
-    null = _null_cols(stacked, tol)
+    null = svd(stacked).null_basis(tol)
     vectors = s.basis @ null[: s.dim, :]
-    return Subspace(s.ambient, _orth_range(vectors, tol))
+    return Subspace(s.ambient, svd(vectors).range_basis(tol))
 
 
 def sum_of(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Sum of two subspaces."""
     _check_same_ambient(s, t)
-    return Subspace(s.ambient, _orth_range(np.hstack([s.basis, t.basis]), tol))
+    return Subspace(s.ambient, svd(np.hstack([s.basis, t.basis])).range_basis(tol))
 
 
 def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when S and T intersect trivially and together fill C^n."""
+    """True when S and T intersect trivially and together fill C^n.
+
+    With dim S + dim T = n, either property implies the other, so one
+    rank of the joined bases decides both.
+    """
     _check_same_ambient(s, t)
     n = s.ambient
-    if s.dim + t.dim != n:
-        return False
-    if intersect(s, t, tol).dim != 0:
-        return False
-    return sum_of(s, t, tol).dim == n
+    return s.dim + t.dim == n and rank(np.hstack([s.basis, t.basis]), tol) == n
+
+
+def _outside(s: Subspace, t: Subspace) -> np.ndarray:
+    """The components of T's basis vectors outside S."""
+    return t.basis - s.basis @ (s.basis.conj().T @ t.basis)
 
 
 def contains(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -184,7 +170,7 @@ def contains(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     _check_same_ambient(s, t)
     if t.dim == 0:
         return True
-    residual = t.basis - s.basis @ (s.basis.conj().T @ t.basis)
+    residual = _outside(s, t)
     # basis columns are unit vectors, so the mixed bound reduces to atol + rtol
     bound = tol.eq_atol + tol.eq_rtol
     return float(np.max(np.linalg.norm(residual, axis=0))) <= bound
@@ -204,11 +190,6 @@ def gap(s: Subspace, t: Subspace) -> float:
     _check_same_ambient(s, t)
 
     def _defect(u: Subspace, v: Subspace) -> float:
-        if v.dim == 0:
-            return 0.0
-        residual = v.basis - u.basis @ (u.basis.conj().T @ v.basis)
-        if residual.size == 0:
-            return 0.0
-        return float(np.linalg.norm(residual, 2))
+        return float(np.linalg.norm(_outside(u, v), 2)) if v.dim else 0.0
 
     return max(_defect(s, t), _defect(t, s))

@@ -5,6 +5,7 @@ import pytest
 
 from pqinv.cli import main, matrix_to_file_dict, read_matrix, write_matrix
 from pqinv.densela import Tolerances
+from pqinv.verify import random_triple
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -124,6 +125,24 @@ class TestCheck:
               counterexample_files["q"], "--rank-rtol", "1e-9"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"]["rank_rtol"] == 1e-9
+
+
+class TestSvdFailure:
+    def test_seed_104_triple_is_decided(self, tmp_path, capsys):
+        # LAPACK's SVD does not converge on the adjoint of (1-q) a p here
+        triple = random_triple(np.random.default_rng([104, 3]), 256)
+        files = [_write(tmp_path, name, m) for name, m in zip("apq", triple)]
+        assert main(["check", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalence_consistent"]
+
+    def test_svd_that_never_converges_exits_4(self, counterexample_files, capsys, monkeypatch):
+        def never_converges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", never_converges)
+        files = [counterexample_files[k] for k in "apq"]
+        assert main(["check", *files]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestCompute:

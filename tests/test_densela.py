@@ -16,9 +16,12 @@ from pqinv.densela import (
     rank_factorization,
     solve_left,
     solve_right,
+    svd,
     watch_rank_band,
 )
-from pqinv.errors import ShapeError
+from pqinv.errors import NumericalError, ShapeError
+from pqinv.prescribed import PqProblem
+from pqinv.verify import random_triple
 
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
 
@@ -172,6 +175,62 @@ class TestRankBand:
             pass
         count_rank(np.array([1.0, 3e-10]))
         assert not band.near
+
+
+def _never_converges(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+class TestSvd:
+    def test_adjoint_of_the_seed_104_product(self):
+        # LAPACK's gesdd does not converge on this 256 x 256 matrix, the
+        # adjoint of m = (1-q) a p, though it does on m itself
+        prob = PqProblem(*random_triple(np.random.default_rng([104, 3]), 256))
+        mh = (prob.one_minus_q @ prob.a @ prob.p).conj().T
+        f = svd(mh)
+        assert frob((f.u * f.s) @ f.vh - mh) <= 1e-12 * frob(mh)
+        assert np.all(np.diff(f.s) <= 0.0)
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_failure_falls_back_to_the_adjoint(self, rng, monkeypatch, compute_uv):
+        m = _cnormal(rng, 4, 3)
+        original, inputs = np.linalg.svd, []
+
+        def fails_once(x, *args, **kwargs):
+            inputs.append(x)
+            if len(inputs) == 1:
+                _never_converges()
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        f = svd(m, compute_uv=compute_uv)
+        assert len(inputs) == 2 and np.array_equal(inputs[1], m.conj().T)
+        if compute_uv:
+            u, s, vh = original(m.conj().T)
+            assert np.array_equal(f.u, vh.conj().T) and np.array_equal(f.vh, u.conj().T)
+            assert frob((f.u[:, :3] * f.s) @ f.vh - m) <= 1e-12 * frob(m)
+        else:
+            s = original(m.conj().T, compute_uv=False)
+            assert f.u is None and f.vh is None
+        assert np.array_equal(f.s, s)
+
+    def test_failure_on_both_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _never_converges)
+        with pytest.raises(NumericalError, match="did not converge"):
+            svd(np.eye(2))
+
+    def test_empty_matrix_is_not_handed_to_lapack(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", _never_converges)
+        f = svd(np.zeros((3, 0)))
+        assert f.range_basis().shape == (3, 0)
+        assert np.array_equal(f.null_basis(), np.zeros((0, 0)))
+
+    def test_bases_and_pseudo_inverse_share_one_rank(self):
+        f = svd(np.diag([2.0, 1e-12, 0.0]))
+        assert f.rank() == 1
+        assert np.array_equal(f.range_basis(), np.eye(3)[:, :1])
+        assert np.array_equal(f.null_basis(), np.eye(3)[:, 1:])
+        assert np.array_equal(f.pinv(), np.diag([0.5, 0.0, 0.0]))
 
 
 class TestRankFactorization:

@@ -348,28 +348,35 @@ class TestComputeAgreesWithDiagnose:
 
 class TestDecompositionCounts:
     @staticmethod
-    def _svd_calls(monkeypatch, fn, prob) -> int:
-        svd = np.linalg.svd
-        calls = []
+    def _calls(monkeypatch, fn, prob, kinds=("svd",)) -> dict[str, int]:
+        calls = dict.fromkeys(kinds, 0)
+        for kind in kinds:
+            def counting(*args, _kind=kind, _fn=getattr(np.linalg, kind), **kwargs):
+                calls[_kind] += 1
+                return _fn(*args, **kwargs)
 
-        def counting_svd(*args, **kwargs):
-            calls.append(None)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            monkeypatch.setattr(np.linalg, kind, counting)
         fn(prob)
-        return len(calls)
+        return calls
 
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 7), (one_two_inverse, 13)])
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 6), (one_two_inverse, 9)])
     def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
-        assert self._svd_calls(monkeypatch, fn, prob) == expected
+        assert self._calls(monkeypatch, fn, prob) == {"svd": expected}
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._svd_calls(monkeypatch, one_two_inverse_strict, prob) == 12
+        assert self._calls(monkeypatch, one_two_inverse_strict, prob) == {"svd": 10}
+
+    def test_diagnose_factors_each_input_once(self, monkeypatch):
+        # a, p, q, 1-q and (1-q) a p once each, and no least-squares solve:
+        # the cond6 witnesses come from the pseudo-inverse of (1-q) a p
+        inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        calls = self._calls(monkeypatch, diagnose, prob, ("svd", "lstsq", "solve"))
+        assert calls == {"svd": 14, "lstsq": 0, "solve": 1}
 
 
 def _knife_edge_problems():

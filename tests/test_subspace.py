@@ -14,6 +14,7 @@ from pqinv.subspace import (
     intersect,
     is_direct_sum_all,
     kernel_of,
+    range_and_kernel,
     range_of,
     sum_of,
 )
@@ -68,6 +69,21 @@ class TestRangeKernel:
 
     def test_kernel_of_zero(self):
         assert kernel_of(np.zeros((2, 2))).dim == 2
+
+    def test_range_and_kernel_from_one_factorization(self, rng, monkeypatch):
+        a = _cnormal(rng, 5, 2) @ _cnormal(rng, 2, 4)
+        expected = (range_of(a).basis, kernel_of(a).basis)
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ran, ker = range_and_kernel(a)
+        assert len(calls) == 1 and (ran.ambient, ker.ambient) == (5, 4)
+        # the same bases, bit for bit, as the single accessors give
+        assert np.array_equal(ran.basis, expected[0]) and np.array_equal(ker.basis, expected[1])
 
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):
@@ -130,6 +146,20 @@ class TestLattice:
         assert (
             sum_of(s, t).dim + intersect(s, t).dim == s.dim + t.dim
         )
+
+    def test_direct_sum_takes_one_singular_value_decomposition(self, rng, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        s, t = range_of(_cnormal(rng, 5, 2)), range_of(_cnormal(rng, 5, 3))
+        overlap = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, 5, 2)]))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert is_direct_sum_all(s, t)
+        assert not is_direct_sum_all(s, overlap)
+        assert calls == [False, False]
 
     def test_direct_sum_gives_unique_split(self, rng):
         for _ in range(10):

@@ -1,7 +1,9 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Covered:
+output.  Each ``check`` and ``compute`` line is followed by the number of
+``numpy.linalg`` svd, lstsq and solve calls the command made, so that a
+diff shows decomposition-count changes next to output changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
   their JSON with every ``elapsed`` dropped, and their per-case statuses
@@ -36,6 +38,7 @@ import numpy as np
 
 N = 64
 COMPUTE_KINDS = ("2l", "2", "12l", "12")
+COUNTED = ("svd", "lstsq", "solve")
 
 
 def _sha(text: str) -> str:
@@ -47,6 +50,34 @@ def _run(cli, argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def _run_counted(cli, argv: list[str]) -> tuple[int, str, dict[str, int]]:
+    """:func:`_run` with a count of the COUNTED decompositions it makes.
+
+    Both namespaces are wrapped: numpy's own helpers, such as the 2-norm,
+    call svd through ``numpy.linalg._linalg``.
+    """
+    counts = dict.fromkeys(COUNTED, 0)
+    namespaces = [np.linalg, sys.modules.get("numpy.linalg._linalg")]
+    patches = []
+    for kind in COUNTED:
+        original = getattr(np.linalg, kind)
+
+        def counting(*args, _kind=kind, _original=original, **kwargs):
+            counts[_kind] += 1
+            return _original(*args, **kwargs)
+
+        for namespace in namespaces:
+            if namespace is not None and getattr(namespace, kind, None) is original:
+                patches.append((namespace, kind, original))
+                setattr(namespace, kind, counting)
+    try:
+        code, stdout = _run(cli, argv)
+    finally:
+        for namespace, kind, original in patches:
+            setattr(namespace, kind, original)
+    return code, stdout, counts
 
 
 def _without_elapsed(value):
@@ -94,8 +125,10 @@ def fingerprints(src: Path) -> list[str]:
             commands += [(f"compute --kind {kind}", ["compute", *files, "--kind", kind])
                          for kind in COMPUTE_KINDS]
             for label, argv in commands:
-                code, stdout = _run(cli, argv)
+                code, stdout, counts = _run_counted(cli, argv)
                 lines.append(f"{label} {name}  exit={code}  {_sha(stdout)}")
+                lines.append(f"{label} {name}  linalg  "
+                             + " ".join(f"{kind}={counts[kind]}" for kind in COUNTED))
     return lines
 
 
