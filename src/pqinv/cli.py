@@ -30,10 +30,11 @@ from .ginv import drazin_inverse, group_inverse, moore_penrose
 from .prescribed import (
     DEFAULT_LAMBDA_SCHEDULE,
     PqProblem,
+    _check_drift,
+    _representation_inputs,
     diagnose,
     integral_formula,
     limit_formula,
-    matrix_with_range_kernel,
     one_two_inverse,
     one_two_inverse_strict,
     outer_inverse,
@@ -52,11 +53,12 @@ RANK_RTOL_ENV = "PQINV_TOL_RANK"
 
 
 def matrix_to_file_dict(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        # the inverse of matrix_from_file_dict's pairs.view(np.complex128)
+        "data": m.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -202,8 +204,7 @@ def _cmd_compute(args) -> int:
 def _cmd_represent(args) -> int:
     tol = _tolerances_from_args(args)
     prob = _load_problem(args, tol)
-    w = matrix_with_range_kernel(prob.p, prob.q, tol)
-    reference = outer_inverse(prob).b
+    w, reference = _representation_inputs(prob)
 
     rows: list[str] = []
     if args.method == "limit":
@@ -233,11 +234,7 @@ def _cmd_represent(args) -> int:
             previous = estimate
             final = estimate
 
-    drift = frob(final - reference)
-    if drift > tol.conv_tol * max(1.0, frob(reference)):
-        raise NumericalError(
-            f"representation drifts from the direct value by {drift:.3e}"
-        )
+    _check_drift(final, reference, tol, "representation drifts from the direct value")
     rows.append("# tolerances: " + " ".join(
         f"{name}={value!r}" for name, value in tol.to_json_dict().items()
     ))

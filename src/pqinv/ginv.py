@@ -108,7 +108,7 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
     n = a.shape[0]
 
-    scale = float(np.linalg.norm(a, 2))
+    scale = float(svd(a, compute_uv=False).s[0])
     if scale == 0.0:
         return DrazinResult(
             inverse=np.zeros_like(a),

@@ -228,37 +228,55 @@ def _w_from_spaces(ran_p: sub.Subspace, ran_q: sub.Subspace, tol: Tolerances) ->
     return ran_p.basis @ co_q.basis.conj().T
 
 
-def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace, tol: Tolerances) -> tuple:
-    """Build and validate the subspace-outer candidate from Ran(p), Ran(q).
+def _no_outer_inverse(reason: str) -> NonexistentInverseError:
+    return NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
 
-    Returns (w, b, spaces, "") on success, with spaces the (Ran(b), Ker(b),
-    Ran(p), Ran(q)) the validation used, or (None, None, None, reason)
-    when the inverse does not exist.  Validation checks the defining
-    equations directly, so this is the definitional existence test,
-    independent of the subspace criteria used by :func:`diagnose`.
+
+def _candidate(prob: PqProblem, w: np.ndarray, ran_p: sub.Subspace, ran_q: sub.Subspace,
+               tol: Tolerances) -> tuple:
+    """The subspace-outer candidate b = w (a w)^#, with Ran(b) and Ker(b),
+    for w as :func:`matrix_with_range_kernel` builds it from Ran(p), Ran(q).
+
+    Validation checks the defining equations directly, so this is the
+    definitional existence test, independent of the subspace criteria
+    used by :func:`diagnose`; a failure raises NonexistentInverseError.
     """
-    try:
-        w = _w_from_spaces(ran_p, ran_q, tol)
-    except NonexistentInverseError as exc:
-        return None, None, None, exc.reason
-    aw = prob.a @ w
-    g = group_inverse(aw, tol)
+    g = group_inverse(prob.a @ w, tol)
     if g is None:
-        return None, None, None, "aw is not group invertible (rank(aw)² drops)"
+        raise _no_outer_inverse("aw is not group invertible (rank(aw)² drops)")
     b = w @ g
     if not matrices_equal(b @ prob.a @ b, b, tol):
-        return None, None, None, "candidate fails b a b = b"
+        raise _no_outer_inverse("candidate fails b a b = b")
     ran_b, ker_b = sub.range_and_kernel(b, tol)
     if not sub.equals(ran_b, ran_p, tol):
-        return None, None, None, "candidate fails Ran(b) = Ran(p)"
+        raise _no_outer_inverse("candidate fails Ran(b) = Ran(p)")
     if not sub.equals(ker_b, ran_q, tol):
-        return None, None, None, "candidate fails Ker(b) = Ran(q)"
-    return w, b, (ran_b, ker_b, ran_p, ran_q), ""
+        raise _no_outer_inverse("candidate fails Ker(b) = Ran(q)")
+    return b, ran_b, ker_b
 
 
-def _strict_products(prob: PqProblem, b: np.ndarray, tol: Tolerances) -> tuple[bool, float, float]:
-    """Whether b a = p and a b = 1 - q hold, with both residuals."""
-    ba, ab, one_mq = b @ prob.a, prob.a @ b, prob.one_minus_q
+def _representation_inputs(prob: PqProblem) -> tuple[np.ndarray, np.ndarray]:
+    """w as :func:`matrix_with_range_kernel` builds it and the group-route
+    value w (a w)^# of :func:`outer_inverse`, each raising as that function
+    does, from one factorization of p, q and the complement of Ran(q)."""
+    tol = prob.tol
+    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    w = _w_from_spaces(ran_p, ran_q, tol)
+    return w, _candidate(prob, w, ran_p, ran_q, tol)[0]
+
+
+def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
+    """Raise NumericalError, its message begun by ``what``, when a route value
+    b is farther than conv_tol · max(1, ||b_group||_F) from the group value."""
+    drift = frob(b - b_group)
+    if drift > tol.conv_tol * max(1.0, frob(b_group)):
+        raise NumericalError(f"{what} by {drift:.3e}")
+
+
+def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
+                     tol: Tolerances) -> tuple[bool, float, float]:
+    """Whether b a = p and a b = 1 - q hold, given b a and a b, with both residuals."""
+    one_mq = prob.one_minus_q
     ba_res, ab_res = frob(ba - prob.p), frob(ab - one_mq)
     holds = ba_res <= eq_bound(ba, prob.p, tol) and ab_res <= eq_bound(ab, one_mq, tol)
     return holds, ba_res, ab_res
@@ -315,9 +333,12 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     image_match = sub.equals(a_ran_p, ran_1mq, tol)
     cond5, t_witness, s_witness = _cond5_cond6(prob, ker_p, ran_1mq, tol)
 
-    _w, b, _spaces, _reason = _candidate(prob, ran_p, ran_q, tol)
+    try:
+        b = _candidate(prob, _w_from_spaces(ran_p, ran_q, tol), ran_p, ran_q, tol)[0]
+    except NonexistentInverseError:
+        b = None
     l_exists = b is not None
-    strict = l_exists and _strict_products(prob, b, tol)[0]
+    strict = l_exists and _strict_products(prob, b @ a, a @ b, tol)[0]
 
     l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
     strict12 = l12 and not _strict12_failure(prob, ran_a, ker_a, ran_1mq, tol)
@@ -369,25 +390,6 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
-def _pq_residuals(prob: PqProblem, b: np.ndarray, spaces: tuple) -> dict[str, float]:
-    a, p = prob.a, prob.p
-    one_mq = prob.one_minus_q
-    ran_b, ker_b, ran_p, ran_q = spaces
-    _holds, ba_res, ab_res = _strict_products(prob, b, prob.tol)
-    return {
-        "outer": frob(b @ a @ b - b),
-        "inner": frob(a @ b @ a - a),
-        "range_gap": sub.gap(ran_b, ran_p),
-        "kernel_gap": sub.gap(ker_b, ran_q),
-        "ba_minus_p": ba_res,
-        "ab_minus_1mq": ab_res,
-        "fix_left": frob(p @ b - b),
-        "gen_left": frob(b @ a @ p - p),
-        "fix_right": frob(b @ one_mq - b),
-        "gen_right": frob(one_mq @ a @ b - one_mq),
-    }
-
-
 def _route_result(prob: PqProblem, w: np.ndarray, b_group: np.ndarray, route: str) -> tuple[np.ndarray, str]:
     tol = prob.tol
     if route == "group":
@@ -403,6 +405,75 @@ def _route_result(prob: PqProblem, w: np.ndarray, b_group: np.ndarray, route: st
     raise ValueError(f"unknown route {route!r}")
 
 
+# PqResult.kind by (strict, reflexive)
+_KINDS = {(True, False): "outer2", (False, False): "outer2l",
+          (True, True): "one_two_strict", (False, True): "one_two_l"}
+
+
+def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> PqResult:
+    """The inverse with b a b = b, Ran(b) = Ran(p), Ker(b) = Ran(q), plus
+    b a = p, a b = 1 - q when ``strict`` and a b a = a when ``reflexive``.
+
+    The tests run once each, in this order: the strict {1,2} subspace
+    equalities, the {1,2} decompositions, the definitional candidate, the
+    route value's drift gate, a b a = a and the strict products.  The
+    residuals are built only after every test has passed.
+    """
+    tol, a = prob.tol, prob.a
+    if reflexive:
+        ran_a, ker_a = sub.range_and_kernel(a, tol)
+        broken = strict and _strict12_failure(
+            prob, ran_a, ker_a, sub.range_of(prob.one_minus_q, tol), tol)
+        if broken:
+            raise NonexistentInverseError(f"subspace equality {broken} fails")
+    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    if reflexive:
+        broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
+        if broken:
+            raise NonexistentInverseError(f"decomposition {broken} fails")
+    try:
+        w = _w_from_spaces(ran_p, ran_q, tol)
+    except NonexistentInverseError as exc:
+        raise _no_outer_inverse(exc.reason) from None
+    b_group, ran_b, ker_b = _candidate(prob, w, ran_p, ran_q, tol)
+    b, route_name = _route_result(prob, w, b_group, route)
+    if route_name != "group_formula":
+        _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
+        ran_b, ker_b = sub.range_and_kernel(b, tol)
+    ba, ab = b @ a, a @ b
+    inner_res = frob(ab @ a - a)
+    if reflexive and inner_res > eq_bound(a, a, tol):
+        raise NumericalError(
+            f"a b a = a failed (residual {inner_res:.3e}) although both "
+            "decompositions hold"
+        )
+    holds, ba_res, ab_res = _strict_products(prob, ba, ab, tol)
+    if strict and not holds:
+        if reflexive:
+            raise NumericalError(
+                "product identities failed although the subspace equalities hold: "
+                f"|ba-p|={ba_res:.3e}, |ab-(1-q)|={ab_res:.3e}"
+            )
+        raise NonexistentInverseError(
+            "strict (p,q)-outer inverse does not exist: "
+            f"ba ≠ p (residual {ba_res:.3e}) or ab ≠ 1-q (residual {ab_res:.3e})",
+            residuals={"ba_minus_p": ba_res, "ab_minus_1mq": ab_res},
+        )
+    p, one_mq = prob.p, prob.one_minus_q
+    return PqResult(_KINDS[strict, reflexive], b, route_name, {
+        "outer": frob(ba @ b - b),
+        "inner": inner_res,
+        "range_gap": sub.gap(ran_b, ran_p),
+        "kernel_gap": sub.gap(ker_b, ran_q),
+        "ba_minus_p": ba_res,
+        "ab_minus_1mq": ab_res,
+        "fix_left": frob(p @ b - b),
+        "gen_left": frob(ba @ p - p),
+        "fix_right": frob(b @ one_mq - b),
+        "gen_right": frob(one_mq @ a @ b - one_mq),
+    })
+
+
 def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     """The outer inverse with Ran(b) = Ran(p) and Ker(b) = Ran(q).
 
@@ -411,25 +482,7 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     candidate is recomputed along it and checked against the group-route
     value at the convergence tolerance.
     """
-    tol = prob.tol
-    return _outer(prob, route, sub.range_of(prob.p, tol), sub.range_of(prob.q, tol))
-
-
-def _outer(prob: PqProblem, route: str, ran_p: sub.Subspace, ran_q: sub.Subspace) -> PqResult:
-    """:func:`outer_inverse` given Ran(p) and Ran(q)."""
-    tol = prob.tol
-    w, b_group, spaces, reason = _candidate(prob, ran_p, ran_q, tol)
-    if b_group is None:
-        raise NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
-    b, route_name = _route_result(prob, w, b_group, route)
-    if route_name != "group_formula":
-        drift = frob(b - b_group)
-        if drift > tol.conv_tol * max(1.0, frob(b_group)):
-            raise NumericalError(
-                f"route '{route_name}' disagrees with the group formula by {drift:.3e}"
-            )
-        spaces = (*sub.range_and_kernel(b, tol), *spaces[2:])
-    return PqResult("outer2l", b, route_name, _pq_residuals(prob, b, spaces))
+    return _pq_inverse(prob, route, strict=False, reflexive=False)
 
 
 def outer_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
@@ -439,55 +492,17 @@ def outer_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     then decided by testing the two product identities.  Nonexistence is
     reported with the failing residuals attached.
     """
-    result = outer_inverse(prob, route)
-    b = result.b
-    holds, ba_res, ab_res = _strict_products(prob, b, prob.tol)
-    if not holds:
-        raise NonexistentInverseError(
-            "strict (p,q)-outer inverse does not exist: "
-            f"ba ≠ p (residual {ba_res:.3e}) or ab ≠ 1-q (residual {ab_res:.3e})",
-            residuals={"ba_minus_p": ba_res, "ab_minus_1mq": ab_res},
-        )
-    return PqResult("outer2", b, result.route, result.residuals)
-
-
-def _one_two(prob: PqProblem, route: str, ran_a, ker_a) -> PqResult:
-    """The {1,2}-inverse with prescribed subspaces, given Ran(a) and Ker(a)."""
-    tol = prob.tol
-    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
-    broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
-    if broken:
-        raise NonexistentInverseError(f"decomposition {broken} fails")
-    result = _outer(prob, route, ran_p, ran_q)
-    inner_res = result.residuals["inner"]
-    if inner_res > eq_bound(prob.a, prob.a, tol):
-        raise NumericalError(
-            f"a b a = a failed (residual {inner_res:.3e}) although both "
-            "decompositions hold"
-        )
-    return PqResult("one_two_l", result.b, result.route, result.residuals)
+    return _pq_inverse(prob, route, strict=True, reflexive=False)
 
 
 def one_two_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     """The {1,2}-inverse with prescribed range and kernel subspaces."""
-    return _one_two(prob, route, *sub.range_and_kernel(prob.a, prob.tol))
+    return _pq_inverse(prob, route, strict=False, reflexive=True)
 
 
 def one_two_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
     """The {1,2}-inverse with b a = p and a b = 1 - q, when it exists."""
-    tol = prob.tol
-    ran_a, ker_a = sub.range_and_kernel(prob.a, tol)
-    broken = _strict12_failure(prob, ran_a, ker_a, sub.range_of(prob.one_minus_q, tol), tol)
-    if broken:
-        raise NonexistentInverseError(f"subspace equality {broken} fails")
-    result = _one_two(prob, route, ran_a, ker_a)
-    holds, ba_res, ab_res = _strict_products(prob, result.b, tol)
-    if not holds:
-        raise NumericalError(
-            "product identities failed although the subspace equalities hold: "
-            f"|ba-p|={ba_res:.3e}, |ab-(1-q)|={ab_res:.3e}"
-        )
-    return PqResult("one_two_strict", result.b, result.route, result.residuals)
+    return _pq_inverse(prob, route, strict=True, reflexive=True)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,6 @@ def gap(s: Subspace, t: Subspace) -> float:
     _check_same_ambient(s, t)
 
     def _defect(u: Subspace, v: Subspace) -> float:
-        return float(np.linalg.norm(_outside(u, v), 2)) if v.dim else 0.0
+        return float(svd(_outside(u, v), compute_uv=False).s[0]) if v.dim else 0.0
 
     return max(_defect(s, t), _defect(t, s))

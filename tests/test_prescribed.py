@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pqinv import densela, prescribed
+from pqinv.cli import main, write_matrix
 from pqinv.densela import DEFAULT_TOL, frob
 from pqinv.errors import NonexistentInverseError, ShapeError, SpectrumError
 from pqinv.ginv import drazin_inverse, moore_penrose
@@ -348,34 +350,67 @@ class TestComputeAgreesWithDiagnose:
 
 class TestDecompositionCounts:
     @staticmethod
-    def _calls(monkeypatch, fn, prob, kinds=("svd",)) -> dict[str, int]:
+    def _calls(monkeypatch, run, kinds=("svd",)) -> dict[str, int]:
+        """The decompositions ``run()`` makes, counted in numpy.linalg and in
+        numpy.linalg._linalg, where numpy's own helpers look them up."""
         calls = dict.fromkeys(kinds, 0)
         for kind in kinds:
-            def counting(*args, _kind=kind, _fn=getattr(np.linalg, kind), **kwargs):
+            original = getattr(np.linalg, kind)
+
+            def counting(*args, _kind=kind, _fn=original, **kwargs):
                 calls[_kind] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, kind, counting)
-        fn(prob)
+            for namespace in (np.linalg, sys.modules.get("numpy.linalg._linalg")):
+                if getattr(namespace, kind, None) is original:
+                    monkeypatch.setattr(namespace, kind, counting)
+        run()
         return calls
 
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 6), (one_two_inverse, 9)])
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 10), (one_two_inverse, 13)])
     def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
-        assert self._calls(monkeypatch, fn, prob) == {"svd": expected}
+        assert self._calls(monkeypatch, lambda: fn(prob)) == {"svd": expected}
+
+    def test_strict_failure_builds_no_residuals(self, monkeypatch):
+        # the candidate's 6 SVDs; the residuals' subspace gaps would take 4 more
+        inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+
+        def run():
+            with pytest.raises(NonexistentInverseError):
+                outer_inverse_strict(prob)
+
+        assert self._calls(monkeypatch, run) == {"svd": 6}
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._calls(monkeypatch, one_two_inverse_strict, prob) == {"svd": 10}
+        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 12}
+
+    def test_represent_builds_one_candidate(self, monkeypatch, tmp_path):
+        # one each for Ran(p), Ran(q), the complement of Ran(q) and Ran(b)
+        # with Ker(b), and two for each (a w)^#: the reference's and the route's
+        core = {"a": np.diag([1.0, 2.0, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0]),
+                "p": np.diag([1.0] * 4 + [0.0] * 4),
+                "q": np.diag([0.0] * 4 + [1.0] * 4)}
+        files = []
+        for name, m in core.items():
+            files.append(str(tmp_path / f"{name}.json"))
+            write_matrix(files[-1], m)
+
+        def run():
+            assert main(["represent", *files, "--method", "integral"]) == 0
+
+        assert self._calls(monkeypatch, run) == {"svd": 8}
 
     def test_diagnose_factors_each_input_once(self, monkeypatch):
         # a, p, q, 1-q and (1-q) a p once each, and no least-squares solve:
         # the cond6 witnesses come from the pseudo-inverse of (1-q) a p
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
-        calls = self._calls(monkeypatch, diagnose, prob, ("svd", "lstsq", "solve"))
+        calls = self._calls(monkeypatch, lambda: diagnose(prob), ("svd", "lstsq", "solve"))
         assert calls == {"svd": 14, "lstsq": 0, "solve": 1}
 
 

@@ -1,16 +1,20 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Each ``check`` and ``compute`` line is followed by the number of
-``numpy.linalg`` svd, lstsq and solve calls the command made, so that a
-diff shows decomposition-count changes next to output changes.  Covered:
+output.  Each ``check``, ``compute`` and ``represent`` line is followed
+by the number of ``numpy.linalg`` svd, lstsq and solve calls the command
+made, so that a diff shows decomposition-count changes next to output
+changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
   their JSON with every ``elapsed`` dropped, and their per-case statuses
   alone;
 * the stdout of ``check`` and ``compute --kind 2l|2|12l|12`` on the
   seed-1 n = 64 ``diagonalizable_instance`` and the seed-1 n = 64
-  ``random_triple``.
+  ``random_triple``;
+* the stdout of ``represent --method limit|integral`` on an 8 x 8
+  diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
+  p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p.
 
 Run it on two checkouts and diff the output::
 
@@ -38,6 +42,7 @@ import numpy as np
 
 N = 64
 COMPUTE_KINDS = ("2l", "2", "12l", "12")
+REPRESENT_METHODS = ("limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 
 
@@ -107,6 +112,27 @@ def _problems(verify) -> dict[str, tuple]:
     }
 
 
+def _represent_core() -> tuple:
+    a = np.diag([1.0, 2.0, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    p = np.diag([1.0] * 4 + [0.0] * 4).astype(complex)
+    return a, p, np.eye(8) - p
+
+
+def _write_files(cli, tmp: str, name: str, matrices: tuple) -> list[str]:
+    files = []
+    for letter, m in zip("apq", matrices):
+        path = Path(tmp) / f"{name}-{letter}.json"
+        cli.write_matrix(str(path), m)
+        files.append(str(path))
+    return files
+
+
+def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
+    code, stdout, counts = _run_counted(cli, argv)
+    return [f"{label}  exit={code}  {_sha(stdout)}",
+            f"{label}  linalg  " + " ".join(f"{kind}={counts[kind]}" for kind in COUNTED)]
+
+
 def fingerprints(src: Path) -> list[str]:
     sys.path.insert(0, str(src))
     cli = importlib.import_module("pqinv.cli")
@@ -116,19 +142,15 @@ def fingerprints(src: Path) -> list[str]:
                           ["fuzz", "--seed", "42", "--trials", "500", "--dim", "8"])
     with tempfile.TemporaryDirectory() as tmp:
         for name, matrices in _problems(verify).items():
-            files = []
-            for letter, m in zip("apq", matrices):
-                path = Path(tmp) / f"{name}-{letter}.json"
-                cli.write_matrix(str(path), m)
-                files.append(str(path))
-            commands = [("check", ["check", *files])]
-            commands += [(f"compute --kind {kind}", ["compute", *files, "--kind", kind])
-                         for kind in COMPUTE_KINDS]
-            for label, argv in commands:
-                code, stdout, counts = _run_counted(cli, argv)
-                lines.append(f"{label} {name}  exit={code}  {_sha(stdout)}")
-                lines.append(f"{label} {name}  linalg  "
-                             + " ".join(f"{kind}={counts[kind]}" for kind in COUNTED))
+            files = _write_files(cli, tmp, name, matrices)
+            lines += _counted_lines(cli, f"check {name}", ["check", *files])
+            for kind in COMPUTE_KINDS:
+                lines += _counted_lines(cli, f"compute --kind {kind} {name}",
+                                        ["compute", *files, "--kind", kind])
+        files = _write_files(cli, tmp, "diagonal-core-n8", _represent_core())
+        for method in REPRESENT_METHODS:
+            lines += _counted_lines(cli, f"represent --method {method} diagonal-core-n8",
+                                    ["represent", *files, "--method", method])
     return lines
 
 
