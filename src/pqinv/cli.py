@@ -219,13 +219,14 @@ def _cmd_represent(args) -> int:
     else:
         final = None
         previous = None
-        horizons = [args.horizon / 2 ** k for k in reversed(range(4))] if args.horizon else [None]
+        horizons = ([args.horizon / 2 ** k for k in reversed(range(4))]
+                    if args.horizon is not None else [None])
         rows.append("horizon,cauchy_error,tail_bound")
-        for horizon in horizons:
+        for k, horizon in enumerate(horizons):
             try:
                 estimate, tail = integral_formula(prob.a, w, horizon=horizon, tol=tol)
             except ValueError:
-                if horizon == horizons[-1]:
+                if k == len(horizons) - 1:
                     raise  # the requested horizon itself is too short
                 continue  # sweep point below the minimum horizon, skip the row
             err = frob(estimate - previous) if previous is not None else float("nan")

@@ -25,6 +25,7 @@ giving four independent numerical routes that cross-validate each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -122,11 +123,11 @@ class PqProblem:
     def identity(self) -> np.ndarray:
         return np.eye(self.n, dtype=np.complex128)
 
-    @property
+    @cached_property
     def one_minus_q(self) -> np.ndarray:
         return _snap_zero_idempotent(self.identity - self.q)
 
-    @property
+    @cached_property
     def one_minus_p(self) -> np.ndarray:
         return _snap_zero_idempotent(self.identity - self.p)
 
@@ -269,7 +270,7 @@ def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str)
     """Raise NumericalError, its message begun by ``what``, when a route value
     b is farther than conv_tol · max(1, ||b_group||_F) from the group value."""
     drift = frob(b - b_group)
-    if drift > tol.conv_tol * max(1.0, frob(b_group)):
+    if not drift <= tol.conv_tol * max(1.0, frob(b_group)):  # a NaN drift fails too
         raise NumericalError(f"{what} by {drift:.3e}")
 
 
@@ -582,17 +583,17 @@ def limit_formula(
     """Resolvent limit  w (s + a w)^-1  along a decreasing shift schedule.
 
     Returns the value at the smallest shift together with the trace of
-    Cauchy differences (shift, ||X_k - X_{k-1}||_F).  Each shift must
-    keep a relative margin from the spectrum of -a w; the trace must not
-    grow from first to last entry.
+    Cauchy differences (shift, ||X_k - X_{k-1}||_F).  Each shift must be
+    finite and positive and keep a relative margin from the spectrum of
+    -a w; the trace must not grow from first to last entry.
     """
     a = as_matrix(a, "a")
     w = as_matrix(w, "w")
     if a.shape[1] != w.shape[0] or a.shape[0] != w.shape[1]:
         raise ShapeError(f"incompatible shapes a {a.shape}, w {w.shape}")
     schedule = [float(s) for s in (DEFAULT_LAMBDA_SCHEDULE if lambdas is None else lambdas)]
-    if not schedule or any(s <= 0 for s in schedule):
-        raise ValueError("shift schedule must be positive")
+    if not schedule or not all(0.0 < s < np.inf for s in schedule):  # NaN fails too
+        raise ValueError("shift schedule must be positive and finite")
     if any(s1 <= s2 for s1, s2 in zip(schedule, schedule[1:])):
         raise ValueError("shift schedule must be strictly decreasing")
 
@@ -685,7 +686,7 @@ def integral_formula(
         target = 0.01 * tol.conv_tol * alpha / max(1.0, frob(w))
         horizon = float(np.log(1.0 / target) / alpha)
     horizon = float(horizon)
-    if horizon < min_horizon:
+    if not horizon >= min_horizon:  # a NaN horizon fails too
         raise ValueError(
             f"horizon {horizon:.3e} is below the minimum {min_horizon:.3e} "
             "required by the convergence tolerance"

@@ -33,7 +33,6 @@ from .prescribed import (
     inner_formula,
     integral_formula,
     limit_formula,
-    matrix_with_range_kernel,
     moore_penrose_as_outer,
     outer_inverse,
     outer_inverse_strict,
@@ -318,8 +317,7 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
         raise RuntimeError("failed to draw a well-posed instance")
 
     w = x @ y
-    ran_w = sub.range_of(w) if r else sub.Subspace.zero(n)
-    ker_w = sub.kernel_of(w) if r else sub.Subspace.full(n)
+    ran_w, ker_w = sub.range_and_kernel(w) if r else (sub.Subspace.zero(n), sub.Subspace.full(n))
     p = ran_w.projector()
     q = ker_w.projector()
     if r:
@@ -379,8 +377,8 @@ def diagonalizable_instance(
     a = v @ d @ v_inv
     w = v @ e @ v_inv
     b_ref = v @ d_plus @ v_inv
-    p = sub.range_of(w).projector() if r else np.zeros((n, n), dtype=np.complex128)
-    q = sub.kernel_of(w).projector()
+    ran_w, ker_w = sub.range_and_kernel(w)  # w = 0 when r = 0, so Ran(w) = {0}
+    p, q = ran_w.projector(), ker_w.projector()
     return {"a": a, "p": p, "q": q, "w": w, "b_ref": b_ref, "alpha": float(np.min(mu.real)), "r": r}
 
 
@@ -440,21 +438,19 @@ def varied_rank_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _regauged_witness(rng: np.random.Generator, prob: PqProblem) -> np.ndarray:
-    """An independently gauged w for the same (Ran(p), Ran(q)) pair."""
-    tol = prob.tol
-    ran_p = sub.range_of(prob.p, tol)
-    co_q = sub.range_of(prob.q, tol).complement(tol)
+def _regauged_witness(rng: np.random.Generator, ran_p: sub.Subspace,
+                      co_q: sub.Subspace) -> np.ndarray:
+    """An independently gauged w with Ran(w) = Ran(p) and Ker(w) = Ran(q),
+    given Ran(p) and the orthogonal complement of Ran(q)."""
     mix = _conditioned_matrix(rng, ran_p.dim, 16.0)
     return ran_p.basis @ mix @ co_q.basis.conj().T
 
 
-def _check_fixing_identities(rec, rng, prob: PqProblem, b: np.ndarray):
+def _check_fixing_identities(rec, rng, prob: PqProblem, b: np.ndarray,
+                             ran_p: sub.Subspace, ran_q: sub.Subspace):
     """b a x = x iff Ran(x) inside Ran(p); x a b = x iff Ran(q) inside Ker(x)."""
     tol = prob.tol
     n = prob.n
-    ran_p = sub.range_of(prob.p, tol)
-    ran_q = sub.range_of(prob.q, tol)
 
     probes = [prob.p @ _complex_normal(rng, n, n), _complex_normal(rng, n, n)]
     for i, x in enumerate(probes):
@@ -507,13 +503,14 @@ def _battery_classical(rec, a: np.ndarray, tol: Tolerances):
         rec.check("group_commute", frob(a @ g - g @ a), 1e-9 * (1.0 + frob(a) * frob(g)))
 
     p_hat, q_hat = gi_idempotents(a, tol)
+    ran_a, ker_a = sub.range_and_kernel(a, tol)
     rec.expect(
         "gi idempotent shares the kernel",
-        sub.equals(sub.kernel_of(p_hat, tol), sub.kernel_of(a, tol), tol),
+        sub.equals(sub.kernel_of(p_hat, tol), ker_a, tol),
     )
     rec.expect(
         "gi idempotent shares the range",
-        sub.equals(sub.range_of(q_hat, tol), sub.range_of(a, tol), tol),
+        sub.equals(sub.range_of(q_hat, tol), ran_a, tol),
     )
     refl = reflexive_inverse(a, tol)
     rec.check("reflexive_inner", frob(a @ refl @ a - a), 1e-9 * (1.0 + frob(a)))
@@ -526,8 +523,9 @@ def _battery_classical(rec, a: np.ndarray, tol: Tolerances):
     rec.record("drazin_special_case", frob(dz_case.b - d))
 
 
-def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_routes: bool, run_integral: bool):
-    """Existence-theory invariants for one (a, p, q) problem."""
+def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool):
+    """Existence-theory invariants for one (a, p, q) problem; the route
+    checks run when the instance carries an oracle value ``oracle_b``."""
     tol = prob.tol
     rep = diagnose(prob)
     if rep.fragile:
@@ -564,17 +562,21 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_routes: bool, r
     if oracle_b is not None:
         rec.check("oracle_agreement", frob(b - oracle_b), ORACLE_TOL * bscale)
 
+    # the battery's own subspaces, taken once for every check below
+    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    co_q = ran_q.complement(tol)
+
     # derived identities: b a shares its range with p, a b its kernel with q
     rec.expect(
         "range of b a matches the prescribed range",
-        sub.equals(sub.range_of(b @ prob.a, tol), sub.range_of(prob.p, tol), tol),
+        sub.equals(sub.range_of(b @ prob.a, tol), ran_p, tol),
     )
     rec.expect(
         "kernel of a b matches the prescribed kernel",
-        sub.equals(sub.kernel_of(prob.a @ b, tol), sub.range_of(prob.q, tol), tol),
+        sub.equals(sub.kernel_of(prob.a @ b, tol), ran_q, tol),
     )
 
-    w2 = _regauged_witness(rng, prob)
+    w2 = _regauged_witness(rng, ran_p, co_q)
     b2 = group_formula(prob.a, w2, tol)
     rec.check("witness_independence", frob(b - b2), 1e-8 * bscale)
 
@@ -587,10 +589,10 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_routes: bool, r
     if rep.strict12_exists:
         one_two_inverse_strict(prob)
 
-    _check_fixing_identities(rec, rng, prob, b)
+    _check_fixing_identities(rec, rng, prob, b, ran_p, ran_q)
 
-    if run_routes:
-        w = matrix_with_range_kernel(prob.p, prob.q, tol)
+    if oracle_b is not None:
+        w = ran_p.basis @ co_q.basis.conj().T
         b_inner = inner_formula(prob.a, w, tol)
         rec.check("route_inner", frob(b_inner - b), ROUTE_TOL * bscale)
         b_limit, _trace = limit_formula(prob.a, w, tol=tol)
@@ -620,28 +622,17 @@ def fuzz(seed: int, trials: int, max_dim: int, tol: Tolerances = DEFAULT_TOL) ->
     cases = []
     for i in range(trials):
         n = int(rng.integers(1, max_dim + 1))
-        guaranteed = i % 2 == 0
 
-        def trial(rec, n=n, guaranteed=guaranteed, i=i):
-            if guaranteed:
+        def trial(rec, n=n, i=i):
+            if i % 2 == 0:
                 inst = guaranteed_instance(rng, n)
-                prob = PqProblem(inst["a"], inst["p"], inst["q"], tol)
-                fragile = _battery_prescribed(
-                    rec,
-                    rng,
-                    prob,
-                    inst["b_ref"],
-                    run_routes=True,
-                    run_integral=(i % 5 == 0),
-                )
-                _battery_classical(rec, inst["a"], tol)
+                a, p, q, oracle_b = inst["a"], inst["p"], inst["q"], inst["b_ref"]
             else:
-                a, p, q = random_triple(rng, n)
-                prob = PqProblem(a, p, q, tol)
-                fragile = _battery_prescribed(
-                    rec, rng, prob, None, run_routes=False, run_integral=False
-                )
-                _battery_classical(rec, a, tol)
+                (a, p, q), oracle_b = random_triple(rng, n), None
+            fragile = _battery_prescribed(
+                rec, rng, PqProblem(a, p, q, tol), oracle_b, run_integral=i % 5 == 0
+            )
+            _battery_classical(rec, a, tol)
             return fragile
 
         cases.append(_run_case(f"trial_{i:05d}", trial, tol))

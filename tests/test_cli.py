@@ -285,6 +285,23 @@ class TestRepresent:
                      diag_core_files["q"], "--method", "integral", "--horizon", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "nan"])
+    def test_integral_zero_or_nan_horizon_exits_2(self, diag_core_files, capsys, horizon):
+        # 0 is a requested horizon, not an absent one; NaN is below every minimum
+        code = main(["represent", diag_core_files["a"], diag_core_files["p"],
+                     diag_core_files["q"], "--method", "integral", "--horizon", horizon])
+        assert code == 2
+        assert "below the minimum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambda_min", ["nan", "inf"])
+    def test_limit_non_finite_lambda_min_exits_2(self, diag_core_files, tmp_path, lambda_min):
+        out = tmp_path / "final.json"
+        code = main(["represent", diag_core_files["a"], diag_core_files["p"],
+                     diag_core_files["q"], "--method", "limit", "--lambda-min", lambda_min,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_imaginary_spectrum_exits_5(self, tmp_path, capsys):
         a = _write(tmp_path, "a", np.array([[0, 1], [-1, 0]], dtype=complex))
         p = _write(tmp_path, "p", np.eye(2))

@@ -7,7 +7,7 @@ import pytest
 from pqinv import densela, prescribed
 from pqinv.cli import main, write_matrix
 from pqinv.densela import DEFAULT_TOL, frob
-from pqinv.errors import NonexistentInverseError, ShapeError, SpectrumError
+from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError, SpectrumError
 from pqinv.ginv import drazin_inverse, moore_penrose
 from pqinv.prescribed import (
     PqProblem,
@@ -545,6 +545,17 @@ class TestLimitFormula:
         with pytest.raises(ValueError):
             limit_formula(np.eye(2), np.eye(2), [1e-8, 1e-2])
 
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf")])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="finite"):
+            limit_formula(np.eye(2), np.eye(2), [shift])
+
+
+class TestDriftGate:
+    def test_nan_drift_fails(self):
+        with pytest.raises(NumericalError, match="drifts"):
+            prescribed._check_drift(np.full((2, 2), np.nan), np.eye(2), DEFAULT_TOL, "drifts")
+
 
 class TestIntegralFormula:
     def test_closed_form_diag_core(self):
@@ -573,6 +584,10 @@ class TestIntegralFormula:
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             integral_formula(np.eye(2), np.eye(2), horizon=1.0)
+
+    def test_nan_horizon_rejected(self):
+        with pytest.raises(ValueError, match="below the minimum"):
+            integral_formula(np.eye(2), np.eye(2), horizon=float("nan"))
 
     def test_agreement_random(self, rng):
         for _ in range(5):

@@ -1,10 +1,13 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from pqinv.densela import frob
 from pqinv.ginv import drazin_inverse
 from pqinv.prescribed import PqProblem, outer_inverse
+from pqinv.subspace import kernel_of, range_of
 from pqinv.verify import (
     diagonalizable_instance,
     fuzz,
@@ -68,6 +71,23 @@ class TestFuzz:
         with pytest.raises(ValueError):
             fuzz(1, 5, 64)
 
+    def test_svd_count(self, monkeypatch):
+        # Ran(p), Ran(q) and the complement of Ran(q) once per battery, and
+        # one SVD for the range and kernel of each generated or classical matrix
+        calls = 0
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for namespace in (np.linalg, sys.modules.get("numpy.linalg._linalg")):
+            if getattr(namespace, "svd", None) is original:
+                monkeypatch.setattr(namespace, "svd", counting)
+        assert fuzz(42, 20, 8).counts()["fail"] == 0
+        assert calls == 1499
+
     def test_report_json_shape(self):
         doc = fuzz(3, 4, 3).to_json_dict()
         assert doc["seed"] == 3
@@ -105,3 +125,14 @@ class TestGenerators:
             result = drazin_inverse(inst["a"])
             assert result.index == inst["index"]
             assert frob(result.inverse - inst["d_ref"]) <= 1e-8 * (1 + frob(inst["d_ref"]))
+
+    @pytest.mark.parametrize("generator, n", [(diagonalizable_instance, 64),
+                                              (guaranteed_instance, 16)])
+    def test_projectors_are_those_of_w(self, generator, n):
+        # the benchmark draws its inputs from these generators: p and q must
+        # stay bit-identical to the projectors onto Ran(w) and Ker(w)
+        for seed in range(4):
+            inst = generator(np.random.default_rng(seed), n)
+            assert inst["r"] > 0
+            assert np.array_equal(inst["p"], range_of(inst["w"]).projector())
+            assert np.array_equal(inst["q"], kernel_of(inst["w"]).projector())

@@ -1,10 +1,9 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Each ``check``, ``compute`` and ``represent`` line is followed
-by the number of ``numpy.linalg`` svd, lstsq and solve calls the command
-made, so that a diff shows decomposition-count changes next to output
-changes.  Covered:
+output.  Each command's lines are followed by the number of
+``numpy.linalg`` svd, lstsq and solve calls it made, so that a diff
+shows decomposition-count changes next to output changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
   their JSON with every ``elapsed`` dropped, and their per-case statuses
@@ -93,14 +92,19 @@ def _without_elapsed(value):
     return value
 
 
+def _count_line(label: str, counts: dict[str, int]) -> str:
+    return f"{label}  linalg  " + " ".join(f"{kind}={counts[kind]}" for kind in COUNTED)
+
+
 def _suite_lines(cli, label: str, argv: list[str]) -> list[str]:
-    code, stdout = _run(cli, argv)
+    code, stdout, counts = _run_counted(cli, argv)
     doc = _without_elapsed(json.loads(stdout))
     statuses = [(case["name"], case["status"]) for case in doc["cases"]]
     return [
         f"{label}  exit={code}  {_sha(json.dumps(doc, sort_keys=True))}",
         f"{label} statuses  {json.dumps(doc['summary'], sort_keys=True)}  "
         f"{_sha(json.dumps(statuses))}",
+        _count_line(label, counts),
     ]
 
 
@@ -129,8 +133,7 @@ def _write_files(cli, tmp: str, name: str, matrices: tuple) -> list[str]:
 
 def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
     code, stdout, counts = _run_counted(cli, argv)
-    return [f"{label}  exit={code}  {_sha(stdout)}",
-            f"{label}  linalg  " + " ".join(f"{kind}={counts[kind]}" for kind in COUNTED)]
+    return [f"{label}  exit={code}  {_sha(stdout)}", _count_line(label, counts)]
 
 
 def fingerprints(src: Path) -> list[str]:
