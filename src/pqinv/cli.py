@@ -7,6 +7,10 @@ Matrix files are minimal JSON documents::
 with ``data`` row-major and one [real, imaginary] pair per entry.  All
 reports are emitted as JSON with sorted keys so runs diff cleanly; each
 echoes the tolerances it ran with as ``Tolerances.to_json_dict``.
+:func:`matrix_json` is the one home of a matrix's JSON text: it writes
+matrix files and the ``matrix`` of a ``compute`` report, byte for byte as
+``json.dumps(sort_keys=True)`` (``indent=2`` in the report) would, without
+building the nested pair lists that encoder walks in Python.
 
 Exit codes: 0 success, 1 verification-suite failures, 2 parse/validation
 error (shape errors included), 3 proven nonexistence, 4 numerical
@@ -52,14 +56,35 @@ EXIT_SPECTRUM = 5
 RANK_RTOL_ENV = "PQINV_TOL_RANK"
 
 
-def matrix_to_file_dict(m: np.ndarray) -> dict:
+# json.dumps writes the non-finite floats this way; repr writes nan, inf, -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
+    """The JSON text of ``m`` as a ``{"cols", "data", "rows"}`` object.
+
+    Byte for byte what ``json.dumps`` writes for the object with
+    ``sort_keys=True``: compact when ``indent`` is None, else with
+    ``indent=2`` for an object that opens on a line indented by ``indent``.
+    ``data`` holds one [re, im] pair per entry, row-major, each float in
+    its ``repr`` form: the inverse of matrix_from_file_dict's
+    pairs.view(np.complex128).
+    """
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        # the inverse of matrix_from_file_dict's pairs.view(np.complex128)
-        "data": m.view(np.float64).reshape(-1, 2).tolist(),
-    }
+    rows, cols = m.shape
+    flat = m.view(np.float64).ravel()
+    texts = tuple(map(float.__repr__, flat.tolist()))
+    if not np.isfinite(flat).all():
+        texts = tuple(_JSON_NON_FINITE.get(text, text) for text in texts)
+    if indent is None:
+        data = ", ".join(["[%s, %s]"] * m.size) % texts
+        return f'{{"cols": {cols}, "data": [{data}], "rows": {rows}}}'
+    inner = indent + "  "
+    pair = f"{inner}  [\n{inner}    %s,\n{inner}    %s\n{inner}  ]"
+    data = ",\n".join([pair] * m.size) % texts
+    data = f"[\n{data}\n{inner}]" if m.size else "[]"
+    return (f'{{\n{inner}"cols": {cols},\n{inner}"data": {data},\n'
+            f'{inner}"rows": {rows}\n{indent}}}')
 
 
 def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
@@ -102,13 +127,19 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str, m: np.ndarray):
-    Path(path).write_text(
-        json.dumps(matrix_to_file_dict(m), sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(matrix_json(m) + "\n", encoding="utf-8")
 
 
-def _emit(doc: dict):
-    print(json.dumps(doc, sort_keys=True, indent=2))
+def _emit(doc: dict, matrix: np.ndarray | None = None):
+    """Print ``doc`` as ``json.dumps(sort_keys=True, indent=2)`` would, with
+    ``matrix`` under the key "matrix" when given."""
+    if matrix is None:
+        print(json.dumps(doc, sort_keys=True, indent=2))
+        return
+    text = json.dumps({**doc, "matrix": None}, sort_keys=True, indent=2)
+    # a JSON string holds no raw newline, so this is the top-level key
+    head, tail = text.split('\n  "matrix": null', 1)
+    print(f'{head}\n  "matrix": {matrix_json(matrix, "  ")}{tail}')
 
 
 def _tolerances_from_args(args) -> Tolerances:
@@ -149,20 +180,26 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-_PQ_KINDS = {
-    "2l": outer_inverse,
-    "2": outer_inverse_strict,
-    "12l": one_two_inverse,
-    "12": one_two_inverse_strict,
-}
+def _pq_compute(kind: str):
+    """The (p,q) compute function of ``kind``, or None for a classical kind.
+
+    Looked up per call, so that wrappers installed on this module see it.
+    """
+    return {
+        "2l": outer_inverse,
+        "2": outer_inverse_strict,
+        "12l": one_two_inverse,
+        "12": one_two_inverse_strict,
+    }.get(kind)
 
 
 def _cmd_compute(args) -> int:
     tol = _tolerances_from_args(args)
     doc: dict = {"kind": args.kind, "tolerances": tol.to_json_dict()}
-    if args.kind in _PQ_KINDS:
+    compute = _pq_compute(args.kind)
+    if compute is not None:
         prob = _load_problem(args, tol)
-        result = _PQ_KINDS[args.kind](prob, route=args.route)
+        result = compute(prob, route=args.route)
         matrix = result.b
         doc["route"] = result.route
         doc["residuals"] = {k: float(v) for k, v in sorted(result.residuals.items())}
@@ -193,11 +230,10 @@ def _cmd_compute(args) -> int:
                 "commute": frob(a @ matrix - matrix @ a),
             }
 
-    doc["matrix"] = matrix_to_file_dict(matrix)
     if args.out:
         write_matrix(args.out, matrix)
         doc["out"] = args.out
-    _emit(doc)
+    _emit(doc, matrix)
     return EXIT_OK
 
 

@@ -686,6 +686,8 @@ def integral_formula(
         target = 0.01 * tol.conv_tol * alpha / max(1.0, frob(w))
         horizon = float(np.log(1.0 / target) / alpha)
     horizon = float(horizon)
+    if horizon == np.inf:  # would fill the block exponential with inf and NaN
+        raise ValueError(f"horizon {horizon} is not finite")
     if not horizon >= min_horizon:  # a NaN horizon fails too
         raise ValueError(
             f"horizon {horizon:.3e} is below the minimum {min_horizon:.3e} "

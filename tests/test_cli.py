@@ -1,12 +1,14 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from pqinv.cli import main, matrix_to_file_dict, read_matrix, write_matrix
+from pqinv import cli
+from pqinv.cli import main, matrix_json, read_matrix, write_matrix
 from pqinv.densela import Tolerances
-from pqinv.verify import random_triple
+from pqinv.verify import diagonalizable_instance, random_triple
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -75,13 +77,65 @@ class TestMatrixFiles:
         assert read_matrix(str(path)).tobytes() == reference.tobytes()
         # the writer, on a Fortran-ordered copy too, against the per-entry form
         for written in (m, np.asfortranarray(m)):
-            pairs = matrix_to_file_dict(written)["data"]
+            pairs = json.loads(matrix_json(written))["data"]
             assert json.dumps(pairs) == json.dumps([[z.real, z.imag] for z in m.reshape(-1)])
 
     def test_file_dict_shape(self):
-        doc = matrix_to_file_dict(B22)
+        doc = json.loads(matrix_json(B22))
         assert doc["rows"] == 2 and doc["cols"] == 2
         assert doc["data"][1] == [1.0, 0.0]
+
+
+# signed zeros, subnormals, the places where repr switches to an exponent,
+# the extremes, and the non-finite values json.dumps writes as NaN/Infinity
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+               9999999999999998.0, 1e-05, 0.0001, sys.float_info.max,
+               -sys.float_info.max, float("nan"), float("inf"), -float("inf"), 1 / 3, -1.5]
+
+
+def _layouts():
+    grid = np.random.default_rng(3).standard_normal((6, 8, 2)).view(np.complex128)[..., 0]
+    edge = np.array(EDGE_FLOATS).view(np.complex128).reshape(2, 4)
+    return {
+        "edge": edge,
+        "edge_fortran": np.asfortranarray(edge),
+        "edge_transposed": edge.T,
+        "c_order": grid,
+        "fortran": np.asfortranarray(grid),
+        "strided": grid[::2, 1::3],
+        "real": np.array(EDGE_FLOATS).reshape(4, 4),
+        "integer": np.arange(-6, 6).reshape(3, 4),
+        "one_entry": np.array([[complex(-0.0, 5e-324)]]),
+        "empty": np.zeros((0, 3)),
+    }
+
+
+def _reference_file_dict(m) -> dict:
+    """The matrix object as json.dumps was given it: nested [re, im] lists."""
+    m = np.asarray(m, dtype=np.complex128)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "data": [[z.real, z.imag] for z in m.reshape(-1)]}
+
+
+class TestMatrixText:
+    @pytest.mark.parametrize("name", list(_layouts()))
+    def test_file_bytes_match_json_dumps(self, tmp_path, name):
+        m = _layouts()[name]
+        path = tmp_path / "m.json"
+        write_matrix(str(path), m)
+        expected = json.dumps(_reference_file_dict(m), sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("name", list(_layouts()))
+    def test_report_bytes_match_json_dumps(self, capsys, name):
+        m = _layouts()[name]
+        # keys on both sides of "matrix"; a string that escapes the splice point
+        doc = {"index": 2, "kind": "2l", "out": 'x\n  "matrix": null',
+               "residuals": {"outer": 1e-16}, "tolerances": {"rank_rtol": 1e-10}}
+        cli._emit(doc, m)
+        expected = json.dumps({**doc, "matrix": _reference_file_dict(m)},
+                              sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestCheck:
@@ -182,6 +236,37 @@ class TestCompute:
         assert doc["route"] == "group_formula"
         assert doc["residuals"]["outer"] <= 1e-12
         assert np.allclose(read_matrix(out), B22, atol=1e-12)
+
+    def test_report_and_out_file_are_json_dumps_forms(self, tmp_path, capsys):
+        inst = diagonalizable_instance(np.random.default_rng(7), 6)
+        files = [_write(tmp_path, name, inst[name]) for name in "apq"]
+        out = tmp_path / "b.json"
+        assert main(["compute", *files, "--kind", "2l", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert out.read_text() == json.dumps(doc["matrix"], sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("kind,name", [
+        ("2l", "outer_inverse"),
+        ("2", "outer_inverse_strict"),
+        ("12l", "one_two_inverse"),
+        ("12", "one_two_inverse_strict"),
+    ])
+    def test_compute_function_is_looked_up_per_call(self, counterexample_files, monkeypatch,
+                                                   kind, name):
+        # a wrapper installed on the cli module, as a tracer installs one, sees the call
+        original = getattr(cli, name)
+        routes = []
+
+        def wrapper(prob, route):
+            routes.append(route)
+            return original(prob, route=route)
+
+        monkeypatch.setattr(cli, name, wrapper)
+        files = [counterexample_files[k] for k in "apq"]
+        main(["compute", *files, "--kind", kind, "--route", "inner"])
+        assert routes == ["inner"]
 
     def test_strict_nonexistence_exits_3(self, counterexample_files, capsys):
         code = main(["compute", counterexample_files["a"], counterexample_files["p"],
@@ -292,6 +377,15 @@ class TestRepresent:
                      diag_core_files["q"], "--method", "integral", "--horizon", horizon])
         assert code == 2
         assert "below the minimum" in capsys.readouterr().err
+
+    def test_integral_infinite_horizon_exits_2(self, diag_core_files, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["represent", diag_core_files["a"], diag_core_files["p"],
+                         diag_core_files["q"], "--method", "integral", "--horizon", "inf"])
+        assert code == 2
+        assert "horizon inf is not finite" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("lambda_min", ["nan", "inf"])
     def test_limit_non_finite_lambda_min_exits_2(self, diag_core_files, tmp_path, lambda_min):

@@ -589,6 +589,10 @@ class TestIntegralFormula:
         with pytest.raises(ValueError, match="below the minimum"):
             integral_formula(np.eye(2), np.eye(2), horizon=float("nan"))
 
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon inf is not finite"):
+            integral_formula(np.eye(2), np.eye(2), horizon=float("inf"))
+
     def test_agreement_random(self, rng):
         for _ in range(5):
             inst = diagonalizable_instance(rng, int(rng.integers(2, 7)))

@@ -11,6 +11,9 @@ shows decomposition-count changes next to output changes.  Covered:
 * the stdout of ``check`` and ``compute --kind 2l|2|12l|12`` on the
   seed-1 n = 64 ``diagonalizable_instance`` and the seed-1 n = 64
   ``random_triple``;
+* the stdout of ``compute --kind mp|group|drazin`` on the ``a`` of that
+  random triple, and the matrix file that ``compute --kind 2l --out``
+  writes for the diagonalizable instance;
 * the stdout of ``represent --method limit|integral`` on an 8 x 8
   diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
   p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p.
@@ -41,6 +44,7 @@ import numpy as np
 
 N = 64
 COMPUTE_KINDS = ("2l", "2", "12l", "12")
+CLASSICAL_KINDS = ("mp", "group", "drazin")
 REPRESENT_METHODS = ("limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 
@@ -144,12 +148,22 @@ def fingerprints(src: Path) -> list[str]:
     lines += _suite_lines(cli, "fuzz --seed 42 --trials 500 --dim 8",
                           ["fuzz", "--seed", "42", "--trials", "500", "--dim", "8"])
     with tempfile.TemporaryDirectory() as tmp:
+        problem_files = {}
         for name, matrices in _problems(verify).items():
-            files = _write_files(cli, tmp, name, matrices)
+            files = problem_files[name] = _write_files(cli, tmp, name, matrices)
             lines += _counted_lines(cli, f"check {name}", ["check", *files])
             for kind in COMPUTE_KINDS:
                 lines += _counted_lines(cli, f"compute --kind {kind} {name}",
                                         ["compute", *files, "--kind", kind])
+        name = f"random-triple-n{N}"
+        for kind in CLASSICAL_KINDS:
+            lines += _counted_lines(cli, f"compute --kind {kind} {name} a",
+                                    ["compute", problem_files[name][0], "--kind", kind])
+        name = f"diagonalizable-n{N}"
+        out = Path(tmp) / "out.json"
+        code, _ = _run(cli, ["compute", *problem_files[name], "--kind", "2l", "--out", str(out)])
+        lines.append(f"compute --kind 2l --out {name} file  exit={code}  "
+                     f"{_sha(out.read_text(encoding='utf-8'))}")
         files = _write_files(cli, tmp, "diagonal-core-n8", _represent_core())
         for method in REPRESENT_METHODS:
             lines += _counted_lines(cli, f"represent --method {method} diagonal-core-n8",
