@@ -60,6 +60,7 @@ from .subspace import (
     intersect,
     is_direct_sum_all,
     kernel_of,
+    meets_trivially,
     range_of,
     sum_of,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "image",
     "intersect",
     "sum_of",
+    "meets_trivially",
     "is_direct_sum_all",
     "contains",
     "equals",

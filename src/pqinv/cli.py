@@ -60,6 +60,32 @@ RANK_RTOL_ENV = "PQINV_TOL_RANK"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+class _MatrixText:
+    """A matrix's floats formatted once as JSON text, laid out as :func:`matrix_json` says."""
+
+    def __init__(self, m: np.ndarray):
+        m = np.ascontiguousarray(m, dtype=np.complex128)
+        (self.rows, self.cols), flat = m.shape, m.view(np.float64).ravel()
+        self.texts = tuple(map(float.__repr__, flat.tolist()))
+        if not np.isfinite(flat).all():
+            self.texts = tuple(_JSON_NON_FINITE.get(text, text) for text in self.texts)
+
+    def json(self, indent: str | None = None) -> str:
+        rows, cols, size = self.rows, self.cols, self.rows * self.cols
+        if indent is None:
+            data = ", ".join(["[%s, %s]"] * size) % self.texts
+            return f'{{"cols": {cols}, "data": [{data}], "rows": {rows}}}'
+        inner = indent + "  "
+        pair = f"{inner}  [\n{inner}    %s,\n{inner}    %s\n{inner}  ]"
+        data = ",\n".join([pair] * size) % self.texts
+        data = f"[\n{data}\n{inner}]" if size else "[]"
+        return (f'{{\n{inner}"cols": {cols},\n{inner}"data": {data},\n'
+                f'{inner}"rows": {rows}\n{indent}}}')
+
+    def write(self, path: str):  # a matrix file: the compact object and a newline
+        Path(path).write_text(self.json() + "\n", encoding="utf-8")
+
+
 def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
     """The JSON text of ``m`` as a ``{"cols", "data", "rows"}`` object.
 
@@ -70,21 +96,7 @@ def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
     its ``repr`` form: the inverse of matrix_from_file_dict's
     pairs.view(np.complex128).
     """
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    rows, cols = m.shape
-    flat = m.view(np.float64).ravel()
-    texts = tuple(map(float.__repr__, flat.tolist()))
-    if not np.isfinite(flat).all():
-        texts = tuple(_JSON_NON_FINITE.get(text, text) for text in texts)
-    if indent is None:
-        data = ", ".join(["[%s, %s]"] * m.size) % texts
-        return f'{{"cols": {cols}, "data": [{data}], "rows": {rows}}}'
-    inner = indent + "  "
-    pair = f"{inner}  [\n{inner}    %s,\n{inner}    %s\n{inner}  ]"
-    data = ",\n".join([pair] * m.size) % texts
-    data = f"[\n{data}\n{inner}]" if m.size else "[]"
-    return (f'{{\n{inner}"cols": {cols},\n{inner}"data": {data},\n'
-            f'{inner}"rows": {rows}\n{indent}}}')
+    return _MatrixText(m).json(indent)
 
 
 def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
@@ -127,10 +139,10 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str, m: np.ndarray):
-    Path(path).write_text(matrix_json(m) + "\n", encoding="utf-8")
+    _MatrixText(m).write(path)
 
 
-def _emit(doc: dict, matrix: np.ndarray | None = None):
+def _emit(doc: dict, matrix: _MatrixText | None = None):
     """Print ``doc`` as ``json.dumps(sort_keys=True, indent=2)`` would, with
     ``matrix`` under the key "matrix" when given."""
     if matrix is None:
@@ -139,7 +151,7 @@ def _emit(doc: dict, matrix: np.ndarray | None = None):
     text = json.dumps({**doc, "matrix": None}, sort_keys=True, indent=2)
     # a JSON string holds no raw newline, so this is the top-level key
     head, tail = text.split('\n  "matrix": null', 1)
-    print(f'{head}\n  "matrix": {matrix_json(matrix, "  ")}{tail}')
+    print(f'{head}\n  "matrix": {matrix.json("  ")}{tail}')
 
 
 def _tolerances_from_args(args) -> Tolerances:
@@ -230,10 +242,11 @@ def _cmd_compute(args) -> int:
                 "commute": frob(a @ matrix - matrix @ a),
             }
 
+    text = _MatrixText(matrix)  # the float reprs, once for both layouts
     if args.out:
-        write_matrix(args.out, matrix)
+        text.write(args.out)
         doc["out"] = args.out
-    _emit(doc, matrix)
+    _emit(doc, text)
     return EXIT_OK
 
 
@@ -249,12 +262,9 @@ def _cmd_represent(args) -> int:
         if not schedule or schedule[-1] > lam_min:
             schedule.append(lam_min)
         final, trace = limit_formula(prob.a, w, schedule, tol)
-        rows.append("lambda,cauchy_error")
-        for lam, err in trace:
-            rows.append(f"{lam!r},{err!r}")
+        rows += ["lambda,cauchy_error", *(f"{lam!r},{err!r}" for lam, err in trace)]
     else:
         final = None
-        previous = None
         horizons = ([args.horizon / 2 ** k for k in reversed(range(4))]
                     if args.horizon is not None else [None])
         rows.append("horizon,cauchy_error,tail_bound")
@@ -265,10 +275,9 @@ def _cmd_represent(args) -> int:
                 if k == len(horizons) - 1:
                     raise  # the requested horizon itself is too short
                 continue  # sweep point below the minimum horizon, skip the row
-            err = frob(estimate - previous) if previous is not None else float("nan")
+            err = frob(estimate - final) if final is not None else float("nan")
             used = horizon if horizon is not None else float("nan")
             rows.append(f"{used!r},{err!r},{tail!r}")
-            previous = estimate
             final = estimate
 
     _check_drift(final, reference, tol, "representation drifts from the direct value")

@@ -233,15 +233,20 @@ def _no_outer_inverse(reason: str) -> NonexistentInverseError:
     return NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
 
 
-def _candidate(prob: PqProblem, w: np.ndarray, ran_p: sub.Subspace, ran_q: sub.Subspace,
+def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace,
                tol: Tolerances) -> tuple:
-    """The subspace-outer candidate b = w (a w)^#, with Ran(b) and Ker(b),
-    for w as :func:`matrix_with_range_kernel` builds it from Ran(p), Ran(q).
+    """w as :func:`matrix_with_range_kernel` builds it from Ran(p), Ran(q),
+    and the subspace-outer candidate b = w (a w)^# with Ran(b) and Ker(b).
 
     Validation checks the defining equations directly, so this is the
     definitional existence test, independent of the subspace criteria
-    used by :func:`diagnose`; a failure raises NonexistentInverseError.
+    used by :func:`diagnose`; a failure, the dimension obstruction
+    included, raises NonexistentInverseError.
     """
+    try:
+        w = _w_from_spaces(ran_p, ran_q, tol)
+    except NonexistentInverseError as exc:
+        raise _no_outer_inverse(exc.reason) from None
     g = group_inverse(prob.a @ w, tol)
     if g is None:
         raise _no_outer_inverse("aw is not group invertible (rank(aw)² drops)")
@@ -253,7 +258,7 @@ def _candidate(prob: PqProblem, w: np.ndarray, ran_p: sub.Subspace, ran_q: sub.S
         raise _no_outer_inverse("candidate fails Ran(b) = Ran(p)")
     if not sub.equals(ker_b, ran_q, tol):
         raise _no_outer_inverse("candidate fails Ker(b) = Ran(q)")
-    return b, ran_b, ker_b
+    return w, b, ran_b, ker_b
 
 
 def _representation_inputs(prob: PqProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +266,7 @@ def _representation_inputs(prob: PqProblem) -> tuple[np.ndarray, np.ndarray]:
     value w (a w)^# of :func:`outer_inverse`, each raising as that function
     does, from one factorization of p, q and the complement of Ran(q)."""
     tol = prob.tol
-    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
-    w = _w_from_spaces(ran_p, ran_q, tol)
-    return w, _candidate(prob, w, ran_p, ran_q, tol)[0]
+    return _candidate(prob, sub.range_of(prob.p, tol), sub.range_of(prob.q, tol), tol)[:2]
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
@@ -329,13 +332,13 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     ran_1mq = sub.range_of(prob.one_minus_q, tol)
     a_ran_p = sub.image(a, ran_p, tol)
 
-    ker_trivial = sub.intersect(ker_a, ran_p, tol).dim == 0
+    ker_trivial = sub.meets_trivially(ker_a, ran_p, tol)
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
     image_match = sub.equals(a_ran_p, ran_1mq, tol)
     cond5, t_witness, s_witness = _cond5_cond6(prob, ker_p, ran_1mq, tol)
 
     try:
-        b = _candidate(prob, _w_from_spaces(ran_p, ran_q, tol), ran_p, ran_q, tol)[0]
+        b = _candidate(prob, ran_p, ran_q, tol)[1]
     except NonexistentInverseError:
         b = None
     l_exists = b is not None
@@ -365,9 +368,10 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     """Evaluate every existence criterion and flag tolerance-fragile verdicts.
 
     Each criterion is computed on its own (subspace dimensions, range
-    containments, least-squares witnesses, and the definitional candidate
-    construction), so disagreement between fields is detectable.  A
-    verdict is fragile when it flips with the rank threshold scaled by
+    containments, the cond6 witnesses from one pseudo-inverse of
+    (1-q) a p, and the definitional candidate construction), so
+    disagreement between fields is detectable.  A verdict is fragile when
+    it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
     (each a singular-value count) lies within that factor of its cutoff.
@@ -392,17 +396,16 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
 
 
 def _route_result(prob: PqProblem, w: np.ndarray, b_group: np.ndarray, route: str) -> tuple[np.ndarray, str]:
+    """The value of ``route`` for w, given the group value, and its PqResult name."""
     tol = prob.tol
     if route == "group":
         return b_group, "group_formula"
     if route == "inner":
         return inner_formula(prob.a, w, tol), "inner_formula"
     if route == "limit":
-        b, _trace = limit_formula(prob.a, w, tol=tol)
-        return b, "limit"
+        return limit_formula(prob.a, w, tol=tol)[0], "limit"
     if route == "integral":
-        b, _tail = integral_formula(prob.a, w, tol=tol)
-        return b, "integral"
+        return integral_formula(prob.a, w, tol=tol)[0], "integral"
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -432,11 +435,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    try:
-        w = _w_from_spaces(ran_p, ran_q, tol)
-    except NonexistentInverseError as exc:
-        raise _no_outer_inverse(exc.reason) from None
-    b_group, ran_b, ker_b = _candidate(prob, w, ran_p, ran_q, tol)
+    w, b_group, ran_b, ker_b = _candidate(prob, ran_p, ran_q, tol)
     b, route_name = _route_result(prob, w, b_group, route)
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
@@ -512,13 +511,22 @@ def one_two_inverse_strict(prob: PqProblem, route: str = "group") -> PqResult:
 # ---------------------------------------------------------------------------
 
 
+def _route_operands(a, w) -> tuple[np.ndarray, np.ndarray]:
+    """a and w as matrices, checked to have the shapes a w and w a need."""
+    a = as_matrix(a, "a")
+    w = as_matrix(w, "w")
+    if a.shape[1] != w.shape[0] or a.shape[0] != w.shape[1]:
+        raise ShapeError(f"incompatible shapes a {a.shape}, w {w.shape}")
+    return a, w
+
+
 def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The group-route value b = w (a w)^# together with (w a)^#.
 
     Every cross-check of :func:`group_formula` runs here, so each caller
     of the group route gets them all.
     """
-    if sub.intersect(sub.kernel_of(a, tol), sub.range_of(w, tol), tol).dim != 0:
+    if not sub.meets_trivially(sub.kernel_of(a, tol), sub.range_of(w, tol), tol):
         raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
     aw = a @ w
     wa = w @ a
@@ -529,14 +537,12 @@ def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     b = w @ g_aw
     b_alt = g_wa @ w
     if not matrices_equal(b, b_alt, tol):
-        raise NumericalError(
-            f"(wa)^# w and w (aw)^# disagree by {frob(b - b_alt):.3e}"
-        )
-    c = g_aw
-    anchor = w @ aw @ c
+        raise NumericalError(f"(wa)^# w and w (aw)^# disagree by {frob(b - b_alt):.3e}")
+    # the anchor identities, with c = (aw)^#
+    anchor = w @ aw @ g_aw
     if not matrices_equal(anchor, w, tol):
         raise NumericalError(f"w a w c = w failed (residual {frob(anchor - w):.3e})")
-    anchor_b = b @ aw @ c
+    anchor_b = b @ aw @ g_aw
     if not matrices_equal(anchor_b, b, tol):
         raise NumericalError(f"b a w c = b failed (residual {frob(anchor_b - b):.3e})")
     return b, g_wa
@@ -550,7 +556,7 @@ def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     kernel; their failure indicates a precondition violation rather than
     roundoff, so it raises.
     """
-    return _group_route(as_matrix(a, "a"), as_matrix(w, "w"), tol)[0]
+    return _group_route(*_route_operands(a, w), tol)[0]
 
 
 def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -559,15 +565,12 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Agreement with the group formula, and the explicit inner-inverse
     witness x = a ((w a)^#)^2 for w a w, are both asserted.
     """
-    a = as_matrix(a, "a")
-    w = as_matrix(w, "w")
+    a, w = _route_operands(a, w)
     b_ref, g_wa = _group_route(a, w, tol)
     m = w @ a @ w
     b = w @ inner_inverse(m, tol) @ w
     if not matrices_equal(b, b_ref, tol):
-        raise NumericalError(
-            f"inner formula disagrees with group formula by {frob(b - b_ref):.3e}"
-        )
+        raise NumericalError(f"inner formula disagrees with group formula by {frob(b - b_ref):.3e}")
     witness = a @ g_wa @ g_wa
     if not matrices_equal(m @ witness @ m, m, tol):
         raise NumericalError("explicit witness failed (w a w) x (w a w) = w a w")
@@ -587,10 +590,7 @@ def limit_formula(
     finite and positive and keep a relative margin from the spectrum of
     -a w; the trace must not grow from first to last entry.
     """
-    a = as_matrix(a, "a")
-    w = as_matrix(w, "w")
-    if a.shape[1] != w.shape[0] or a.shape[0] != w.shape[1]:
-        raise ShapeError(f"incompatible shapes a {a.shape}, w {w.shape}")
+    a, w = _route_operands(a, w)
     schedule = [float(s) for s in (DEFAULT_LAMBDA_SCHEDULE if lambdas is None else lambdas)]
     if not schedule or not all(0.0 < s < np.inf for s in schedule):  # NaN fails too
         raise ValueError("shift schedule must be positive and finite")
@@ -600,16 +600,12 @@ def limit_formula(
     aw = a @ w
     spectrum = eigenvalues(-aw)
     ident = np.eye(aw.shape[0], dtype=np.complex128)
-    for s in schedule:
-        margin = float(np.min(np.abs(spectrum - s))) if spectrum.size else np.inf
-        if margin <= tol.conv_tol * s:
-            raise SpectrumError(
-                f"shift {s:.3e} is within {margin:.3e} of the spectrum of -aw"
-            )
-
     trace: list[tuple[float, float]] = []
     current = None
     for s in schedule:
+        margin = float(np.min(np.abs(spectrum - s)))
+        if margin <= tol.conv_tol * s:
+            raise SpectrumError(f"shift {s:.3e} is within {margin:.3e} of the spectrum of -aw")
         try:
             resolvent = np.linalg.solve(s * ident + aw, ident)
         except np.linalg.LinAlgError as exc:
@@ -619,27 +615,8 @@ def limit_formula(
             trace.append((s, frob(x - current)))
         current = x
     if len(trace) >= 2 and trace[-1][1] > trace[0][1]:
-        raise NumericalError(
-            "Cauchy differences are not shrinking along the shift schedule"
-        )
+        raise NumericalError("Cauchy differences are not shrinking along the shift schedule")
     return current, trace
-
-
-def _integral_spectrum(aw: np.ndarray, tol: Tolerances) -> float:
-    """Validate Re > 0 on the nonzero spectrum of aw; return the decay rate."""
-    eigs = eigenvalues(aw)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    zero_thr = tol.conv_tol * max(1.0, scale)
-    nonzero = eigs[np.abs(eigs) > zero_thr]
-    if nonzero.size == 0:
-        raise SpectrumError("aw has no nonzero spectrum; the integrand cannot decay")
-    worst = float(np.min(nonzero.real))
-    if worst <= 0.0:
-        raise SpectrumError(
-            f"aw has a nonzero eigenvalue with Re = {worst:.3e} <= 0; "
-            "the exponential integral does not converge"
-        )
-    return worst
 
 
 def integral_formula(
@@ -660,14 +637,23 @@ def integral_formula(
     Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
     annihilates the non-decaying spectral part.  Returns the estimate and
     the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
-    in under conv_tol.
+    in under conv_tol; conv_tol must be positive.
     """
-    a = as_matrix(a, "a")
-    w = as_matrix(w, "w")
-    if a.shape[1] != w.shape[0] or a.shape[0] != w.shape[1]:
-        raise ShapeError(f"incompatible shapes a {a.shape}, w {w.shape}")
+    a, w = _route_operands(a, w)
+    if tol.conv_tol <= 0.0:  # the horizons below divide by it
+        raise ValueError(f"conv_tol must be positive for the integral route, got {tol.conv_tol}")
     aw = a @ w
-    alpha = _integral_spectrum(aw, tol)
+    # Re > 0 on the nonzero spectrum of aw; the smallest real part is the decay rate
+    eigs = eigenvalues(aw)
+    nonzero = eigs[np.abs(eigs) > tol.conv_tol * max(1.0, float(np.max(np.abs(eigs))))]
+    if nonzero.size == 0:
+        raise SpectrumError("aw has no nonzero spectrum; the integrand cannot decay")
+    alpha = float(np.min(nonzero.real))
+    if alpha <= 0.0:
+        raise SpectrumError(
+            f"aw has a nonzero eigenvalue with Re = {alpha:.3e} <= 0; "
+            "the exponential integral does not converge"
+        )
 
     g_aw = group_inverse(aw, tol)
     if g_aw is None:
@@ -693,15 +679,16 @@ def integral_formula(
             f"horizon {horizon:.3e} is below the minimum {min_horizon:.3e} "
             "required by the convergence tolerance"
         )
+    # the block's 1-norm, in Python floats, which overflow to inf without numpy's warning
+    if horizon * max(1.0, float(np.linalg.norm(aw, 1))) == np.inf:
+        raise ValueError(f"horizon {horizon!r} overflows the block exponential")
 
     block = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     block[:n, :n] = -aw * horizon
     block[:n, n:] = np.eye(n) * horizon
     flow = matrix_exp(block)
     estimate = w @ flow[:n, n:]
-    tail_norm = frob(w @ flow[:n, :n])
-
-    tail_bound = tail_norm / alpha
+    tail_bound = frob(w @ flow[:n, :n]) / alpha
     if tail_bound > tol.conv_tol:
         raise NumericalError(
             f"tail bound {tail_bound:.3e} exceeds conv_tol {tol.conv_tol:.3e}; "

@@ -37,6 +37,7 @@ __all__ = [
     "image",
     "intersect",
     "sum_of",
+    "meets_trivially",
     "is_direct_sum_all",
     "contains",
     "equals",
@@ -82,9 +83,7 @@ class Subspace:
         return cls(n, np.eye(n, dtype=np.complex128))
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        if self.dim == 0:
-            return np.zeros((self.ambient, self.ambient), dtype=np.complex128)
+        """Orthogonal projector onto the subspace (the zero matrix for {0})."""
         return self.basis @ self.basis.conj().T
 
     def complement(self, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
@@ -149,15 +148,20 @@ def sum_of(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(s.ambient, svd(np.hstack([s.basis, t.basis])).range_basis(tol))
 
 
-def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when S and T intersect trivially and together fill C^n.
-
-    With dim S + dim T = n, either property implies the other, so one
-    rank of the joined bases decides both.
-    """
+def meets_trivially(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True when S ∩ T = {0}: at once when either side is {0}, else when the
+    joined bases [B_S | B_T] have full column rank dim S + dim T."""
     _check_same_ambient(s, t)
-    n = s.ambient
-    return s.dim + t.dim == n and rank(np.hstack([s.basis, t.basis]), tol) == n
+    if s.dim == 0 or t.dim == 0:
+        return True
+    return rank(np.hstack([s.basis, t.basis]), tol) == s.dim + t.dim
+
+
+def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True when S ∩ T = {0} and S + T = C^n: with dim S + dim T = n,
+    the one rank of :func:`meets_trivially` decides both."""
+    _check_same_ambient(s, t)
+    return s.dim + t.dim == s.ambient and meets_trivially(s, t, tol)
 
 
 def _outside(s: Subspace, t: Subspace) -> np.ndarray:

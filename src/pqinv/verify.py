@@ -27,12 +27,10 @@ from .ginv import (
 )
 from .prescribed import (
     PqProblem,
+    _route_result,
     diagnose,
     drazin_as_outer,
     group_formula,
-    inner_formula,
-    integral_formula,
-    limit_formula,
     moore_penrose_as_outer,
     outer_inverse,
     outer_inverse_strict,
@@ -313,7 +311,9 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
         if s[-1] > 1e-3 * max(1.0, s[0]):
             a = cand
             break
-    if a is None:  # pragma: no cover - 64 redraws virtually never all fail
+    # all 64 redraws fail for 19 of the seeds 0-39 at n = 64 (none at n = 32),
+    # which is why fuzz caps max_dim at 32
+    if a is None:  # pragma: no cover - not reached at the test suite's sizes
         raise RuntimeError("failed to draw a well-posed instance")
 
     w = x @ y
@@ -593,17 +593,14 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
 
     if oracle_b is not None:
         w = ran_p.basis @ co_q.basis.conj().T
-        b_inner = inner_formula(prob.a, w, tol)
-        rec.check("route_inner", frob(b_inner - b), ROUTE_TOL * bscale)
-        b_limit, _trace = limit_formula(prob.a, w, tol=tol)
-        rec.check("route_limit", frob(b_limit - b), ROUTE_TOL * bscale)
-        if run_integral:
+        for route in ("inner", "limit", "integral") if run_integral else ("inner", "limit"):
             try:
-                b_int, _tail = integral_formula(prob.a, w, tol=tol)
+                b_route = _route_result(prob, w, b, route)[0]
             except SpectrumError:
-                pass  # the spectrum of a w does not admit the integral route
-            else:
-                rec.check("route_integral", frob(b_int - b), ROUTE_TOL * bscale)
+                if route != "integral":
+                    raise
+                continue  # the spectrum of a w does not admit the integral route
+            rec.check(f"route_{route}", frob(b_route - b), ROUTE_TOL * bscale)
     return False
 
 

@@ -32,6 +32,14 @@ def _write(tmp_path, name, m):
     return str(path)
 
 
+@pytest.fixture
+def core8_files(tmp_path):
+    """a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0), p = diag(1, 1, 1, 1, 0, 0, 0, 0), q = 1 - p."""
+    p = np.diag([1.0] * 4 + [0.0] * 4)
+    return [_write(tmp_path, "a", np.diag([1.0, 2.0, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0])),
+            _write(tmp_path, "p", p), _write(tmp_path, "q", np.eye(8) - p)]
+
+
 class TestMatrixFiles:
     def test_round_trip_is_bit_identical(self, tmp_path, rng):
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -132,7 +140,7 @@ class TestMatrixText:
         # keys on both sides of "matrix"; a string that escapes the splice point
         doc = {"index": 2, "kind": "2l", "out": 'x\n  "matrix": null',
                "residuals": {"outer": 1e-16}, "tolerances": {"rank_rtol": 1e-10}}
-        cli._emit(doc, m)
+        cli._emit(doc, cli._MatrixText(m))
         expected = json.dumps({**doc, "matrix": _reference_file_dict(m)},
                               sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == expected
@@ -268,6 +276,23 @@ class TestCompute:
         main(["compute", *files, "--kind", kind, "--route", "inner"])
         assert routes == ["inner"]
 
+    def test_out_formats_the_floats_once(self, counterexample_files, monkeypatch, tmp_path):
+        # the report and the --out file share one float-repr pass over the result
+        passes = []
+
+        def counting_map(fn, *iterables):
+            if fn is float.__repr__:
+                passes.append(fn)
+            return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "map", counting_map, raising=False)
+        files = [counterexample_files[k] for k in "apq"]
+        out = str(tmp_path / "b.json")
+        assert main(["compute", *files, "--kind", "2l", "--out", out]) == 0
+        assert len(passes) == 1
+        assert main(["compute", files[0], "--kind", "mp", "--out", out]) == 0
+        assert len(passes) == 2
+
     def test_strict_nonexistence_exits_3(self, counterexample_files, capsys):
         code = main(["compute", counterexample_files["a"], counterexample_files["p"],
                      counterexample_files["q"], "--kind", "2"])
@@ -321,6 +346,34 @@ class TestCompute:
 
 
 class TestRepresent:
+    def test_dimension_obstruction_reads_as_compute(self, tmp_path, capsys):
+        files = [_write(tmp_path, name, np.eye(2)) for name in "apq"]
+        assert main(["compute", *files, "--kind", "2l"]) == 3
+        compute_err = capsys.readouterr().err
+        assert main(["represent", *files, "--method", "limit"]) == 3
+        assert capsys.readouterr().err == compute_err
+        assert compute_err.startswith(
+            "nonexistent: subspace outer inverse does not exist: dimension obstruction")
+
+    def test_zero_conv_tol_rejected_by_the_integral_route_only(self, core8_files, capsys):
+        integral = [["compute", *core8_files, "--kind", "2l", "--route", "integral"],
+                    ["represent", *core8_files, "--method", "integral"]]
+        for argv in integral:
+            assert main(argv + ["--conv-tol", "0"]) == 2
+            assert "conv_tol must be positive" in capsys.readouterr().err
+        assert main(["check", *core8_files, "--conv-tol", "0"]) == 0
+        assert main(["compute", *core8_files, "--kind", "2l", "--conv-tol", "0"]) == 0
+
+    def test_integral_overflowing_horizon_exits_2(self, core8_files, capsys):
+        # a w has entries up to 2, so a w * 1e308 overflows; numpy would warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["represent", *core8_files, "--method", "integral",
+                         "--horizon", "1e308"])
+        assert code == 2
+        assert "horizon 1e+308" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
     @pytest.fixture
     def diag_core_files(self, tmp_path):
         # a w = diag(0, 1) for the w built from these idempotents

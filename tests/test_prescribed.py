@@ -1,12 +1,13 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from pqinv import densela, prescribed
 from pqinv.cli import main, write_matrix
-from pqinv.densela import DEFAULT_TOL, frob
+from pqinv.densela import DEFAULT_TOL, Tolerances, frob
 from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError, SpectrumError
 from pqinv.ginv import drazin_inverse, moore_penrose
 from pqinv.prescribed import (
@@ -385,9 +386,11 @@ class TestDecompositionCounts:
         assert self._calls(monkeypatch, run) == {"svd": 6}
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
+        # Ran(q) = {0} and Ker(a) = {0}: both {1,2} decompositions have a {0}
+        # side, so neither takes the rank of its joined bases
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 12}
+        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 10}
 
     def test_represent_builds_one_candidate(self, monkeypatch, tmp_path):
         # one each for Ran(p), Ran(q), the complement of Ran(q) and Ran(b)
@@ -502,6 +505,12 @@ class TestGroupFormula:
             group_formula(np.diag([0.0, 1.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("formula", [group_formula, inner_formula])
+def test_route_operands_of_mismatched_size_name_both_shapes(formula):
+    with pytest.raises(ShapeError, match=r"a \(2, 2\), w \(3, 3\)"):
+        formula(np.eye(2), np.eye(3))
+
+
 class TestInnerFormula:
     def test_hand_value(self):
         assert frob(inner_formula(A22, W22) - B22) <= 1e-12
@@ -592,6 +601,19 @@ class TestIntegralFormula:
     def test_infinite_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon inf is not finite"):
             integral_formula(np.eye(2), np.eye(2), horizon=float("inf"))
+
+    @pytest.mark.parametrize("a", [np.diag([2.0, 1.0]), np.array([[1.0, 0.0], [1.0, 1.0]])],
+                             ids=["entry", "column_sum"])
+    def test_horizon_that_overflows_the_block_rejected(self, a):
+        # 2e308 overflows an entry; the column sum 1e308 + 1e308 overflows the 1-norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="horizon 1e\\+308 overflows"):
+                integral_formula(a, np.eye(2), horizon=1e308)
+
+    def test_zero_conv_tol_rejected(self):
+        with pytest.raises(ValueError, match="conv_tol"):
+            integral_formula(np.eye(2), np.eye(2), tol=Tolerances(conv_tol=0.0))
 
     def test_agreement_random(self, rng):
         for _ in range(5):

@@ -14,6 +14,7 @@ from pqinv.subspace import (
     intersect,
     is_direct_sum_all,
     kernel_of,
+    meets_trivially,
     range_and_kernel,
     range_of,
     sum_of,
@@ -174,6 +175,50 @@ class TestLattice:
             stacked = np.hstack([s.basis, t.basis])
             coords, *_ = np.linalg.lstsq(stacked, v, rcond=None)
             assert frob(stacked @ coords - v) <= 1e-10
+
+
+class TestMeetsTrivially:
+    @staticmethod
+    def _pairs(rng):
+        """Random pairs in C^n: generic ones (trivial intersection when
+        dim S + dim T <= n), pairs sharing a direction of S, and pairs with a
+        {0} or a full side."""
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            s = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
+            t = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
+            shared = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, n, t.dim - 1)]))
+            yield from ((s, t), (s, shared), (t, s), (s, Subspace.zero(n)),
+                        (Subspace.zero(n), t), (Subspace.full(n), s))
+
+    def test_agrees_with_the_intersection(self, rng):
+        verdicts = set()
+        for s, t in self._pairs(rng):
+            verdict = meets_trivially(s, t)
+            assert verdict == (intersect(s, t).dim == 0)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_takes_one_singular_value_decomposition(self, rng, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        s, t = range_of(_cnormal(rng, 5, 2)), range_of(_cnormal(rng, 5, 3))
+        overlap = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, 5, 2)]))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert meets_trivially(s, t)
+        assert not meets_trivially(s, overlap)
+        assert calls == [False, False]
+        assert meets_trivially(Subspace.zero(5), t)
+        assert meets_trivially(Subspace.full(5), Subspace.zero(5))
+        assert calls == [False, False]
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(ShapeError):
+            meets_trivially(Subspace.full(2), Subspace.full(3))
 
 
 class TestContainsEquals:

@@ -86,7 +86,22 @@ class TestFuzz:
             if getattr(namespace, "svd", None) is original:
                 monkeypatch.setattr(namespace, "svd", counting)
         assert fuzz(42, 20, 8).counts()["fail"] == 0
-        assert calls == 1499
+        assert calls == 1464
+
+    def test_battery_routes_go_through_the_compute_dispatch(self, monkeypatch):
+        # trial 0 carries an oracle and runs the integral route
+        from pqinv import verify
+
+        routes = []
+        dispatch = verify._route_result
+
+        def recording(prob, w, b_group, route):
+            routes.append(route)
+            return dispatch(prob, w, b_group, route)
+
+        monkeypatch.setattr(verify, "_route_result", recording)
+        assert fuzz(42, 1, 8).counts()["fail"] == 0
+        assert routes == ["inner", "limit", "integral"]
 
     def test_report_json_shape(self):
         doc = fuzz(3, 4, 3).to_json_dict()

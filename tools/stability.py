@@ -16,7 +16,9 @@ shows decomposition-count changes next to output changes.  Covered:
   writes for the diagonalizable instance;
 * the stdout of ``represent --method limit|integral`` on an 8 x 8
   diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
-  p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p.
+  p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p;
+* the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
+  diagonalizable instance and on that diagonal core.
 
 Run it on two checkouts and diff the output::
 
@@ -46,6 +48,7 @@ N = 64
 COMPUTE_KINDS = ("2l", "2", "12l", "12")
 CLASSICAL_KINDS = ("mp", "group", "drazin")
 REPRESENT_METHODS = ("limit", "integral")
+ROUTES = ("inner", "limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 
 
@@ -164,10 +167,16 @@ def fingerprints(src: Path) -> list[str]:
         code, _ = _run(cli, ["compute", *problem_files[name], "--kind", "2l", "--out", str(out)])
         lines.append(f"compute --kind 2l --out {name} file  exit={code}  "
                      f"{_sha(out.read_text(encoding='utf-8'))}")
-        files = _write_files(cli, tmp, "diagonal-core-n8", _represent_core())
+        files = problem_files["diagonal-core-n8"] = _write_files(
+            cli, tmp, "diagonal-core-n8", _represent_core())
         for method in REPRESENT_METHODS:
             lines += _counted_lines(cli, f"represent --method {method} diagonal-core-n8",
                                     ["represent", *files, "--method", method])
+        for name in (f"diagonalizable-n{N}", "diagonal-core-n8"):
+            for route in ROUTES:
+                lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
+                                        ["compute", *problem_files[name], "--kind", "2l",
+                                         "--route", route])
     return lines
 
 
