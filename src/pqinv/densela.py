@@ -232,6 +232,11 @@ class Factored:
         """Orthonormal basis of the (right) null space."""
         return _canonical_phases(self.vh[self.rank(tol):, :].conj().T)
 
+    def left_null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis of the left null space, the orthogonal
+        complement of the column space (n x (n - d))."""
+        return _canonical_phases(self.u[:, self.rank(tol):])
+
     def pinv(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Moore-Penrose inverse (the zero matrix at rank 0)."""
         r = self.rank(tol)
@@ -343,10 +348,17 @@ _THETA13 = 5.371920351148152
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential by Pade approximation with scaling and squaring."""
+    """Matrix exponential by Pade approximation with scaling and squaring.
+
+    Raises NumericalError when the 1-norm of ``a``, which sets the number
+    of squarings, overflows although every entry is finite.
+    """
     a = _require_square(as_matrix(a))
     n = a.shape[0]
-    norm = float(np.linalg.norm(a, 1))
+    with np.errstate(over="ignore"):  # an overflowing column sum is reported below
+        norm = float(np.linalg.norm(a, 1))
+    if norm == np.inf:
+        raise NumericalError("the 1-norm of the matrix overflows; its exponential cannot be scaled")
     if norm == 0.0:
         return np.eye(n, dtype=np.complex128)
     squarings = 0

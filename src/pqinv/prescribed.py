@@ -20,6 +20,14 @@ Ker(w) = Ran(q), for which
       = lim_{s -> 0} w (s + a w)^-1  =  integral_0^inf w exp(-(a w) t) dt,
 
 giving four independent numerical routes that cross-validate each other.
+The package's w is U N^H, with U an orthonormal basis of Ran(p) and N one
+of Ran(q)^⊥, both read off one SVD each of p and q.  Then a w = (a U) N^H
+is a full-rank factorization, and the group route w (a w)^# collapses to
+U C^-1 N^H with the r x r core C = N^H a U, r = dim Ran(p): the candidate
+that the compute functions return and :func:`diagnose` validates takes
+one r x r solve and the singular values of C, never an n x n group
+inverse.  The public route formulas take any admissible w and evaluate
+the paper's expressions as written.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .densela import (
     is_noise,
     matrices_equal,
     matrix_exp,
+    rank,
     svd,
     watch_rank_band,
 )
@@ -214,18 +223,25 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
-    return _w_from_spaces(sub.range_of(p, tol), sub.range_of(q, tol), tol)
+    ran_p = sub.range_of(p, tol)
+    ran_q, co_q = sub.range_and_complement(q, tol)
+    broken = _dimension_failure(ran_p, ran_q)
+    if broken:
+        raise NonexistentInverseError(broken)
+    return _witness(ran_p, co_q)
 
 
-def _w_from_spaces(ran_p: sub.Subspace, ran_q: sub.Subspace, tol: Tolerances) -> np.ndarray:
-    """:func:`matrix_with_range_kernel` given Ran(p) and Ran(q)."""
+def _dimension_failure(ran_p: sub.Subspace, ran_q: sub.Subspace) -> str:
+    """The dimension obstruction to a w with Ran(w) = Ran(p) and
+    Ker(w) = Ran(q), or "" when dim Ran(p) + dim Ran(q) = n."""
     n = ran_p.ambient
-    if ran_p.dim + ran_q.dim != n:
-        raise NonexistentInverseError(
-            "dimension obstruction: dim Ran(p) + dim Ran(q) = "
-            f"{ran_p.dim} + {ran_q.dim} != {n}"
-        )
-    co_q = ran_q.complement(tol)
+    if ran_p.dim + ran_q.dim == n:
+        return ""
+    return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {ran_p.dim} + {ran_q.dim} != {n}"
+
+
+def _witness(ran_p: sub.Subspace, co_q: sub.Subspace) -> np.ndarray:
+    """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥."""
     return ran_p.basis @ co_q.basis.conj().T
 
 
@@ -234,39 +250,57 @@ def _no_outer_inverse(reason: str) -> NonexistentInverseError:
 
 
 def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace,
-               tol: Tolerances) -> tuple:
-    """w as :func:`matrix_with_range_kernel` builds it from Ran(p), Ran(q),
-    and the subspace-outer candidate b = w (a w)^# with Ran(b) and Ker(b).
+               co_q: sub.Subspace, tol: Tolerances) -> tuple:
+    """The subspace-outer candidate b with Ran(b) and Ker(b), given Ran(p),
+    Ran(q) and its orthogonal complement.
 
-    Validation checks the defining equations directly, so this is the
-    definitional existence test, independent of the subspace criteria
+    With U and N the orthonormal bases of Ran(p) and Ran(q)^⊥ and
+    w = U N^H, the factorization a w = (a U) N^H has full rank, so the
+    paper's w (a w)^# is  b = U C^-1 N^H  with the r x r core  C = N^H a U
+    (the full-rank representation of A^(2)_{T,S}).  The inverse exists
+    exactly when C is invertible: C must have rank r = dim Ran(p) at
+    rank_rtol, and a C at the rounding floor of its factors counts as 0.
+    Validation then checks the defining equations directly, so this is
+    the definitional existence test, independent of the subspace criteria
     used by :func:`diagnose`; a failure, the dimension obstruction
     included, raises NonexistentInverseError.
     """
-    try:
-        w = _w_from_spaces(ran_p, ran_q, tol)
-    except NonexistentInverseError as exc:
-        raise _no_outer_inverse(exc.reason) from None
-    g = group_inverse(prob.a @ w, tol)
-    if g is None:
-        raise _no_outer_inverse("aw is not group invertible (rank(aw)² drops)")
-    b = w @ g
-    if not matrices_equal(b @ prob.a @ b, b, tol):
+    broken = _dimension_failure(ran_p, ran_q)
+    if broken:
+        raise _no_outer_inverse(broken)
+    a, u, nh = prob.a, ran_p.basis, co_q.basis.conj().T
+    r = u.shape[1]
+    if r == 0:
+        b = np.zeros_like(a)
+    else:
+        core = nh @ (a @ u)
+        # N and U have unit columns, so the factors' norms are sqrt(r) each
+        if is_noise(core, PRODUCT_NOISE * r * frob(a)) or rank(core, tol) < r:
+            raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
+        try:
+            b = u @ np.linalg.solve(core, nh)
+        except np.linalg.LinAlgError:
+            # the rank test read C as invertible but its LU is exactly singular
+            raise _no_outer_inverse("the core C = N^H a U is singular") from None
+    if not matrices_equal(b @ a @ b, b, tol):
         raise _no_outer_inverse("candidate fails b a b = b")
     ran_b, ker_b = sub.range_and_kernel(b, tol)
     if not sub.equals(ran_b, ran_p, tol):
         raise _no_outer_inverse("candidate fails Ran(b) = Ran(p)")
     if not sub.equals(ker_b, ran_q, tol):
         raise _no_outer_inverse("candidate fails Ker(b) = Ran(q)")
-    return w, b, ran_b, ker_b
+    return b, ran_b, ker_b
 
 
 def _representation_inputs(prob: PqProblem) -> tuple[np.ndarray, np.ndarray]:
     """w as :func:`matrix_with_range_kernel` builds it and the group-route
-    value w (a w)^# of :func:`outer_inverse`, each raising as that function
-    does, from one factorization of p, q and the complement of Ran(q)."""
+    value of :func:`outer_inverse`, each raising as that function does,
+    from one factorization of p and one of q."""
     tol = prob.tol
-    return _candidate(prob, sub.range_of(prob.p, tol), sub.range_of(prob.q, tol), tol)[:2]
+    ran_p = sub.range_of(prob.p, tol)
+    ran_q, co_q = sub.range_and_complement(prob.q, tol)
+    b = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
+    return _witness(ran_p, co_q), b
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
@@ -327,7 +361,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     a, p, q = prob.a, prob.p, prob.q
 
     ran_p, ker_p = sub.range_and_kernel(p, tol)
-    ran_q = sub.range_of(q, tol)
+    ran_q, co_q = sub.range_and_complement(q, tol)
     ran_a, ker_a = sub.range_and_kernel(a, tol)
     ran_1mq = sub.range_of(prob.one_minus_q, tol)
     a_ran_p = sub.image(a, ran_p, tol)
@@ -338,7 +372,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     cond5, t_witness, s_witness = _cond5_cond6(prob, ker_p, ran_1mq, tol)
 
     try:
-        b = _candidate(prob, ran_p, ran_q, tol)[1]
+        b = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
     except NonexistentInverseError:
         b = None
     l_exists = b is not None
@@ -395,8 +429,10 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
-def _route_result(prob: PqProblem, w: np.ndarray, b_group: np.ndarray, route: str) -> tuple[np.ndarray, str]:
-    """The value of ``route`` for w, given the group value, and its PqResult name."""
+def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray,
+                  route: str) -> tuple[np.ndarray, str]:
+    """The value of ``route`` for w, given the group value, and its PqResult
+    name; the group route returns the group value and does not read w."""
     tol = prob.tol
     if route == "group":
         return b_group, "group_formula"
@@ -430,12 +466,14 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
             prob, ran_a, ker_a, sub.range_of(prob.one_minus_q, tol), tol)
         if broken:
             raise NonexistentInverseError(f"subspace equality {broken} fails")
-    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    ran_p = sub.range_of(prob.p, tol)
+    ran_q, co_q = sub.range_and_complement(prob.q, tol)
     if reflexive:
         broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    w, b_group, ran_b, ker_b = _candidate(prob, ran_p, ran_q, tol)
+    b_group, ran_b, ker_b = _candidate(prob, ran_p, ran_q, co_q, tol)
+    w = None if route == "group" else _witness(ran_p, co_q)
     b, route_name = _route_result(prob, w, b_group, route)
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")

@@ -34,6 +34,7 @@ __all__ = [
     "range_of",
     "kernel_of",
     "range_and_kernel",
+    "range_and_complement",
     "image",
     "intersect",
     "sum_of",
@@ -110,6 +111,14 @@ def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspa
     factors), both from one factorization."""
     f = a if isinstance(a, Factored) else svd(as_matrix(a))
     return Subspace(f.u.shape[0], f.range_basis(tol)), Subspace(f.vh.shape[1], f.null_basis(tol))
+
+
+def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
+    """Column space of a matrix and its orthogonal complement, both from one
+    factorization: the leading and the trailing left singular vectors."""
+    f = svd(as_matrix(a))
+    n = f.u.shape[0]
+    return Subspace(n, f.range_basis(tol)), Subspace(n, f.left_null_basis(tol))
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -563,8 +563,8 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
         rec.check("oracle_agreement", frob(b - oracle_b), ORACLE_TOL * bscale)
 
     # the battery's own subspaces, taken once for every check below
-    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
-    co_q = ran_q.complement(tol)
+    ran_p = sub.range_of(prob.p, tol)
+    ran_q, co_q = sub.range_and_complement(prob.q, tol)
 
     # derived identities: b a shares its range with p, a b its kernel with q
     rec.expect(

@@ -44,9 +44,28 @@ def test_one_run_is_its_own_quartiles():
     assert (stats["q1"], stats["median"], stats["q3"]) == (7.0, 7.0, 7.0)
 
 
-def test_refuses_traced_reports_and_mixed_environments(tmp_path):
+def test_folds_traced_counts_per_commit():
+    traced = _report("c", 7, 2.0, workload="routes-n64", trace=1)
+    traced["result"]["metrics"] = {
+        "linalg.svd.calls": {"value": 1200, "unit": "count"},
+        "linalg.svd.self_ms": {"value": 950.0, "unit": "ms"},
+        "prescribed.diagnose.svd_per_call": {"value": 12.0, "unit": "count"},
+        "prescribed.diagnose.svd.self_ms": {"value": 1.0, "unit": "ms"},
+        "cli.stdout_bytes": {"value": 10, "unit": "bytes"},
+    }
+    doc = bench_trajectory.trajectory([_report("c", 7, 600.0), traced])
+    # the counts only; the traced timings stay out of the end-to-end metrics
+    assert doc["commits"]["c"]["counts"] == {"routes-n64": {
+        "linalg.svd.calls": {"7": 1200}, "prescribed.diagnose.svd_per_call": {"7": 12.0}}}
+    assert doc["commits"]["c"]["seeds"] == {"cli-n256": [7]}
+    assert list(doc["workloads"]) == ["cli-n256"]
+    with pytest.raises(ValueError, match="two traced routes-n64 reports"):
+        bench_trajectory.trajectory([traced, traced])
+
+
+def test_refuses_other_trace_levels_and_mixed_environments(tmp_path):
     traced = tmp_path / "t.json"
-    traced.write_text(json.dumps(_report("c", 1, 1.0, trace=1)))
+    traced.write_text(json.dumps(_report("c", 1, 1.0, trace=2)))
     with pytest.raises(SystemExit):
         bench_trajectory.main(["--out", str(tmp_path / "o.json"), str(traced)])
     other = _report("c", 2, 1.0)

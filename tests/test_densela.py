@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,13 @@ class TestMatrixExp:
         a = np.diag([50.0, -3.0])
         expected = np.diag([np.exp(50.0), np.exp(-3.0)])
         assert frob(matrix_exp(a) - expected) <= 1e-10 * frob(expected)
+
+    def test_overflowing_norm_names_it(self):
+        # finite entries whose column sums overflow: no squaring count exists
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="1-norm"):
+                matrix_exp(np.full((2, 2), 1e308))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
     @settings(max_examples=25, deadline=None, derandomize=True)

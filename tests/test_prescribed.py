@@ -246,6 +246,64 @@ class TestOuterInverse:
             outer_inverse(counterexample_problem(), route=route)
 
 
+class TestCoreRepresentation:
+    """The group-route value b = U C^-1 N^H with the r x r core C = N^H a U."""
+
+    @staticmethod
+    def _assert_core_value(inst):
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        b = outer_inverse(prob).b
+        paper = group_formula(prob.a, matrix_with_range_kernel(prob.p, prob.q))
+        for ref in (paper, inst["b_ref"]):
+            assert frob(b - ref) <= 1e-12 * frob(ref)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_agrees_with_the_paper_formula_diagonalizable(self, n):
+        for seed in range(200 if n < 64 else 50):
+            self._assert_core_value(diagonalizable_instance(np.random.default_rng(seed), n))
+
+    def test_agrees_with_the_paper_formula_guaranteed(self):
+        for seed in range(200):
+            self._assert_core_value(guaranteed_instance(np.random.default_rng(seed), 8))
+
+    def test_singular_core_with_group_invertible_aw(self):
+        # Ran(p) = Ran(q)^⊥ = Ker(a) = span e1: a w = 0 has a group inverse,
+        # but C = N^H a U = 0
+        prob = PqProblem(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        w = matrix_with_range_kernel(prob.p, prob.q)
+        assert frob(prob.a @ w) == 0.0
+        with pytest.raises(NonexistentInverseError, match="core"):
+            outer_inverse(prob)
+        rep = diagnose(prob)
+        assert not rep.l_exists
+        assert rep.equivalence_consistent
+
+    def test_rank_zero_takes_no_solve(self, monkeypatch):
+        # p = 0, q = 1: r = 0 and b = 0 without LAPACK's solve
+        solves, solve = [], np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        a = _cnormal(np.random.default_rng(3), 4, 4)
+        result = outer_inverse(PqProblem(a, np.zeros((4, 4)), np.eye(4)))
+        assert np.array_equal(result.b, np.zeros((4, 4))) and not solves
+        assert diagnose(PqProblem(a, np.zeros((4, 4)), np.eye(4))).l_exists
+
+    def test_full_rank_is_the_inverse(self, rng):
+        # p = 1, q = 0: C = a in an orthonormal basis, so b = a^-1 or nothing
+        a = _cnormal(rng, 5, 5) + 3 * np.eye(5)
+        b = outer_inverse(PqProblem(a, np.eye(5), np.zeros((5, 5)))).b
+        assert frob(b - np.linalg.inv(a)) <= 1e-12 * frob(np.linalg.inv(a))
+        singular = np.diag([1.0, 2.0, 3.0, 4.0, 0.0])
+        prob = PqProblem(singular, np.eye(5), np.zeros((5, 5)))
+        with pytest.raises(NonexistentInverseError, match="core"):
+            outer_inverse(prob)
+        assert not diagnose(prob).l_exists
+
+
 class TestOuterInverseStrict:
     def test_counterexample_nonexistence_names_residuals(self):
         with pytest.raises(NonexistentInverseError) as failure:
@@ -368,14 +426,15 @@ class TestDecompositionCounts:
         run()
         return calls
 
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 10), (one_two_inverse, 13)])
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 8), (one_two_inverse, 11)])
     def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         assert self._calls(monkeypatch, lambda: fn(prob)) == {"svd": expected}
 
     def test_strict_failure_builds_no_residuals(self, monkeypatch):
-        # the candidate's 6 SVDs; the residuals' subspace gaps would take 4 more
+        # the candidate's 4 SVDs (p; q with its complement; the core's singular
+        # values; b), and no residuals: their subspace gaps would take 4 more
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
 
@@ -383,18 +442,19 @@ class TestDecompositionCounts:
             with pytest.raises(NonexistentInverseError):
                 outer_inverse_strict(prob)
 
-        assert self._calls(monkeypatch, run) == {"svd": 6}
+        assert self._calls(monkeypatch, run) == {"svd": 4}
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
         # Ran(q) = {0} and Ker(a) = {0}: both {1,2} decompositions have a {0}
         # side, so neither takes the rank of its joined bases
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 10}
+        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 9}
 
     def test_represent_builds_one_candidate(self, monkeypatch, tmp_path):
-        # one each for Ran(p), Ran(q), the complement of Ran(q) and Ran(b)
-        # with Ker(b), and two for each (a w)^#: the reference's and the route's
+        # one each for Ran(p), Ran(q) with its complement, the singular values
+        # of the core N^H a U and Ran(b) with Ker(b), and two for the
+        # integral route's (a w)^#; the reference value takes no (a w)^#
         core = {"a": np.diag([1.0, 2.0, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0]),
                 "p": np.diag([1.0] * 4 + [0.0] * 4),
                 "q": np.diag([0.0] * 4 + [1.0] * 4)}
@@ -406,15 +466,16 @@ class TestDecompositionCounts:
         def run():
             assert main(["represent", *files, "--method", "integral"]) == 0
 
-        assert self._calls(monkeypatch, run) == {"svd": 8}
+        assert self._calls(monkeypatch, run) == {"svd": 6}
 
     def test_diagnose_factors_each_input_once(self, monkeypatch):
         # a, p, q, 1-q and (1-q) a p once each, and no least-squares solve:
-        # the cond6 witnesses come from the pseudo-inverse of (1-q) a p
+        # the cond6 witnesses come from the pseudo-inverse of (1-q) a p; the
+        # candidate takes the singular values of its r x r core, no (a w)^#
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = self._calls(monkeypatch, lambda: diagnose(prob), ("svd", "lstsq", "solve"))
-        assert calls == {"svd": 14, "lstsq": 0, "solve": 1}
+        assert calls == {"svd": 12, "lstsq": 0, "solve": 1}
 
 
 def _knife_edge_problems():

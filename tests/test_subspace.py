@@ -15,6 +15,7 @@ from pqinv.subspace import (
     is_direct_sum_all,
     kernel_of,
     meets_trivially,
+    range_and_complement,
     range_and_kernel,
     range_of,
     sum_of,
@@ -85,6 +86,25 @@ class TestRangeKernel:
         assert len(calls) == 1 and (ran.ambient, ker.ambient) == (5, 4)
         # the same bases, bit for bit, as the single accessors give
         assert np.array_equal(ran.basis, expected[0]) and np.array_equal(ker.basis, expected[1])
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_range_and_complement_from_one_factorization(self, rng, monkeypatch, k):
+        q = random_idempotent(rng, 5, k)
+        expected = range_of(q).basis
+        complement = range_of(q).complement()
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ran, co = range_and_complement(q)
+        assert len(calls) == 1 and (ran.dim, co.dim) == (k, 5 - k)
+        # the range bit for bit as range_of gives it, and its orthogonal complement
+        assert np.array_equal(ran.basis, expected)
+        assert frob(ran.basis.conj().T @ co.basis) <= 1e-14
+        assert equals(co, complement)
 
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):

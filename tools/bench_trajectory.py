@@ -1,19 +1,26 @@
 """Median and quartiles of perfbench end-to-end metrics, per commit.
 
-Reads the report JSONs that ``perfbench/run.py --trace 0`` writes to
+Reads the report JSONs that ``perfbench/run.py`` writes to
 ``.perfbench_out/`` (copy each one away before the next run of the same
-workload and seed overwrites it), groups them by
+workload, seed and trace level overwrites it), groups them by
 ``environment.git_commit``, and writes one JSON file::
 
-    {"commits": {<commit>: {"environment": {...}, "seeds": {<workload>: [...]}}},
+    {"commits": {<commit>: {"environment": {...}, "seeds": {<workload>: [...]},
+                            "counts": {<workload>: {<metric>: {<seed>: ...}}}}},
      "workloads": {<workload>: {<metric>: {"unit": ...,
                                             <commit>: {"n", "median", "q1", "q3",
                                                        "by_seed"}}}}}
 
-``environment`` is the report's, without the seed and the commit; a
-commit whose reports disagree on it is refused.  ``by_seed`` keeps every
-run's value, so pairs of runs on one seed can be compared.  Commits keep
-the order in which their first report is named.
+``--trace 0`` reports give the end-to-end metrics under ``workloads``.
+``--trace 1`` reports give only their deterministic decomposition counts,
+the ``linalg.*.calls`` values and ``prescribed.diagnose.*_per_call``,
+under the commit's ``counts`` (present when it has a traced report);
+their timings are the traced run's and are left out.  Reports at any
+other trace level are refused.  ``environment`` is the report's, without
+the seed and the commit; a commit whose reports disagree on it is
+refused.  ``by_seed`` keeps every run's value, so pairs of runs on one
+seed can be compared.  Commits keep the order in which their first
+report is named.
 
     python3 tools/bench_trajectory.py --out BENCH.json parent/*.json change/*.json
 """
@@ -35,6 +42,12 @@ def _quartiles(values: list[float]) -> dict:
     return {"n": len(values), "median": median, "q1": q1, "q3": q3}
 
 
+def _is_count(metric: str) -> bool:
+    """Whether a traced metric is one of the deterministic decomposition counts."""
+    return ((metric.startswith("linalg.") and metric.endswith(".calls"))
+            or (metric.startswith("prescribed.diagnose.") and metric.endswith("_per_call")))
+
+
 def trajectory(reports: list[dict]) -> dict:
     commits: dict[str, dict] = {}
     runs: dict[str, dict[str, dict[str, dict]]] = {}  # workload -> metric -> commit -> seed
@@ -45,9 +58,16 @@ def trajectory(reports: list[dict]) -> dict:
         entry = commits.setdefault(commit, {"environment": env, "seeds": {}})
         if entry["environment"] != env:
             raise ValueError(f"reports of commit {commit} differ in their environment")
-        workload = report["workload"]
+        workload, metrics = report["workload"], report["result"]["metrics"]
+        if report["trace"] == 1:
+            counts = entry.setdefault("counts", {}).setdefault(workload, {})
+            if any(str(seed) in by_seed for by_seed in counts.values()):
+                raise ValueError(f"two traced {workload} reports of commit {commit} at seed {seed}")
+            for metric in sorted(filter(_is_count, metrics)):
+                counts.setdefault(metric, {})[str(seed)] = metrics[metric]["value"]
+            continue
         entry["seeds"].setdefault(workload, []).append(seed)
-        for metric, value in report["result"]["metrics"].items():
+        for metric, value in metrics.items():
             units[workload, metric] = value["unit"]
             by_seed = runs.setdefault(workload, {}).setdefault(metric, {}).setdefault(commit, {})
             if str(seed) in by_seed:
@@ -73,8 +93,8 @@ def main(argv=None) -> int:
     reports = []
     for path in args.reports:
         report = json.loads(path.read_text(encoding="utf-8"))
-        if report.get("trace") != 0:
-            parser.error(f"{path}: not an end-to-end (--trace 0) report")
+        if report.get("trace") not in (0, 1):
+            parser.error(f"{path}: neither a --trace 0 nor a --trace 1 report")
         reports.append(report)
     try:
         doc = trajectory(reports)
