@@ -562,9 +562,11 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
     if oracle_b is not None:
         rec.check("oracle_agreement", frob(b - oracle_b), ORACLE_TOL * bscale)
 
-    # the battery's own subspaces, taken once for every check below
-    ran_p = sub.range_of(prob.p, tol)
-    ran_q, co_q = sub.range_and_complement(prob.q, tol)
+    # the battery's own subspaces, taken once for every check below; the
+    # complement comes from Ran(q)'s basis because the limit route's error,
+    # first order in its shift, depends on the basis N of its w = U N^H
+    ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
+    co_q = ran_q.complement(tol)
 
     # derived identities: b a shares its range with p, a b its kernel with q
     rec.expect(
