@@ -278,6 +278,14 @@ class TestCoreRepresentation:
         assert not rep.l_exists
         assert rep.equivalence_consistent
 
+    def test_core_at_the_rounding_floor_is_singular(self):
+        # Ran(p) = Ran(q) = span v and a = 1: C = N^H U is rounding noise,
+        # which the relative rank cutoff alone would count as rank 1
+        v = np.array([3.0, 1.0]) / np.sqrt(10.0)
+        p = np.outer(v, v).astype(complex)
+        with pytest.raises(NonexistentInverseError, match="core"):
+            outer_inverse(PqProblem(np.eye(2), p, p))
+
     def test_rank_zero_takes_no_solve(self, monkeypatch):
         # p = 0, q = 1: r = 0 and b = 0 without LAPACK's solve
         solves, solve = [], np.linalg.solve
