@@ -20,6 +20,7 @@ failure, 5 spectral precondition violated (represent only).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -129,12 +130,26 @@ def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    """The matrix in the file at ``path``; a ValueError that names the path
+    when the file cannot be read, decoded or parsed.
+
+    The cyclic garbage collector is paused while ``json.loads`` builds the
+    rows·cols [re, im] lists, which form no reference cycle; its previous
+    state is restored afterwards.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return matrix_from_file_dict(doc, path)
 
 
@@ -159,7 +174,10 @@ def _tolerances_from_args(args) -> Tolerances:
     given = {f.name: getattr(args, f.name) for f in fields(Tolerances)}
     env = os.environ.get(RANK_RTOL_ENV)
     if given["rank_rtol"] is None and env:
-        given["rank_rtol"] = float(env)
+        try:
+            given["rank_rtol"] = replace(DEFAULT_TOL, rank_rtol=float(env)).rank_rtol
+        except ValueError as exc:
+            raise ValueError(f"{RANK_RTOL_ENV}={env!r}: {exc}") from None
     return replace(DEFAULT_TOL, **{k: v for k, v in given.items() if v is not None})
 
 

@@ -33,7 +33,7 @@ the paper's expressions as written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -136,10 +136,6 @@ class PqProblem:
     def one_minus_q(self) -> np.ndarray:
         return _snap_zero_idempotent(self.identity - self.q)
 
-    @cached_property
-    def one_minus_p(self) -> np.ndarray:
-        return _snap_zero_idempotent(self.identity - self.p)
-
 
 @dataclass(frozen=True)
 class ExistenceReport:
@@ -231,6 +227,19 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _witness(ran_p, co_q)
 
 
+def _q_subspaces(q: np.ndarray, tol: Tolerances) -> tuple:
+    """Ran(q), Ran(q)^⊥ and Ker(q) from one SVD of q.
+
+    For an idempotent, Ran(1-q) = Ker(q): the trailing right singular
+    vectors of the SVD whose leading and trailing left ones give Ran(q)
+    and its complement.  The factors are dropped on return, so no caller
+    holds them through its pass.
+    """
+    f = svd(q)
+    ran_q, co_q = sub.range_and_complement(f, tol)
+    return ran_q, co_q, sub.Subspace(q.shape[1], f.null_basis(tol))
+
+
 def _dimension_failure(ran_p: sub.Subspace, ran_q: sub.Subspace) -> str:
     """The dimension obstruction to a w with Ran(w) = Ran(p) and
     Ker(w) = Ran(q), or "" when dim Ran(p) + dim Ran(q) = n."""
@@ -320,20 +329,32 @@ def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
     return holds, ba_res, ab_res
 
 
-def _l12_failure(ran_a, ker_a, ran_p, ran_q, tol: Tolerances) -> str:
-    """The first failing decomposition of {1,2}-existence, or ""."""
+def _l12_failure(ran_a, ker_a, ran_p, ran_q, tol: Tolerances,
+                 ker_trivial: bool | None = None) -> str:
+    """The first failing decomposition of {1,2}-existence, or "".
+
+    C^n = Ker(a) ∔ Ran(p) is dim Ker(a) + dim Ran(p) = n with
+    Ker(a) ∩ Ran(p) = {0}; a caller that has decided the intersection
+    already passes it as ``ker_trivial``, else it is decided here.
+    """
     if not sub.is_direct_sum_all(ran_a, ran_q, tol):
         return "C^n = Ran(a) ∔ Ran(q)"
-    if not sub.is_direct_sum_all(ker_a, ran_p, tol):
+    if ker_a.dim + ran_p.dim != ran_p.ambient or not (
+            sub.meets_trivially(ker_a, ran_p, tol) if ker_trivial is None else ker_trivial):
         return "C^n = Ker(a) ∔ Ran(p)"
     return ""
 
 
-def _strict12_failure(prob: PqProblem, ran_a, ker_a, ran_1mq, tol: Tolerances) -> str:
-    """The first failing subspace equality of strict {1,2}-existence, or ""."""
+def _strict12_failure(ran_a, ker_a, ran_1mq, ker_p, tol: Tolerances) -> str:
+    """The first failing subspace equality of strict {1,2}-existence, or "".
+
+    Ran(1-q) and Ran(1-p) are Ker(q) and Ker(p).  ``ker_p()`` gives Ker(p)
+    and is called only once Ran(a) = Ran(1-q) holds, so a caller that has
+    not factored p yet factors it only then.
+    """
     if not sub.equals(ran_a, ran_1mq, tol):
         return "Ran(a) = Ran(1-q)"
-    if not sub.equals(ker_a, sub.range_of(prob.one_minus_p, tol), tol):
+    if not sub.equals(ker_a, ker_p(), tol):
         return "Ker(a) = Ran(1-p)"
     return ""
 
@@ -357,13 +378,17 @@ def _cond5_cond6(prob: PqProblem, ker_p, ran_1mq, tol: Tolerances) -> tuple:
 
 def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     """All existence criteria at one rank threshold, each computed on its own
-    from subspaces of the input matrices, each input factored once."""
+    from subspaces of the input matrices, each input factored once.
+
+    Ran(1-q) and Ran(1-p) are read as Ker(q) and Ker(p) off the SVDs of q
+    and p, and C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
+    ker_cap_ranp_trivial.
+    """
     a, p, q = prob.a, prob.p, prob.q
 
     ran_p, ker_p = sub.range_and_kernel(p, tol)
-    ran_q, co_q = sub.range_and_complement(q, tol)
+    ran_q, co_q, ran_1mq = _q_subspaces(q, tol)
     ran_a, ker_a = sub.range_and_kernel(a, tol)
-    ran_1mq = sub.range_of(prob.one_minus_q, tol)
     a_ran_p = sub.image(a, ran_p, tol)
 
     ker_trivial = sub.meets_trivially(ker_a, ran_p, tol)
@@ -378,8 +403,8 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     l_exists = b is not None
     strict = l_exists and _strict_products(prob, b @ a, a @ b, tol)[0]
 
-    l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
-    strict12 = l12 and not _strict12_failure(prob, ran_a, ker_a, ran_1mq, tol)
+    l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol, ker_trivial)
+    strict12 = l12 and not _strict12_failure(ran_a, ker_a, ran_1mq, lambda: ker_p, tol)
 
     return {
         "ker_cap_ranp_trivial": ker_trivial,
@@ -404,7 +429,10 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     Each criterion is computed on its own (subspace dimensions, range
     containments, the cond6 witnesses from one pseudo-inverse of
     (1-q) a p, and the definitional candidate construction), so
-    disagreement between fields is detectable.  A verdict is fragile when
+    disagreement between fields is detectable.  The criteria share
+    factorizations of the inputs only: a, p, q and (1-q) a p are factored
+    once each, with Ran(1-q) and Ran(1-p) read as Ker(q) and Ker(p) off the
+    SVDs of q and p.  A verdict is fragile when
     it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
@@ -445,6 +473,22 @@ def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray,
     raise ValueError(f"unknown route {route!r}")
 
 
+def _strict12_subspaces(prob: PqProblem, ran_a, ker_a, tol: Tolerances) -> tuple:
+    """Ran(q), Ran(q)^⊥ and Ran(p) once the strict {1,2} subspace equalities
+    hold, else NonexistentInverseError.
+
+    q is factored before the first equality and p, with its kernel, only
+    once it holds; Ker(q) and Ker(p) serve the equalities alone and are
+    dropped on return.
+    """
+    ran_q, co_q, ran_1mq = _q_subspaces(prob.q, tol)
+    p_spaces = cache(partial(sub.range_and_kernel, prob.p, tol))
+    broken = _strict12_failure(ran_a, ker_a, ran_1mq, lambda: p_spaces()[1], tol)
+    if broken:
+        raise NonexistentInverseError(f"subspace equality {broken} fails")
+    return ran_q, co_q, p_spaces()[0]
+
+
 # PqResult.kind by (strict, reflexive)
 _KINDS = {(True, False): "outer2", (False, False): "outer2l",
           (True, True): "one_two_strict", (False, True): "one_two_l"}
@@ -462,12 +506,11 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     tol, a = prob.tol, prob.a
     if reflexive:
         ran_a, ker_a = sub.range_and_kernel(a, tol)
-        broken = strict and _strict12_failure(
-            prob, ran_a, ker_a, sub.range_of(prob.one_minus_q, tol), tol)
-        if broken:
-            raise NonexistentInverseError(f"subspace equality {broken} fails")
-    ran_p = sub.range_of(prob.p, tol)
-    ran_q, co_q = sub.range_and_complement(prob.q, tol)
+    if strict and reflexive:
+        ran_q, co_q, ran_p = _strict12_subspaces(prob, ran_a, ker_a, tol)
+    else:
+        ran_q, co_q = sub.range_and_complement(prob.q, tol)
+        ran_p = sub.range_of(prob.p, tol)
     if reflexive:
         broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
         if broken:

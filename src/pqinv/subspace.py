@@ -114,9 +114,10 @@ def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspa
 
 
 def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
-    """Column space of a matrix and its orthogonal complement, both from one
-    factorization: the leading and the trailing left singular vectors."""
-    f = svd(as_matrix(a))
+    """Column space of a matrix (or of the one a :class:`Factored` factors)
+    and its orthogonal complement, both from one factorization: the leading
+    and the trailing left singular vectors."""
+    f = a if isinstance(a, Factored) else svd(as_matrix(a))
     n = f.u.shape[0]
     return Subspace(n, f.range_basis(tol)), Subspace(n, f.left_null_basis(tol))
 

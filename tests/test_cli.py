@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 import warnings
@@ -93,6 +94,44 @@ class TestMatrixFiles:
         assert doc["rows"] == 2 and doc["cols"] == 2
         assert doc["data"][1] == [1.0, 0.0]
 
+    @pytest.fixture
+    def gc_state(self):
+        """Restores the collector's state, whatever a test leaves it in."""
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    @pytest.mark.parametrize("text", ['{"rows": 1, "cols": 1, "data": [[1, 0]]}', "{"],
+                             ids=["parsed", "invalid_json"])
+    def test_gc_is_paused_for_the_parse_only(self, tmp_path, monkeypatch, gc_state,
+                                             was_enabled, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        seen = []
+        loads = json.loads
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "loads", recording)
+        (gc.enable if was_enabled else gc.disable)()
+        try:
+            read_matrix(str(path))
+        except ValueError as exc:
+            assert str(path) in str(exc) and "invalid JSON" in str(exc)
+        assert seen == [False]
+        assert gc.isenabled() == was_enabled
+
+    def test_non_utf8_file_names_its_path(self, tmp_path, counterexample_files, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        argv = ["check", str(path), counterexample_files["p"], counterexample_files["q"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
 
 # signed zeros, subnormals, the places where repr switches to an exponent,
 # the extremes, and the non-finite values json.dumps writes as NaN/Infinity
@@ -185,6 +224,18 @@ class TestCheck:
               counterexample_files["q"]])
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"]["rank_rtol"] == 1e-6
+
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("nan", "rank_rtol must be finite and nonnegative"),
+    ])
+    def test_bad_env_var_is_named(self, counterexample_files, capsys, monkeypatch,
+                                  value, reason):
+        monkeypatch.setenv("PQINV_TOL_RANK", value)
+        assert main(["check", counterexample_files["a"], counterexample_files["p"],
+                     counterexample_files["q"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: PQINV_TOL_RANK='{value}': ") and reason in err
 
     def test_flag_beats_env_var(self, counterexample_files, capsys, monkeypatch):
         monkeypatch.setenv("PQINV_TOL_RANK", "1e-6")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqinv import densela, prescribed
+from pqinv import subspace as sub
 from pqinv.cli import main, write_matrix
 from pqinv.densela import DEFAULT_TOL, Tolerances, frob
 from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError, SpectrumError
@@ -454,10 +455,22 @@ class TestDecompositionCounts:
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
         # Ran(q) = {0} and Ker(a) = {0}: both {1,2} decompositions have a {0}
-        # side, so neither takes the rank of its joined bases
+        # side, so neither takes the rank of its joined bases; Ran(1-q) and
+        # Ran(1-p) are Ker(q) and Ker(p), read off the SVDs of q and p
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 9}
+        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 7}
+
+    def test_strict_reflexive_failure_factors_only_a_and_q(self, monkeypatch):
+        # Ran(a) = Ran(1-q) fails first: p is not factored for its kernel
+        a = np.diag([1.0, 1.0, 0.0, 0.0])
+        prob = PqProblem(a, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0]))
+
+        def run():
+            with pytest.raises(NonexistentInverseError, match=r"Ran\(a\) = Ran\(1-q\)"):
+                one_two_inverse_strict(prob)
+
+        assert self._calls(monkeypatch, run) == {"svd": 2}
 
     def test_represent_builds_one_candidate(self, monkeypatch, tmp_path):
         # one each for Ran(p), Ran(q) with its complement, the singular values
@@ -477,13 +490,109 @@ class TestDecompositionCounts:
         assert self._calls(monkeypatch, run) == {"svd": 6}
 
     def test_diagnose_factors_each_input_once(self, monkeypatch):
-        # a, p, q, 1-q and (1-q) a p once each, and no least-squares solve:
-        # the cond6 witnesses come from the pseudo-inverse of (1-q) a p; the
-        # candidate takes the singular values of its r x r core, no (a w)^#
+        # a, p, q and (1-q) a p once each, Ran(1-q) and Ran(1-p) read as
+        # Ker(q) and Ker(p), and no least-squares solve: the cond6 witnesses
+        # come from the pseudo-inverse of (1-q) a p; the candidate takes the
+        # singular values of its r x r core, no (a w)^#; Ker(a) ∩ Ran(p) is
+        # ranked once for ker_cap_ranp_trivial and C^n = Ker(a) ∔ Ran(p)
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = self._calls(monkeypatch, lambda: diagnose(prob), ("svd", "lstsq", "solve"))
-        assert calls == {"svd": 12, "lstsq": 0, "solve": 1}
+        assert calls == {"svd": 10, "lstsq": 0, "solve": 1}
+
+
+def _unit_triangular_inverse(t: np.ndarray) -> np.ndarray:
+    """The exact inverse of a unit triangular integer matrix (dtype object):
+    with t = 1 + m and m nilpotent, t^-1 = sum_j (-m)^j."""
+    ident = np.eye(t.shape[0], dtype=int).astype(object)
+    inverse = power = ident
+    for _ in range(t.shape[0] - 1):
+        power = -(power @ (t - ident))
+        inverse = inverse + power
+    return inverse
+
+
+def integer_idempotent(rng, n: int, r: int, depth: int) -> np.ndarray:
+    """An exact rank-r integer idempotent S D S^-1, S the product of ``depth``
+    unimodular matrices L U with entries of L and U in {-1, 0, 1}: oblique,
+    with entries up to about 1e6 at depth 5 and 1e8 at depth 7 for n <= 5,
+    every one exact in a float."""
+    ident = np.eye(n, dtype=int).astype(object)
+    s = s_inv = ident
+    for _ in range(depth):
+        low = np.tril(rng.integers(-1, 2, (n, n)), -1).astype(object) + ident
+        up = np.triu(rng.integers(-1, 2, (n, n)), 1).astype(object) + ident
+        s, s_inv = s @ low @ up, _unit_triangular_inverse(up) @ _unit_triangular_inverse(low) @ s_inv
+    q = s @ np.diag([1] * r + [0] * (n - r)).astype(object) @ s_inv
+    assert (q @ q == q).all()
+    return np.array(q.tolist(), dtype=np.complex128)
+
+
+class TestSharedSubspaces:
+    """Ran(1-q) is read as Ker(q) off q's one SVD, and C^n = Ker(a) ∔ Ran(p)
+    reuses the rank of ker_cap_ranp_trivial; both agree with computing the
+    subspace, or the decomposition, afresh."""
+
+    @staticmethod
+    def _assert_ker_q_is_ran_1mq(q):
+        # q and 1-q as a problem holds them, each snapped to 0 when it is noise
+        prob = PqProblem(np.eye(q.shape[0]), q, q)
+        ker_q = prescribed._q_subspaces(prob.q, DEFAULT_TOL)[2]
+        ran_1mq = range_of(prob.one_minus_q)
+        assert ker_q.dim == ran_1mq.dim
+        assert equals(ker_q, ran_1mq)
+
+    def test_ker_q_is_ran_1mq_on_oblique_idempotents(self, rng):
+        for n in (1, 2, 5, 8, 16):
+            for k in range(n + 1):
+                for cond_cap in (10.0, 1e3):
+                    self._assert_ker_q_is_ran_1mq(random_idempotent(rng, n, k, cond_cap))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_ker_q_is_ran_1mq_at_zero_and_one(self, n):
+        for q in (np.zeros((n, n)), np.eye(n)):
+            self._assert_ker_q_is_ran_1mq(q.astype(np.complex128))
+
+    @pytest.mark.parametrize("depth", [1, 3, 5, 7])
+    def test_ker_q_is_ran_1mq_on_integer_idempotents(self, depth):
+        rng = np.random.default_rng([7, depth])
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            self._assert_ker_q_is_ran_1mq(integer_idempotent(rng, n, int(rng.integers(0, n + 1)), depth))
+
+    @staticmethod
+    def _meeting_problem(rng, n: int) -> PqProblem:
+        """A rank-k a with dim Ran(p) = dim Ran(q) = n - k, where Ran(p) holds
+        a vector of Ker(a) or Ran(q) one of Ran(a), each about half the time."""
+        k = int(rng.integers(1, n))
+        f, g = _cnormal(rng, n, k), _cnormal(rng, k, n)
+
+        def oblique(meet):
+            x, y = _cnormal(rng, n, n - k), _cnormal(rng, n - k, n)
+            if rng.random() < 0.5:
+                x[:, 0] = meet
+            return x @ np.linalg.solve(y @ x, y)
+
+        ker_vector = kernel_of(g).basis[:, 0]
+        return PqProblem(f @ g, oblique(ker_vector), oblique(f @ _cnormal(rng, k, 1)[:, 0]))
+
+    def test_l12_verdict_is_the_shared_predicate(self):
+        # the fresh side decides Ker(a) ∩ Ran(p) = {0} itself; diagnose reuses
+        # the rank of ker_cap_ranp_trivial
+        rng = np.random.default_rng(1212)
+        verdicts, meets, deficient = set(), 0, 0
+        for i in range(150):
+            n = int(rng.integers(2, 9))
+            prob = self._meeting_problem(rng, n) if i % 2 else PqProblem(*random_triple(rng, n))
+            ran_a, ker_a = sub.range_and_kernel(prob.a)
+            ran_p = range_of(prob.p)
+            fresh = prescribed._l12_failure(ran_a, ker_a, ran_p, range_of(prob.q), DEFAULT_TOL)
+            assert diagnose(prob).l12_exists == (not fresh), i
+            verdicts.add(not fresh)
+            meets += fresh == "C^n = Ker(a) ∔ Ran(p)" and ker_a.dim + ran_p.dim == n
+            deficient += ran_a.dim < n
+        assert verdicts == {True, False}
+        assert meets > 0 and deficient > 0
 
 
 def _knife_edge_problems():

@@ -86,7 +86,7 @@ class TestFuzz:
             if getattr(namespace, "svd", None) is original:
                 monkeypatch.setattr(namespace, "svd", counting)
         assert fuzz(42, 20, 8).counts()["fail"] == 0
-        assert calls == 1347
+        assert calls == 1310
 
     def test_battery_routes_go_through_the_compute_dispatch(self, monkeypatch):
         # trial 0 carries an oracle and runs the integral route
