@@ -31,7 +31,6 @@ from .ginv import (
     group_inverse,
     inner_inverse,
     moore_penrose,
-    one_five_inverse,
     reflexive_inverse,
 )
 from .prescribed import (
@@ -50,6 +49,7 @@ from .prescribed import (
     one_two_inverse_strict,
     outer_inverse,
     outer_inverse_strict,
+    represent,
 )
 from .subspace import (
     Subspace,
@@ -99,7 +99,6 @@ __all__ = [
     "reflexive_inverse",
     "group_inverse",
     "drazin_inverse",
-    "one_five_inverse",
     "gi_idempotents",
     "PqProblem",
     "ExistenceReport",
@@ -110,6 +109,7 @@ __all__ = [
     "outer_inverse_strict",
     "one_two_inverse",
     "one_two_inverse_strict",
+    "represent",
     "group_formula",
     "inner_formula",
     "limit_formula",

@@ -33,17 +33,13 @@ from .densela import DEFAULT_TOL, Tolerances, frob
 from .errors import NonexistentInverseError, NumericalError, SpectrumError
 from .ginv import drazin_inverse, group_inverse, moore_penrose
 from .prescribed import (
-    DEFAULT_LAMBDA_SCHEDULE,
     PqProblem,
-    _check_drift,
-    _representation_inputs,
     diagnose,
-    integral_formula,
-    limit_formula,
     one_two_inverse,
     one_two_inverse_strict,
     outer_inverse,
     outer_inverse_strict,
+    represent,
 )
 from .verify import fuzz, run_counterexample_suite
 
@@ -271,34 +267,9 @@ def _cmd_compute(args) -> int:
 def _cmd_represent(args) -> int:
     tol = _tolerances_from_args(args)
     prob = _load_problem(args, tol)
-    w, reference = _representation_inputs(prob)
-
-    rows: list[str] = []
-    if args.method == "limit":
-        lam_min = args.lambda_min
-        schedule = [s for s in DEFAULT_LAMBDA_SCHEDULE if s >= lam_min]
-        if not schedule or schedule[-1] > lam_min:
-            schedule.append(lam_min)
-        final, trace = limit_formula(prob.a, w, schedule, tol)
-        rows += ["lambda,cauchy_error", *(f"{lam!r},{err!r}" for lam, err in trace)]
-    else:
-        final = None
-        horizons = ([args.horizon / 2 ** k for k in reversed(range(4))]
-                    if args.horizon is not None else [None])
-        rows.append("horizon,cauchy_error,tail_bound")
-        for k, horizon in enumerate(horizons):
-            try:
-                estimate, tail = integral_formula(prob.a, w, horizon=horizon, tol=tol)
-            except ValueError:
-                if k == len(horizons) - 1:
-                    raise  # the requested horizon itself is too short
-                continue  # sweep point below the minimum horizon, skip the row
-            err = frob(estimate - final) if final is not None else float("nan")
-            used = horizon if horizon is not None else float("nan")
-            rows.append(f"{used!r},{err!r},{tail!r}")
-            final = estimate
-
-    _check_drift(final, reference, tol, "representation drifts from the direct value")
+    final, trace = represent(prob, args.method, args.lambda_min, args.horizon)
+    header = "lambda,cauchy_error" if args.method == "limit" else "horizon,cauchy_error,tail_bound"
+    rows = [header, *(",".join(map(repr, row)) for row in trace)]
     rows.append("# tolerances: " + " ".join(
         f"{name}={value!r}" for name, value in tol.to_json_dict().items()
     ))
@@ -348,18 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(compute)
     compute.set_defaults(fn=_cmd_compute)
 
-    represent = subparsers.add_parser(
+    represent_cmd = subparsers.add_parser(
         "represent", help="convergence trace of the limit or integral representation"
     )
-    represent.add_argument("a_file")
-    represent.add_argument("p_file")
-    represent.add_argument("q_file")
-    represent.add_argument("--method", required=True, choices=["limit", "integral"])
-    represent.add_argument("--lambda-min", type=float, default=1e-8)
-    represent.add_argument("--horizon", type=float, default=None)
-    represent.add_argument("--out", default=None, help="write the final matrix file here")
-    _add_tol_flags(represent)
-    represent.set_defaults(fn=_cmd_represent)
+    represent_cmd.add_argument("a_file")
+    represent_cmd.add_argument("p_file")
+    represent_cmd.add_argument("q_file")
+    represent_cmd.add_argument("--method", required=True, choices=["limit", "integral"])
+    represent_cmd.add_argument("--lambda-min", type=float, default=1e-8)
+    represent_cmd.add_argument("--horizon", type=float, default=None)
+    represent_cmd.add_argument("--out", default=None, help="write the final matrix file here")
+    _add_tol_flags(represent_cmd)
+    represent_cmd.set_defaults(fn=_cmd_represent)
 
     verify_cmd = subparsers.add_parser(
         "verify", help="run the built-in counterexample suite"

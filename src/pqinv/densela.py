@@ -206,7 +206,7 @@ def _canonical_phases(basis: np.ndarray) -> np.ndarray:
     phase makes every basis (and everything built from one) reproducible.
     """
     if basis.shape[1] == 0:
-        return basis
+        return basis.copy()  # a view of no columns would keep the whole factor alive
     lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
     phases = np.where(np.abs(lead) == 0.0, 1.0, lead / np.abs(lead))
     return basis / phases

@@ -1,8 +1,8 @@
 """Classical generalized inverses on square and rectangular complex matrices.
 
-Covers the inner ({1}), reflexive ({1,2}), Moore-Penrose, group, Drazin
-and commuting-inner ({1,5}) inverses.  These are the building blocks the
-prescribed-idempotent constructions consume.
+Covers the inner ({1}), reflexive ({1,2}), Moore-Penrose, group and
+Drazin inverses.  These are the building blocks the prescribed-idempotent
+constructions consume.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "reflexive_inverse",
     "group_inverse",
     "drazin_inverse",
-    "one_five_inverse",
     "gi_idempotents",
 ]
 
@@ -156,12 +155,6 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances):
             raise NumericalError(
                 f"Drazin axiom '{name}' failed: residual {frob(lhs - rhs):.3e}"
             )
-
-
-# An inner inverse commuting with a, or None.  In the full matrix algebra
-# one exists exactly when the group inverse does, and the group inverse is
-# an admissible representative of the (non-unique) class.
-one_five_inverse = group_inverse
 
 
 def gi_idempotents(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

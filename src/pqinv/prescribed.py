@@ -73,6 +73,7 @@ __all__ = [
     "outer_inverse_strict",
     "one_two_inverse",
     "one_two_inverse_strict",
+    "represent",
     "group_formula",
     "inner_formula",
     "limit_formula",
@@ -301,17 +302,6 @@ def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace,
     return b, ran_b, ker_b
 
 
-def _representation_inputs(prob: PqProblem) -> tuple[np.ndarray, np.ndarray]:
-    """w as :func:`matrix_with_range_kernel` builds it and the group-route
-    value of :func:`outer_inverse`, each raising as that function does,
-    from one factorization of p and one of q."""
-    tol = prob.tol
-    ran_p = sub.range_of(prob.p, tol)
-    ran_q, co_q = sub.range_and_complement(prob.q, tol)
-    b = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
-    return _witness(ran_p, co_q), b
-
-
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
     """Raise NumericalError, its message begun by ``what``, when a route value
     b is farther than conv_tol · max(1, ||b_group||_F) from the group value."""
@@ -457,20 +447,59 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
-def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray,
-                  route: str) -> tuple[np.ndarray, str]:
-    """The value of ``route`` for w, given the group value, and its PqResult
-    name; the group route returns the group value and does not read w."""
+def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray, route: str,
+                  lambda_min: float = DEFAULT_LAMBDA_SCHEDULE[-1],
+                  horizon: float | None = None) -> tuple[np.ndarray, str, list[tuple]]:
+    """The value of ``route`` for w, its PqResult name and its trace, given
+    the group value, which the group route returns without reading w; the
+    shifts and horizons are those :func:`represent` describes."""
     tol = prob.tol
     if route == "group":
-        return b_group, "group_formula"
+        return b_group, "group_formula", []
     if route == "inner":
-        return inner_formula(prob.a, w, tol), "inner_formula"
+        return inner_formula(prob.a, w, tol), "inner_formula", []
     if route == "limit":
-        return limit_formula(prob.a, w, tol=tol)[0], "limit"
-    if route == "integral":
-        return integral_formula(prob.a, w, tol=tol)[0], "integral"
-    raise ValueError(f"unknown route {route!r}")
+        schedule = [s for s in DEFAULT_LAMBDA_SCHEDULE if s >= lambda_min]
+        if not schedule or schedule[-1] > lambda_min:
+            schedule.append(lambda_min)
+        b, trace = limit_formula(prob.a, w, schedule, tol)
+        return b, "limit", trace
+    if route != "integral":
+        raise ValueError(f"unknown route {route!r}")
+    horizons = [None] if horizon is None else [horizon / 2 ** k for k in reversed(range(4))]
+    b, trace = None, []
+    for k, h in enumerate(horizons):
+        try:
+            estimate, tail = integral_formula(prob.a, w, horizon=h, tol=tol)
+        except ValueError:
+            if k == len(horizons) - 1:
+                raise  # the requested horizon itself is too short
+            continue  # a sweep point below the minimum horizon
+        err = frob(estimate - b) if b is not None else float("nan")
+        trace.append((h if h is not None else float("nan"), err, tail))
+        b = estimate
+    return b, "integral", trace
+
+
+def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SCHEDULE[-1],
+              horizon: float | None = None) -> tuple[np.ndarray, list[tuple]]:
+    """The subspace outer inverse along the limit or integral ``route``, as
+    :func:`outer_inverse` decides and checks it, with the route's trace.
+
+    The limit route runs the default shifts down to ``lambda_min``, which is
+    appended when off that grid; its trace holds (shift, Cauchy difference)
+    rows.  The integral route runs ``horizon`` and its halves down to h/8,
+    skipping a sweep point below the minimum horizon but not h itself, or
+    once on the automatic horizon; its trace holds (horizon, Cauchy
+    difference, tail bound) rows, NaN for an absent value.
+    """
+    tol = prob.tol
+    ran_p = sub.range_of(prob.p, tol)
+    ran_q, co_q = sub.range_and_complement(prob.q, tol)
+    b_group = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
+    b, _, trace = _route_result(prob, _witness(ran_p, co_q), b_group, route, lambda_min, horizon)
+    _check_drift(b, b_group, tol, "representation drifts from the direct value")
+    return b, trace
 
 
 def _strict12_subspaces(prob: PqProblem, ran_a, ker_a, tol: Tolerances) -> tuple:
@@ -517,7 +546,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
             raise NonexistentInverseError(f"decomposition {broken} fails")
     b_group, ran_b, ker_b = _candidate(prob, ran_p, ran_q, co_q, tol)
     w = None if route == "group" else _witness(ran_p, co_q)
-    b, route_name = _route_result(prob, w, b_group, route)
+    b, route_name, _ = _route_result(prob, w, b_group, route)
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
         ran_b, ker_b = sub.range_and_kernel(b, tol)
@@ -718,11 +747,16 @@ def integral_formula(
     Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
     annihilates the non-decaying spectral part.  Returns the estimate and
     the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
-    in under conv_tol; conv_tol must be positive.
+    in under conv_tol; conv_tol must be positive.  For w = 0 the integrand
+    is 0, so any horizon but NaN gives the value 0 with tail bound 0.
     """
     a, w = _route_operands(a, w)
     if tol.conv_tol <= 0.0:  # the horizons below divide by it
         raise ValueError(f"conv_tol must be positive for the integral route, got {tol.conv_tol}")
+    if not w.any():
+        if horizon is not None and np.isnan(horizon):
+            raise ValueError(f"horizon {horizon} is not a number")
+        return np.zeros_like(w), 0.0
     aw = a @ w
     # Re > 0 on the nonzero spectrum of aw; the smallest real part is the decay rate
     eigs = eigenvalues(aw)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pqinv import cli
+from pqinv import cli, verify
 from pqinv.cli import main, matrix_json, read_matrix, write_matrix
 from pqinv.densela import Tolerances
 from pqinv.verify import diagonalizable_instance, random_triple
@@ -41,6 +41,13 @@ def core8_files(tmp_path):
             _write(tmp_path, "p", p), _write(tmp_path, "q", np.eye(8) - p)]
 
 
+@pytest.fixture
+def zero_p_files(tmp_path):
+    """a = [[1, 2], [3, 4]], p = 0, q = 1: Ran(p) = {0}, so w = 0 and b = 0."""
+    return [_write(tmp_path, "a", np.array([[1, 2], [3, 4]], dtype=complex)),
+            _write(tmp_path, "p", np.zeros((2, 2))), _write(tmp_path, "q", np.eye(2))]
+
+
 class TestMatrixFiles:
     def test_round_trip_is_bit_identical(self, tmp_path, rng):
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -68,10 +75,23 @@ class TestMatrixFiles:
         "[[1" + "0" * 400 + ", 0]]",
         "5",
         "null",
-    ], ids=["null_entry", "nested_entry", "int_beyond_float", "scalar_data", "null_data"])
+        "[[1, 2, 3]]",
+    ], ids=["null_entry", "nested_entry", "int_beyond_float", "scalar_data", "null_data",
+            "triple_entry"])
     def test_malformed_data_exits_2(self, tmp_path, counterexample_files, capsys, data):
         path = tmp_path / "bad.json"
         path.write_text('{"rows": 1, "cols": 1, "data": ' + data + "}")
+        argv = ["check", str(path), counterexample_files["p"], counterexample_files["q"]]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        '{"cols": 1, "data": [[1, 0]]}',
+        '{"rows": 0, "cols": 1, "data": []}',
+    ], ids=["missing_rows", "zero_rows"])
+    def test_malformed_shape_exits_2(self, tmp_path, counterexample_files, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
         argv = ["check", str(path), counterexample_files["p"], counterexample_files["q"]]
         assert main(argv) == 2
         assert str(path) in capsys.readouterr().err
@@ -395,6 +415,12 @@ class TestCompute:
         q = _write(tmp_path, "q", np.zeros((2, 2)))
         assert main(["compute", a, p, q, "--kind", "2l", "--route", "integral"]) == 4
 
+    @pytest.mark.parametrize("route", ["group", "inner", "limit", "integral"])
+    def test_every_route_at_zero_range_p(self, zero_p_files, capsys, route):
+        assert main(["compute", *zero_p_files, "--kind", "2l", "--route", route]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["matrix"]["data"] == [[0.0, 0.0]] * 4
+
 
 class TestRepresent:
     def test_dimension_obstruction_reads_as_compute(self, tmp_path, capsys):
@@ -500,6 +526,18 @@ class TestRepresent:
         assert code == 2
         assert not out.exists()
 
+    def test_integral_at_zero_range_p(self, zero_p_files, capsys, tmp_path):
+        # w = 0, so the integrand vanishes on every horizon of the sweep
+        out = str(tmp_path / "final.json")
+        code = main(["represent", *zero_p_files, "--method", "integral", "--horizon", "200",
+                     "--out", out])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:-1] == ["25.0,nan,0.0", "50.0,0.0,0.0", "100.0,0.0,0.0", "200.0,0.0,0.0"]
+        assert not read_matrix(out).any()
+        assert main(["represent", *zero_p_files, "--method", "integral", "--horizon", "nan"]) == 2
+        assert "horizon nan is not a number" in capsys.readouterr().err
+
     def test_imaginary_spectrum_exits_5(self, tmp_path, capsys):
         a = _write(tmp_path, "a", np.array([[0, 1], [-1, 0]], dtype=complex))
         p = _write(tmp_path, "p", np.eye(2))
@@ -524,6 +562,20 @@ class TestSuites:
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["fail"] == 0
         assert doc["seed"] == 5
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify"], "diagnose"),
+        (["fuzz", "--trials", "2", "--dim", "2"], "_battery_classical"),
+    ], ids=["verify", "fuzz"])
+    def test_failing_case_exits_1(self, monkeypatch, capsys, argv, name):
+        def broken(*args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(verify, name, broken)
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"]["fail"] > 0
+        assert "exception: RuntimeError: broken" in {c.get("detail") for c in doc["cases"]}
 
     def test_fuzz_dim_zero_exits_2(self, capsys):
         assert main(["fuzz", "--dim", "0", "--trials", "5"]) == 2

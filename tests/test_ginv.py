@@ -9,7 +9,6 @@ from pqinv.ginv import (
     group_inverse,
     inner_inverse,
     moore_penrose,
-    one_five_inverse,
     reflexive_inverse,
 )
 from pqinv.subspace import equals, kernel_of, range_of
@@ -101,7 +100,8 @@ class TestGroupInverse:
         assert frob(group_inverse(np.diag([2.0, 0.0])) - np.diag([0.5, 0.0])) <= 1e-14
 
     def test_idempotent_is_self_inverse(self):
-        assert frob(group_inverse(IDEM) - IDEM) <= 1e-12
+        for e in (IDEM, np.eye(2)):
+            assert frob(group_inverse(e) - e) <= 1e-12
 
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
@@ -213,34 +213,6 @@ class TestDrazin:
             assert frob(power @ a @ d - power) <= 1e-9 * (1.0 + frob(power))
             pi = res.spectral_idempotent
             assert frob(pi @ pi - pi) <= 1e-9 * (1.0 + frob(pi))
-
-
-class TestOneFive:
-    def test_identity(self):
-        assert np.allclose(one_five_inverse(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        assert frob(one_five_inverse(np.diag([2.0, 0.0])) - np.diag([0.5, 0.0])) <= 1e-14
-
-    def test_nilpotent_has_none(self):
-        assert one_five_inverse(NILP) is None
-
-    def test_existence_matches_group(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(1, 8))
-            a = varied_rank_matrix(rng, n) if rng.random() < 0.5 else np.triu(
-                _cnormal(rng, n, n), k=1
-            )
-            assert (one_five_inverse(a) is None) == (group_inverse(a) is None)
-
-    def test_returned_value_satisfies_axioms(self, rng):
-        for _ in range(10):
-            inst = varied_index_matrix(rng, 5, max_index=1)
-            a = inst["a"]
-            x = one_five_inverse(a)
-            assert x is not None
-            assert frob(a @ x @ a - a) <= 1e-9 * (1.0 + frob(a))
-            assert frob(a @ x - x @ a) <= 1e-9 * (1.0 + frob(a) * frob(x))
 
 
 class TestGiIdempotents:

@@ -106,6 +106,14 @@ class TestRangeKernel:
         assert frob(ran.basis.conj().T @ co.basis) <= 1e-14
         assert equals(co, complement)
 
+    def test_empty_bases_hold_no_factor(self):
+        # a basis of no columns owns its data: a view of u would keep the
+        # whole n x n factor alive for as long as the subspace lives
+        ran_zero = range_and_kernel(np.zeros((256, 256)))[0]
+        co_one = range_and_complement(np.eye(256))[1]
+        for space in (ran_zero, co_one):
+            assert space.dim == 0 and space.basis.base is None
+
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 7))

@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from pqinv.densela import frob
+from pqinv.densela import DEFAULT_TOL, frob
 from pqinv.ginv import drazin_inverse
 from pqinv.prescribed import PqProblem, outer_inverse
 from pqinv.subspace import kernel_of, range_of
 from pqinv.verify import (
+    _run_case,
     diagonalizable_instance,
     fuzz,
     guaranteed_instance,
@@ -110,6 +111,27 @@ class TestFuzz:
         assert set(doc["summary"]) == {"pass", "fail", "fragile"}
         assert doc["tolerances"]["rank_rtol"] == 1e-10
         assert [c["name"] for c in doc["cases"]] == sorted(c["name"] for c in doc["cases"])
+
+
+def _raises(rec):
+    raise RuntimeError("boom")
+
+
+class TestRunCase:
+    @pytest.mark.parametrize("fn, detail", [
+        (_raises, "exception: RuntimeError: boom"),
+        (lambda rec: rec.check("gap", 2.0, 1.0), "gap: 2.000e+00 > 1.000e+00"),
+        # a failure outranks a fragile (truthy) return
+        (lambda rec: rec.expect("ranges match", False) or True, "ranges match"),
+    ], ids=["exception", "bound", "expectation"])
+    def test_failure_is_fail_with_detail(self, fn, detail):
+        doc = _run_case("case", fn, DEFAULT_TOL).to_json_dict()
+        assert (doc["status"], doc["detail"]) == ("fail", detail)
+
+    def test_truthy_return_is_fragile(self):
+        case = _run_case("case", lambda rec: rec.check("gap", 0.5, 1.0) or 1, DEFAULT_TOL)
+        assert (case.status, case.residuals) == ("fragile", {"gap": 0.5})
+        assert "detail" not in case.to_json_dict()
 
 
 class TestGenerators:

@@ -16,7 +16,10 @@ shows decomposition-count changes next to output changes.  Covered:
   writes for the diagonalizable instance;
 * the stdout of ``represent --method limit|integral`` on an 8 x 8
   diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
-  p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p;
+  p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p, and on that core of
+  ``represent --method integral --horizon 200``, whose sweep skips h/8,
+  and ``represent --method limit --lambda-min 1e-10``, which appends its
+  shift to the default schedule;
 * the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
   diagonalizable instance and on that diagonal core.
 
@@ -47,7 +50,9 @@ import numpy as np
 N = 64
 COMPUTE_KINDS = ("2l", "2", "12l", "12")
 CLASSICAL_KINDS = ("mp", "group", "drazin")
-REPRESENT_METHODS = ("limit", "integral")
+REPRESENT_ARGS = (("--method", "limit"), ("--method", "integral"),
+                  ("--method", "integral", "--horizon", "200"),
+                  ("--method", "limit", "--lambda-min", "1e-10"))
 ROUTES = ("inner", "limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 
@@ -169,9 +174,9 @@ def fingerprints(src: Path) -> list[str]:
                      f"{_sha(out.read_text(encoding='utf-8'))}")
         files = problem_files["diagonal-core-n8"] = _write_files(
             cli, tmp, "diagonal-core-n8", _represent_core())
-        for method in REPRESENT_METHODS:
-            lines += _counted_lines(cli, f"represent --method {method} diagonal-core-n8",
-                                    ["represent", *files, "--method", method])
+        for args in REPRESENT_ARGS:
+            lines += _counted_lines(cli, f"represent {' '.join(args)} diagonal-core-n8",
+                                    ["represent", *files, *args])
         for name in (f"diagonalizable-n{N}", "diagonal-core-n8"):
             for route in ROUTES:
                 lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
