@@ -98,11 +98,11 @@ def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
 
 def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
     try:
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{name}: malformed matrix file ({exc})") from exc
+    if not all(type(k) is int for k in (rows, cols)):  # a JSON integer, not a bool
+        raise ValueError(f"{name}: rows and cols must be integers, got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise ValueError(f"{name}: rows and cols must be positive, got {rows}x{cols}")
     if not isinstance(data, list):

@@ -45,7 +45,6 @@ __all__ = [
     "rank",
     "Factored",
     "svd",
-    "is_consistent",
     "solve_right",
     "solve_left",
     "rank_factorization",
@@ -275,14 +274,9 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return svd(a, compute_uv=False).rank(tol)
 
 
-def is_consistent(residual, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether a computed solution with this residual solves a system with
-    right-hand side ``b``: ||residual||_F <= eq_atol + eq_rtol * ||b||_F."""
-    return frob(residual) <= tol.eq_atol + tol.eq_rtol * frob(b)
-
-
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Solve A X = B as X = A^+ B; return X only if :func:`is_consistent`.
+    """Solve A X = B as X = A^+ B; return X only if A X equals B by
+    :func:`eq_bound`'s rule, ||A X - B||_F <= eq_bound(B, B).
 
     Returns None for an inconsistent system; raises ShapeError when the
     row counts disagree (a different failure from inconsistency).
@@ -292,7 +286,7 @@ def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A has {a.shape[0]} rows but B has {b.shape[0]}")
     x = svd(a).pinv(tol) @ b
-    return x if is_consistent(a @ x - b, b, tol) else None
+    return x if frob(a @ x - b) <= eq_bound(b, b, tol) else None
 
 
 def solve_left(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:

@@ -20,8 +20,10 @@ Ker(w) = Ran(q), for which
       = lim_{s -> 0} w (s + a w)^-1  =  integral_0^inf w exp(-(a w) t) dt,
 
 giving four independent numerical routes that cross-validate each other.
-The package's w is U N^H, with U an orthonormal basis of Ran(p) and N one
-of Ran(q)^⊥, both read off one SVD each of p and q.  Then a w = (a U) N^H
+Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
+Ran(1-p) = Ker(p), from one view that factors a matrix by one SVD when a
+test first reads it.  The package's w is U N^H, with U an orthonormal
+basis of Ran(p) and N one of Ran(q)^⊥.  Then a w = (a U) N^H
 is a full-rank factorization, and the group route w (a w)^# collapses to
 U C^-1 N^H with the r x r core C = N^H a U, r = dim Ran(p): the candidate
 that the compute functions return and :func:`diagnose` validates takes
@@ -33,7 +35,7 @@ the paper's expressions as written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .densela import (
     eigenvalues,
     eq_bound,
     frob,
-    is_consistent,
     is_noise,
     matrices_equal,
     matrix_exp,
@@ -220,48 +221,75 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
-    ran_p = sub.range_of(p, tol)
-    ran_q, co_q = sub.range_and_complement(q, tol)
-    broken = _dimension_failure(ran_p, ran_q)
+    spaces = _Spaces(None, p, q, tol)
+    broken = _dimension_failure(spaces)
     if broken:
         raise NonexistentInverseError(broken)
-    return _witness(ran_p, co_q)
+    return _witness(spaces)
 
 
-def _q_subspaces(q: np.ndarray, tol: Tolerances) -> tuple:
-    """Ran(q), Ran(q)^⊥ and Ker(q) from one SVD of q.
+class _Spaces:
+    """The subspaces of a, p and q that one call reads, at one tolerance.
 
-    For an idempotent, Ran(1-q) = Ker(q): the trailing right singular
-    vectors of the SVD whose leading and trailing left ones give Ran(q)
-    and its complement.  The factors are dropped on return, so no caller
-    holds them through its pass.
+    Each matrix is factored by one SVD the first time one of its bases is
+    read, and the factors are dropped once its bases are built: q's SVD
+    gives Ran(q), Ran(q)^⊥ and Ker(q), p's gives Ran(p) and Ker(p), and
+    a's gives Ran(a) and Ker(a).  For idempotents Ran(1-q) = Ker(q) and
+    Ran(1-p) = Ker(p).  A matrix none of whose bases is read is never
+    factored, so a test that fails early leaves the later ones unfactored.
     """
-    f = svd(q)
-    ran_q, co_q = sub.range_and_complement(f, tol)
-    return ran_q, co_q, sub.Subspace(q.shape[1], f.null_basis(tol))
+
+    def __init__(self, a, p, q, tol: Tolerances):
+        self.a, self.p, self.q, self.tol = a, p, q, tol
+
+    @cached_property
+    def _of_q(self) -> tuple:
+        f = svd(self.q)
+        return (*sub.range_and_complement(f, self.tol),
+                sub.Subspace(self.q.shape[1], f.null_basis(self.tol)))
+
+    @cached_property
+    def _of_p(self) -> tuple:
+        return sub.range_and_kernel(self.p, self.tol)
+
+    @cached_property
+    def _of_a(self) -> tuple:
+        return sub.range_and_kernel(self.a, self.tol)
+
+    ran_q = property(lambda self: self._of_q[0])
+    co_q = property(lambda self: self._of_q[1])
+    ker_q = property(lambda self: self._of_q[2])
+    ran_p = property(lambda self: self._of_p[0])
+    ker_p = property(lambda self: self._of_p[1])
+    ran_a = property(lambda self: self._of_a[0])
+    ker_a = property(lambda self: self._of_a[1])
+
+    @cached_property
+    def ker_a_meets_ran_p(self) -> bool:
+        """Whether Ker(a) ∩ Ran(p) = {0}: the one rank of [B_Ker(a) | B_Ran(p)]."""
+        return sub.meets_trivially(self.ker_a, self.ran_p, self.tol)
 
 
-def _dimension_failure(ran_p: sub.Subspace, ran_q: sub.Subspace) -> str:
+def _dimension_failure(spaces: _Spaces) -> str:
     """The dimension obstruction to a w with Ran(w) = Ran(p) and
     Ker(w) = Ran(q), or "" when dim Ran(p) + dim Ran(q) = n."""
-    n = ran_p.ambient
-    if ran_p.dim + ran_q.dim == n:
+    d_p, d_q, n = spaces.ran_p.dim, spaces.ran_q.dim, spaces.ran_p.ambient
+    if d_p + d_q == n:
         return ""
-    return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {ran_p.dim} + {ran_q.dim} != {n}"
+    return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {d_p} + {d_q} != {n}"
 
 
-def _witness(ran_p: sub.Subspace, co_q: sub.Subspace) -> np.ndarray:
+def _witness(spaces: _Spaces) -> np.ndarray:
     """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥."""
-    return ran_p.basis @ co_q.basis.conj().T
+    return spaces.ran_p.basis @ spaces.co_q.basis.conj().T
 
 
 def _no_outer_inverse(reason: str) -> NonexistentInverseError:
     return NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
 
 
-def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace,
-               co_q: sub.Subspace, tol: Tolerances) -> tuple:
-    """The subspace-outer candidate b with Ran(b) and Ker(b), given Ran(p),
+def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
+    """The subspace-outer candidate b with Ran(b) and Ker(b), from Ran(p),
     Ran(q) and its orthogonal complement.
 
     With U and N the orthonormal bases of Ran(p) and Ran(q)^⊥ and
@@ -275,10 +303,11 @@ def _candidate(prob: PqProblem, ran_p: sub.Subspace, ran_q: sub.Subspace,
     used by :func:`diagnose`; a failure, the dimension obstruction
     included, raises NonexistentInverseError.
     """
-    broken = _dimension_failure(ran_p, ran_q)
+    broken = _dimension_failure(spaces)
     if broken:
         raise _no_outer_inverse(broken)
-    a, u, nh = prob.a, ran_p.basis, co_q.basis.conj().T
+    tol, ran_p, ran_q = spaces.tol, spaces.ran_p, spaces.ran_q
+    a, u, nh = prob.a, ran_p.basis, spaces.co_q.basis.conj().T
     r = u.shape[1]
     if r == 0:
         b = np.zeros_like(a)
@@ -319,85 +348,79 @@ def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
     return holds, ba_res, ab_res
 
 
-def _l12_failure(ran_a, ker_a, ran_p, ran_q, tol: Tolerances,
-                 ker_trivial: bool | None = None) -> str:
+def _l12_failure(spaces: _Spaces) -> str:
     """The first failing decomposition of {1,2}-existence, or "".
 
     C^n = Ker(a) ∔ Ran(p) is dim Ker(a) + dim Ran(p) = n with
-    Ker(a) ∩ Ran(p) = {0}; a caller that has decided the intersection
-    already passes it as ``ker_trivial``, else it is decided here.
+    Ker(a) ∩ Ran(p) = {0}.  p is read only once C^n = Ran(a) ∔ Ran(q)
+    holds.
     """
-    if not sub.is_direct_sum_all(ran_a, ran_q, tol):
+    ker_a, tol = spaces.ker_a, spaces.tol
+    if not sub.is_direct_sum_all(spaces.ran_a, spaces.ran_q, tol):
         return "C^n = Ran(a) ∔ Ran(q)"
-    if ker_a.dim + ran_p.dim != ran_p.ambient or not (
-            sub.meets_trivially(ker_a, ran_p, tol) if ker_trivial is None else ker_trivial):
+    if ker_a.dim + spaces.ran_p.dim != ker_a.ambient or not spaces.ker_a_meets_ran_p:
         return "C^n = Ker(a) ∔ Ran(p)"
     return ""
 
 
-def _strict12_failure(ran_a, ker_a, ran_1mq, ker_p, tol: Tolerances) -> str:
+def _strict12_failure(spaces: _Spaces) -> str:
     """The first failing subspace equality of strict {1,2}-existence, or "".
 
-    Ran(1-q) and Ran(1-p) are Ker(q) and Ker(p).  ``ker_p()`` gives Ker(p)
-    and is called only once Ran(a) = Ran(1-q) holds, so a caller that has
-    not factored p yet factors it only then.
+    Ran(1-q) and Ran(1-p) are Ker(q) and Ker(p); p is read only once
+    Ran(a) = Ran(1-q) holds.
     """
-    if not sub.equals(ran_a, ran_1mq, tol):
+    if not sub.equals(spaces.ran_a, spaces.ker_q, spaces.tol):
         return "Ran(a) = Ran(1-q)"
-    if not sub.equals(ker_a, ker_p(), tol):
+    if not sub.equals(spaces.ker_a, spaces.ker_p, spaces.tol):
         return "Ker(a) = Ran(1-p)"
     return ""
 
 
-def _cond5_cond6(prob: PqProblem, ker_p, ran_1mq, tol: Tolerances) -> tuple:
+def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
     """cond5, and the cond6 witnesses t (t m = p) and s (m s = 1 - q) or
     None, from one factorization of m = (1-q) a p."""
-    a, p, one_mq = prob.a, prob.p, prob.one_minus_q
+    a, p, one_mq, tol = prob.a, prob.p, prob.one_minus_q, spaces.tol
     m = one_mq @ a @ p
     if is_noise(m, PRODUCT_NOISE * frob(one_mq) * frob(a) * frob(p)):
         m = np.zeros_like(m)
     m_svd = svd(m)
     ran_m, ker_m = sub.range_and_kernel(m_svd, tol)
     # Ran(p^H) in Ran(m^H) is Ker(m) in Ker(p), their orthogonal complements
-    cond5 = sub.contains(ker_p, ker_m, tol) and sub.contains(ran_m, ran_1mq, tol)
+    cond5 = sub.contains(spaces.ker_p, ker_m, tol) and sub.contains(ran_m, spaces.ker_q, tol)
     m_pinv = m_svd.pinv(tol)
     t, s = p @ m_pinv, m_pinv @ one_mq
-    return (cond5, t if is_consistent(t @ m - p, p, tol) else None,
-            s if is_consistent(m @ s - one_mq, one_mq, tol) else None)
+    return (cond5, t if frob(t @ m - p) <= eq_bound(p, p, tol) else None,
+            s if frob(m @ s - one_mq) <= eq_bound(one_mq, one_mq, tol) else None)
 
 
 def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     """All existence criteria at one rank threshold, each computed on its own
-    from subspaces of the input matrices, each input factored once.
+    from the subspaces of one :class:`_Spaces` view, each input factored once.
 
-    Ran(1-q) and Ran(1-p) are read as Ker(q) and Ker(p) off the SVDs of q
-    and p, and C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
+    C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
     ker_cap_ranp_trivial.
     """
-    a, p, q = prob.a, prob.p, prob.q
-
-    ran_p, ker_p = sub.range_and_kernel(p, tol)
-    ran_q, co_q, ran_1mq = _q_subspaces(q, tol)
-    ran_a, ker_a = sub.range_and_kernel(a, tol)
+    a = prob.a
+    spaces = _Spaces(a, prob.p, prob.q, tol)
+    ran_p, ran_q = spaces.ran_p, spaces.ran_q
     a_ran_p = sub.image(a, ran_p, tol)
 
-    ker_trivial = sub.meets_trivially(ker_a, ran_p, tol)
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
-    image_match = sub.equals(a_ran_p, ran_1mq, tol)
-    cond5, t_witness, s_witness = _cond5_cond6(prob, ker_p, ran_1mq, tol)
+    image_match = sub.equals(a_ran_p, spaces.ker_q, tol)
+    cond5, t_witness, s_witness = _cond5_cond6(prob, spaces)
 
     try:
-        b = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
+        b = _candidate(prob, spaces)[0]
     except NonexistentInverseError:
         b = None
     l_exists = b is not None
     strict = l_exists and _strict_products(prob, b @ a, a @ b, tol)[0]
 
-    l12 = not _l12_failure(ran_a, ker_a, ran_p, ran_q, tol, ker_trivial)
-    strict12 = l12 and not _strict12_failure(ran_a, ker_a, ran_1mq, lambda: ker_p, tol)
+    l12 = not _l12_failure(spaces)
+    strict12 = l12 and not _strict12_failure(spaces)
 
     return {
-        "ker_cap_ranp_trivial": ker_trivial,
+        "ker_cap_ranp_trivial": spaces.ker_a_meets_ran_p,
         "direct_sum": direct,
         "image_match": image_match,
         "cond5": cond5,
@@ -409,7 +432,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
         "strict12_exists": strict12,
         "dim_ran_p": ran_p.dim,
         "dim_ran_q": ran_q.dim,
-        "rank_a": ran_a.dim,
+        "rank_a": spaces.ran_a.dim,
     }
 
 
@@ -493,29 +516,11 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     once on the automatic horizon; its trace holds (horizon, Cauchy
     difference, tail bound) rows, NaN for an absent value.
     """
-    tol = prob.tol
-    ran_p = sub.range_of(prob.p, tol)
-    ran_q, co_q = sub.range_and_complement(prob.q, tol)
-    b_group = _candidate(prob, ran_p, ran_q, co_q, tol)[0]
-    b, _, trace = _route_result(prob, _witness(ran_p, co_q), b_group, route, lambda_min, horizon)
-    _check_drift(b, b_group, tol, "representation drifts from the direct value")
+    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol)
+    b_group = _candidate(prob, spaces)[0]
+    b, _, trace = _route_result(prob, _witness(spaces), b_group, route, lambda_min, horizon)
+    _check_drift(b, b_group, prob.tol, "representation drifts from the direct value")
     return b, trace
-
-
-def _strict12_subspaces(prob: PqProblem, ran_a, ker_a, tol: Tolerances) -> tuple:
-    """Ran(q), Ran(q)^⊥ and Ran(p) once the strict {1,2} subspace equalities
-    hold, else NonexistentInverseError.
-
-    q is factored before the first equality and p, with its kernel, only
-    once it holds; Ker(q) and Ker(p) serve the equalities alone and are
-    dropped on return.
-    """
-    ran_q, co_q, ran_1mq = _q_subspaces(prob.q, tol)
-    p_spaces = cache(partial(sub.range_and_kernel, prob.p, tol))
-    broken = _strict12_failure(ran_a, ker_a, ran_1mq, lambda: p_spaces()[1], tol)
-    if broken:
-        raise NonexistentInverseError(f"subspace equality {broken} fails")
-    return ran_q, co_q, p_spaces()[0]
 
 
 # PqResult.kind by (strict, reflexive)
@@ -533,19 +538,17 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     residuals are built only after every test has passed.
     """
     tol, a = prob.tol, prob.a
-    if reflexive:
-        ran_a, ker_a = sub.range_and_kernel(a, tol)
+    spaces = _Spaces(a, prob.p, prob.q, tol)
     if strict and reflexive:
-        ran_q, co_q, ran_p = _strict12_subspaces(prob, ran_a, ker_a, tol)
-    else:
-        ran_q, co_q = sub.range_and_complement(prob.q, tol)
-        ran_p = sub.range_of(prob.p, tol)
+        broken = _strict12_failure(spaces)
+        if broken:
+            raise NonexistentInverseError(f"subspace equality {broken} fails")
     if reflexive:
-        broken = _l12_failure(ran_a, ker_a, ran_p, ran_q, tol)
+        broken = _l12_failure(spaces)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    b_group, ran_b, ker_b = _candidate(prob, ran_p, ran_q, co_q, tol)
-    w = None if route == "group" else _witness(ran_p, co_q)
+    b_group, ran_b, ker_b = _candidate(prob, spaces)
+    w = None if route == "group" else _witness(spaces)
     b, route_name, _ = _route_result(prob, w, b_group, route)
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
@@ -573,8 +576,8 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     return PqResult(_KINDS[strict, reflexive], b, route_name, {
         "outer": frob(ba @ b - b),
         "inner": inner_res,
-        "range_gap": sub.gap(ran_b, ran_p),
-        "kernel_gap": sub.gap(ker_b, ran_q),
+        "range_gap": sub.gap(ran_b, spaces.ran_p),
+        "kernel_gap": sub.gap(ker_b, spaces.ran_q),
         "ba_minus_p": ba_res,
         "ab_minus_1mq": ab_res,
         "fix_left": frob(p @ b - b),

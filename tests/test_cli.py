@@ -88,7 +88,10 @@ class TestMatrixFiles:
     @pytest.mark.parametrize("doc", [
         '{"cols": 1, "data": [[1, 0]]}',
         '{"rows": 0, "cols": 1, "data": []}',
-    ], ids=["missing_rows", "zero_rows"])
+        '{"rows": 1.9, "cols": 1, "data": [[1, 0]]}',
+        '{"rows": 1, "cols": true, "data": [[1, 0]]}',
+        '{"rows": "1", "cols": 1, "data": [[1, 0]]}',
+    ], ids=["missing_rows", "zero_rows", "float_rows", "bool_cols", "string_rows"])
     def test_malformed_shape_exits_2(self, tmp_path, counterexample_files, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(doc)

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 import warnings
 
@@ -417,31 +416,13 @@ class TestComputeAgreesWithDiagnose:
 
 
 class TestDecompositionCounts:
-    @staticmethod
-    def _calls(monkeypatch, run, kinds=("svd",)) -> dict[str, int]:
-        """The decompositions ``run()`` makes, counted in numpy.linalg and in
-        numpy.linalg._linalg, where numpy's own helpers look them up."""
-        calls = dict.fromkeys(kinds, 0)
-        for kind in kinds:
-            original = getattr(np.linalg, kind)
-
-            def counting(*args, _kind=kind, _fn=original, **kwargs):
-                calls[_kind] += 1
-                return _fn(*args, **kwargs)
-
-            for namespace in (np.linalg, sys.modules.get("numpy.linalg._linalg")):
-                if getattr(namespace, kind, None) is original:
-                    monkeypatch.setattr(namespace, kind, counting)
-        run()
-        return calls
-
     @pytest.mark.parametrize("fn, expected", [(outer_inverse, 8), (one_two_inverse, 11)])
-    def test_residuals_reuse_validated_subspaces(self, monkeypatch, fn, expected):
+    def test_residuals_reuse_validated_subspaces(self, count_linalg, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
-        assert self._calls(monkeypatch, lambda: fn(prob)) == {"svd": expected}
+        assert count_linalg(lambda: fn(prob)) == {"svd": expected}
 
-    def test_strict_failure_builds_no_residuals(self, monkeypatch):
+    def test_strict_failure_builds_no_residuals(self, count_linalg):
         # the candidate's 4 SVDs (p; q with its complement; the core's singular
         # values; b), and no residuals: their subspace gaps would take 4 more
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
@@ -451,28 +432,33 @@ class TestDecompositionCounts:
             with pytest.raises(NonexistentInverseError):
                 outer_inverse_strict(prob)
 
-        assert self._calls(monkeypatch, run) == {"svd": 4}
+        assert count_linalg(run) == {"svd": 4}
 
-    def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, monkeypatch):
+    def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, count_linalg):
         # Ran(q) = {0} and Ker(a) = {0}: both {1,2} decompositions have a {0}
         # side, so neither takes the rank of its joined bases; Ran(1-q) and
         # Ran(1-p) are Ker(q) and Ker(p), read off the SVDs of q and p
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert self._calls(monkeypatch, lambda: one_two_inverse_strict(prob)) == {"svd": 7}
+        assert count_linalg(lambda: one_two_inverse_strict(prob)) == {"svd": 7}
 
-    def test_strict_reflexive_failure_factors_only_a_and_q(self, monkeypatch):
-        # Ran(a) = Ran(1-q) fails first: p is not factored for its kernel
+    @pytest.mark.parametrize("fn, failure", [
+        (one_two_inverse_strict, r"Ran\(a\) = Ran\(1-q\)"),
+        (one_two_inverse, r"C\^n = Ran\(a\) ∔ Ran\(q\)"),
+    ], ids=["one_two_inverse_strict", "one_two_inverse"])
+    def test_reflexive_failure_factors_only_a_and_q(self, count_linalg, fn, failure):
+        # the first test on a and q fails (rank a + rank q = 3 < 4 for the
+        # plain kind), so p is never factored
         a = np.diag([1.0, 1.0, 0.0, 0.0])
         prob = PqProblem(a, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.0, 0.0, 0.0, 0.0]))
 
         def run():
-            with pytest.raises(NonexistentInverseError, match=r"Ran\(a\) = Ran\(1-q\)"):
-                one_two_inverse_strict(prob)
+            with pytest.raises(NonexistentInverseError, match=failure):
+                fn(prob)
 
-        assert self._calls(monkeypatch, run) == {"svd": 2}
+        assert count_linalg(run) == {"svd": 2}
 
-    def test_represent_builds_one_candidate(self, monkeypatch, tmp_path):
+    def test_represent_builds_one_candidate(self, count_linalg, tmp_path):
         # one each for Ran(p), Ran(q) with its complement, the singular values
         # of the core N^H a U and Ran(b) with Ker(b), and two for the
         # integral route's (a w)^#; the reference value takes no (a w)^#
@@ -487,9 +473,9 @@ class TestDecompositionCounts:
         def run():
             assert main(["represent", *files, "--method", "integral"]) == 0
 
-        assert self._calls(monkeypatch, run) == {"svd": 6}
+        assert count_linalg(run) == {"svd": 6}
 
-    def test_diagnose_factors_each_input_once(self, monkeypatch):
+    def test_diagnose_factors_each_input_once(self, count_linalg):
         # a, p, q and (1-q) a p once each, Ran(1-q) and Ran(1-p) read as
         # Ker(q) and Ker(p), and no least-squares solve: the cond6 witnesses
         # come from the pseudo-inverse of (1-q) a p; the candidate takes the
@@ -497,7 +483,7 @@ class TestDecompositionCounts:
         # ranked once for ker_cap_ranp_trivial and C^n = Ker(a) ∔ Ran(p)
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
-        calls = self._calls(monkeypatch, lambda: diagnose(prob), ("svd", "lstsq", "solve"))
+        calls = count_linalg(lambda: diagnose(prob), ("svd", "lstsq", "solve"))
         assert calls == {"svd": 10, "lstsq": 0, "solve": 1}
 
 
@@ -537,7 +523,7 @@ class TestSharedSubspaces:
     def _assert_ker_q_is_ran_1mq(q):
         # q and 1-q as a problem holds them, each snapped to 0 when it is noise
         prob = PqProblem(np.eye(q.shape[0]), q, q)
-        ker_q = prescribed._q_subspaces(prob.q, DEFAULT_TOL)[2]
+        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL).ker_q
         ran_1mq = range_of(prob.one_minus_q)
         assert ker_q.dim == ran_1mq.dim
         assert equals(ker_q, ran_1mq)
@@ -577,8 +563,8 @@ class TestSharedSubspaces:
         return PqProblem(f @ g, oblique(ker_vector), oblique(f @ _cnormal(rng, k, 1)[:, 0]))
 
     def test_l12_verdict_is_the_shared_predicate(self):
-        # the fresh side decides Ker(a) ∩ Ran(p) = {0} itself; diagnose reuses
-        # the rank of ker_cap_ranp_trivial
+        # the fresh side decides both decompositions from their definition;
+        # diagnose reuses the rank of ker_cap_ranp_trivial
         rng = np.random.default_rng(1212)
         verdicts, meets, deficient = set(), 0, 0
         for i in range(150):
@@ -586,10 +572,11 @@ class TestSharedSubspaces:
             prob = self._meeting_problem(rng, n) if i % 2 else PqProblem(*random_triple(rng, n))
             ran_a, ker_a = sub.range_and_kernel(prob.a)
             ran_p = range_of(prob.p)
-            fresh = prescribed._l12_failure(ran_a, ker_a, ran_p, range_of(prob.q), DEFAULT_TOL)
-            assert diagnose(prob).l12_exists == (not fresh), i
-            verdicts.add(not fresh)
-            meets += fresh == "C^n = Ker(a) ∔ Ran(p)" and ker_a.dim + ran_p.dim == n
+            left = sub.is_direct_sum_all(ran_a, range_of(prob.q))
+            right = sub.is_direct_sum_all(ker_a, ran_p)
+            assert diagnose(prob).l12_exists == (left and right), i
+            verdicts.add(left and right)
+            meets += left and not right and ker_a.dim + ran_p.dim == n
             deficient += ran_a.dim < n
         assert verdicts == {True, False}
         assert meets > 0 and deficient > 0
