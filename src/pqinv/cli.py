@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +112,15 @@ def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
         raise ValueError(
             f"{name}: data length {len(data)} does not match rows*cols = {rows * cols}"
         )
+    # JSON numbers only: numpy would also read strings such as "2" and bools
+    if (not set(map(type, data)) <= {list} or not set(map(len, data)) <= {2}
+            or not set(map(type, chain.from_iterable(data))) <= {int, float}):
+        raise ValueError(f"{name}: each entry must be a [re, im] pair of JSON numbers")
     try:
-        pairs = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}: each entry must be a [re, im] pair ({exc})") from exc
-    if pairs.shape != (rows * cols, 2):
-        raise ValueError(f"{name}: each entry must be a [re, im] pair")
+        pairs = np.fromiter(chain.from_iterable(data), np.float64, count=2 * rows * cols)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: entry out of the float64 range ({exc})") from exc
+    pairs = pairs.reshape(rows * cols, 2)
     bad = ~np.isfinite(pairs).all(axis=1)
     if bad.any():
         re, im = pairs[np.argmax(bad)]

@@ -44,7 +44,9 @@ from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
+    Factored,
     Tolerances,
+    _canonical_phases,
     as_matrix,
     eigenvalues,
     eq_bound,
@@ -233,24 +235,51 @@ class _Spaces:
 
     Each matrix is factored by one SVD the first time one of its bases is
     read, and the factors are dropped once its bases are built: q's SVD
-    gives Ran(q), Ran(q)^⊥ and Ker(q), p's gives Ran(p) and Ker(p), and
-    a's gives Ran(a) and Ker(a).  For idempotents Ran(1-q) = Ker(q) and
-    Ran(1-p) = Ker(p).  A matrix none of whose bases is read is never
-    factored, so a test that fails early leaves the later ones unfactored.
+    gives Ran(q) and Ran(q)^⊥, p's gives Ran(p), and a's gives Ran(a) and
+    Ker(a).  A matrix none of whose bases is read is never factored, so a
+    test that fails early leaves the later ones unfactored.  For
+    idempotents Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p), which only
+    :func:`diagnose` and the strict {1,2} kind read: each is built the
+    first time it is read, from the trailing rows of its matrix's vh, which
+    the view keeps (as a copy, not the whole factor) until then and drops
+    once the basis is built.
     """
 
     def __init__(self, a, p, q, tol: Tolerances):
         self.a, self.p, self.q, self.tol = a, p, q, tol
+        self._null_rows: dict[str, np.ndarray] = {}  # "p" or "q" until its Ker is built
+
+    def _svd(self, name: str) -> Factored:
+        """The SVD of p or q.  The conjugate transpose of vh's trailing rows,
+        Ker's basis before its phases are pinned, is kept: the conjugate is
+        a fresh array, so it holds no reference to the factors."""
+        f = svd(getattr(self, name))
+        self._null_rows[name] = f.vh[f.rank(self.tol):, :].conj().T
+        return f
+
+    def _kernel(self, name: str) -> sub.Subspace:
+        """Ker of p or q from the kept rows, as ``Factored.null_basis`` builds it."""
+        basis = _canonical_phases(self._null_rows.pop(name))
+        return sub.Subspace(basis.shape[0], basis)
 
     @cached_property
     def _of_q(self) -> tuple:
-        f = svd(self.q)
-        return (*sub.range_and_complement(f, self.tol),
-                sub.Subspace(self.q.shape[1], f.null_basis(self.tol)))
+        return sub.range_and_complement(self._svd("q"), self.tol)
 
     @cached_property
-    def _of_p(self) -> tuple:
-        return sub.range_and_kernel(self.p, self.tol)
+    def ran_p(self) -> sub.Subspace:
+        f = self._svd("p")
+        return sub.Subspace(f.u.shape[0], f.range_basis(self.tol))
+
+    @cached_property
+    def ker_q(self) -> sub.Subspace:
+        self._of_q  # factors q, if no basis of q was read yet
+        return self._kernel("q")
+
+    @cached_property
+    def ker_p(self) -> sub.Subspace:
+        self.ran_p  # factors p, if Ran(p) was not read yet
+        return self._kernel("p")
 
     @cached_property
     def _of_a(self) -> tuple:
@@ -258,9 +287,6 @@ class _Spaces:
 
     ran_q = property(lambda self: self._of_q[0])
     co_q = property(lambda self: self._of_q[1])
-    ker_q = property(lambda self: self._of_q[2])
-    ran_p = property(lambda self: self._of_p[0])
-    ker_p = property(lambda self: self._of_p[1])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
 

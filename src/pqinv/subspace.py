@@ -68,7 +68,7 @@ class Subspace:
         if d > self.ambient:
             raise ShapeError(f"basis has {d} columns in ambient dimension {self.ambient}")
         gram = basis.conj().T @ basis
-        if np.linalg.norm(gram - np.eye(d)) > _ORTHONORMALITY_TOL:
+        if frob(gram - np.eye(d)) > _ORTHONORMALITY_TOL:
             raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -196,14 +196,18 @@ def equals(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def gap(s: Subspace, t: Subspace) -> float:
-    """Diagnostic distance: the larger one-sided projection defect.
+    """Diagnostic distance: the sine of the largest principal angle between
+    S and T when their dimensions agree, and 1.0 when they differ.
 
-    Equals the sine of the largest principal angle when dims agree and 1.0
-    when one subspace holds a direction entirely outside the other.
+    For equal dimensions the two one-sided projection defects
+    ||(1 - P_S) B_T||_2 and ||(1 - P_T) B_S||_2 are equal (Golub & Van Loan,
+    Matrix Computations, 4th ed., Thm 2.5.1), so one singular-value-only SVD gives
+    the distance.  For unequal dimensions the larger subspace holds a
+    direction orthogonal to the smaller one, so its defect is exactly 1.
     """
     _check_same_ambient(s, t)
-
-    def _defect(u: Subspace, v: Subspace) -> float:
-        return float(svd(_outside(u, v), compute_uv=False).s[0]) if v.dim else 0.0
-
-    return max(_defect(s, t), _defect(t, s))
+    if s.dim != t.dim:
+        return 1.0
+    if s.dim == 0:
+        return 0.0
+    return float(svd(_outside(s, t), compute_uv=False).s[0])

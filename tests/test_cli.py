@@ -76,8 +76,11 @@ class TestMatrixFiles:
         "5",
         "null",
         "[[1, 2, 3]]",
+        '[["2", 1]]',
+        "[[true, 0]]",
+        "[[0, false]]",
     ], ids=["null_entry", "nested_entry", "int_beyond_float", "scalar_data", "null_data",
-            "triple_entry"])
+            "triple_entry", "string_part", "bool_part", "bool_imag_part"])
     def test_malformed_data_exits_2(self, tmp_path, counterexample_files, capsys, data):
         path = tmp_path / "bad.json"
         path.write_text('{"rows": 1, "cols": 1, "data": ' + data + "}")

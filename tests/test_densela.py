@@ -58,6 +58,20 @@ class TestNoise:
         assert not is_noise(m, 4.999)
 
 
+class TestFrob:
+    def test_matches_numpy_norm_bit_for_bit(self, rng):
+        for n, m in ((1, 1), (3, 5), (8, 8), (17, 4)):
+            real = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 8)
+            cplx = _cnormal(rng, n, m) * 10.0 ** rng.integers(-8, 8)
+            for x in (real, cplx, real.T, cplx.T, cplx.conj().T, real[::2, ::-1],
+                      cplx[::2, ::3], cplx[::-1, 1::2].T, np.asfortranarray(cplx)):
+                assert frob(x) == float(np.linalg.norm(x))
+
+    def test_integer_and_empty_input(self):
+        assert frob(np.array([[3, 4]])) == 5.0
+        assert frob(np.zeros((0, 3), dtype=np.complex128)) == 0.0
+
+
 class TestAsMatrix:
     def test_rejects_vector(self):
         with pytest.raises(ShapeError):

@@ -416,7 +416,7 @@ class TestComputeAgreesWithDiagnose:
 
 
 class TestDecompositionCounts:
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 8), (one_two_inverse, 11)])
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 6), (one_two_inverse, 9)])
     def test_residuals_reuse_validated_subspaces(self, count_linalg, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
@@ -424,7 +424,7 @@ class TestDecompositionCounts:
 
     def test_strict_failure_builds_no_residuals(self, count_linalg):
         # the candidate's 4 SVDs (p; q with its complement; the core's singular
-        # values; b), and no residuals: their subspace gaps would take 4 more
+        # values; b), and no residuals: their subspace gaps would take 2 more
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
 
@@ -440,7 +440,7 @@ class TestDecompositionCounts:
         # Ran(1-p) are Ker(q) and Ker(p), read off the SVDs of q and p
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert count_linalg(lambda: one_two_inverse_strict(prob)) == {"svd": 7}
+        assert count_linalg(lambda: one_two_inverse_strict(prob)) == {"svd": 6}
 
     @pytest.mark.parametrize("fn, failure", [
         (one_two_inverse_strict, r"Ran\(a\) = Ran\(1-q\)"),
@@ -485,6 +485,40 @@ class TestDecompositionCounts:
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = count_linalg(lambda: diagnose(prob), ("svd", "lstsq", "solve"))
         assert calls == {"svd": 10, "lstsq": 0, "solve": 1}
+
+    @staticmethod
+    def _built_subspaces(monkeypatch, run) -> list:
+        built = []
+        post_init = sub.Subspace.__post_init__
+
+        def recording(self):
+            post_init(self)
+            built.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sub.Subspace, "__post_init__", recording)
+            run()
+        return built
+
+    @pytest.mark.parametrize("fn", [outer_inverse, one_two_inverse])
+    def test_compute_builds_no_kernel_of_p_or_q(self, monkeypatch, fn):
+        # the diagonalizable instance under a similarity t: a, p and q are
+        # oblique, so Ker(p) and Ker(q) differ from every basis fn reads
+        # (Ran(p), Ran(q), Ran(q)^⊥, Ran(a), Ker(a), Ran(b) and Ker(b))
+        inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
+        t = np.random.default_rng(2).standard_normal((6, 6)) + 3 * np.eye(6)
+        t_inv = np.linalg.inv(t)
+        prob = PqProblem(*(t @ inst[name] @ t_inv for name in "apq"))
+        kernels = [kernel_of(prob.p), kernel_of(prob.q)]
+
+        def kernels_among(built) -> list[bool]:
+            return [any(s.dim == k.dim and equals(s, k) for s in built) for k in kernels]
+
+        # diagnose reads both, so the recording sees them
+        assert kernels_among(self._built_subspaces(monkeypatch, lambda: diagnose(prob))) == [
+            True, True]
+        assert kernels_among(self._built_subspaces(monkeypatch, lambda: fn(prob))) == [
+            False, False]
 
 
 def _unit_triangular_inverse(t: np.ndarray) -> np.ndarray:

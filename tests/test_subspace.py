@@ -311,6 +311,39 @@ class TestGap:
     def test_gap_against_trivial(self):
         assert gap(E1, Subspace.zero(2)) == pytest.approx(1.0)
 
+    @staticmethod
+    def _two_sided(s, t) -> float:
+        """The larger of the two one-sided projection defects, each by its own SVD."""
+        def defect(u, v):
+            outside = v.basis - u.basis @ (u.basis.conj().T @ v.basis)
+            return float(np.linalg.svd(outside, compute_uv=False)[0])
+
+        return max(defect(s, t), defect(t, s))
+
+    def test_gap_is_the_two_sided_defect_at_equal_dimensions(self, rng):
+        # the one-sided defects of equal-dimension subspaces are equal, down
+        # to angles near the rounding floor
+        for n in range(1, 17):
+            for d in range(1, n + 1):
+                s = range_of(_cnormal(rng, n, d))
+                for eps in (1.0, 1e-4, 1e-12):
+                    t = range_of(s.basis + eps * _cnormal(rng, n, d))
+                    assert t.dim == d
+                    expected = self._two_sided(s, t)
+                    assert abs(gap(s, t) - expected) <= 1e-14 + 1e-12 * expected, (n, d, eps)
+
+    def test_gap_is_one_at_unequal_dimensions(self, rng):
+        for n in range(1, 9):
+            for d in range(n + 1):
+                s = Subspace.zero(n) if d == 0 else range_of(_cnormal(rng, n, d))
+                for e in range(n + 1):
+                    if e != d:
+                        t = Subspace.zero(n) if e == 0 else range_of(_cnormal(rng, n, e))
+                        assert gap(s, t) == 1.0 and gap(t, s) == 1.0
+
+    def test_gap_of_zero_spaces(self):
+        assert gap(Subspace.zero(3), Subspace.zero(3)) == 0.0
+
 
 def test_tolerance_is_threaded(rng):
     a = _cnormal(rng, 4, 4)

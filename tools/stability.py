@@ -21,7 +21,11 @@ shows decomposition-count changes next to output changes.  Covered:
   and ``represent --method limit --lambda-min 1e-10``, which appends its
   shift to the default schedule;
 * the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
-  diagonalizable instance and on that diagonal core.
+  diagonalizable instance and on that diagonal core;
+* the tracemalloc peak (MiB) of ``diagnose`` and of the four compute
+  functions, called in-process on the seed-1 n = 256
+  ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
+  its outcome: ``ok`` or the exception it raised.
 
 Run it on two checkouts and diff the output::
 
@@ -43,6 +47,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +60,9 @@ REPRESENT_ARGS = (("--method", "limit"), ("--method", "integral"),
                   ("--method", "limit", "--lambda-min", "1e-10"))
 ROUTES = ("inner", "limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
+PEAK_N = 256
+PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
+                  "one_two_inverse_strict")
 
 
 def _sha(text: str) -> str:
@@ -148,6 +156,26 @@ def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
     return [f"{label}  exit={code}  {_sha(stdout)}", _count_line(label, counts)]
 
 
+def _peak_lines(prescribed, verify) -> list[str]:
+    """One line per PEAK_FUNCTIONS entry: its outcome and tracemalloc peak."""
+    inst = verify.diagonalizable_instance(np.random.default_rng(1), PEAK_N, r=PEAK_N // 2)
+    lines = []
+    for name in PEAK_FUNCTIONS:
+        prob = prescribed.PqProblem(inst["a"], inst["p"], inst["q"])
+        tracemalloc.start()
+        try:
+            getattr(prescribed, name)(prob)
+            outcome = "ok"
+        except Exception as exc:  # a nonexistent inverse is an outcome, not an error
+            outcome = type(exc).__name__
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        lines.append(f"{name} diagonalizable-n{PEAK_N}  tracemalloc  outcome={outcome}  "
+                     f"peak_mib={peak / 2**20:.2f}")
+    return lines
+
+
 def fingerprints(src: Path) -> list[str]:
     sys.path.insert(0, str(src))
     cli = importlib.import_module("pqinv.cli")
@@ -182,7 +210,7 @@ def fingerprints(src: Path) -> list[str]:
                 lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
                                         ["compute", *problem_files[name], "--kind", "2l",
                                          "--route", route])
-    return lines
+    return lines + _peak_lines(importlib.import_module("pqinv.prescribed"), verify)
 
 
 def main(argv=None) -> int:
