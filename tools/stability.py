@@ -156,7 +156,7 @@ def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
     return [f"{label}  exit={code}  {_sha(stdout)}", _count_line(label, counts)]
 
 
-def _peak_lines(prescribed, verify) -> list[str]:
+def _peak_lines(prescribed, verify, errors) -> list[str]:
     """One line per PEAK_FUNCTIONS entry: its outcome and tracemalloc peak."""
     inst = verify.diagonalizable_instance(np.random.default_rng(1), PEAK_N, r=PEAK_N // 2)
     lines = []
@@ -166,7 +166,7 @@ def _peak_lines(prescribed, verify) -> list[str]:
         try:
             getattr(prescribed, name)(prob)
             outcome = "ok"
-        except Exception as exc:  # a nonexistent inverse is an outcome, not an error
+        except (errors.NonexistentInverseError, errors.NumericalError) as exc:
             outcome = type(exc).__name__
         finally:
             peak = tracemalloc.get_traced_memory()[1]
@@ -210,7 +210,8 @@ def fingerprints(src: Path) -> list[str]:
                 lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
                                         ["compute", *problem_files[name], "--kind", "2l",
                                          "--route", route])
-    return lines + _peak_lines(importlib.import_module("pqinv.prescribed"), verify)
+    return lines + _peak_lines(importlib.import_module("pqinv.prescribed"), verify,
+                               importlib.import_module("pqinv.errors"))
 
 
 def main(argv=None) -> int:
