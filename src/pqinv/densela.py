@@ -9,19 +9,21 @@ here: :func:`count_rank` turns singular values into a rank,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products), and
 :meth:`Tolerances.to_json_dict` is the one serialised form of the
-thresholds.  :func:`svd` is the one call of LAPACK's SVD; its
-:class:`Factored` result gives the rank, range and null-space bases and
-the pseudo-inverse, so a caller that needs several of them factors the
-matrix once.  Inside :func:`watch_rank_band`, every rank decision also
-records whether it lies within :data:`FRAGILITY_FACTOR` of its cutoff.
+thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues` are the
+package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
+range and null-space bases and the pseudo-inverse, so a caller that needs
+several of them factors the matrix once.  Inside :func:`record`, each
+LAPACK call is counted, and every rank decision records whether it lies
+within :data:`FRAGILITY_FACTOR` of its cutoff.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,11 +42,12 @@ __all__ = [
     "matrices_equal",
     "adjoint",
     "count_rank",
-    "RankBand",
-    "watch_rank_band",
+    "Record",
+    "record",
     "rank",
     "Factored",
     "svd",
+    "solve",
     "solve_right",
     "solve_left",
     "rank_factorization",
@@ -153,32 +156,45 @@ FRAGILITY_SCALES = (FRAGILITY_FACTOR, 1.0 / FRAGILITY_FACTOR)
 
 
 @dataclass
-class RankBand:
-    """Whether some rank decision counted differently at a scaled cutoff."""
+class Record:
+    """What one :func:`record` block saw: LAPACK calls by kind, and ``near``."""
 
+    calls: Counter = field(default_factory=Counter)
     near: bool = False
 
 
-_RANK_BAND: ContextVar[RankBand | None] = ContextVar("pqinv_rank_band", default=None)
+_RECORD: ContextVar[Record | None] = ContextVar("pqinv_record", default=None)
 
 
 @contextmanager
-def watch_rank_band() -> Iterator[RankBand]:
-    """Record, for the rank decisions made inside the block, whether any
-    would count differently at rank_rtol scaled by either of
-    FRAGILITY_SCALES.
+def record() -> Iterator[Record]:
+    """Count the LAPACK calls made inside the block, each attempt once, and
+    note whether any of its rank decisions would count differently at
+    rank_rtol scaled by either of FRAGILITY_SCALES.
 
     The count is monotone in the cutoff, so equal counts at the two scaled
     cutoffs mean equal counts at all three.  When ``near`` stays False, a
     re-run of the block at either scaled tolerance makes the same rank
-    decisions and so repeats it operation for operation.
+    decisions and so repeats it operation for operation.  A nested block
+    adds its record to the outer one when it ends, by an exception too.
     """
-    band = RankBand()
-    token = _RANK_BAND.set(band)
+    outer, rec = _RECORD.get(), Record()
+    token = _RECORD.set(rec)
     try:
-        yield band
+        yield rec
     finally:
-        _RANK_BAND.reset(token)
+        _RECORD.reset(token)
+        if outer is not None:
+            outer.calls.update(rec.calls)
+            outer.near |= rec.near
+
+
+def _lapack(kind: str, *args, **kwargs):
+    """numpy.linalg's ``kind``, counted in the active :func:`record` and
+    looked up per call, so that wrappers installed on numpy.linalg see it."""
+    if (rec := _RECORD.get()) is not None:
+        rec.calls[kind] += 1
+    return getattr(np.linalg, kind)(*args, **kwargs)
 
 
 def _count_above(s: np.ndarray, rtol: float) -> int:
@@ -191,19 +207,13 @@ def _straddles_cutoff(s: np.ndarray, rtol: float) -> bool:
     return hi != lo
 
 
-def _note_rank_decision(s: np.ndarray, rtol: float):
-    """Feed one rank decision to the active :func:`watch_rank_band`, if any."""
-    band = _RANK_BAND.get()
-    if band is not None and not band.near and s.size and s[0] != 0.0:
-        band.near = _straddles_cutoff(s, rtol)
-
-
 def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank from descending singular values ``s``: the count of
     those above rank_rtol * sigma_max (0 when sigma_max is 0)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    _note_rank_decision(s, tol.rank_rtol)
+    if (rec := _RECORD.get()) is not None and not rec.near:
+        rec.near = _straddles_cutoff(s, tol.rank_rtol)
     return _count_above(s, tol.rank_rtol)
 
 
@@ -264,8 +274,7 @@ def svd(m, compute_uv: bool = True) -> Factored:
                         np.eye(m.shape[1], dtype=np.complex128))
     for target in (m, adjoint(m)):
         try:
-            # looked up per call, so that wrappers installed on numpy.linalg see it
-            out = np.linalg.svd(target, compute_uv=compute_uv)
+            out = _lapack("svd", target, compute_uv=compute_uv)
         except np.linalg.LinAlgError as exc:
             error = exc
             continue
@@ -276,6 +285,11 @@ def svd(m, compute_uv: bool = True) -> Factored:
     raise NumericalError(
         f"SVD of a {m.shape[0]}x{m.shape[1]} matrix and of its adjoint did not converge"
     ) from error
+
+
+def solve(a, b) -> np.ndarray:
+    """A^-1 B by LAPACK's solve; a singular ``a`` raises numpy's LinAlgError unchanged."""
+    return _lapack("solve", a, b)
 
 
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -325,7 +339,7 @@ def eigenvalues(a) -> np.ndarray:
     """Eigenvalues with multiplicity (unordered)."""
     a = _require_square(as_matrix(a))
     try:
-        return np.linalg.eigvals(a)
+        return _lapack("eigvals", a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration failure
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
@@ -379,7 +393,7 @@ def matrix_exp(a) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     try:
-        r = np.linalg.solve(v - u, v + u)
+        r = solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - Pade denominator breakdown
         raise NumericalError(f"exponential Pade solve failed: {exc}") from exc
     for _ in range(squarings):

@@ -21,6 +21,7 @@ from .densela import (
     is_noise,
     rank,
     rank_factorization,
+    solve,
     svd,
 )
 from .errors import NumericalError, ShapeError
@@ -76,7 +77,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
         return None
     gf = g @ f
     try:
-        core = np.linalg.solve(gf, np.eye(r, dtype=np.complex128))
+        core = solve(gf, np.eye(r, dtype=np.complex128))
     except np.linalg.LinAlgError:
         # rank test said index one but the core is exactly singular
         return None

@@ -55,8 +55,9 @@ from .densela import (
     matrices_equal,
     matrix_exp,
     rank,
+    record,
+    solve,
     svd,
-    watch_rank_band,
 )
 from .errors import (
     NonexistentInverseError,
@@ -343,7 +344,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
         if is_noise(core, PRODUCT_NOISE * r * frob(a)) or rank(core, tol) < r:
             raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
         try:
-            b = u @ np.linalg.solve(core, nh)
+            b = u @ solve(core, nh)
         except np.linalg.LinAlgError:
             # the rank test read C as invertible but its LU is exactly singular
             raise _no_outer_inverse("the core C = N^H a U is singular") from None
@@ -481,14 +482,14 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     perform the same operations and return the same verdicts.
     """
     tol = prob.tol
-    with watch_rank_band() as band:
+    with record() as rec:
         base = _booleans_at(prob, tol)
 
     def verdicts(values: dict) -> dict[str, bool]:
         return ExistenceReport(fragile=False, tol=tol, **values).booleans()
 
     # any() stops at the first flip, so the second repeat runs only when needed
-    fragile = band.near and any(
+    fragile = rec.near and any(
         verdicts(_booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * scale)))
         != verdicts(base)
         for scale in FRAGILITY_SCALES
@@ -746,7 +747,7 @@ def limit_formula(
         if margin <= tol.conv_tol * s:
             raise SpectrumError(f"shift {s:.3e} is within {margin:.3e} of the spectrum of -aw")
         try:
-            resolvent = np.linalg.solve(s * ident + aw, ident)
+            resolvent = solve(s * ident + aw, ident)
         except np.linalg.LinAlgError as exc:
             raise SpectrumError(f"shifted system singular at shift {s:.3e}") from exc
         x = w @ resolvent

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspace as sub
-from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, rank, svd
+from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, rank, solve, svd
 from .errors import NonexistentInverseError, SpectrumError
 from .ginv import (
     drazin_inverse,
@@ -321,7 +321,7 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
     p = ran_w.projector()
     q = ker_w.projector()
     if r:
-        b_ref = x @ np.linalg.solve(y @ a @ x, y)
+        b_ref = x @ solve(y @ a @ x, y)
     else:
         b_ref = np.zeros((n, n), dtype=np.complex128)
     return {"a": a, "p": p, "q": q, "w": w, "b_ref": b_ref, "r": r}

@@ -1,10 +1,16 @@
+import ast
+import sys
 import warnings
+from collections import Counter
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pqinv
 from pqinv.densela import (
     DEFAULT_TOL,
     Tolerances,
@@ -16,14 +22,23 @@ from pqinv.densela import (
     matrix_exp,
     rank,
     rank_factorization,
+    record,
+    solve,
     solve_left,
     solve_right,
     svd,
-    watch_rank_band,
 )
-from pqinv.errors import NumericalError, ShapeError
-from pqinv.prescribed import PqProblem
-from pqinv.verify import random_triple
+from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError
+from pqinv.prescribed import (
+    PqProblem,
+    diagnose,
+    one_two_inverse,
+    one_two_inverse_strict,
+    outer_inverse,
+    outer_inverse_strict,
+    represent,
+)
+from pqinv.verify import diagonalizable_instance, fuzz, random_triple
 
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
 
@@ -157,44 +172,176 @@ class TestRankBand:
         # the cutoff is 1e-10 * sigma_max; 3e-10 and 3e-11 count at one of
         # the scaled cutoffs 1e-9 and 1e-11 but not at the other
         for edge in (3e-10, 3e-11):
-            with watch_rank_band() as band:
+            with record() as rec:
                 assert count_rank(np.array([1.0, edge])) == (2 if edge > 1e-10 else 1)
-            assert band.near
+            assert rec.near
 
     def test_decisions_outside_the_band_are_not_near(self):
-        with watch_rank_band() as band:
+        with record() as rec:
             count_rank(np.array([1.0, 2e-9, 1e-12, 0.0]))
             count_rank(np.array([0.0, 0.0]))
             rank(np.eye(3))
-        assert not band.near
+        assert not rec.near
 
     def test_band_edges_match_the_scaled_cutoffs(self):
         # a value counts when strictly above a cutoff, so the band is (lo, hi]
         hi, lo = 1e-10 * 10.0, 1e-10 * 0.1
         for edge, near in ((np.nextafter(hi, 1.0), False), (hi, True),
                            (np.nextafter(lo, 1.0), True), (lo, False)):
-            with watch_rank_band() as band:
+            with record() as rec:
                 count_rank(np.array([1.0, edge]))
-            assert band.near == near, edge
+            assert rec.near == near, edge
 
     def test_least_squares_rank_is_watched(self):
         a = np.diag([1.0, 3e-10]).astype(complex)
-        with watch_rank_band() as band:
+        with record() as rec:
             solve_right(a, np.eye(2))
-        assert band.near
-        with watch_rank_band() as band:
+        assert rec.near
+        with record() as rec:
             solve_left(np.diag([1.0, 0.5]), np.eye(2))
-        assert not band.near
+        assert not rec.near
 
     def test_no_record_after_the_watch_ends(self):
-        with watch_rank_band() as band:
+        with record() as rec:
             pass
         count_rank(np.array([1.0, 3e-10]))
-        assert not band.near
+        assert not rec.near
+
+
+class TestRecord:
+    def test_each_lapack_call_is_counted_by_kind(self, monkeypatch):
+        with record() as rec:
+            svd(np.eye(3))
+            svd(np.zeros((3, 0)))  # factored without LAPACK
+            solve(np.eye(2), np.ones((2, 1)))
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(np.zeros((2, 2)), np.ones((2, 1)))
+            eigenvalues(np.eye(2))
+            matrix_exp(np.eye(2))  # one Pade solve
+            monkeypatch.setattr(np.linalg, "svd", _fails_once(np.linalg.svd))
+            svd(np.eye(2))  # the failed attempt and the adjoint retry
+        assert rec.calls == {"svd": 3, "solve": 3, "eigvals": 1}
+
+    def test_nested_blocks_record_apart_and_add_to_the_outer(self):
+        with record() as outer:
+            svd(np.eye(2))
+            with record() as inner:
+                count_rank(np.array([1.0, 3e-10]))
+                solve(np.eye(2), np.eye(2))
+            assert inner.near and inner.calls == {"solve": 1}
+            assert outer.calls == {"svd": 1, "solve": 1} and outer.near
+        with record() as outer:
+            with pytest.raises(np.linalg.LinAlgError), record() as inner:
+                count_rank(np.array([1.0, 3e-10]))
+                solve(np.zeros((2, 2)), np.eye(2))
+        assert inner.calls == {"solve": 1} and inner.near
+        assert outer.calls == inner.calls and outer.near
+
+    def test_outer_near_does_not_reach_the_inner_block(self):
+        with record() as outer:
+            count_rank(np.array([1.0, 3e-10]))
+            with record() as inner:
+                count_rank(np.array([1.0, 0.5]))
+        assert outer.near and not inner.near
+
+
+LAPACK_KINDS = ("svd", "solve", "eigvals")
+
+
+def _counted_by_patch(monkeypatch) -> Counter:
+    """Calls of each LAPACK_KINDS function of numpy.linalg from now on,
+    counted by wrappers in both namespaces numpy's helpers look them up in."""
+    calls = Counter()
+    for kind in LAPACK_KINDS:
+        original = getattr(np.linalg, kind)
+
+        def counting(*args, _kind=kind, _fn=original, **kwargs):
+            calls[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        for namespace in (np.linalg, sys.modules["numpy.linalg._linalg"]):
+            if getattr(namespace, kind, None) is original:
+                monkeypatch.setattr(namespace, kind, counting)
+    return calls
+
+
+def _problems() -> dict:
+    # the integral route fails on the n = 16 instance before its exponential,
+    # which the 8 x 8 diagonal core reaches
+    inst = diagonalizable_instance(np.random.default_rng(1), 16)
+    core, p = np.diag([1.0, 2.0, 0.5, 1.5, 0, 0, 0, 0]), np.diag([1.0] * 4 + [0.0] * 4)
+    return {"diagonalizable-n16": PqProblem(inst["a"], inst["p"], inst["q"]),
+            "random-triple-n16": PqProblem(*random_triple(np.random.default_rng(1), 16)),
+            "diagonal-core-n8": PqProblem(core, p, np.eye(8) - p)}
+
+
+_CALLS = {
+    "diagnose": diagnose,
+    **{fn.__name__: fn for fn in (outer_inverse, outer_inverse_strict, one_two_inverse,
+                                  one_two_inverse_strict)},
+    **{f"represent {route}": partial(represent, route=route) for route in ("limit", "integral")},
+    **{f"route {route}": partial(outer_inverse, route=route)
+       for route in ("inner", "limit", "integral")},
+}
+
+
+class TestRecordMatchesNumpy:
+    """The recorder sees every LAPACK call the package makes."""
+
+    @pytest.mark.parametrize("problem", ["diagonalizable-n16", "random-triple-n16",
+                                         "diagonal-core-n8"])
+    @pytest.mark.parametrize("call", sorted(_CALLS))
+    def test_calls_equal_a_numpy_linalg_count(self, monkeypatch, problem, call):
+        prob = _problems()[problem]
+        patched = _counted_by_patch(monkeypatch)
+        with record() as rec:
+            try:
+                _CALLS[call](prob)
+            except (NonexistentInverseError, NumericalError):
+                pass
+        assert patched and rec.calls == patched
+
+    def test_fuzz_calls_equal_a_numpy_linalg_count(self, monkeypatch):
+        patched = _counted_by_patch(monkeypatch)
+        with record() as rec:
+            fuzz(7, 20, 8)
+        assert rec.calls == patched and set(patched) == set(LAPACK_KINDS)
+
+
+def test_only_densela_calls_lapack():
+    # with the numpy helpers that factor through them; the generators' qr
+    # and inv are not on a compute path and stay direct
+    forbidden = {"svd", "solve", "eigvals", "lstsq", "pinv", "matrix_rank", "cond", "svdvals",
+                 "eig", "eigh", "eigvalsh"}
+    offenders = []
+    for path in sorted(Path(pqinv.__file__).parent.glob("*.py")):
+        if path.name == "densela.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in forbidden:
+                if ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                offenders += [f"{path.name}:{node.lineno}" for alias in node.names
+                              if alias.name in forbidden]
+    assert not offenders
 
 
 def _never_converges(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _fails_once(original):
+    """``original`` behind a first call that does not converge."""
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            _never_converges()
+        return original(*args, **kwargs)
+
+    return fails_once
 
 
 class TestSvd:

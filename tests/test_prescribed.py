@@ -286,18 +286,15 @@ class TestCoreRepresentation:
         with pytest.raises(NonexistentInverseError, match="core"):
             outer_inverse(PqProblem(np.eye(2), p, p))
 
-    def test_rank_zero_takes_no_solve(self, monkeypatch):
+    def test_rank_zero_takes_no_solve(self, count_linalg):
         # p = 0, q = 1: r = 0 and b = 0 without LAPACK's solve
-        solves, solve = [], np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            solves.append(None)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         a = _cnormal(np.random.default_rng(3), 4, 4)
-        result = outer_inverse(PqProblem(a, np.zeros((4, 4)), np.eye(4)))
-        assert np.array_equal(result.b, np.zeros((4, 4))) and not solves
+
+        def run():
+            result = outer_inverse(PqProblem(a, np.zeros((4, 4)), np.eye(4)))
+            assert np.array_equal(result.b, np.zeros((4, 4)))
+
+        assert count_linalg(run, ("solve",)) == {"solve": 0}
         assert diagnose(PqProblem(a, np.zeros((4, 4)), np.eye(4))).l_exists
 
     def test_full_rank_is_the_inverse(self, rng):

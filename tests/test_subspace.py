@@ -72,35 +72,25 @@ class TestRangeKernel:
     def test_kernel_of_zero(self):
         assert kernel_of(np.zeros((2, 2))).dim == 2
 
-    def test_range_and_kernel_from_one_factorization(self, rng, monkeypatch):
+    def test_range_and_kernel_from_one_factorization(self, rng, count_linalg):
         a = _cnormal(rng, 5, 2) @ _cnormal(rng, 2, 4)
         expected = (range_of(a).basis, kernel_of(a).basis)
-        svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(None)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        ran, ker = range_and_kernel(a)
-        assert len(calls) == 1 and (ran.ambient, ker.ambient) == (5, 4)
+        spaces = []
+        assert count_linalg(lambda: spaces.extend(range_and_kernel(a))) == {"svd": 1}
+        ran, ker = spaces
+        assert (ran.ambient, ker.ambient) == (5, 4)
         # the same bases, bit for bit, as the single accessors give
         assert np.array_equal(ran.basis, expected[0]) and np.array_equal(ker.basis, expected[1])
 
     @pytest.mark.parametrize("k", [0, 2, 5])
-    def test_range_and_complement_from_one_factorization(self, rng, monkeypatch, k):
+    def test_range_and_complement_from_one_factorization(self, rng, count_linalg, k):
         q = random_idempotent(rng, 5, k)
         expected = range_of(q).basis
         complement = range_of(q).complement()
-        svd, calls = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(None)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        ran, co = range_and_complement(q)
-        assert len(calls) == 1 and (ran.dim, co.dim) == (k, 5 - k)
+        spaces = []
+        assert count_linalg(lambda: spaces.extend(range_and_complement(q))) == {"svd": 1}
+        ran, co = spaces
+        assert (ran.dim, co.dim) == (k, 5 - k)
         # the range bit for bit as range_of gives it, and its orthogonal complement
         assert np.array_equal(ran.basis, expected)
         assert frob(ran.basis.conj().T @ co.basis) <= 1e-14
@@ -249,7 +239,41 @@ class TestMeetsTrivially:
             meets_trivially(Subspace.full(2), Subspace.full(3))
 
 
+def _contains_by_norm(s: Subspace, t: Subspace) -> bool:
+    """contains(s, t) with the column norms taken by numpy.linalg.norm."""
+    residual = t.basis - s.basis @ (s.basis.conj().T @ t.basis)
+    bound = DEFAULT_TOL.eq_atol + DEFAULT_TOL.eq_rtol
+    return float(np.max(np.linalg.norm(residual, axis=0))) <= bound
+
+
 class TestContainsEquals:
+    def test_agrees_with_the_norm_reference(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            s = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
+            inside = range_of(s.basis @ _cnormal(rng, s.dim, int(rng.integers(1, s.dim + 1))))
+            t = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
+            for pair in ((s, t), (t, s), (s, inside), (inside, s)):
+                assert contains(*pair) == _contains_by_norm(*pair)
+
+    def test_agrees_with_the_norm_reference_at_the_bound(self, rng):
+        # one unit vector whose component outside S is the bound plus a
+        # rounding-sized offset, so that the verdict turns on the last bits
+        bound = DEFAULT_TOL.eq_atol + DEFAULT_TOL.eq_rtol
+        verdicts = set()
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            q = np.linalg.qr(_cnormal(rng, n, n))[0]
+            s = Subspace(n, q[:, :k])
+            for step in range(-20, 21):
+                out = bound + step * 1e-17
+                t = Subspace(n, np.sqrt(1.0 - out ** 2) * q[:, :1] + out * q[:, k:k + 1])
+                verdict = contains(s, t)
+                assert verdict == _contains_by_norm(s, t), (n, k, step)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_image_differs_from_prescribed_range(self):
         # the separation witnessed by the counterexample data
         a_ran_p = image(A22, range_of(P22))

@@ -1,8 +1,8 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Each command's lines are followed by the number of
-``numpy.linalg`` svd, lstsq and solve calls it made, so that a diff
+output.  Each command's lines are followed by its svd, lstsq and solve
+LAPACK calls, as ``pqinv.densela.record`` counts them, so that a diff
 shows decomposition-count changes next to output changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
@@ -34,7 +34,8 @@ Run it on two checkouts and diff the output::
     diff before.txt after.txt
 
 ``--src`` names the source directory to import pqinv from; it defaults
-to this checkout's ``src``.
+to this checkout's ``src``.  A checkout whose densela has no ``record``
+is fingerprinted by its own ``tools/stability.py``.
 """
 
 from __future__ import annotations
@@ -77,31 +78,10 @@ def _run(cli, argv: list[str]) -> tuple[int, str]:
 
 
 def _run_counted(cli, argv: list[str]) -> tuple[int, str, dict[str, int]]:
-    """:func:`_run` with a count of the COUNTED decompositions it makes.
-
-    Both namespaces are wrapped: numpy's own helpers, such as the 2-norm,
-    call svd through ``numpy.linalg._linalg``.
-    """
-    counts = dict.fromkeys(COUNTED, 0)
-    namespaces = [np.linalg, sys.modules.get("numpy.linalg._linalg")]
-    patches = []
-    for kind in COUNTED:
-        original = getattr(np.linalg, kind)
-
-        def counting(*args, _kind=kind, _original=original, **kwargs):
-            counts[_kind] += 1
-            return _original(*args, **kwargs)
-
-        for namespace in namespaces:
-            if namespace is not None and getattr(namespace, kind, None) is original:
-                patches.append((namespace, kind, original))
-                setattr(namespace, kind, counting)
-    try:
+    """:func:`_run` with a count of the COUNTED LAPACK calls it makes."""
+    with importlib.import_module("pqinv.densela").record() as rec:
         code, stdout = _run(cli, argv)
-    finally:
-        for namespace, kind, original in patches:
-            setattr(namespace, kind, original)
-    return code, stdout, counts
+    return code, stdout, {kind: rec.calls[kind] for kind in COUNTED}
 
 
 def _without_elapsed(value):
@@ -176,8 +156,7 @@ def _peak_lines(prescribed, verify, errors) -> list[str]:
     return lines
 
 
-def fingerprints(src: Path) -> list[str]:
-    sys.path.insert(0, str(src))
+def fingerprints() -> list[str]:
     cli = importlib.import_module("pqinv.cli")
     verify = importlib.import_module("pqinv.verify")
     lines = _suite_lines(cli, "verify", ["verify"])
@@ -221,7 +200,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.src / "pqinv" / "__init__.py").is_file():
         parser.error(f"no pqinv package under {args.src}")
-    print("\n".join(fingerprints(args.src.resolve())))
+    sys.path.insert(0, str(args.src.resolve()))
+    if not hasattr(importlib.import_module("pqinv.densela"), "record"):
+        parser.error(f"the pqinv under {args.src} has no densela.record to count LAPACK calls "
+                     "with; run that checkout's own tools/stability.py instead")
+    print("\n".join(fingerprints()))
     return 0
 
 
