@@ -81,7 +81,10 @@ class _MatrixText:
                 f'{inner}"rows": {rows}\n{indent}}}')
 
     def write(self, path: str):  # a matrix file: the compact object and a newline
-        Path(path).write_text(self.json() + "\n", encoding="utf-8")
+        try:
+            Path(path).write_text(self.json() + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot write ({exc})") from exc
 
 
 def matrix_json(m: np.ndarray, indent: str | None = None) -> str:

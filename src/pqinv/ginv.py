@@ -59,11 +59,12 @@ def reflexive_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Group inverse, or None when rank(a^2) < rank(a).
+    """Group inverse, or None when a has index above one.
 
-    Computed gauge-invariantly from a full-rank factorization a = F G as
-    F (G F)^-2 G; rank(a) is read from the same factorization.  A square
-    a a at the rounding floor of its factors counts as rank 0.
+    Cline's gauge-invariant F (G F)^-2 G from a full-rank factorization
+    a = F G (SIAM J. Numer. Anal. 5 (1968) 182-197).  As a a = F (G F) G,
+    index one is rank(G F) = r = rank(a), read off the r x r core; a G F at
+    the rounding floor of its factors counts as rank 0.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -72,10 +73,10 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     r = f.shape[1]
     if r == 0:
         return np.zeros_like(a)
-    aa = a @ a
-    if is_noise(aa, PRODUCT_NOISE * frob(a) ** 2) or rank(aa, tol) < r:
-        return None
     gf = g @ f
+    # G has orthonormal rows, so its norm is sqrt(r)
+    if is_noise(gf, PRODUCT_NOISE * frob(f) * np.sqrt(r)) or rank(gf, tol) < r:
+        return None
     try:
         core = solve(gf, np.eye(r, dtype=np.complex128))
     except np.linalg.LinAlgError:

@@ -46,7 +46,6 @@ from .densela import (
     PRODUCT_NOISE,
     Factored,
     Tolerances,
-    _canonical_phases,
     as_matrix,
     eigenvalues,
     eq_bound,
@@ -224,7 +223,7 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
-    spaces = _Spaces(None, p, q, tol)
+    spaces = _Spaces(None, p, q, tol, kernels=False)
     broken = _dimension_failure(spaces)
     if broken:
         raise NonexistentInverseError(broken)
@@ -235,59 +234,41 @@ class _Spaces:
     """The subspaces of a, p and q that one call reads, at one tolerance.
 
     Each matrix is factored by one SVD the first time one of its bases is
-    read, and the factors are dropped once its bases are built: q's SVD
-    gives Ran(q) and Ran(q)^⊥, p's gives Ran(p), and a's gives Ran(a) and
-    Ker(a).  A matrix none of whose bases is read is never factored, so a
-    test that fails early leaves the later ones unfactored.  For
-    idempotents Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p), which only
-    :func:`diagnose` and the strict {1,2} kind read: each is built the
-    first time it is read, from the trailing rows of its matrix's vh, which
-    the view keeps (as a copy, not the whole factor) until then and drops
-    once the basis is built.
+    read, and the bases the call reads are built from that SVD before its
+    factors are dropped: q's gives Ran(q) and Ran(q)^⊥, p's gives Ran(p),
+    and a's gives Ran(a) and Ker(a).  A matrix none of whose bases is read
+    is never factored, so a test that fails early leaves the later ones
+    unfactored.  For idempotents Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p),
+    which only :func:`diagnose` and the strict {1,2} kind read: a view
+    built with ``kernels`` also takes Ker(q) and Ker(p) off those SVDs, and
+    any other view holds no kernel of p or q (ker_p and ker_q are None).
     """
 
-    def __init__(self, a, p, q, tol: Tolerances):
-        self.a, self.p, self.q, self.tol = a, p, q, tol
-        self._null_rows: dict[str, np.ndarray] = {}  # "p" or "q" until its Ker is built
+    def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
+        self.a, self.p, self.q, self.tol, self._kernels = a, p, q, tol, kernels
 
-    def _svd(self, name: str) -> Factored:
-        """The SVD of p or q.  The conjugate transpose of vh's trailing rows,
-        Ker's basis before its phases are pinned, is kept: the conjugate is
-        a fresh array, so it holds no reference to the factors."""
-        f = svd(getattr(self, name))
-        self._null_rows[name] = f.vh[f.rank(self.tol):, :].conj().T
-        return f
-
-    def _kernel(self, name: str) -> sub.Subspace:
-        """Ker of p or q from the kept rows, as ``Factored.null_basis`` builds it."""
-        basis = _canonical_phases(self._null_rows.pop(name))
-        return sub.Subspace(basis.shape[0], basis)
+    def _kernel(self, f: Factored) -> sub.Subspace | None:
+        return sub.Subspace(f.vh.shape[1], f.null_basis(self.tol)) if self._kernels else None
 
     @cached_property
     def _of_q(self) -> tuple:
-        return sub.range_and_complement(self._svd("q"), self.tol)
+        f = svd(self.q)
+        return (*sub.range_and_complement(f, self.tol), self._kernel(f))
 
     @cached_property
-    def ran_p(self) -> sub.Subspace:
-        f = self._svd("p")
-        return sub.Subspace(f.u.shape[0], f.range_basis(self.tol))
-
-    @cached_property
-    def ker_q(self) -> sub.Subspace:
-        self._of_q  # factors q, if no basis of q was read yet
-        return self._kernel("q")
-
-    @cached_property
-    def ker_p(self) -> sub.Subspace:
-        self.ran_p  # factors p, if Ran(p) was not read yet
-        return self._kernel("p")
+    def _of_p(self) -> tuple:
+        f = svd(self.p)
+        return sub.Subspace(f.u.shape[0], f.range_basis(self.tol)), self._kernel(f)
 
     @cached_property
     def _of_a(self) -> tuple:
         return sub.range_and_kernel(self.a, self.tol)
 
+    ran_p = property(lambda self: self._of_p[0])
+    ker_p = property(lambda self: self._of_p[1])
     ran_q = property(lambda self: self._of_q[0])
     co_q = property(lambda self: self._of_q[1])
+    ker_q = property(lambda self: self._of_q[2])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
 
@@ -428,7 +409,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     ker_cap_ranp_trivial.
     """
     a = prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol)
+    spaces = _Spaces(a, prob.p, prob.q, tol, kernels=True)
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
     a_ran_p = sub.image(a, ran_p, tol)
 
@@ -543,7 +524,7 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     once on the automatic horizon; its trace holds (horizon, Cauchy
     difference, tail bound) rows, NaN for an absent value.
     """
-    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol)
+    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=False)
     b_group = _candidate(prob, spaces)[0]
     b, _, trace = _route_result(prob, _witness(spaces), b_group, route, lambda_min, horizon)
     _check_drift(b, b_group, prob.tol, "representation drifts from the direct value")
@@ -565,7 +546,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     residuals are built only after every test has passed.
     """
     tol, a = prob.tol, prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol)
+    spaces = _Spaces(a, prob.p, prob.q, tol, kernels=strict and reflexive)
     if strict and reflexive:
         broken = _strict12_failure(spaces)
         if broken:

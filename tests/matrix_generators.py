@@ -1,0 +1,57 @@
+"""Matrices with prescribed index or rank for the tests: each comes with
+the exact values the classical inverses must reproduce."""
+
+import numpy as np
+
+from pqinv.verify import _conditioned_matrix, _random_unitary
+
+
+def varied_index_matrix(
+    rng: np.random.Generator, n: int, max_index: int = 3, core: int | None = None
+) -> dict:
+    """Matrix with prescribed core spectrum plus nilpotent shift blocks.
+
+    Returns the matrix, its exact inverse-on-the-core (the oracle for the
+    index-aware inverse), the exact spectral idempotent, and the index.
+    ``core`` fixes the core dimension (0 forces a nilpotent matrix).
+    """
+    if core is None:
+        core = int(rng.integers(0, n + 1))
+    blocks: list[int] = []
+    remaining = n - core
+    while remaining > 0:
+        size = int(rng.integers(1, min(max_index, remaining) + 1))
+        blocks.append(size)
+        remaining -= size
+
+    j = np.zeros((n, n), dtype=np.complex128)
+    j_plus = np.zeros((n, n), dtype=np.complex128)
+    pi = np.zeros((n, n), dtype=np.complex128)
+    lam = (0.7 + 0.7 * rng.random(core)) * np.exp(2j * np.pi * rng.random(core))
+    j[:core, :core] = np.diag(lam)
+    if core:
+        j_plus[:core, :core] = np.diag(1.0 / lam)
+    pos = core
+    for size in blocks:
+        for i in range(size - 1):
+            j[pos + i, pos + i + 1] = 1.0
+        pi[pos : pos + size, pos : pos + size] = np.eye(size)
+        pos += size
+
+    v = _conditioned_matrix(rng, n, 25.0)
+    v_inv = np.linalg.inv(v)
+    index = 0 if core == n else max(blocks) if blocks else 1
+    return {
+        "a": v @ j @ v_inv,
+        "d_ref": v @ j_plus @ v_inv,
+        "pi_ref": v @ pi @ v_inv,
+        "index": index,
+    }
+
+
+def varied_rank_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Matrix with decisive singular values (log-uniform in [0.3, 2]) and random rank."""
+    r = int(rng.integers(0, n + 1))
+    sigmas = np.zeros(n)
+    sigmas[:r] = 10.0 ** rng.uniform(np.log10(0.3), np.log10(2.0), size=r)
+    return (_random_unitary(rng, n) * sigmas) @ _random_unitary(rng, n)

@@ -29,9 +29,9 @@ from pqinv.verify import (
     fuzz,
     guaranteed_instance,
     random_idempotent,
-    varied_index_matrix,
-    varied_rank_matrix,
 )
+
+from matrix_generators import varied_index_matrix, varied_rank_matrix
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)

@@ -557,6 +557,18 @@ class TestRepresent:
         assert main(["check", a, a, a, "--eq-atol", "-1"]) == 2
 
 
+class TestOutWriteFailure:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--kind", "2l"], ["represent", "--method", "integral"],
+    ], ids=["compute", "represent"])
+    def test_unwritable_out_exits_2_naming_it(self, core8_files, tmp_path, capsys,
+                                              command, target):
+        out = tmp_path / "no-such-dir" / "b.json" if target == "missing-dir" else tmp_path
+        assert main([command[0], *core8_files, *command[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: cannot write (")
+
+
 class TestSuites:
     def test_verify_suite_exits_0(self, capsys):
         assert main(["verify"]) == 0

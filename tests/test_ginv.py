@@ -12,7 +12,8 @@ from pqinv.ginv import (
     reflexive_inverse,
 )
 from pqinv.subspace import equals, kernel_of, range_of
-from pqinv.verify import varied_index_matrix, varied_rank_matrix
+
+from matrix_generators import varied_index_matrix, varied_rank_matrix
 
 SHIFT = np.array([[0, 0], [1, 0]], dtype=complex)  # partial isometry
 NILP = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -121,18 +122,30 @@ class TestGroupInverse:
             assert (g is not None) == (rank(a) == rank(a @ a))
 
     def test_one_factorization_of_a(self, monkeypatch):
-        # one full SVD of a gives both rank(a) and the factors; the rank
-        # test of a^2 takes the other
+        # one full SVD of a gives both rank(a) and the factors F, G; index one
+        # is the rank of the r x r core G F, from its singular values alone
         svd = np.linalg.svd
         calls = []
 
-        def counting_svd(m, *args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
+        def recording_svd(m, *args, **kwargs):
+            calls.append((m.shape, kwargs.get("compute_uv", True)))
             return svd(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert frob(group_inverse(np.diag([2.0, 0.0])) - np.diag([0.5, 0.0])) <= 1e-14
-        assert calls == [True, False]
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        g = group_inverse(np.diag([2.0, 4.0, 0.0, 0.0]))
+        assert frob(g - np.diag([0.5, 0.25, 0.0, 0.0])) <= 1e-14
+        assert calls == [((4, 4), True), ((2, 2), False)]
+
+    def test_index_two_nilpotents_have_none(self, rng):
+        # a = V J V^-1 with J^2 = 0 != J, so a a = F (G F) G = 0 and G F is
+        # rounding noise, which only the snap at its factors' floor reads as 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            pairs = int(rng.integers(1, n // 2 + 1))
+            j = np.zeros((n, n), dtype=complex)
+            j[np.arange(0, 2 * pairs, 2), np.arange(1, 2 * pairs, 2)] = 1.0
+            v = _cnormal(rng, n, n)
+            assert group_inverse(v @ j @ np.linalg.inv(v)) is None
 
     def test_axioms_when_it_exists(self, rng):
         for _ in range(20):

@@ -31,9 +31,9 @@ from pqinv.verify import (
     guaranteed_instance,
     random_idempotent,
     random_triple,
-    varied_index_matrix,
-    varied_rank_matrix,
 )
+
+from matrix_generators import varied_index_matrix, varied_rank_matrix
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -517,6 +517,28 @@ class TestDecompositionCounts:
         assert kernels_among(self._built_subspaces(monkeypatch, lambda: fn(prob))) == [
             False, False]
 
+    def test_view_without_kernels_holds_only_the_bases_read(self):
+        # oblique p and q with dim Ran(p) = 1 and dim Ran(q) = 3 in C^6: after
+        # Ran(p), Ran(q) and Ran(q)^⊥ are read, the view holds its inputs and
+        # those three bases, and no n x (n - r) array of Ker(p) or Ker(q)
+        rng = np.random.default_rng(3)
+        p, q = random_idempotent(rng, 6, 1, 10.0), random_idempotent(rng, 6, 3, 10.0)
+        spaces = prescribed._Spaces(None, p, q, DEFAULT_TOL, kernels=False)
+        read = (spaces.ran_p, spaces.ran_q, spaces.co_q)
+        held, stack = [], [vars(spaces)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, np.ndarray):
+                held.append(item)
+            elif isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif isinstance(item, sub.Subspace):
+                stack.append(vars(item))
+        assert sorted(map(id, held)) == sorted(map(id, (p, q, *(s.basis for s in read))))
+        assert spaces.ker_p is None and spaces.ker_q is None
+
 
 def _unit_triangular_inverse(t: np.ndarray) -> np.ndarray:
     """The exact inverse of a unit triangular integer matrix (dtype object):
@@ -554,7 +576,7 @@ class TestSharedSubspaces:
     def _assert_ker_q_is_ran_1mq(q):
         # q and 1-q as a problem holds them, each snapped to 0 when it is noise
         prob = PqProblem(np.eye(q.shape[0]), q, q)
-        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL).ker_q
+        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL, kernels=True).ker_q
         ran_1mq = range_of(prob.one_minus_q)
         assert ker_q.dim == ran_1mq.dim
         assert equals(ker_q, ran_1mq)

@@ -14,8 +14,9 @@ from pqinv.verify import (
     guaranteed_instance,
     random_idempotent,
     run_counterexample_suite,
-    varied_index_matrix,
 )
+
+from matrix_generators import varied_index_matrix
 
 EXPECTED_CASES = {
     "statement_products_exact",

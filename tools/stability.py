@@ -22,8 +22,9 @@ shows decomposition-count changes next to output changes.  Covered:
   shift to the default schedule;
 * the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
   diagonalizable instance and on that diagonal core;
-* the tracemalloc peak (MiB) of ``diagnose`` and of the four compute
-  functions, called in-process on the seed-1 n = 256
+* the tracemalloc peak (MiB) of ``diagnose``, of the four compute
+  functions, of ``matrix_with_range_kernel(p, q)`` and of
+  ``represent(prob, "limit")``, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
   its outcome: ``ok`` or the exception it raised.
 
@@ -63,7 +64,10 @@ ROUTES = ("inner", "limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
-                  "one_two_inverse_strict")
+                  "one_two_inverse_strict", "matrix_with_range_kernel", "represent")
+# the arguments of a PEAK_FUNCTIONS entry that takes more than the problem
+PEAK_ARGS = {"matrix_with_range_kernel": lambda prob: (prob.p, prob.q),
+             "represent": lambda prob: (prob, "limit")}
 
 
 def _sha(text: str) -> str:
@@ -137,21 +141,24 @@ def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
 
 
 def _peak_lines(prescribed, verify, errors) -> list[str]:
-    """One line per PEAK_FUNCTIONS entry: its outcome and tracemalloc peak."""
+    """One line per PEAK_FUNCTIONS entry, labelled by its name and string
+    arguments: its outcome and tracemalloc peak."""
     inst = verify.diagonalizable_instance(np.random.default_rng(1), PEAK_N, r=PEAK_N // 2)
     lines = []
     for name in PEAK_FUNCTIONS:
         prob = prescribed.PqProblem(inst["a"], inst["p"], inst["q"])
+        args = PEAK_ARGS.get(name, lambda prob: (prob,))(prob)
+        label = " ".join([name, *(arg for arg in args if isinstance(arg, str))])
         tracemalloc.start()
         try:
-            getattr(prescribed, name)(prob)
+            getattr(prescribed, name)(*args)
             outcome = "ok"
         except (errors.NonexistentInverseError, errors.NumericalError) as exc:
             outcome = type(exc).__name__
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        lines.append(f"{name} diagonalizable-n{PEAK_N}  tracemalloc  outcome={outcome}  "
+        lines.append(f"{label} diagonalizable-n{PEAK_N}  tracemalloc  outcome={outcome}  "
                      f"peak_mib={peak / 2**20:.2f}")
     return lines
 
