@@ -14,7 +14,10 @@ package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
 range and null-space bases and the pseudo-inverse, so a caller that needs
 several of them factors the matrix once.  Inside :func:`record`, each
 LAPACK call is counted, and every rank decision records whether it lies
-within :data:`FRAGILITY_FACTOR` of its cutoff.
+within :data:`FRAGILITY_FACTOR` of its cutoff.  :func:`matrix_exp` and
+:func:`exp_integral` share one [13/13] Pade scaling-and-squaring core;
+:func:`exp_integral` gives Van Loan's block exponential, exp(m t) with its
+integral, from n x n products and one n x n solve.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "rank_factorization",
     "eigenvalues",
     "matrix_exp",
+    "exp_integral",
 ]
 
 
@@ -364,38 +368,93 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def _pade_exp(x: np.ndarray, c: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """exp(M) by [13/13] Pade approximation with scaling and squaring
+    (N. J. Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193), for
+    M = x, or, given ``c``, for the block M = [[x, c 1], [0, 0]].
+
+    Returns exp(x) and, given ``c``, the (1,2) block of exp(M) (else None);
+    the other blocks of exp(M) are 0 and 1.  The block is carried on its
+    n x n blocks.  Since M^k = [[x^k, c x^(k-1)], [0, 0]], the Pade
+    quotient's (1,2) block is (v - u)^-1 (2 c W(x)), where v and u = x W(x)
+    are the even and odd parts that give exp(x); and each squaring of
+    [[E, F], [0, 1]] maps F to E F + F.  The squaring count is the block's,
+    from its 1-norm max(|x|_1, |c|).  Raises NumericalError when that
+    1-norm overflows.
+    """
+    n = x.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing column sum is reported below
+        norm = float(np.linalg.norm(x, 1))
+    if c is not None:
+        norm = max(norm, abs(c))
+    if norm == np.inf:
+        raise NumericalError("the 1-norm of the matrix overflows; its exponential cannot be scaled")
+    if norm == 0.0:
+        return np.eye(n, dtype=np.complex128), None if c is None else np.zeros_like(x)
+    squarings = 0
+    if norm > _THETA13:
+        squarings = int(np.ceil(np.log2(norm / _THETA13)))
+        x = x / (2.0 ** squarings)
+        if c is not None:
+            c = c / (2.0 ** squarings)
+
+    b = _PADE13
+    ident = np.eye(n, dtype=np.complex128)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x2 @ x4
+    inner = (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    u = x @ inner
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    del x2, x4, x6, ident  # the peak is the solve's; drop what it does not read
+    if c is None:
+        rhs = v + u
+    else:
+        rhs = np.empty((n, 2 * n), dtype=np.complex128)
+        np.add(v, u, out=rhs[:, :n])
+        np.multiply(inner, 2.0 * c, out=rhs[:, n:])
+    try:
+        r = solve(v - u, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - Pade denominator breakdown
+        raise NumericalError(f"exponential Pade solve failed: {exc}") from exc
+    if c is None:
+        for _ in range(squarings):
+            r = r @ r
+        return r, None
+    del u, v, rhs  # the squarings hold only r and their products
+    e, f = r[:, :n], r[:, n:]
+    for _ in range(squarings):
+        f = e @ f + f
+        e = e @ e
+    return np.ascontiguousarray(e), np.ascontiguousarray(f)
+
+
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential by Pade approximation with scaling and squaring.
+    """Matrix exponential by [13/13] Pade approximation with scaling and
+    squaring, on the core that :func:`exp_integral` shares.
 
     Raises NumericalError when the 1-norm of ``a``, which sets the number
     of squarings, overflows although every entry is finite.
     """
-    a = _require_square(as_matrix(a))
-    n = a.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing column sum is reported below
-        norm = float(np.linalg.norm(a, 1))
-    if norm == np.inf:
-        raise NumericalError("the 1-norm of the matrix overflows; its exponential cannot be scaled")
-    if norm == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(np.ceil(np.log2(norm / _THETA13)))
-        a = a / (2.0 ** squarings)
+    return _pade_exp(_require_square(as_matrix(a)))[0]
 
-    b = _PADE13
-    ident = np.eye(n, dtype=np.complex128)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    try:
-        r = solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - Pade denominator breakdown
-        raise NumericalError(f"exponential Pade solve failed: {exc}") from exc
-    for _ in range(squarings):
-        r = r @ r
-    return r
+
+def exp_integral(m, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(m t) and integral_0^t exp(m s) ds, for a square ``m`` and a finite t.
+
+    These are the (1,1) and (1,2) blocks of Van Loan's block exponential
+    exp([[m t, t 1], [0, 0]]) (C. Van Loan, IEEE Trans. Autom. Control 23
+    (1978) 395-404), evaluated with :func:`matrix_exp`'s Pade approximant
+    and squaring count on n x n blocks, never on the 2n x 2n block.  t = 0
+    gives (1, 0) exactly.  Raises NumericalError when the block's 1-norm,
+    max(|m t|_1, |t|), overflows.
+    """
+    m = _require_square(as_matrix(m))
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    with np.errstate(over="ignore"):  # an overflowing entry overflows the 1-norm, reported there
+        x = m * t
+    return _pade_exp(x, t)

@@ -49,10 +49,10 @@ from .densela import (
     as_matrix,
     eigenvalues,
     eq_bound,
+    exp_integral,
     frob,
     is_noise,
     matrices_equal,
-    matrix_exp,
     rank,
     record,
     solve,
@@ -754,7 +754,11 @@ def integral_formula(
         exp([[-a w, 1], [0, 0]] T) = [[exp(-(a w) T), integral_0^T exp(-(a w) t) dt],
                                       [0,             1                             ]],
 
-    so one 2n x 2n exponential gives both the integral and the tail.
+    so one exponential gives both the integral and the tail.  It is taken
+    by :func:`densela.exp_integral` on the n x n blocks: the same [13/13]
+    Pade approximant and squaring count as :func:`densela.matrix_exp` of
+    the 2n x 2n block, without forming the block's zero row and identity
+    column, for a quarter of the flops and a third of the memory.
     Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
     annihilates the non-decaying spectral part.  Returns the estimate and
     the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
@@ -781,24 +785,13 @@ def integral_formula(
             "the exponential integral does not converge"
         )
 
-    g_aw = group_inverse(aw, tol)
-    if g_aw is None:
-        raise SpectrumError("aw is not group invertible; non-decaying part persists")
-    n = aw.shape[0]
-    static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
-    if frob(static_part) > eq_bound(w, w, tol):
-        raise SpectrumError(
-            "w does not annihilate the non-decaying spectral part of aw "
-            f"(residual {frob(static_part):.3e})"
-        )
-
     min_horizon = float(np.log(1.0 / tol.conv_tol) / alpha)
     if horizon is None:
         # aim the raw tail at 1e-2 * conv_tol so conditioning has headroom
         target = 0.01 * tol.conv_tol * alpha / max(1.0, frob(w))
         horizon = float(np.log(1.0 / target) / alpha)
     horizon = float(horizon)
-    if horizon == np.inf:  # would fill the block exponential with inf and NaN
+    if horizon == np.inf:  # would fill the exponential with inf and NaN
         raise ValueError(f"horizon {horizon} is not finite")
     if not horizon >= min_horizon:  # a NaN horizon fails too
         raise ValueError(
@@ -809,12 +802,21 @@ def integral_formula(
     if horizon * max(1.0, float(np.linalg.norm(aw, 1))) == np.inf:
         raise ValueError(f"horizon {horizon!r} overflows the block exponential")
 
-    block = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    block[:n, :n] = -aw * horizon
-    block[:n, n:] = np.eye(n) * horizon
-    flow = matrix_exp(block)
-    estimate = w @ flow[:n, n:]
-    tail_bound = frob(w @ flow[:n, :n]) / alpha
+    g_aw = group_inverse(aw, tol)
+    if g_aw is None:
+        raise SpectrumError("aw is not group invertible; non-decaying part persists")
+    n = aw.shape[0]
+    static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
+    if frob(static_part) > eq_bound(w, w, tol):
+        raise SpectrumError(
+            "w does not annihilate the non-decaying spectral part of aw "
+            f"(residual {frob(static_part):.3e})"
+        )
+    del g_aw, static_part
+
+    decay, integral = exp_integral(-aw, horizon)
+    estimate = w @ integral
+    tail_bound = frob(w @ decay) / alpha
     if tail_bound > tol.conv_tol:
         raise NumericalError(
             f"tail bound {tail_bound:.3e} exceeds conv_tol {tol.conv_tol:.3e}; "

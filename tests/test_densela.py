@@ -17,6 +17,7 @@ from pqinv.densela import (
     as_matrix,
     count_rank,
     eigenvalues,
+    exp_integral,
     frob,
     is_noise,
     matrix_exp,
@@ -494,6 +495,77 @@ class TestMatrixExp:
             a = a * (10.0 / norm)
         product = matrix_exp(a) @ matrix_exp(-a)
         assert frob(product - np.eye(n)) <= 1e-9
+
+
+def _van_loan_reference(m, t):
+    """The (1,1) and (1,2) blocks of matrix_exp of the 2n x 2n block
+    [[m t, t 1], [0, 0]]."""
+    n = m.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = m * t
+    block[:n, n:] = np.eye(n) * t
+    flow = matrix_exp(block)
+    return flow[:n, :n], flow[:n, n:]
+
+
+def _decaying_nonnormal(rng, n):
+    """V D V^-1 with V a perturbed identity and Re D in [-1.5, -0.5]."""
+    v = np.eye(n) + 0.3 * _cnormal(rng, n, n) / np.sqrt(n)
+    d = -rng.uniform(0.5, 1.5, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    return v @ np.diag(d) @ np.linalg.inv(v)
+
+
+class TestExpIntegral:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("scale, squarings", [(0.5, 0), (6.0, 3), (768.0, 10)],
+                             ids=["no_squaring", "few_squarings", "ten_squarings"])
+    def test_matches_the_van_loan_block(self, rng, n, scale, squarings):
+        # t is chosen so the block's 1-norm is scale * theta_13, which sets
+        # the squaring count; both blocks are compared relative to the block row
+        for _ in range(3):
+            m = _decaying_nonnormal(rng, n)
+            t = scale * pqinv.densela._THETA13 / max(1.0, float(np.linalg.norm(m, 1)))
+            block_norm = max(float(np.linalg.norm(m * t, 1)), t)
+            assert int(np.ceil(np.log2(max(1.0, block_norm / pqinv.densela._THETA13)))) == squarings
+            decay, integral = exp_integral(m, t)
+            ref_decay, ref_integral = _van_loan_reference(m, t)
+            err = frob(np.hstack([decay - ref_decay, integral - ref_integral]))
+            assert err <= 1e-12 * frob(np.hstack([ref_decay, ref_integral]))
+
+    def test_integral_closed_form(self):
+        # m invertible: integral_0^t exp(m s) ds = m^-1 (exp(m t) - 1)
+        m = np.array([[-1.0, 3.0], [0.0, -2.0]], dtype=complex)
+        decay, integral = exp_integral(m, 4.0)
+        assert frob(integral - np.linalg.solve(m, decay - np.eye(2))) <= 1e-14
+        assert frob(decay - matrix_exp(4.0 * m)) <= 1e-14
+
+    def test_zero_matrix_integrates_to_t(self):
+        decay, integral = exp_integral(np.zeros((3, 3)), 2.5)
+        assert frob(decay - np.eye(3)) <= 1e-15
+        assert frob(integral - 2.5 * np.eye(3)) <= 1e-15
+
+    def test_zero_time_is_exact(self, rng):
+        decay, integral = exp_integral(_cnormal(rng, 4, 4), 0.0)
+        assert np.array_equal(decay, np.eye(4))
+        assert np.array_equal(integral, np.zeros((4, 4)))
+
+    def test_overflowing_norm_names_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="1-norm"):
+                exp_integral(np.full((2, 2), 1e308), 1.0)
+            with pytest.raises(NumericalError, match="1-norm"):
+                exp_integral(np.full((2, 2), 1e300), 1e10)  # m t overflows entrywise
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            exp_integral(np.eye(2), t)
+
+    def test_one_lapack_solve(self):
+        with record() as rec:
+            exp_integral(np.diag([-1.0, -2.0]), 100.0)
+        assert rec.calls == Counter({"solve": 1})
 
 
 def test_default_tolerances_are_shared():

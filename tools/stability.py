@@ -23,8 +23,9 @@ shows decomposition-count changes next to output changes.  Covered:
 * the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
   diagonalizable instance and on that diagonal core;
 * the tracemalloc peak (MiB) of ``diagnose``, of the four compute
-  functions, of ``matrix_with_range_kernel(p, q)`` and of
-  ``represent(prob, "limit")``, called in-process on the seed-1 n = 256
+  functions, of ``matrix_with_range_kernel(p, q)``, of
+  ``represent(prob, "limit")`` and of ``integral_formula(a, w)`` with the
+  instance's own w, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
   its outcome: ``ok`` or the exception it raised.
 
@@ -64,10 +65,13 @@ ROUTES = ("inner", "limit", "integral")
 COUNTED = ("svd", "lstsq", "solve")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
-                  "one_two_inverse_strict", "matrix_with_range_kernel", "represent")
-# the arguments of a PEAK_FUNCTIONS entry that takes more than the problem
-PEAK_ARGS = {"matrix_with_range_kernel": lambda prob: (prob.p, prob.q),
-             "represent": lambda prob: (prob, "limit")}
+                  "one_two_inverse_strict", "matrix_with_range_kernel", "represent",
+                  "integral_formula")
+# the arguments, from the problem and its instance, of a PEAK_FUNCTIONS
+# entry that takes more than the problem
+PEAK_ARGS = {"matrix_with_range_kernel": lambda prob, inst: (prob.p, prob.q),
+             "represent": lambda prob, inst: (prob, "limit"),
+             "integral_formula": lambda prob, inst: (prob.a, inst["w"])}
 
 
 def _sha(text: str) -> str:
@@ -147,7 +151,7 @@ def _peak_lines(prescribed, verify, errors) -> list[str]:
     lines = []
     for name in PEAK_FUNCTIONS:
         prob = prescribed.PqProblem(inst["a"], inst["p"], inst["q"])
-        args = PEAK_ARGS.get(name, lambda prob: (prob,))(prob)
+        args = PEAK_ARGS.get(name, lambda prob, inst: (prob,))(prob, inst)
         label = " ".join([name, *(arg for arg in args if isinstance(arg, str))])
         tracemalloc.start()
         try:
