@@ -428,7 +428,7 @@ def _pade_exp(x: np.ndarray, c: float | None = None) -> tuple[np.ndarray, np.nda
     for _ in range(squarings):
         f = e @ f + f
         e = e @ e
-    return np.ascontiguousarray(e), np.ascontiguousarray(f)
+    return e, f
 
 
 def matrix_exp(a) -> np.ndarray:

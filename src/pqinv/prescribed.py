@@ -812,7 +812,7 @@ def integral_formula(
             "w does not annihilate the non-decaying spectral part of aw "
             f"(residual {frob(static_part):.3e})"
         )
-    del g_aw, static_part
+    del g_aw, static_part  # not held through the exponential, which sets the peak
 
     decay, integral = exp_integral(-aw, horizon)
     estimate = w @ integral

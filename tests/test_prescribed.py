@@ -861,9 +861,8 @@ class TestIntegralFormula:
         assert tail <= 1e-8
 
     def test_memory_quadratic_in_n(self):
-        # the Van Loan exponential is carried on its n x n blocks: the Pade
-        # products, the 2n-column solve and the squarings hold about 16 n x n
-        # matrices at once, the 2n x 2n block about 47
+        # the Van Loan exponential is carried on its n x n blocks, so the
+        # call's peak is about 13 n x n matrices; the 2n x 2n block took 47
         n = 32
         inst = diagonalizable_instance(np.random.default_rng(2), n, re_lo=0.1, re_hi=10.0)
         tracemalloc.start()
