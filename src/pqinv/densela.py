@@ -104,7 +104,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must have positive dimensions, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -276,16 +276,16 @@ def svd(m, compute_uv: bool = True) -> Factored:
     if m.size == 0:
         return Factored(np.eye(m.shape[0], dtype=np.complex128), np.zeros(0),
                         np.eye(m.shape[1], dtype=np.complex128))
-    for target in (m, adjoint(m)):
-        try:
-            out = _lapack("svd", target, compute_uv=compute_uv)
+    for retry in (False, True):
+        try:  # the adjoint, a copy of m, is built only for the retry
+            out = _lapack("svd", adjoint(m) if retry else m, compute_uv=compute_uv)
         except np.linalg.LinAlgError as exc:
             error = exc
             continue
         if not compute_uv:
             return Factored(None, out, None)
         u, s, vh = out
-        return Factored(u, s, vh) if target is m else Factored(adjoint(vh), s, adjoint(u))
+        return Factored(adjoint(vh), s, adjoint(u)) if retry else Factored(u, s, vh)
     raise NumericalError(
         f"SVD of a {m.shape[0]}x{m.shape[1]} matrix and of its adjoint did not converge"
     ) from error

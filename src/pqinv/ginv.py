@@ -32,6 +32,7 @@ __all__ = [
     "inner_inverse",
     "reflexive_inverse",
     "group_inverse",
+    "factored_group_inverse",
     "drazin_inverse",
     "gi_idempotents",
 ]
@@ -61,19 +62,29 @@ def reflexive_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Group inverse, or None when a has index above one.
 
-    Cline's gauge-invariant F (G F)^-2 G from a full-rank factorization
-    a = F G (SIAM J. Numer. Anal. 5 (1968) 182-197).  As a a = F (G F) G,
-    index one is rank(G F) = r = rank(a), read off the r x r core; a G F at
-    the rounding floor of its factors counts as rank 0.
+    :func:`factored_group_inverse` of the full-rank factorization a = F G.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"group inverse needs a square matrix, got {a.shape}")
     f, g = rank_factorization(a, tol)
+    return factored_group_inverse(f, g @ f, g, tol)
+
+
+def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
+                           tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """Group inverse of F G, given its full-rank factors and the core G F,
+    or None when F G has index above one.
+
+    Cline's gauge-invariant F (G F)^-2 G (SIAM J. Numer. Anal. 5 (1968)
+    182-197), for F with r independent columns and G with r orthonormal
+    rows, as :func:`rank_factorization` gives them.  As (F G)^2 = F (G F) G,
+    index one is rank(G F) = r, read off the r x r core; a G F at the
+    rounding floor of its factors counts as rank 0.
+    """
     r = f.shape[1]
     if r == 0:
-        return np.zeros_like(a)
-    gf = g @ f
+        return np.zeros((f.shape[0], g.shape[1]), dtype=np.complex128)
     # G has orthonormal rows, so its norm is sqrt(r)
     if is_noise(gf, PRODUCT_NOISE * frob(f) * np.sqrt(r)) or rank(gf, tol) < r:
         return None

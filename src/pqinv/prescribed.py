@@ -54,6 +54,7 @@ from .densela import (
     is_noise,
     matrices_equal,
     rank,
+    rank_factorization,
     record,
     solve,
     svd,
@@ -64,7 +65,13 @@ from .errors import (
     ShapeError,
     SpectrumError,
 )
-from .ginv import drazin_inverse, group_inverse, inner_inverse, moore_penrose
+from .ginv import (
+    drazin_inverse,
+    factored_group_inverse,
+    group_inverse,
+    inner_inverse,
+    moore_penrose,
+)
 
 __all__ = [
     "PqProblem",
@@ -644,15 +651,19 @@ def _route_operands(a, w) -> tuple[np.ndarray, np.ndarray]:
 def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The group-route value b = w (a w)^# together with (w a)^#.
 
-    Every cross-check of :func:`group_formula` runs here, so each caller
-    of the group route gets them all.
+    One full-rank factorization a w = F G decides the precondition and
+    gives (a w)^#: rank(a w) = rank(w) - dim(Ker(a) ∩ Ran(w)), so
+    Ker(a) ∩ Ran(w) = {0} exactly when F has rank(w) columns.  Every
+    cross-check of :func:`group_formula` runs here, so each caller of the
+    group route gets them all.
     """
-    if not sub.meets_trivially(sub.kernel_of(a, tol), sub.range_of(w, tol), tol):
-        raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
     aw = a @ w
-    wa = w @ a
-    g_aw = group_inverse(aw, tol)
-    g_wa = group_inverse(wa, tol)
+    f, g = rank_factorization(aw, tol)
+    if f.shape[1] != rank(w, tol):
+        raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
+    g_aw = factored_group_inverse(f, g @ f, g, tol)
+    del f, g  # G is a view of the SVD's whole n x n factor; not held through (w a)^#
+    g_wa = group_inverse(w @ a, tol)
     if g_aw is None or g_wa is None:
         raise NonexistentInverseError("aw (or wa) has no group inverse")
     b = w @ g_aw
@@ -672,7 +683,10 @@ def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndar
 def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """w (a w)^#, cross-checked against (w a)^# w and the anchor identities.
 
-    The anchor identities  w a w c = w  and  b a w c = b  with
+    Raises NonexistentInverseError when Ker(a) ∩ Ran(w) ≠ {0}, decided as
+    rank(a w) ≠ rank(w) on the full-rank factorization a w = F G that also
+    gives (a w)^#, each rank at its own matrix's scale.  The anchor
+    identities  w a w c = w  and  b a w c = b  with
     c = (a w)^# pin down that w really carries the prescribed range and
     kernel; their failure indicates a precondition violation rather than
     roundoff, so it raises.
@@ -760,7 +774,10 @@ def integral_formula(
     the 2n x 2n block, without forming the block's zero row and identity
     column, for a quarter of the flops and a third of the memory.
     Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
-    annihilates the non-decaying spectral part.  Returns the estimate and
+    annihilates the non-decaying spectral part.  Both are read off one
+    full-rank factorization a w = F G: the nonzero spectrum of F G is the
+    spectrum of the r x r core G F, and Cline's F (G F)^-2 G is the
+    (a w)^# of the static-part check.  Returns the estimate and
     the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
     in under conv_tol; conv_tol must be positive.  For w = 0 the integrand
     is 0, so any horizon but NaN gives the value 0 with tail bound 0.
@@ -773,9 +790,13 @@ def integral_formula(
             raise ValueError(f"horizon {horizon} is not a number")
         return np.zeros_like(w), 0.0
     aw = a @ w
+    # aw = F G has the nonzero spectrum of its r x r core G F (none when r = 0)
+    f, g = rank_factorization(aw, tol)
+    gf = g @ f
+    eigs = eigenvalues(gf) if gf.size else np.zeros(0, dtype=np.complex128)
     # Re > 0 on the nonzero spectrum of aw; the smallest real part is the decay rate
-    eigs = eigenvalues(aw)
-    nonzero = eigs[np.abs(eigs) > tol.conv_tol * max(1.0, float(np.max(np.abs(eigs))))]
+    scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+    nonzero = eigs[np.abs(eigs) > tol.conv_tol * scale]
     if nonzero.size == 0:
         raise SpectrumError("aw has no nonzero spectrum; the integrand cannot decay")
     alpha = float(np.min(nonzero.real))
@@ -802,7 +823,8 @@ def integral_formula(
     if horizon * max(1.0, float(np.linalg.norm(aw, 1))) == np.inf:
         raise ValueError(f"horizon {horizon!r} overflows the block exponential")
 
-    g_aw = group_inverse(aw, tol)
+    g_aw = factored_group_inverse(f, gf, g, tol)
+    del f, g, gf  # not held through the exponential, which sets the peak
     if g_aw is None:
         raise SpectrumError("aw is not group invertible; non-decaying part persists")
     n = aw.shape[0]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqinv
+from pqinv import densela
 from pqinv.densela import (
     DEFAULT_TOL,
     Tolerances,
@@ -100,6 +101,16 @@ class TestAsMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             as_matrix(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("entry", [complex(np.inf, 0.0), complex(0.0, -np.inf),
+                                       complex(np.nan, 1.0), complex(1.0, np.nan)])
+    def test_rejects_a_non_finite_part_by_name(self, entry):
+        with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+            as_matrix([[1.0, entry], [0.0, 1.0]], "w")
+
+    def test_keeps_finite_entries(self):
+        m = as_matrix([[1e308, -1e308j], [0.0, 5e-324]])
+        assert m.dtype == np.complex128 and m[0, 1] == -1e308j
 
 
 class TestSolve:
@@ -377,6 +388,16 @@ class TestSvd:
             s = original(m.conj().T, compute_uv=False)
             assert f.u is None and f.vh is None
         assert np.array_equal(f.s, s)
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_adjoint_is_built_only_for_the_retry(self, rng, monkeypatch, compute_uv):
+        built = []
+        monkeypatch.setattr(densela, "adjoint", lambda a: built.append(a) or a.conj().T)
+        m = _cnormal(rng, 5, 3)
+        f = svd(m, compute_uv=compute_uv)
+        assert built == []
+        expected = np.linalg.svd(m, compute_uv=compute_uv)
+        assert np.array_equal(f.s, expected[1] if compute_uv else expected)
 
     def test_failure_on_both_is_a_numerical_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", _never_converges)

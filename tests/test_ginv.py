@@ -5,6 +5,7 @@ from pqinv.densela import frob, rank, rank_factorization
 from pqinv.errors import ShapeError
 from pqinv.ginv import (
     drazin_inverse,
+    factored_group_inverse,
     gi_idempotents,
     group_inverse,
     inner_inverse,
@@ -135,6 +136,18 @@ class TestGroupInverse:
         g = group_inverse(np.diag([2.0, 4.0, 0.0, 0.0]))
         assert frob(g - np.diag([0.5, 0.25, 0.0, 0.0])) <= 1e-14
         assert calls == [((4, 4), True), ((2, 2), False)]
+
+    def test_factored_form_is_group_inverse_on_its_factors(self, rng):
+        # group_inverse(a) is factored_group_inverse on a's own factorization,
+        # bit for bit; rank 0 gives the n x n zero and index two None
+        for a in (_cnormal(rng, 5, 5), varied_rank_matrix(rng, 6), np.zeros((3, 3)), NILP):
+            f, g = rank_factorization(a)
+            expected = group_inverse(a)
+            got = factored_group_inverse(f, g @ f, g)
+            if expected is None:
+                assert got is None
+            else:
+                assert got.shape == a.shape and np.array_equal(got, expected)
 
     def test_index_two_nilpotents_have_none(self, rng):
         # a = V J V^-1 with J^2 = 0 != J, so a a = F (G F) G = 0 and G F is

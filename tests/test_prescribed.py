@@ -722,6 +722,70 @@ class TestGroupFormula:
         with pytest.raises(NonexistentInverseError, match="Ker"):
             group_formula(np.diag([0.0, 1.0]), np.eye(2))
 
+    @staticmethod
+    def _precondition_fails(a, w) -> bool:
+        try:
+            group_formula(a, w)
+        except NonexistentInverseError as exc:
+            return "Ker(a) ∩ Ran(w)" in str(exc)
+        except NumericalError:
+            pass  # a later check of the route
+        return False
+
+    def test_precondition_agrees_with_the_joined_bases(self, rng):
+        # rank(a w) = rank(w) against the rank of [B_Ker(a) | B_Ran(w)], on
+        # full-rank, low-rank and Ran(w)-killing a, with rank-deficient w
+        seen = set()
+        for _ in range(240):
+            n = int(rng.integers(1, 17))
+            k = int(rng.integers(0, n))
+            w = _cnormal(rng, n, k) @ _cnormal(rng, k, n)
+            style = int(rng.integers(0, 3)) if k else 0
+            if style == 0:
+                a = _cnormal(rng, n, n)
+            elif style == 1:
+                j = int(rng.integers(0, n))
+                a = _cnormal(rng, n, j) @ _cnormal(rng, j, n)
+            else:
+                x = range_of(w).basis @ _cnormal(rng, k, 1)
+                x /= np.linalg.norm(x)
+                a = _cnormal(rng, n, n) @ (np.eye(n) - x @ x.conj().T)
+            reference = not sub.meets_trivially(kernel_of(a), range_of(w))
+            assert self._precondition_fails(a, w) == reference
+            seen.add((style, reference))
+        assert seen == {(0, False), (1, False), (1, True), (2, True)}
+
+    def test_one_factorization_of_aw(self, monkeypatch):
+        # a w's full SVD gives rank(a w) and the factors of (a w)^#; rank(w)
+        # and the two r x r cores take singular values only, and no basis of
+        # Ker(a) or Ran(w) is built
+        svd = np.linalg.svd
+        calls = []
+
+        def recording_svd(m, *args, **kwargs):
+            calls.append((m.shape, kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        b = group_formula(np.diag([2.0, 4.0, 1.0, 3.0]), np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert frob(b - np.diag([0.5, 0.25, 0.0, 0.0])) <= 1e-14
+        assert calls == [((4, 4), True), ((4, 4), False), ((2, 2), False),
+                         ((4, 4), True), ((2, 2), False)]
+
+    @pytest.mark.parametrize("formula", [group_formula, inner_formula])
+    def test_kernel_of_a_is_read_at_the_scale_of_a_w(self, formula):
+        # Ker(a) at the scale of ||a|| = 1e12 held e3, so Ker(a) ∩ Ran(w)
+        # read as e3; a w = diag(0, 1, 1e-3) has the rank of w
+        b = formula(np.diag([1e12, 1.0, 1e-3]), np.diag([0.0, 1.0, 1.0]))
+        assert frob(b - np.diag([0.0, 1.0, 1000.0])) <= 1e-12 * 1000.0
+
+    @pytest.mark.parametrize("formula", [group_formula, inner_formula])
+    def test_a_w_that_loses_rank_is_rejected(self, formula):
+        # Ker(a) = {0} at the scale of a, but a w = diag(1, 1e-12) has rank 1
+        # against rank(w) = 2, so the anchor w a w c = w could not hold
+        with pytest.raises(NonexistentInverseError, match="Ker\\(a\\) ∩ Ran\\(w\\)"):
+            formula(np.diag([1.0, 1e-9]), np.diag([1.0, 1e-3]))
+
 
 @pytest.mark.parametrize("formula", [group_formula, inner_formula])
 def test_route_operands_of_mismatched_size_name_both_shapes(formula):
@@ -808,15 +872,34 @@ class TestIntegralFormula:
         with pytest.raises(SpectrumError, match="decay"):
             integral_formula(np.diag([0.0, 1.0]), np.eye(2))
 
+    def test_spectrum_is_read_off_the_r_by_r_core(self, monkeypatch):
+        eigvals, shapes = np.linalg.eigvals, []
+
+        def recording_eigvals(m):
+            shapes.append(m.shape)
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        inst = diagonalizable_instance(np.random.default_rng(3), 8, r=3)
+        value, _tail = integral_formula(inst["a"], inst["w"])
+        assert frob(value - inst["b_ref"]) <= 1e-6 * (1 + frob(inst["b_ref"]))
+        assert shapes == [(3, 3)]
+
+    def test_rank_zero_a_w_has_no_nonzero_spectrum(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # r = 0 takes no eigenvalues
+        with pytest.raises(SpectrumError, match="no nonzero spectrum"):
+            integral_formula(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+
     def test_horizon_is_tested_before_the_static_part(self, count_linalg):
         # w = 1 keeps the zero eigendirection of diag(0, 1) alive, and the
         # horizon 1 is below the minimum log(1e8): the horizon is rejected
-        # first, before the group inverse of a w takes its SVDs
+        # after the one SVD of a w that gives the spectrum, before the
+        # group inverse takes the core's SVD and its solve
         def run():
             with pytest.raises(ValueError, match="below the minimum"):
                 integral_formula(np.diag([0.0, 1.0]), np.eye(2), horizon=1.0)
 
-        assert count_linalg(run, ("svd", "solve")) == {"svd": 0, "solve": 0}
+        assert count_linalg(run, ("svd", "solve")) == {"svd": 1, "solve": 0}
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):

@@ -24,7 +24,8 @@ shows decomposition-count changes next to output changes.  Covered:
   diagonalizable instance and on that diagonal core;
 * the tracemalloc peak (MiB) of ``diagnose``, of the four compute
   functions, of ``matrix_with_range_kernel(p, q)``, of
-  ``represent(prob, "limit")`` and of ``integral_formula(a, w)`` with the
+  ``represent(prob, "limit")`` and of ``group_formula(a, w)``,
+  ``inner_formula(a, w)`` and ``integral_formula(a, w)`` with the
   instance's own w, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
   its outcome: ``ok`` or the exception it raised.
@@ -66,12 +67,13 @@ COUNTED = ("svd", "lstsq", "solve")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
                   "one_two_inverse_strict", "matrix_with_range_kernel", "represent",
-                  "integral_formula")
+                  "group_formula", "inner_formula", "integral_formula")
 # the arguments, from the problem and its instance, of a PEAK_FUNCTIONS
 # entry that takes more than the problem
 PEAK_ARGS = {"matrix_with_range_kernel": lambda prob, inst: (prob.p, prob.q),
              "represent": lambda prob, inst: (prob, "limit"),
-             "integral_formula": lambda prob, inst: (prob.a, inst["w"])}
+             **{route: lambda prob, inst: (prob.a, inst["w"])
+                for route in ("group_formula", "inner_formula", "integral_formula")}}
 
 
 def _sha(text: str) -> str:
