@@ -485,6 +485,15 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     return ExistenceReport(fragile=fragile, tol=tol, **base)
 
 
+# the route names, checked by _route_result's callers before any work
+_ROUTES = ("group", "inner", "limit", "integral")
+
+
+def _check_route(route: str) -> None:
+    if route not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+
+
 def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray, route: str,
                   lambda_min: float = DEFAULT_LAMBDA_SCHEDULE[-1],
                   horizon: float | None = None) -> tuple[np.ndarray, str, list[tuple]]:
@@ -502,8 +511,6 @@ def _route_result(prob: PqProblem, w: np.ndarray | None, b_group: np.ndarray, ro
             schedule.append(lambda_min)
         b, trace = limit_formula(prob.a, w, schedule, tol)
         return b, "limit", trace
-    if route != "integral":
-        raise ValueError(f"unknown route {route!r}")
     horizons = [None] if horizon is None else [horizon / 2 ** k for k in reversed(range(4))]
     b, trace = None, []
     for k, h in enumerate(horizons):
@@ -531,6 +538,7 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     once on the automatic horizon; its trace holds (horizon, Cauchy
     difference, tail bound) rows, NaN for an absent value.
     """
+    _check_route(route)
     spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=False)
     b_group = _candidate(prob, spaces)[0]
     b, _, trace = _route_result(prob, _witness(spaces), b_group, route, lambda_min, horizon)
@@ -552,6 +560,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     route value's drift gate, a b a = a and the strict products.  The
     residuals are built only after every test has passed.
     """
+    _check_route(route)
     tol, a = prob.tol, prob.a
     spaces = _Spaces(a, prob.p, prob.q, tol, kernels=strict and reflexive)
     if strict and reflexive:
@@ -663,8 +672,8 @@ def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndar
         raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
     g_aw = factored_group_inverse(f, g @ f, g, tol)
     del f, g  # G is a view of the SVD's whole n x n factor; not held through (w a)^#
-    g_wa = group_inverse(w @ a, tol)
-    if g_aw is None or g_wa is None:
+    # (w a)^# is factored only when (a w)^# exists
+    if g_aw is None or (g_wa := group_inverse(w @ a, tol)) is None:
         raise NonexistentInverseError("aw (or wa) has no group inverse")
     b = w @ g_aw
     b_alt = g_wa @ w

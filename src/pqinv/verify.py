@@ -319,7 +319,7 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
     p = ran_w.projector()
     q = ker_w.projector()
     if r:
-        b_ref = x @ solve(y @ a @ x, y)
+        b_ref = x @ solve(core, y)  # the accepted draw's core, y a x
     else:
         b_ref = np.zeros((n, n), dtype=np.complex128)
     return {"a": a, "p": p, "q": q, "w": w, "b_ref": b_ref, "r": r}

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 import warnings
 from collections import Counter
@@ -505,6 +506,24 @@ class TestMatrixExp:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="1-norm"):
                 matrix_exp(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    @pytest.mark.parametrize("norm1", [1.0, 40.0], ids=["below_theta13", "above_theta13"])
+    def test_is_the_block_core_with_a_zero_block(self, n, norm1):
+        # matrix_exp is exp_integral's core with c = 0; at t = 1 and
+        # |a|_1 >= 1 the block's 1-norm max(|a|_1, 1) is a's, so the two
+        # take the same squarings and the same (1,1) block bit for bit
+        rng = np.random.default_rng(n)
+        a = _cnormal(rng, n, n)
+        a *= norm1 / np.linalg.norm(a, 1)
+        assert (norm1 > densela._THETA13) == (np.linalg.norm(a, 1) > densela._THETA13)
+        assert np.array_equal(matrix_exp(a), exp_integral(a, 1.0)[0])
+        assert np.array_equal(matrix_exp(np.zeros((n, n))), np.eye(n))
+
+    def test_one_pade_path(self):
+        # c is required: every call carries the (1,2) block
+        params = inspect.signature(densela._pade_exp).parameters
+        assert params["c"].default is inspect.Parameter.empty
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
     @settings(max_examples=25, deadline=None, derandomize=True)

@@ -24,6 +24,7 @@ from pqinv.prescribed import (
     one_two_inverse_strict,
     outer_inverse,
     outer_inverse_strict,
+    represent,
 )
 from pqinv.subspace import equals, kernel_of, range_of
 from pqinv.verify import (
@@ -241,9 +242,18 @@ class TestOuterInverse:
             assert res.route in ("inner_formula", "limit", "integral")
 
     @pytest.mark.parametrize("route", ["group_formula", "inner_formula", "bogus"])
-    def test_only_short_route_names_accepted(self, route):
-        with pytest.raises(ValueError, match="unknown route"):
-            outer_inverse(counterexample_problem(), route=route)
+    def test_only_short_route_names_accepted(self, route, count_linalg):
+        # the name is checked before any decomposition, so a problem whose
+        # inverse does not exist (the core C = N^H a U = 0) reports the name too
+        nonexistent = PqProblem(np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        for prob in (counterexample_problem(), nonexistent):
+            for fn in (outer_inverse, one_two_inverse_strict, represent):
+                def run():
+                    with pytest.raises(ValueError, match="unknown route"):
+                        fn(prob, route=route)
+
+                kinds = ("svd", "lstsq", "solve", "eigvals")
+                assert count_linalg(run, kinds) == dict.fromkeys(kinds, 0)
 
 
 class TestCoreRepresentation:
@@ -786,6 +796,16 @@ class TestGroupFormula:
         with pytest.raises(NonexistentInverseError, match="Ker\\(a\\) ∩ Ran\\(w\\)"):
             formula(np.diag([1.0, 1e-9]), np.diag([1.0, 1e-3]))
 
+    @pytest.mark.parametrize("formula", [group_formula, inner_formula])
+    def test_a_w_without_group_inverse_skips_w_a(self, formula, count_linalg):
+        # a w = [[0, 0], [1, 0]] has the rank of w but index 2: the route
+        # raises after the SVDs of a w and w, before (w a)^# is factored
+        def run():
+            with pytest.raises(NonexistentInverseError, match="aw \\(or wa\\) has no group inverse"):
+                formula(np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
+
+        assert count_linalg(run) == {"svd": 2}
+
 
 @pytest.mark.parametrize("formula", [group_formula, inner_formula])
 def test_route_operands_of_mismatched_size_name_both_shapes(formula):
@@ -871,6 +891,13 @@ class TestIntegralFormula:
         # w keeps the zero eigendirection of aw alive
         with pytest.raises(SpectrumError, match="decay"):
             integral_formula(np.diag([0.0, 1.0]), np.eye(2))
+
+    def test_index_two_a_w_rejected(self):
+        # a w = a has the nonzero spectrum {1}, in Re > 0, and a 2 x 2
+        # nilpotent Jordan block, so its r x r core G F is singular
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SpectrumError, match="aw is not group invertible"):
+            integral_formula(a, np.eye(3))
 
     def test_spectrum_is_read_off_the_r_by_r_core(self, monkeypatch):
         eigvals, shapes = np.linalg.eigvals, []

@@ -28,7 +28,12 @@ shows decomposition-count changes next to output changes.  Covered:
   ``inner_formula(a, w)`` and ``integral_formula(a, w)`` with the
   instance's own w, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
-  its outcome: ``ok`` or the exception it raised.
+  its outcome: ``ok`` or the exception it raised;
+* the sha256 of the bytes of ``densela.matrix_exp(a)`` and of both blocks
+  of ``densela.exp_integral(a, t)`` for t = 0 and 1, on a seeded complex
+  ``a`` of each size in EXP_DIMS scaled to each 1-norm in EXP_NORMS: the
+  zero matrix, and 1-norms below and above the [13/13] Pade threshold
+  theta_13 = 5.37, where the squarings begin.
 
 Run it on two checkouts and diff the output::
 
@@ -74,6 +79,9 @@ PEAK_ARGS = {"matrix_with_range_kernel": lambda prob, inst: (prob.p, prob.q),
              "represent": lambda prob, inst: (prob, "limit"),
              **{route: lambda prob, inst: (prob.a, inst["w"])
                 for route in ("group_formula", "inner_formula", "integral_formula")}}
+EXP_DIMS = (1, 2, 8, 64)
+EXP_NORMS = (0.0, 1.0, 40.0)
+EXP_TIMES = (0.0, 1.0)
 
 
 def _sha(text: str) -> str:
@@ -169,6 +177,27 @@ def _peak_lines(prescribed, verify, errors) -> list[str]:
     return lines
 
 
+def _array_sha(m: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(m, dtype=np.complex128).tobytes()).hexdigest()
+
+
+def _exp_lines(densela) -> list[str]:
+    """One line per EXP_DIMS x EXP_NORMS input for ``matrix_exp``, and one
+    per input and EXP_TIMES entry for ``exp_integral``'s two blocks."""
+    lines = []
+    for n in EXP_DIMS:
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a /= np.linalg.norm(a, 1)
+        for norm in EXP_NORMS:
+            label = f"n={n} norm1={norm:g}"
+            lines.append(f"matrix_exp {label}  {_array_sha(densela.matrix_exp(norm * a))}")
+            for t in EXP_TIMES:
+                e, f = densela.exp_integral(norm * a, t)
+                lines.append(f"exp_integral {label} t={t:g}  {_array_sha(e)}  {_array_sha(f)}")
+    return lines
+
+
 def fingerprints() -> list[str]:
     cli = importlib.import_module("pqinv.cli")
     verify = importlib.import_module("pqinv.verify")
@@ -202,8 +231,9 @@ def fingerprints() -> list[str]:
                 lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
                                         ["compute", *problem_files[name], "--kind", "2l",
                                          "--route", route])
-    return lines + _peak_lines(importlib.import_module("pqinv.prescribed"), verify,
-                               importlib.import_module("pqinv.errors"))
+    lines += _peak_lines(importlib.import_module("pqinv.prescribed"), verify,
+                         importlib.import_module("pqinv.errors"))
+    return lines + _exp_lines(importlib.import_module("pqinv.densela"))
 
 
 def main(argv=None) -> int:
