@@ -156,7 +156,11 @@ class ExistenceReport:
     ``equivalence_consistent`` is a genuine cross-check of the theory
     rather than a tautology.  ``fragile`` flags verdicts that flip when
     the rank threshold moves by ``densela.FRAGILITY_FACTOR`` (ten) either
-    way.
+    way.  ``cond6_t`` and ``cond6_s`` are the n x n witnesses t with
+    t m = p and s with m s = 1 - q for m = (1-q) a p, or None where the
+    check of one fails; both are built from the pseudo-inverse of the n x r
+    factor F = (1-q) a U, U an orthonormal basis of Ran(p), as
+    t = U F^+ and s = U F^+ (1-q), and checked on F, never on m.
     """
 
     ker_cap_ranp_trivial: bool
@@ -249,6 +253,7 @@ class _Spaces:
     which only :func:`diagnose` and the strict {1,2} kind read: a view
     built with ``kernels`` also takes Ker(q) and Ker(p) off those SVDs, and
     any other view holds no kernel of p or q (ker_p and ker_q are None).
+    The n x r product a U is formed once, when first read.
     """
 
     def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
@@ -278,6 +283,12 @@ class _Spaces:
     ker_q = property(lambda self: self._of_q[2])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
+
+    @cached_property
+    def a_u(self) -> np.ndarray:
+        """a U, U the basis of Ran(p): the one n x r product that a . Ran(p),
+        the core N^H a U and F = (1-q) a U read."""
+        return self.a @ self.ran_p.basis
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
@@ -313,37 +324,40 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
     (the full-rank representation of A^(2)_{T,S}).  The inverse exists
     exactly when C is invertible: C must have rank r = dim Ran(p) at
     rank_rtol, and a C at the rounding floor of its factors counts as 0.
-    Validation then checks the defining equations directly, so this is
-    the definitional existence test, independent of the subspace criteria
-    used by :func:`diagnose`; a failure, the dimension obstruction
+    This is the definitional existence test, independent of the subspace
+    criteria used by :func:`diagnose`; a failure, the dimension obstruction
     included, raises NonexistentInverseError.
+
+    The rank decision on C is also b's: b's nonzero singular values are
+    those of C^-1.  So Ran(b) = Ran(U) = Ran(p) and Ker(b) = Ker(N^H) =
+    Ran(q) hold by construction, and the view's Ran(p) and Ran(q) are
+    returned as Ran(b) and Ker(b), with no SVD of b.  b a b = b is checked
+    in the core's coordinates: with X = C^-1 N^H, b a b - b = U (X (a U) X
+    - X), whose Frobenius norm is that of X (a U) X - X because U is
+    orthonormal, and the bound eq_bound(X, X) is eq_bound(b, b).  Formed
+    on r x n factors, the residual rounds with the condition of C rather
+    than with ||a|| ||b||, and no n x n product b a b is taken.
     """
     broken = _dimension_failure(spaces)
     if broken:
         raise _no_outer_inverse(broken)
-    tol, ran_p, ran_q = spaces.tol, spaces.ran_p, spaces.ran_q
-    a, u, nh = prob.a, ran_p.basis, spaces.co_q.basis.conj().T
+    tol, a_u, u = spaces.tol, spaces.a_u, spaces.ran_p.basis
     r = u.shape[1]
     if r == 0:
-        b = np.zeros_like(a)
-    else:
-        core = nh @ (a @ u)
-        # N and U have unit columns, so the factors' norms are sqrt(r) each
-        if is_noise(core, PRODUCT_NOISE * r * frob(a)) or rank(core, tol) < r:
-            raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
-        try:
-            b = u @ solve(core, nh)
-        except np.linalg.LinAlgError:
-            # the rank test read C as invertible but its LU is exactly singular
-            raise _no_outer_inverse("the core C = N^H a U is singular") from None
-    if not matrices_equal(b @ a @ b, b, tol):
+        return np.zeros_like(prob.a), spaces.ran_p, spaces.ran_q
+    nh = spaces.co_q.basis.conj().T
+    core = nh @ a_u
+    # N and U have unit columns, so the factors' norms are sqrt(r) each
+    if is_noise(core, PRODUCT_NOISE * r * frob(prob.a)) or rank(core, tol) < r:
+        raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
+    try:
+        xn = solve(core, nh)
+    except np.linalg.LinAlgError:
+        # the rank test read C as invertible but its LU is exactly singular
+        raise _no_outer_inverse("the core C = N^H a U is singular") from None
+    if not matrices_equal(xn @ a_u @ xn, xn, tol):
         raise _no_outer_inverse("candidate fails b a b = b")
-    ran_b, ker_b = sub.range_and_kernel(b, tol)
-    if not sub.equals(ran_b, ran_p, tol):
-        raise _no_outer_inverse("candidate fails Ran(b) = Ran(p)")
-    if not sub.equals(ker_b, ran_q, tol):
-        raise _no_outer_inverse("candidate fails Ker(b) = Ran(q)")
-    return b, ran_b, ker_b
+    return u @ xn, spaces.ran_p, spaces.ran_q
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
@@ -393,24 +407,48 @@ def _strict12_failure(spaces: _Spaces) -> str:
 
 def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
     """cond5, and the cond6 witnesses t (t m = p) and s (m s = 1 - q) or
-    None, from one factorization of m = (1-q) a p."""
-    a, p, one_mq, tol = prob.a, prob.p, prob.one_minus_q, spaces.tol
-    m = one_mq @ a @ p
-    if is_noise(m, PRODUCT_NOISE * frob(one_mq) * frob(a) * frob(p)):
-        m = np.zeros_like(m)
-    m_svd = svd(m)
-    ran_m, ker_m = sub.range_and_kernel(m_svd, tol)
-    # Ran(p^H) in Ran(m^H) is Ker(m) in Ker(p), their orthogonal complements
-    cond5 = sub.contains(spaces.ker_p, ker_m, tol) and sub.contains(ran_m, spaces.ker_q, tol)
-    m_pinv = m_svd.pinv(tol)
-    t, s = p @ m_pinv, m_pinv @ one_mq
-    return (cond5, t if frob(t @ m - p) <= eq_bound(p, p, tol) else None,
-            s if frob(m @ s - one_mq) <= eq_bound(one_mq, one_mq, tol) else None)
+    None, for m = (1-q) a p, from one SVD of the n x r factor F = (1-q) a U.
+
+    With U the basis of Ran(p), p = U G with G = U^H p of full row rank, so
+    m = F G.  Ker(m) = Ker(p) exactly when F has rank r = dim Ran(p), and
+    Ran(m) = Ran(F), which lies in Ran(1-q) = Ker(q), equals Ran(1-q)
+    exactly when rank F = dim Ker(q): cond5 is both.  t m = p is solvable
+    exactly when t F = U is, and t = U F^+ solves it when F^+ F = 1.
+    G U = U^H p U = 1, so s = U F^+ (1-q) gives m s = F F^+ (1-q), which is
+    1-q when F F^+ fixes the basis K of Ker(q).  Each witness passes when
+    its residual, F^+ F - 1 or F (F^+ K) - K, is within eq_bound of U or K
+    (||t F - U||_F = ||F^+ F - 1||_F as U is orthonormal), or is at the
+    rounding floor of its own product, PRODUCT_NOISE times its factors'
+    norms, as :func:`densela.is_noise` rules: the condition of F carries
+    that of 1-q, which no choice of witness removes.  F is snapped to 0 at
+    the rounding floor of its factors, as :func:`subspace.image` snaps.
+    """
+    tol, u, ker_q, one_mq = spaces.tol, spaces.ran_p.basis, spaces.ker_q.basis, prob.one_minus_q
+    r = u.shape[1]
+    f = one_mq @ spaces.a_u
+    # U has unit columns, so its norm is sqrt(r)
+    if is_noise(f, PRODUCT_NOISE * frob(one_mq) * frob(prob.a) * np.sqrt(r)):
+        f = np.zeros_like(f)
+    f_svd = svd(f)
+    cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
+    f_pinv = f_svd.pinv(tol)
+    del f_svd  # its n x n left factor is not held through the witnesses
+    f_pinv_k = f_pinv @ ker_q
+
+    def solves(residual, x, y, target) -> bool:
+        return (frob(residual) <= eq_bound(target, target, tol)
+                or is_noise(residual, PRODUCT_NOISE * frob(x) * frob(y)))
+
+    t_ok = solves(f_pinv @ f - np.eye(r), f_pinv, f, u)
+    s_ok = solves(f @ f_pinv_k - ker_q, f, f_pinv_k, ker_q)
+    return (cond5, u @ f_pinv if t_ok else None,
+            u @ (f_pinv @ one_mq) if s_ok else None)
 
 
 def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     """All existence criteria at one rank threshold, each computed on its own
-    from the subspaces of one :class:`_Spaces` view, each input factored once.
+    from the subspaces of one :class:`_Spaces` view, each input factored once
+    and a U formed once.
 
     C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
     ker_cap_ranp_trivial.
@@ -418,7 +456,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     a = prob.a
     spaces = _Spaces(a, prob.p, prob.q, tol, kernels=True)
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
-    a_ran_p = sub.image(a, ran_p, tol)
+    a_ran_p = sub.image(a, ran_p, tol, mapped=spaces.a_u)
 
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
     image_match = sub.equals(a_ran_p, spaces.ker_q, tol)
@@ -455,12 +493,13 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     """Evaluate every existence criterion and flag tolerance-fragile verdicts.
 
     Each criterion is computed on its own (subspace dimensions, range
-    containments, the cond6 witnesses from one pseudo-inverse of
-    (1-q) a p, and the definitional candidate construction), so
-    disagreement between fields is detectable.  The criteria share
-    factorizations of the inputs only: a, p, q and (1-q) a p are factored
-    once each, with Ran(1-q) and Ran(1-p) read as Ker(q) and Ker(p) off the
-    SVDs of q and p.  A verdict is fragile when
+    containments, cond5 and the cond6 witnesses from one SVD of the n x r
+    factor F = (1-q) a U, and the definitional candidate on the r x r core
+    N^H a U), so disagreement between fields is detectable.  The criteria
+    share factorizations of the inputs and the one n x r product a U
+    only: a, p and q are factored once each, with Ran(1-q) and Ran(1-p)
+    read as Ker(q) and Ker(p) off the SVDs of q and p, and no n x n
+    (1-q) a p, b a b or SVD of b is formed.  A verdict is fragile when
     it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
@@ -541,7 +580,9 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     _check_route(route)
     spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=False)
     b_group = _candidate(prob, spaces)[0]
-    b, _, trace = _route_result(prob, _witness(spaces), b_group, route, lambda_min, horizon)
+    w = _witness(spaces)
+    del spaces  # the view's n x r product a U is not held through the route
+    b, _, trace = _route_result(prob, w, b_group, route, lambda_min, horizon)
     _check_drift(b, b_group, prob.tol, "representation drifts from the direct value")
     return b, trace
 
@@ -571,9 +612,11 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         broken = _l12_failure(spaces)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    b_group, ran_b, ker_b = _candidate(prob, spaces)
+    b_group, ran_p, ran_q = _candidate(prob, spaces)
     w = None if route == "group" else _witness(spaces)
+    del spaces  # the view's n x r product a U is not held through the route
     b, route_name, _ = _route_result(prob, w, b_group, route)
+    ran_b, ker_b = ran_p, ran_q  # the group value's, from _candidate
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
         ran_b, ker_b = sub.range_and_kernel(b, tol)
@@ -600,8 +643,8 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     return PqResult(_KINDS[strict, reflexive], b, route_name, {
         "outer": frob(ba @ b - b),
         "inner": inner_res,
-        "range_gap": sub.gap(ran_b, spaces.ran_p),
-        "kernel_gap": sub.gap(ker_b, spaces.ran_q),
+        "range_gap": sub.gap(ran_b, ran_p),
+        "kernel_gap": sub.gap(ker_b, ran_q),
         "ba_minus_p": ba_res,
         "ab_minus_1mq": ab_res,
         "fix_left": frob(p @ b - b),

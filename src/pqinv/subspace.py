@@ -122,14 +122,16 @@ def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Su
     return Subspace(n, f.range_basis(tol)), Subspace(n, f.left_null_basis(tol))
 
 
-def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """The subspace A . S."""
+def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
+          mapped: np.ndarray | None = None) -> Subspace:
+    """The subspace A . S, from ``mapped`` = A B_S when the caller has formed it."""
     a = as_matrix(a)
     if a.shape[1] != s.ambient:
         raise ShapeError(f"matrix has {a.shape[1]} cols, subspace lives in C^{s.ambient}")
     if s.dim == 0:
         return Subspace.zero(a.shape[0])
-    mapped = a @ s.basis
+    if mapped is None:
+        mapped = a @ s.basis
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])

@@ -3,7 +3,7 @@ the exact values the classical inverses must reproduce."""
 
 import numpy as np
 
-from pqinv.verify import _conditioned_matrix, _random_unitary
+from pqinv.verify import _complex_normal, _conditioned_matrix, _random_unitary, guaranteed_instance
 
 
 def varied_index_matrix(
@@ -55,3 +55,29 @@ def varied_rank_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     sigmas = np.zeros(n)
     sigmas[:r] = 10.0 ** rng.uniform(np.log10(0.3), np.log10(2.0), size=r)
     return (_random_unitary(rng, n) * sigmas) @ _random_unitary(rng, n)
+
+
+def _oblique(rng: np.random.Generator, u: np.ndarray, t: float) -> np.ndarray:
+    """The idempotent U (U^H + t G^H) with range Ran(U), for orthonormal U and
+    a random G with U^H G = 0 and ||G||_2 = 1; G = 0 when U has 0 or n
+    columns, since no nonzero G is then orthogonal to U."""
+    n, r = u.shape
+    g = np.zeros((n, r), dtype=np.complex128)
+    if 0 < r < n:
+        z = _complex_normal(rng, n, r)
+        g = z - u @ (u.conj().T @ z)
+        g /= np.linalg.norm(g, 2)
+    return u @ (u.conj().T + t * g.conj().T)
+
+
+def oblique_instance(rng: np.random.Generator, n: int, t: float) -> dict:
+    """:func:`pqinv.verify.guaranteed_instance` with its orthogonal p and q
+    replaced by oblique idempotents with the same ranges, p = U (U^H + t G^H)
+    with G orthogonal to U and ||G||_2 = 1, and q likewise, so ||p||_2 and
+    ||q||_2 are about t.  The oracle value b_ref = X (Y a X)^-1 Y depends on
+    Ran(p) and Ran(q) only, so it and existence are unchanged."""
+    inst = guaranteed_instance(rng, n)
+    r = inst["r"]
+    u_p = np.linalg.svd(inst["p"])[0][:, :r]
+    u_q = np.linalg.svd(inst["q"])[0][:, :n - r]
+    return {**inst, "p": _oblique(rng, u_p, t), "q": _oblique(rng, u_q, t)}

@@ -28,13 +28,15 @@ from pqinv.prescribed import (
 )
 from pqinv.subspace import equals, kernel_of, range_of
 from pqinv.verify import (
+    ORACLE_TOL,
     diagonalizable_instance,
     guaranteed_instance,
     random_idempotent,
     random_triple,
 )
 
-from matrix_generators import varied_index_matrix, varied_rank_matrix
+from exact_rank import exact_rank
+from matrix_generators import oblique_instance, varied_index_matrix, varied_rank_matrix
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -423,15 +425,20 @@ class TestComputeAgreesWithDiagnose:
 
 
 class TestDecompositionCounts:
-    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 6), (one_two_inverse, 9)])
+    # Ran(p); Ran(q) with its complement; the core's singular values; the two
+    # residual gaps; and for the {1,2} kind Ran(a) with Ker(a) and the ranks of
+    # the two decompositions' joined bases.  Ran(b) and Ker(b) are the view's
+    # Ran(p) and Ran(q), so b itself is never factored
+    @pytest.mark.parametrize("fn, expected", [(outer_inverse, 5), (one_two_inverse, 8)],
+                             ids=["outer_inverse", "one_two_inverse"])
     def test_residuals_reuse_validated_subspaces(self, count_linalg, fn, expected):
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         assert count_linalg(lambda: fn(prob)) == {"svd": expected}
 
     def test_strict_failure_builds_no_residuals(self, count_linalg):
-        # the candidate's 4 SVDs (p; q with its complement; the core's singular
-        # values; b), and no residuals: their subspace gaps would take 2 more
+        # the candidate's 3 SVDs (p; q with its complement; the core's singular
+        # values), and no residuals: their subspace gaps would take 2 more
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
 
@@ -439,15 +446,16 @@ class TestDecompositionCounts:
             with pytest.raises(NonexistentInverseError):
                 outer_inverse_strict(prob)
 
-        assert count_linalg(run) == {"svd": 4}
+        assert count_linalg(run) == {"svd": 3}
 
     def test_strict_reflexive_takes_ran_a_and_ker_a_once(self, count_linalg):
         # Ran(q) = {0} and Ker(a) = {0}: both {1,2} decompositions have a {0}
         # side, so neither takes the rank of its joined bases; Ran(1-q) and
-        # Ran(1-p) are Ker(q) and Ker(p), read off the SVDs of q and p
+        # Ran(1-p) are Ker(q) and Ker(p), read off the SVDs of q and p; then the
+        # core's singular values and the range gap
         a = np.random.default_rng(1).standard_normal((6, 6))
         prob = PqProblem(a, np.eye(6), np.zeros((6, 6)))
-        assert count_linalg(lambda: one_two_inverse_strict(prob)) == {"svd": 6}
+        assert count_linalg(lambda: one_two_inverse_strict(prob)) == {"svd": 5}
 
     @pytest.mark.parametrize("fn, failure", [
         (one_two_inverse_strict, r"Ran\(a\) = Ran\(1-q\)"),
@@ -466,9 +474,9 @@ class TestDecompositionCounts:
         assert count_linalg(run) == {"svd": 2}
 
     def test_represent_builds_one_candidate(self, count_linalg, tmp_path):
-        # one each for Ran(p), Ran(q) with its complement, the singular values
-        # of the core N^H a U and Ran(b) with Ker(b), and two for the
-        # integral route's (a w)^#; the reference value takes no (a w)^#
+        # one each for Ran(p), Ran(q) with its complement and the singular
+        # values of the core N^H a U, and two for the integral route's (a w)^#;
+        # the reference value takes no (a w)^# and no SVD of b
         core = {"a": np.diag([1.0, 2.0, 0.5, 1.5, 0.0, 0.0, 0.0, 0.0]),
                 "p": np.diag([1.0] * 4 + [0.0] * 4),
                 "q": np.diag([0.0] * 4 + [1.0] * 4)}
@@ -480,18 +488,21 @@ class TestDecompositionCounts:
         def run():
             assert main(["represent", *files, "--method", "integral"]) == 0
 
-        assert count_linalg(run) == {"svd": 6}
+        assert count_linalg(run) == {"svd": 5}
 
     def test_diagnose_factors_each_input_once(self, count_linalg):
-        # a, p, q and (1-q) a p once each, Ran(1-q) and Ran(1-p) read as
-        # Ker(q) and Ker(p), and no least-squares solve: the cond6 witnesses
-        # come from the pseudo-inverse of (1-q) a p; the candidate takes the
-        # singular values of its r x r core, no (a w)^#; Ker(a) ∩ Ran(p) is
-        # ranked once for ker_cap_ranp_trivial and C^n = Ker(a) ∔ Ran(p)
+        # a, p and q once each, Ran(1-q) and Ran(1-p) read as Ker(q) and
+        # Ker(p); a . Ran(p) and the n x r F = (1-q) a U once each, no SVD of
+        # the n x n (1-q) a p, and no least-squares solve: the cond6
+        # witnesses come from the pseudo-inverse of F; the candidate takes the
+        # singular values of its r x r core and one r x r solve, no (a w)^#
+        # and no SVD of b; Ker(a) ∩ Ran(p) is ranked once for
+        # ker_cap_ranp_trivial and C^n = Ker(a) ∔ Ran(p); the two direct sums
+        # rank their joined bases
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = count_linalg(lambda: diagnose(prob), ("svd", "lstsq", "solve"))
-        assert calls == {"svd": 10, "lstsq": 0, "solve": 1}
+        assert calls == {"svd": 9, "lstsq": 0, "solve": 1}
 
     @staticmethod
     def _built_subspaces(monkeypatch, run) -> list:
@@ -575,6 +586,162 @@ def integer_idempotent(rng, n: int, r: int, depth: int) -> np.ndarray:
     q = s @ np.diag([1] * r + [0] * (n - r)).astype(object) @ s_inv
     assert (q @ q == q).all()
     return np.array(q.tolist(), dtype=np.complex128)
+
+
+def _exact_verdicts(a, p, q) -> tuple[dict[str, bool], tuple[int, int, int]]:
+    """Every verdict of :func:`diagnose` and its dimensions, for integer
+    matrices a, p, q (arrays of Python ints), from exact ranks alone.
+
+    With exact ranks the criteria reduce to: Ker(a) ∩ Ran(p) = {0} iff
+    rank a p = rank p; a . Ran(p) = Ran(a p); cond5 and cond6 both to
+    rank (1-q) a p = rank p = n - rank q; subspace existence to
+    rank p + rank q = n with rank [a p | q] = n.  The strict inverse adds
+    a b = 1 - q, which for the subspace inverse b is a . Ran(p) = Ran(1-q),
+    and b a = p, which is Ker((1-q) a) = Ker(p): (1-q) a (1-p) = 0 with
+    rank (1-q) a = rank p.  The {1,2} decompositions are
+    rank a + rank q = n = rank [a | q] and rank a = rank p = rank a p; the
+    strict {1,2} kind adds Ran(a) = Ran(1-q) and Ker(a) = Ker(p), which is
+    a (1-p) = 0 with rank a = rank p.
+    """
+    n = a.shape[0]
+    one = np.eye(n, dtype=int).astype(object)
+    one_mq, one_mp = one - q, one - p
+    r_p, r_q, r_a = exact_rank(p), exact_rank(q), exact_rank(a)
+    ap = a @ p
+    r_ap, r_1mq = exact_rank(ap), exact_rank(one_mq)
+    spans = exact_rank(np.hstack([ap, q])) == n
+    image_match = r_ap == r_1mq == exact_rank(np.hstack([ap, one_mq]))
+    cond = exact_rank(one_mq @ ap) == r_p == n - r_q
+    l_exists = r_p + r_q == n and spans
+    l12 = r_a + r_q == n and exact_rank(np.hstack([a, q])) == n and r_a == r_p == r_ap
+    verdicts = {
+        "ker_cap_ranp_trivial": r_ap == r_p,
+        "direct_sum": r_ap + r_q == n and spans,
+        "image_match": image_match,
+        "cond5": cond,
+        "cond6": cond,
+        "strict_exists": (l_exists and image_match and not (one_mq @ a @ one_mp).any()
+                          and exact_rank(one_mq @ a) == r_p),
+        "l_exists": l_exists,
+        "l12_exists": l12,
+        "strict12_exists": (l12 and r_a == r_1mq == exact_rank(np.hstack([a, one_mq]))
+                            and not (a @ one_mp).any()),
+    }
+    return verdicts, (r_p, r_q, r_a)
+
+
+def _as_ints(m: np.ndarray) -> np.ndarray:
+    """The entries of a float matrix of integers as Python ints, exactly."""
+    ints = m.real.astype(np.int64)
+    assert (ints == m).all()
+    return ints.astype(object)
+
+
+class TestExactOracle:
+    """The verdicts of :func:`diagnose` against exact ranks, on integer
+    triples whose p and q are oblique integer idempotents with entries up to
+    about 1e8 (every one exact in a float).
+
+    A triple is compared only where a's singular values resolve its exact
+    rank at rank_rtol, and, where the inverse exists exactly, where the core
+    C = N^H a U resolves as the candidate decides it: rank r at rank_rtol
+    and above the rounding floor PRODUCT_NOISE r ||a||_F.  There l_exists,
+    cond5 and the dimensions must be exact and outer_inverse must return.
+    Every verdict must be exact where the data also fix C to the equality
+    tolerance, sigma_min(C) > eps ||a||_F / eq_rtol: a = (1-q) X p reaches
+    ||a||_F ~ 1e13 while C stays near 1, and any product with a then rounds
+    by more than eq_rtol relative to C."""
+
+    @staticmethod
+    def _triples(depth: int, product: bool):
+        """400 triples with a in [-3, 3], or 100 with a = (1-q) X p, X in
+        [-2, 2]; n = 2-5, rank q = n - rank p three times in four."""
+        rng = np.random.default_rng(1000 + depth)
+        for _ in range(100 if product else 400):
+            n = int(rng.integers(2, 6))
+            r_p = int(rng.integers(0, n + 1))
+            r_q = n - r_p if rng.random() < 0.75 else int(rng.integers(0, n + 1))
+            p, q = (integer_idempotent(rng, n, r, depth) for r in (r_p, r_q))
+            if product:
+                # in integers, so that a is exact; its entries stay below 2^53
+                x = rng.integers(-2, 3, (n, n)).astype(object)
+                a = ((np.eye(n, dtype=int) - _as_ints(q)) @ x @ _as_ints(p)).astype(np.complex128)
+            else:
+                a = rng.integers(-3, 4, (n, n)).astype(np.complex128)
+            yield a, p, q
+
+    @staticmethod
+    def _core_singular_values(prob: PqProblem, r_p: int, r_q: int) -> np.ndarray:
+        """The singular values of C = N^H a U, U and N orthonormal bases of
+        Ran(p) and Ran(q)^⊥ from numpy's SVDs at the exact ranks."""
+        u = np.linalg.svd(prob.p)[0][:, :r_p]
+        nh = np.linalg.svd(prob.q)[0][:, r_q:].conj().T
+        return np.linalg.svd(nh @ prob.a @ u, compute_uv=False)
+
+    @pytest.mark.parametrize("product", [False, True], ids=["integer-a", "a=(1-q)Xp"])
+    @pytest.mark.parametrize("depth", [1, 3, 5, 7])
+    def test_verdicts_match_exact_ranks(self, depth, product):
+        tol, eps = DEFAULT_TOL, np.finfo(float).eps
+        compared = existing = every = 0
+        for i, (a, p, q) in enumerate(self._triples(depth, product)):
+            prob = PqProblem(a, p, q)
+            verdicts, ranks = _exact_verdicts(*map(_as_ints, (prob.a, prob.p, prob.q)))
+            (r_p, r_q, r_a), norm_a = ranks, frob(prob.a)
+            s = np.linalg.svd(prob.a, compute_uv=False)
+            if np.count_nonzero(s > tol.rank_rtol * s[0]) != r_a:
+                continue
+            exists, decided = verdicts["l_exists"], True
+            if exists and r_p:
+                c = self._core_singular_values(prob, r_p, r_q)
+                if c[-1] <= tol.rank_rtol * c[0] or c[-1] <= densela.PRODUCT_NOISE * r_p * norm_a:
+                    continue
+                decided = c[-1] * tol.eq_rtol > eps * norm_a
+            rep = diagnose(prob)
+            assert (rep.l_exists, rep.cond5) == (exists, verdicts["cond5"]), i
+            assert (rep.dim_ran_p, rep.dim_ran_q, rep.rank_a) == ranks, i
+            if exists:
+                outer_inverse(prob)  # raises when it refuses an inverse that exists
+            if decided:
+                assert rep.booleans() == verdicts, i
+            compared += 1
+            existing += exists
+            every += decided
+        assert compared >= (0.9 if product else 1.0) * (100 if product else 400)
+        assert every >= (0.75 if product else 1.0) * (100 if product else 400)
+        assert 0 < existing < compared
+
+
+class TestObliqueOracle:
+    """diagnose and outer_inverse on guaranteed-existence instances whose p
+    and q are oblique with ||p||_2, ||q||_2 about t: every subspace-outer
+    verdict holds, and the value matches the oracle."""
+
+    SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_exists")
+
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_every_subspace_verdict_holds(self, n, t):
+        for seed in range(100):
+            inst = oblique_instance(np.random.default_rng(seed), n, t)
+            prob = PqProblem(inst["a"], inst["p"], inst["q"])
+            rep = diagnose(prob)
+            assert all(getattr(rep, name) for name in self.SUBSPACE_VERDICTS), seed
+            assert rep.equivalence_consistent, seed
+            b_ref = inst["b_ref"]
+            assert frob(outer_inverse(prob).b - b_ref) <= ORACLE_TOL * (1 + frob(b_ref)), seed
+
+    def test_idempotents_are_oblique_with_the_instance_ranges(self):
+        for n, seed in ((1, 0), (8, 1), (8, 2), (32, 3)):
+            inst = oblique_instance(np.random.default_rng(seed), n, 1e4)
+            plain = guaranteed_instance(np.random.default_rng(seed), n)
+            for name in "pq":
+                m = inst[name]
+                assert frob(m @ m - m) <= 1e-8 * frob(m)
+                assert equals(range_of(m), range_of(plain[name]))
+            r = inst["r"]
+            if 0 < r < n:
+                assert np.linalg.norm(inst["p"], 2) == pytest.approx(np.hypot(1.0, 1e4))
+            assert np.array_equal(inst["b_ref"], plain["b_ref"])
 
 
 class TestSharedSubspaces:

@@ -33,7 +33,12 @@ shows decomposition-count changes next to output changes.  Covered:
   of ``densela.exp_integral(a, t)`` for t = 0 and 1, on a seeded complex
   ``a`` of each size in EXP_DIMS scaled to each 1-norm in EXP_NORMS: the
   zero matrix, and 1-norms below and above the [13/13] Pade threshold
-  theta_13 = 5.37, where the squarings begin.
+  theta_13 = 5.37, where the squarings begin;
+* for each oblique family, n in OBLIQUE_DIMS by t in OBLIQUE_T, the count of
+  the OBLIQUE_SEEDS ``diagnose`` reports on ``oblique_instance(rng, n, t)``
+  (from this checkout's ``tests/matrix_generators.py``, seeds 0 to 99) that
+  hold a false subspace-outer verdict, although the inverse exists on every
+  one.
 
 Run it on two checkouts and diff the output::
 
@@ -82,6 +87,11 @@ PEAK_ARGS = {"matrix_with_range_kernel": lambda prob, inst: (prob.p, prob.q),
 EXP_DIMS = (1, 2, 8, 64)
 EXP_NORMS = (0.0, 1.0, 40.0)
 EXP_TIMES = (0.0, 1.0)
+OBLIQUE_DIMS = (8, 32)
+OBLIQUE_T = (1e2, 1e4, 1e6)
+OBLIQUE_SEEDS = 100
+# the verdicts that hold on every instance whose subspace outer inverse exists
+SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_exists")
 
 
 def _sha(text: str) -> str:
@@ -198,6 +208,23 @@ def _exp_lines(densela) -> list[str]:
     return lines
 
 
+def _oblique_lines(prescribed) -> list[str]:
+    """One line per oblique family: how many of its reports hold a false
+    subspace-outer verdict."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    oblique_instance = importlib.import_module("matrix_generators").oblique_instance
+    lines = []
+    for n in OBLIQUE_DIMS:
+        for t in OBLIQUE_T:
+            false = 0
+            for seed in range(OBLIQUE_SEEDS):
+                inst = oblique_instance(np.random.default_rng(seed), n, t)
+                rep = prescribed.diagnose(prescribed.PqProblem(inst["a"], inst["p"], inst["q"]))
+                false += not all(getattr(rep, name) for name in SUBSPACE_VERDICTS)
+            lines.append(f"oblique n={n} t={t:g}  false_verdicts={false}/{OBLIQUE_SEEDS}")
+    return lines
+
+
 def fingerprints() -> list[str]:
     cli = importlib.import_module("pqinv.cli")
     verify = importlib.import_module("pqinv.verify")
@@ -231,9 +258,10 @@ def fingerprints() -> list[str]:
                 lines += _counted_lines(cli, f"compute --kind 2l --route {route} {name}",
                                         ["compute", *problem_files[name], "--kind", "2l",
                                          "--route", route])
-    lines += _peak_lines(importlib.import_module("pqinv.prescribed"), verify,
-                         importlib.import_module("pqinv.errors"))
-    return lines + _exp_lines(importlib.import_module("pqinv.densela"))
+    prescribed = importlib.import_module("pqinv.prescribed")
+    lines += _peak_lines(prescribed, verify, importlib.import_module("pqinv.errors"))
+    return (lines + _exp_lines(importlib.import_module("pqinv.densela"))
+            + _oblique_lines(prescribed))
 
 
 def main(argv=None) -> int:
