@@ -187,7 +187,7 @@ def _tolerances_from_args(args) -> Tolerances:
 def _add_tol_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--rank-rtol", type=float, default=None,
                         help=f"numerical-rank cutoff (default {DEFAULT_TOL.rank_rtol}; "
-                             f"env {RANK_RTOL_ENV} overrides)")
+                             f"env {RANK_RTOL_ENV} applies when the flag is absent)")
     parser.add_argument("--eq-atol", type=float, default=None,
                         help=f"absolute equality tolerance (default {DEFAULT_TOL.eq_atol})")
     parser.add_argument("--eq-rtol", type=float, default=None,

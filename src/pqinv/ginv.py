@@ -7,6 +7,7 @@ constructions consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,68 +107,66 @@ class DrazinResult:
 
 
 def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
-    """Drazin inverse via the inner-inverse formula a^k (a^(2k+1))^- a^k.
-
-    The index is the least k with rank(a^k) = rank(a^(k+1)), read off the
-    power chain of the spectrally normalized matrix (normalization keeps
-    genuine powers at unit scale, so a power at the rounding floor is a
-    vanished nilpotent part, not a small survivor).  All three defining
-    identities are validated before returning; a failure raises
-    NumericalError rather than handing back a silently inaccurate result.
-    """
+    """Drazin inverse and index by Cline's factor sequence (:func:`_cline`),
+    with the three defining identities validated: a failure raises
+    NumericalError rather than handing back a silently inaccurate result."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-
-    scale = float(svd(a, compute_uv=False).s[0])
-    if scale == 0.0:
-        return DrazinResult(
-            inverse=np.zeros_like(a),
-            index=1,
-            spectral_idempotent=np.eye(n, dtype=np.complex128),
-        )
-    a_s = a / scale
-
-    k = 0
-    power = np.eye(n, dtype=np.complex128)  # a_s^k
-    r_prev = n
-    while True:
-        nxt = power @ a_s
-        if is_noise(nxt, 1e-10):  # noise floor of the normalized power chain
-            nxt = np.zeros_like(nxt)
-        r_next = rank(nxt, tol)
-        if r_next == r_prev:
-            break
-        k += 1
-        power = nxt
-        r_prev = r_next
-        if k > n:  # pragma: no cover - rank sequence must stabilise within n steps
-            raise NumericalError("rank sequence failed to stabilise")
-
-    middle = power @ a_s @ power  # a_s^(2k+1)
-    d = (power @ moore_penrose(middle, tol) @ power) / scale
-
+    d, k = _cline(a, tol)
     _validate_drazin(a, d, k, tol)
-    spectral = np.eye(n, dtype=np.complex128) - a @ d
-    if frob(spectral @ spectral - spectral) > eq_bound(spectral, spectral, tol):
+    spectral = np.eye(a.shape[0], dtype=np.complex128) - a @ d
+    if not frob(spectral @ spectral - spectral) <= eq_bound(spectral, spectral, tol):
         raise NumericalError("spectral idempotent failed the idempotency check")
     return DrazinResult(inverse=d, index=k, spectral_idempotent=spectral)
 
 
+def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """(a^D, ind a) by Cline's factor sequence (SIAM J. Numer. Anal. 5
+    (1968) 182-197): from m_0 = a, m_j = F_j G_j by :func:`rank_factorization`
+    and m_(j+1) = G_j F_j, of falling rank, until :func:`factored_group_inverse`
+    finds m_k group invertible.  (F G)^D = F ((G F)^D)^2 G unrolls to
+    a^D = F_0 ... F_(k-1) (m_k^#)^(k+1) G_(k-1) ... G_0, whose rounding errors
+    add where the nested form's double per level; ind a is k, plus one when
+    m_k is singular.  a is scaled exactly, by a power of two, to keep the
+    k-fold products in range; G F at its rounding floor is snapped to 0.
+    """
+    scale = 2.0 ** math.frexp(frob(a))[1]
+    m, left, right = a / scale, None, None
+    for k in range(a.shape[0] + 1):  # the rank falls at every step
+        f, g = rank_factorization(m, tol)
+        r = f.shape[1]
+        gf = g @ f
+        # G has orthonormal rows, so its norm is sqrt(r)
+        if is_noise(gf, PRODUCT_NOISE * frob(f) * np.sqrt(r)):
+            gf = np.zeros_like(gf)
+        group = factored_group_inverse(f, gf, g, tol)
+        if group is not None:
+            break
+        left = f if left is None else left @ f
+        right = g if right is None else g @ right
+        m = gf
+    else:  # pragma: no cover - a core's rank cannot stay put n + 1 times
+        raise NumericalError("the factor ranks failed to fall")
+    d = group if k == 0 else left @ np.linalg.matrix_power(group, k + 1) @ right
+    return d / scale, k + int(r < m.shape[0])
+
+
 def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances):
-    ad = a @ d
-    da = d @ a
+    """d a d = d, a d = d a and a^(k+1) d = a^k within eq_bound, the last also
+    at its products' rounding floor (:func:`densela.is_noise`): a^k of a
+    nilpotent part is the noise of k products.  A non-finite residual fails."""
+    ad, da = a @ d, d @ a
+    norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
     checks = {
-        "outer": (d @ ad, d),
-        "commute": (ad, da),
-        "power": (np.linalg.matrix_power(a, k + 1) @ d, np.linalg.matrix_power(a, k)),
+        "outer": (d @ ad, d, 0.0),
+        "commute": (ad, da, 0.0),
+        "power": (np.linalg.matrix_power(a, k + 1) @ d, np.linalg.matrix_power(a, k),
+                  PRODUCT_NOISE * norm_a ** k * (1.0 + norm_a * frob(d))),
     }
-    for name, (lhs, rhs) in checks.items():
-        if frob(lhs - rhs) > eq_bound(lhs, rhs, tol):
-            raise NumericalError(
-                f"Drazin axiom '{name}' failed: residual {frob(lhs - rhs):.3e}"
-            )
+    for name, (lhs, rhs, floor) in checks.items():
+        if not (frob(lhs - rhs) <= eq_bound(lhs, rhs, tol) or is_noise(lhs - rhs, floor)):
+            raise NumericalError(f"Drazin axiom '{name}' failed: residual {frob(lhs - rhs):.3e}")
 
 
 def gi_idempotents(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -314,9 +314,9 @@ def _no_outer_inverse(reason: str) -> NonexistentInverseError:
     return NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
 
 
-def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
-    """The subspace-outer candidate b with Ran(b) and Ker(b), from Ran(p),
-    Ran(q) and its orthogonal complement.
+def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
+    """The subspace-outer candidate b, from Ran(p), Ran(q) and its
+    orthogonal complement.
 
     With U and N the orthonormal bases of Ran(p) and Ran(q)^⊥ and
     w = U N^H, the factorization a w = (a U) N^H has full rank, so the
@@ -330,8 +330,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
 
     The rank decision on C is also b's: b's nonzero singular values are
     those of C^-1.  So Ran(b) = Ran(U) = Ran(p) and Ker(b) = Ker(N^H) =
-    Ran(q) hold by construction, and the view's Ran(p) and Ran(q) are
-    returned as Ran(b) and Ker(b), with no SVD of b.  b a b = b is checked
+    Ran(q) hold by construction, with no SVD of b.  b a b = b is checked
     in the core's coordinates: with X = C^-1 N^H, b a b - b = U (X (a U) X
     - X), whose Frobenius norm is that of X (a U) X - X because U is
     orthonormal, and the bound eq_bound(X, X) is eq_bound(b, b).  Formed
@@ -344,7 +343,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
     tol, a_u, u = spaces.tol, spaces.a_u, spaces.ran_p.basis
     r = u.shape[1]
     if r == 0:
-        return np.zeros_like(prob.a), spaces.ran_p, spaces.ran_q
+        return np.zeros_like(prob.a)
     nh = spaces.co_q.basis.conj().T
     core = nh @ a_u
     # N and U have unit columns, so the factors' norms are sqrt(r) each
@@ -357,7 +356,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple:
         raise _no_outer_inverse("the core C = N^H a U is singular") from None
     if not matrices_equal(xn @ a_u @ xn, xn, tol):
         raise _no_outer_inverse("candidate fails b a b = b")
-    return u @ xn, spaces.ran_p, spaces.ran_q
+    return u @ xn
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
@@ -463,7 +462,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     cond5, t_witness, s_witness = _cond5_cond6(prob, spaces)
 
     try:
-        b = _candidate(prob, spaces)[0]
+        b = _candidate(prob, spaces)
     except NonexistentInverseError:
         b = None
     l_exists = b is not None
@@ -579,7 +578,7 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     """
     _check_route(route)
     spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=False)
-    b_group = _candidate(prob, spaces)[0]
+    b_group = _candidate(prob, spaces)
     w = _witness(spaces)
     del spaces  # the view's n x r product a U is not held through the route
     b, _, trace = _route_result(prob, w, b_group, route, lambda_min, horizon)
@@ -612,14 +611,17 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         broken = _l12_failure(spaces)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    b_group, ran_p, ran_q = _candidate(prob, spaces)
+    b_group = _candidate(prob, spaces)
+    ran_p, ran_q = spaces.ran_p, spaces.ran_q
     w = None if route == "group" else _witness(spaces)
     del spaces  # the view's n x r product a U is not held through the route
     b, route_name, _ = _route_result(prob, w, b_group, route)
-    ran_b, ker_b = ran_p, ran_q  # the group value's, from _candidate
+    # the group value's Ran and Ker are the view's bases by construction (_candidate)
+    range_gap = kernel_gap = 0.0
     if route_name != "group_formula":
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
         ran_b, ker_b = sub.range_and_kernel(b, tol)
+        range_gap, kernel_gap = sub.gap(ran_b, ran_p), sub.gap(ker_b, ran_q)
     ba, ab = b @ a, a @ b
     inner_res = frob(ab @ a - a)
     if reflexive and inner_res > eq_bound(a, a, tol):
@@ -643,8 +645,8 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     return PqResult(_KINDS[strict, reflexive], b, route_name, {
         "outer": frob(ba @ b - b),
         "inner": inner_res,
-        "range_gap": sub.gap(ran_b, ran_p),
-        "kernel_gap": sub.gap(ker_b, ran_q),
+        "range_gap": range_gap,
+        "kernel_gap": kernel_gap,
         "ba_minus_p": ba_res,
         "ab_minus_1mq": ab_res,
         "fix_left": frob(p @ b - b),

@@ -270,6 +270,13 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"]["rank_rtol"] == 1e-9
 
+    def test_rank_rtol_help_puts_the_flag_first(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "env PQINV_TOL_RANK applies when the flag is absent" in help_text
+        assert "overrides" not in help_text
+
 
 class TestSvdFailure:
     def test_seed_104_triple_is_decided(self, tmp_path, capsys):
@@ -289,8 +296,9 @@ class TestSvdFailure:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_residual_svd_that_fails_once_is_retried(self, counterexample_files, monkeypatch):
-        # the subspace gaps among the residuals take their SVDs through the
-        # one SVD home too, so a LAPACK failure there falls back to the adjoint
+        # the subspace gaps among a non-group route's residuals take their SVDs
+        # through the one SVD home too, so a LAPACK failure there falls back
+        # to the adjoint (the group route's gaps are 0 with no SVD)
         svd = np.linalg.svd
         failed = []
 
@@ -306,7 +314,7 @@ class TestSvdFailure:
         for namespace in (np.linalg, sys.modules["numpy.linalg._linalg"]):
             monkeypatch.setattr(namespace, "svd", fails_once_in_gap)
         files = [counterexample_files[k] for k in "apq"]
-        assert main(["compute", *files, "--kind", "2l"]) == 0
+        assert main(["compute", *files, "--kind", "2l", "--route", "inner"]) == 0
         assert failed
 
 

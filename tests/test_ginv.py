@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pqinv.densela import frob, rank, rank_factorization
-from pqinv.errors import ShapeError
+from pqinv.densela import DEFAULT_TOL, frob, rank, rank_factorization
+from pqinv.errors import NumericalError, ShapeError
 from pqinv.ginv import (
+    _validate_drazin,
     drazin_inverse,
     factored_group_inverse,
     gi_idempotents,
@@ -239,6 +240,79 @@ class TestDrazin:
             assert frob(power @ a @ d - power) <= 1e-9 * (1.0 + frob(power))
             pi = res.spectral_idempotent
             assert frob(pi @ pi - pi) <= 1e-9 * (1.0 + frob(pi))
+
+    def test_scale_invariance(self):
+        # (s a)^D = a^D / s with the same index; at s = 1e6, seeds 23, 27, 30,
+        # 34 and 35 pass the power axiom only at its products' rounding floor
+        for seed in range(40):
+            inst = varied_index_matrix(np.random.default_rng(seed), 8)
+            d = drazin_inverse(inst["a"]).inverse
+            for s in (1e-6, 1.0, 1e6):
+                res = drazin_inverse(s * inst["a"])
+                assert res.index == inst["index"]
+                assert frob(res.inverse * s - d) <= 1e-8 * (1.0 + frob(d))
+
+    @pytest.mark.parametrize("scale", [1e2, 1e3])
+    def test_scaled_nilpotent_is_exact(self, scale):
+        # a^k of a nilpotent part is only the rounding noise of its products
+        for seed in range(40):
+            inst = varied_index_matrix(np.random.default_rng(seed), 8, core=0)
+            res = drazin_inverse(scale * inst["a"])
+            assert res.index == inst["index"]
+            assert frob(res.inverse) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+    def test_index_too_low_is_rejected(self, scale):
+        # d = 0 is a nilpotent's Drazin inverse, but not with index k - 1
+        for seed in range(10):
+            inst = varied_index_matrix(np.random.default_rng(seed), 8, core=0)
+            with pytest.raises(NumericalError, match="axiom 'power'"):
+                _validate_drazin(scale * inst["a"], np.zeros((8, 8), dtype=complex),
+                                 inst["index"] - 1, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_long_jordan_block_beside_a_core(self, size):
+        # index = size: a nested recursion would double its rounding error
+        # per level, and a power chain loses the core below the rank cutoff
+        lam = np.diag([1.0, 1.5, 2.0])
+        a = np.zeros((size + 3, size + 3), dtype=complex)
+        a[:3, :3] = lam
+        a[3:, 3:] = np.diag(np.ones(size - 1), 1)
+        d_ref = np.zeros_like(a)
+        d_ref[:3, :3] = np.linalg.inv(lam)
+        res = drazin_inverse(a)
+        assert res.index == size
+        assert frob(res.inverse - d_ref) <= 1e-12
+
+    def test_non_finite_inverse_is_rejected(self):
+        d = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(NumericalError, match="axiom 'outer'"):
+            _validate_drazin(IDEM, d, 1, DEFAULT_TOL)
+
+    def test_factor_sequence_takes_no_power_decomposition(self, count_linalg, monkeypatch):
+        # index 3: a and its first two cores each factored once and rank-tested
+        # once, one solve on the last; no s-only SVD of a, no pseudo-inverse
+        from pqinv import ginv
+
+        a = varied_index_matrix(np.random.default_rng(0), 16, core=8)["a"]
+        s_only = []
+        lapack_svd = np.linalg.svd
+
+        def svd(m, compute_uv=True):
+            if not compute_uv:
+                s_only.append(m.shape)
+            return lapack_svd(m, compute_uv=compute_uv)
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("moore_penrose called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(ginv, "moore_penrose", no_pinv)
+        result = {}
+        counts = count_linalg(lambda: result.update(dz=drazin_inverse(a)), ("svd", "solve"))
+        assert result["dz"].index == 3
+        assert counts == {"svd": 6, "solve": 1}
+        assert s_only and all(shape[0] < a.shape[0] for shape in s_only)
 
 
 class TestGiIdempotents:

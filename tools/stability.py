@@ -14,6 +14,10 @@ shows decomposition-count changes next to output changes.  Covered:
 * the stdout of ``compute --kind mp|group|drazin`` on the ``a`` of that
   random triple, and the matrix file that ``compute --kind 2l --out``
   writes for the diagonalizable instance;
+* the stdout of ``compute --kind drazin`` on the seed-0 n = 16
+  ``varied_index_matrix`` with an 8-dimensional core (from this
+  checkout's ``tests/matrix_generators.py``), of index 3, on which the
+  Drazin inverse factors a and two successive cores;
 * the stdout of ``represent --method limit|integral`` on an 8 x 8
   diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
   p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p, and on that core of
@@ -87,6 +91,8 @@ PEAK_ARGS = {"matrix_with_range_kernel": lambda prob, inst: (prob.p, prob.q),
 EXP_DIMS = (1, 2, 8, 64)
 EXP_NORMS = (0.0, 1.0, 40.0)
 EXP_TIMES = (0.0, 1.0)
+# the varied_index_matrix (seed, n, core) whose Drazin inverse has index 3
+DRAZIN_INDEX3 = (0, 16, 8)
 OBLIQUE_DIMS = (8, 32)
 OBLIQUE_T = (1e2, 1e4, 1e6)
 OBLIQUE_SEEDS = 100
@@ -208,11 +214,16 @@ def _exp_lines(densela) -> list[str]:
     return lines
 
 
+def _generators():
+    """This checkout's ``tests/matrix_generators.py``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    return importlib.import_module("matrix_generators")
+
+
 def _oblique_lines(prescribed) -> list[str]:
     """One line per oblique family: how many of its reports hold a false
     subspace-outer verdict."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    oblique_instance = importlib.import_module("matrix_generators").oblique_instance
+    oblique_instance = _generators().oblique_instance
     lines = []
     for n in OBLIQUE_DIMS:
         for t in OBLIQUE_T:
@@ -243,6 +254,12 @@ def fingerprints() -> list[str]:
         for kind in CLASSICAL_KINDS:
             lines += _counted_lines(cli, f"compute --kind {kind} {name} a",
                                     ["compute", problem_files[name][0], "--kind", kind])
+        seed, n, core = DRAZIN_INDEX3
+        name = f"varied-index-n{n}"
+        inst = _generators().varied_index_matrix(np.random.default_rng(seed), n, core=core)
+        files = _write_files(cli, tmp, name, (inst["a"],))
+        lines += _counted_lines(cli, f"compute --kind drazin {name} a",
+                                ["compute", *files, "--kind", "drazin"])
         name = f"diagonalizable-n{N}"
         out = Path(tmp) / "out.json"
         code, _ = _run(cli, ["compute", *problem_files[name], "--kind", "2l", "--out", str(out)])
