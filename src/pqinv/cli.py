@@ -34,6 +34,7 @@ from .densela import DEFAULT_TOL, Tolerances, frob
 from .errors import NonexistentInverseError, NumericalError, SpectrumError
 from .ginv import drazin_inverse, group_inverse, moore_penrose
 from .prescribed import (
+    DEFAULT_LAMBDA_SCHEDULE,
     PqProblem,
     diagnose,
     one_two_inverse,
@@ -205,11 +206,8 @@ def _load_problem(args, tol: Tolerances) -> PqProblem:
     return PqProblem(a, p, q, tol)
 
 
-def _cmd_check(args) -> int:
-    tol = _tolerances_from_args(args)
-    prob = _load_problem(args, tol)
-    report = diagnose(prob)
-    _emit(report.to_json_dict())
+def _cmd_check(args, tol: Tolerances) -> int:
+    _emit(diagnose(_load_problem(args, tol)).to_json_dict())
     return EXIT_OK
 
 
@@ -226,8 +224,7 @@ def _pq_compute(kind: str):
     }.get(kind)
 
 
-def _cmd_compute(args) -> int:
-    tol = _tolerances_from_args(args)
+def _cmd_compute(args, tol: Tolerances) -> int:
     doc: dict = {"kind": args.kind, "tolerances": tol.to_json_dict()}
     compute = _pq_compute(args.kind)
     if compute is not None:
@@ -271,10 +268,8 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _cmd_represent(args) -> int:
-    tol = _tolerances_from_args(args)
-    prob = _load_problem(args, tol)
-    final, trace = represent(prob, args.method, args.lambda_min, args.horizon)
+def _cmd_represent(args, tol: Tolerances) -> int:
+    final, trace = represent(_load_problem(args, tol), args.method, args.lambda_min, args.horizon)
     header = "lambda,cauchy_error" if args.method == "limit" else "horizon,cauchy_error,tail_bound"
     rows = [header, *(",".join(map(repr, row)) for row in trace)]
     rows.append("# tolerances: " + " ".join(
@@ -286,16 +281,12 @@ def _cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_cases(args) -> int:
-    tol = _tolerances_from_args(args)
-    report = run_counterexample_suite(tol)
-    _emit(report.to_json_dict())
-    return EXIT_OK if report.ok else EXIT_SUITE_FAILURE
-
-
-def _cmd_fuzz(args) -> int:
-    tol = _tolerances_from_args(args)
-    report = fuzz(args.seed, args.trials, args.dim, tol)
+def _cmd_suite(args, tol: Tolerances) -> int:
+    """``verify`` or ``fuzz``: the suite's report, and exit 1 on a failed case."""
+    if args.command == "verify":
+        report = run_counterexample_suite(tol)
+    else:
+        report = fuzz(args.seed, args.trials, args.dim, tol)
     _emit(report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_SUITE_FAILURE
 
@@ -333,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     represent_cmd.add_argument("p_file")
     represent_cmd.add_argument("q_file")
     represent_cmd.add_argument("--method", required=True, choices=["limit", "integral"])
-    represent_cmd.add_argument("--lambda-min", type=float, default=1e-8)
+    represent_cmd.add_argument("--lambda-min", type=float,
+                               default=DEFAULT_LAMBDA_SCHEDULE[-1])
     represent_cmd.add_argument("--horizon", type=float, default=None)
     represent_cmd.add_argument("--out", default=None, help="write the final matrix file here")
     _add_tol_flags(represent_cmd)
@@ -343,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the built-in counterexample suite"
     )
     _add_tol_flags(verify_cmd)
-    verify_cmd.set_defaults(fn=_cmd_verify_cases)
+    verify_cmd.set_defaults(fn=_cmd_suite)
 
     fuzz_cmd = subparsers.add_parser("fuzz", help="run the randomized invariant suite")
     fuzz_cmd.add_argument("--seed", type=int, default=42)
     fuzz_cmd.add_argument("--trials", type=int, default=100)
     fuzz_cmd.add_argument("--dim", type=int, default=8)
     _add_tol_flags(fuzz_cmd)
-    fuzz_cmd.set_defaults(fn=_cmd_fuzz)
+    fuzz_cmd.set_defaults(fn=_cmd_suite)
 
     return parser
 
@@ -360,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spectral_exit = EXIT_SPECTRUM if args.command == "represent" else EXIT_NUMERICAL
     try:
-        return args.fn(args)
+        return args.fn(args, _tolerances_from_args(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

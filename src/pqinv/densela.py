@@ -7,10 +7,11 @@ through the whole package, so that no two modules can reach contradictory
 verdicts about the same matrix.  Each numerical decision has one home
 here: :func:`count_rank` turns singular values into a rank,
 :func:`is_noise` decides that a computed matrix is cancellation noise
-(with :data:`PRODUCT_NOISE` the floor for products), and
-:meth:`Tolerances.to_json_dict` is the one serialised form of the
-thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues` are the
-package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
+(with :data:`PRODUCT_NOISE` the floor for products), :func:`solve_core`
+decides whether the r x r core of a factorization is invertible and
+solves with it, and :meth:`Tolerances.to_json_dict` is the one serialised
+form of the thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues`
+are the package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
 range and null-space bases and the pseudo-inverse, so a caller that needs
 several of them factors the matrix once.  Inside :func:`record`, each
 LAPACK call is counted, and every rank decision records whether it lies
@@ -51,6 +52,7 @@ __all__ = [
     "Factored",
     "svd",
     "solve",
+    "solve_core",
     "solve_right",
     "solve_left",
     "rank_factorization",
@@ -299,6 +301,26 @@ def solve(a, b) -> np.ndarray:
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank of ``a`` (see :func:`count_rank`)."""
     return svd(a, compute_uv=False).rank(tol)
+
+
+def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """core^-1 rhs for an r x r ``core`` that a factorization needs invertible,
+    or None when it is not: the one decision of whether such a core is.
+
+    The core counts as singular when it is noise at ``floor`` (the rounding
+    floor of its factors, :func:`is_noise`), when its :func:`rank` is below
+    r, or when LAPACK's LU finds it exactly singular.  A 0 x 0 core gives
+    the 0 x m zero matrix, without LAPACK.
+    """
+    r = core.shape[0]
+    if r == 0:
+        return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
+    if is_noise(core, floor) or rank(core, tol) < r:
+        return None
+    try:
+        return solve(core, rhs)
+    except np.linalg.LinAlgError:  # the rank read the core as invertible, its LU did not
+        return None
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:

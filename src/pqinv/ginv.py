@@ -20,9 +20,8 @@ from .densela import (
     eq_bound,
     frob,
     is_noise,
-    rank,
     rank_factorization,
-    solve,
+    solve_core,
     svd,
 )
 from .errors import NumericalError, ShapeError
@@ -80,21 +79,14 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     Cline's gauge-invariant F (G F)^-2 G (SIAM J. Numer. Anal. 5 (1968)
     182-197), for F with r independent columns and G with r orthonormal
     rows, as :func:`rank_factorization` gives them.  As (F G)^2 = F (G F) G,
-    index one is rank(G F) = r, read off the r x r core; a G F at the
-    rounding floor of its factors counts as rank 0.
+    index one is G F invertible, decided by :func:`densela.solve_core` on
+    the r x r core at the rounding floor of its factors; at r = 0 F G is 0,
+    and so is its group inverse.
     """
     r = f.shape[1]
-    if r == 0:
-        return np.zeros((f.shape[0], g.shape[1]), dtype=np.complex128)
     # G has orthonormal rows, so its norm is sqrt(r)
-    if is_noise(gf, PRODUCT_NOISE * frob(f) * np.sqrt(r)) or rank(gf, tol) < r:
-        return None
-    try:
-        core = solve(gf, np.eye(r, dtype=np.complex128))
-    except np.linalg.LinAlgError:
-        # rank test said index one but the core is exactly singular
-        return None
-    return f @ core @ core @ g
+    core = solve_core(gf, np.eye(r, dtype=np.complex128), PRODUCT_NOISE * frob(f) * np.sqrt(r), tol)
+    return None if core is None else f @ core @ core @ g
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,7 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
     d, k = _cline(a, tol)
-    _validate_drazin(a, d, k, tol)
-    spectral = np.eye(a.shape[0], dtype=np.complex128) - a @ d
+    spectral = np.eye(a.shape[0], dtype=np.complex128) - _validate_drazin(a, d, k, tol)
     if not frob(spectral @ spectral - spectral) <= eq_bound(spectral, spectral, tol):
         raise NumericalError("spectral idempotent failed the idempotency check")
     return DrazinResult(inverse=d, index=k, spectral_idempotent=spectral)
@@ -152,10 +143,11 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
     return d / scale, k + int(r < m.shape[0])
 
 
-def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances):
+def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
     """d a d = d, a d = d a and a^(k+1) d = a^k within eq_bound, the last also
     at its products' rounding floor (:func:`densela.is_noise`): a^k of a
-    nilpotent part is the noise of k products.  A non-finite residual fails."""
+    nilpotent part is the noise of k products.  A non-finite residual fails.
+    Returns a d, which the spectral idempotent 1 - a d reads."""
     ad, da = a @ d, d @ a
     norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
     checks = {
@@ -167,6 +159,7 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances):
     for name, (lhs, rhs, floor) in checks.items():
         if not (frob(lhs - rhs) <= eq_bound(lhs, rhs, tol) or is_noise(lhs - rhs, floor)):
             raise NumericalError(f"Drazin axiom '{name}' failed: residual {frob(lhs - rhs):.3e}")
+    return ad
 
 
 def gi_idempotents(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,7 @@ from .densela import (
     rank_factorization,
     record,
     solve,
+    solve_core,
     svd,
 )
 from .errors import (
@@ -322,11 +323,12 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     w = U N^H, the factorization a w = (a U) N^H has full rank, so the
     paper's w (a w)^# is  b = U C^-1 N^H  with the r x r core  C = N^H a U
     (the full-rank representation of A^(2)_{T,S}).  The inverse exists
-    exactly when C is invertible: C must have rank r = dim Ran(p) at
-    rank_rtol, and a C at the rounding floor of its factors counts as 0.
-    This is the definitional existence test, independent of the subspace
-    criteria used by :func:`diagnose`; a failure, the dimension obstruction
-    included, raises NonexistentInverseError.
+    exactly when C is invertible, decided by :func:`densela.solve_core`:
+    C must have rank r = dim Ran(p) at rank_rtol, and a C at the rounding
+    floor of its factors counts as 0; at r = 0, b = 0.  This is the
+    definitional existence test, independent of the subspace criteria used
+    by :func:`diagnose`; a failure, the dimension obstruction included,
+    raises NonexistentInverseError.
 
     The rank decision on C is also b's: b's nonzero singular values are
     those of C^-1.  So Ran(b) = Ran(U) = Ran(p) and Ker(b) = Ker(N^H) =
@@ -342,18 +344,11 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
         raise _no_outer_inverse(broken)
     tol, a_u, u = spaces.tol, spaces.a_u, spaces.ran_p.basis
     r = u.shape[1]
-    if r == 0:
-        return np.zeros_like(prob.a)
     nh = spaces.co_q.basis.conj().T
-    core = nh @ a_u
     # N and U have unit columns, so the factors' norms are sqrt(r) each
-    if is_noise(core, PRODUCT_NOISE * r * frob(prob.a)) or rank(core, tol) < r:
+    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * frob(prob.a), tol)
+    if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
-    try:
-        xn = solve(core, nh)
-    except np.linalg.LinAlgError:
-        # the rank test read C as invertible but its LU is exactly singular
-        raise _no_outer_inverse("the core C = N^H a U is singular") from None
     if not matrices_equal(xn @ a_u @ xn, xn, tol):
         raise _no_outer_inverse("candidate fails b a b = b")
     return u @ xn
@@ -652,7 +647,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         "fix_left": frob(p @ b - b),
         "gen_left": frob(ba @ p - p),
         "fix_right": frob(b @ one_mq - b),
-        "gen_right": frob(one_mq @ a @ b - one_mq),
+        "gen_right": frob(one_mq @ ab - one_mq),
     })
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .ginv import (
     reflexive_inverse,
 )
 from .prescribed import (
+    ExistenceReport,
     PqProblem,
     _route_result,
     diagnose,
@@ -123,7 +125,7 @@ class _Recorder:
             self.failures.append(name)
 
 
-def _run_case(name: str, fn, tol: Tolerances) -> CaseResult:
+def _run_case(name: str, fn) -> CaseResult:
     rec = _Recorder()
     start = time.perf_counter()
     fragile = False
@@ -169,73 +171,62 @@ def _case_statement_products(rec: _Recorder) -> bool:
     return False
 
 
-def _case_strict_vs_subspace(tol: Tolerances):
-    def run(rec: _Recorder) -> bool:
-        q = np.eye(2) - _ONE_MQ22
-        prob = PqProblem(_A22, _P22, q, tol)
-        rep = diagnose(prob)
-        rec.expect("subspace outer inverse exists", rep.l_exists)
-        rec.expect("strict outer inverse does not exist", not rep.strict_exists)
-        result = outer_inverse(prob)
-        rec.check("computed_vs_expected", frob(result.b - _B22), 1e-12)
-        rec.check("outer_residual", result.residuals["outer"], 1e-12)
-        rec.check("range_gap", result.residuals["range_gap"], 1e-12)
-        rec.check("kernel_gap", result.residuals["kernel_gap"], 1e-12)
-        raised = False
-        try:
-            outer_inverse_strict(prob)
-        except NonexistentInverseError as exc:
-            raised = True
-            rec.record("strict_ba_residual", exc.residuals.get("ba_minus_p", -1.0))
-        rec.expect("strict computation reports nonexistence", raised)
-        reflexive = one_two_inverse(prob)
-        rec.check("one_two_inner_residual", reflexive.residuals["inner"], 1e-12)
-        return rep.fragile
-
-    return run
+def _counterexample(one_mq: np.ndarray, tol: Tolerances) -> tuple[PqProblem, ExistenceReport]:
+    """The 2x2 problem with a = _A22, p = _P22 and 1 - q = ``one_mq``, and its diagnosis."""
+    prob = PqProblem(_A22, _P22, np.eye(2) - one_mq, tol)
+    return prob, diagnose(prob)
 
 
-def _case_direct_sum_without_image(tol: Tolerances):
-    def run(rec: _Recorder) -> bool:
-        q = np.eye(2) - _ONE_MQ22
-        prob = PqProblem(_A22, _P22, q, tol)
-        rep = diagnose(prob)
-        rec.expect("trivial kernel intersection", rep.ker_cap_ranp_trivial)
-        rec.expect("direct sum holds", rep.direct_sum)
-        rec.expect("image does not match Ran(1-q)", not rep.image_match)
-        a_ran_p = sub.image(prob.a, sub.range_of(prob.p, tol), tol)
-        rec.record("image_gap", sub.gap(a_ran_p, sub.range_of(prob.one_minus_q, tol)))
-        return rep.fragile
+def _case_strict_vs_subspace(rec: _Recorder, tol: Tolerances) -> bool:
+    prob, rep = _counterexample(_ONE_MQ22, tol)
+    rec.expect("subspace outer inverse exists", rep.l_exists)
+    rec.expect("strict outer inverse does not exist", not rep.strict_exists)
+    result = outer_inverse(prob)
+    rec.check("computed_vs_expected", frob(result.b - _B22), 1e-12)
+    rec.check("outer_residual", result.residuals["outer"], 1e-12)
+    rec.check("range_gap", result.residuals["range_gap"], 1e-12)
+    rec.check("kernel_gap", result.residuals["kernel_gap"], 1e-12)
+    raised = False
+    try:
+        outer_inverse_strict(prob)
+    except NonexistentInverseError as exc:
+        raised = True
+        rec.record("strict_ba_residual", exc.residuals.get("ba_minus_p", -1.0))
+    rec.expect("strict computation reports nonexistence", raised)
+    reflexive = one_two_inverse(prob)
+    rec.check("one_two_inner_residual", reflexive.residuals["inner"], 1e-12)
+    return rep.fragile
 
-    return run
+
+def _case_direct_sum_without_image(rec: _Recorder, tol: Tolerances) -> bool:
+    prob, rep = _counterexample(_ONE_MQ22, tol)
+    rec.expect("trivial kernel intersection", rep.ker_cap_ranp_trivial)
+    rec.expect("direct sum holds", rep.direct_sum)
+    rec.expect("image does not match Ran(1-q)", not rep.image_match)
+    a_ran_p = sub.image(prob.a, sub.range_of(prob.p, tol), tol)
+    rec.record("image_gap", sub.gap(a_ran_p, sub.range_of(prob.one_minus_q, tol)))
+    return rep.fragile
 
 
-def _case_image_without_strict(tol: Tolerances):
-    def run(rec: _Recorder) -> bool:
-        one_mq = np.diag([0.0, 1.0]).astype(np.complex128)
-        q = np.eye(2) - one_mq
-        prob = PqProblem(_A22, _P22, q, tol)
-        rep = diagnose(prob)
-        rec.expect("image matches Ran(1-q)", rep.image_match)
-        rec.expect("trivial kernel intersection", rep.ker_cap_ranp_trivial)
-        rec.expect("strict outer inverse does not exist", not rep.strict_exists)
-        result = outer_inverse(prob)
-        rec.check("computed_vs_expected", frob(result.b - _B22), 1e-12)
-        rec.record("ba_minus_p", result.residuals["ba_minus_p"])
-        rec.expect("ba still differs from p", result.residuals["ba_minus_p"] > 0.5)
-        return rep.fragile
-
-    return run
+def _case_image_without_strict(rec: _Recorder, tol: Tolerances) -> bool:
+    prob, rep = _counterexample(np.diag([0.0, 1.0]).astype(np.complex128), tol)
+    rec.expect("image matches Ran(1-q)", rep.image_match)
+    rec.expect("trivial kernel intersection", rep.ker_cap_ranp_trivial)
+    rec.expect("strict outer inverse does not exist", not rep.strict_exists)
+    result = outer_inverse(prob)
+    rec.check("computed_vs_expected", frob(result.b - _B22), 1e-12)
+    rec.record("ba_minus_p", result.residuals["ba_minus_p"])
+    rec.expect("ba still differs from p", result.residuals["ba_minus_p"] > 0.5)
+    return rep.fragile
 
 
 def run_counterexample_suite(tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Reproduce the fixed 2x2 counterexamples and their documented verdicts."""
-    cases = [
-        _run_case("statement_products_exact", _case_statement_products, tol),
-        _run_case("strict_vs_subspace_gap", _case_strict_vs_subspace(tol), tol),
-        _run_case("direct_sum_without_image_match", _case_direct_sum_without_image(tol), tol),
-        _run_case("image_match_without_strict", _case_image_without_strict(tol), tol),
-    ]
+    cases = [_run_case("statement_products_exact", _case_statement_products)]
+    for name, case in (("strict_vs_subspace_gap", _case_strict_vs_subspace),
+                       ("direct_sum_without_image_match", _case_direct_sum_without_image),
+                       ("image_match_without_strict", _case_image_without_strict)):
+        cases.append(_run_case(name, partial(case, tol=tol)))
     return SuiteReport(cases=cases, trials=len(cases), seed=None, tol=tol)
 
 
@@ -581,5 +572,5 @@ def fuzz(seed: int, trials: int, max_dim: int, tol: Tolerances = DEFAULT_TOL) ->
             _battery_classical(rec, a, tol)
             return fragile
 
-        cases.append(_run_case(f"trial_{i:05d}", trial, tol))
+        cases.append(_run_case(f"trial_{i:05d}", trial))
     return SuiteReport(cases=cases, trials=trials, seed=seed, tol=tol)

@@ -27,11 +27,13 @@ from pqinv.densela import (
     rank_factorization,
     record,
     solve,
+    solve_core,
     solve_left,
     solve_right,
     svd,
 )
 from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError
+from pqinv.ginv import group_inverse
 from pqinv.prescribed import (
     PqProblem,
     diagnose,
@@ -152,6 +154,36 @@ class TestSolve:
             x = solve_right(a, b)
             assert x is not None
             assert frob(a @ x - b) <= 1e-10 + 1e-8 * frob(b)
+
+
+def _lu_finds_singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestSolveCore:
+    def test_empty_core_is_the_zero_block_without_lapack(self):
+        with record() as rec:
+            x = solve_core(np.zeros((0, 0), dtype=complex), np.zeros((0, 3), dtype=complex), 0.0)
+        assert (x.shape, x.dtype, sum(rec.calls.values())) == ((0, 3), np.complex128, 0)
+
+    @pytest.mark.parametrize("core, floor", [
+        (np.diag([1.0, 0.0]), 0.0),  # rank 1 < 2
+        (1e-13 * np.eye(2), 1e-12),  # rank 2 at rank_rtol, but at the rounding floor
+    ], ids=["rank", "noise"])
+    def test_singular_core_is_none(self, core, floor):
+        assert solve_core(core.astype(complex), np.eye(2, dtype=complex), floor) is None
+
+    # a core the rank reads as invertible and LAPACK's LU finds singular
+    def test_lu_failure_is_a_singular_candidate_core(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", _lu_finds_singular)
+        a = np.array([[0, 0], [1, 0]], dtype=complex)
+        q = np.eye(2) - np.array([[0, 1], [0, 1]], dtype=complex)
+        with pytest.raises(NonexistentInverseError, match=r"the core C = N\^H a U is singular"):
+            outer_inverse(PqProblem(a, P22, q))
+
+    def test_lu_failure_is_no_group_inverse(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", _lu_finds_singular)
+        assert group_inverse(np.diag([1.0, 2.0])) is None
 
 
 class TestRank:

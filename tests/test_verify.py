@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pqinv.densela import DEFAULT_TOL, frob
+from pqinv.densela import frob
 from pqinv.ginv import drazin_inverse
 from pqinv.prescribed import PqProblem, outer_inverse
 from pqinv.subspace import kernel_of, range_of
@@ -116,11 +116,11 @@ class TestRunCase:
         (lambda rec: rec.expect("ranges match", False) or True, "ranges match"),
     ], ids=["exception", "bound", "expectation"])
     def test_failure_is_fail_with_detail(self, fn, detail):
-        doc = _run_case("case", fn, DEFAULT_TOL).to_json_dict()
+        doc = _run_case("case", fn).to_json_dict()
         assert (doc["status"], doc["detail"]) == ("fail", detail)
 
     def test_truthy_return_is_fragile(self):
-        case = _run_case("case", lambda rec: rec.check("gap", 0.5, 1.0) or 1, DEFAULT_TOL)
+        case = _run_case("case", lambda rec: rec.check("gap", 0.5, 1.0) or 1)
         assert (case.status, case.residuals) == ("fragile", {"gap": 0.5})
         assert "detail" not in case.to_json_dict()
 

@@ -26,6 +26,10 @@ shows decomposition-count changes next to output changes.  Covered:
   shift to the default schedule;
 * the stdout of ``compute --kind 2l --route inner|limit|integral`` on the
   diagonalizable instance and on that diagonal core;
+* the outcome and the sha256 of the matrix that ``group_formula(a, w)``,
+  ``inner_formula(a, w)``, ``limit_formula(a, w)`` and
+  ``integral_formula(a, w)`` return, called in-process on the n = 64
+  diagonalizable instance with its own w, each followed by its counts;
 * the tracemalloc peak (MiB) of ``diagnose``, of the four compute
   functions, of ``matrix_with_range_kernel(p, q)``, of
   ``represent(prob, "limit")`` and of ``group_formula(a, w)``,
@@ -77,6 +81,7 @@ REPRESENT_ARGS = (("--method", "limit"), ("--method", "integral"),
                   ("--method", "integral", "--horizon", "200"),
                   ("--method", "limit", "--lambda-min", "1e-10"))
 ROUTES = ("inner", "limit", "integral")
+FORMULAS = ("group_formula", "inner_formula", "limit_formula", "integral_formula")
 COUNTED = ("svd", "lstsq", "solve")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
@@ -142,8 +147,12 @@ def _suite_lines(cli, label: str, argv: list[str]) -> list[str]:
     ]
 
 
+def _diagonalizable(verify) -> dict:
+    return verify.diagonalizable_instance(np.random.default_rng(1), N)
+
+
 def _problems(verify) -> dict[str, tuple]:
-    inst = verify.diagonalizable_instance(np.random.default_rng(1), N)
+    inst = _diagonalizable(verify)
     return {
         f"diagonalizable-n{N}": (inst["a"], inst["p"], inst["q"]),
         f"random-triple-n{N}": verify.random_triple(np.random.default_rng(1), N),
@@ -168,6 +177,24 @@ def _write_files(cli, tmp: str, name: str, matrices: tuple) -> list[str]:
 def _counted_lines(cli, label: str, argv: list[str]) -> list[str]:
     code, stdout, counts = _run_counted(cli, argv)
     return [f"{label}  exit={code}  {_sha(stdout)}", _count_line(label, counts)]
+
+
+def _formula_lines(prescribed, verify, errors) -> list[str]:
+    """Two lines per FORMULAS entry on the diagonalizable instance and its w:
+    the outcome with the sha256 of the returned matrix, and the counts."""
+    inst = _diagonalizable(verify)
+    lines = []
+    for name in FORMULAS:
+        label = f"{name} diagonalizable-n{N}"
+        with importlib.import_module("pqinv.densela").record() as rec:
+            try:
+                value = getattr(prescribed, name)(inst["a"], inst["w"])
+                # the limit and integral formulas return the matrix with a diagnostic
+                outcome = f"ok  {_array_sha(value[0] if isinstance(value, tuple) else value)}"
+            except (errors.NonexistentInverseError, errors.NumericalError) as exc:
+                outcome = type(exc).__name__
+        lines += [f"{label}  outcome={outcome}", _count_line(label, rec.calls)]
+    return lines
 
 
 def _peak_lines(prescribed, verify, errors) -> list[str]:
@@ -276,7 +303,9 @@ def fingerprints() -> list[str]:
                                         ["compute", *problem_files[name], "--kind", "2l",
                                          "--route", route])
     prescribed = importlib.import_module("pqinv.prescribed")
-    lines += _peak_lines(prescribed, verify, importlib.import_module("pqinv.errors"))
+    errors = importlib.import_module("pqinv.errors")
+    lines += _formula_lines(prescribed, verify, errors)
+    lines += _peak_lines(prescribed, verify, errors)
     return (lines + _exp_lines(importlib.import_module("pqinv.densela"))
             + _oblique_lines(prescribed))
 
