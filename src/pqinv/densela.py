@@ -6,6 +6,7 @@ convergence) live in a single :class:`Tolerances` value that is threaded
 through the whole package, so that no two modules can reach contradictory
 verdicts about the same matrix.  Each numerical decision has one home
 here: :func:`count_rank` turns singular values into a rank,
+:func:`check_residual` decides that a residual is within its bound,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products), :func:`solve_core`
 decides whether the r x r core of a factorization is invertible and
@@ -43,7 +44,7 @@ __all__ = [
     "frob",
     "is_noise",
     "eq_bound",
-    "matrices_equal",
+    "check_residual",
     "adjoint",
     "count_rank",
     "Record",
@@ -151,8 +152,14 @@ def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL) -> float:
     return tol.eq_atol + tol.eq_rtol * max(frob(x), frob(y))
 
 
-def matrices_equal(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return frob(np.asarray(x) - np.asarray(y)) <= eq_bound(x, y, tol)
+def check_residual(residual: float, bound: float, what: str, error=NumericalError) -> float:
+    """``residual`` when it is within ``bound``; otherwise raise ``error`` (an
+    exception class, or any callable that makes one from a message) on a
+    message of ``what`` and both numbers.  The one gate for an identity
+    that must hold to a bound: a NaN residual is never within it."""
+    if residual <= bound:
+        return residual
+    raise error(f"{what} (residual {residual:.3e}, bound {bound:.3e})")
 
 
 # A rank verdict is fragile when it changes with the cutoff scaled by this

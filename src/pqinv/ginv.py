@@ -17,6 +17,7 @@ from .densela import (
     PRODUCT_NOISE,
     Tolerances,
     as_matrix,
+    check_residual,
     eq_bound,
     frob,
     is_noise,
@@ -107,8 +108,8 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
     d, k = _cline(a, tol)
     spectral = np.eye(a.shape[0], dtype=np.complex128) - _validate_drazin(a, d, k, tol)
-    if not frob(spectral @ spectral - spectral) <= eq_bound(spectral, spectral, tol):
-        raise NumericalError("spectral idempotent failed the idempotency check")
+    check_residual(frob(spectral @ spectral - spectral), eq_bound(spectral, spectral, tol),
+                   "spectral idempotent failed the idempotency check")
     return DrazinResult(inverse=d, index=k, spectral_idempotent=spectral)
 
 
@@ -145,9 +146,10 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
 
 def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
     """d a d = d, a d = d a and a^(k+1) d = a^k within eq_bound, the last also
-    at its products' rounding floor (:func:`densela.is_noise`): a^k of a
-    nilpotent part is the noise of k products.  A non-finite residual fails.
-    Returns a d, which the spectral idempotent 1 - a d reads."""
+    at its products' rounding floor: a^k of a nilpotent part is the noise of
+    k products.  Each passes :func:`densela.check_residual` at the larger of
+    its two bounds, so a non-finite residual fails.  Returns a d, which the
+    spectral idempotent 1 - a d reads."""
     ad, da = a @ d, d @ a
     norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
     checks = {
@@ -157,8 +159,8 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> n
                   PRODUCT_NOISE * norm_a ** k * (1.0 + norm_a * frob(d))),
     }
     for name, (lhs, rhs, floor) in checks.items():
-        if not (frob(lhs - rhs) <= eq_bound(lhs, rhs, tol) or is_noise(lhs - rhs, floor)):
-            raise NumericalError(f"Drazin axiom '{name}' failed: residual {frob(lhs - rhs):.3e}")
+        check_residual(frob(lhs - rhs), max(eq_bound(lhs, rhs, tol), floor),
+                       f"Drazin axiom '{name}' failed")
     return ad
 
 

@@ -47,12 +47,12 @@ from .densela import (
     Factored,
     Tolerances,
     as_matrix,
+    check_residual,
     eigenvalues,
     eq_bound,
     exp_integral,
     frob,
     is_noise,
-    matrices_equal,
     rank,
     rank_factorization,
     record,
@@ -107,7 +107,7 @@ def _snap_zero_idempotent(m: np.ndarray) -> np.ndarray:
     return np.zeros_like(m) if is_noise(m, 0.5) else m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PqProblem:
     """A square matrix with two prescribed idempotents and tolerances."""
 
@@ -127,11 +127,8 @@ class PqProblem:
                 f"a, p, q must share one shape, got {a.shape}, {p.shape}, {q.shape}"
             )
         for name, m in (("p", p), ("q", q)):
-            residual = frob(m @ m - m)
-            if residual > eq_bound(m, m, self.tol):
-                raise ValueError(
-                    f"{name} fails {name}² = {name} (residual {residual:.3e})"
-                )
+            check_residual(frob(m @ m - m), eq_bound(m, m, self.tol),
+                           f"{name} fails {name}² = {name}", ValueError)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "p", _snap_zero_idempotent(p))
         object.__setattr__(self, "q", _snap_zero_idempotent(q))
@@ -149,7 +146,7 @@ class PqProblem:
         return _snap_zero_idempotent(self.identity - self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistenceReport:
     """Side-by-side verdicts of every existence criterion.
 
@@ -213,7 +210,7 @@ class ExistenceReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PqResult:
     """A computed inverse, how it was computed, and its residuals."""
 
@@ -349,17 +346,16 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * frob(prob.a), tol)
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
-    if not matrices_equal(xn @ a_u @ xn, xn, tol):
-        raise _no_outer_inverse("candidate fails b a b = b")
+    xbx = xn @ a_u @ xn
+    check_residual(frob(xbx - xn), eq_bound(xbx, xn, tol), "candidate fails b a b = b",
+                   _no_outer_inverse)
     return u @ xn
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
     """Raise NumericalError, its message begun by ``what``, when a route value
     b is farther than conv_tol · max(1, ||b_group||_F) from the group value."""
-    drift = frob(b - b_group)
-    if not drift <= tol.conv_tol * max(1.0, frob(b_group)):  # a NaN drift fails too
-        raise NumericalError(f"{what} by {drift:.3e}")
+    check_residual(frob(b - b_group), tol.conv_tol * max(1.0, frob(b_group)), what)
 
 
 def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
@@ -592,8 +588,9 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
 
     The tests run once each, in this order: the strict {1,2} subspace
     equalities, the {1,2} decompositions, the definitional candidate, the
-    route value's drift gate, a b a = a and the strict products.  The
-    residuals are built only after every test has passed.
+    route value's drift gate, a b a = a when ``reflexive``, and the strict
+    products; a rejected strict outer inverse forms no a b a.  The residuals
+    are built only after every test has passed.
     """
     _check_route(route)
     tol, a = prob.tol, prob.a
@@ -618,24 +615,22 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         ran_b, ker_b = sub.range_and_kernel(b, tol)
         range_gap, kernel_gap = sub.gap(ran_b, ran_p), sub.gap(ker_b, ran_q)
     ba, ab = b @ a, a @ b
-    inner_res = frob(ab @ a - a)
-    if reflexive and inner_res > eq_bound(a, a, tol):
-        raise NumericalError(
-            f"a b a = a failed (residual {inner_res:.3e}) although both "
-            "decompositions hold"
-        )
     holds, ba_res, ab_res = _strict_products(prob, ba, ab, tol)
-    if strict and not holds:
-        if reflexive:
-            raise NumericalError(
-                "product identities failed although the subspace equalities hold: "
-                f"|ba-p|={ba_res:.3e}, |ab-(1-q)|={ab_res:.3e}"
-            )
+    if strict and not holds and not reflexive:
         raise NonexistentInverseError(
             "strict (p,q)-outer inverse does not exist: "
             f"ba ≠ p (residual {ba_res:.3e}) or ab ≠ 1-q (residual {ab_res:.3e})",
             residuals={"ba_minus_p": ba_res, "ab_minus_1mq": ab_res},
         )
+    inner_res = frob(ab @ a - a)
+    if reflexive:
+        check_residual(inner_res, eq_bound(a, a, tol),
+                       "a b a = a failed although both decompositions hold")
+        if strict and not holds:
+            raise NumericalError(
+                "product identities failed although the subspace equalities hold: "
+                f"|ba-p|={ba_res:.3e}, |ab-(1-q)|={ab_res:.3e}"
+            )
     p, one_mq = prob.p, prob.one_minus_q
     return PqResult(_KINDS[strict, reflexive], b, route_name, {
         "outer": frob(ba @ b - b),
@@ -717,15 +712,12 @@ def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndar
         raise NonexistentInverseError("aw (or wa) has no group inverse")
     b = w @ g_aw
     b_alt = g_wa @ w
-    if not matrices_equal(b, b_alt, tol):
-        raise NumericalError(f"(wa)^# w and w (aw)^# disagree by {frob(b - b_alt):.3e}")
+    check_residual(frob(b - b_alt), eq_bound(b, b_alt, tol), "(wa)^# w and w (aw)^# disagree")
     # the anchor identities, with c = (aw)^#
     anchor = w @ aw @ g_aw
-    if not matrices_equal(anchor, w, tol):
-        raise NumericalError(f"w a w c = w failed (residual {frob(anchor - w):.3e})")
+    check_residual(frob(anchor - w), eq_bound(anchor, w, tol), "w a w c = w failed")
     anchor_b = b @ aw @ g_aw
-    if not matrices_equal(anchor_b, b, tol):
-        raise NumericalError(f"b a w c = b failed (residual {frob(anchor_b - b):.3e})")
+    check_residual(frob(anchor_b - b), eq_bound(anchor_b, b, tol), "b a w c = b failed")
     return b, g_wa
 
 
@@ -753,11 +745,11 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     b_ref, g_wa = _group_route(a, w, tol)
     m = w @ a @ w
     b = w @ inner_inverse(m, tol) @ w
-    if not matrices_equal(b, b_ref, tol):
-        raise NumericalError(f"inner formula disagrees with group formula by {frob(b - b_ref):.3e}")
-    witness = a @ g_wa @ g_wa
-    if not matrices_equal(m @ witness @ m, m, tol):
-        raise NumericalError("explicit witness failed (w a w) x (w a w) = w a w")
+    check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
+                   "inner formula disagrees with group formula")
+    mxm = m @ (a @ g_wa @ g_wa) @ m
+    check_residual(frob(mxm - m), eq_bound(mxm, m, tol),
+                   "explicit witness failed (w a w) x (w a w) = w a w")
     return b
 
 
@@ -798,8 +790,9 @@ def limit_formula(
         if current is not None:
             trace.append((s, frob(x - current)))
         current = x
-    if len(trace) >= 2 and trace[-1][1] > trace[0][1]:
-        raise NumericalError("Cauchy differences are not shrinking along the shift schedule")
+    if len(trace) >= 2:
+        check_residual(trace[-1][1], trace[0][1],
+                       "Cauchy differences are not shrinking along the shift schedule")
     return current, trace
 
 
@@ -878,21 +871,14 @@ def integral_formula(
         raise SpectrumError("aw is not group invertible; non-decaying part persists")
     n = aw.shape[0]
     static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
-    if frob(static_part) > eq_bound(w, w, tol):
-        raise SpectrumError(
-            "w does not annihilate the non-decaying spectral part of aw "
-            f"(residual {frob(static_part):.3e})"
-        )
+    check_residual(frob(static_part), eq_bound(w, w, tol),
+                   "w does not annihilate the non-decaying spectral part of aw", SpectrumError)
     del g_aw, static_part  # not held through the exponential, which sets the peak
 
     decay, integral = exp_integral(-aw, horizon)
     estimate = w @ integral
-    tail_bound = frob(w @ decay) / alpha
-    if tail_bound > tol.conv_tol:
-        raise NumericalError(
-            f"tail bound {tail_bound:.3e} exceeds conv_tol {tol.conv_tol:.3e}; "
-            "increase the horizon"
-        )
+    tail_bound = check_residual(frob(w @ decay) / alpha, tol.conv_tol,
+                                "tail bound exceeds conv_tol; increase the horizon")
     return estimate, tail_bound
 
 
@@ -904,9 +890,8 @@ def integral_formula(
 def _as_strict_outer(prob: PqProblem, expected: np.ndarray, name: str) -> PqResult:
     """The strict outer inverse of ``prob``, checked against ``expected``."""
     result = outer_inverse_strict(prob)
-    drift = frob(result.b - expected)
-    if drift > eq_bound(result.b, expected, prob.tol):
-        raise NumericalError(f"strict outer inverse deviates from the {name} by {drift:.3e}")
+    check_residual(frob(result.b - expected), eq_bound(result.b, expected, prob.tol),
+                   f"strict outer inverse deviates from the {name}")
     return result
 
 

@@ -22,6 +22,7 @@ from .densela import (
     Factored,
     Tolerances,
     as_matrix,
+    check_residual,
     frob,
     is_noise,
     rank,
@@ -68,8 +69,8 @@ class Subspace:
         if d > self.ambient:
             raise ShapeError(f"basis has {d} columns in ambient dimension {self.ambient}")
         gram = basis.conj().T @ basis
-        if frob(gram - np.eye(d)) > _ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal")
+        check_residual(frob(gram - np.eye(d)), _ORTHONORMALITY_TOL,
+                       "basis columns are not orthonormal", ValueError)
 
     @property
     def dim(self) -> int:

@@ -117,7 +117,7 @@ class _Recorder:
 
     def check(self, name: str, value: float, bound: float):
         self.record(name, value)
-        if value > bound:
+        if not value <= bound:  # a NaN residual fails
             self.failures.append(f"{name}: {value:.3e} > {bound:.3e}")
 
     def expect(self, name: str, condition: bool):

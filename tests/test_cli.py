@@ -395,6 +395,16 @@ class TestCompute:
         a = _write(tmp_path, "a", np.array([[0, 1], [0, 0]], dtype=complex))
         assert main(["compute", a, "--kind", "group"]) == 3
 
+    def test_group_inverse_of_a_diagonal(self, tmp_path, capsys):
+        a = _write(tmp_path, "a", np.diag([1.0, 2.0, 0.0]))
+        assert main(["compute", a, "--kind", "group"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        matrix = np.array([complex(re, im) for re, im in doc["matrix"]["data"]]).reshape(3, 3)
+        assert doc["route"] == "direct"
+        assert np.allclose(matrix, np.diag([1.0, 0.5, 0.0]), rtol=0.0, atol=1e-12)
+        assert sorted(doc["residuals"]) == ["commute", "inner", "outer"]
+        assert all(value <= 1e-12 for value in doc["residuals"].values())
+
     def test_drazin_reports_index(self, tmp_path, capsys):
         a = _write(tmp_path, "a", np.array([[0, 1], [0, 0]], dtype=complex))
         assert main(["compute", a, "--kind", "drazin"]) == 0

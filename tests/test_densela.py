@@ -17,6 +17,7 @@ from pqinv.densela import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    check_residual,
     count_rank,
     eigenvalues,
     exp_integral,
@@ -69,6 +70,38 @@ class TestTolerances:
         assert list(tol.to_json_dict().items()) == [
             ("rank_rtol", 3e-11), ("eq_atol", 2e-10), ("eq_rtol", 5e-9), ("conv_tol", 2e-8),
         ]
+
+
+class TestCheckResidual:
+    def test_within_bound_returns_the_residual(self):
+        assert check_residual(0.25, 1.0, "x = y") == 0.25
+
+    def test_bound_is_inclusive(self):
+        assert check_residual(1.0, 1.0, "x = y") == 1.0
+
+    @pytest.mark.parametrize("residual", [float("nan"), float("inf"), 1.5],
+                             ids=["nan", "inf", "above"])
+    def test_nan_inf_and_above_fail(self, residual):
+        with pytest.raises(NumericalError):
+            check_residual(residual, 1.0, "x = y")
+
+    def test_infinite_bound_does_not_pass_nan(self):
+        with pytest.raises(NumericalError):
+            check_residual(float("nan"), float("inf"), "x = y")
+
+    def test_error_class_and_message_carry_what_and_both_numbers(self):
+        with pytest.raises(ValueError) as exc:
+            check_residual(2.5e-3, 1e-8, "p fails p² = p", ValueError)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "p fails p² = p (residual 2.500e-03, bound 1.000e-08)"
+
+    def test_error_factory(self):
+        def factory(message):
+            return NonexistentInverseError(f"prefix: {message}")
+
+        with pytest.raises(NonexistentInverseError) as exc:
+            check_residual(float("nan"), 1.0, "b a b = b", factory)
+        assert exc.value.reason == "prefix: b a b = b (residual nan, bound 1.000e+00)"
 
 
 class TestNoise:

@@ -76,6 +76,32 @@ class TestPqProblem:
         prob = PqProblem(np.eye(2), np.eye(2), noise)
         assert frob(prob.q) == 0.0
 
+    def test_nan_idempotency_residual_fails(self):
+        # p is nilpotent, not idempotent, and p p rounds to inf - inf = NaN
+        p = 1e200 * np.array([[1.0, -1.0], [1.0, -1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"p fails p² = p \(residual nan"):
+            PqProblem(np.eye(2), p, np.zeros((2, 2)))
+
+
+class TestResultTypesCompareByIdentity:
+    """Problems, reports and results hold arrays, so they compare, and hash,
+    by identity: == answers instead of raising on the arrays' truth value."""
+
+    def test_problem(self):
+        prob = PqProblem(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        twin = PqProblem(prob.a, prob.p, prob.q)
+        assert prob == prob and prob != twin
+        assert len({prob, twin, prob}) == 2
+
+    def test_report_and_result(self):
+        prob = PqProblem(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        report = diagnose(prob)
+        assert report == report and report != diagnose(prob)
+        result = outer_inverse(prob)
+        assert result == result and result != outer_inverse(prob)
+        assert hash(report) != hash(result)
+
 
 class TestDiagnose:
     def test_counterexample_data(self):

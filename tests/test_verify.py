@@ -112,9 +112,10 @@ class TestRunCase:
     @pytest.mark.parametrize("fn, detail", [
         (_raises, "exception: RuntimeError: boom"),
         (lambda rec: rec.check("gap", 2.0, 1.0), "gap: 2.000e+00 > 1.000e+00"),
+        (lambda rec: rec.check("gap", float("nan"), 1.0), "gap: nan > 1.000e+00"),
         # a failure outranks a fragile (truthy) return
         (lambda rec: rec.expect("ranges match", False) or True, "ranges match"),
-    ], ids=["exception", "bound", "expectation"])
+    ], ids=["exception", "bound", "nan", "expectation"])
     def test_failure_is_fail_with_detail(self, fn, detail):
         doc = _run_case("case", fn).to_json_dict()
         assert (doc["status"], doc["detail"]) == ("fail", detail)
