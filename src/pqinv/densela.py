@@ -8,7 +8,8 @@ verdicts about the same matrix.  Each numerical decision has one home
 here: :func:`count_rank` turns singular values into a rank,
 :func:`check_residual` decides that a residual is within its bound,
 :func:`is_noise` decides that a computed matrix is cancellation noise
-(with :data:`PRODUCT_NOISE` the floor for products), :func:`solve_core`
+(with :data:`PRODUCT_NOISE` the floor for products) and :func:`snap`
+replaces such a matrix by an exact zero, :func:`solve_core`
 decides whether the r x r core of a factorization is invertible and
 solves with it, and :meth:`Tolerances.to_json_dict` is the one serialised
 form of the thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues`
@@ -43,6 +44,7 @@ __all__ = [
     "as_matrix",
     "frob",
     "is_noise",
+    "snap",
     "eq_bound",
     "check_residual",
     "adjoint",
@@ -135,11 +137,18 @@ def frob(a) -> float:
 def is_noise(m, floor: float) -> bool:
     """True when ``m`` is at or below ``floor`` in Frobenius norm.
 
-    The one rule for snapping a computed matrix to zero.  Each caller
-    supplies the floor in the scale of its own factors; the relative rank
-    cutoff would otherwise count pure cancellation noise as rank.
+    The one rule for snapping a computed matrix to zero, which
+    :func:`snap` applies.  Each caller supplies the floor in the scale of
+    its own factors; the relative rank cutoff would otherwise count pure
+    cancellation noise as rank.
     """
     return frob(m) <= floor
+
+
+def snap(m: np.ndarray, floor: float) -> np.ndarray:
+    """The exact zero matrix when ``m`` is noise at ``floor`` (:func:`is_noise`),
+    else ``m`` itself: the one snap of a computed matrix to zero."""
+    return np.zeros_like(m) if is_noise(m, floor) else m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

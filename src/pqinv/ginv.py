@@ -20,8 +20,8 @@ from .densela import (
     check_residual,
     eq_bound,
     frob,
-    is_noise,
     rank_factorization,
+    snap,
     solve_core,
     svd,
 )
@@ -128,10 +128,8 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
     for k in range(a.shape[0] + 1):  # the rank falls at every step
         f, g = rank_factorization(m, tol)
         r = f.shape[1]
-        gf = g @ f
         # G has orthonormal rows, so its norm is sqrt(r)
-        if is_noise(gf, PRODUCT_NOISE * frob(f) * np.sqrt(r)):
-            gf = np.zeros_like(gf)
+        gf = snap(g @ f, PRODUCT_NOISE * frob(f) * np.sqrt(r))
         group = factored_group_inverse(f, gf, g, tol)
         if group is not None:
             break

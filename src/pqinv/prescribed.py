@@ -44,7 +44,6 @@ from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
-    Factored,
     Tolerances,
     as_matrix,
     check_residual,
@@ -56,6 +55,7 @@ from .densela import (
     rank,
     rank_factorization,
     record,
+    snap,
     solve,
     solve_core,
     svd,
@@ -97,14 +97,10 @@ __all__ = [
 DEFAULT_LAMBDA_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 9))
 
 
-def _snap_zero_idempotent(m: np.ndarray) -> np.ndarray:
-    """Replace a numerically-zero idempotent by the exact zero matrix.
-
-    A nonzero idempotent has spectral norm at least 1, so anything this
-    small can only be cancellation noise standing in for 0; snapping it
-    keeps the relative rank cutoff from reading noise as full rank.
-    """
-    return np.zeros_like(m) if is_noise(m, 0.5) else m
+# A nonzero idempotent has spectral norm at least 1, so one at or below
+# this Frobenius norm is cancellation noise standing in for 0; snapping it
+# keeps the relative rank cutoff from reading noise as full rank.
+_IDEMPOTENT_NOISE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +126,16 @@ class PqProblem:
             check_residual(frob(m @ m - m), eq_bound(m, m, self.tol),
                            f"{name} fails {name}² = {name}", ValueError)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", _snap_zero_idempotent(p))
-        object.__setattr__(self, "q", _snap_zero_idempotent(q))
+        object.__setattr__(self, "p", snap(p, _IDEMPOTENT_NOISE))
+        object.__setattr__(self, "q", snap(q, _IDEMPOTENT_NOISE))
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=np.complex128)
-
     @cached_property
     def one_minus_q(self) -> np.ndarray:
-        return _snap_zero_idempotent(self.identity - self.q)
+        return snap(np.eye(self.n, dtype=np.complex128) - self.q, _IDEMPOTENT_NOISE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +249,8 @@ class _Spaces:
     def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
         self.a, self.p, self.q, self.tol, self._kernels = a, p, q, tol, kernels
 
-    def _kernel(self, f: Factored) -> sub.Subspace | None:
-        return sub.Subspace(f.vh.shape[1], f.null_basis(self.tol)) if self._kernels else None
+    def _kernel(self, f) -> sub.Subspace | None:
+        return sub.kernel_of(f, self.tol) if self._kernels else None
 
     @cached_property
     def _of_q(self) -> tuple:
@@ -268,7 +260,7 @@ class _Spaces:
     @cached_property
     def _of_p(self) -> tuple:
         f = svd(self.p)
-        return sub.Subspace(f.u.shape[0], f.range_basis(self.tol)), self._kernel(f)
+        return sub.range_of(f, self.tol), self._kernel(f)
 
     @cached_property
     def _of_a(self) -> tuple:
@@ -415,10 +407,8 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
     """
     tol, u, ker_q, one_mq = spaces.tol, spaces.ran_p.basis, spaces.ker_q.basis, prob.one_minus_q
     r = u.shape[1]
-    f = one_mq @ spaces.a_u
     # U has unit columns, so its norm is sqrt(r)
-    if is_noise(f, PRODUCT_NOISE * frob(one_mq) * frob(prob.a) * np.sqrt(r)):
-        f = np.zeros_like(f)
+    f = snap(one_mq @ spaces.a_u, PRODUCT_NOISE * frob(one_mq) * frob(prob.a) * np.sqrt(r))
     f_svd = svd(f)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)
@@ -435,10 +425,10 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
             u @ (f_pinv @ one_mq) if s_ok else None)
 
 
-def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
+def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     """All existence criteria at one rank threshold, each computed on its own
     from the subspaces of one :class:`_Spaces` view, each input factored once
-    and a U formed once.
+    and a U formed once; the report is not fragile at its own threshold.
 
     C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
     ker_cap_ranp_trivial.
@@ -462,21 +452,23 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> dict:
     l12 = not _l12_failure(spaces)
     strict12 = l12 and not _strict12_failure(spaces)
 
-    return {
-        "ker_cap_ranp_trivial": spaces.ker_a_meets_ran_p,
-        "direct_sum": direct,
-        "image_match": image_match,
-        "cond5": cond5,
-        "cond6_t": t_witness,
-        "cond6_s": s_witness,
-        "strict_exists": strict,
-        "l_exists": l_exists,
-        "l12_exists": l12,
-        "strict12_exists": strict12,
-        "dim_ran_p": ran_p.dim,
-        "dim_ran_q": ran_q.dim,
-        "rank_a": spaces.ran_a.dim,
-    }
+    return ExistenceReport(
+        ker_cap_ranp_trivial=spaces.ker_a_meets_ran_p,
+        direct_sum=direct,
+        image_match=image_match,
+        cond5=cond5,
+        cond6_t=t_witness,
+        cond6_s=s_witness,
+        strict_exists=strict,
+        l_exists=l_exists,
+        l12_exists=l12,
+        strict12_exists=strict12,
+        dim_ran_p=ran_p.dim,
+        dim_ran_q=ran_q.dim,
+        rank_a=spaces.ran_a.dim,
+        fragile=False,
+        tol=tol,
+    )
 
 
 def diagnose(prob: PqProblem) -> ExistenceReport:
@@ -501,17 +493,13 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     tol = prob.tol
     with record() as rec:
         base = _booleans_at(prob, tol)
-
-    def verdicts(values: dict) -> dict[str, bool]:
-        return ExistenceReport(fragile=False, tol=tol, **values).booleans()
-
     # any() stops at the first flip, so the second repeat runs only when needed
     fragile = rec.near and any(
-        verdicts(_booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * scale)))
-        != verdicts(base)
+        _booleans_at(prob, replace(tol, rank_rtol=tol.rank_rtol * scale)).booleans()
+        != base.booleans()
         for scale in FRAGILITY_SCALES
     )
-    return ExistenceReport(fragile=fragile, tol=tol, **base)
+    return replace(base, fragile=fragile)
 
 
 # the route names, checked by _route_result's callers before any work

@@ -95,32 +95,36 @@ class Subspace:
         return kernel_of(self.basis.conj().T, tol)
 
 
+def _factored(a) -> Factored:
+    """``a`` itself when it is a :class:`Factored`, else the SVD of the matrix ``a``."""
+    return a if isinstance(a, Factored) else svd(as_matrix(a))
+
+
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Column space of a matrix."""
-    a = as_matrix(a)
-    return Subspace(a.shape[0], svd(a).range_basis(tol))
+    """Column space of a matrix (or of the one a :class:`Factored` factors)."""
+    f = _factored(a)
+    return Subspace(f.u.shape[0], f.range_basis(tol))
 
 
 def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Null space of a matrix."""
-    a = as_matrix(a)
-    return Subspace(a.shape[1], svd(a).null_basis(tol))
+    """Null space of a matrix (or of the one a :class:`Factored` factors)."""
+    f = _factored(a)
+    return Subspace(f.vh.shape[1], f.null_basis(tol))
 
 
 def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Column space and null space of a matrix (or of the one a :class:`Factored`
     factors), both from one factorization."""
-    f = a if isinstance(a, Factored) else svd(as_matrix(a))
-    return Subspace(f.u.shape[0], f.range_basis(tol)), Subspace(f.vh.shape[1], f.null_basis(tol))
+    f = _factored(a)
+    return range_of(f, tol), kernel_of(f, tol)
 
 
 def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Column space of a matrix (or of the one a :class:`Factored` factors)
     and its orthogonal complement, both from one factorization: the leading
     and the trailing left singular vectors."""
-    f = a if isinstance(a, Factored) else svd(as_matrix(a))
-    n = f.u.shape[0]
-    return Subspace(n, f.range_basis(tol)), Subspace(n, f.left_null_basis(tol))
+    f = _factored(a)
+    return range_of(f, tol), Subspace(f.u.shape[0], f.left_null_basis(tol))
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,

@@ -111,8 +111,10 @@ class _Recorder:
         self.failures: list[str] = []
 
     def record(self, name: str, value: float):
+        """Keep the largest value recorded under ``name``; a NaN, once
+        recorded, is kept whatever is recorded before or after it."""
         value = float(value)
-        if name not in self.residuals or value > self.residuals[name]:
+        if name not in self.residuals or value > self.residuals[name] or np.isnan(value):
             self.residuals[name] = value
 
     def check(self, name: str, value: float, bound: float):

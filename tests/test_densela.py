@@ -34,23 +34,21 @@ from pqinv.densela import (
     svd,
 )
 from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError
-from pqinv.ginv import group_inverse
+from pqinv.ginv import drazin_inverse, group_inverse
 from pqinv.prescribed import (
     PqProblem,
     diagnose,
+    matrix_with_range_kernel,
     one_two_inverse,
     one_two_inverse_strict,
     outer_inverse,
     outer_inverse_strict,
     represent,
 )
-from pqinv.verify import diagonalizable_instance, fuzz, random_triple
+from pqinv.subspace import Subspace, image
+from pqinv.verify import _complex_normal, diagonalizable_instance, fuzz, random_triple
 
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
-
-
-def _cnormal(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 class TestTolerances:
@@ -115,7 +113,7 @@ class TestFrob:
     def test_matches_numpy_norm_bit_for_bit(self, rng):
         for n, m in ((1, 1), (3, 5), (8, 8), (17, 4)):
             real = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-8, 8)
-            cplx = _cnormal(rng, n, m) * 10.0 ** rng.integers(-8, 8)
+            cplx = _complex_normal(rng, n, m) * 10.0 ** rng.integers(-8, 8)
             for x in (real, cplx, real.T, cplx.T, cplx.conj().T, real[::2, ::-1],
                       cplx[::2, ::3], cplx[::-1, 1::2].T, np.asfortranarray(cplx)):
                 assert frob(x) == float(np.linalg.norm(x))
@@ -149,9 +147,26 @@ class TestAsMatrix:
         assert m.dtype == np.complex128 and m[0, 1] == -1e308j
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eigenvalues(np.ones((2, 3))), "matrix must be square, got shape (2, 3)"),
+    (lambda: solve_left(np.eye(3), np.ones((3, 2))), "A has 3 cols but B has 2"),
+    (lambda: drazin_inverse(np.ones((2, 3))), "Drazin inverse needs a square matrix, got (2, 3)"),
+    (lambda: matrix_with_range_kernel(np.eye(2), np.eye(3)),
+     "p and q must be square of one size, got (2, 2), (3, 3)"),
+    (lambda: Subspace(0, np.zeros((0, 0))), "ambient dimension must be positive, got 0"),
+    (lambda: Subspace(3, np.ones((2, 1))), "basis must be 3 x d, got shape (2, 1)"),
+    (lambda: image(np.eye(3), Subspace.full(2)), "matrix has 3 cols, subspace lives in C^2"),
+], ids=["require_square", "solve_left", "drazin", "range_kernel", "ambient", "basis_rows",
+        "image"])
+def test_shape_error_names_the_mismatch(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert (info.type, str(info.value)) == (ShapeError, message)
+
+
 class TestSolve:
     def test_identity_system(self, rng):
-        b = _cnormal(rng, 3, 2)
+        b = _complex_normal(rng, 3, 2)
         x = solve_right(np.eye(3), b)
         assert np.allclose(x, b)
 
@@ -181,9 +196,9 @@ class TestSolve:
     def test_returned_solutions_are_consistent(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            a = _cnormal(rng, n, n)
+            a = _complex_normal(rng, n, n)
             a[:, 0] = a[:, -1]  # force rank deficiency for n > 1
-            b = a @ _cnormal(rng, n, n)
+            b = a @ _complex_normal(rng, n, n)
             x = solve_right(a, b)
             assert x is not None
             assert frob(a @ x - b) <= 1e-10 + 1e-8 * frob(b)
@@ -241,7 +256,7 @@ class TestRank:
 
     def test_adjoint_invariance(self, rng):
         for _ in range(10):
-            a = _cnormal(rng, 4, 6)
+            a = _complex_normal(rng, 4, 6)
             assert rank(a) == rank(a.conj().T)
 
 
@@ -434,7 +449,7 @@ class TestSvd:
 
     @pytest.mark.parametrize("compute_uv", [True, False])
     def test_failure_falls_back_to_the_adjoint(self, rng, monkeypatch, compute_uv):
-        m = _cnormal(rng, 4, 3)
+        m = _complex_normal(rng, 4, 3)
         original, inputs = np.linalg.svd, []
 
         def fails_once(x, *args, **kwargs):
@@ -459,7 +474,7 @@ class TestSvd:
     def test_adjoint_is_built_only_for_the_retry(self, rng, monkeypatch, compute_uv):
         built = []
         monkeypatch.setattr(densela, "adjoint", lambda a: built.append(a) or a.conj().T)
-        m = _cnormal(rng, 5, 3)
+        m = _complex_normal(rng, 5, 3)
         f = svd(m, compute_uv=compute_uv)
         assert built == []
         expected = np.linalg.svd(m, compute_uv=compute_uv)
@@ -503,7 +518,7 @@ class TestRankFactorization:
         for _ in range(20):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             r = int(rng.integers(0, min(n, m) + 1))
-            a = _cnormal(rng, n, r) @ _cnormal(rng, r, m)
+            a = _complex_normal(rng, n, r) @ _complex_normal(rng, r, m)
             f, g = rank_factorization(a)
             assert frob(f @ g - a) <= 1e-10 * max(1.0, frob(a))
             assert rank(a) == rank(f) == rank(g) == f.shape[1]
@@ -524,7 +539,7 @@ class TestEigenvalues:
     def test_trace_and_determinant(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 9))
-            a = _cnormal(rng, n, n)
+            a = _complex_normal(rng, n, n)
             vals = eigenvalues(a)
             assert abs(vals.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
             det = np.linalg.det(a)
@@ -556,7 +571,7 @@ class TestMatrixExp:
     def test_against_series_oracle(self, rng):
         for _ in range(10):
             k = int(rng.integers(1, 7))
-            a = _cnormal(rng, k, k)
+            a = _complex_normal(rng, k, k)
             a = a / (2.0 * frob(a))
             assert frob(matrix_exp(a) - _taylor_exp(a)) <= 1e-13
 
@@ -579,7 +594,7 @@ class TestMatrixExp:
         # |a|_1 >= 1 the block's 1-norm max(|a|_1, 1) is a's, so the two
         # take the same squarings and the same (1,1) block bit for bit
         rng = np.random.default_rng(n)
-        a = _cnormal(rng, n, n)
+        a = _complex_normal(rng, n, n)
         a *= norm1 / np.linalg.norm(a, 1)
         assert (norm1 > densela._THETA13) == (np.linalg.norm(a, 1) > densela._THETA13)
         assert np.array_equal(matrix_exp(a), exp_integral(a, 1.0)[0])
@@ -594,7 +609,7 @@ class TestMatrixExp:
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_inverse_pairing(self, seed, n):
         rng = np.random.default_rng(seed)
-        a = _cnormal(rng, n, n)
+        a = _complex_normal(rng, n, n)
         norm = frob(a)
         if norm > 10.0:
             a = a * (10.0 / norm)
@@ -615,7 +630,7 @@ def _van_loan_reference(m, t):
 
 def _decaying_nonnormal(rng, n):
     """V D V^-1 with V a perturbed identity and Re D in [-1.5, -0.5]."""
-    v = np.eye(n) + 0.3 * _cnormal(rng, n, n) / np.sqrt(n)
+    v = np.eye(n) + 0.3 * _complex_normal(rng, n, n) / np.sqrt(n)
     d = -rng.uniform(0.5, 1.5, n) + 1j * rng.uniform(-2.0, 2.0, n)
     return v @ np.diag(d) @ np.linalg.inv(v)
 
@@ -650,7 +665,7 @@ class TestExpIntegral:
         assert frob(integral - 2.5 * np.eye(3)) <= 1e-15
 
     def test_zero_time_is_exact(self, rng):
-        decay, integral = exp_integral(_cnormal(rng, 4, 4), 0.0)
+        decay, integral = exp_integral(_complex_normal(rng, 4, 4), 0.0)
         assert np.array_equal(decay, np.eye(4))
         assert np.array_equal(integral, np.zeros((4, 4)))
 

@@ -14,16 +14,13 @@ from pqinv.ginv import (
     reflexive_inverse,
 )
 from pqinv.subspace import equals, kernel_of, range_of
+from pqinv.verify import _complex_normal
 
 from matrix_generators import varied_index_matrix, varied_rank_matrix
 
 SHIFT = np.array([[0, 0], [1, 0]], dtype=complex)  # partial isometry
 NILP = np.array([[0, 1], [0, 0]], dtype=complex)
 IDEM = np.array([[1, 1], [0, 0]], dtype=complex)
-
-
-def _cnormal(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 class TestMoorePenrose:
@@ -45,7 +42,7 @@ class TestMoorePenrose:
         for _ in range(30):
             n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             r = int(rng.integers(0, min(n, m) + 1))
-            a = _cnormal(rng, n, r) @ _cnormal(rng, r, m)
+            a = _complex_normal(rng, n, r) @ _complex_normal(rng, r, m)
             g = moore_penrose(a)
             scale = 1e-10 * (1.0 + frob(a))
             assert frob(a @ g @ a - a) <= scale
@@ -60,8 +57,8 @@ class TestMoorePenrose:
         for _ in range(10):
             n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             r = int(rng.integers(0, min(n, m) + 1))
-            u, _ = np.linalg.qr(_cnormal(rng, n, max(r, 1)))
-            v, _ = np.linalg.qr(_cnormal(rng, m, max(r, 1)))
+            u, _ = np.linalg.qr(_complex_normal(rng, n, max(r, 1)))
+            v, _ = np.linalg.qr(_complex_normal(rng, m, max(r, 1)))
             sigmas = rng.uniform(0.3, 2.0, size=r)
             a = (u[:, :r] * sigmas) @ v[:, :r].conj().T
             eps = 1e-8
@@ -115,11 +112,11 @@ class TestGroupInverse:
             n = int(rng.integers(1, 8))
             style = rng.random()
             if style < 0.4:
-                a = _cnormal(rng, n, n)
+                a = _complex_normal(rng, n, n)
             elif style < 0.7:
                 a = varied_rank_matrix(rng, n)
             else:
-                a = np.triu(_cnormal(rng, n, n), k=1)  # forced nilpotent
+                a = np.triu(_complex_normal(rng, n, n), k=1)  # forced nilpotent
             g = group_inverse(a)
             assert (g is not None) == (rank(a) == rank(a @ a))
 
@@ -141,7 +138,7 @@ class TestGroupInverse:
     def test_factored_form_is_group_inverse_on_its_factors(self, rng):
         # group_inverse(a) is factored_group_inverse on a's own factorization,
         # bit for bit; rank 0 gives the n x n zero and index two None
-        for a in (_cnormal(rng, 5, 5), varied_rank_matrix(rng, 6), np.zeros((3, 3)), NILP):
+        for a in (_complex_normal(rng, 5, 5), varied_rank_matrix(rng, 6), np.zeros((3, 3)), NILP):
             f, g = rank_factorization(a)
             expected = group_inverse(a)
             got = factored_group_inverse(f, g @ f, g)
@@ -158,7 +155,7 @@ class TestGroupInverse:
             pairs = int(rng.integers(1, n // 2 + 1))
             j = np.zeros((n, n), dtype=complex)
             j[np.arange(0, 2 * pairs, 2), np.arange(1, 2 * pairs, 2)] = 1.0
-            v = _cnormal(rng, n, n)
+            v = _complex_normal(rng, n, n)
             assert group_inverse(v @ j @ np.linalg.inv(v)) is None
 
     def test_axioms_when_it_exists(self, rng):
@@ -176,7 +173,7 @@ class TestGroupInverse:
             a = inst["a"]
             f, g = rank_factorization(a)
             r = f.shape[1]
-            mix = _cnormal(rng, r, r) + 2 * np.eye(r)
+            mix = _complex_normal(rng, r, r) + 2 * np.eye(r)
             f2, g2 = f @ mix, np.linalg.inv(mix) @ g
             core = np.linalg.inv(g2 @ f2)
             regauged = f2 @ core @ core @ g2
@@ -201,7 +198,7 @@ class TestDrazin:
         assert np.allclose(result.spectral_idempotent, np.eye(2))
 
     def test_invertible(self, rng):
-        a = _cnormal(rng, 4, 4) + 3 * np.eye(4)
+        a = _complex_normal(rng, 4, 4) + 3 * np.eye(4)
         result = drazin_inverse(a)
         assert result.index == 0
         assert frob(result.inverse - np.linalg.inv(a)) <= 1e-10 * frob(np.linalg.inv(a))

@@ -29,6 +29,7 @@ from pqinv.prescribed import (
 from pqinv.subspace import equals, kernel_of, range_of
 from pqinv.verify import (
     ORACLE_TOL,
+    _complex_normal,
     diagonalizable_instance,
     guaranteed_instance,
     random_idempotent,
@@ -48,10 +49,6 @@ W22 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 def counterexample_problem():
     return PqProblem(A22, P22, Q22)
-
-
-def _cnormal(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 class TestPqProblem:
@@ -267,7 +264,7 @@ class TestOuterInverse:
         assert frob(result.b) == 0.0
 
     def test_degenerate_invertible(self, rng):
-        a = _cnormal(rng, 4, 4) + 3 * np.eye(4)
+        a = _complex_normal(rng, 4, 4) + 3 * np.eye(4)
         prob = PqProblem(a, np.eye(4), np.zeros((4, 4)))
         result = outer_inverse(prob)
         assert frob(result.b - np.linalg.inv(a)) <= 1e-9 * frob(np.linalg.inv(a))
@@ -336,7 +333,7 @@ class TestCoreRepresentation:
 
     def test_rank_zero_takes_no_solve(self, count_linalg):
         # p = 0, q = 1: r = 0 and b = 0 without LAPACK's solve
-        a = _cnormal(np.random.default_rng(3), 4, 4)
+        a = _complex_normal(np.random.default_rng(3), 4, 4)
 
         def run():
             result = outer_inverse(PqProblem(a, np.zeros((4, 4)), np.eye(4)))
@@ -347,7 +344,7 @@ class TestCoreRepresentation:
 
     def test_full_rank_is_the_inverse(self, rng):
         # p = 1, q = 0: C = a in an orthonormal basis, so b = a^-1 or nothing
-        a = _cnormal(rng, 5, 5) + 3 * np.eye(5)
+        a = _complex_normal(rng, 5, 5) + 3 * np.eye(5)
         b = outer_inverse(PqProblem(a, np.eye(5), np.zeros((5, 5)))).b
         assert frob(b - np.linalg.inv(a)) <= 1e-12 * frob(np.linalg.inv(a))
         singular = np.diag([1.0, 2.0, 3.0, 4.0, 0.0])
@@ -817,16 +814,16 @@ class TestSharedSubspaces:
         """A rank-k a with dim Ran(p) = dim Ran(q) = n - k, where Ran(p) holds
         a vector of Ker(a) or Ran(q) one of Ran(a), each about half the time."""
         k = int(rng.integers(1, n))
-        f, g = _cnormal(rng, n, k), _cnormal(rng, k, n)
+        f, g = _complex_normal(rng, n, k), _complex_normal(rng, k, n)
 
         def oblique(meet):
-            x, y = _cnormal(rng, n, n - k), _cnormal(rng, n - k, n)
+            x, y = _complex_normal(rng, n, n - k), _complex_normal(rng, n - k, n)
             if rng.random() < 0.5:
                 x[:, 0] = meet
             return x @ np.linalg.solve(y @ x, y)
 
         ker_vector = kernel_of(g).basis[:, 0]
-        return PqProblem(f @ g, oblique(ker_vector), oblique(f @ _cnormal(rng, k, 1)[:, 0]))
+        return PqProblem(f @ g, oblique(ker_vector), oblique(f @ _complex_normal(rng, k, 1)[:, 0]))
 
     def test_l12_verdict_is_the_shared_predicate(self):
         # the fresh side decides both decompositions from their definition;
@@ -952,17 +949,17 @@ class TestGroupFormula:
         for _ in range(240):
             n = int(rng.integers(1, 17))
             k = int(rng.integers(0, n))
-            w = _cnormal(rng, n, k) @ _cnormal(rng, k, n)
+            w = _complex_normal(rng, n, k) @ _complex_normal(rng, k, n)
             style = int(rng.integers(0, 3)) if k else 0
             if style == 0:
-                a = _cnormal(rng, n, n)
+                a = _complex_normal(rng, n, n)
             elif style == 1:
                 j = int(rng.integers(0, n))
-                a = _cnormal(rng, n, j) @ _cnormal(rng, j, n)
+                a = _complex_normal(rng, n, j) @ _complex_normal(rng, j, n)
             else:
-                x = range_of(w).basis @ _cnormal(rng, k, 1)
+                x = range_of(w).basis @ _complex_normal(rng, k, 1)
                 x /= np.linalg.norm(x)
-                a = _cnormal(rng, n, n) @ (np.eye(n) - x @ x.conj().T)
+                a = _complex_normal(rng, n, n) @ (np.eye(n) - x @ x.conj().T)
             reference = not sub.meets_trivially(kernel_of(a), range_of(w))
             assert self._precondition_fails(a, w) == reference
             seen.add((style, reference))
@@ -1197,7 +1194,7 @@ class TestUniqueness:
             d = p_basis.shape[1]
             results = []
             for _ in range(2):
-                mix = _cnormal(rng, d, d) + 2 * np.eye(d)
+                mix = _complex_normal(rng, d, d) + 2 * np.eye(d)
                 w = p_basis @ mix @ co_q.conj().T
                 results.append(group_formula(inst["a"], w))
             assert frob(results[0] - results[1]) <= 1e-8 * (1 + frob(results[0]))
@@ -1225,7 +1222,7 @@ class TestSpecialCases:
         assert frob(result.b - idem) <= 1e-12
 
     def test_drazin_invertible(self, rng):
-        a = _cnormal(rng, 4, 4) + 3 * np.eye(4)
+        a = _complex_normal(rng, 4, 4) + 3 * np.eye(4)
         result = drazin_as_outer(a)
         assert frob(result.b - np.linalg.inv(a)) <= 1e-9 * frob(np.linalg.inv(a))
 

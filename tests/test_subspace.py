@@ -20,7 +20,7 @@ from pqinv.subspace import (
     range_of,
     sum_of,
 )
-from pqinv.verify import random_idempotent
+from pqinv.verify import _complex_normal, random_idempotent
 
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
@@ -28,10 +28,6 @@ ONE_MQ22 = np.array([[0, 1], [0, 1]], dtype=complex)
 
 E1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
 E2 = Subspace(2, np.array([[0.0], [1.0]], dtype=complex))
-
-
-def _cnormal(rng, n, m):
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 class TestSubspaceType:
@@ -47,7 +43,7 @@ class TestSubspaceType:
         assert np.array_equal(Subspace.zero(3).projector(), np.zeros((3, 3)))
 
     def test_complement_roundtrip(self, rng):
-        s = range_of(_cnormal(rng, 5, 2))
+        s = range_of(_complex_normal(rng, 5, 2))
         c = s.complement()
         assert s.dim + c.dim == 5
         assert frob(s.basis.conj().T @ c.basis) <= 1e-12
@@ -73,7 +69,7 @@ class TestRangeKernel:
         assert kernel_of(np.zeros((2, 2))).dim == 2
 
     def test_range_and_kernel_from_one_factorization(self, rng, count_linalg):
-        a = _cnormal(rng, 5, 2) @ _cnormal(rng, 2, 4)
+        a = _complex_normal(rng, 5, 2) @ _complex_normal(rng, 2, 4)
         expected = (range_of(a).basis, kernel_of(a).basis)
         spaces = []
         assert count_linalg(lambda: spaces.extend(range_and_kernel(a))) == {"svd": 1}
@@ -107,8 +103,8 @@ class TestRangeKernel:
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 7))
-            a = _cnormal(rng, n, n)
-            m = _cnormal(rng, n, n) + 3 * np.eye(n)
+            a = _complex_normal(rng, n, n)
+            m = _complex_normal(rng, n, n) + 3 * np.eye(n)
             assert equals(range_of(a), range_of(a @ m))
             assert equals(kernel_of(a), kernel_of(m @ a))
 
@@ -118,7 +114,7 @@ class TestImage:
         assert equals(image(A22, E1), E2)
 
     def test_image_under_identity(self, rng):
-        s = range_of(_cnormal(rng, 4, 2))
+        s = range_of(_complex_normal(rng, 4, 2))
         assert equals(image(np.eye(4), s), s)
 
     def test_image_under_zero(self):
@@ -130,14 +126,14 @@ class TestLattice:
         assert intersect(E1, E2).dim == 0
 
     def test_intersect_self(self, rng):
-        s = range_of(_cnormal(rng, 5, 3))
+        s = range_of(_complex_normal(rng, 5, 3))
         assert equals(intersect(s, s), s)
 
     def test_sum_coordinate_lines(self):
         assert sum_of(E1, E2).dim == 2
 
     def test_sum_with_trivial(self, rng):
-        s = range_of(_cnormal(rng, 4, 2))
+        s = range_of(_complex_normal(rng, 4, 2))
         assert equals(sum_of(s, Subspace.zero(4)), s)
 
     def test_direct_sum_counterexample_data(self):
@@ -159,7 +155,7 @@ class TestLattice:
 
         def draw():
             d = int(rng.integers(0, n + 1))
-            return Subspace.zero(n) if d == 0 else range_of(_cnormal(rng, n, d))
+            return Subspace.zero(n) if d == 0 else range_of(_complex_normal(rng, n, d))
 
         s, t = draw(), draw()
         assert (
@@ -173,8 +169,8 @@ class TestLattice:
             calls.append(kwargs.get("compute_uv", True))
             return svd(*args, **kwargs)
 
-        s, t = range_of(_cnormal(rng, 5, 2)), range_of(_cnormal(rng, 5, 3))
-        overlap = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, 5, 2)]))
+        s, t = range_of(_complex_normal(rng, 5, 2)), range_of(_complex_normal(rng, 5, 3))
+        overlap = range_of(np.hstack([s.basis[:, :1], _complex_normal(rng, 5, 2)]))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert is_direct_sum_all(s, t)
         assert not is_direct_sum_all(s, overlap)
@@ -184,12 +180,12 @@ class TestLattice:
         for _ in range(10):
             n = int(rng.integers(2, 8))
             d = int(rng.integers(1, n))
-            basis = np.linalg.qr(_cnormal(rng, n, n))[0]
+            basis = np.linalg.qr(_complex_normal(rng, n, n))[0]
             s = Subspace(n, basis[:, :d])
-            t = range_of(_cnormal(rng, n, n - d))
+            t = range_of(_complex_normal(rng, n, n - d))
             if not is_direct_sum_all(s, t):
                 continue
-            v = _cnormal(rng, n, 1)
+            v = _complex_normal(rng, n, 1)
             stacked = np.hstack([s.basis, t.basis])
             coords, *_ = np.linalg.lstsq(stacked, v, rcond=None)
             assert frob(stacked @ coords - v) <= 1e-10
@@ -203,9 +199,9 @@ class TestMeetsTrivially:
         {0} or a full side."""
         for _ in range(40):
             n = int(rng.integers(1, 8))
-            s = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
-            t = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
-            shared = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, n, t.dim - 1)]))
+            s = range_of(_complex_normal(rng, n, int(rng.integers(1, n + 1))))
+            t = range_of(_complex_normal(rng, n, int(rng.integers(1, n + 1))))
+            shared = range_of(np.hstack([s.basis[:, :1], _complex_normal(rng, n, t.dim - 1)]))
             yield from ((s, t), (s, shared), (t, s), (s, Subspace.zero(n)),
                         (Subspace.zero(n), t), (Subspace.full(n), s))
 
@@ -224,8 +220,8 @@ class TestMeetsTrivially:
             calls.append(kwargs.get("compute_uv", True))
             return svd(*args, **kwargs)
 
-        s, t = range_of(_cnormal(rng, 5, 2)), range_of(_cnormal(rng, 5, 3))
-        overlap = range_of(np.hstack([s.basis[:, :1], _cnormal(rng, 5, 2)]))
+        s, t = range_of(_complex_normal(rng, 5, 2)), range_of(_complex_normal(rng, 5, 3))
+        overlap = range_of(np.hstack([s.basis[:, :1], _complex_normal(rng, 5, 2)]))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert meets_trivially(s, t)
         assert not meets_trivially(s, overlap)
@@ -250,9 +246,10 @@ class TestContainsEquals:
     def test_agrees_with_the_norm_reference(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            s = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
-            inside = range_of(s.basis @ _cnormal(rng, s.dim, int(rng.integers(1, s.dim + 1))))
-            t = range_of(_cnormal(rng, n, int(rng.integers(1, n + 1))))
+            s = range_of(_complex_normal(rng, n, int(rng.integers(1, n + 1))))
+            k = int(rng.integers(1, s.dim + 1))
+            inside = range_of(s.basis @ _complex_normal(rng, s.dim, k))
+            t = range_of(_complex_normal(rng, n, int(rng.integers(1, n + 1))))
             for pair in ((s, t), (t, s), (s, inside), (inside, s)):
                 assert contains(*pair) == _contains_by_norm(*pair)
 
@@ -264,7 +261,7 @@ class TestContainsEquals:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, n))
-            q = np.linalg.qr(_cnormal(rng, n, n))[0]
+            q = np.linalg.qr(_complex_normal(rng, n, n))[0]
             s = Subspace(n, q[:, :k])
             for step in range(-20, 21):
                 out = bound + step * 1e-17
@@ -282,11 +279,11 @@ class TestContainsEquals:
         assert gap(a_ran_p, ran_one_mq) > 0.5
 
     def test_contains_trivial(self, rng):
-        s = range_of(_cnormal(rng, 3, 2))
+        s = range_of(_complex_normal(rng, 3, 2))
         assert contains(s, Subspace.zero(3))
 
     def test_full_contains_everything(self, rng):
-        s = range_of(_cnormal(rng, 3, 2))
+        s = range_of(_complex_normal(rng, 3, 2))
         assert contains(Subspace.full(3), s)
 
     def test_ambient_mismatch(self):
@@ -305,8 +302,8 @@ class TestFixingLemma:
         for _ in range(25):
             n = int(rng.integers(1, 7))
             p = random_idempotent(rng, n)
-            inside = p @ _cnormal(rng, n, n)
-            x = inside if rng.random() < 0.5 else _cnormal(rng, n, n)
+            inside = p @ _complex_normal(rng, n, n)
+            x = inside if rng.random() < 0.5 else _complex_normal(rng, n, n)
             if frob(x) <= 1e-9:
                 continue
             fixed = frob(p @ x - x) <= 1e-10 + 1e-8 * frob(x)
@@ -316,8 +313,8 @@ class TestFixingLemma:
         for _ in range(25):
             n = int(rng.integers(1, 7))
             p = random_idempotent(rng, n)
-            through = _cnormal(rng, n, n) @ p
-            x = through if rng.random() < 0.5 else _cnormal(rng, n, n)
+            through = _complex_normal(rng, n, n) @ p
+            x = through if rng.random() < 0.5 else _complex_normal(rng, n, n)
             if frob(x) <= 1e-9:
                 continue
             fixed = frob(x @ p - x) <= 1e-10 + 1e-8 * frob(x)
@@ -326,7 +323,7 @@ class TestFixingLemma:
 
 class TestGap:
     def test_gap_of_identical(self, rng):
-        s = range_of(_cnormal(rng, 4, 2))
+        s = range_of(_complex_normal(rng, 4, 2))
         assert gap(s, s) <= 1e-12
 
     def test_gap_of_orthogonal_lines(self):
@@ -349,9 +346,9 @@ class TestGap:
         # to angles near the rounding floor
         for n in range(1, 17):
             for d in range(1, n + 1):
-                s = range_of(_cnormal(rng, n, d))
+                s = range_of(_complex_normal(rng, n, d))
                 for eps in (1.0, 1e-4, 1e-12):
-                    t = range_of(s.basis + eps * _cnormal(rng, n, d))
+                    t = range_of(s.basis + eps * _complex_normal(rng, n, d))
                     assert t.dim == d
                     expected = self._two_sided(s, t)
                     assert abs(gap(s, t) - expected) <= 1e-14 + 1e-12 * expected, (n, d, eps)
@@ -359,10 +356,10 @@ class TestGap:
     def test_gap_is_one_at_unequal_dimensions(self, rng):
         for n in range(1, 9):
             for d in range(n + 1):
-                s = Subspace.zero(n) if d == 0 else range_of(_cnormal(rng, n, d))
+                s = Subspace.zero(n) if d == 0 else range_of(_complex_normal(rng, n, d))
                 for e in range(n + 1):
                     if e != d:
-                        t = Subspace.zero(n) if e == 0 else range_of(_cnormal(rng, n, e))
+                        t = Subspace.zero(n) if e == 0 else range_of(_complex_normal(rng, n, e))
                         assert gap(s, t) == 1.0 and gap(t, s) == 1.0
 
     def test_gap_of_zero_spaces(self):
@@ -370,5 +367,5 @@ class TestGap:
 
 
 def test_tolerance_is_threaded(rng):
-    a = _cnormal(rng, 4, 4)
+    a = _complex_normal(rng, 4, 4)
     assert range_of(a, DEFAULT_TOL).dim == range_of(a).dim

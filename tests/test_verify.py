@@ -8,6 +8,7 @@ from pqinv.ginv import drazin_inverse
 from pqinv.prescribed import PqProblem, outer_inverse
 from pqinv.subspace import kernel_of, range_of
 from pqinv.verify import (
+    _battery_prescribed,
     _run_case,
     diagonalizable_instance,
     fuzz,
@@ -123,6 +124,24 @@ class TestRunCase:
     def test_truthy_return_is_fragile(self):
         case = _run_case("case", lambda rec: rec.check("gap", 0.5, 1.0) or 1)
         assert (case.status, case.residuals) == ("fragile", {"gap": 0.5})
+        assert "detail" not in case.to_json_dict()
+
+    @pytest.mark.parametrize("values", [(1e-3, float("nan")), (float("nan"), 1e-3)],
+                             ids=["nan-last", "nan-first"])
+    def test_a_nan_is_the_reported_residual_in_either_order(self, values):
+        def checks(rec):
+            for value in values:
+                rec.check("gap", value, 1.0)
+
+        case = _run_case("case", checks)
+        assert case.status == "fail"
+        assert list(case.residuals) == ["gap"] and np.isnan(case.residuals["gap"])
+
+    def test_fragile_diagnosis_ends_the_battery(self):
+        # the knife edge: p's second singular value sits inside the fragility band
+        prob = PqProblem(np.eye(3), np.diag([1.0, 3e-10, 0.0]), np.diag([0.0, 0.0, 1.0]))
+        case = _run_case("case", lambda rec: _battery_prescribed(rec, None, prob, None, False))
+        assert (case.status, case.residuals) == ("fragile", {})
         assert "detail" not in case.to_json_dict()
 
 

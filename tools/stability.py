@@ -1,8 +1,8 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Each command's lines are followed by its svd, lstsq and solve
-LAPACK calls, as ``pqinv.densela.record`` counts them, so that a diff
+output.  Each command's lines are followed by its svd, solve and eigvals
+LAPACK calls, the three kinds ``pqinv.densela.record`` counts, so that a diff
 shows decomposition-count changes next to output changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
@@ -82,7 +82,7 @@ REPRESENT_ARGS = (("--method", "limit"), ("--method", "integral"),
                   ("--method", "limit", "--lambda-min", "1e-10"))
 ROUTES = ("inner", "limit", "integral")
 FORMULAS = ("group_formula", "inner_formula", "limit_formula", "integral_formula")
-COUNTED = ("svd", "lstsq", "solve")
+COUNTED = ("svd", "solve", "eigvals")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
                   "one_two_inverse_strict", "matrix_with_range_kernel", "represent",
