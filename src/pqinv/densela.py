@@ -7,6 +7,7 @@ through the whole package, so that no two modules can reach contradictory
 verdicts about the same matrix.  Each numerical decision has one home
 here: :func:`count_rank` turns singular values into a rank,
 :func:`check_residual` decides that a residual is within its bound,
+:func:`rounding_bound` bounds a residual formed from products,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products) and :func:`snap`
 replaces such a matrix by an exact zero, :func:`solve_core`
@@ -47,6 +48,7 @@ __all__ = [
     "snap",
     "eq_bound",
     "check_residual",
+    "rounding_bound",
     "adjoint",
     "count_rank",
     "Record",
@@ -169,6 +171,14 @@ def check_residual(residual: float, bound: float, what: str, error=NumericalErro
     if residual <= bound:
         return residual
     raise error(f"{what} (residual {residual:.3e}, bound {bound:.3e})")
+
+
+def rounding_bound(x, y, scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """The bound for a residual x - y formed from products: the larger of
+    :func:`eq_bound` and the products' rounding floor, PRODUCT_NOISE times
+    ``scale``, the product of their factors' norms.  A residual within either
+    is within this one; pass it to :func:`check_residual`."""
+    return max(eq_bound(x, y, tol), PRODUCT_NOISE * scale)
 
 
 # A rank verdict is fragile when it changes with the cutoff scaled by this

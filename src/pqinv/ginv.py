@@ -21,6 +21,7 @@ from .densela import (
     eq_bound,
     frob,
     rank_factorization,
+    rounding_bound,
     snap,
     solve_core,
     svd,
@@ -144,20 +145,20 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
 
 def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
     """d a d = d, a d = d a and a^(k+1) d = a^k within eq_bound, the last also
-    at its products' rounding floor: a^k of a nilpotent part is the noise of
-    k products.  Each passes :func:`densela.check_residual` at the larger of
-    its two bounds, so a non-finite residual fails.  Returns a d, which the
-    spectral idempotent 1 - a d reads."""
+    at its products' rounding floor (:func:`densela.rounding_bound`): a^k of
+    a nilpotent part is the noise of k products.  A non-finite residual
+    fails :func:`densela.check_residual`.  Returns a d, which the spectral
+    idempotent 1 - a d reads."""
     ad, da = a @ d, d @ a
     norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
     checks = {
         "outer": (d @ ad, d, 0.0),
         "commute": (ad, da, 0.0),
         "power": (np.linalg.matrix_power(a, k + 1) @ d, np.linalg.matrix_power(a, k),
-                  PRODUCT_NOISE * norm_a ** k * (1.0 + norm_a * frob(d))),
+                  norm_a ** k * (1.0 + norm_a * frob(d))),
     }
-    for name, (lhs, rhs, floor) in checks.items():
-        check_residual(frob(lhs - rhs), max(eq_bound(lhs, rhs, tol), floor),
+    for name, (lhs, rhs, scale) in checks.items():
+        check_residual(frob(lhs - rhs), rounding_bound(lhs, rhs, scale, tol),
                        f"Drazin axiom '{name}' failed")
     return ad
 

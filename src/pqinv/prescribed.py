@@ -12,9 +12,11 @@ idempotents are imposed:
 
 Each inverse is unique when it exists.  Existence is decided by
 :func:`diagnose`, which evaluates every equivalent criterion of the
-existence theory independently and reports them side by side; the
-computation itself runs through a matrix ``w`` with Ran(w) = Ran(p) and
-Ker(w) = Ran(q), for which
+existence theory independently and reports their verdicts side by side
+(a criterion that asks for solutions of equations, such as cond6,
+reports that they exist, not the solutions); the computation itself
+runs through a matrix ``w`` with Ran(w) = Ran(p) and Ker(w) = Ran(q),
+for which
 
     b = w (a w)^#  =  (w a)^# w  =  w (w a w)^- w
       = lim_{s -> 0} w (s + a w)^-1  =  integral_0^inf w exp(-(a w) t) dt,
@@ -51,10 +53,10 @@ from .densela import (
     eq_bound,
     exp_integral,
     frob,
-    is_noise,
     rank,
     rank_factorization,
     record,
+    rounding_bound,
     snap,
     solve,
     solve_core,
@@ -146,19 +148,17 @@ class ExistenceReport:
     ``equivalence_consistent`` is a genuine cross-check of the theory
     rather than a tautology.  ``fragile`` flags verdicts that flip when
     the rank threshold moves by ``densela.FRAGILITY_FACTOR`` (ten) either
-    way.  ``cond6_t`` and ``cond6_s`` are the n x n witnesses t with
-    t m = p and s with m s = 1 - q for m = (1-q) a p, or None where the
-    check of one fails; both are built from the pseudo-inverse of the n x r
-    factor F = (1-q) a U, U an orthonormal basis of Ran(p), as
-    t = U F^+ and s = U F^+ (1-q), and checked on F, never on m.
+    way.  ``cond6`` is whether t m = p and m s = 1 - q are solvable for
+    m = (1-q) a p, decided on the n x r factor F = (1-q) a U, U an
+    orthonormal basis of Ran(p), never on m.  The report holds verdicts and
+    dimensions only, no matrix.
     """
 
     ker_cap_ranp_trivial: bool
     direct_sum: bool
     image_match: bool
     cond5: bool
-    cond6_t: np.ndarray | None
-    cond6_s: np.ndarray | None
+    cond6: bool
     strict_exists: bool
     l_exists: bool
     l12_exists: bool
@@ -168,10 +168,6 @@ class ExistenceReport:
     rank_a: int
     fragile: bool
     tol: Tolerances = field(repr=False, default=DEFAULT_TOL)
-
-    @property
-    def cond6(self) -> bool:
-        return self.cond6_t is not None and self.cond6_s is not None
 
     @property
     def equivalence_consistent(self) -> bool:
@@ -387,23 +383,18 @@ def _strict12_failure(spaces: _Spaces) -> str:
     return ""
 
 
-def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
-    """cond5, and the cond6 witnesses t (t m = p) and s (m s = 1 - q) or
-    None, for m = (1-q) a p, from one SVD of the n x r factor F = (1-q) a U.
+def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
+    """cond5 and cond6 for m = (1-q) a p, from one SVD of the n x r factor
+    F = (1-q) a U, U the basis of Ran(p).
 
-    With U the basis of Ran(p), p = U G with G = U^H p of full row rank, so
-    m = F G.  Ker(m) = Ker(p) exactly when F has rank r = dim Ran(p), and
-    Ran(m) = Ran(F), which lies in Ran(1-q) = Ker(q), equals Ran(1-q)
-    exactly when rank F = dim Ker(q): cond5 is both.  t m = p is solvable
-    exactly when t F = U is, and t = U F^+ solves it when F^+ F = 1.
-    G U = U^H p U = 1, so s = U F^+ (1-q) gives m s = F F^+ (1-q), which is
-    1-q when F F^+ fixes the basis K of Ker(q).  Each witness passes when
-    its residual, F^+ F - 1 or F (F^+ K) - K, is within eq_bound of U or K
-    (||t F - U||_F = ||F^+ F - 1||_F as U is orthonormal), or is at the
-    rounding floor of its own product, PRODUCT_NOISE times its factors'
-    norms, as :func:`densela.is_noise` rules: the condition of F carries
-    that of 1-q, which no choice of witness removes.  F is snapped to 0 at
-    the rounding floor of its factors, as :func:`subspace.image` snaps.
+    p = U G with G = U^H p of full row rank, so m = F G, and cond5 is
+    rank F = dim Ran(p) = dim Ker(q).  cond6 is two residual tests on F:
+    t = U F^+ solves t m = p when F^+ F = 1, and, as G U = 1,
+    s = U F^+ (1-q) solves m s = 1-q when F F^+ K = K, K the basis of
+    Ker(q).  Each residual may sit at its product's rounding floor
+    (:func:`densela.rounding_bound`), because F carries the condition of
+    1-q, which no solution removes.  F is snapped to 0 at the rounding
+    floor of its factors, as :func:`subspace.image` snaps.
     """
     tol, u, ker_q, one_mq = spaces.tol, spaces.ran_p.basis, spaces.ker_q.basis, prob.one_minus_q
     r = u.shape[1]
@@ -412,17 +403,12 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple:
     f_svd = svd(f)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)
-    del f_svd  # its n x n left factor is not held through the witnesses
     f_pinv_k = f_pinv @ ker_q
-
-    def solves(residual, x, y, target) -> bool:
-        return (frob(residual) <= eq_bound(target, target, tol)
-                or is_noise(residual, PRODUCT_NOISE * frob(x) * frob(y)))
-
-    t_ok = solves(f_pinv @ f - np.eye(r), f_pinv, f, u)
-    s_ok = solves(f @ f_pinv_k - ker_q, f, f_pinv_k, ker_q)
-    return (cond5, u @ f_pinv if t_ok else None,
-            u @ (f_pinv @ one_mq) if s_ok else None)
+    t_res = frob(f_pinv @ f - np.eye(r))
+    s_res = frob(f @ f_pinv_k - ker_q)
+    cond6 = (t_res <= rounding_bound(u, u, frob(f_pinv) * frob(f), tol)
+             and s_res <= rounding_bound(ker_q, ker_q, frob(f) * frob(f_pinv_k), tol))
+    return cond5, cond6
 
 
 def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
@@ -440,7 +426,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
 
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
     image_match = sub.equals(a_ran_p, spaces.ker_q, tol)
-    cond5, t_witness, s_witness = _cond5_cond6(prob, spaces)
+    cond5, cond6 = _cond5_cond6(prob, spaces)
 
     try:
         b = _candidate(prob, spaces)
@@ -457,8 +443,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
         direct_sum=direct,
         image_match=image_match,
         cond5=cond5,
-        cond6_t=t_witness,
-        cond6_s=s_witness,
+        cond6=cond6,
         strict_exists=strict,
         l_exists=l_exists,
         l12_exists=l12,
@@ -475,7 +460,7 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     """Evaluate every existence criterion and flag tolerance-fragile verdicts.
 
     Each criterion is computed on its own (subspace dimensions, range
-    containments, cond5 and the cond6 witnesses from one SVD of the n x r
+    containments, cond5 and cond6 from one SVD of the n x r
     factor F = (1-q) a U, and the definitional candidate on the r x r core
     N^H a U), so disagreement between fields is detectable.  The criteria
     share factorizations of the inputs and the one n x r product a U

@@ -79,7 +79,6 @@ class CaseResult:
 @dataclass(frozen=True)
 class SuiteReport:
     cases: list[CaseResult]
-    trials: int
     seed: int | None = None
     tol: Tolerances = field(repr=False, default=DEFAULT_TOL)
 
@@ -96,7 +95,7 @@ class SuiteReport:
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "trials": self.trials,
+            "trials": len(self.cases),
             "summary": self.counts(),
             "tolerances": self.tol.to_json_dict(),
             "cases": [c.to_json_dict() for c in sorted(self.cases, key=lambda c: c.name)],
@@ -229,7 +228,7 @@ def run_counterexample_suite(tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
                        ("direct_sum_without_image_match", _case_direct_sum_without_image),
                        ("image_match_without_strict", _case_image_without_strict)):
         cases.append(_run_case(name, partial(case, tol=tol)))
-    return SuiteReport(cases=cases, trials=len(cases), seed=None, tol=tol)
+    return SuiteReport(cases=cases, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -575,4 +574,4 @@ def fuzz(seed: int, trials: int, max_dim: int, tol: Tolerances = DEFAULT_TOL) ->
             return fragile
 
         cases.append(_run_case(f"trial_{i:05d}", trial))
-    return SuiteReport(cases=cases, trials=trials, seed=seed, tol=tol)
+    return SuiteReport(cases=cases, seed=seed, tol=tol)

@@ -27,6 +27,7 @@ from pqinv.densela import (
     rank,
     rank_factorization,
     record,
+    rounding_bound,
     solve,
     solve_core,
     solve_left,
@@ -100,6 +101,28 @@ class TestCheckResidual:
         with pytest.raises(NonexistentInverseError) as exc:
             check_residual(float("nan"), 1.0, "b a b = b", factory)
         assert exc.value.reason == "prefix: b a b = b (residual nan, bound 1.000e+00)"
+
+
+class TestRoundingBound:
+    X = np.array([[3.0, 4.0]])  # Frobenius norm 5
+
+    def test_the_larger_of_eq_bound_and_the_product_floor(self):
+        eq = densela.eq_bound(self.X, self.X)
+        assert densela.PRODUCT_NOISE * 1.0 < eq < densela.PRODUCT_NOISE * 1e6
+        assert rounding_bound(self.X, self.X, 1.0) == eq
+        assert rounding_bound(self.X, self.X, 1e6) == densela.PRODUCT_NOISE * 1e6
+
+    def test_scale_zero_is_eq_bound(self):
+        tol = Tolerances(eq_atol=0.0, eq_rtol=1e-6)
+        assert rounding_bound(self.X, 2 * self.X, 0.0, tol) == densela.eq_bound(
+            self.X, 2 * self.X, tol)
+
+    def test_infinite_scale(self):
+        assert rounding_bound(self.X, self.X, float("inf")) == float("inf")
+
+    def test_nan_residual_fails_through_check_residual(self):
+        with pytest.raises(NumericalError):
+            check_residual(float("nan"), rounding_bound(self.X, self.X, float("inf")), "x = y")
 
 
 class TestNoise:

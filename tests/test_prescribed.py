@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -132,12 +133,29 @@ class TestDiagnose:
         assert flags["image_match"] and flags["cond5"] and flags["cond6"]
         assert not flags["l12_exists"] and not flags["strict12_exists"]
 
-    def test_witnesses_solve_their_systems(self):
-        prob = counterexample_problem()
-        rep = diagnose(prob)
-        m = prob.one_minus_q @ prob.a @ prob.p
-        assert frob(rep.cond6_t @ m - prob.p) <= 1e-8
-        assert frob(m @ rep.cond6_s - prob.one_minus_q) <= 1e-8
+    def test_cond6_solutions_solve_their_systems(self):
+        # cond6 holds on each, and t = U F^+ solves t m = p and
+        # s = U F^+ (1-q) solves m s = 1-q, for m = (1-q) a p and F = (1-q) a U
+        probs = [counterexample_problem()]
+        for seed in range(10):
+            inst = guaranteed_instance(np.random.default_rng(seed), 8)
+            probs.append(PqProblem(inst["a"], inst["p"], inst["q"]))
+        for prob in probs:
+            assert diagnose(prob).cond6
+            spaces = prescribed._Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=True)
+            u, one_mq = spaces.ran_p.basis, prob.one_minus_q
+            f_pinv = densela.svd(one_mq @ spaces.a_u).pinv(prob.tol)
+            t, s = u @ f_pinv, u @ f_pinv @ one_mq
+            m = one_mq @ prob.a @ prob.p
+            assert frob(t @ m - prob.p) <= 1e-8 * max(1.0, frob(prob.p))
+            assert frob(m @ s - one_mq) <= 1e-8 * max(1.0, frob(one_mq))
+
+    def test_report_holds_no_matrix(self):
+        inst = diagonalizable_instance(np.random.default_rng(1), 16, r=8)
+        rep = diagnose(PqProblem(inst["a"], inst["p"], inst["q"]))
+        values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        assert type(values["cond6"]) is bool
+        assert not [name for name, v in values.items() if isinstance(v, np.ndarray)]
 
     def test_json_dict_is_complete(self):
         doc = diagnose(counterexample_problem()).to_json_dict()
@@ -526,8 +544,8 @@ class TestDecompositionCounts:
     def test_diagnose_factors_each_input_once(self, count_linalg):
         # a, p and q once each, Ran(1-q) and Ran(1-p) read as Ker(q) and
         # Ker(p); a . Ran(p) and the n x r F = (1-q) a U once each, no SVD of
-        # the n x n (1-q) a p, and no least-squares solve: the cond6
-        # witnesses come from the pseudo-inverse of F; the candidate takes the
+        # the n x n (1-q) a p, and no least-squares solve: cond6 is decided
+        # on the pseudo-inverse of F; the candidate takes the
         # singular values of its r x r core and one r x r solve, no (a w)^#
         # and no SVD of b; Ker(a) ∩ Ran(p) is ranked once for
         # ker_cap_ranp_trivial and C^n = Ker(a) ∔ Ran(p); the two direct sums
