@@ -73,7 +73,8 @@ class Tolerances:
 
     rank_rtol
         Relative singular-value cutoff: sigma counts toward the rank when
-        sigma > rank_rtol * sigma_max.
+        sigma > rank_rtol * sigma_max, and the sine of a principal angle
+        counts as nonzero when it exceeds rank_rtol.
     eq_atol, eq_rtol
         Matrix equality uses the mixed bound
         ||X - Y||_F <= eq_atol + eq_rtol * max(||X||_F, ||Y||_F).
@@ -229,24 +230,27 @@ def _lapack(kind: str, *args, **kwargs):
     return getattr(np.linalg, kind)(*args, **kwargs)
 
 
-def _count_above(s: np.ndarray, rtol: float) -> int:
-    return int(np.count_nonzero(s > rtol * s[0]))
+def _count_above(s: np.ndarray, rtol: float, scale: float) -> int:
+    return int(np.count_nonzero(s > rtol * scale))
 
 
-def _straddles_cutoff(s: np.ndarray, rtol: float) -> bool:
+def _straddles_cutoff(s: np.ndarray, rtol: float, scale: float) -> bool:
     """True when the count of ``s`` differs between the two scaled cutoffs."""
-    hi, lo = (_count_above(s, rtol * scale) for scale in FRAGILITY_SCALES)
+    hi, lo = (_count_above(s, rtol * factor, scale) for factor in FRAGILITY_SCALES)
     return hi != lo
 
 
-def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | None = None) -> int:
     """Numerical rank from descending singular values ``s``: the count of
-    those above rank_rtol * sigma_max (0 when sigma_max is 0)."""
+    those above rank_rtol * scale (0 when sigma_max is 0).  The scale is
+    sigma_max unless given; values of a known range pass theirs, as the
+    sines of principal angles pass 1."""
     if s.size == 0 or s[0] == 0.0:
         return 0
+    scale = s[0] if scale is None else scale
     if (rec := _RECORD.get()) is not None and not rec.near:
-        rec.near = _straddles_cutoff(s, tol.rank_rtol)
-    return _count_above(s, tol.rank_rtol)
+        rec.near = _straddles_cutoff(s, tol.rank_rtol, scale)
+    return _count_above(s, tol.rank_rtol, scale)
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:

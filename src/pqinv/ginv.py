@@ -107,22 +107,23 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    d, k = _cline(a, tol)
-    spectral = np.eye(a.shape[0], dtype=np.complex128) - _validate_drazin(a, d, k, tol)
+    d, k, r = _cline(a, tol)
+    spectral = np.eye(a.shape[0], dtype=np.complex128) - _validate_drazin(a, d, k, r, tol)
     check_residual(frob(spectral @ spectral - spectral), eq_bound(spectral, spectral, tol),
                    "spectral idempotent failed the idempotency check")
     return DrazinResult(inverse=d, index=k, spectral_idempotent=spectral)
 
 
-def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
-    """(a^D, ind a) by Cline's factor sequence (SIAM J. Numer. Anal. 5
+def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, int]:
+    """(a^D, ind a, r) by Cline's factor sequence (SIAM J. Numer. Anal. 5
     (1968) 182-197): from m_0 = a, m_j = F_j G_j by :func:`rank_factorization`
     and m_(j+1) = G_j F_j, of falling rank, until :func:`factored_group_inverse`
     finds m_k group invertible.  (F G)^D = F ((G F)^D)^2 G unrolls to
     a^D = F_0 ... F_(k-1) (m_k^#)^(k+1) G_(k-1) ... G_0, whose rounding errors
     add where the nested form's double per level; ind a is k, plus one when
-    m_k is singular.  a is scaled exactly, by a power of two, to keep the
-    k-fold products in range; G F at its rounding floor is snapped to 0.
+    m_k is singular, and r = rank m_k is the rank of a a^D.  a is scaled
+    exactly, by a power of two, to keep the k-fold products in range; G F at
+    its rounding floor is snapped to 0.
     """
     scale = 2.0 ** math.frexp(frob(a))[1]
     m, left, right = a / scale, None, None
@@ -140,15 +141,18 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int]:
     else:  # pragma: no cover - a core's rank cannot stay put n + 1 times
         raise NumericalError("the factor ranks failed to fall")
     d = group if k == 0 else left @ np.linalg.matrix_power(group, k + 1) @ right
-    return d / scale, k + int(r < m.shape[0])
+    return d / scale, k + int(r < m.shape[0]), r
 
 
-def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> np.ndarray:
+def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, r: int, tol: Tolerances) -> np.ndarray:
     """d a d = d, a d = d a and a^(k+1) d = a^k within eq_bound, the last also
     at its products' rounding floor (:func:`densela.rounding_bound`): a^k of
-    a nilpotent part is the noise of k products.  A non-finite residual
-    fails :func:`densela.check_residual`.  Returns a d, which the spectral
-    idempotent 1 - a d reads."""
+    a nilpotent part is the noise of k products.  Then the certificate:
+    a d is idempotent, so its trace is its rank, which must read r, the
+    rank of the core the factor sequence ended on, to within 0.5.  It
+    catches a d that misses a core eigenvalue whose part of a^k the others
+    swamp.  A non-finite residual fails :func:`densela.check_residual`.
+    Returns a d, which the spectral idempotent 1 - a d reads."""
     ad, da = a @ d, d @ a
     norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
     checks = {
@@ -160,6 +164,7 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, tol: Tolerances) -> n
     for name, (lhs, rhs, scale) in checks.items():
         check_residual(frob(lhs - rhs), rounding_bound(lhs, rhs, scale, tol),
                        f"Drazin axiom '{name}' failed")
+    check_residual(abs(np.trace(ad) - r), 0.5, f"Drazin certificate tr(a d) = {r} failed")
     return ad
 
 

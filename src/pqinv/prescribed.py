@@ -278,7 +278,8 @@ class _Spaces:
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
-        """Whether Ker(a) ∩ Ran(p) = {0}: the one rank of [B_Ker(a) | B_Ran(p)]."""
+        """Whether Ker(a) ∩ Ran(p) = {0}: the sines of the principal angles
+        from Ker(a) to Ran(p) (:func:`subspace.meets_trivially`)."""
         return sub.meets_trivially(self.ker_a, self.ran_p, self.tol)
 
 

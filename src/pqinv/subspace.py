@@ -23,9 +23,9 @@ from .densela import (
     Tolerances,
     as_matrix,
     check_residual,
+    count_rank,
     frob,
     is_noise,
-    rank,
     svd,
 )
 from .errors import ShapeError
@@ -51,26 +51,25 @@ _ORTHONORMALITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n given by an n x d matrix with orthonormal columns."""
+    """A subspace of C^n given by its basis, an n x d matrix with orthonormal
+    columns; n, the ambient dimension, is the basis's row count."""
 
-    ambient: int
     basis: np.ndarray
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.complex128)
         object.__setattr__(self, "basis", basis)
-        if self.ambient < 1:
-            raise ShapeError(f"ambient dimension must be positive, got {self.ambient}")
-        if basis.ndim != 2 or basis.shape[0] != self.ambient:
-            raise ShapeError(
-                f"basis must be {self.ambient} x d, got shape {basis.shape}"
-            )
-        d = basis.shape[1]
-        if d > self.ambient:
-            raise ShapeError(f"basis has {d} columns in ambient dimension {self.ambient}")
+        if basis.ndim != 2 or self.ambient < 1:
+            raise ShapeError(f"basis must be n x d with n >= 1, got shape {basis.shape}")
+        if self.dim > self.ambient:
+            raise ShapeError(f"basis has {self.dim} columns in ambient dimension {self.ambient}")
         gram = basis.conj().T @ basis
-        check_residual(frob(gram - np.eye(d)), _ORTHONORMALITY_TOL,
+        check_residual(frob(gram - np.eye(self.dim)), _ORTHONORMALITY_TOL,
                        "basis columns are not orthonormal", ValueError)
+
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -78,11 +77,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=np.complex128))
+        return cls(np.zeros((n, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, np.eye(n, dtype=np.complex128))
+        return cls(np.eye(n, dtype=np.complex128))
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace (the zero matrix for {0})."""
@@ -103,13 +102,13 @@ def _factored(a) -> Factored:
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Column space of a matrix (or of the one a :class:`Factored` factors)."""
     f = _factored(a)
-    return Subspace(f.u.shape[0], f.range_basis(tol))
+    return Subspace(f.range_basis(tol))
 
 
 def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Null space of a matrix (or of the one a :class:`Factored` factors)."""
     f = _factored(a)
-    return Subspace(f.vh.shape[1], f.null_basis(tol))
+    return Subspace(f.null_basis(tol))
 
 
 def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
@@ -124,7 +123,7 @@ def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Su
     and its orthogonal complement, both from one factorization: the leading
     and the trailing left singular vectors."""
     f = _factored(a)
-    return range_of(f, tol), Subspace(f.u.shape[0], f.left_null_basis(tol))
+    return range_of(f, tol), Subspace(f.left_null_basis(tol))
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
@@ -140,7 +139,7 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])
-    return Subspace(a.shape[0], svd(mapped).range_basis(tol))
+    return Subspace(svd(mapped).range_basis(tol))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):
@@ -156,34 +155,38 @@ def intersect(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspa
     stacked = np.hstack([s.basis, -t.basis])
     null = svd(stacked).null_basis(tol)
     vectors = s.basis @ null[: s.dim, :]
-    return Subspace(s.ambient, svd(vectors).range_basis(tol))
+    return Subspace(svd(vectors).range_basis(tol))
 
 
 def sum_of(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Sum of two subspaces."""
     _check_same_ambient(s, t)
-    return Subspace(s.ambient, svd(np.hstack([s.basis, t.basis])).range_basis(tol))
+    return Subspace(svd(np.hstack([s.basis, t.basis])).range_basis(tol))
+
+
+def _outside(s: Subspace, t: Subspace) -> np.ndarray:
+    """The components of T's basis vectors outside S, (1 - P_S) B_T: its
+    singular values are the sines of the principal angles from T to S
+    (Bjorck & Golub, Math. Comp. 27 (1973) 579-594)."""
+    return t.basis - s.basis @ (s.basis.conj().T @ t.basis)
 
 
 def meets_trivially(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when S ∩ T = {0}: at once when either side is {0}, else when the
-    joined bases [B_S | B_T] have full column rank dim S + dim T."""
+    """True when S ∩ T = {0}: at once when either side is {0}, else when
+    all dim S sines of the principal angles from S to T, the singular
+    values of the n x dim S matrix (1 - P_T) B_S, exceed rank_rtol.  Sines
+    lie in [0, 1], so :func:`densela.count_rank` counts them at the scale 1."""
     _check_same_ambient(s, t)
     if s.dim == 0 or t.dim == 0:
         return True
-    return rank(np.hstack([s.basis, t.basis]), tol) == s.dim + t.dim
+    return count_rank(svd(_outside(t, s), compute_uv=False).s, tol, scale=1.0) == s.dim
 
 
 def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when S ∩ T = {0} and S + T = C^n: with dim S + dim T = n,
-    the one rank of :func:`meets_trivially` decides both."""
+    the principal-angle sines of :func:`meets_trivially` decide both."""
     _check_same_ambient(s, t)
     return s.dim + t.dim == s.ambient and meets_trivially(s, t, tol)
-
-
-def _outside(s: Subspace, t: Subspace) -> np.ndarray:
-    """The components of T's basis vectors outside S."""
-    return t.basis - s.basis @ (s.basis.conj().T @ t.basis)
 
 
 def contains(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -81,3 +81,19 @@ def oblique_instance(rng: np.random.Generator, n: int, t: float) -> dict:
     u_p = np.linalg.svd(inst["p"])[0][:, :r]
     u_q = np.linalg.svd(inst["q"])[0][:, :n - r]
     return {**inst, "p": _oblique(rng, u_p, t), "q": _oblique(rng, u_q, t)}
+
+
+# the exponents x of the planted sines rank_rtol * 10^x: on either side of
+# the cutoff, inside the fragility band (|x| < 1) and outside it
+PLANTED_ANGLE_EXPONENTS = (-1.5, -0.5, -0.1, 0.1, 0.2, 0.5, 1.5)
+
+
+def planted_angle_pair(rng: np.random.Generator, sin_theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal spanning sets (S, T) of C^8 whose smallest principal
+    angle theta has the given sine: T is a random 4-dimensional subspace,
+    and S is spanned by cos(theta) t_1 + sin(theta) u_1, with t_1 in T and
+    u_1 orthogonal to T, and by two more vectors orthogonal to T.  Its
+    other two angles are right angles."""
+    q = _random_unitary(rng, 8)
+    tilted = np.sqrt(1.0 - sin_theta ** 2) * q[:, :1] + sin_theta * q[:, 4:5]
+    return np.hstack([tilted, q[:, 5:7]]), q[:, :4]

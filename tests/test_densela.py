@@ -176,10 +176,10 @@ class TestAsMatrix:
     (lambda: drazin_inverse(np.ones((2, 3))), "Drazin inverse needs a square matrix, got (2, 3)"),
     (lambda: matrix_with_range_kernel(np.eye(2), np.eye(3)),
      "p and q must be square of one size, got (2, 2), (3, 3)"),
-    (lambda: Subspace(0, np.zeros((0, 0))), "ambient dimension must be positive, got 0"),
-    (lambda: Subspace(3, np.ones((2, 1))), "basis must be 3 x d, got shape (2, 1)"),
+    (lambda: Subspace(np.zeros((0, 0))), "basis must be n x d with n >= 1, got shape (0, 0)"),
+    (lambda: Subspace(np.zeros((2, 3))), "basis has 3 columns in ambient dimension 2"),
     (lambda: image(np.eye(3), Subspace.full(2)), "matrix has 3 cols, subspace lives in C^2"),
-], ids=["require_square", "solve_left", "drazin", "range_kernel", "ambient", "basis_rows",
+], ids=["require_square", "solve_left", "drazin", "range_kernel", "ambient", "basis_columns",
         "image"])
 def test_shape_error_names_the_mismatch(call, message):
     with pytest.raises(ShapeError) as info:
@@ -276,6 +276,25 @@ class TestRank:
         assert count_rank(np.array([2.0, 2.1e-3, 2e-3]), tol) == 2
         assert count_rank(np.array([0.0, 0.0]), tol) == 0
         assert count_rank(np.array([]), tol) == 0
+
+    def test_default_scale_is_sigma_max(self, rng):
+        # the relative rule written out: the count and near against
+        # rank_rtol * sigma_max and its two scaled cutoffs
+        rtol = DEFAULT_TOL.rank_rtol
+        for _ in range(200):
+            s = np.sort(10.0 ** rng.uniform(-13, 1, int(rng.integers(1, 8))))[::-1]
+            counts = [int(np.count_nonzero(s > rtol * f * s[0])) for f in (1.0, 10.0, 0.1)]
+            with record() as rec:
+                assert count_rank(s) == counts[0]
+            assert rec.near == (counts[1] != counts[2])
+
+    def test_scale_one_counts_above_rank_rtol(self):
+        # the cutoff is rank_rtol itself, not rank_rtol * sigma_max
+        rtol = DEFAULT_TOL.rank_rtol
+        s = np.array([0.5, 2 * rtol, rtol, 0.5 * rtol])
+        assert (count_rank(s), count_rank(s, scale=1.0)) == (3, 2)
+        s = np.array([1e-3, 1e-11])
+        assert (count_rank(s), count_rank(s, scale=1.0)) == (2, 1)
 
     def test_adjoint_invariance(self, rng):
         for _ in range(10):

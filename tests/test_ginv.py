@@ -265,7 +265,7 @@ class TestDrazin:
             inst = varied_index_matrix(np.random.default_rng(seed), 8, core=0)
             with pytest.raises(NumericalError, match="axiom 'power'"):
                 _validate_drazin(scale * inst["a"], np.zeros((8, 8), dtype=complex),
-                                 inst["index"] - 1, DEFAULT_TOL)
+                                 inst["index"] - 1, 0, DEFAULT_TOL)
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     def test_long_jordan_block_beside_a_core(self, size):
@@ -281,10 +281,23 @@ class TestDrazin:
         assert res.index == size
         assert frob(res.inverse - d_ref) <= 1e-12
 
+    def test_missing_core_eigenvalue_is_rejected(self):
+        # d without the eigenvalue-1 block passes the three axioms: in the
+        # power axiom a^32 carries 2^32 on the eigenvalue 2, which swamps the
+        # missing 1; tr(a d) reads 2 where the core has rank 3
+        a = np.zeros((35, 35), dtype=complex)
+        a[:3, :3] = np.diag([1.0, 1.5, 2.0])
+        a[3:, 3:] = np.diag(np.ones(31), 1)
+        d = np.zeros_like(a)
+        d[1:3, 1:3] = np.diag([1 / 1.5, 0.5])
+        with pytest.raises(NumericalError, match=r"^Drazin certificate tr\(a d\) = 3 failed"):
+            _validate_drazin(a, d, 32, 3, DEFAULT_TOL)
+        assert frob(_validate_drazin(a, d, 32, 2, DEFAULT_TOL) - a @ d) == 0.0
+
     def test_non_finite_inverse_is_rejected(self):
         d = np.full((2, 2), np.nan, dtype=complex)
         with pytest.raises(NumericalError, match="axiom 'outer'"):
-            _validate_drazin(IDEM, d, 1, DEFAULT_TOL)
+            _validate_drazin(IDEM, d, 1, 1, DEFAULT_TOL)
 
     def test_factor_sequence_takes_no_power_decomposition(self, count_linalg, monkeypatch):
         # index 3: a and its first two cores each factored once and rank-tested

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqinv.densela import DEFAULT_TOL, frob
+from matrix_generators import PLANTED_ANGLE_EXPONENTS, planted_angle_pair
+from pqinv.densela import DEFAULT_TOL, frob, record
 from pqinv.errors import ShapeError
 from pqinv.subspace import (
     Subspace,
@@ -26,18 +27,18 @@ A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
 ONE_MQ22 = np.array([[0, 1], [0, 1]], dtype=complex)
 
-E1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
-E2 = Subspace(2, np.array([[0.0], [1.0]], dtype=complex))
+E1 = Subspace(np.array([[1.0], [0.0]], dtype=complex))
+E2 = Subspace(np.array([[0.0], [1.0]], dtype=complex))
 
 
 class TestSubspaceType:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
-            Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+            Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_too_many_columns(self):
         with pytest.raises(ShapeError):
-            Subspace(1, np.ones((1, 2)))
+            Subspace(np.ones((1, 2)))
 
     def test_projector_of_trivial(self):
         assert np.array_equal(Subspace.zero(3).projector(), np.zeros((3, 3)))
@@ -181,7 +182,7 @@ class TestLattice:
             n = int(rng.integers(2, 8))
             d = int(rng.integers(1, n))
             basis = np.linalg.qr(_complex_normal(rng, n, n))[0]
-            s = Subspace(n, basis[:, :d])
+            s = Subspace(basis[:, :d])
             t = range_of(_complex_normal(rng, n, n - d))
             if not is_direct_sum_all(s, t):
                 continue
@@ -214,21 +215,35 @@ class TestMeetsTrivially:
         assert verdicts == {True, False}
 
     def test_takes_one_singular_value_decomposition(self, rng, monkeypatch):
+        # of the n x dim S matrix (1 - P_T) B_S, not of the joined bases
         svd, calls = np.linalg.svd, []
 
-        def counting_svd(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return svd(*args, **kwargs)
+        def counting_svd(m, **kwargs):
+            calls.append((kwargs.get("compute_uv", True), m.shape))
+            return svd(m, **kwargs)
 
         s, t = range_of(_complex_normal(rng, 5, 2)), range_of(_complex_normal(rng, 5, 3))
         overlap = range_of(np.hstack([s.basis[:, :1], _complex_normal(rng, 5, 2)]))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert meets_trivially(s, t)
         assert not meets_trivially(s, overlap)
-        assert calls == [False, False]
+        assert calls == [(False, (5, 2)), (False, (5, 2))]
         assert meets_trivially(Subspace.zero(5), t)
         assert meets_trivially(Subspace.full(5), Subspace.zero(5))
-        assert calls == [False, False]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("x", PLANTED_ANGLE_EXPONENTS)
+    def test_planted_angle_against_the_cutoff(self, x):
+        # the smallest sine is rank_rtol * 10^x: S ∩ T = {0} exactly when it
+        # exceeds rank_rtol, and the decision is near exactly inside the
+        # fragility band; the two right angles decide nothing
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            spans = planted_angle_pair(rng, DEFAULT_TOL.rank_rtol * 10.0 ** x)
+            s, t = (range_of(m) for m in spans)
+            with record() as rec:
+                verdict = meets_trivially(s, t)
+            assert (verdict, rec.near) == (x > 0, abs(x) < 1), seed
 
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeError):
@@ -262,10 +277,10 @@ class TestContainsEquals:
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, n))
             q = np.linalg.qr(_complex_normal(rng, n, n))[0]
-            s = Subspace(n, q[:, :k])
+            s = Subspace(q[:, :k])
             for step in range(-20, 21):
                 out = bound + step * 1e-17
-                t = Subspace(n, np.sqrt(1.0 - out ** 2) * q[:, :1] + out * q[:, k:k + 1])
+                t = Subspace(np.sqrt(1.0 - out ** 2) * q[:, :1] + out * q[:, k:k + 1])
                 verdict = contains(s, t)
                 assert verdict == _contains_by_norm(s, t), (n, k, step)
                 verdicts.add(verdict)

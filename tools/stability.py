@@ -46,7 +46,12 @@ shows decomposition-count changes next to output changes.  Covered:
   the OBLIQUE_SEEDS ``diagnose`` reports on ``oblique_instance(rng, n, t)``
   (from this checkout's ``tests/matrix_generators.py``, seeds 0 to 99) that
   hold a false subspace-outer verdict, although the inverse exists on every
-  one.
+  one;
+* last, on one line, the verdict and the ``near`` flag of
+  ``meets_trivially(S, T)`` on the seed-0 ``planted_angle_pair`` (from this
+  checkout's ``tests/matrix_generators.py``) for each of its
+  PLANTED_ANGLE_EXPONENTS x, whose smallest angle has the sine
+  rank_rtol * 10^x, so that a diff shows where the cutoff sits.
 
 Run it on two checkouts and diff the output::
 
@@ -103,6 +108,7 @@ OBLIQUE_T = (1e2, 1e4, 1e6)
 OBLIQUE_SEEDS = 100
 # the verdicts that hold on every instance whose subspace outer inverse exists
 SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_exists")
+PLANTED_SEED = 0
 
 
 def _sha(text: str) -> str:
@@ -263,6 +269,21 @@ def _oblique_lines(prescribed) -> list[str]:
     return lines
 
 
+def _planted_angle_line(densela, subspace) -> str:
+    """The verdict and ``near`` flag of S ∩ T = {0} on each planted angle;
+    the subspaces are built by ``range_of``, outside the recorded block."""
+    generators = _generators()
+    cells = []
+    for x in generators.PLANTED_ANGLE_EXPONENTS:
+        spans = generators.planted_angle_pair(np.random.default_rng(PLANTED_SEED),
+                                              densela.DEFAULT_TOL.rank_rtol * 10.0 ** x)
+        s, t = (subspace.range_of(m) for m in spans)
+        with densela.record() as rec:
+            trivial = subspace.meets_trivially(s, t)
+        cells.append(f"x={x:g}:trivial={int(trivial)},near={int(rec.near)}")
+    return "planted angle sin=rank_rtol*10^x  " + " ".join(cells)
+
+
 def fingerprints() -> list[str]:
     cli = importlib.import_module("pqinv.cli")
     verify = importlib.import_module("pqinv.verify")
@@ -306,8 +327,9 @@ def fingerprints() -> list[str]:
     errors = importlib.import_module("pqinv.errors")
     lines += _formula_lines(prescribed, verify, errors)
     lines += _peak_lines(prescribed, verify, errors)
-    return (lines + _exp_lines(importlib.import_module("pqinv.densela"))
-            + _oblique_lines(prescribed))
+    densela = importlib.import_module("pqinv.densela")
+    return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
+            + [_planted_angle_line(densela, importlib.import_module("pqinv.subspace"))])
 
 
 def main(argv=None) -> int:
