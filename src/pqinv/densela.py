@@ -11,9 +11,9 @@ here: :func:`count_rank` turns singular values into a rank,
 :func:`is_noise` decides that a computed matrix is cancellation noise
 (with :data:`PRODUCT_NOISE` the floor for products) and :func:`snap`
 replaces such a matrix by an exact zero, :func:`solve_core`
-decides whether the r x r core of a factorization is invertible and
-solves with it, and :meth:`Tolerances.to_json_dict` is the one serialised
-form of the thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues`
+decides on one SVD whether the r x r core of a factorization is
+invertible and solves with it, and :meth:`Tolerances.to_json_dict` is the
+one serialised form of the thresholds.  :func:`svd`, :func:`solve` and :func:`eigenvalues`
 are the package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
 range and null-space bases and the pseudo-inverse, so a caller that needs
 several of them factors the matrix once.  Inside :func:`record`, each
@@ -324,7 +324,9 @@ def svd(m, compute_uv: bool = True) -> Factored:
 
 
 def solve(a, b) -> np.ndarray:
-    """A^-1 B by LAPACK's solve; a singular ``a`` raises numpy's LinAlgError unchanged."""
+    """A^-1 B by LAPACK's LU solve, for a system whose invertibility no rank
+    decides (a core that needs one goes through :func:`solve_core`); a
+    singular ``a`` raises numpy's LinAlgError unchanged."""
     return _lapack("solve", a, b)
 
 
@@ -338,19 +340,22 @@ def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.nda
     or None when it is not: the one decision of whether such a core is.
 
     The core counts as singular when it is noise at ``floor`` (the rounding
-    floor of its factors, :func:`is_noise`), when its :func:`rank` is below
-    r, or when LAPACK's LU finds it exactly singular.  A 0 x 0 core gives
-    the 0 x m zero matrix, without LAPACK.
+    floor of its factors, :func:`is_noise`) or when the rank of its one SVD
+    is below r; otherwise that SVD's pseudo-inverse X, after one Newton step
+    X + X (1 - core X), solves, and no second factorization of the core is
+    taken.  The step brings the residual 1 - core X down to an LU solve's
+    on a column-scaled core, such as G F with F = u diag(s) from an SVD:
+    the SVD's rounding grows with the scaling, LU's does not.  A non-square
+    core raises ShapeError, and a 0 x 0 core gives the 0 x m zero matrix,
+    without LAPACK.
     """
-    r = core.shape[0]
+    r = _require_square(core, "core").shape[0]
     if r == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    if is_noise(core, floor) or rank(core, tol) < r:
+    if is_noise(core, floor) or (f := svd(core)).rank(tol) < r:
         return None
-    try:
-        return solve(core, rhs)
-    except np.linalg.LinAlgError:  # the rank read the core as invertible, its LU did not
-        return None
+    x = f.pinv(tol)
+    return (x + x @ (np.eye(r) - core @ x)) @ rhs
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:

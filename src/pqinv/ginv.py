@@ -82,8 +82,9 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     182-197), for F with r independent columns and G with r orthonormal
     rows, as :func:`rank_factorization` gives them.  As (F G)^2 = F (G F) G,
     index one is G F invertible, decided by :func:`densela.solve_core` on
-    the r x r core at the rounding floor of its factors; at r = 0 F G is 0,
-    and so is its group inverse.
+    the r x r core at the rounding floor of its factors, whose one SVD
+    decides the rank and inverts the core; at r = 0 F G is 0, and so is
+    its group inverse.
     """
     r = f.shape[1]
     # G has orthonormal rows, so its norm is sqrt(r)

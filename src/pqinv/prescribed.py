@@ -29,9 +29,9 @@ basis of Ran(p) and N one of Ran(q)^⊥.  Then a w = (a U) N^H
 is a full-rank factorization, and the group route w (a w)^# collapses to
 U C^-1 N^H with the r x r core C = N^H a U, r = dim Ran(p): the candidate
 that the compute functions return and :func:`diagnose` validates takes
-one r x r solve and the singular values of C, never an n x n group
-inverse.  The public route formulas take any admissible w and evaluate
-the paper's expressions as written.
+one SVD of C, which decides that C is invertible and inverts it, never
+an n x n group inverse.  The public route formulas take any admissible w
+and evaluate the paper's expressions as written.
 """
 
 from __future__ import annotations
@@ -309,12 +309,12 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     w = U N^H, the factorization a w = (a U) N^H has full rank, so the
     paper's w (a w)^# is  b = U C^-1 N^H  with the r x r core  C = N^H a U
     (the full-rank representation of A^(2)_{T,S}).  The inverse exists
-    exactly when C is invertible, decided by :func:`densela.solve_core`:
-    C must have rank r = dim Ran(p) at rank_rtol, and a C at the rounding
-    floor of its factors counts as 0; at r = 0, b = 0.  This is the
-    definitional existence test, independent of the subspace criteria used
-    by :func:`diagnose`; a failure, the dimension obstruction included,
-    raises NonexistentInverseError.
+    exactly when C is invertible, decided by :func:`densela.solve_core` on
+    the one SVD of C that also inverts it: C must have rank r = dim Ran(p)
+    at rank_rtol, and a C at the rounding floor of its factors counts as 0;
+    at r = 0, b = 0.  This is the definitional existence test, independent
+    of the subspace criteria used by :func:`diagnose`; a failure, the
+    dimension obstruction included, raises NonexistentInverseError.
 
     The rank decision on C is also b's: b's nonzero singular values are
     those of C^-1.  So Ran(b) = Ran(U) = Ran(p) and Ker(b) = Ker(N^H) =

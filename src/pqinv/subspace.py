@@ -132,10 +132,11 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
     a = as_matrix(a)
     if a.shape[1] != s.ambient:
         raise ShapeError(f"matrix has {a.shape[1]} cols, subspace lives in C^{s.ambient}")
+    mapped = a @ s.basis if mapped is None else mapped
+    if mapped.shape != (a.shape[0], s.dim):
+        raise ShapeError(f"mapped must have shape {(a.shape[0], s.dim)}, got {mapped.shape}")
     if s.dim == 0:
         return Subspace.zero(a.shape[0])
-    if mapped is None:
-        mapped = a @ s.basis
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])

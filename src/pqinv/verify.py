@@ -254,12 +254,18 @@ def _conditioned_matrix(rng: np.random.Generator, n: int, cond_cap: float) -> np
     return (_random_unitary(rng, n) * sigmas) @ _random_unitary(rng, n)
 
 
+def _rank_in_range(name: str, value: int, n: int) -> int:
+    """``value`` when 0 <= value <= n; otherwise ValueError naming ``name``."""
+    if not 0 <= value <= n:
+        raise ValueError(f"{name} must lie in [0, {n}], got {value}")
+    return value
+
+
 def random_idempotent(
     rng: np.random.Generator, n: int, k: int | None = None, cond_cap: float = 100.0
 ) -> np.ndarray:
     """Similarity-transformed coordinate projection of rank k (possibly oblique)."""
-    if k is None:
-        k = int(rng.integers(0, n + 1))
+    k = int(rng.integers(0, n + 1)) if k is None else _rank_in_range("k", k, n)
     s = _conditioned_matrix(rng, n, cond_cap)
     d = np.zeros((n, n), dtype=np.complex128)
     d[:k, :k] = np.eye(k)
@@ -280,7 +286,8 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
     p and q as the orthogonal projections onto Ran(w) and Ker(w), and
     redraws ``a`` until the r x r core Y a X is comfortably invertible.
     The oracle value b_ref = X (Y a X)^-1 Y is computed without any
-    generalized-inverse machinery.
+    generalized-inverse machinery, by an LU solve, independent of the SVD
+    with which :func:`pqinv.densela.solve_core` inverts the package's cores.
     """
     r = int(rng.integers(0, n + 1))
     x = _orth_columns(rng, n, r) @ _conditioned_matrix(rng, r, 25.0)
@@ -350,26 +357,22 @@ def diagonalizable_instance(
     eigenvalues with real part in [re_lo, re_hi] (zeros elsewhere) and E
     is the coordinate projection onto the core.  Then a w = w a = a, the
     exact inverse value is V D^+ V^-1, and the decay rate of the
-    exponential integrand is min Re(spectrum of the core).
+    exponential integrand is min Re(spectrum of the core), inf at r = 0.
     """
-    if r is None:
-        r = int(rng.integers(1, n + 1))
+    r = int(rng.integers(1, n + 1)) if r is None else _rank_in_range("r", r, n)
     mu = rng.uniform(re_lo, re_hi, size=r) + 1j * rng.uniform(-im_amp, im_amp, size=r)
     v = _conditioned_matrix(rng, n, cond_cap)
     v_inv = np.linalg.inv(v)
-    d = np.zeros((n, n), dtype=np.complex128)
-    d[:r, :r] = np.diag(mu)
-    e = np.zeros((n, n), dtype=np.complex128)
-    e[:r, :r] = np.eye(r)
-    d_plus = np.zeros((n, n), dtype=np.complex128)
-    d_plus[:r, :r] = np.diag(1.0 / mu)
+    d, e, d_plus = (np.diag(np.concatenate([x, np.zeros(n - r)]).astype(np.complex128))
+                    for x in (mu, np.ones(r), 1.0 / mu))
 
     a = v @ d @ v_inv
     w = v @ e @ v_inv
     b_ref = v @ d_plus @ v_inv
     ran_w, ker_w = sub.range_and_kernel(w)  # w = 0 when r = 0, so Ran(w) = {0}
     p, q = ran_w.projector(), ker_w.projector()
-    return {"a": a, "p": p, "q": q, "w": w, "b_ref": b_ref, "alpha": float(np.min(mu.real)), "r": r}
+    return {"a": a, "p": p, "q": q, "w": w, "b_ref": b_ref,
+            "alpha": float(np.min(mu.real, initial=np.inf)), "r": r}
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ from pqinv.verify import _complex_normal, _conditioned_matrix, _random_unitary, 
 
 
 def varied_index_matrix(
-    rng: np.random.Generator, n: int, max_index: int = 3, core: int | None = None
+    rng: np.random.Generator, n: int, max_index: int = 3, core: int | None = None,
+    kappa: float | None = None,
 ) -> dict:
     """Matrix with prescribed core spectrum plus nilpotent shift blocks.
 
     Returns the matrix, its exact inverse-on-the-core (the oracle for the
     index-aware inverse), the exact spectral idempotent, and the index.
-    ``core`` fixes the core dimension (0 forces a nilpotent matrix).
+    ``core`` fixes the core dimension (0 forces a nilpotent matrix).  The
+    core eigenvalues have random phases and magnitudes uniform over
+    [0.7, 1.4], or log-uniform over [1/kappa, 1] when ``kappa`` is given.
     """
     if core is None:
         core = int(rng.integers(0, n + 1))
@@ -27,7 +30,8 @@ def varied_index_matrix(
     j = np.zeros((n, n), dtype=np.complex128)
     j_plus = np.zeros((n, n), dtype=np.complex128)
     pi = np.zeros((n, n), dtype=np.complex128)
-    lam = (0.7 + 0.7 * rng.random(core)) * np.exp(2j * np.pi * rng.random(core))
+    u = rng.random(core)
+    lam = (0.7 + 0.7 * u if kappa is None else kappa ** -u) * np.exp(2j * np.pi * rng.random(core))
     j[:core, :core] = np.diag(lam)
     if core:
         j_plus[:core, :core] = np.diag(1.0 / lam)
@@ -47,6 +51,14 @@ def varied_index_matrix(
         "pi_ref": v @ pi @ v_inv,
         "index": index,
     }
+
+
+def graded_core_matrix(rng: np.random.Generator, n: int, kappa: float) -> tuple:
+    """(a, d_ref): a :func:`varied_index_matrix` whose core of dimension n/2
+    has eigenvalue magnitudes log-uniform over [1/kappa, 1], beside nilpotent
+    Jordan blocks of size at most 3, with its exact Drazin inverse."""
+    inst = varied_index_matrix(rng, n, core=n // 2, kappa=kappa)
+    return inst["a"], inst["d_ref"]
 
 
 def varied_rank_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

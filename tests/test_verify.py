@@ -167,6 +167,33 @@ class TestGenerators:
         assert frob(b @ a @ b - b) <= 1e-9 * (1 + frob(b))
         assert inst["alpha"] >= 0.4
 
+    def test_diagonalizable_instance_at_rank_zero(self):
+        # no core: a, w and b_ref are 0, p = 0, q = 1, and no eigenvalue
+        # bounds the decay rate
+        inst = diagonalizable_instance(np.random.default_rng(0), 5, r=0)
+        assert inst["alpha"] == np.inf
+        assert not (inst["a"].any() or inst["w"].any() or inst["b_ref"].any() or inst["p"].any())
+        assert np.array_equal(inst["q"], np.eye(5))
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_random_idempotent_at_the_end_ranks(self, k):
+        p = random_idempotent(np.random.default_rng(0), 4, k)
+        assert frob(p @ p - p) <= 1e-9 * (1 + frob(p))
+        assert abs(np.trace(p) - k) <= 1e-9
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda rng: diagonalizable_instance(rng, 4, r=5), "r must lie in [0, 4], got 5"),
+        (lambda rng: diagonalizable_instance(rng, 4, r=-1), "r must lie in [0, 4], got -1"),
+        (lambda rng: random_idempotent(rng, 4, 5), "k must lie in [0, 4], got 5"),
+        (lambda rng: random_idempotent(rng, 4, -1), "k must lie in [0, 4], got -1"),
+    ], ids=["r_above_n", "r_negative", "k_above_n", "k_negative"])
+    def test_rank_outside_zero_to_n_is_refused_before_any_draw(self, call, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            call(rng)
+        assert (str(info.value), rng.bit_generator.state) == (message, state)
+
     def test_varied_index_matches_drazin(self, rng):
         for _ in range(10):
             inst = varied_index_matrix(rng, int(rng.integers(1, 8)))

@@ -47,6 +47,12 @@ shows decomposition-count changes next to output changes.  Covered:
   (from this checkout's ``tests/matrix_generators.py``, seeds 0 to 99) that
   hold a false subspace-outer verdict, although the inverse exists on every
   one;
+* on one line, for each kappa in GRADED_KAPPAS, how many of GRADED_SEEDS
+  ``drazin_inverse`` calls raise NumericalError on
+  ``graded_core_matrix(rng, n, kappa)`` (from this checkout's
+  ``tests/matrix_generators.py``, seeds 0 to 99, n in GRADED_DIMS by seed),
+  a core of dimension n/2 whose eigenvalue magnitudes spread over
+  [1/kappa, 1];
 * last, on one line, the verdict and the ``near`` flag of
   ``meets_trivially(S, T)`` on the seed-0 ``planted_angle_pair`` (from this
   checkout's ``tests/matrix_generators.py``) for each of its
@@ -109,6 +115,9 @@ OBLIQUE_SEEDS = 100
 # the verdicts that hold on every instance whose subspace outer inverse exists
 SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_exists")
 PLANTED_SEED = 0
+GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
+GRADED_DIMS = (8, 16, 32)
+GRADED_SEEDS = 100
 
 
 def _sha(text: str) -> str:
@@ -269,6 +278,23 @@ def _oblique_lines(prescribed) -> list[str]:
     return lines
 
 
+def _graded_core_line(ginv, errors) -> str:
+    """The Drazin refusals out of GRADED_SEEDS at each of GRADED_KAPPAS."""
+    graded_core_matrix = _generators().graded_core_matrix
+    cells = []
+    for kappa in GRADED_KAPPAS:
+        refused = 0
+        for seed in range(GRADED_SEEDS):
+            n = GRADED_DIMS[seed % len(GRADED_DIMS)]
+            a, _ = graded_core_matrix(np.random.default_rng(seed), n, kappa)
+            try:
+                ginv.drazin_inverse(a)
+            except errors.NumericalError:
+                refused += 1
+        cells.append(f"kappa={kappa:g}:{refused}/{GRADED_SEEDS}")
+    return "graded core drazin refusals  " + " ".join(cells)
+
+
 def _planted_angle_line(densela, subspace) -> str:
     """The verdict and ``near`` flag of S ∩ T = {0} on each planted angle;
     the subspaces are built by ``range_of``, outside the recorded block."""
@@ -329,7 +355,8 @@ def fingerprints() -> list[str]:
     lines += _peak_lines(prescribed, verify, errors)
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
-            + [_planted_angle_line(densela, importlib.import_module("pqinv.subspace"))])
+            + [_graded_core_line(importlib.import_module("pqinv.ginv"), errors),
+               _planted_angle_line(densela, importlib.import_module("pqinv.subspace"))])
 
 
 def main(argv=None) -> int:
