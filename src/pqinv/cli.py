@@ -149,7 +149,7 @@ def read_matrix(path: str) -> np.ndarray:
         raise ValueError(f"{path}: cannot read ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also nesting too deep, an integer too long
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     finally:
         if gc_was_enabled:

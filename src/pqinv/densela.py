@@ -26,6 +26,7 @@ integral off it, :func:`matrix_exp` its (1,1) block at a zero (1,2) block.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -126,15 +127,17 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def frob(a) -> float:
     """Frobenius norm, computed as ``numpy.linalg.norm(a)`` computes it
     (the raveled entries' re·re + im·im, then the square root) without
-    that function's argument dispatch, so the two agree bit for bit."""
+    that function's argument dispatch, so the two agree bit for bit on
+    double-precision input: the square root of the one scalar is
+    ``math.sqrt``, the IEEE square root that ``np.sqrt`` takes too."""
     x = np.asarray(a)
     if x.dtype.kind in "biu":
         x = x.astype(float)
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return float(np.sqrt(re.dot(re) + im.dot(im)))
-    return float(np.sqrt(x.dot(x)))
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def is_noise(m, floor: float) -> bool:
@@ -234,22 +237,34 @@ def _count_above(s: np.ndarray, rtol: float, scale: float) -> int:
     return int(np.count_nonzero(s > rtol * scale))
 
 
-def _straddles_cutoff(s: np.ndarray, rtol: float, scale: float) -> bool:
-    """True when the count of ``s`` differs between the two scaled cutoffs."""
-    hi, lo = (_count_above(s, rtol * factor, scale) for factor in FRAGILITY_SCALES)
-    return hi != lo
+def _straddles_cutoff(s: np.ndarray, rtol: float, scale: float, low_count: int) -> bool:
+    """True when the count of descending ``s`` differs between the two scaled
+    cutoffs, given ``low_count``, its count at the low one: when it does
+    not, the smallest value counted there also clears the high one."""
+    return low_count > 0 and not s[low_count - 1] > (rtol * FRAGILITY_SCALES[0]) * scale
 
 
 def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | None = None) -> int:
     """Numerical rank from descending singular values ``s``: the count of
     those above rank_rtol * scale (0 when sigma_max is 0).  The scale is
     sigma_max unless given; values of a known range pass theirs, as the
-    sines of principal angles pass 1."""
+    sines of principal angles pass 1.
+
+    Inside a :func:`record` block that has not yet seen a decision near
+    its cutoff, ``s`` is counted once, at the low scaled cutoff.  When the
+    decision does not straddle the two scaled cutoffs, the cutoff between
+    them gives that same count, so it is the rank; otherwise the block is
+    marked near and ``s`` is counted again at rank_rtol.  Outside a block,
+    or once ``near`` is set, ``s`` is counted at rank_rtol only.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0
     scale = s[0] if scale is None else scale
     if (rec := _RECORD.get()) is not None and not rec.near:
-        rec.near = _straddles_cutoff(s, tol.rank_rtol, scale)
+        low_count = _count_above(s, tol.rank_rtol * FRAGILITY_SCALES[1], scale)
+        if not _straddles_cutoff(s, tol.rank_rtol, scale, low_count):
+            return low_count
+        rec.near = True
     return _count_above(s, tol.rank_rtol, scale)
 
 
@@ -262,21 +277,40 @@ def _canonical_phases(basis: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 0:
         return basis.copy()  # a view of no columns would keep the whole factor alive
     lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    phases = np.where(np.abs(lead) == 0.0, 1.0, lead / np.abs(lead))
+    size = np.abs(lead)
+    phases = np.where(size == 0.0, 1.0, lead / size)
     return basis / phases
 
 
 @dataclass(frozen=True)
 class Factored:
     """An SVD m = u diag(s) vh with square u and vh; u and vh are None when
-    only s was taken.  Every rank below is :func:`count_rank`'s."""
+    only s was taken.
+
+    The rank is :func:`count_rank`'s, decided once per rank_rtol: every
+    basis, the pseudo-inverse and each caller of :meth:`rank` read that
+    one decision.  Whether it lies near its cutoff is kept with it, so a
+    :func:`record` block that reads it sees it as if it were made there;
+    a decision first made where nothing watched is counted again on its
+    first read inside a block.
+    """
 
     u: np.ndarray | None
     s: np.ndarray
     vh: np.ndarray | None
+    # rank_rtol -> (rank, near), near None when no record watched the decision
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        return count_rank(self.s, tol)
+        rec = _RECORD.get()
+        watched = rec is not None and not rec.near
+        decided = self._ranks.get(tol.rank_rtol)
+        if decided is None or (watched and decided[1] is None):
+            decided = (count_rank(self.s, tol), rec.near if watched else None)
+            self._ranks[tol.rank_rtol] = decided
+        if watched:
+            rec.near = decided[1]
+        return decided[0]
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the column space (n x d, d may be 0)."""

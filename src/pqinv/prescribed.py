@@ -417,7 +417,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     from the subspaces of one :class:`_Spaces` view, each input factored once
     and a U formed once; the report is not fragile at its own threshold.
 
-    C^n = Ker(a) ∔ Ran(p) reuses the one rank that decides
+    C^n = Ker(a) ∔ Ran(p) reuses the one principal-angle decision of
     ker_cap_ranp_trivial.
     """
     a = prob.a
@@ -485,7 +485,7 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
         != base.booleans()
         for scale in FRAGILITY_SCALES
     )
-    return replace(base, fragile=fragile)
+    return replace(base, fragile=True) if fragile else base
 
 
 # the route names, checked by _route_result's callers before any work

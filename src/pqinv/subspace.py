@@ -63,8 +63,9 @@ class Subspace:
             raise ShapeError(f"basis must be n x d with n >= 1, got shape {basis.shape}")
         if self.dim > self.ambient:
             raise ShapeError(f"basis has {self.dim} columns in ambient dimension {self.ambient}")
-        gram = basis.conj().T @ basis
-        check_residual(frob(gram - np.eye(self.dim)), _ORTHONORMALITY_TOL,
+        defect = basis.conj().T @ basis
+        defect.flat[::self.dim + 1] -= 1.0  # the Gram matrix minus the identity
+        check_residual(frob(defect), _ORTHONORMALITY_TOL,
                        "basis columns are not orthonormal", ValueError)
 
     @property

@@ -79,8 +79,11 @@ class TestMatrixFiles:
         '[["2", 1]]',
         "[[true, 0]]",
         "[[0, false]]",
+        "[" * 5000,
+        "[[1" + "0" * 4400 + ", 0]]",
     ], ids=["null_entry", "nested_entry", "int_beyond_float", "scalar_data", "null_data",
-            "triple_entry", "string_part", "bool_part", "bool_imag_part"])
+            "triple_entry", "string_part", "bool_part", "bool_imag_part", "nested_too_deep",
+            "int_beyond_digit_limit"])
     def test_malformed_data_exits_2(self, tmp_path, counterexample_files, capsys, data):
         path = tmp_path / "bad.json"
         path.write_text('{"rows": 1, "cols": 1, "data": ' + data + "}")

@@ -365,6 +365,18 @@ class TestRankBand:
             solve_left(np.diag([1.0, 0.5]), np.eye(2))
         assert not rec.near
 
+    def test_decision_taken_unwatched_is_near_when_read_in_a_record(self):
+        # the rank of one factorization is decided once; a block that reads
+        # a decision first taken outside any block still sees it is near
+        f = densela.Factored(None, np.array([1.0, 3e-10]), None)
+        assert f.rank() == 2
+        with record() as rec:
+            assert f.rank() == 2
+        assert rec.near
+        with record() as again:
+            assert f.rank() == 2
+        assert again.near
+
     def test_no_record_after_the_watch_ends(self):
         with record() as rec:
             pass

@@ -555,6 +555,25 @@ class TestDecompositionCounts:
         calls = count_linalg(lambda: diagnose(prob), ("svd", "lstsq", "solve"))
         assert calls == {"svd": 9, "lstsq": 0, "solve": 0}
 
+    @pytest.mark.parametrize("fn, decisions", [(diagnose, 9), (outer_inverse, 3)])
+    def test_one_rank_decision_per_factorization(self, monkeypatch, fn, decisions):
+        # each SVD's rank is counted once, however many bases, pseudo-inverses
+        # and callers read it: diagnose takes 9 SVDs, outer_inverse 3 that
+        # decide a rank (those of p and q, and of the r x r core)
+        inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        calls = []
+        count_rank = densela.count_rank
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return count_rank(*args, **kwargs)
+
+        for module in (densela, sub):
+            monkeypatch.setattr(module, "count_rank", counting)
+        fn(prob)
+        assert len(calls) == decisions
+
     @staticmethod
     def _built_subspaces(monkeypatch, run) -> list:
         built = []
