@@ -17,8 +17,8 @@ one serialised form of the thresholds.  :func:`svd`, :func:`solve` and :func:`ei
 are the package's one calls of LAPACK; the :class:`Factored` SVD gives the rank,
 range and null-space bases and the pseudo-inverse, so a caller that needs
 several of them factors the matrix once.  Inside :func:`record`, each
-LAPACK call is counted, and every rank decision records whether it lies
-within :data:`FRAGILITY_FACTOR` of its cutoff.  One [13/13] Pade
+LAPACK call is counted, and every rank decision read there marks whether it
+lies within :data:`FRAGILITY_FACTOR` of its cutoff.  One [13/13] Pade
 scaling-and-squaring core gives Van Loan's block exponential from n x n
 products and one n x n solve: :func:`exp_integral` reads exp(m t) and its
 integral off it, :func:`matrix_exp` its (1,1) block at a zero (1,2) block.
@@ -163,8 +163,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Admissible residual for declaring ``x`` and ``y`` equal."""
-    return tol.eq_atol + tol.eq_rtol * max(frob(x), frob(y))
+    """Admissible residual for declaring ``x`` and ``y`` equal; one norm is
+    taken when ``y`` is ``x``."""
+    return tol.eq_atol + tol.eq_rtol * (frob(x) if y is x else max(frob(x), frob(y)))
 
 
 def check_residual(residual: float, bound: float, what: str, error=NumericalError) -> float:
@@ -205,8 +206,10 @@ _RECORD: ContextVar[Record | None] = ContextVar("pqinv_record", default=None)
 @contextmanager
 def record() -> Iterator[Record]:
     """Count the LAPACK calls made inside the block, each attempt once, and
-    note whether any of its rank decisions would count differently at
-    rank_rtol scaled by either of FRAGILITY_SCALES.
+    note whether any rank decision read inside it would count differently
+    at rank_rtol scaled by either of FRAGILITY_SCALES, also one that a
+    :class:`Factored` took before the block began: every decision keeps
+    its ``near`` and every read reports it.
 
     The count is monotone in the cutoff, so equal counts at the two scaled
     cutoffs mean equal counts at all three.  When ``near`` stays False, a
@@ -244,28 +247,41 @@ def _straddles_cutoff(s: np.ndarray, rtol: float, scale: float, low_count: int) 
     return low_count > 0 and not s[low_count - 1] > (rtol * FRAGILITY_SCALES[0]) * scale
 
 
+def _decide_rank(s: np.ndarray, tol: Tolerances, scale: float | None) -> tuple[int, bool]:
+    """(rank, near) of descending ``s``: the one decision that turns values
+    into a rank.  ``s`` is counted once, at the low scaled cutoff; when the
+    decision does not straddle the two scaled cutoffs, the cutoff between
+    them gives that same count, so it is the rank, and otherwise the
+    decision is near and ``s`` is counted again at rank_rtol."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0, False
+    scale = s[0] if scale is None else scale
+    low_count = _count_above(s, tol.rank_rtol * FRAGILITY_SCALES[1], scale)
+    if not _straddles_cutoff(s, tol.rank_rtol, scale, low_count):
+        return low_count, False
+    return _count_above(s, tol.rank_rtol, scale), True
+
+
+def _read(decided: tuple[int, bool]) -> int:
+    """The rank of a (rank, near) decision, marking the active
+    :func:`record` when the decision is near its cutoff."""
+    if decided[1] and (rec := _RECORD.get()) is not None:
+        rec.near = True
+    return decided[0]
+
+
 def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | None = None) -> int:
     """Numerical rank from descending singular values ``s``: the count of
     those above rank_rtol * scale (0 when sigma_max is 0).  The scale is
     sigma_max unless given; values of a known range pass theirs, as the
     sines of principal angles pass 1.
 
-    Inside a :func:`record` block that has not yet seen a decision near
-    its cutoff, ``s`` is counted once, at the low scaled cutoff.  When the
-    decision does not straddle the two scaled cutoffs, the cutoff between
-    them gives that same count, so it is the rank; otherwise the block is
-    marked near and ``s`` is counted again at rank_rtol.  Outside a block,
-    or once ``near`` is set, ``s`` is counted at rank_rtol only.
+    ``s`` is counted once, at the low scaled cutoff, and again at
+    rank_rtol only when the decision straddles the two scaled cutoffs,
+    which marks the active :func:`record` near; watched or not, the
+    decision is made the same way.
     """
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    scale = s[0] if scale is None else scale
-    if (rec := _RECORD.get()) is not None and not rec.near:
-        low_count = _count_above(s, tol.rank_rtol * FRAGILITY_SCALES[1], scale)
-        if not _straddles_cutoff(s, tol.rank_rtol, scale, low_count):
-            return low_count
-        rec.near = True
-    return _count_above(s, tol.rank_rtol, scale)
+    return _read(_decide_rank(s, tol, scale))
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:
@@ -289,28 +305,21 @@ class Factored:
 
     The rank is :func:`count_rank`'s, decided once per rank_rtol: every
     basis, the pseudo-inverse and each caller of :meth:`rank` read that
-    one decision.  Whether it lies near its cutoff is kept with it, so a
-    :func:`record` block that reads it sees it as if it were made there;
-    a decision first made where nothing watched is counted again on its
-    first read inside a block.
+    one decision.  Whether it lies near its cutoff is kept with it, and
+    every read marks the active :func:`record`, so a block that reads a
+    decision sees it as if it were made there.
     """
 
     u: np.ndarray | None
     s: np.ndarray
     vh: np.ndarray | None
-    # rank_rtol -> (rank, near), near None when no record watched the decision
+    # rank_rtol -> (rank, near)
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        rec = _RECORD.get()
-        watched = rec is not None and not rec.near
-        decided = self._ranks.get(tol.rank_rtol)
-        if decided is None or (watched and decided[1] is None):
-            decided = (count_rank(self.s, tol), rec.near if watched else None)
-            self._ranks[tol.rank_rtol] = decided
-        if watched:
-            rec.near = decided[1]
-        return decided[0]
+        if (decided := self._ranks.get(tol.rank_rtol)) is None:
+            decided = self._ranks[tol.rank_rtol] = _decide_rank(self.s, tol, None)
+        return _read(decided)
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the column space (n x d, d may be 0)."""
@@ -435,7 +444,7 @@ def eigenvalues(a) -> np.ndarray:
     a = _require_square(as_matrix(a))
     try:
         return _lapack("eigvals", a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration failure
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
@@ -527,11 +536,15 @@ def exp_integral(m, t: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(m t) and integral_0^t exp(m s) ds, for a square ``m`` and a finite t.
 
     These are the (1,1) and (1,2) blocks of Van Loan's block exponential
-    exp([[m t, t 1], [0, 0]]) (C. Van Loan, IEEE Trans. Autom. Control 23
-    (1978) 395-404), evaluated by :func:`_pade_exp` with c = t on n x n
-    blocks, never on the 2n x 2n block; :func:`matrix_exp` runs the same
-    core with c = 0.  t = 0 gives (1, 0) exactly.  Raises NumericalError
-    when the block's 1-norm, max(|m t|_1, |t|), overflows.
+    exp([[m t, c 1], [0, 0]]) (C. Van Loan, IEEE Trans. Autom. Control 23
+    (1978) 395-404), evaluated by :func:`_pade_exp` on n x n blocks, never
+    on the 2n x 2n block; :func:`matrix_exp` runs the same core with c = 0.
+    For |t| <= 1, c = t.  For |t| > 1, c = 1 and the (1,2) block is scaled
+    by t, as integral_0^t exp(m s) ds = t integral_0^1 exp(m t u) du: the
+    squaring count is then that of m t, and a long t at a small ||m t||
+    takes no squarings that only the (1,2) entry asks for.  t = 0 gives
+    (1, 0) exactly.  Raises NumericalError when the block's 1-norm,
+    max(|m t|_1, |c|), overflows.
     """
     m = _require_square(as_matrix(m))
     t = float(t)
@@ -539,4 +552,6 @@ def exp_integral(m, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"t must be finite, got {t}")
     with np.errstate(over="ignore"):  # an overflowing entry overflows the 1-norm, reported there
         x = m * t
-    return _pade_exp(x, t)
+    c = t if abs(t) <= 1.0 else 1.0
+    e, f = _pade_exp(x, c)
+    return e, f if c == t else f * t

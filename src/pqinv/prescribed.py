@@ -785,15 +785,20 @@ def integral_formula(
                                       [0,             1                             ]],
 
     so one exponential gives both the integral and the tail.  It is taken
-    by :func:`densela.exp_integral` on the n x n blocks: the same [13/13]
-    Pade approximant and squaring count as :func:`densela.matrix_exp` of
-    the 2n x 2n block, without forming the block's zero row and identity
-    column, for a quarter of the flops and a third of the memory.
-    Requires Re > 0 on the nonzero spectrum of ``a w``, and that w
-    annihilates the non-decaying spectral part.  Both are read off one
-    full-rank factorization a w = F G: the nonzero spectrum of F G is the
-    spectrum of the r x r core G F, and Cline's F (G F)^-2 G is the
-    (a w)^# of the static-part check.  Returns the estimate and
+    by :func:`densela.exp_integral` on the n x n blocks, without forming
+    the block's zero row and identity column, for a quarter of the flops
+    and a third of the memory; beyond T = 1 it exponentiates the block
+    with (1,2) entry 1 and scales that block by T, so the squaring count
+    is that of (a w) T.  Requires Re > 0 on the nonzero spectrum of
+    ``a w``, and that w annihilates the non-decaying spectral part.  Both
+    are read off one full-rank factorization a w = F G.  Index one is
+    decided first: the r x r core G F must be invertible, which
+    :func:`ginv.factored_group_inverse` decides by the rank rule on the
+    core's one SVD.  The spectrum of G F is then the nonzero spectrum of
+    F G, with no second cutoff on the eigenvalues, and Cline's
+    F (G F)^-2 G is the (a w)^# of the static-part check.  The Re > 0
+    test, the horizon tests and the static part follow, in that order.
+    Returns the estimate and
     the analytic tail bound ||w exp(-(a w) T)||_F / alpha, which must come
     in under conv_tol; conv_tol must be positive.  For w = 0 the integrand
     is 0, so any horizon but NaN gives the value 0 with tail bound 0.
@@ -806,16 +811,18 @@ def integral_formula(
             raise ValueError(f"horizon {horizon} is not a number")
         return np.zeros_like(w), 0.0
     aw = a @ w
-    # aw = F G has the nonzero spectrum of its r x r core G F (none when r = 0)
     f, g = rank_factorization(aw, tol)
-    gf = g @ f
-    eigs = eigenvalues(gf) if gf.size else np.zeros(0, dtype=np.complex128)
-    # Re > 0 on the nonzero spectrum of aw; the smallest real part is the decay rate
-    scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
-    nonzero = eigs[np.abs(eigs) > tol.conv_tol * scale]
-    if nonzero.size == 0:
+    if f.shape[1] == 0:
         raise SpectrumError("aw has no nonzero spectrum; the integrand cannot decay")
-    alpha = float(np.min(nonzero.real))
+    # index one is G F invertible; then the spectrum of G F is the whole
+    # nonzero spectrum of aw = F G, and no second cutoff reads it
+    gf = g @ f
+    g_aw = factored_group_inverse(f, gf, g, tol)
+    if g_aw is None:
+        raise SpectrumError("aw is not group invertible; non-decaying part persists")
+    # Re > 0 on the nonzero spectrum of aw; the smallest real part is the decay rate
+    alpha = float(np.min(eigenvalues(gf).real))
+    del f, g, gf  # not held through the exponential, which sets the peak
     if alpha <= 0.0:
         raise SpectrumError(
             f"aw has a nonzero eigenvalue with Re = {alpha:.3e} <= 0; "
@@ -835,14 +842,10 @@ def integral_formula(
             f"horizon {horizon:.3e} is below the minimum {min_horizon:.3e} "
             "required by the convergence tolerance"
         )
-    # the block's 1-norm, in Python floats, which overflow to inf without numpy's warning
-    if horizon * max(1.0, float(np.linalg.norm(aw, 1))) == np.inf:
+    # the block's 1-norm is that of aw T, in Python floats, which overflow without a warning
+    if horizon * float(np.linalg.norm(aw, 1)) == np.inf:
         raise ValueError(f"horizon {horizon!r} overflows the block exponential")
 
-    g_aw = factored_group_inverse(f, gf, g, tol)
-    del f, g, gf  # not held through the exponential, which sets the peak
-    if g_aw is None:
-        raise SpectrumError("aw is not group invertible; non-decaying part persists")
     n = aw.shape[0]
     static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
     check_residual(frob(static_part), eq_bound(w, w, tol),

@@ -129,15 +129,18 @@ def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Su
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
           mapped: np.ndarray | None = None) -> Subspace:
-    """The subspace A . S, from ``mapped`` = A B_S when the caller has formed it."""
+    """The subspace A . S, from ``mapped`` = A B_S when the caller has formed it.
+
+    It is {0} when A B_S is noise at the rounding floor of its factors
+    (:func:`densela.is_noise`), with no SVD; that holds for S = {0} too,
+    whose n x 0 product has norm and floor 0.  Otherwise it is the range
+    of A B_S."""
     a = as_matrix(a)
     if a.shape[1] != s.ambient:
         raise ShapeError(f"matrix has {a.shape[1]} cols, subspace lives in C^{s.ambient}")
     mapped = a @ s.basis if mapped is None else mapped
     if mapped.shape != (a.shape[0], s.dim):
         raise ShapeError(f"mapped must have shape {(a.shape[0], s.dim)}, got {mapped.shape}")
-    if s.dim == 0:
-        return Subspace.zero(a.shape[0])
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
         return Subspace.zero(a.shape[0])

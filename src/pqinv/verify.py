@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import subspace as sub
-from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, rank, solve, svd
+from .densela import DEFAULT_TOL, Tolerances, eq_bound, frob, is_noise, rank, solve, svd
 from .errors import NonexistentInverseError, SpectrumError
 from .ginv import (
     drazin_inverse,
@@ -396,7 +396,7 @@ def _check_fixing_identities(rec, rng, prob: PqProblem, b: np.ndarray,
 
     probes = [prob.p @ _complex_normal(rng, n, n), _complex_normal(rng, n, n)]
     for i, x in enumerate(probes):
-        if frob(x) <= 1e-9:  # numerically-zero probe carries no information
+        if is_noise(x, 1e-9):  # numerically-zero probe carries no information
             continue
         fixed = frob(b @ prob.a @ x - x) <= eq_bound(x, x, tol)
         inside = sub.contains(ran_p, sub.range_of(x, tol), tol)
@@ -408,7 +408,7 @@ def _check_fixing_identities(rec, rng, prob: PqProblem, b: np.ndarray,
         _complex_normal(rng, n, n),
     ]
     for i, x in enumerate(probes):
-        if frob(x) <= 1e-9:
+        if is_noise(x, 1e-9):
             continue
         fixed = frob(x @ prob.a @ b - x) <= eq_bound(x, x, tol)
         inside = sub.contains(sub.kernel_of(x, tol), ran_q, tol)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pqinv import cli, verify
+from pqinv import cli, prescribed, verify
 from pqinv.cli import main, matrix_json, read_matrix, write_matrix
 from pqinv.densela import Tolerances
 from pqinv.verify import diagonalizable_instance, random_triple
@@ -572,6 +572,16 @@ class TestRepresent:
         code = main(["represent", a, p, q, "--method", "integral"])
         assert code == 5
         assert "spectral" in capsys.readouterr().err
+
+    def test_singular_shifted_system_exits_5(self, tmp_path, capsys, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(prescribed, "solve", singular)
+        a = _write(tmp_path, "a", np.eye(2))
+        q = _write(tmp_path, "q", np.zeros((2, 2)))
+        assert main(["represent", a, a, q, "--method", "limit"]) == 5
+        assert "shifted system singular" in capsys.readouterr().err
 
     def test_negative_tolerance_flag_exits_2(self, tmp_path):
         a = _write(tmp_path, "a", np.eye(2))

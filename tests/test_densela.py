@@ -132,6 +132,17 @@ class TestRoundingBound:
             check_residual(float("nan"), rounding_bound(self.X, self.X, float("inf")), "x = y")
 
 
+class TestEqBound:
+    def test_one_norm_for_one_matrix(self, monkeypatch):
+        x, y = np.array([[3.0, 4.0]]), np.array([[6.0, 8.0]])
+        calls = []
+        monkeypatch.setattr(densela, "frob", lambda m: calls.append(m) or frob(m))
+        assert densela.eq_bound(x, x) == 1e-10 + 1e-8 * 5.0
+        assert len(calls) == 1
+        assert densela.eq_bound(x, y) == densela.eq_bound(y, x) == 1e-10 + 1e-8 * 10.0
+        assert len(calls) == 5
+
+
 class TestNoise:
     def test_floor_is_inclusive(self):
         m = np.array([[3.0, 4.0]])  # Frobenius norm 5
@@ -619,6 +630,14 @@ class TestEigenvalues:
         vals = sorted(eigenvalues(np.array([[0, 1], [1, 0]])).real)
         assert np.allclose(vals, [-1.0, 1.0])
 
+    def test_iteration_failure_is_a_numerical_error(self, monkeypatch):
+        def fails(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fails)
+        with pytest.raises(NumericalError, match="eigenvalue iteration failed"):
+            eigenvalues(np.eye(2))
+
     def test_trace_and_determinant(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 9))
@@ -741,6 +760,17 @@ class TestExpIntegral:
         decay, integral = exp_integral(m, 4.0)
         assert frob(integral - np.linalg.solve(m, decay - np.eye(2))) <= 1e-14
         assert frob(decay - matrix_exp(4.0 * m)) <= 1e-14
+
+    @pytest.mark.parametrize("rate", [1e-6, 1e-9, 1e-12])
+    def test_long_time_at_a_slow_rate_is_accurate(self, rate):
+        # t = 40 / rate: the block [[m t, 1], [0, 0]] keeps the squaring count
+        # of m t, where the (1,2) entry t would add about log2(t) squarings
+        lam = rate * np.array([1.0, 2.0])
+        t = 40.0 / rate
+        decay, integral = exp_integral(np.diag(-lam), t)
+        ref = np.diag(-np.expm1(-lam * t) / lam)
+        assert frob(integral - ref) <= 1e-14 * frob(ref)
+        assert frob(decay - np.diag(np.exp(-lam * t))) <= 1e-14
 
     def test_zero_matrix_integrates_to_t(self):
         decay, integral = exp_integral(np.zeros((3, 3)), 2.5)

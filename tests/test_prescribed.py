@@ -442,6 +442,15 @@ class TestOneTwoInverseStrict:
         with pytest.raises(NonexistentInverseError, match="Ran"):
             one_two_inverse_strict(counterexample_problem())
 
+    def test_failed_products_under_the_equalities_are_a_numerical_error(self, monkeypatch):
+        # the subspace equalities imply b a = p and a b = 1 - q, so products
+        # that fail under them are a numerical fault, not a nonexistence
+        monkeypatch.setattr(prescribed, "_strict_products", lambda *args: (False, 1.0, 2.0))
+        prob = PqProblem(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(NumericalError, match="product identities failed although the "
+                                                 "subspace equalities hold"):
+            one_two_inverse_strict(prob)
+
 
 class TestComputeAgreesWithDiagnose:
     VERDICTS = (
@@ -557,20 +566,20 @@ class TestDecompositionCounts:
 
     @pytest.mark.parametrize("fn, decisions", [(diagnose, 9), (outer_inverse, 3)])
     def test_one_rank_decision_per_factorization(self, monkeypatch, fn, decisions):
-        # each SVD's rank is counted once, however many bases, pseudo-inverses
+        # each SVD's rank is decided once, however many bases, pseudo-inverses
         # and callers read it: diagnose takes 9 SVDs, outer_inverse 3 that
-        # decide a rank (those of p and q, and of the r x r core)
+        # decide a rank (those of p and q, and of the r x r core); count_rank
+        # and Factored.rank both take densela's one decision function
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = []
-        count_rank = densela.count_rank
+        decide_rank = densela._decide_rank
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return count_rank(*args, **kwargs)
+            return decide_rank(*args, **kwargs)
 
-        for module in (densela, sub):
-            monkeypatch.setattr(module, "count_rank", counting)
+        monkeypatch.setattr(densela, "_decide_rank", counting)
         fn(prob)
         assert len(calls) == decisions
 
@@ -1100,6 +1109,15 @@ class TestLimitFormula:
             limit_formula(np.eye(2), np.eye(2), [shift])
 
 
+    def test_singular_shifted_system_is_a_spectrum_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(prescribed, "solve", singular)
+        with pytest.raises(SpectrumError, match="shifted system singular at shift 1.000e-02"):
+            limit_formula(np.eye(2), np.eye(2))
+
+
 class TestDriftGate:
     def test_nan_drift_fails(self):
         with pytest.raises(NumericalError, match="drifts"):
@@ -1137,6 +1155,36 @@ class TestIntegralFormula:
         with pytest.raises(SpectrumError, match="aw is not group invertible"):
             integral_formula(a, np.eye(3))
 
+    def test_index_is_decided_before_the_spectrum_and_the_horizon(self):
+        # the nonzero spectrum {-1} fails Re > 0 and the horizon 1 is short,
+        # but the 2 x 2 nilpotent Jordan block beside it is reported first
+        a = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        for horizon in (None, 1.0):
+            with pytest.raises(SpectrumError, match="aw is not group invertible"):
+                integral_formula(a, np.eye(3), horizon=horizon)
+
+    @pytest.mark.parametrize("a", [1e-9 * np.diag([1.0, 2.0, 0.0, 0.0]),
+                                   1e-12 * np.diag([1.0, 2.0, 0.0, 0.0]),
+                                   np.diag([1.0, 1e-8, 0.0, 0.0])],
+                             ids=["scale_1e-9", "scale_1e-12", "graded_1e-8"])
+    def test_small_nonzero_spectrum_is_integrated(self, a):
+        # the core's rank rule counts every eigenvalue of a w as nonzero, so
+        # no second cutoff reads them as zero; the horizon, about 40 / alpha,
+        # leaves the squaring count that of (a w) T
+        value, tail = integral_formula(a, np.diag([1.0, 1.0, 0.0, 0.0]))
+        ref = moore_penrose(a)
+        assert frob(value - ref) <= 1e-7 * frob(ref)
+        assert tail <= 1e-8
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-9, 1e-12])
+    def test_route_passes_its_drift_gate_at_small_scale(self, s):
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        prob = PqProblem(s * np.diag([1.0, 2.0, 0.0, 0.0]), p, np.eye(4) - p)
+        result = outer_inverse(prob, route="integral")
+        b_ref = np.diag([1.0 / s, 0.5 / s, 0.0, 0.0])
+        assert result.route == "integral"
+        assert frob(result.b - b_ref) <= 1e-12 * frob(b_ref)
+
     def test_spectrum_is_read_off_the_r_by_r_core(self, monkeypatch):
         eigvals, shapes = np.linalg.eigvals, []
 
@@ -1158,13 +1206,13 @@ class TestIntegralFormula:
     def test_horizon_is_tested_before_the_static_part(self, count_linalg):
         # w = 1 keeps the zero eigendirection of diag(0, 1) alive, and the
         # horizon 1 is below the minimum log(1e8): the horizon is rejected
-        # after the one SVD of a w that gives the spectrum, before the
-        # group inverse takes the core's SVD and its solve
+        # after the SVD of a w and the core's SVD, which decides index one
+        # and so the nonzero spectrum, before the static-part check
         def run():
             with pytest.raises(ValueError, match="below the minimum"):
                 integral_formula(np.diag([0.0, 1.0]), np.eye(2), horizon=1.0)
 
-        assert count_linalg(run, ("svd", "solve")) == {"svd": 1, "solve": 0}
+        assert count_linalg(run, ("svd", "solve")) == {"svd": 2, "solve": 0}
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):

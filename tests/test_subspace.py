@@ -121,6 +121,13 @@ class TestImage:
     def test_image_under_zero(self):
         assert image(np.zeros((2, 2)), E1).dim == 0
 
+    def test_image_of_zero_subspace_takes_no_svd(self, rng, count_linalg):
+        # the n x 0 product is noise at its floor 0, so the noise test gives {0}
+        a = _complex_normal(rng, 3, 2)
+        spaces = []
+        assert count_linalg(lambda: spaces.append(image(a, Subspace.zero(2)))) == {"svd": 0}
+        assert (spaces[0].ambient, spaces[0].dim) == (3, 0)
+
 
 class TestLattice:
     def test_intersect_coordinate_lines(self):

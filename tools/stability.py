@@ -53,11 +53,15 @@ shows decomposition-count changes next to output changes.  Covered:
   ``tests/matrix_generators.py``, seeds 0 to 99, n in GRADED_DIMS by seed),
   a core of dimension n/2 whose eigenvalue magnitudes spread over
   [1/kappa, 1];
-* last, on one line, the verdict and the ``near`` flag of
+* on one line, the verdict and the ``near`` flag of
   ``meets_trivially(S, T)`` on the seed-0 ``planted_angle_pair`` (from this
   checkout's ``tests/matrix_generators.py``) for each of its
   PLANTED_ANGLE_EXPONENTS x, whose smallest angle has the sine
-  rank_rtol * 10^x, so that a diff shows where the cutoff sits.
+  rank_rtol * 10^x, so that a diff shows where the cutoff sits;
+* last, on one line, the outcome of ``outer_inverse(prob, route="integral")``
+  on a = s diag(1, 2, 0, 0) with p = diag(1, 1, 0, 0) and q = 1 - p, for
+  each of SMALL_SCALES s: ``ok`` or the exception it raised, so that a
+  diff shows on which decay rates the integral route runs.
 
 Run it on two checkouts and diff the output::
 
@@ -118,6 +122,7 @@ PLANTED_SEED = 0
 GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
 GRADED_DIMS = (8, 16, 32)
 GRADED_SEEDS = 100
+SMALL_SCALES = (1.0, 1e-6, 1e-8, 1e-9, 1e-12)
 
 
 def _sha(text: str) -> str:
@@ -310,6 +315,22 @@ def _planted_angle_line(densela, subspace) -> str:
     return "planted angle sin=rank_rtol*10^x  " + " ".join(cells)
 
 
+def _small_scale_line(prescribed, errors) -> str:
+    """The integral route's outcome on s diag(1, 2, 0, 0) for each of
+    SMALL_SCALES, whose nonzero spectrum is {s, 2 s}."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    cells = []
+    for s in SMALL_SCALES:
+        prob = prescribed.PqProblem(s * np.diag([1.0, 2.0, 0.0, 0.0]), p, np.eye(4) - p)
+        try:
+            prescribed.outer_inverse(prob, route="integral")
+            outcome = "ok"
+        except (errors.NonexistentInverseError, errors.NumericalError) as exc:
+            outcome = type(exc).__name__
+        cells.append(f"s={s:g}:{outcome}")
+    return "integral route a=s*diag(1,2,0,0)  " + " ".join(cells)
+
+
 def fingerprints() -> list[str]:
     cli = importlib.import_module("pqinv.cli")
     verify = importlib.import_module("pqinv.verify")
@@ -356,7 +377,8 @@ def fingerprints() -> list[str]:
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
             + [_graded_core_line(importlib.import_module("pqinv.ginv"), errors),
-               _planted_angle_line(densela, importlib.import_module("pqinv.subspace"))])
+               _planted_angle_line(densela, importlib.import_module("pqinv.subspace")),
+               _small_scale_line(prescribed, errors)])
 
 
 def main(argv=None) -> int:
