@@ -140,21 +140,22 @@ def frob(a) -> float:
     return math.sqrt(x.dot(x))
 
 
-def is_noise(m, floor: float) -> bool:
-    """True when ``m`` is at or below ``floor`` in Frobenius norm.
+def is_noise(m, floor: float, norm: float | None = None) -> bool:
+    """True when ``m`` is at or below ``floor`` in Frobenius norm, read from
+    ``norm`` when the caller has taken it.
 
     The one rule for snapping a computed matrix to zero, which
     :func:`snap` applies.  Each caller supplies the floor in the scale of
     its own factors; the relative rank cutoff would otherwise count pure
     cancellation noise as rank.
     """
-    return frob(m) <= floor
+    return (frob(m) if norm is None else norm) <= floor
 
 
-def snap(m: np.ndarray, floor: float) -> np.ndarray:
-    """The exact zero matrix when ``m`` is noise at ``floor`` (:func:`is_noise`),
-    else ``m`` itself: the one snap of a computed matrix to zero."""
-    return np.zeros_like(m) if is_noise(m, floor) else m
+def snap(m: np.ndarray, floor: float, norm: float | None = None) -> np.ndarray:
+    """The exact zero matrix when ``m`` is noise at ``floor`` (:func:`is_noise`,
+    given ``norm``), else ``m`` itself: the one snap of a computed matrix to zero."""
+    return np.zeros_like(m) if is_noise(m, floor, norm) else m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -284,20 +285,6 @@ def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | N
     return _read(_decide_rank(s, tol, scale))
 
 
-def _canonical_phases(basis: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest entry is real positive.
-
-    The SVD fixes basis columns only up to a unit phase; pinning the
-    phase makes every basis (and everything built from one) reproducible.
-    """
-    if basis.shape[1] == 0:
-        return basis.copy()  # a view of no columns would keep the whole factor alive
-    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    size = np.abs(lead)
-    phases = np.where(size == 0.0, 1.0, lead / size)
-    return basis / phases
-
-
 @dataclass(frozen=True)
 class Factored:
     """An SVD m = u diag(s) vh with square u and vh; u and vh are None when
@@ -308,6 +295,13 @@ class Factored:
     one decision.  Whether it lies near its cutoff is kept with it, and
     every read marks the active :func:`record`, so a block that reads a
     decision sees it as if it were made there.
+
+    Each basis is LAPACK's singular vectors, columns of u or conjugated
+    rows of vh, with LAPACK's phases, copied so that it holds no factor
+    alive.  They are deterministic for one machine, one numpy/LAPACK
+    build and one thread count; no answer depends on the phases, since
+    every value built from a basis (b = U C^-1 N^H among them) and every
+    verdict is invariant under U -> U D for a diagonal unitary D.
     """
 
     u: np.ndarray | None
@@ -323,16 +317,16 @@ class Factored:
 
     def range_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the column space (n x d, d may be 0)."""
-        return _canonical_phases(self.u[:, :self.rank(tol)])
+        return self.u[:, :self.rank(tol)].copy()
 
     def null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the (right) null space."""
-        return _canonical_phases(self.vh[self.rank(tol):, :].conj().T)
+        return self.vh[self.rank(tol):, :].conj().T
 
     def left_null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the left null space, the orthogonal
         complement of the column space (n x (n - d))."""
-        return _canonical_phases(self.u[:, self.rank(tol):])
+        return self.u[:, self.rank(tol):].copy()
 
     def pinv(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Moore-Penrose inverse (the zero matrix at rank 0)."""

@@ -239,7 +239,7 @@ class _Spaces:
     which only :func:`diagnose` and the strict {1,2} kind read: a view
     built with ``kernels`` also takes Ker(q) and Ker(p) off those SVDs, and
     any other view holds no kernel of p or q (ker_p and ker_q are None).
-    The n x r product a U is formed once, when first read.
+    The n x r product a U and ||a||_F are each taken once, when first read.
     """
 
     def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
@@ -275,6 +275,11 @@ class _Spaces:
         """a U, U the basis of Ran(p): the one n x r product that a . Ran(p),
         the core N^H a U and F = (1-q) a U read."""
         return self.a @ self.ran_p.basis
+
+    @cached_property
+    def a_norm(self) -> float:
+        """||a||_F, which the rounding floors of the core and of F read."""
+        return frob(self.a)
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
@@ -332,7 +337,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     r = u.shape[1]
     nh = spaces.co_q.basis.conj().T
     # N and U have unit columns, so the factors' norms are sqrt(r) each
-    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * frob(prob.a), tol)
+    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * spaces.a_norm, tol)
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
     xbx = xn @ a_u @ xn
@@ -399,16 +404,19 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
     """
     tol, u, ker_q, one_mq = spaces.tol, spaces.ran_p.basis, spaces.ker_q.basis, prob.one_minus_q
     r = u.shape[1]
+    f = one_mq @ spaces.a_u
+    f_norm = frob(f)
     # U has unit columns, so its norm is sqrt(r)
-    f = snap(one_mq @ spaces.a_u, PRODUCT_NOISE * frob(one_mq) * frob(prob.a) * np.sqrt(r))
+    f = snap(f, PRODUCT_NOISE * frob(one_mq) * spaces.a_norm * np.sqrt(r), f_norm)
     f_svd = svd(f)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)
     f_pinv_k = f_pinv @ ker_q
     t_res = frob(f_pinv @ f - np.eye(r))
     s_res = frob(f @ f_pinv_k - ker_q)
-    cond6 = (t_res <= rounding_bound(u, u, frob(f_pinv) * frob(f), tol)
-             and s_res <= rounding_bound(ker_q, ker_q, frob(f) * frob(f_pinv_k), tol))
+    # a snapped F has F^+ = 0, so its norm before the snap gives the same bounds
+    cond6 = (t_res <= rounding_bound(u, u, frob(f_pinv) * f_norm, tol)
+             and s_res <= rounding_bound(ker_q, ker_q, f_norm * frob(f_pinv_k), tol))
     return cond5, cond6
 
 

@@ -484,6 +484,23 @@ class TestComputeAgreesWithDiagnose:
         assert all(outcomes == {True, False} for outcomes in seen.values())
 
 
+class TestBasisGauge:
+    def test_verdicts_and_value_are_invariant_under_a_diagonal_unitary(self):
+        # conjugating (a, p, q) by a diagonal unitary D moves every SVD basis
+        # by D and by a phase per column; no answer may depend on either
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            inst = guaranteed_instance(rng, n)
+            d = np.exp(2j * np.pi * rng.random(n))
+            gauged = [d[:, None] * inst[k] * d.conj()[None, :] for k in ("a", "p", "q")]
+            prob, prob_d = PqProblem(inst["a"], inst["p"], inst["q"]), PqProblem(*gauged)
+            assert diagnose(prob_d).to_json_dict() == diagnose(prob).to_json_dict()
+            b = d[:, None] * outer_inverse(prob).b * d.conj()[None, :]
+            b_d = outer_inverse(prob_d).b
+            assert frob(b_d - b) <= densela.eq_bound(b_d, b)
+
+
 class TestDecompositionCounts:
     # Ran(p); Ran(q) with its complement; the core's singular values; and for
     # the {1,2} kind Ran(a) with Ker(a) and the principal-angle sines of the

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_generators import PLANTED_ANGLE_EXPONENTS, planted_angle_pair
-from pqinv.densela import DEFAULT_TOL, frob, record
+from pqinv.densela import DEFAULT_TOL, frob, record, svd
 from pqinv.errors import ShapeError
 from pqinv.subspace import (
     Subspace,
@@ -93,13 +93,21 @@ class TestRangeKernel:
         assert frob(ran.basis.conj().T @ co.basis) <= 1e-14
         assert equals(co, complement)
 
-    def test_empty_bases_hold_no_factor(self):
-        # a basis of no columns owns its data: a view of u would keep the
-        # whole n x n factor alive for as long as the subspace lives
+    def test_empty_bases_hold_no_factor(self, rng):
+        # a basis owns its data, of no columns or of many: a view of u or vh
+        # would keep the whole n x n factor alive for as long as the subspace lives
         ran_zero = range_and_kernel(np.zeros((256, 256)))[0]
         co_one = range_and_complement(np.eye(256))[1]
         for space in (ran_zero, co_one):
             assert space.dim == 0 and space.basis.base is None
+        r = 100
+        f = svd(_complex_normal(rng, 256, r) @ _complex_normal(rng, r, 256))
+        for basis, columns in ((f.range_basis(), f.u[:, :r]),
+                               (f.null_basis(), f.vh[r:, :].conj().T),
+                               (f.left_null_basis(), f.u[:, r:])):
+            # LAPACK's own singular vectors, bit for bit, with no phase pinned
+            assert np.array_equal(basis, columns)
+            assert not np.shares_memory(basis, f.u) and not np.shares_memory(basis, f.vh)
 
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):
