@@ -299,9 +299,11 @@ class Factored:
     Each basis is LAPACK's singular vectors, columns of u or conjugated
     rows of vh, with LAPACK's phases, copied so that it holds no factor
     alive.  They are deterministic for one machine, one numpy/LAPACK
-    build and one thread count; no answer depends on the phases, since
-    every value built from a basis (b = U C^-1 N^H among them) and every
-    verdict is invariant under U -> U D for a diagonal unitary D.
+    build and one thread count.  b = U C^-1 N^H and every existence
+    verdict are invariant under U -> U D for a diagonal unitary D, so
+    another build moves them only by rounding; the spectrum of a w for
+    the witness w = U N^H is not, so whether the limit and integral
+    routes accept a problem may differ between builds.
     """
 
     u: np.ndarray | None
