@@ -374,12 +374,14 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return svd(a, compute_uv=False).rank(tol)
 
 
-def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL,
+               norm: float | None = None) -> np.ndarray | None:
     """core^-1 rhs for an r x r ``core`` that a factorization needs invertible,
     or None when it is not: the one decision of whether such a core is.
 
     The core counts as singular when it is noise at ``floor`` (the rounding
-    floor of its factors, :func:`is_noise`) or when the rank of its one SVD
+    floor of its factors, :func:`is_noise`, read from ``norm`` when the
+    caller has taken ||core||_F) or when the rank of its one SVD
     is below r; otherwise that SVD's pseudo-inverse X, after one Newton step
     X + X (1 - core X), solves, and no second factorization of the core is
     taken.  The step brings the residual 1 - core X down to an LU solve's
@@ -391,7 +393,7 @@ def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.nda
     r = _require_square(core, "core").shape[0]
     if r == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    if is_noise(core, floor) or (f := svd(core)).rank(tol) < r:
+    if is_noise(core, floor, norm) or (f := svd(core)).rank(tol) < r:
         return None
     x = f.pinv(tol)
     return (x + x @ (np.eye(r) - core @ x)) @ rhs

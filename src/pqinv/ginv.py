@@ -86,9 +86,20 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     decides the rank and inverts the core; at r = 0 F G is 0, and so is
     its group inverse.
     """
-    r = f.shape[1]
+    return _group_of_core(f, gf, g, _core_floor(f), None, tol)
+
+
+def _core_floor(f: np.ndarray) -> float:
+    """The rounding floor of the core G F, for G with r orthonormal rows."""
     # G has orthonormal rows, so its norm is sqrt(r)
-    core = solve_core(gf, np.eye(r, dtype=np.complex128), PRODUCT_NOISE * frob(f) * np.sqrt(r), tol)
+    return PRODUCT_NOISE * frob(f) * np.sqrt(f.shape[1])
+
+
+def _group_of_core(f: np.ndarray, gf: np.ndarray, g: np.ndarray, floor: float,
+                   norm: float | None, tol: Tolerances) -> np.ndarray | None:
+    """:func:`factored_group_inverse` at the core's ``floor``, reading
+    ||G F||_F from ``norm`` when the caller has taken it."""
+    core = solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), floor, tol, norm)
     return None if core is None else f @ core @ core @ g
 
 
@@ -131,9 +142,10 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, int]:
     for k in range(a.shape[0] + 1):  # the rank falls at every step
         f, g = rank_factorization(m, tol)
         r = f.shape[1]
-        # G has orthonormal rows, so its norm is sqrt(r)
-        gf = snap(g @ f, PRODUCT_NOISE * frob(f) * np.sqrt(r))
-        group = factored_group_inverse(f, gf, g, tol)
+        floor, gf = _core_floor(f), g @ f
+        norm = frob(gf)  # one norm for the snap and the core's noise test
+        gf = snap(gf, floor, norm)
+        group = _group_of_core(f, gf, g, floor, norm, tol)
         if group is not None:
             break
         left = f if left is None else left @ f

@@ -278,7 +278,8 @@ class _Spaces:
 
     @cached_property
     def a_norm(self) -> float:
-        """||a||_F, which the rounding floors of the core and of F read."""
+        """||a||_F, which the rounding floors of the core, of F and of
+        a . Ran(p) read."""
         return frob(self.a)
 
     @cached_property
@@ -431,7 +432,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     a = prob.a
     spaces = _Spaces(a, prob.p, prob.q, tol, kernels=True)
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
-    a_ran_p = sub.image(a, ran_p, tol, mapped=spaces.a_u)
+    a_ran_p = sub._image_of(spaces.a_u, spaces.a_norm, tol)
 
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
     image_match = sub.equals(a_ran_p, spaces.ker_q, tol)

@@ -52,7 +52,14 @@ _ORTHONORMALITY_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n given by its basis, an n x d matrix with orthonormal
-    columns; n, the ambient dimension, is the basis's row count."""
+    columns; n, the ambient dimension, is the basis's row count.
+
+    ``Subspace(basis)`` is the door for bases from outside the package: it
+    checks the shape, d <= n and that ||B^H B - 1||_F is within
+    _ORTHONORMALITY_TOL, and raises otherwise.  The bases this module cuts
+    from a unitary SVD factor (columns of u, conjugated rows of vh) are
+    orthonormal to rounding by construction, and those of :meth:`zero`
+    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked."""
 
     basis: np.ndarray
 
@@ -68,6 +75,14 @@ class Subspace:
         check_residual(frob(defect), _ORTHONORMALITY_TOL,
                        "basis columns are not orthonormal", ValueError)
 
+    @classmethod
+    def _cut(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace on a complex128 ``basis`` orthonormal by construction,
+        without :meth:`__post_init__`'s checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "basis", basis)
+        return s
+
     @property
     def ambient(self) -> int:
         return self.basis.shape[0]
@@ -78,11 +93,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0), dtype=np.complex128))
+        return cls._cut(np.zeros((_ambient(n), 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n, dtype=np.complex128))
+        return cls._cut(np.eye(_ambient(n), dtype=np.complex128))
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace (the zero matrix for {0})."""
@@ -95,6 +110,14 @@ class Subspace:
         return kernel_of(self.basis.conj().T, tol)
 
 
+def _ambient(n: int) -> int:
+    """``n``, the ambient dimension a caller gave :meth:`Subspace.zero` or
+    :meth:`Subspace.full`, when it is at least 1."""
+    if n < 1:
+        raise ShapeError(f"ambient dimension must be at least 1, got {n}")
+    return n
+
+
 def _factored(a) -> Factored:
     """``a`` itself when it is a :class:`Factored`, else the SVD of the matrix ``a``."""
     return a if isinstance(a, Factored) else svd(as_matrix(a))
@@ -103,13 +126,13 @@ def _factored(a) -> Factored:
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Column space of a matrix (or of the one a :class:`Factored` factors)."""
     f = _factored(a)
-    return Subspace(f.range_basis(tol))
+    return Subspace._cut(f.range_basis(tol))
 
 
 def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Null space of a matrix (or of the one a :class:`Factored` factors)."""
     f = _factored(a)
-    return Subspace(f.null_basis(tol))
+    return Subspace._cut(f.null_basis(tol))
 
 
 def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
@@ -124,7 +147,7 @@ def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Su
     and its orthogonal complement, both from one factorization: the leading
     and the trailing left singular vectors."""
     f = _factored(a)
-    return range_of(f, tol), Subspace(f.left_null_basis(tol))
+    return range_of(f, tol), Subspace._cut(f.left_null_basis(tol))
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
@@ -141,10 +164,16 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
     mapped = a @ s.basis if mapped is None else mapped
     if mapped.shape != (a.shape[0], s.dim):
         raise ShapeError(f"mapped must have shape {(a.shape[0], s.dim)}, got {mapped.shape}")
+    return _image_of(mapped, frob(a), tol)
+
+
+def _image_of(mapped: np.ndarray, a_norm: float, tol: Tolerances) -> Subspace:
+    """:func:`image` from A B_S and ||A||_F, both taken by the caller; the
+    package's callers that hold them pass them here, unchecked."""
     # the basis has unit columns, so its norm is sqrt(dim)
-    if is_noise(mapped, PRODUCT_NOISE * frob(a) * np.sqrt(s.dim)):
-        return Subspace.zero(a.shape[0])
-    return Subspace(svd(mapped).range_basis(tol))
+    if is_noise(mapped, PRODUCT_NOISE * a_norm * np.sqrt(mapped.shape[1])):
+        return Subspace.zero(mapped.shape[0])
+    return Subspace._cut(svd(mapped).range_basis(tol))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):
@@ -160,13 +189,13 @@ def intersect(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspa
     stacked = np.hstack([s.basis, -t.basis])
     null = svd(stacked).null_basis(tol)
     vectors = s.basis @ null[: s.dim, :]
-    return Subspace(svd(vectors).range_basis(tol))
+    return Subspace._cut(svd(vectors).range_basis(tol))
 
 
 def sum_of(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Sum of two subspaces."""
     _check_same_ambient(s, t)
-    return Subspace(svd(np.hstack([s.basis, t.basis])).range_basis(tol))
+    return Subspace._cut(svd(np.hstack([s.basis, t.basis])).range_basis(tol))
 
 
 def _outside(s: Subspace, t: Subspace) -> np.ndarray:

@@ -602,15 +602,22 @@ class TestDecompositionCounts:
 
     @staticmethod
     def _built_subspaces(monkeypatch, run) -> list:
+        """Every Subspace built while ``run()`` runs: by the public
+        constructor, or by Subspace._cut for a basis cut from an SVD factor."""
         built = []
-        post_init = sub.Subspace.__post_init__
+        post_init, cut = sub.Subspace.__post_init__, sub.Subspace._cut.__func__
 
         def recording(self):
             post_init(self)
             built.append(self)
 
+        def recording_cut(cls, basis):
+            built.append(cut(cls, basis))
+            return built[-1]
+
         with monkeypatch.context() as patch:
             patch.setattr(sub.Subspace, "__post_init__", recording)
+            patch.setattr(sub.Subspace, "_cut", classmethod(recording_cut))
             run()
         return built
 
@@ -655,6 +662,33 @@ class TestDecompositionCounts:
                 stack.append(vars(item))
         assert sorted(map(id, held)) == sorted(map(id, (p, q, *(s.basis for s in read))))
         assert spaces.ker_p is None and spaces.ker_q is None
+
+
+class TestCutBases:
+    """The bases the package cuts from an SVD factor skip the Gram check of
+    the public Subspace(basis); each must pass it with room to spare."""
+
+    @staticmethod
+    def _check(monkeypatch, problems):
+        def run():
+            for prob in problems:
+                diagnose(prob)
+                outer_inverse(prob)
+
+        built = TestDecompositionCounts._built_subspaces(monkeypatch, run)
+        assert built
+        for s in built:
+            assert frob(s.basis.conj().T @ s.basis - np.eye(s.dim)) < 1e-3 * sub._ORTHONORMALITY_TOL
+            assert np.array_equal(sub.Subspace(s.basis).basis, s.basis)
+
+    def test_small_guaranteed_instances(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        instances = [guaranteed_instance(rng, int(rng.integers(1, 9))) for _ in range(40)]
+        self._check(monkeypatch, [PqProblem(i["a"], i["p"], i["q"]) for i in instances])
+
+    def test_diagonalizable_instance_at_n256(self, monkeypatch):
+        inst = diagonalizable_instance(np.random.default_rng(33), 256)
+        self._check(monkeypatch, [PqProblem(inst["a"], inst["p"], inst["q"])])
 
 
 def _unit_triangular_inverse(t: np.ndarray) -> np.ndarray:
