@@ -59,7 +59,9 @@ class Subspace:
     _ORTHONORMALITY_TOL, and raises otherwise.  The bases this module cuts
     from a unitary SVD factor (columns of u, conjugated rows of vh) are
     orthonormal to rounding by construction, and those of :meth:`zero`
-    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked."""
+    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked.  A
+    :class:`densela.Factored` handed to :func:`range_of`, :func:`kernel_of`
+    or their pairs is trusted to be an SVD, as :func:`densela.svd` gives."""
 
     basis: np.ndarray
 
