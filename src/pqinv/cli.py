@@ -7,10 +7,14 @@ Matrix files are minimal JSON documents::
 with ``data`` row-major and one [real, imaginary] pair per entry.  All
 reports are emitted as JSON with sorted keys so runs diff cleanly; each
 echoes the tolerances it ran with as ``Tolerances.to_json_dict``.
-:func:`matrix_json` is the one home of a matrix's JSON text: it writes
-matrix files and the ``matrix`` of a ``compute`` report, byte for byte as
+A matrix's JSON text has one home, :func:`_json_chunks`: it lays out
+matrix files and the ``matrix`` of a ``compute`` report byte for byte as
 ``json.dumps(sort_keys=True)`` (``indent=2`` in the report) would, without
-building the nested pair lists that encoder walks in Python.
+building the nested pair lists that encoder walks in Python.  The text is
+formatted and written in blocks of _BLOCK entries, each block going to the
+file or to stdout before the next is formatted, so the writer's memory
+beyond the matrix itself does not grow with n; :func:`matrix_json` joins
+the blocks and still returns the whole text.
 
 Exit codes: 0 success, 1 verification-suite failures, 2 parse/validation
 error (shape errors included), 3 proven nonexistence, 4 numerical
@@ -24,6 +28,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
@@ -58,34 +63,60 @@ RANK_RTOL_ENV = "PQINV_TOL_RANK"
 # json.dumps writes the non-finite floats this way; repr writes nan, inf, -inf
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# the entries whose floats are formatted together: a chunk of a matrix's
+# JSON text holds at most this many [re, im] pairs
+_BLOCK = 2048
 
-class _MatrixText:
-    """A matrix's floats formatted once as JSON text, laid out as :func:`matrix_json` says."""
 
-    def __init__(self, m: np.ndarray):
-        m = np.ascontiguousarray(m, dtype=np.complex128)
-        (self.rows, self.cols), flat = m.shape, m.view(np.float64).ravel()
-        self.texts = tuple(map(float.__repr__, flat.tolist()))
-        if not np.isfinite(flat).all():
-            self.texts = tuple(_JSON_NON_FINITE.get(text, text) for text in self.texts)
+def _float_texts(m: np.ndarray) -> Iterator[tuple[str, ...]]:
+    """The JSON texts of ``m``'s floats, re then im of each entry in row-major
+    order, _BLOCK entries at a time; each float is formatted once."""
+    for start in range(0, m.size, _BLOCK):
+        # a flat slice copies its own entries only, whatever m's memory layout
+        part = np.asarray(m.flat[start:start + _BLOCK], dtype=np.complex128).view(np.float64)
+        texts = tuple(map(float.__repr__, part.tolist()))
+        if not np.isfinite(part).all():
+            texts = tuple(_JSON_NON_FINITE.get(text, text) for text in texts)
+        yield texts
 
-    def json(self, indent: str | None = None) -> str:
-        rows, cols, size = self.rows, self.cols, self.rows * self.cols
-        if indent is None:
-            data = ", ".join(["[%s, %s]"] * size) % self.texts
-            return f'{{"cols": {cols}, "data": [{data}], "rows": {rows}}}'
-        inner = indent + "  "
-        pair = f"{inner}  [\n{inner}    %s,\n{inner}    %s\n{inner}  ]"
-        data = ",\n".join([pair] * size) % self.texts
-        data = f"[\n{data}\n{inner}]" if size else "[]"
-        return (f'{{\n{inner}"cols": {cols},\n{inner}"data": {data},\n'
-                f'{inner}"rows": {rows}\n{indent}}}')
 
-    def write(self, path: str):  # a matrix file: the compact object and a newline
-        try:
-            Path(path).write_text(self.json() + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"{path}: cannot write ({exc})") from exc
+def _layout(rows: int, cols: int, indent: str | None) -> tuple[str, str, str, str]:
+    """(head, pair, separator, tail): the matrix object as :func:`matrix_json`
+    lays it out is head, then pair % (re, im) for each entry with separator
+    between entries, then tail."""
+    if indent is None:
+        return f'{{"cols": {cols}, "data": [', "[%s, %s]", ", ", f'], "rows": {rows}}}'
+    inner = indent + "  "
+    head = f'{{\n{inner}"cols": {cols},\n{inner}"data": ['
+    tail = f'],\n{inner}"rows": {rows}\n{indent}}}'
+    if rows * cols:  # an empty data list stays [] on one line
+        head, tail = head + "\n", f"\n{inner}{tail}"
+    return head, f"{inner}  [\n{inner}    %s,\n{inner}    %s\n{inner}  ]", ",\n", tail
+
+
+def _json_chunks(m: np.ndarray, *indents: str | None) -> Iterator[tuple[str, ...]]:
+    """The JSON text of ``m`` in the layout of :func:`matrix_json` for each of
+    ``indents``, in chunks: each item holds one chunk per layout, and one
+    layout's chunks joined are its whole text.  A chunk holds at most _BLOCK
+    entries, and the layouts share one formatting of the floats.  ``m`` must
+    be 2-D, which is checked before the first chunk is taken."""
+    m = np.asarray(m)
+    rows, cols = m.shape
+    layouts = [_layout(rows, cols, indent) for indent in indents]
+
+    def data():
+        for i, texts in enumerate(_float_texts(m)):
+            entries = len(texts) // 2
+            yield tuple((sep if i else "") + sep.join([pair] * entries) % texts
+                        for _, pair, sep, _ in layouts)
+
+    return chain([tuple(head for head, *_ in layouts)], data(),
+                 [tuple(tail for *_, tail in layouts)])
+
+
+def _chunks(m: np.ndarray, indent: str | None) -> Iterator[str]:
+    """The chunks of :func:`_json_chunks` in the one layout of ``indent``."""
+    return (chunk for chunk, in _json_chunks(m, indent))
 
 
 def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
@@ -96,9 +127,10 @@ def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
     ``indent=2`` for an object that opens on a line indented by ``indent``.
     ``data`` holds one [re, im] pair per entry, row-major, each float in
     its ``repr`` form: the inverse of matrix_from_file_dict's
-    pairs.view(np.complex128).
+    pairs.view(np.complex128).  The text is built in the chunks that
+    matrix files and reports are written in, and returned whole.
     """
-    return _MatrixText(m).json(indent)
+    return "".join(_chunks(m, indent))
 
 
 def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
@@ -157,20 +189,40 @@ def read_matrix(path: str) -> np.ndarray:
     return matrix_from_file_dict(doc, path)
 
 
+def _write_file(path: str, chunks: Iterable[str]):
+    """A matrix file at ``path``: the ``chunks`` of its compact object, then a newline."""
+    try:
+        with open(path, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
+            file.write("\n")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot write ({exc})") from exc
+
+
 def write_matrix(path: str, m: np.ndarray):
-    _MatrixText(m).write(path)
+    _write_file(path, _chunks(m, None))
 
 
-def _emit(doc: dict, matrix: _MatrixText | None = None):
+def _keeping(pairs: Iterable[tuple[str, str]], kept: list[str]) -> Iterator[str]:
+    """The first chunk of each pair, with the second appended to ``kept``."""
+    for chunk, other in pairs:
+        kept.append(other)
+        yield chunk
+
+
+def _emit(doc: dict, matrix: Iterable[str] | None = None):
     """Print ``doc`` as ``json.dumps(sort_keys=True, indent=2)`` would, with
-    ``matrix`` under the key "matrix" when given."""
+    the chunks of ``matrix``, a matrix object indented for the key, written
+    in turn under the key "matrix" when given."""
     if matrix is None:
         print(json.dumps(doc, sort_keys=True, indent=2))
         return
     text = json.dumps({**doc, "matrix": None}, sort_keys=True, indent=2)
     # a JSON string holds no raw newline, so this is the top-level key
     head, tail = text.split('\n  "matrix": null', 1)
-    print(f'{head}\n  "matrix": {matrix.json("  ")}{tail}')
+    sys.stdout.write(f'{head}\n  "matrix": ')
+    sys.stdout.writelines(matrix)
+    sys.stdout.write(f"{tail}\n")
 
 
 def _tolerances_from_args(args) -> Tolerances:
@@ -260,11 +312,15 @@ def _cmd_compute(args, tol: Tolerances) -> int:
                 "commute": frob(a @ matrix - matrix @ a),
             }
 
-    text = _MatrixText(matrix)  # the float reprs, once for both layouts
-    if args.out:
-        text.write(args.out)
-        doc["out"] = args.out
-    _emit(doc, text)
+    if not args.out:
+        _emit(doc, _chunks(matrix, "  "))
+        return EXIT_OK
+    # one formatting of the floats for both layouts; the report's chunks are
+    # kept while the file is written and printed once it is closed
+    report: list[str] = []
+    _write_file(args.out, _keeping(_json_chunks(matrix, None, "  "), report))
+    doc["out"] = args.out
+    _emit(doc, report)
     return EXIT_OK
 
 

@@ -107,8 +107,12 @@ PRODUCT_NOISE = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite complex128 2-D array."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a finite complex128 2-D array; ValueError when it holds
+    no numbers, such as a :class:`Factored`."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except TypeError as exc:
+        raise ValueError(f"{name} is not a numeric array ({exc})") from None
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -163,10 +167,13 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL) -> float:
+def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL, *, y_norm: float | None = None) -> float:
     """Admissible residual for declaring ``x`` and ``y`` equal; one norm is
-    taken when ``y`` is ``x``."""
-    return tol.eq_atol + tol.eq_rtol * (frob(x) if y is x else max(frob(x), frob(y)))
+    taken when ``y`` is ``x``, and none of ``y`` when the caller passes its
+    Frobenius norm as ``y_norm``."""
+    if y is x:
+        return tol.eq_atol + tol.eq_rtol * frob(x)
+    return tol.eq_atol + tol.eq_rtol * max(frob(x), frob(y) if y_norm is None else y_norm)
 
 
 def check_residual(residual: float, bound: float, what: str, error=NumericalError) -> float:

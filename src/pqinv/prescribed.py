@@ -46,6 +46,7 @@ from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
+    Factored,
     Tolerances,
     as_matrix,
     check_residual,
@@ -138,6 +139,11 @@ class PqProblem:
     @cached_property
     def one_minus_q(self) -> np.ndarray:
         return snap(np.eye(self.n, dtype=np.complex128) - self.q, _IDEMPOTENT_NOISE)
+
+    # the Frobenius norms that the rounding floors and equality bounds read
+    a_norm = cached_property(lambda self: frob(self.a))
+    p_norm = cached_property(lambda self: frob(self.p))
+    one_minus_q_norm = cached_property(lambda self: frob(self.one_minus_q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,24 +245,27 @@ class _Spaces:
     which only :func:`diagnose` and the strict {1,2} kind read: a view
     built with ``kernels`` also takes Ker(q) and Ker(p) off those SVDs, and
     any other view holds no kernel of p or q (ker_p and ker_q are None).
-    The n x r product a U and ||a||_F are each taken once, when first read.
+    The n x r product a U is taken once, when first read.
     """
 
     def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
         self.a, self.p, self.q, self.tol, self._kernels = a, p, q, tol, kernels
 
-    def _kernel(self, f) -> sub.Subspace | None:
-        return sub.kernel_of(f, self.tol) if self._kernels else None
+    def _spaces(self, m: np.ndarray, *bases) -> tuple:
+        """The subspaces of ``m`` by the :class:`densela.Factored` basis
+        methods ``bases``, then Ker(m), or None when the view takes no
+        kernels, all from one SVD of ``m``."""
+        if not self._kernels:
+            return (*sub._spaces_of(svd(m), self.tol, *bases), None)
+        return sub._spaces_of(svd(m), self.tol, *bases, Factored.null_basis)
 
     @cached_property
     def _of_q(self) -> tuple:
-        f = svd(self.q)
-        return (*sub.range_and_complement(f, self.tol), self._kernel(f))
+        return self._spaces(self.q, Factored.range_basis, Factored.left_null_basis)
 
     @cached_property
     def _of_p(self) -> tuple:
-        f = svd(self.p)
-        return sub.range_of(f, self.tol), self._kernel(f)
+        return self._spaces(self.p, Factored.range_basis)
 
     @cached_property
     def _of_a(self) -> tuple:
@@ -275,12 +284,6 @@ class _Spaces:
         """a U, U the basis of Ran(p): the one n x r product that a . Ran(p),
         the core N^H a U and F = (1-q) a U read."""
         return self.a @ self.ran_p.basis
-
-    @cached_property
-    def a_norm(self) -> float:
-        """||a||_F, which the rounding floors of the core, of F and of
-        a . Ran(p) read."""
-        return frob(self.a)
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
@@ -338,7 +341,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     r = u.shape[1]
     nh = spaces.co_q.basis.conj().T
     # N and U have unit columns, so the factors' norms are sqrt(r) each
-    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * spaces.a_norm, tol)
+    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * prob.a_norm, tol)
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
     xbx = xn @ a_u @ xn
@@ -358,7 +361,8 @@ def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
     """Whether b a = p and a b = 1 - q hold, given b a and a b, with both residuals."""
     one_mq = prob.one_minus_q
     ba_res, ab_res = frob(ba - prob.p), frob(ab - one_mq)
-    holds = ba_res <= eq_bound(ba, prob.p, tol) and ab_res <= eq_bound(ab, one_mq, tol)
+    holds = (ba_res <= eq_bound(ba, prob.p, tol, y_norm=prob.p_norm)
+             and ab_res <= eq_bound(ab, one_mq, tol, y_norm=prob.one_minus_q_norm))
     return holds, ba_res, ab_res
 
 
@@ -408,7 +412,7 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
     f = one_mq @ spaces.a_u
     f_norm = frob(f)
     # U has unit columns, so its norm is sqrt(r)
-    f = snap(f, PRODUCT_NOISE * frob(one_mq) * spaces.a_norm * np.sqrt(r), f_norm)
+    f = snap(f, PRODUCT_NOISE * prob.one_minus_q_norm * prob.a_norm * np.sqrt(r), f_norm)
     f_svd = svd(f)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)
@@ -432,7 +436,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     a = prob.a
     spaces = _Spaces(a, prob.p, prob.q, tol, kernels=True)
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
-    a_ran_p = sub._image_of(spaces.a_u, spaces.a_norm, tol)
+    a_ran_p = sub._image_of(spaces.a_u, prob.a_norm, tol)
 
     direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
     image_match = sub.equals(a_ran_p, spaces.ker_q, tol)

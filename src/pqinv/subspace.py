@@ -59,9 +59,10 @@ class Subspace:
     _ORTHONORMALITY_TOL, and raises otherwise.  The bases this module cuts
     from a unitary SVD factor (columns of u, conjugated rows of vh) are
     orthonormal to rounding by construction, and those of :meth:`zero`
-    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked.  A
-    :class:`densela.Factored` handed to :func:`range_of`, :func:`kernel_of`
-    or their pairs is trusted to be an SVD, as :func:`densela.svd` gives."""
+    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked.
+    The public constructors :func:`range_of`, :func:`kernel_of` and their
+    pairs take matrices only and factor them themselves, so every unchecked
+    basis is cut from an SVD the package took."""
 
     basis: np.ndarray
 
@@ -120,36 +121,32 @@ def _ambient(n: int) -> int:
     return n
 
 
-def _factored(a) -> Factored:
-    """``a`` itself when it is a :class:`Factored`, else the SVD of the matrix ``a``."""
-    return a if isinstance(a, Factored) else svd(as_matrix(a))
+def _spaces_of(f: Factored, tol: Tolerances, *bases) -> tuple[Subspace, ...]:
+    """The subspaces of the matrix that the SVD ``f`` factors, one per
+    :class:`densela.Factored` basis method in ``bases``, cut unchecked: the
+    door for an SVD the package took itself and reads more than one basis of."""
+    return tuple(Subspace._cut(basis(f, tol)) for basis in bases)
 
 
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Column space of a matrix (or of the one a :class:`Factored` factors)."""
-    f = _factored(a)
-    return Subspace._cut(f.range_basis(tol))
+    """Column space of a matrix."""
+    return Subspace._cut(svd(as_matrix(a)).range_basis(tol))
 
 
 def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Null space of a matrix (or of the one a :class:`Factored` factors)."""
-    f = _factored(a)
-    return Subspace._cut(f.null_basis(tol))
+    """Null space of a matrix."""
+    return Subspace._cut(svd(as_matrix(a)).null_basis(tol))
 
 
 def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
-    """Column space and null space of a matrix (or of the one a :class:`Factored`
-    factors), both from one factorization."""
-    f = _factored(a)
-    return range_of(f, tol), kernel_of(f, tol)
+    """Column space and null space of a matrix, both from one factorization."""
+    return _spaces_of(svd(as_matrix(a)), tol, Factored.range_basis, Factored.null_basis)
 
 
 def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
-    """Column space of a matrix (or of the one a :class:`Factored` factors)
-    and its orthogonal complement, both from one factorization: the leading
-    and the trailing left singular vectors."""
-    f = _factored(a)
-    return range_of(f, tol), Subspace._cut(f.left_null_basis(tol))
+    """Column space of a matrix and its orthogonal complement, both from one
+    factorization: the leading and the trailing left singular vectors."""
+    return _spaces_of(svd(as_matrix(a)), tol, Factored.range_basis, Factored.left_null_basis)
 
 
 def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,

@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,9 +170,17 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
                -sys.float_info.max, float("nan"), float("inf"), -float("inf"), 1 / 3, -1.5]
 
 
+def _seam_matrix(size: int) -> np.ndarray:
+    """A 1 x size row of seeded entries ending in [inf, -inf] and [-0.0, NaN]."""
+    floats = np.random.default_rng(size).standard_normal(2 * size)
+    floats[-4:] = [float("inf"), -float("inf"), -0.0, float("nan")]
+    return floats.view(np.complex128).reshape(1, size)
+
+
 def _layouts():
     grid = np.random.default_rng(3).standard_normal((6, 8, 2)).view(np.complex128)[..., 0]
     edge = np.array(EDGE_FLOATS).view(np.complex128).reshape(2, 4)
+    seam = 2 * cli._BLOCK  # the text is written in chunks of cli._BLOCK entries
     return {
         "edge": edge,
         "edge_fortran": np.asfortranarray(edge),
@@ -183,6 +192,9 @@ def _layouts():
         "integer": np.arange(-6, 6).reshape(3, 4),
         "one_entry": np.array([[complex(-0.0, 5e-324)]]),
         "empty": np.zeros((0, 3)),
+        "seam_minus_one": _seam_matrix(seam - 1),
+        "seam_fortran": np.asfortranarray(_seam_matrix(seam).reshape(2, cli._BLOCK)),
+        "seam_plus_one": _seam_matrix(seam + 1),
     }
 
 
@@ -208,10 +220,22 @@ class TestMatrixText:
         # keys on both sides of "matrix"; a string that escapes the splice point
         doc = {"index": 2, "kind": "2l", "out": 'x\n  "matrix": null',
                "residuals": {"outer": 1e-16}, "tolerances": {"rank_rtol": 1e-10}}
-        cli._emit(doc, cli._MatrixText(m))
+        cli._emit(doc, cli._chunks(m, "  "))
         expected = json.dumps({**doc, "matrix": _reference_file_dict(m)},
                               sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == expected
+
+    def test_write_matrix_memory_does_not_grow_with_n(self, tmp_path):
+        # the text of an n = 256 matrix is about 10 MiB; the writer holds one block of it
+        m = random_triple(np.random.default_rng(0), 256)[0]
+        tracemalloc.start()
+        try:
+            write_matrix(str(tmp_path / "m.json"), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert np.array_equal(read_matrix(str(tmp_path / "m.json")), m)
 
 
 class TestCheck:

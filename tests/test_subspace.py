@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_generators import PLANTED_ANGLE_EXPONENTS, planted_angle_pair
-from pqinv.densela import DEFAULT_TOL, frob, record, svd
+from pqinv.densela import DEFAULT_TOL, Factored, frob, record, svd
 from pqinv.errors import ShapeError
 from pqinv.subspace import (
     Subspace,
@@ -108,6 +108,14 @@ class TestRangeKernel:
             # LAPACK's own singular vectors, bit for bit, with no phase pinned
             assert np.array_equal(basis, columns)
             assert not np.shares_memory(basis, f.u) and not np.shares_memory(basis, f.vh)
+
+    @pytest.mark.parametrize("constructor", [range_of, kernel_of, range_and_kernel,
+                                             range_and_complement])
+    def test_hand_built_factorization_is_refused(self, constructor):
+        # the constructors take matrices and factor them themselves: a
+        # Factored from outside would hand in the unchecked basis 2 I
+        with pytest.raises(ValueError):
+            constructor(Factored(2 * np.eye(2), np.ones(2), np.eye(2)))
 
     def test_range_invariant_under_column_mixing(self, rng):
         for _ in range(10):

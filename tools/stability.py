@@ -36,7 +36,11 @@ shows decomposition-count changes next to output changes.  Covered:
   ``inner_formula(a, w)`` and ``integral_formula(a, w)`` with the
   instance's own w, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
-  its outcome: ``ok`` or the exception it raised;
+  its outcome: ``ok`` or the exception it raised; then that of
+  ``write_matrix`` on the instance's a, and that of the report
+  ``compute --kind 2l`` prints on the instance's files, from the return
+  of ``outer_inverse`` on (the rise above what is held then, stdout on
+  ``os.devnull``);
 * the sha256 of the bytes of ``densela.matrix_exp(a)`` and of both blocks
   of ``densela.exp_integral(a, t)`` for t = 0 and 1, on a seeded complex
   ``a`` of each size in EXP_DIMS scaled to each 1-norm in EXP_NORMS: the
@@ -82,6 +86,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -217,9 +222,9 @@ def _formula_lines(prescribed, verify, errors) -> list[str]:
     return lines
 
 
-def _peak_lines(prescribed, verify, errors) -> list[str]:
+def _peak_lines(cli, prescribed, verify, errors) -> list[str]:
     """One line per PEAK_FUNCTIONS entry, labelled by its name and string
-    arguments: its outcome and tracemalloc peak."""
+    arguments: its outcome and tracemalloc peak; then :func:`_cli_peak_lines`."""
     inst = verify.diagonalizable_instance(np.random.default_rng(1), PEAK_N, r=PEAK_N // 2)
     lines = []
     for name in PEAK_FUNCTIONS:
@@ -237,7 +242,44 @@ def _peak_lines(prescribed, verify, errors) -> list[str]:
             tracemalloc.stop()
         lines.append(f"{label} diagonalizable-n{PEAK_N}  tracemalloc  outcome={outcome}  "
                      f"peak_mib={peak / 2**20:.2f}")
-    return lines
+    return lines + _cli_peak_lines(cli, inst)
+
+
+def _cli_peak_lines(cli, inst: dict) -> list[str]:
+    """The tracemalloc peak of ``write_matrix`` on the instance's a, and that of
+    the report ``compute --kind 2l`` prints, from the return of the compute
+    function on: its rise above what is held then, with stdout on os.devnull."""
+    label = f"diagonalizable-n{PEAK_N}  tracemalloc"
+    with tempfile.TemporaryDirectory() as tmp:
+        files = _write_files(cli, tmp, f"diagonalizable-n{PEAK_N}",
+                             tuple(inst[key] for key in "apq"))
+        tracemalloc.start()
+        try:
+            cli.write_matrix(files[0], inst["a"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = [f"write_matrix a {label}  outcome=ok  peak_mib={peak / 2**20:.2f}"]
+        compute, held = cli.outer_inverse, []
+
+        def resetting(*args, **kwargs):
+            result = compute(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        cli.outer_inverse = resetting  # cli looks its compute functions up per call
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink, \
+                    contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["compute", *files, "--kind", "2l"])
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+            cli.outer_inverse = compute
+    return lines + [f"compute --kind 2l report {label}  exit={code}  "
+                    f"peak_mib={peak / 2**20:.2f}"]
 
 
 def _array_sha(m: np.ndarray) -> str:
@@ -373,7 +415,7 @@ def fingerprints() -> list[str]:
     prescribed = importlib.import_module("pqinv.prescribed")
     errors = importlib.import_module("pqinv.errors")
     lines += _formula_lines(prescribed, verify, errors)
-    lines += _peak_lines(prescribed, verify, errors)
+    lines += _peak_lines(cli, prescribed, verify, errors)
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
             + [_graded_core_line(importlib.import_module("pqinv.ginv"), errors),
