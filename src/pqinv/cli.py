@@ -99,8 +99,12 @@ def _json_chunks(m: np.ndarray, *indents: str | None) -> Iterator[tuple[str, ...
     ``indents``, in chunks: each item holds one chunk per layout, and one
     layout's chunks joined are its whole text.  A chunk holds at most _BLOCK
     entries, and the layouts share one formatting of the floats.  ``m`` must
-    be 2-D, which is checked before the first chunk is taken."""
+    be 2-D and convertible to complex, both checked before the first chunk
+    is taken, so no input fails once a file is opened: a matrix of bools or
+    numbers converts block by block, any other (strings, objects) whole."""
     m = np.asarray(m)
+    if m.dtype.kind not in "biufc":
+        m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
     layouts = [_layout(rows, cols, indent) for indent in indents]
 
@@ -114,11 +118,6 @@ def _json_chunks(m: np.ndarray, *indents: str | None) -> Iterator[tuple[str, ...
                  [tuple(tail for *_, tail in layouts)])
 
 
-def _chunks(m: np.ndarray, indent: str | None) -> Iterator[str]:
-    """The chunks of :func:`_json_chunks` in the one layout of ``indent``."""
-    return (chunk for chunk, in _json_chunks(m, indent))
-
-
 def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
     """The JSON text of ``m`` as a ``{"cols", "data", "rows"}`` object.
 
@@ -130,7 +129,7 @@ def matrix_json(m: np.ndarray, indent: str | None = None) -> str:
     pairs.view(np.complex128).  The text is built in the chunks that
     matrix files and reports are written in, and returned whole.
     """
-    return "".join(_chunks(m, indent))
+    return "".join(chunk for chunk, in _json_chunks(m, indent))
 
 
 def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
@@ -200,14 +199,7 @@ def _write_file(path: str, chunks: Iterable[str]):
 
 
 def write_matrix(path: str, m: np.ndarray):
-    _write_file(path, _chunks(m, None))
-
-
-def _keeping(pairs: Iterable[tuple[str, str]], kept: list[str]) -> Iterator[str]:
-    """The first chunk of each pair, with the second appended to ``kept``."""
-    for chunk, other in pairs:
-        kept.append(other)
-        yield chunk
+    _write_file(path, (chunk for chunk, in _json_chunks(m, None)))
 
 
 def _emit(doc: dict, matrix: Iterable[str] | None = None):
@@ -313,12 +305,18 @@ def _cmd_compute(args, tol: Tolerances) -> int:
             }
 
     if not args.out:
-        _emit(doc, _chunks(matrix, "  "))
+        _emit(doc, (chunk for chunk, in _json_chunks(matrix, "  ")))
         return EXIT_OK
     # one formatting of the floats for both layouts; the report's chunks are
     # kept while the file is written and printed once it is closed
     report: list[str] = []
-    _write_file(args.out, _keeping(_json_chunks(matrix, None, "  "), report))
+
+    def file_chunks():
+        for chunk, report_chunk in _json_chunks(matrix, None, "  "):
+            report.append(report_chunk)
+            yield chunk
+
+    _write_file(args.out, file_chunks())
     doc["out"] = args.out
     _emit(doc, report)
     return EXIT_OK

@@ -167,13 +167,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL, *, y_norm: float | None = None) -> float:
+def eq_bound(x, y, tol: Tolerances = DEFAULT_TOL) -> float:
     """Admissible residual for declaring ``x`` and ``y`` equal; one norm is
-    taken when ``y`` is ``x``, and none of ``y`` when the caller passes its
-    Frobenius norm as ``y_norm``."""
-    if y is x:
-        return tol.eq_atol + tol.eq_rtol * frob(x)
-    return tol.eq_atol + tol.eq_rtol * max(frob(x), frob(y) if y_norm is None else y_norm)
+    taken when ``y`` is ``x``."""
+    return tol.eq_atol + tol.eq_rtol * (frob(x) if y is x else max(frob(x), frob(y)))
 
 
 def check_residual(residual: float, bound: float, what: str, error=NumericalError) -> float:

@@ -140,10 +140,11 @@ class PqProblem:
     def one_minus_q(self) -> np.ndarray:
         return snap(np.eye(self.n, dtype=np.complex128) - self.q, _IDEMPOTENT_NOISE)
 
-    # the Frobenius norms that the rounding floors and equality bounds read
-    a_norm = cached_property(lambda self: frob(self.a))
-    p_norm = cached_property(lambda self: frob(self.p))
-    one_minus_q_norm = cached_property(lambda self: frob(self.one_minus_q))
+    @cached_property
+    def a_norm(self) -> float:
+        """||a||_F, which the rounding floors of the core, of F and of
+        a . Ran(p) read, at every threshold diagnose repeats."""
+        return frob(self.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +362,7 @@ def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
     """Whether b a = p and a b = 1 - q hold, given b a and a b, with both residuals."""
     one_mq = prob.one_minus_q
     ba_res, ab_res = frob(ba - prob.p), frob(ab - one_mq)
-    holds = (ba_res <= eq_bound(ba, prob.p, tol, y_norm=prob.p_norm)
-             and ab_res <= eq_bound(ab, one_mq, tol, y_norm=prob.one_minus_q_norm))
+    holds = ba_res <= eq_bound(ba, prob.p, tol) and ab_res <= eq_bound(ab, one_mq, tol)
     return holds, ba_res, ab_res
 
 
@@ -412,7 +412,7 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
     f = one_mq @ spaces.a_u
     f_norm = frob(f)
     # U has unit columns, so its norm is sqrt(r)
-    f = snap(f, PRODUCT_NOISE * prob.one_minus_q_norm * prob.a_norm * np.sqrt(r), f_norm)
+    f = snap(f, PRODUCT_NOISE * frob(one_mq) * prob.a_norm * np.sqrt(r), f_norm)
     f_svd = svd(f)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)

@@ -220,7 +220,7 @@ class TestMatrixText:
         # keys on both sides of "matrix"; a string that escapes the splice point
         doc = {"index": 2, "kind": "2l", "out": 'x\n  "matrix": null',
                "residuals": {"outer": 1e-16}, "tolerances": {"rank_rtol": 1e-10}}
-        cli._emit(doc, cli._chunks(m, "  "))
+        cli._emit(doc, (chunk for chunk, in cli._json_chunks(m, "  ")))
         expected = json.dumps({**doc, "matrix": _reference_file_dict(m)},
                               sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == expected
@@ -236,6 +236,19 @@ class TestMatrixText:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert np.array_equal(read_matrix(str(tmp_path / "m.json")), m)
+
+    @pytest.mark.parametrize("m", [
+        np.array([["1", "x"]]),
+        # a non-number in the last block of an object matrix
+        np.array([[*range(cli._BLOCK), "x"]], dtype=object),
+    ], ids=["strings", "object_last_block"])
+    def test_refused_write_leaves_the_file_unchanged(self, tmp_path, m):
+        path = tmp_path / "m.json"
+        write_matrix(str(path), np.eye(2))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="malformed string"):
+            write_matrix(str(path), m)
+        assert path.read_bytes() == before
 
 
 class TestCheck:
