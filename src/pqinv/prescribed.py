@@ -23,9 +23,10 @@ for which
 
 giving four independent numerical routes that cross-validate each other.
 Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
-Ran(1-p) = Ker(p), from one view that factors a matrix by one SVD when a
-test first reads it.  The package's w is U N^H, with U an orthonormal
-basis of Ran(p) and N one of Ran(q)^⊥.  Then a w = (a U) N^H
+Ran(1-p) = Ker(p), from one view that factors a matrix when a test first
+reads it: a by one SVD, and an idempotent by one certified sketch QR from
+n = 32 on, or else by one SVD.  The package's w is U N^H, with U an
+orthonormal basis of Ran(p) and N one of Ran(q)^⊥.  Then a w = (a U) N^H
 is a full-rank factorization, and the group route w (a w)^# collapses to
 U C^-1 N^H with the r x r core C = N^H a U, r = dim Ran(p): the candidate
 that the compute functions return and :func:`diagnose` validates takes
@@ -46,7 +47,6 @@ from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
-    Factored,
     Tolerances,
     as_matrix,
     check_residual,
@@ -54,6 +54,7 @@ from .densela import (
     eq_bound,
     exp_integral,
     frob,
+    idempotent_bases,
     rank,
     rank_factorization,
     record,
@@ -237,36 +238,54 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 class _Spaces:
     """The subspaces of a, p and q that one call reads, at one tolerance.
 
-    Each matrix is factored by one SVD the first time one of its bases is
-    read, and the bases the call reads are built from that SVD before its
-    factors are dropped: q's gives Ran(q) and Ran(q)^⊥, p's gives Ran(p),
-    and a's gives Ran(a) and Ker(a).  A matrix none of whose bases is read
-    is never factored, so a test that fails early leaves the later ones
-    unfactored.  For idempotents Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p),
-    which only :func:`diagnose` and the strict {1,2} kind read: a view
-    built with ``kernels`` also takes Ker(q) and Ker(p) off those SVDs, and
-    any other view holds no kernel of p or q (ker_p and ker_q are None).
-    The n x r product a U is taken once, when first read.
+    Each idempotent's bases are taken the first time one of them is read,
+    and only the bases the call reads: q's give Ran(q) and Ran(q)^⊥, p's
+    give Ran(p), and a's SVD gives Ran(a) and Ker(a).  From n =
+    ``densela._SKETCH_MIN`` on, an idempotent's bases come from one
+    certified QR of a sketch (:func:`densela.idempotent_bases`), complete
+    only for q; where the certificate refuses, and below that order, from
+    one SVD, whose factors are dropped once the bases are cut.  A matrix
+    none of whose bases is read is never factored, so a test that fails
+    early leaves the later ones unfactored.  For idempotents
+    Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p), which only :func:`diagnose`
+    and the strict {1,2} kind read: a view built with ``kernels`` also
+    takes Ker(m) = Ran(1 - m), by a sketch of 1 - m under the same
+    certificate or off m's SVD, and any other view holds no kernel of p or
+    q (ker_p and ker_q are None).  The n x r product a U is taken once,
+    when first read.
     """
 
     def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
         self.a, self.p, self.q, self.tol, self._kernels = a, p, q, tol, kernels
 
-    def _spaces(self, m: np.ndarray, *bases) -> tuple:
-        """The subspaces of ``m`` by the :class:`densela.Factored` basis
-        methods ``bases``, then Ker(m), or None when the view takes no
-        kernels, all from one SVD of ``m``."""
-        if not self._kernels:
-            return (*sub._spaces_of(svd(m), self.tol, *bases), None)
-        return sub._spaces_of(svd(m), self.tol, *bases, Factored.null_basis)
+    def _spaces(self, m: np.ndarray, complement: bool) -> tuple:
+        """Ran(m), then Ran(m)^⊥ when ``complement``, then Ker(m), or None
+        when the view takes no kernels: from the certified sketches of m and,
+        for Ker(m), of 1 - m, or, when either is refused, from one SVD of m."""
+        tol = self.tol
+        bases = idempotent_bases(m, tol, complement=complement)
+        if bases is not None and self._kernels:
+            one_minus_m = -m  # 1 - m, with no n x n identity formed
+            one_minus_m.flat[::m.shape[0] + 1] += 1.0
+            kernel = idempotent_bases(one_minus_m, tol)
+            bases = None if kernel is None else bases + kernel
+        if bases is None:
+            f = svd(m)
+            bases = (f.range_basis(tol),)
+            if complement:
+                bases += (f.left_null_basis(tol),)
+            if self._kernels:
+                bases += (f.null_basis(tol),)
+        spaces = tuple(map(sub.Subspace._cut, bases))
+        return spaces if self._kernels else (*spaces, None)
 
     @cached_property
     def _of_q(self) -> tuple:
-        return self._spaces(self.q, Factored.range_basis, Factored.left_null_basis)
+        return self._spaces(self.q, complement=True)
 
     @cached_property
     def _of_p(self) -> tuple:
-        return self._spaces(self.p, Factored.range_basis)
+        return self._spaces(self.p, complement=False)
 
     @cached_property
     def _of_a(self) -> tuple:
@@ -331,9 +350,12 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     Ran(q) hold by construction, with no SVD of b.  b a b = b is checked
     in the core's coordinates: with X = C^-1 N^H, b a b - b = U (X (a U) X
     - X), whose Frobenius norm is that of X (a U) X - X because U is
-    orthonormal, and the bound eq_bound(X, X) is eq_bound(b, b).  Formed
-    on r x n factors, the residual rounds with the condition of C rather
-    than with ||a|| ||b||, and no n x n product b a b is taken.
+    orthonormal, and eq_bound(X, X) is eq_bound(b, b).  Formed on r x n
+    factors, the residual rounds at ||X||^2 ||a U||, which grows with the
+    condition of C, so it passes within :func:`densela.rounding_bound` of
+    that scale, and no n x n product b a b is taken.  In exact arithmetic
+    the identity holds whenever C is invertible, so a failure after the
+    rank rule has called C invertible is numerical: NumericalError.
     """
     broken = _dimension_failure(spaces)
     if broken:
@@ -346,8 +368,12 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
     xbx = xn @ a_u @ xn
-    check_residual(frob(xbx - xn), eq_bound(xbx, xn, tol), "candidate fails b a b = b",
-                   _no_outer_inverse)
+    residual = frob(xbx - xn)
+    # the product rounds at its factors' norms, ||X||^2 ||a U||, which grow
+    # with κ(C); they are read only for a residual not within eq_bound (NaN too)
+    if not residual <= eq_bound(xbx, xn, tol):
+        check_residual(residual, rounding_bound(xbx, xn, frob(xn) ** 2 * frob(a_u), tol),
+                       "candidate fails b a b = b although its core is invertible")
     return u @ xn
 
 
@@ -413,7 +439,7 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
     f_norm = frob(f)
     # U has unit columns, so its norm is sqrt(r)
     f = snap(f, PRODUCT_NOISE * frob(one_mq) * prob.a_norm * np.sqrt(r), f_norm)
-    f_svd = svd(f)
+    f_svd = svd(f, thin=True)  # F^+ and rank F read no complement of Ran(F)
     cond5 = f_svd.rank(tol) == r == ker_q.shape[1]
     f_pinv = f_svd.pinv(tol)
     f_pinv_k = f_pinv @ ker_q
@@ -479,8 +505,9 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     N^H a U), so disagreement between fields is detectable.  The criteria
     share factorizations of the inputs and the one n x r product a U
     only: a, p and q are factored once each, with Ran(1-q) and Ran(1-p)
-    read as Ker(q) and Ker(p) off the SVDs of q and p, and no n x n
-    (1-q) a p, b a b or SVD of b is formed.  A verdict is fragile when
+    read as Ker(q) and Ker(p), off the SVDs of q and p or, from n = 32 on,
+    as the certified sketches of 1 - q and 1 - p (:class:`_Spaces`), and no
+    n x n (1-q) a p, b a b or SVD of b is formed.  A verdict is fragile when
     it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions

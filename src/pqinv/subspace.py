@@ -56,13 +56,15 @@ class Subspace:
 
     ``Subspace(basis)`` is the door for bases from outside the package: it
     checks the shape, d <= n and that ||B^H B - 1||_F is within
-    _ORTHONORMALITY_TOL, and raises otherwise.  The bases this module cuts
-    from a unitary SVD factor (columns of u, conjugated rows of vh) are
-    orthonormal to rounding by construction, and those of :meth:`zero`
-    and :meth:`full` exactly, so they enter by :meth:`_cut`, unchecked.
-    The public constructors :func:`range_of`, :func:`kernel_of` and their
-    pairs take matrices only and factor them themselves, so every unchecked
-    basis is cut from an SVD the package took."""
+    _ORTHONORMALITY_TOL, and raises otherwise.  The bases the package cuts
+    from an SVD factor (columns of u, conjugated rows of vh, of a full or a
+    thin SVD) or from the Householder QR of an idempotent's sketch
+    (:func:`densela.idempotent_bases`) are orthonormal to rounding by
+    construction, and those of :meth:`zero` and :meth:`full` exactly, so
+    they enter by :meth:`_cut`, unchecked.  The public constructors
+    :func:`range_of`, :func:`kernel_of` and their pairs take matrices only
+    and factor them themselves, so every unchecked basis is cut from an SVD
+    or a QR the package took."""
 
     basis: np.ndarray
 
@@ -168,11 +170,12 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
 
 def _image_of(mapped: np.ndarray, a_norm: float, tol: Tolerances) -> Subspace:
     """:func:`image` from A B_S and ||A||_F, both taken by the caller; the
-    package's callers that hold them pass them here, unchecked."""
+    package's callers that hold them pass them here, unchecked.  The range
+    of the n x d A B_S is read off its thin SVD, which holds no complement."""
     # the basis has unit columns, so its norm is sqrt(dim)
     if is_noise(mapped, PRODUCT_NOISE * a_norm * np.sqrt(mapped.shape[1])):
         return Subspace.zero(mapped.shape[0])
-    return Subspace._cut(svd(mapped).range_basis(tol))
+    return Subspace._cut(svd(mapped, thin=True).range_basis(tol))
 
 
 def _check_same_ambient(s: Subspace, t: Subspace):

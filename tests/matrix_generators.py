@@ -3,6 +3,7 @@ the exact values the classical inverses must reproduce."""
 
 import numpy as np
 
+from pqinv.densela import DEFAULT_TOL
 from pqinv.verify import _complex_normal, _conditioned_matrix, _random_unitary, guaranteed_instance
 
 
@@ -109,3 +110,37 @@ def planted_angle_pair(rng: np.random.Generator, sin_theta: float) -> tuple[np.n
     q = _random_unitary(rng, 8)
     tilted = np.sqrt(1.0 - sin_theta ** 2) * q[:, :1] + sin_theta * q[:, 4:5]
     return np.hstack([tilted, q[:, 5:7]]), q[:, :4]
+
+
+def planted_core_instance(rng: np.random.Generator, n: int, k: float) -> dict:
+    """:func:`pqinv.verify.guaranteed_instance` with ``a`` moved along the
+    smallest singular pair (x, y) of its core C = N^H a U, U and N orthonormal
+    bases of Ran(p) and Ran(q)^⊥, so that sigma_min(C) becomes
+    t = rank_rtol * sigma_max(C) * 10^k: a - (sigma_min - t) N y x^H U^H
+    changes no other singular value of C, nor p and q.  So the core lies
+    10^k times its rank cutoff above it, and the inverse exists for every
+    k > 0; at r < 2 sigma_min is sigma_max, and the instance is returned
+    unchanged.  b_ref is dropped, since the move changes b."""
+    inst = guaranteed_instance(rng, n)
+    r = inst["r"]
+    out = {key: inst[key] for key in ("a", "p", "q", "r")}
+    if r < 2:
+        return out
+    u = np.linalg.svd(inst["p"])[0][:, :r]
+    nb = np.linalg.svd(inst["q"])[0][:, n - r:]
+    left, s, right_h = np.linalg.svd(nb.conj().T @ inst["a"] @ u)
+    t = DEFAULT_TOL.rank_rtol * s[0] * 10.0 ** k
+    out["a"] = inst["a"] - (s[-1] - t) * np.outer(nb @ left[:, -1], (u @ right_h[-1].conj()).conj())
+    return out
+
+
+def straddling_idempotent(rng: np.random.Generator, n: int, r: int, x: float = 0.5) -> np.ndarray:
+    """A rank-r orthogonal projector P onto a random subspace of C^n plus
+    E = rank_rtol * 10^x * v v^H, v a unit vector in Ker(P).  Its singular
+    values are 1 (r times), rank_rtol * 10^x and 0, so for |x| < 1 the
+    (r+1)-st lies between the rank rule's two scaled cutoffs; its trace is
+    r to within 1e-9, and ||(P + E)^2 - (P + E)||_F is below rank_rtol *
+    10^x, within PqProblem's p^2 = p check.  Needs r < n."""
+    u = _random_unitary(rng, n)
+    v = u[:, r:r + 1]
+    return u[:, :r] @ u[:, :r].conj().T + DEFAULT_TOL.rank_rtol * 10.0 ** x * (v @ v.conj().T)

@@ -22,6 +22,7 @@ from pqinv.densela import (
     eigenvalues,
     exp_integral,
     frob,
+    idempotent_bases,
     is_noise,
     matrix_exp,
     rank,
@@ -55,6 +56,8 @@ from pqinv.verify import (
     fuzz,
     random_triple,
 )
+
+from matrix_generators import _oblique, oblique_instance, straddling_idempotent
 
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
 
@@ -437,11 +440,11 @@ class TestRecord:
 LAPACK_KINDS = ("svd", "solve", "eigvals")
 
 
-def _counted_by_patch(monkeypatch) -> Counter:
-    """Calls of each LAPACK_KINDS function of numpy.linalg from now on,
+def _counted_by_patch(monkeypatch, kinds=LAPACK_KINDS) -> Counter:
+    """Calls of each ``kinds`` function of numpy.linalg from now on,
     counted by wrappers in both namespaces numpy's helpers look them up in."""
     calls = Counter()
-    for kind in LAPACK_KINDS:
+    for kind in kinds:
         original = getattr(np.linalg, kind)
 
         def counting(*args, _kind=kind, _fn=original, **kwargs):
@@ -489,6 +492,20 @@ class TestRecordMatchesNumpy:
             except (NonexistentInverseError, NumericalError):
                 pass
         assert patched and rec.calls == patched
+
+    @pytest.mark.parametrize("call", ["diagnose", "one_two_inverse_strict", "route inner"])
+    def test_sketch_qr_calls_equal_a_numpy_linalg_count(self, monkeypatch, call):
+        # from densela._SKETCH_MIN on the idempotents' bases come from QRs;
+        # the generators' own QRs run before the count begins
+        inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        patched = _counted_by_patch(monkeypatch, (*LAPACK_KINDS, "qr"))
+        with record() as rec:
+            try:
+                _CALLS[call](prob)
+            except NonexistentInverseError:
+                pass
+        assert rec.calls == patched and patched["qr"] > 0
 
     def test_fuzz_calls_equal_a_numpy_linalg_count(self, monkeypatch):
         patched = _counted_by_patch(monkeypatch)
@@ -593,6 +610,112 @@ class TestSvd:
         assert np.array_equal(f.range_basis(), np.eye(3)[:, :1])
         assert np.array_equal(f.null_basis(), np.eye(3)[:, 1:])
         assert np.array_equal(f.pinv(), np.diag([0.5, 0.0, 0.0]))
+
+
+class TestThinSvd:
+    """A thin SVD holds k = min(n, m) singular triplets: what it gives agrees
+    with the full SVD's, and a complement it does not hold is refused."""
+
+    @pytest.mark.parametrize("shape, rank_", [((9, 4), 4), ((9, 4), 2), ((4, 9), 3), ((5, 5), 3)])
+    def test_agrees_with_the_full_factor(self, rng, shape, rank_):
+        m = _complex_normal(rng, shape[0], rank_) @ _complex_normal(rng, rank_, shape[1])
+        thin, full = svd(m, thin=True), svd(m)
+        k = min(shape)
+        assert thin.u.shape == (shape[0], k) and thin.vh.shape == (k, shape[1])
+        assert thin.rank() == full.rank() == rank_
+        b_thin, b_full = thin.range_basis(), full.range_basis()
+        assert frob(b_thin @ b_thin.conj().T - b_full @ b_full.conj().T) <= 1e-13
+        assert frob(thin.pinv() - full.pinv()) <= 1e-12 * frob(full.pinv())
+
+    def test_a_complement_it_does_not_hold_is_refused(self, rng):
+        tall, wide = svd(_complex_normal(rng, 6, 3), thin=True), svd(_complex_normal(rng, 3, 6), thin=True)
+        with pytest.raises(ValueError, match="left null space"):
+            tall.left_null_basis()
+        with pytest.raises(ValueError, match="null space"):
+            wide.null_basis()
+        # the square factor of each is whole, so its complement is read
+        assert tall.null_basis().shape == (3, 0) and wide.left_null_basis().shape == (3, 0)
+        square = svd(np.diag([1.0, 0.0, 0.0]), thin=True)
+        assert np.array_equal(square.left_null_basis(), svd(np.diag([1.0, 0.0, 0.0])).left_null_basis())
+
+    def test_one_lapack_call_for_the_thin_factors(self, rng, monkeypatch):
+        seen = []
+        original = np.linalg.svd
+
+        def recording(m, *args, **kwargs):
+            seen.append(kwargs)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        svd(_complex_normal(rng, 5, 2), thin=True)
+        svd(_complex_normal(rng, 5, 2))
+        assert seen == [{"compute_uv": True, "full_matrices": False}, {"compute_uv": True}]
+
+
+class TestIdempotentBases:
+    """Ran(m) of an idempotent from a certified sketch QR, or None for the SVD."""
+
+    @staticmethod
+    def _svd_decision(m, tol=DEFAULT_TOL):
+        return densela._decide_rank(np.linalg.svd(m, compute_uv=False), tol, None)
+
+    @pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_oblique_idempotents_are_accepted(self, n, t):
+        # U (U^H + t G^H) with U^H G = 0 has range Ran(U); its entries, and
+        # so the rounding of any basis of its range, grow like t
+        rng = np.random.default_rng(n)
+        for r in (n // 4, n - 3):
+            u = _random_unitary(rng, n)[:, :r]
+            m = _oblique(rng, u, t)
+            with record() as rec:
+                basis, co = idempotent_bases(m, complement=True)
+            assert rec.calls == {"qr": 1}
+            assert self._svd_decision(m) == (r, False)
+            assert basis.shape == (n, r) and co.shape == (n, n - r)
+            q = np.hstack([basis, co])
+            assert frob(q.conj().T @ q - np.eye(n)) <= 1e-13
+            assert frob(u - basis @ (basis.conj().T @ u)) <= 1e-12 * t
+            (reduced,) = idempotent_bases(m)
+            assert frob(reduced @ reduced.conj().T - basis @ basis.conj().T) <= 1e-12 * t
+
+    def test_the_sketch_is_seeded_from_n_and_r(self):
+        m = oblique_instance(np.random.default_rng(5), 32, 10.0)["p"]
+        assert all(np.array_equal(x, y) for x, y in zip(idempotent_bases(m, complement=True),
+                                                         idempotent_bases(m, complement=True)))
+
+    def test_a_straddling_perturbation_is_refused(self):
+        # p + E passes PqProblem's p^2 = p check and has trace r to 1e-9,
+        # but its singular value rank_rtol * 10^0.5 lies between the two
+        # scaled cutoffs: the SVD decision is near, so the certificate fails
+        m = straddling_idempotent(np.random.default_rng(2), 40, 15)
+        PqProblem(np.eye(40), m, np.eye(40) - m)
+        assert self._svd_decision(m) == (16, True)
+        with record() as rec:
+            assert idempotent_bases(m) is None and idempotent_bases(m, complement=True) is None
+        assert rec.calls == {"qr": 2}
+
+    def test_below_the_crossover_no_qr_is_taken(self, monkeypatch):
+        n = densela._SKETCH_MIN - 1
+        m = oblique_instance(np.random.default_rng(1), n, 10.0)["p"]
+        monkeypatch.setattr(np.linalg, "qr", None)
+        assert idempotent_bases(m) is None and idempotent_bases(m, complement=True) is None
+
+    def test_a_trace_off_an_integer_and_rank_zero_are_refused(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", None)
+        n = densela._SKETCH_MIN + 1
+        assert idempotent_bases(np.zeros((n, n), dtype=complex)) is None
+        assert idempotent_bases(np.diag([0.5] * n).astype(complex)) is None  # trace n / 2
+
+    def test_the_bounds_follow_rank_rtol(self):
+        # at rank_rtol = 1e-6 the high cutoff 10 rank_rtol ||m||_F passes
+        # the 1 that sigma_r is known to exceed: the SVD there counts fewer
+        # than tr m singular values, and the certificate refuses
+        m = oblique_instance(np.random.default_rng(3), 32, 1e6)["p"]
+        tol = Tolerances(rank_rtol=1e-6)
+        assert idempotent_bases(m, tol) is None
+        assert self._svd_decision(m, tol) != (round(np.trace(m).real), False)
+        assert idempotent_bases(m) is not None
 
 
 class TestRankFactorization:

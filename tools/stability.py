@@ -1,8 +1,8 @@
 """Fingerprints of pqinv's user-visible output, for byte-stability checks.
 
 Prints one line per output: a label, the exit code and the sha256 of the
-output.  Each command's lines are followed by its svd, solve and eigvals
-LAPACK calls, the three kinds ``pqinv.densela.record`` counts, so that a diff
+output.  Each command's lines are followed by its svd, solve, eigvals and qr
+LAPACK calls, the four kinds ``pqinv.densela.record`` counts, so that a diff
 shows decomposition-count changes next to output changes.  Covered:
 
 * ``pqinv verify`` and ``pqinv fuzz --seed 42 --trials 500 --dim 8``,
@@ -51,6 +51,14 @@ shows decomposition-count changes next to output changes.  Covered:
   (from this checkout's ``tests/matrix_generators.py``, seeds 0 to 99) that
   hold a false subspace-outer verdict, although the inverse exists on every
   one;
+* on one line, for each t in CERTIFICATE_T, how many of the 2 x
+  OBLIQUE_SEEDS idempotents p and q of ``oblique_instance(rng, n, t)`` at
+  n = CERTIFICATE_N ``densela.idempotent_bases`` accepts and how many it
+  leaves to the SVD, then the same for the seed-0
+  ``straddling_idempotent`` (both from this checkout's
+  ``tests/matrix_generators.py``), whose singular values straddle the
+  rank cutoff; a checkout with no ``idempotent_bases`` takes every basis
+  from the SVD, and its line says so;
 * on one line, for each kappa in GRADED_KAPPAS, how many of GRADED_SEEDS
   ``drazin_inverse`` calls raise NumericalError on
   ``graded_core_matrix(rng, n, kappa)`` (from this checkout's
@@ -102,7 +110,7 @@ REPRESENT_ARGS = (("--method", "limit"), ("--method", "integral"),
                   ("--method", "limit", "--lambda-min", "1e-10"))
 ROUTES = ("inner", "limit", "integral")
 FORMULAS = ("group_formula", "inner_formula", "limit_formula", "integral_formula")
-COUNTED = ("svd", "solve", "eigvals")
+COUNTED = ("svd", "solve", "eigvals", "qr")
 PEAK_N = 256
 PEAK_FUNCTIONS = ("diagnose", "outer_inverse", "outer_inverse_strict", "one_two_inverse",
                   "one_two_inverse_strict", "matrix_with_range_kernel", "represent",
@@ -124,6 +132,8 @@ OBLIQUE_SEEDS = 100
 # the verdicts that hold on every instance whose subspace outer inverse exists
 SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_exists")
 PLANTED_SEED = 0
+CERTIFICATE_N = 32
+CERTIFICATE_T = (1.0, 1e3, 1e6)
 GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
 GRADED_DIMS = (8, 16, 32)
 GRADED_SEEDS = 100
@@ -325,6 +335,28 @@ def _oblique_lines(prescribed) -> list[str]:
     return lines
 
 
+def _certificate_line(densela) -> str:
+    """The sketches ``idempotent_bases`` accepts and refuses on the oblique
+    idempotents at each of CERTIFICATE_T, and on the straddling idempotent."""
+    label = f"sketch certificate n={CERTIFICATE_N}"
+    if not hasattr(densela, "idempotent_bases"):
+        return f"{label}  no idempotent_bases: every basis from the SVD"
+    generators = _generators()
+
+    def cell(name: str, matrices: list) -> str:
+        accepted = sum(densela.idempotent_bases(m, complement=True) is not None for m in matrices)
+        return f"{name}:accept={accepted},fallback={len(matrices) - accepted}"
+
+    cells = []
+    for t in CERTIFICATE_T:
+        instances = [generators.oblique_instance(np.random.default_rng(seed), CERTIFICATE_N, t)
+                     for seed in range(OBLIQUE_SEEDS)]
+        cells.append(cell(f"t={t:g}", [inst[key] for inst in instances for key in "pq"]))
+    straddling = generators.straddling_idempotent(np.random.default_rng(0), CERTIFICATE_N,
+                                                  CERTIFICATE_N // 2)
+    return f"{label}  " + " ".join(cells + [cell("straddling", [straddling])])
+
+
 def _graded_core_line(ginv, errors) -> str:
     """The Drazin refusals out of GRADED_SEEDS at each of GRADED_KAPPAS."""
     graded_core_matrix = _generators().graded_core_matrix
@@ -418,7 +450,8 @@ def fingerprints() -> list[str]:
     lines += _peak_lines(cli, prescribed, verify, errors)
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
-            + [_graded_core_line(importlib.import_module("pqinv.ginv"), errors),
+            + [_certificate_line(densela),
+               _graded_core_line(importlib.import_module("pqinv.ginv"), errors),
                _planted_angle_line(densela, importlib.import_module("pqinv.subspace")),
                _small_scale_line(prescribed, errors)])
 
