@@ -23,12 +23,13 @@ for which
 
 giving four independent numerical routes that cross-validate each other.
 Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
-Ran(1-p) = Ker(p), from one view that factors a matrix when a test first
-reads it: a by one SVD, and an idempotent by one certified sketch QR from
-n = 32 on, or else by one SVD.  The package's w is U N^H, with U an
-orthonormal basis of Ran(p) and N one of Ran(q)^⊥.  Then a w = (a U) N^H
-is a full-rank factorization, and the group route w (a w)^# collapses to
-U C^-1 N^H with the r x r core C = N^H a U, r = dim Ran(p): the candidate
+Ran(1-p) = Ker(p), from one view that takes each basis when a test first
+reads it: a's off one SVD, and an idempotent's from one certified sketch
+QR each from n = 32 on, or else off that idempotent's one SVD.  The
+package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
+Ran(q)^⊥.  Then a w = (a U) N^H is a full-rank factorization, and the
+group route w (a w)^# collapses to U C^-1 N^H with the r x r core
+C = N^H a U, r = dim Ran(p): the candidate
 that the compute functions return and :func:`diagnose` validates takes
 one SVD of C, which decides that C is invertible and inverts it, never
 an n x n group inverse.  The public route formulas take any admissible w
@@ -42,10 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import densela
 from . import subspace as sub
 from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
+    Factored,
     PRODUCT_NOISE,
     Tolerances,
     as_matrix,
@@ -228,7 +231,7 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
-    spaces = _Spaces(None, p, q, tol, kernels=False)
+    spaces = _Spaces(None, p, q, tol)
     broken = _dimension_failure(spaces)
     if broken:
         raise NonexistentInverseError(broken)
@@ -238,64 +241,51 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 class _Spaces:
     """The subspaces of a, p and q that one call reads, at one tolerance.
 
-    Each idempotent's bases are taken the first time one of them is read,
-    and only the bases the call reads: q's give Ran(q) and Ran(q)^⊥, p's
-    give Ran(p), and a's SVD gives Ran(a) and Ker(a).  From n =
-    ``densela._SKETCH_MIN`` on, an idempotent's bases come from one
-    certified QR of a sketch (:func:`densela.idempotent_bases`), complete
-    only for q; where the certificate refuses, and below that order, from
-    one SVD, whose factors are dropped once the bases are cut.  A matrix
-    none of whose bases is read is never factored, so a test that fails
-    early leaves the later ones unfactored.  For idempotents
-    Ran(1-q) = Ker(q) and Ran(1-p) = Ker(p), which only :func:`diagnose`
-    and the strict {1,2} kind read: a view built with ``kernels`` also
-    takes Ker(m) = Ran(1 - m), by a sketch of 1 - m under the same
-    certificate or off m's SVD, and any other view holds no kernel of p or
-    q (ker_p and ker_q are None).  The n x r product a U is taken once,
-    when first read.
+    Each basis is taken the first time a test reads it, and no other: q
+    gives Ran(q) with Ran(q)^⊥, and Ker(q); p gives Ran(p) and Ker(p); a's
+    one SVD gives Ran(a) and Ker(a).  For idempotents Ran(1-q) = Ker(q) and
+    Ran(1-p) = Ker(p).  From n = ``densela._SKETCH_MIN`` on, Ran(m) comes
+    from one certified QR of a sketch of m (:func:`densela.idempotent_bases`),
+    complete only for q, and Ker(m) from one of a sketch of 1 - m.  Below
+    that order, or once a certificate refuses, the view takes one SVD of m
+    and keeps it, and every basis of m read after that is cut from it: no
+    decomposition is repeated, and no n x n 1 - m is formed where no sketch
+    is taken.  A certificate proves that its sketch makes the rank decision
+    of its matrix's SVD, not near the cutoff, so an SVD of m taken after
+    Ran(m) was sketched cuts a Ker(m) of the complementary dimension.  A
+    basis never read is never taken, so a test that fails early leaves the
+    later ones untaken.  The n x r product a U is taken once, when first
+    read.
     """
 
-    def __init__(self, a, p, q, tol: Tolerances, *, kernels: bool):
-        self.a, self.p, self.q, self.tol, self._kernels = a, p, q, tol, kernels
+    def __init__(self, a, p, q, tol: Tolerances):
+        self.a, self.p, self.q, self.tol = a, p, q, tol
+        self._svds: dict[str, Factored] = {}  # the idempotent's name -> its one SVD
 
-    def _spaces(self, m: np.ndarray, complement: bool) -> tuple:
-        """Ran(m), then Ran(m)^⊥ when ``complement``, then Ker(m), or None
-        when the view takes no kernels: from the certified sketches of m and,
-        for Ker(m), of 1 - m, or, when either is refused, from one SVD of m."""
-        tol = self.tol
-        bases = idempotent_bases(m, tol, complement=complement)
-        if bases is not None and self._kernels:
-            one_minus_m = -m  # 1 - m, with no n x n identity formed
-            one_minus_m.flat[::m.shape[0] + 1] += 1.0
-            kernel = idempotent_bases(one_minus_m, tol)
-            bases = None if kernel is None else bases + kernel
-        if bases is None:
-            f = svd(m)
-            bases = (f.range_basis(tol),)
-            if complement:
-                bases += (f.left_null_basis(tol),)
-            if self._kernels:
-                bases += (f.null_basis(tol),)
-        spaces = tuple(map(sub.Subspace._cut, bases))
-        return spaces if self._kernels else (*spaces, None)
+    def _bases(self, name: str, *, complement: bool = False, kernel: bool = False) -> tuple:
+        """Ran(m), then Ran(m)^⊥ when ``complement``, or Ker(m) alone when
+        ``kernel``, for the idempotent m named ``name``: from a certified
+        sketch while m has no SVD here, or else cut from m's one SVD."""
+        m, tol, f = getattr(self, name), self.tol, self._svds.get(name)
+        if f is None and m.shape[0] >= densela._SKETCH_MIN:
+            sketched = -m if kernel else m
+            if kernel:  # 1 - m, with no n x n identity formed
+                sketched.flat[::m.shape[0] + 1] += 1.0
+            bases = idempotent_bases(sketched, tol, complement=complement)
+            if bases is not None:
+                return tuple(map(sub.Subspace._cut, bases))
+        if f is None:
+            f = self._svds[name] = svd(m)
+        reads = (f.null_basis,) if kernel else (f.range_basis, f.left_null_basis)[:1 + complement]
+        return tuple(sub.Subspace._cut(read(tol)) for read in reads)
 
-    @cached_property
-    def _of_q(self) -> tuple:
-        return self._spaces(self.q, complement=True)
-
-    @cached_property
-    def _of_p(self) -> tuple:
-        return self._spaces(self.p, complement=False)
-
-    @cached_property
-    def _of_a(self) -> tuple:
-        return sub.range_and_kernel(self.a, self.tol)
-
-    ran_p = property(lambda self: self._of_p[0])
-    ker_p = property(lambda self: self._of_p[1])
+    ran_p = cached_property(lambda self: self._bases("p")[0])
+    ker_p = cached_property(lambda self: self._bases("p", kernel=True)[0])
+    _of_q = cached_property(lambda self: self._bases("q", complement=True))
+    ker_q = cached_property(lambda self: self._bases("q", kernel=True)[0])
+    _of_a = cached_property(lambda self: sub.range_and_kernel(self.a, self.tol))
     ran_q = property(lambda self: self._of_q[0])
     co_q = property(lambda self: self._of_q[1])
-    ker_q = property(lambda self: self._of_q[2])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
 
@@ -460,7 +450,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     ker_cap_ranp_trivial.
     """
     a = prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol, kernels=True)
+    spaces = _Spaces(a, prob.p, prob.q, tol)
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
     a_ran_p = sub._image_of(spaces.a_u, prob.a_norm, tol)
 
@@ -503,11 +493,12 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     containments, cond5 and cond6 from one SVD of the n x r
     factor F = (1-q) a U, and the definitional candidate on the r x r core
     N^H a U), so disagreement between fields is detectable.  The criteria
-    share factorizations of the inputs and the one n x r product a U
-    only: a, p and q are factored once each, with Ran(1-q) and Ran(1-p)
-    read as Ker(q) and Ker(p), off the SVDs of q and p or, from n = 32 on,
-    as the certified sketches of 1 - q and 1 - p (:class:`_Spaces`), and no
-    n x n (1-q) a p, b a b or SVD of b is formed.  A verdict is fragile when
+    share the bases of the inputs and the one n x r product a U only: each
+    basis of a, p and q is taken once, when a test first reads it
+    (:class:`_Spaces`), with Ran(1-q) and Ran(1-p) read as Ker(q) and
+    Ker(p); Ker(p) is read only by the strict {1,2} test, once
+    Ran(a) = Ran(1-q) holds.  No n x n (1-q) a p, b a b or SVD of b is
+    formed.  A verdict is fragile when
     it flips with the rank threshold scaled by
     ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
@@ -582,7 +573,7 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     difference, tail bound) rows, NaN for an absent value.
     """
     _check_route(route)
-    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=False)
+    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol)
     b_group = _candidate(prob, spaces)
     w = _witness(spaces)
     del spaces  # the view's n x r product a U is not held through the route
@@ -608,7 +599,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     """
     _check_route(route)
     tol, a = prob.tol, prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol, kernels=strict and reflexive)
+    spaces = _Spaces(a, prob.p, prob.q, tol)
     if strict and reflexive:
         broken = _strict12_failure(spaces)
         if broken:

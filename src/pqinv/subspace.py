@@ -19,7 +19,6 @@ import numpy as np
 from .densela import (
     DEFAULT_TOL,
     PRODUCT_NOISE,
-    Factored,
     Tolerances,
     as_matrix,
     check_residual,
@@ -35,7 +34,6 @@ __all__ = [
     "range_of",
     "kernel_of",
     "range_and_kernel",
-    "range_and_complement",
     "image",
     "intersect",
     "sum_of",
@@ -62,9 +60,9 @@ class Subspace:
     (:func:`densela.idempotent_bases`) are orthonormal to rounding by
     construction, and those of :meth:`zero` and :meth:`full` exactly, so
     they enter by :meth:`_cut`, unchecked.  The public constructors
-    :func:`range_of`, :func:`kernel_of` and their pairs take matrices only
-    and factor them themselves, so every unchecked basis is cut from an SVD
-    or a QR the package took."""
+    :func:`range_of`, :func:`kernel_of` and :func:`range_and_kernel` take
+    matrices only and factor them themselves, so every unchecked basis is
+    cut from an SVD or a QR the package took."""
 
     basis: np.ndarray
 
@@ -123,13 +121,6 @@ def _ambient(n: int) -> int:
     return n
 
 
-def _spaces_of(f: Factored, tol: Tolerances, *bases) -> tuple[Subspace, ...]:
-    """The subspaces of the matrix that the SVD ``f`` factors, one per
-    :class:`densela.Factored` basis method in ``bases``, cut unchecked: the
-    door for an SVD the package took itself and reads more than one basis of."""
-    return tuple(Subspace._cut(basis(f, tol)) for basis in bases)
-
-
 def range_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Column space of a matrix."""
     return Subspace._cut(svd(as_matrix(a)).range_basis(tol))
@@ -142,18 +133,12 @@ def kernel_of(a, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 def range_and_kernel(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Column space and null space of a matrix, both from one factorization."""
-    return _spaces_of(svd(as_matrix(a)), tol, Factored.range_basis, Factored.null_basis)
+    f = svd(as_matrix(a))
+    return Subspace._cut(f.range_basis(tol)), Subspace._cut(f.null_basis(tol))
 
 
-def range_and_complement(a, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
-    """Column space of a matrix and its orthogonal complement, both from one
-    factorization: the leading and the trailing left singular vectors."""
-    return _spaces_of(svd(as_matrix(a)), tol, Factored.range_basis, Factored.left_null_basis)
-
-
-def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
-          mapped: np.ndarray | None = None) -> Subspace:
-    """The subspace A . S, from ``mapped`` = A B_S when the caller has formed it.
+def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """The subspace A . S.
 
     It is {0} when A B_S is noise at the rounding floor of its factors
     (:func:`densela.is_noise`), with no SVD; that holds for S = {0} too,
@@ -162,10 +147,7 @@ def image(a, s: Subspace, tol: Tolerances = DEFAULT_TOL, *,
     a = as_matrix(a)
     if a.shape[1] != s.ambient:
         raise ShapeError(f"matrix has {a.shape[1]} cols, subspace lives in C^{s.ambient}")
-    mapped = a @ s.basis if mapped is None else mapped
-    if mapped.shape != (a.shape[0], s.dim):
-        raise ShapeError(f"mapped must have shape {(a.shape[0], s.dim)}, got {mapped.shape}")
-    return _image_of(mapped, frob(a), tol)
+    return _image_of(a @ s.basis, frob(a), tol)
 
 
 def _image_of(mapped: np.ndarray, a_norm: float, tol: Tolerances) -> Subspace:

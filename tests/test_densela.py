@@ -202,11 +202,9 @@ class TestAsMatrix:
     (lambda: Subspace.zero(0), "ambient dimension must be at least 1, got 0"),
     (lambda: Subspace.full(0), "ambient dimension must be at least 1, got 0"),
     (lambda: image(np.eye(3), Subspace.full(2)), "matrix has 3 cols, subspace lives in C^2"),
-    (lambda: image(np.eye(2), Subspace.full(2), mapped=np.zeros((3, 3))),
-     "mapped must have shape (2, 2), got (3, 3)"),
     (lambda: solve_core(np.ones((2, 3)), np.eye(2), 0.0), "core must be square, got shape (2, 3)"),
 ], ids=["require_square", "solve_left", "drazin", "range_kernel", "ambient", "basis_columns",
-        "zero_ambient", "full_ambient", "image", "image_mapped", "solve_core"])
+        "zero_ambient", "full_ambient", "image", "solve_core"])
 def test_shape_error_names_the_mismatch(call, message):
     with pytest.raises(ShapeError) as info:
         call()

@@ -148,7 +148,7 @@ class TestDiagnose:
             probs.append(PqProblem(inst["a"], inst["p"], inst["q"]))
         for prob in probs:
             assert diagnose(prob).cond6
-            spaces = prescribed._Spaces(prob.a, prob.p, prob.q, prob.tol, kernels=True)
+            spaces = prescribed._Spaces(prob.a, prob.p, prob.q, prob.tol)
             u, one_mq = spaces.ran_p.basis, prob.one_minus_q
             f_pinv = densela.svd(one_mq @ spaces.a_u).pinv(prob.tol)
             t, s = u @ f_pinv, u @ f_pinv @ one_mq
@@ -573,7 +573,7 @@ class TestDecompositionCounts:
 
         assert count_linalg(run) == {"svd": 5}
 
-    @pytest.mark.parametrize("n, svds, qrs", [(64, 7, 4), (31, 9, 0)])
+    @pytest.mark.parametrize("n, svds, qrs", [(64, 7, 3), (31, 9, 0)])
     def test_diagnose_factors_each_input_once(self, count_linalg, n, svds, qrs):
         # a, p and q once each, Ran(1-q) and Ran(1-p) read as Ker(q) and
         # Ker(p); a . Ran(p) and the n x r F = (1-q) a U once each (thin), no
@@ -583,8 +583,9 @@ class TestDecompositionCounts:
         # SVD of b; Ker(a) ∩ Ran(p) is decided once for ker_cap_ranp_trivial
         # and C^n = Ker(a) ∔ Ran(p); the two direct sums take their
         # principal-angle sines.  From densela._SKETCH_MIN on, p and q take
-        # no SVD: Ran(p), Ran(q) with its complement, Ran(1-p) and Ran(1-q)
-        # each come from one QR of a sketch
+        # no SVD: Ran(p), Ran(q) with its complement and Ran(1-q) each come
+        # from one QR of a sketch, and Ran(1-p) is never read, as
+        # Ran(a) = Ran(1-q) fails
         inst = diagonalizable_instance(np.random.default_rng(1), n, r=n // 2)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = count_linalg(lambda: diagnose(prob), ("svd", "qr", "lstsq", "solve"))
@@ -654,33 +655,59 @@ class TestDecompositionCounts:
         def kernels_among(built) -> list[bool]:
             return [any(s.dim == k.dim and equals(s, k) for s in built) for k in kernels]
 
-        # diagnose reads both, so the recording sees them
+        # diagnose reads Ker(q) for image_match; Ker(p) only once
+        # Ran(a) = Ran(1-q) holds, which it does not here
         assert kernels_among(self._built_subspaces(monkeypatch, lambda: diagnose(prob))) == [
-            True, True]
+            False, True]
         assert kernels_among(self._built_subspaces(monkeypatch, lambda: fn(prob))) == [
             False, False]
 
     def test_view_without_kernels_holds_only_the_bases_read(self):
-        # oblique p and q with dim Ran(p) = 1 and dim Ran(q) = 3 in C^6: after
-        # Ran(p), Ran(q) and Ran(q)^⊥ are read, the view holds its inputs and
-        # those three bases, and no n x (n - r) array of Ker(p) or Ker(q)
+        # oblique p and q with dim Ran(p) = n/6 and dim Ran(q) = n/2: after
+        # Ran(p), Ran(q) and Ran(q)^⊥ are read, the view holds its inputs,
+        # those three bases and, below densela._SKETCH_MIN, the one SVD of
+        # each idempotent, which later bases are cut from; it holds no
+        # Ker(p) or Ker(q)
         rng = np.random.default_rng(3)
-        p, q = random_idempotent(rng, 6, 1, 10.0), random_idempotent(rng, 6, 3, 10.0)
-        spaces = prescribed._Spaces(None, p, q, DEFAULT_TOL, kernels=False)
-        read = (spaces.ran_p, spaces.ran_q, spaces.co_q)
-        held, stack = [], [vars(spaces)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, np.ndarray):
-                held.append(item)
-            elif isinstance(item, dict):
-                stack.extend(item.values())
-            elif isinstance(item, (tuple, list)):
-                stack.extend(item)
-            elif isinstance(item, sub.Subspace):
-                stack.append(vars(item))
-        assert sorted(map(id, held)) == sorted(map(id, (p, q, *(s.basis for s in read))))
-        assert spaces.ker_p is None and spaces.ker_q is None
+        for n, svds in ((6, 2), (64, 0)):
+            p, q = random_idempotent(rng, n, n // 6, 10.0), random_idempotent(rng, n, n // 2, 10.0)
+            spaces = prescribed._Spaces(None, p, q, DEFAULT_TOL)
+            read = (spaces.ran_p, spaces.ran_q, spaces.co_q)
+            held, factors, stack = [], [], [vars(spaces)]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, np.ndarray):
+                    held.append(item)
+                elif isinstance(item, dict):
+                    stack.extend(item.values())
+                elif isinstance(item, (tuple, list)):
+                    stack.extend(item)
+                elif isinstance(item, densela.Factored):
+                    factors.append(item)
+                    stack.append(vars(item))
+                elif isinstance(item, sub.Subspace):
+                    stack.append(vars(item))
+            assert len(factors) == svds
+            expected = (p, q, *(s.basis for s in read), *(f.u for f in factors),
+                        *(f.s for f in factors), *(f.vh for f in factors))
+            assert sorted(map(id, held)) == sorted(map(id, expected))
+            assert not {"ker_p", "ker_q"} & vars(spaces).keys()
+
+    @pytest.mark.parametrize("order", [("ran_q", "co_q", "ker_q"), ("ker_q", "ran_q", "co_q")])
+    def test_bases_of_q_below_the_crossover_share_one_svd(self, count_linalg, order):
+        # Ran(q) with Ran(q)^⊥ and Ker(q), in either order, are cut from q's
+        # one SVD, with no QR and no SVD of 1 - q
+        n = densela._SKETCH_MIN - 1
+        q = random_idempotent(np.random.default_rng(5), n, 10, 10.0)
+        spaces = prescribed._Spaces(None, None, q, DEFAULT_TOL)
+
+        def run():
+            for name in order:
+                getattr(spaces, name)
+
+        assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 0}
+        assert (spaces.ran_q.dim, spaces.co_q.dim, spaces.ker_q.dim) == (10, n - 10, n - 10)
+        assert equals(spaces.ker_q, kernel_of(q))
 
 
 class TestCutBases:
@@ -761,7 +788,7 @@ class TestSketchedIdempotents:
                 assert (rep, near) == (rep_svd, near_svd), (name, seed, n)
                 assert qrs_svd == 0
                 compared += 1
-                sketched += qrs == 4
+                sketched += qrs == 3
         assert compared == 202 and sketched >= 190
 
     def test_a_straddling_idempotent_takes_the_svd(self):
@@ -777,6 +804,45 @@ class TestSketchedIdempotents:
         assert (rep, near) == (rep_svd, near_svd) and near and qrs > 0
         assert densela.idempotent_bases(prob.p) is None
         assert densela.idempotent_bases(prob.q, complement=True) is not None
+
+    def test_a_refused_sketch_leaves_every_basis_to_one_svd(self, count_linalg):
+        # the sketch of the straddling p is refused; Ran(p) and then Ker(p)
+        # are cut from p's one SVD, and no sketch of 1 - p is taken.  That SVD
+        # counts the 21st singular value, rank_rtol 10^0.5, and Ker(p) takes
+        # the other 19 columns of the one rank decision
+        p = straddling_idempotent(np.random.default_rng(4), 40, 20)
+        spaces = prescribed._Spaces(None, p, None, DEFAULT_TOL)
+
+        def run():
+            spaces.ran_p, spaces.ker_p
+
+        assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 1}
+        assert (spaces.ran_p.dim, spaces.ker_p.dim) == (21, 19)
+
+    def test_diagnose_sketches_ker_p_where_it_is_read(self, count_linalg):
+        # p = a^+ a and q = 1 - a a^+ for a of rank 32: Ran(a) = Ran(1-q)
+        # holds, so the strict {1,2} test reads Ker(p) too, a fourth sketch
+        rng = np.random.default_rng(6)
+        a = _complex_normal(rng, 64, 32) @ _complex_normal(rng, 32, 64)
+        a_pinv = np.linalg.pinv(a)
+        prob = PqProblem(a, a_pinv @ a, np.eye(64) - a @ a_pinv)
+        report = []
+        assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 4}
+        assert report[0].strict12_exists and not report[0].fragile
+
+    def test_strict_reflexive_compute_sketches_ker_q_alone(self, count_linalg, tmp_path):
+        # Ran(a) = Ran(1-q) fails on the diagonalizable instance, so the CLI's
+        # --kind 12 reads Ker(q) only: one QR, of the sketch of 1 - q
+        inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
+        files = []
+        for name in "apq":
+            files.append(str(tmp_path / f"{name}.json"))
+            write_matrix(files[-1], inst[name])
+
+        def run():
+            assert main(["compute", *files, "--kind", "12"]) != 0
+
+        assert count_linalg(run, ("qr",)) == {"qr": 1}
 
     @pytest.mark.parametrize("fn", [diagnose, outer_inverse, one_two_inverse_strict])
     def test_below_the_crossover_no_qr_is_taken(self, count_linalg, fn):
@@ -1039,7 +1105,7 @@ class TestSharedSubspaces:
     def _assert_ker_q_is_ran_1mq(q):
         # q and 1-q as a problem holds them, each snapped to 0 when it is noise
         prob = PqProblem(np.eye(q.shape[0]), q, q)
-        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL, kernels=True).ker_q
+        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL).ker_q
         ran_1mq = range_of(prob.one_minus_q)
         assert ker_q.dim == ran_1mq.dim
         assert equals(ker_q, ran_1mq)
