@@ -29,11 +29,11 @@ QR each from n = 32 on, or else off that idempotent's one SVD.  The
 package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
 Ran(q)^⊥.  Then a w = (a U) N^H is a full-rank factorization, and the
 group route w (a w)^# collapses to U C^-1 N^H with the r x r core
-C = N^H a U, r = dim Ran(p): the candidate
-that the compute functions return and :func:`diagnose` validates takes
-one SVD of C, which decides that C is invertible and inverts it, never
-an n x n group inverse.  The public route formulas take any admissible w
-and evaluate the paper's expressions as written.
+C = N^H a U, r = dim Ran(p): the candidate that the compute functions
+return and :func:`diagnose` validates takes one SVD of C, which decides
+that C is invertible and inverts it, never an n x n group inverse.  The
+public route formulas take any admissible w and evaluate the paper's
+expressions as written.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from . import subspace as sub
 from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
-    Factored,
     PRODUCT_NOISE,
     Tolerances,
     as_matrix,
@@ -260,7 +259,7 @@ class _Spaces:
 
     def __init__(self, a, p, q, tol: Tolerances):
         self.a, self.p, self.q, self.tol = a, p, q, tol
-        self._svds: dict[str, Factored] = {}  # the idempotent's name -> its one SVD
+        self._svds = {}  # the idempotent's name -> its one SVD, once taken
 
     def _bases(self, name: str, *, complement: bool = False, kernel: bool = False) -> tuple:
         """Ran(m), then Ran(m)^⊥ when ``complement``, or Ker(m) alone when
@@ -498,9 +497,8 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     (:class:`_Spaces`), with Ran(1-q) and Ran(1-p) read as Ker(q) and
     Ker(p); Ker(p) is read only by the strict {1,2} test, once
     Ran(a) = Ran(1-q) holds.  No n x n (1-q) a p, b a b or SVD of b is
-    formed.  A verdict is fragile when
-    it flips with the rank threshold scaled by
-    ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
+    formed.  A verdict is fragile when it flips with the rank threshold
+    scaled by ``densela.FRAGILITY_FACTOR`` (ten) either way.  The diagnosis is
     repeated at those two thresholds only when one of its rank decisions
     (each a singular-value count) lies within that factor of its cutoff.
     Skipping the repeats otherwise is exact: the threshold enters only
