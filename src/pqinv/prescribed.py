@@ -43,7 +43,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import densela
 from . import subspace as sub
 from .densela import (
     DEFAULT_TOL,
@@ -245,16 +244,19 @@ class _Spaces:
     one SVD gives Ran(a) and Ker(a).  For idempotents Ran(1-q) = Ker(q) and
     Ran(1-p) = Ker(p).  From n = ``densela._SKETCH_MIN`` on, Ran(m) comes
     from one certified QR of a sketch of m (:func:`densela.idempotent_bases`),
-    complete only for q, and Ker(m) from one of a sketch of 1 - m.  Below
-    that order, or once a certificate refuses, the view takes one SVD of m
-    and keeps it, and every basis of m read after that is cut from it: no
-    decomposition is repeated, and no n x n 1 - m is formed where no sketch
-    is taken.  A certificate proves that its sketch makes the rank decision
-    of its matrix's SVD, not near the cutoff, so an SVD of m taken after
-    Ran(m) was sketched cuts a Ker(m) of the complementary dimension.  A
-    basis never read is never taken, so a test that fails early leaves the
-    later ones untaken.  The n x r product a U is taken once, when first
-    read.
+    complete only for q.  Below that order, or once a certificate refuses,
+    the view takes one SVD of m and keeps it, and every basis of m read
+    after that is cut from it: no decomposition is repeated, and no n x n
+    1 - m is formed where no sketch is taken.  A certificate proves that its
+    sketch makes the rank decision of its own matrix's SVD, not near the
+    cutoff, and the certificate on 1 - m proves nothing of m's.  So Ker(m)
+    reads Ran(m) first, and comes from a sketch of 1 - m only once m's
+    sketch was accepted; then both certificates hold, and the two
+    dimensions, the rounded traces of m and 1 - m, sum to n.  An SVD of m
+    taken after Ran(m) was sketched cuts a Ker(m) of the complementary
+    dimension too.  A basis no test reads, nor Ker(m) before it, is never
+    taken, so a test that fails early leaves the later ones untaken.  The
+    n x r product a U is taken once, when first read.
     """
 
     def __init__(self, a, p, q, tol: Tolerances):
@@ -264,16 +266,19 @@ class _Spaces:
     def _bases(self, name: str, *, complement: bool = False, kernel: bool = False) -> tuple:
         """Ran(m), then Ran(m)^⊥ when ``complement``, or Ker(m) alone when
         ``kernel``, for the idempotent m named ``name``: from a certified
-        sketch while m has no SVD here, or else cut from m's one SVD."""
+        sketch while m has no SVD here, or else cut from m's one SVD.  Ker(m)
+        reads Ran(m) first, as only m's own certificate proves m's rank
+        decision, so 1 - m is sketched only once m's sketch was accepted."""
+        if kernel:
+            getattr(self, "ran_p" if name == "p" else "_of_q")
         m, tol, f = getattr(self, name), self.tol, self._svds.get(name)
-        if f is None and m.shape[0] >= densela._SKETCH_MIN:
+        if f is None:
             sketched = -m if kernel else m
             if kernel:  # 1 - m, with no n x n identity formed
                 sketched.flat[::m.shape[0] + 1] += 1.0
             bases = idempotent_bases(sketched, tol, complement=complement)
             if bases is not None:
                 return tuple(map(sub.Subspace._cut, bases))
-        if f is None:
             f = self._svds[name] = svd(m)
         reads = (f.null_basis,) if kernel else (f.range_basis, f.left_null_basis)[:1 + complement]
         return tuple(sub.Subspace._cut(read(tol)) for read in reads)

@@ -805,19 +805,24 @@ class TestSketchedIdempotents:
         assert densela.idempotent_bases(prob.p) is None
         assert densela.idempotent_bases(prob.q, complement=True) is not None
 
-    def test_a_refused_sketch_leaves_every_basis_to_one_svd(self, count_linalg):
-        # the sketch of the straddling p is refused; Ran(p) and then Ker(p)
-        # are cut from p's one SVD, and no sketch of 1 - p is taken.  That SVD
+    @pytest.mark.parametrize("order", [("ran_p", "ker_p"), ("ker_p", "ran_p")],
+                             ids=["ran_first", "ker_first"])
+    def test_a_refused_sketch_leaves_every_basis_to_one_svd(self, count_linalg, order):
+        # the sketch of the straddling p is refused; Ran(p) and Ker(p), in
+        # either order, are cut from p's one SVD, and no sketch of 1 - p is
+        # taken, though 1 - p's own certificate would accept one.  That SVD
         # counts the 21st singular value, rank_rtol 10^0.5, and Ker(p) takes
         # the other 19 columns of the one rank decision
         p = straddling_idempotent(np.random.default_rng(4), 40, 20)
         spaces = prescribed._Spaces(None, p, None, DEFAULT_TOL)
 
         def run():
-            spaces.ran_p, spaces.ker_p
+            for name in order:
+                getattr(spaces, name)
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 1}
         assert (spaces.ran_p.dim, spaces.ker_p.dim) == (21, 19)
+        assert densela.idempotent_bases(np.eye(40) - p) is not None
 
     def test_diagnose_sketches_ker_p_where_it_is_read(self, count_linalg):
         # p = a^+ a and q = 1 - a a^+ for a of rank 32: Ran(a) = Ran(1-q)
@@ -830,9 +835,10 @@ class TestSketchedIdempotents:
         assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 4}
         assert report[0].strict12_exists and not report[0].fragile
 
-    def test_strict_reflexive_compute_sketches_ker_q_alone(self, count_linalg, tmp_path):
+    def test_strict_reflexive_compute_sketches_no_ker_p(self, count_linalg, tmp_path):
         # Ran(a) = Ran(1-q) fails on the diagonalizable instance, so the CLI's
-        # --kind 12 reads Ker(q) only: one QR, of the sketch of 1 - q
+        # --kind 12 reads Ker(q), and Ran(q) before it, and no basis of p:
+        # two QRs, of the sketches of q and 1 - q
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         files = []
         for name in "apq":
@@ -842,7 +848,7 @@ class TestSketchedIdempotents:
         def run():
             assert main(["compute", *files, "--kind", "12"]) != 0
 
-        assert count_linalg(run, ("qr",)) == {"qr": 1}
+        assert count_linalg(run, ("qr",)) == {"qr": 2}
 
     @pytest.mark.parametrize("fn", [diagnose, outer_inverse, one_two_inverse_strict])
     def test_below_the_crossover_no_qr_is_taken(self, count_linalg, fn):
