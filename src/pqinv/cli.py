@@ -16,6 +16,13 @@ file or to stdout before the next is formatted, so the writer's memory
 beyond the matrix itself does not grow with n; :func:`matrix_json` joins
 the blocks and still returns the whole text.
 
+:func:`read_matrix` reads a file's bytes once.  A file in the layout the
+writer gives it is parsed by :func:`_file_layout_matrix` in blocks of about
+_READ_BLOCK bytes, each one ``json.loads`` of a flat list of numbers, so
+the reader holds the bytes, the matrix and one block; any other text, and
+any file that parser refuses, goes whole through ``json.loads``, which
+gives every message.
+
 Exit codes: 0 success, 1 verification-suite failures, 2 parse/validation
 error (shape errors included), 3 proven nonexistence, 4 numerical
 failure, 5 spectral precondition violated (represent only).
@@ -25,8 +32,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import fields, replace
@@ -66,6 +75,17 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # the entries whose floats are formatted together: a chunk of a matrix's
 # JSON text holds at most this many [re, im] pairs
 _BLOCK = 2048
+
+# the bytes of a matrix file's data are parsed in blocks of about this many,
+# each cut at an entry boundary
+_READ_BLOCK = 1 << 16
+
+# the frame of a matrix file in the layout write_matrix writes, around its data
+_FILE_HEAD = re.compile(rb'\{"cols": ([1-9][0-9]{0,17}), "data": \[')
+_FILE_TAIL = re.compile(rb'\], "rows": ([1-9][0-9]{0,17})\}\n?')
+
+# what a number of that data may be written with, and the spaces around it
+_NUMBER_BYTES = b"0123456789.eE+- "
 
 
 def _float_texts(m: np.ndarray) -> Iterator[tuple[str, ...]]:
@@ -164,20 +184,82 @@ def matrix_from_file_dict(doc: dict, name: str) -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
+def _file_layout_matrix(raw: bytes) -> np.ndarray | None:
+    """The matrix in the bytes ``raw`` of a matrix file in the layout
+    :func:`write_matrix` writes, parsed block by block; None for any other
+    text, and for any entry that the JSON path of :func:`read_matrix`
+    would refuse or that it reads otherwise.
+
+    The data is cut at its "], [" entry separators into blocks of about
+    _READ_BLOCK bytes.  Once a block's numbers and spaces are deleted,
+    what is left must be "[,]" for each entry, joined by ",", with each
+    joint written "], [": so every number lies inside a pair, and deleting
+    the brackets joins no two numbers.  The bracket-free block is then one
+    flat JSON list, which json.loads reads with the same number grammar
+    and rounding as it reads the whole file, and np.array converts into
+    one array of the rows·cols [re, im] pairs.  That array is allocated
+    only once the header's rows·cols fits the data's length.
+    """
+    head = _FILE_HEAD.match(raw)
+    end = raw.rfind(b'], "rows": ')
+    tail = _FILE_TAIL.fullmatch(raw, end) if head and end > head.end() else None
+    if tail is None or not raw.startswith(b"[", head.end()) or not raw.endswith(b"]", 0, end):
+        return None
+    start, rows, cols = head.end(), int(tail[1]), int(head[1])
+    if 7 * rows * cols - 2 > end - start:  # an entry takes at least the bytes of "[0,0], "
+        return None
+    pairs = np.empty(2 * rows * cols)
+    filled = 0
+    try:
+        while start < end:
+            cut = raw.find(b"], [", start + _READ_BLOCK, end)
+            stop = end if cut < 0 else cut + 1
+            block = raw[start:stop]
+            entries = block.count(b"], [") + 1
+            if block.translate(None, _NUMBER_BYTES) != b"[,]" + b",[,]" * (entries - 1):
+                return None
+            values = np.array(json.loads(b"[%s]" % block.translate(None, b"[]")), np.float64)
+            if filled + values.size > pairs.size:
+                return None
+            pairs[filled:filled + values.size] = values
+            filled += values.size
+            start = stop + 2
+    except (ValueError, OverflowError):  # not JSON numbers, or an integer beyond float64
+        return None
+    if filled < pairs.size or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(np.complex128).reshape(rows, cols)
+
+
 def read_matrix(path: str) -> np.ndarray:
     """The matrix in the file at ``path``; a ValueError that names the path
     when the file cannot be read, decoded or parsed.
 
-    The cyclic garbage collector is paused while ``json.loads`` builds the
-    rows·cols [re, im] lists, which form no reference cycle; its previous
-    state is restored afterwards.
+    The file's bytes are read once.  A file in the layout
+    :func:`write_matrix` writes is parsed block by block by
+    :func:`_file_layout_matrix`, so the reader holds the bytes, the matrix
+    and one block.  Any other text, and any file that parser refuses, is
+    decoded as UTF-8 and handed whole to ``json.loads`` and
+    :func:`matrix_from_file_dict`, which give every message.  The block
+    parser builds one flat list per block and leaves the cyclic garbage
+    collector as it is; the collector is paused only while the whole-text
+    ``json.loads`` builds the rows·cols [re, im] lists, which form no
+    reference cycle, and its previous state is restored afterwards.
     """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc})") from exc
+    matrix = _file_layout_matrix(raw)
+    if matrix is not None:
+        return matrix
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read ({exc})") from exc
+        # decoded as Path.read_text decodes, with universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        del raw  # the parse holds the text only
+        doc = json.loads(text)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     except (ValueError, RecursionError) as exc:  # also nesting too deep, an integer too long

@@ -471,13 +471,23 @@ def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL,
     core raises ShapeError, and a 0 x 0 core gives the 0 x m zero matrix,
     without LAPACK.
     """
+    return _solve_core(core, rhs, floor, tol, norm)[0]
+
+
+def _solve_core(core, rhs, floor: float, tol: Tolerances,
+                norm: float | None) -> tuple[np.ndarray | None, Factored | None]:
+    """(:func:`solve_core`'s answer, the core's SVD or None when none was
+    taken): a caller that goes on to factor a refused core reads that SVD
+    instead of taking a second one of the same matrix."""
     r = _require_square(core, "core").shape[0]
     if r == 0:
-        return np.zeros((0, rhs.shape[1]), dtype=np.complex128)
-    if is_noise(core, floor, norm) or (f := svd(core)).rank(tol) < r:
-        return None
+        return np.zeros((0, rhs.shape[1]), dtype=np.complex128), None
+    if is_noise(core, floor, norm):
+        return None, None
+    if (f := svd(core)).rank(tol) < r:
+        return None, f
     x = f.pinv(tol)
-    return (x + x @ (np.eye(r) - core @ x)) @ rhs
+    return (x + x @ (np.eye(r) - core @ x)) @ rhs, f
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -513,7 +523,11 @@ def rank_factorization(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     to the singular-value scaling; consumers must be invariant under the
     regauging F -> F M, G -> M^-1 G.
     """
-    f = svd(as_matrix(a))
+    return _rank_factors(svd(as_matrix(a)), tol)
+
+
+def _rank_factors(f: Factored, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rank_factorization`'s F and G, read off the full SVD ``f``."""
     r = f.rank(tol)
     return f.u[:, :r] * f.s[:r], f.vh[:r, :]
 

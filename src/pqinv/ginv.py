@@ -15,7 +15,10 @@ import numpy as np
 from .densela import (
     DEFAULT_TOL,
     PRODUCT_NOISE,
+    Factored,
     Tolerances,
+    _rank_factors,
+    _solve_core,
     as_matrix,
     check_residual,
     eq_bound,
@@ -23,7 +26,6 @@ from .densela import (
     rank_factorization,
     rounding_bound,
     snap,
-    solve_core,
     svd,
 )
 from .errors import NumericalError, ShapeError
@@ -86,7 +88,7 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     decides the rank and inverts the core; at r = 0 F G is 0, and so is
     its group inverse.
     """
-    return _group_of_core(f, gf, g, _core_floor(f), None, tol)
+    return _group_of_core(f, gf, g, _core_floor(f), None, tol)[0]
 
 
 def _core_floor(f: np.ndarray) -> float:
@@ -96,11 +98,13 @@ def _core_floor(f: np.ndarray) -> float:
 
 
 def _group_of_core(f: np.ndarray, gf: np.ndarray, g: np.ndarray, floor: float,
-                   norm: float | None, tol: Tolerances) -> np.ndarray | None:
-    """:func:`factored_group_inverse` at the core's ``floor``, reading
-    ||G F||_F from ``norm`` when the caller has taken it."""
-    core = solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), floor, tol, norm)
-    return None if core is None else f @ core @ core @ g
+                   norm: float | None,
+                   tol: Tolerances) -> tuple[np.ndarray | None, Factored | None]:
+    """(:func:`factored_group_inverse` at the core's ``floor``, the SVD of
+    G F that decided it, or None when G F is noise), reading ||G F||_F from
+    ``norm`` when the caller has taken it."""
+    core, factored = _solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), floor, tol, norm)
+    return (None if core is None else f @ core @ core @ g), factored
 
 
 @dataclass(frozen=True)
@@ -138,14 +142,15 @@ def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, int]:
     its rounding floor is snapped to 0.
     """
     scale = 2.0 ** math.frexp(frob(a))[1]
-    m, left, right = a / scale, None, None
+    m, left, right, factored = a / scale, None, None, None
     for k in range(a.shape[0] + 1):  # the rank falls at every step
-        f, g = rank_factorization(m, tol)
+        # a refused core is factored by the SVD that refused it
+        f, g = rank_factorization(m, tol) if factored is None else _rank_factors(factored, tol)
         r = f.shape[1]
         floor, gf = _core_floor(f), g @ f
         norm = frob(gf)  # one norm for the snap and the core's noise test
         gf = snap(gf, floor, norm)
-        group = _group_of_core(f, gf, g, floor, norm, tol)
+        group, factored = _group_of_core(f, gf, g, floor, norm, tol)
         if group is not None:
             break
         left = f if left is None else left @ f

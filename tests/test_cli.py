@@ -163,6 +163,77 @@ class TestMatrixFiles:
         assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
 
 
+def _file_layout_text(pairs: list[str], rows: int = 1, cols: int | None = None) -> str:
+    """A matrix file in the layout write_matrix writes, whose entries hold
+    the texts ``pairs`` between their brackets; one row by default."""
+    data = ", ".join(f"[{pair}]" for pair in pairs)
+    return f'{{"cols": {len(pairs) if cols is None else cols}, "data": [{data}], "rows": {rows}}}\n'
+
+
+class TestFileLayoutReader:
+    """read_matrix parses a file in write_matrix's layout block by block, and
+    sends every file that parser refuses down the whole-text JSON path."""
+
+    @pytest.mark.parametrize("pairs", [
+        ["-0.0, 0.0", "0.0, -0.0", "-0, -0.0", "0, 0"],
+        ["5e-324, -5e-324", "1.7976931348623157e+308, -1.7976931348623157e+308"],
+        ["1e-05, 1e+16", "1E-5, 2.5e300", "-3.25E-300, 1e16", "1.0e-05, -1.0E+16"],
+        ["1, 0", "-7, 9007199254740993", "123456789012345678901234567890, -0", "2, 3"],
+        ["  1.5 ,  -2  ", " 3,4", "5 , 6", "7,8"],
+        # the second block starts at the first entry past cli._READ_BLOCK bytes
+        [f"{x!r}, {-x / 3!r}" for x in np.random.default_rng(5).standard_normal(6000).tolist()],
+    ], ids=["signed_zeros", "extremes", "exponent_forms", "integers", "spaces_in_pairs",
+            "two_blocks"])
+    def test_reads_as_the_json_path_does(self, tmp_path, pairs):
+        text = _file_layout_text(pairs, rows=2, cols=len(pairs) // 2)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        expected = cli.matrix_from_file_dict(json.loads(text), str(path))
+        assert cli._file_layout_matrix(text.encode()) is not None
+        assert read_matrix(str(path)).tobytes() == expected.tobytes()
+        assert read_matrix(str(path)).shape == expected.shape
+
+    def test_written_files_take_the_block_parser(self, tmp_path, rng):
+        m = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+        path = tmp_path / "m.json"
+        write_matrix(str(path), m)
+        assert path.stat().st_size > 3 * cli._READ_BLOCK
+        assert cli._file_layout_matrix(path.read_bytes()).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("raw, message", [
+        (_file_layout_text(["1, 2", "1e999, 0"]), "non-finite entry [inf, 0.0]"),
+        (_file_layout_text(["1, 2", "1" + "0" * 400 + ", 0"]), "entry out of the float64 range"),
+        (_file_layout_text(["1, 2", "1" + "0" * 4400 + ", 0"]), "invalid JSON (Exceeds the limit"),
+        (_file_layout_text(["+1, 0"]), "invalid JSON (Expecting value"),
+        (_file_layout_text([".5, 0"]), "invalid JSON (Expecting value"),
+        (_file_layout_text(["01, 0"]), "invalid JSON (Expecting ',' delimiter"),
+        (_file_layout_text(["1, 2", "1, 2, 3"]), "each entry must be a [re, im] pair"),
+        (_file_layout_text(["NaN, 0"]), "non-finite entry [nan, 0.0]"),
+        ("\ufeff" + _file_layout_text(["1, 0"]), "invalid JSON (Unexpected UTF-8 BOM"),
+        (_file_layout_text(["1, 0"], rows=999999999, cols=999999999),
+         "data length 1 does not match rows*cols = 999999998000000001"),
+        # a number outside its pair, which deleting the brackets would join to the next
+        (_file_layout_text(["1, 2]3, [4, 5"]), "invalid JSON (Expecting ',' delimiter"),
+        # a defect in the second block
+        (_file_layout_text(["1.25, -2.5"] * 7000 + ["1e999, 0"]), "non-finite entry [inf, 0.0]"),
+    ], ids=["overflowing_float", "int_beyond_float", "int_beyond_digit_limit", "plus_sign",
+            "bare_fraction", "leading_zero", "triple_entry", "nan", "utf8_bom",
+            "header_beyond_data", "number_outside_pair", "defect_in_second_block"])
+    def test_refused_files_keep_the_json_path_message(self, tmp_path, counterexample_files,
+                                                      capsys, monkeypatch, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw.encode("utf-8"))
+        assert cli._file_layout_matrix(path.read_bytes()) is None
+        argv = ["check", str(path), counterexample_files["p"], counterexample_files["q"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        # the whole-text JSON path alone gives the same message and exit code
+        monkeypatch.setattr(cli, "_file_layout_matrix", lambda raw: None)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+
 # signed zeros, subnormals, the places where repr switches to an exponent,
 # the extremes, and the non-finite values json.dumps writes as NaN/Infinity
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
@@ -236,6 +307,21 @@ class TestMatrixText:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert np.array_equal(read_matrix(str(tmp_path / "m.json")), m)
+
+    def test_read_matrix_memory_holds_the_file_the_matrix_and_one_block(self, tmp_path):
+        # the file of this n = 256 matrix is 2.9 MiB and the matrix 1 MiB;
+        # the whole-text JSON parse peaked at 11.9 MiB
+        a = diagonalizable_instance(np.random.default_rng(1), 256, r=128)["a"]
+        path = tmp_path / "a.json"
+        write_matrix(str(path), a)
+        tracemalloc.start()
+        try:
+            m = read_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+        assert m.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("m", [
         np.array([["1", "x"]]),

@@ -308,17 +308,18 @@ class TestDrazin:
             _validate_drazin(IDEM, d, 1, 1, DEFAULT_TOL)
 
     def test_factor_sequence_takes_no_power_decomposition(self, count_linalg, monkeypatch):
-        # index 3: a and its first two cores each factored once, and each core
-        # decided on one SVD, which solves on the last; no solve, no second
-        # SVD of a, no pseudo-inverse
+        # index 3: a factored once, and each core decided on one SVD, which
+        # factors the two refused cores and solves on the last; no solve, no
+        # matrix factored twice, no pseudo-inverse
         from pqinv import ginv
 
         a = varied_index_matrix(np.random.default_rng(0), 16, core=8)["a"]
-        shapes = []
+        shapes, factored = [], set()
         lapack_svd = np.linalg.svd
 
         def svd(m, compute_uv=True):
             shapes.append(m.shape)
+            factored.add(m.tobytes())
             return lapack_svd(m, compute_uv=compute_uv)
 
         def no_pinv(*args, **kwargs):
@@ -329,8 +330,8 @@ class TestDrazin:
         result = {}
         counts = count_linalg(lambda: result.update(dz=drazin_inverse(a)), ("svd", "solve"))
         assert result["dz"].index == 3
-        assert counts == {"svd": 6, "solve": 0}
-        assert shapes.count(a.shape) == 1
+        assert counts == {"svd": 4, "solve": 0}
+        assert shapes.count(a.shape) == 1 and len(factored) == len(shapes)
 
 
 class TestGiIdempotents:

@@ -37,10 +37,10 @@ shows decomposition-count changes next to output changes.  Covered:
   instance's own w, called in-process on the seed-1 n = 256
   ``diagonalizable_instance`` with r = 128, each on a fresh problem, with
   its outcome: ``ok`` or the exception it raised; then that of
-  ``write_matrix`` on the instance's a, and that of the report
-  ``compute --kind 2l`` prints on the instance's files, from the return
-  of ``outer_inverse`` on (the rise above what is held then, stdout on
-  ``os.devnull``);
+  ``write_matrix`` on the instance's a, that of ``read_matrix`` on the
+  file it wrote, and that of the report ``compute --kind 2l`` prints on
+  the instance's files, from the return of ``outer_inverse`` on (the rise
+  above what is held then, stdout on ``os.devnull``);
 * the sha256 of the bytes of ``densela.matrix_exp(a)`` and of both blocks
   of ``densela.exp_integral(a, t)`` for t = 0 and 1, on a seeded complex
   ``a`` of each size in EXP_DIMS scaled to each 1-norm in EXP_NORMS: the
@@ -256,9 +256,10 @@ def _peak_lines(cli, prescribed, verify, errors) -> list[str]:
 
 
 def _cli_peak_lines(cli, inst: dict) -> list[str]:
-    """The tracemalloc peak of ``write_matrix`` on the instance's a, and that of
-    the report ``compute --kind 2l`` prints, from the return of the compute
-    function on: its rise above what is held then, with stdout on os.devnull."""
+    """The tracemalloc peak of ``write_matrix`` on the instance's a, that of
+    ``read_matrix`` on the file it wrote, and that of the report
+    ``compute --kind 2l`` prints, from the return of the compute function
+    on: its rise above what is held then, with stdout on os.devnull."""
     label = f"diagonalizable-n{PEAK_N}  tracemalloc"
     with tempfile.TemporaryDirectory() as tmp:
         files = _write_files(cli, tmp, f"diagonalizable-n{PEAK_N}",
@@ -270,6 +271,13 @@ def _cli_peak_lines(cli, inst: dict) -> list[str]:
         finally:
             tracemalloc.stop()
         lines = [f"write_matrix a {label}  outcome=ok  peak_mib={peak / 2**20:.2f}"]
+        tracemalloc.start()
+        try:
+            cli.read_matrix(files[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines.append(f"read_matrix a {label}  outcome=ok  peak_mib={peak / 2**20:.2f}")
         compute, held = cli.outer_inverse, []
 
         def resetting(*args, **kwargs):
