@@ -350,6 +350,28 @@ def idempotent_bases(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, *,
     return (basis.copy(), q[:, r:].copy()) if complement else (basis,)
 
 
+def _complement_is_kernel(m: np.ndarray, complement: np.ndarray,
+                          tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether ``complement``, the basis N of Ran(m)^⊥ that
+    :func:`idempotent_bases` returned for the n x n idempotent ``m`` under
+    its certificate, is also a basis of Ker(m) to the standard that
+    certificate holds Q to: when
+
+        ||m N||_F <= 0.1 rank_rtol ||m||_F / sqrt(n),
+
+    the bound it puts on sigma_r+1(m).  The certificate proved m's rank
+    decision r, not near, and sigma_r(m) > 10 rank_rtol ||m||_F.  With
+    m = U diag(s) V^H and V_1 the r leading columns of V, U_1^H m N =
+    diag(s_1..s_r) V_1^H N, so the sine of the largest principal angle
+    between Ran(N) and the SVD's null space, ||V_1^H N||_2, is at most
+    ||m N||_2 / sigma_r(m) (Wedin's sin-theta bound; P.-A. Wedin, BIT 12
+    (1972) 99-111), as that of Ran(Q) from the SVD's range is at most
+    ||(1 - Q Q^H) m||_2 / sigma_r(m).  For an orthogonal projector m N is
+    rounding; an oblique m fails, and its kernel is to be taken otherwise."""
+    n = m.shape[0]
+    return frob(m @ complement) <= tol.rank_rtol * FRAGILITY_SCALES[1] * frob(m) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class Factored:
     """An SVD m = u diag(s) vh of an n x m matrix: with square u and vh, or,
@@ -394,6 +416,11 @@ class Factored:
         """Orthonormal basis of the (right) null space."""
         _require_whole(self.vh, "null space")
         return self.vh[self.rank(tol):, :].conj().T
+
+    def row_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal basis of the row space, the orthogonal complement
+        of the (right) null space (m x d); a thin SVD holds it too."""
+        return self.vh[:self.rank(tol), :].conj().T
 
     def left_null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the left null space, the orthogonal

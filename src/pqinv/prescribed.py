@@ -49,6 +49,7 @@ from .densela import (
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
     Tolerances,
+    _complement_is_kernel,
     as_matrix,
     check_residual,
     eigenvalues,
@@ -241,7 +242,9 @@ class _Spaces:
 
     Each basis is taken the first time a test reads it, and no other: q
     gives Ran(q) with Ran(q)^⊥, and Ker(q); p gives Ran(p) and Ker(p); a's
-    one SVD gives Ran(a) and Ker(a).  For idempotents Ran(1-q) = Ker(q) and
+    one SVD gives Ran(a), Ker(a) and the row space Ker(a)^⊥, so that each
+    test on principal angles reads the complement it needs from a basis
+    held here.  For idempotents Ran(1-q) = Ker(q) and
     Ran(1-p) = Ker(p).  From n = ``densela._SKETCH_MIN`` on, Ran(m) comes
     from one certified QR of a sketch of m (:func:`densela.idempotent_bases`),
     complete only for q.  Below that order, or once a certificate refuses,
@@ -252,9 +255,12 @@ class _Spaces:
     cutoff, and the certificate on 1 - m proves nothing of m's.  So Ker(m)
     reads Ran(m) first, and comes from a sketch of 1 - m only once m's
     sketch was accepted; then both certificates hold, and the two
-    dimensions, the rounded traces of m and 1 - m, sum to n.  An SVD of m
-    taken after Ran(m) was sketched cuts a Ker(m) of the complementary
-    dimension too.  A basis no test reads, nor Ker(m) before it, is never
+    dimensions, the rounded traces of m and 1 - m, sum to n.  Where q's
+    sketch was accepted and q maps Ran(q)^⊥ to within that certificate's
+    bound (:func:`densela._complement_is_kernel`), as an orthogonal
+    projector does, Ker(q) is Ran(q)^⊥ and no sketch of 1 - q is taken.
+    An SVD of m taken after Ran(m) was sketched cuts a Ker(m) of the
+    complementary dimension too.  A basis no test reads, nor Ker(m) before it, is never
     taken, so a test that fails early leaves the later ones untaken.  The
     n x r product a U is taken once, when first read.
     """
@@ -268,11 +274,14 @@ class _Spaces:
         ``kernel``, for the idempotent m named ``name``: from a certified
         sketch while m has no SVD here, or else cut from m's one SVD.  Ker(m)
         reads Ran(m) first, as only m's own certificate proves m's rank
-        decision, so 1 - m is sketched only once m's sketch was accepted."""
+        decision, so 1 - m is sketched only once m's sketch was accepted,
+        and not at all for a q whose complement Ran(q)^⊥ is its kernel."""
         if kernel:
             getattr(self, "ran_p" if name == "p" else "_of_q")
         m, tol, f = getattr(self, name), self.tol, self._svds.get(name)
         if f is None:
+            if kernel and name == "q" and _complement_is_kernel(m, self.co_q.basis, tol):
+                return (self.co_q,)
             sketched = -m if kernel else m
             if kernel:  # 1 - m, with no n x n identity formed
                 sketched.flat[::m.shape[0] + 1] += 1.0
@@ -287,11 +296,19 @@ class _Spaces:
     ker_p = cached_property(lambda self: self._bases("p", kernel=True)[0])
     _of_q = cached_property(lambda self: self._bases("q", complement=True))
     ker_q = cached_property(lambda self: self._bases("q", kernel=True)[0])
-    _of_a = cached_property(lambda self: sub.range_and_kernel(self.a, self.tol))
     ran_q = property(lambda self: self._of_q[0])
     co_q = property(lambda self: self._of_q[1])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
+    row_a = property(lambda self: self._of_a[2])
+
+    @cached_property
+    def _of_a(self) -> tuple:
+        """Ran(a), Ker(a) and its orthogonal complement, the row space of
+        a, all cut from a's one SVD."""
+        f, tol = svd(self.a), self.tol
+        return tuple(sub.Subspace._cut(read(tol))
+                     for read in (f.range_basis, f.null_basis, f.row_basis))
 
     @cached_property
     def a_u(self) -> np.ndarray:
@@ -301,9 +318,11 @@ class _Spaces:
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
-        """Whether Ker(a) ∩ Ran(p) = {0}: the sines of the principal angles
-        from Ker(a) to Ran(p) (:func:`subspace.meets_trivially`)."""
-        return sub.meets_trivially(self.ker_a, self.ran_p, self.tol)
+        """Whether Ker(a) ∩ Ran(p) = {0}, read from Ran(p)'s side: the sines
+        of the principal angles from Ran(p) to Ker(a) are the singular values
+        of V^H U, U the basis of Ran(p) and V that of the row space Ker(a)^⊥
+        (:func:`subspace._meets_complement_trivially`)."""
+        return sub._meets_complement_trivially(self.ran_p, self.row_a, self.tol)
 
 
 def _dimension_failure(spaces: _Spaces) -> str:
@@ -393,10 +412,10 @@ def _l12_failure(spaces: _Spaces) -> str:
     Ker(a) ∩ Ran(p) = {0}.  p is read only once C^n = Ran(a) ∔ Ran(q)
     holds.
     """
-    ker_a, tol = spaces.ker_a, spaces.tol
-    if not sub.is_direct_sum_all(spaces.ran_a, spaces.ran_q, tol):
+    if not sub._is_direct_sum_with_complement(spaces.ran_a, spaces.co_q, spaces.tol):
         return "C^n = Ran(a) ∔ Ran(q)"
-    if ker_a.dim + spaces.ran_p.dim != ker_a.ambient or not spaces.ker_a_meets_ran_p:
+    # dim Ker(a) + dim Ran(p) = n is dim Ran(p) = rank a
+    if spaces.ran_p.dim != spaces.ran_a.dim or not spaces.ker_a_meets_ran_p:
         return "C^n = Ker(a) ∔ Ran(p)"
     return ""
 
@@ -458,7 +477,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     ran_p, ran_q = spaces.ran_p, spaces.ran_q
     a_ran_p = sub._image_of(spaces.a_u, prob.a_norm, tol)
 
-    direct = sub.is_direct_sum_all(a_ran_p, ran_q, tol)
+    direct = sub._is_direct_sum_with_complement(a_ran_p, spaces.co_q, tol)
     image_match = sub.equals(a_ran_p, spaces.ker_q, tol)
     cond5, cond6 = _cond5_cond6(prob, spaces)
 

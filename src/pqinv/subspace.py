@@ -189,15 +189,41 @@ def _outside(s: Subspace, t: Subspace) -> np.ndarray:
     return t.basis - s.basis @ (s.basis.conj().T @ t.basis)
 
 
+def _sines_clear(outside: np.ndarray, tol: Tolerances) -> bool:
+    """True when all k singular values of the m x k ``outside``, the sines
+    of the principal angles from a k-dimensional S to T, exceed rank_rtol:
+    the one S ∩ T = {0} rule.  At m < k there are fewer than k, and it
+    fails.  Sines lie in [0, 1], so :func:`densela.count_rank` counts them
+    at the scale 1."""
+    sines = svd(outside, compute_uv=False).s
+    return count_rank(sines, tol, scale=1.0) == outside.shape[1]
+
+
 def meets_trivially(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when S ∩ T = {0}: at once when either side is {0}, else when
     all dim S sines of the principal angles from S to T, the singular
-    values of the n x dim S matrix (1 - P_T) B_S, exceed rank_rtol.  Sines
-    lie in [0, 1], so :func:`densela.count_rank` counts them at the scale 1."""
+    values of the n x dim S matrix (1 - P_T) B_S, exceed rank_rtol."""
     _check_same_ambient(s, t)
     if s.dim == 0 or t.dim == 0:
         return True
-    return count_rank(svd(_outside(t, s), compute_uv=False).s, tol, scale=1.0) == s.dim
+    return _sines_clear(_outside(t, s), tol)
+
+
+def _meets_complement_trivially(s: Subspace, t_perp: Subspace, tol: Tolerances) -> bool:
+    """:func:`meets_trivially` (s, T) for the T whose orthogonal complement
+    ``t_perp`` the caller holds: the sines from S to T are then the singular
+    values of the (n - dim T) x dim S matrix N^H B_S, N the basis of T^⊥,
+    as ||(1 - P_T) x|| = ||N^H x||, taken from one product.
+
+    S ∩ T = {0} is symmetric: the sines from T to S are the same
+    min(dim S, dim T) principal sines, and the rest of the longer list are
+    exactly 1, so a caller that holds the complement of S alone reads the
+    relation from T's side with the same verdict, and, for rank_rtol
+    below 1 / densela.FRAGILITY_FACTOR, the same ``near``."""
+    _check_same_ambient(s, t_perp)
+    if s.dim == 0 or t_perp.dim == t_perp.ambient:
+        return True
+    return _sines_clear(t_perp.basis.conj().T @ s.basis, tol)
 
 
 def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -205,6 +231,13 @@ def is_direct_sum_all(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -
     the principal-angle sines of :func:`meets_trivially` decide both."""
     _check_same_ambient(s, t)
     return s.dim + t.dim == s.ambient and meets_trivially(s, t, tol)
+
+
+def _is_direct_sum_with_complement(s: Subspace, t_perp: Subspace, tol: Tolerances) -> bool:
+    """:func:`is_direct_sum_all` (s, T) for the T whose orthogonal complement
+    ``t_perp`` the caller holds: dim S + dim T = n is dim S = dim T^⊥, and
+    the sines are those of :func:`_meets_complement_trivially`."""
+    return s.dim == t_perp.dim and _meets_complement_trivially(s, t_perp, tol)
 
 
 def contains(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -308,8 +308,10 @@ def guaranteed_instance(rng: np.random.Generator, n: int) -> dict:
         if s[-1] > 1e-3 * max(1.0, s[0]):
             a = cand
             break
-    # all 64 redraws fail for 19 of the seeds 0-39 at n = 64 (none at n = 32),
-    # which is why fuzz caps max_dim at 32
+    # the 64 redraws run out above n = 32, more often as n grows: for
+    # default_rng(s), s = 0-39, on no seed at n <= 35, 1 at n = 36, 3 at
+    # n = 40, 9 at n = 48 and 19 at n = 64.  So fuzz caps max_dim at 32,
+    # where no trial has failed to draw
     if a is None:  # pragma: no cover - not reached at the test suite's sizes
         raise RuntimeError("failed to draw a well-posed instance")
 

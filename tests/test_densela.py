@@ -607,6 +607,7 @@ class TestSvd:
         assert f.rank() == 1
         assert np.array_equal(f.range_basis(), np.eye(3)[:, :1])
         assert np.array_equal(f.null_basis(), np.eye(3)[:, 1:])
+        assert np.array_equal(f.row_basis(), np.eye(3)[:, :1])
         assert np.array_equal(f.pinv(), np.diag([0.5, 0.0, 0.0]))
 
 
@@ -621,8 +622,9 @@ class TestThinSvd:
         k = min(shape)
         assert thin.u.shape == (shape[0], k) and thin.vh.shape == (k, shape[1])
         assert thin.rank() == full.rank() == rank_
-        b_thin, b_full = thin.range_basis(), full.range_basis()
-        assert frob(b_thin @ b_thin.conj().T - b_full @ b_full.conj().T) <= 1e-13
+        for read in ("range_basis", "row_basis"):
+            b_thin, b_full = getattr(thin, read)(), getattr(full, read)()
+            assert frob(b_thin @ b_thin.conj().T - b_full @ b_full.conj().T) <= 1e-13
         assert frob(thin.pinv() - full.pinv()) <= 1e-12 * frob(full.pinv())
 
     def test_a_complement_it_does_not_hold_is_refused(self, rng):
@@ -676,6 +678,23 @@ class TestIdempotentBases:
             assert frob(u - basis @ (basis.conj().T @ u)) <= 1e-12 * t
             (reduced,) = idempotent_bases(m)
             assert frob(reduced @ reduced.conj().T - basis @ basis.conj().T) <= 1e-12 * t
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_the_complement_is_the_kernel_of_an_orthogonal_projector_only(self, n):
+        # U U^H maps its sketched Ran^⊥ to rounding, within the bound the
+        # certificate puts on sigma_r+1, and that complement is the SVD's
+        # null space; U (U^H + t G^H) maps it to about t
+        rng = np.random.default_rng(n)
+        for r in (n // 4, n - 3):
+            u = _random_unitary(rng, n)[:, :r]
+            m = u @ u.conj().T
+            co = idempotent_bases(m, complement=True)[1]
+            assert densela._complement_is_kernel(m, co)
+            null = np.linalg.svd(m)[2][r:].conj().T
+            assert frob(null - co @ (co.conj().T @ null)) <= 1e-12
+            for t in (1e-3, 1.0, 1e3):
+                m = _oblique(rng, u, t)
+                assert not densela._complement_is_kernel(m, idempotent_bases(m, complement=True)[1])
 
     def test_the_sketch_is_seeded_from_n_and_r(self):
         m = oblique_instance(np.random.default_rng(5), 32, 10.0)["p"]

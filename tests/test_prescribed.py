@@ -573,7 +573,7 @@ class TestDecompositionCounts:
 
         assert count_linalg(run) == {"svd": 5}
 
-    @pytest.mark.parametrize("n, svds, qrs", [(64, 7, 3), (31, 9, 0)])
+    @pytest.mark.parametrize("n, svds, qrs", [(64, 7, 2), (31, 9, 0)])
     def test_diagnose_factors_each_input_once(self, count_linalg, n, svds, qrs):
         # a, p and q once each, Ran(1-q) and Ran(1-p) read as Ker(q) and
         # Ker(p); a . Ran(p) and the n x r F = (1-q) a U once each (thin), no
@@ -583,9 +583,9 @@ class TestDecompositionCounts:
         # SVD of b; Ker(a) ∩ Ran(p) is decided once for ker_cap_ranp_trivial
         # and C^n = Ker(a) ∔ Ran(p); the two direct sums take their
         # principal-angle sines.  From densela._SKETCH_MIN on, p and q take
-        # no SVD: Ran(p), Ran(q) with its complement and Ran(1-q) each come
-        # from one QR of a sketch, and Ran(1-p) is never read, as
-        # Ran(a) = Ran(1-q) fails
+        # no SVD: Ran(p) and Ran(q) with its complement each come from one
+        # QR of a sketch, Ran(1-q) is that complement, as q is an orthogonal
+        # projector, and Ran(1-p) is never read, as Ran(a) = Ran(1-q) fails
         inst = diagonalizable_instance(np.random.default_rng(1), n, r=n // 2)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = count_linalg(lambda: diagnose(prob), ("svd", "qr", "lstsq", "solve"))
@@ -756,16 +756,18 @@ class TestSketchedIdempotents:
             out.append((report.to_json_dict(), rec.near, rec.calls["qr"]))
         return out
 
-    # (builder, orders cycled through): guaranteed_instance's redraws run
-    # out at some seeds, most of them from n = 64 on (ROADMAP item 7), so it
-    # and the oblique family built on it stay at n <= 48
+    # (builder, orders cycled through, QRs when every sketch is accepted):
+    # two where q is an orthogonal projector, whose Ran(q)^⊥ is Ker(q), and
+    # three where q is oblique and 1 - q is sketched.  guaranteed_instance's
+    # redraws run out at some seeds from n = 40 on, so it and the oblique
+    # family built on it stay at n <= 48
     FAMILIES = {
-        "diagonalizable": (diagonalizable_instance, (32, 48, 64, 96, 128)),
+        "diagonalizable": (diagonalizable_instance, (32, 48, 64, 96, 128), 2),
         "random triple": (lambda rng, n: dict(zip("apq", random_triple(rng, n))),
-                          (32, 48, 64, 96, 128)),
-        "guaranteed": (guaranteed_instance, (32, 40, 48)),
+                          (32, 48, 64, 96, 128), 3),
+        "guaranteed": (guaranteed_instance, (32, 40, 48), 2),
         **{f"oblique t={t:g}": ((lambda t: lambda rng, n: oblique_instance(rng, n, t))(t),
-                                (32, 40, 48))
+                                (32, 40, 48), 3)
            for t in (1.0, 1e2, 1e4, 1e6)},
     }
 
@@ -773,7 +775,7 @@ class TestSketchedIdempotents:
         # 50 problems per family, the oblique ones split over four t; a seed
         # on which guaranteed_instance runs out of redraws is passed over
         compared = sketched = 0
-        for name, (build, orders) in self.FAMILIES.items():
+        for name, (build, orders, sketches) in self.FAMILIES.items():
             quota, seed, taken = 13 if name.startswith("oblique") else 50, 0, 0
             while taken < quota:
                 n = orders[seed % len(orders)]
@@ -788,7 +790,7 @@ class TestSketchedIdempotents:
                 assert (rep, near) == (rep_svd, near_svd), (name, seed, n)
                 assert qrs_svd == 0
                 compared += 1
-                sketched += qrs == 3
+                sketched += qrs == sketches
         assert compared == 202 and sketched >= 190
 
     def test_a_straddling_idempotent_takes_the_svd(self):
@@ -826,19 +828,20 @@ class TestSketchedIdempotents:
 
     def test_diagnose_sketches_ker_p_where_it_is_read(self, count_linalg):
         # p = a^+ a and q = 1 - a a^+ for a of rank 32: Ran(a) = Ran(1-q)
-        # holds, so the strict {1,2} test reads Ker(p) too, a fourth sketch
+        # holds, so the strict {1,2} test reads Ker(p) too, a third sketch;
+        # q is an orthogonal projector, so Ker(q) is Ran(q)^⊥ with no sketch
         rng = np.random.default_rng(6)
         a = _complex_normal(rng, 64, 32) @ _complex_normal(rng, 32, 64)
         a_pinv = np.linalg.pinv(a)
         prob = PqProblem(a, a_pinv @ a, np.eye(64) - a @ a_pinv)
         report = []
-        assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 4}
+        assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 3}
         assert report[0].strict12_exists and not report[0].fragile
 
     def test_strict_reflexive_compute_sketches_no_ker_p(self, count_linalg, tmp_path):
         # Ran(a) = Ran(1-q) fails on the diagonalizable instance, so the CLI's
         # --kind 12 reads Ker(q), and Ran(q) before it, and no basis of p:
-        # two QRs, of the sketches of q and 1 - q
+        # one QR, of the sketch of q, whose complement Ran(q)^⊥ is Ker(q)
         inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
         files = []
         for name in "apq":
@@ -848,7 +851,38 @@ class TestSketchedIdempotents:
         def run():
             assert main(["compute", *files, "--kind", "12"]) != 0
 
-        assert count_linalg(run, ("qr",)) == {"qr": 2}
+        assert count_linalg(run, ("qr",)) == {"qr": 1}
+
+    @pytest.mark.parametrize("kind, svds, qrs", [("orthogonal", 0, 1), ("oblique", 0, 2),
+                                                 ("straddling", 1, 1)])
+    def test_ker_q_is_the_complement_where_q_maps_it_to_zero(self, count_linalg,
+                                                              kind, svds, qrs):
+        # Ker(q) is the sketched Ran(q)^⊥ for an orthogonal projector q; an
+        # oblique q maps that complement far from 0, so 1 - q is sketched;
+        # a straddling q refuses its own sketch, and its one SVD gives all
+        # three bases.  diagnose's verdicts and near equal the SVD path's
+        if kind == "oblique":
+            inst = oblique_instance(np.random.default_rng([2, 48]), 48, 1e3)
+        else:
+            inst = diagonalizable_instance(np.random.default_rng(1), 64, r=32)
+        q = inst["q"]
+        if kind == "straddling":
+            q = straddling_idempotent(np.random.default_rng(4), 64, 32)
+        prob = PqProblem(inst["a"], inst["p"], q)
+        spaces = prescribed._Spaces(None, None, prob.q, DEFAULT_TOL)
+
+        def run():
+            for name in ("ran_q", "co_q", "ker_q"):
+                getattr(spaces, name)
+
+        assert count_linalg(run, ("svd", "qr")) == {"svd": svds, "qr": qrs}
+        assert (spaces.ker_q is spaces.co_q) == (kind == "orthogonal")
+        assert spaces.ker_q.dim == spaces.co_q.dim and equals(spaces.ker_q, kernel_of(prob.q))
+        (rep, near, diagnose_qrs), (rep_svd, near_svd, _) = self._on_both_paths(prob)
+        assert (rep, near) == (rep_svd, near_svd)
+        assert near == (kind == "straddling")
+        if kind != "straddling":  # Ran(p) is one QR more; no repeat runs
+            assert diagnose_qrs == qrs + 1
 
     @pytest.mark.parametrize("fn", [diagnose, outer_inverse, one_two_inverse_strict])
     def test_below_the_crossover_no_qr_is_taken(self, count_linalg, fn):

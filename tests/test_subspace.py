@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from matrix_generators import PLANTED_ANGLE_EXPONENTS, planted_angle_pair
 from pqinv.densela import DEFAULT_TOL, Factored, frob, record, svd
+from pqinv import subspace as sub
 from pqinv.errors import ShapeError
 from pqinv.subspace import (
     Subspace,
@@ -252,9 +253,40 @@ class TestMeetsTrivially:
                 verdict = meets_trivially(s, t)
             assert (verdict, rec.near) == (x > 0, abs(x) < 1), seed
 
+    @pytest.mark.parametrize("x", PLANTED_ANGLE_EXPONENTS)
+    def test_planted_angle_from_either_side_and_from_a_complement(self, x):
+        # S ∩ T = {0} is symmetric: from T's side the four sines are S's
+        # three (the planted one and two right angles) and one more exact 1.
+        # The held-complement form reads the sines from T^⊥ (or S^⊥); every
+        # reading gives the one verdict and near of the planted sine
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            s, t = (range_of(m) for m in planted_angle_pair(rng, DEFAULT_TOL.rank_rtol * 10.0 ** x))
+            s_perp, t_perp = s.complement(), t.complement()
+            readings = []
+            for read in (lambda: meets_trivially(s, t), lambda: meets_trivially(t, s),
+                         lambda: sub._meets_complement_trivially(s, t_perp, DEFAULT_TOL),
+                         lambda: sub._meets_complement_trivially(t, s_perp, DEFAULT_TOL)):
+                with record() as rec:
+                    readings.append((read(), rec.near))
+            assert readings == [(x > 0, abs(x) < 1)] * 4, seed
+
+    def test_the_complement_forms_agree_with_the_public_ones(self, rng):
+        verdicts = set()
+        for s, t in self._pairs(rng):
+            t_perp = t.complement()
+            verdict = sub._meets_complement_trivially(s, t_perp, DEFAULT_TOL)
+            assert verdict == meets_trivially(s, t) == meets_trivially(t, s)
+            assert (sub._is_direct_sum_with_complement(s, t_perp, DEFAULT_TOL)
+                    == is_direct_sum_all(s, t))
+            verdicts.add((verdict, s.dim + t.dim == s.ambient))
+        assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeError):
             meets_trivially(Subspace.full(2), Subspace.full(3))
+        with pytest.raises(ShapeError):
+            sub._meets_complement_trivially(Subspace.full(2), Subspace.zero(3), DEFAULT_TOL)
 
 
 def _contains_by_norm(s: Subspace, t: Subspace) -> bool:
