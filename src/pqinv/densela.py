@@ -14,11 +14,12 @@ replaces such a matrix by an exact zero, :func:`solve_core`
 decides on one SVD whether the r x r core of a factorization is
 invertible and solves with it, and :meth:`Tolerances.to_json_dict` is the
 one serialised form of the thresholds.  :func:`svd`, :func:`idempotent_bases`
-(its QR), :func:`solve` and :func:`eigenvalues` are the package's one calls of
-LAPACK; the :class:`Factored` SVD gives the rank, range and null-space bases
-and the pseudo-inverse, so a caller that needs several of them factors the
-matrix once, and an idempotent's bases come from a sketch QR once a
-certificate proves that its SVD would decide the same rank, not near.
+and :func:`idempotent_kernel` (their QRs), :func:`solve` and
+:func:`eigenvalues` are the package's one calls of LAPACK; the
+:class:`Factored` SVD gives the rank, range and null-space bases and the
+pseudo-inverse, so a caller that needs several of them factors the matrix
+once, and an idempotent's bases come from sketch QRs once a certificate
+proves that its SVD would decide the same rank, not near.
 Inside :func:`record`, each LAPACK call is counted, and every rank decision
 read there marks whether it lies within :data:`FRAGILITY_FACTOR` of its
 cutoff.  One [13/13] Pade
@@ -56,6 +57,7 @@ __all__ = [
     "adjoint",
     "count_rank",
     "idempotent_bases",
+    "idempotent_kernel",
     "Record",
     "record",
     "rank",
@@ -299,31 +301,22 @@ def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | N
 _SKETCH_MIN = 32
 
 
-def idempotent_bases(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, *,
-                     complement: bool = False) -> tuple[np.ndarray, ...] | None:
-    """Orthonormal bases of Ran(m), and of Ran(m)^⊥ after it when
-    ``complement``, for an n x n idempotent ``m`` from one QR of a sketch;
-    None when its SVD is to be taken instead.
+def idempotent_bases(m: np.ndarray,
+                     tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
+    """Orthonormal bases (Q, N) of Ran(m) and Ran(m)^⊥ for an n x n
+    idempotent ``m``, from one complete QR of a sketch; None when its SVD
+    is to be taken instead.
 
     An idempotent's rank is its trace.  For r = round(Re tr m), when
-    |tr m - r| <= 0.25, the QR of m Ω, Ω an n x r Gaussian seeded from
-    (n, r), gives a basis Q of Ran(m) (N. Halko, P.-G. Martinsson and
-    J. A. Tropp, SIAM Rev. 53 (2011) 217-288); the QR is complete only when
-    the complement is read.  Q is accepted only under a certificate that
+    |tr m - r| <= 0.25, the complete QR [Q N] of m Ω, Ω an n x r Gaussian
+    seeded from (n, r), gives a basis Q of Ran(m) (N. Halko, P.-G.
+    Martinsson and J. A. Tropp, SIAM Rev. 53 (2011) 217-288) and N of its
+    orthogonal complement.  They are accepted only under the certificate
+    of :func:`_certified`, with ||(1 - Q Q^H) m||_F = ||N^H m||_F, that
     :func:`_decide_rank` on the singular values of m would return
     (r, near=False), so that the SVD's bases span the same subspaces to
-    rounding.  As Q Q^H m has rank r (Eckart-Young) and
-    ||m||_F / sqrt(n) <= sigma_max(m) <= ||m||_F,
-
-        sigma_r+1(m) <= ||(1 - Q Q^H) m||_F <= 0.1 rank_rtol ||m||_F / sqrt(n)
-
-    puts sigma_r+1 at or below the low scaled cutoff, and, as
-    sigma_r(m) >= sigma_r(m Q) and Q has orthonormal columns (Weyl),
-
-        sigma_r(m) >= 1 - ||m Q - Q||_F > 10 rank_rtol ||m||_F
-
-    puts sigma_r above the high one.  Below n = _SKETCH_MIN, at r = 0, off
-    an integer trace or when either bound fails, the answer is None.
+    rounding.  Below n = _SKETCH_MIN, at r = 0, off an integer trace or
+    when the certificate fails, the answer is None.
     """
     n = m.shape[0]
     if n < _SKETCH_MIN:  # first: the trace alone costs a small problem's call a few per cent
@@ -333,43 +326,71 @@ def idempotent_bases(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, *,
     if not 0 < r <= n or abs(trace - r) > 0.25:
         return None
     omega = np.random.default_rng((n, r)).standard_normal((n, r))
-    q = _lapack("qr", m @ omega, mode="complete" if complement else "reduced")[0]
-    basis = q[:, :r]
-    if complement:  # (1 - Q Q^H) m = Q_2 Q_2^H m for the complete Q = [Q Q_2]
-        outside = frob(adjoint(q[:, r:]) @ m)
-    else:  # in place: this n x n residual is the certificate's largest array
-        residual = basis @ (adjoint(basis) @ m)
-        residual -= m
-        outside = frob(residual)
-        del residual
-    m_norm = frob(m)
-    if not (outside <= tol.rank_rtol * FRAGILITY_SCALES[1] * m_norm / math.sqrt(n)
-            and 1.0 - frob(m @ basis - basis) > tol.rank_rtol * FRAGILITY_SCALES[0] * m_norm):
+    q = _lapack("qr", m @ omega, mode="complete")[0]
+    basis, complement = q[:, :r], q[:, r:]
+    if not _certified(m, basis, frob(adjoint(complement) @ m), tol):
         return None
     # copied, so that neither holds the whole complete Q alive
-    return (basis.copy(), q[:, r:].copy()) if complement else (basis,)
+    return basis.copy(), complement.copy()
 
 
-def _complement_is_kernel(m: np.ndarray, complement: np.ndarray,
-                          tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether ``complement``, the basis N of Ran(m)^⊥ that
-    :func:`idempotent_bases` returned for the n x n idempotent ``m`` under
-    its certificate, is also a basis of Ker(m) to the standard that
-    certificate holds Q to: when
+def _certified(m: np.ndarray, basis: np.ndarray, outside: float, tol: Tolerances) -> bool:
+    """Whether the orthonormal n x r ``basis`` Q, with ``outside`` =
+    ||(1 - Q Q^H) m||_F, proves that :func:`_decide_rank` on the singular
+    values of the n x n ``m`` returns (r, near=False): the one certificate
+    of an idempotent's sketched range.  As Q Q^H m has rank r
+    (Eckart-Young) and ||m||_F / sqrt(n) <= sigma_max(m) <= ||m||_F,
 
-        ||m N||_F <= 0.1 rank_rtol ||m||_F / sqrt(n),
+        sigma_r+1(m) <= ||(1 - Q Q^H) m||_F <= 0.1 rank_rtol ||m||_F / sqrt(n)
 
-    the bound it puts on sigma_r+1(m).  The certificate proved m's rank
-    decision r, not near, and sigma_r(m) > 10 rank_rtol ||m||_F.  With
-    m = U diag(s) V^H and V_1 the r leading columns of V, U_1^H m N =
-    diag(s_1..s_r) V_1^H N, so the sine of the largest principal angle
-    between Ran(N) and the SVD's null space, ||V_1^H N||_2, is at most
-    ||m N||_2 / sigma_r(m) (Wedin's sin-theta bound; P.-A. Wedin, BIT 12
-    (1972) 99-111), as that of Ran(Q) from the SVD's range is at most
-    ||(1 - Q Q^H) m||_2 / sigma_r(m).  For an orthogonal projector m N is
-    rounding; an oblique m fails, and its kernel is to be taken otherwise."""
+    puts sigma_r+1 at or below the low scaled cutoff, and, as
+    sigma_r(m) >= sigma_r(m Q) and Q has orthonormal columns (Weyl),
+
+        sigma_r(m) >= 1 - ||m Q - Q||_F > 10 rank_rtol ||m||_F
+
+    puts sigma_r above the high one."""
+    m_norm = frob(m)
+    return (outside <= tol.rank_rtol * FRAGILITY_SCALES[1] * m_norm / math.sqrt(m.shape[0])
+            and 1.0 - frob(m @ basis - basis) > tol.rank_rtol * FRAGILITY_SCALES[0] * m_norm)
+
+
+def idempotent_kernel(m: np.ndarray, complement: np.ndarray,
+                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """An orthonormal basis of Ker(m) = Ran(1 - m) for the n x n idempotent
+    ``m``, given the basis N of Ran(m)^⊥ that :func:`idempotent_bases`
+    returned under m's certificate; None when m's SVD is to be taken
+    instead.  The one rule for the kernel of p and of q:
+
+    1. N itself when ||m N||_F <= 0.1 rank_rtol ||m||_F / sqrt(n), the
+       bound the certificate puts on sigma_r+1(m), as for an orthogonal
+       projector.  That certificate proved m's rank decision r, not near,
+       and sigma_r(m) > 10 rank_rtol ||m||_F.  With m = U diag(s) V^H and
+       V_1 the r leading columns of V, U_1^H m N = diag(s_1..s_r) V_1^H N,
+       so the sine of the largest principal angle between Ran(N) and the
+       SVD's null space, ||V_1^H N||_2, is at most ||m N||_2 / sigma_r(m)
+       (Wedin's sin-theta bound; P.-A. Wedin, BIT 12 (1972) 99-111), as
+       that of Ran(Q) from the SVD's range is at most
+       ||(1 - Q Q^H) m||_2 / sigma_r(m).
+    2. Otherwise the Q of one reduced QR of (1 - m) N = N - m N, which
+       reuses m N: 1 - m maps Ran(m)^⊥ one-to-one onto Ker(m), as
+       (1 - m) x = 0 puts x in Ran(m), and with smallest singular value
+       at least 1, as ||(1 - m) x|| >= ||x|| for x orthogonal to Ran(m) by
+       Pythagoras on (1 - m) x = x - m x.  Q is accepted only under
+       :func:`_certified` on 1 - m, whose rank decision n - r, not near,
+       is then m's nullity; both sides thus read one split of C^n.
+    3. Otherwise None.
+    """
     n = m.shape[0]
-    return frob(m @ complement) <= tol.rank_rtol * FRAGILITY_SCALES[1] * frob(m) / math.sqrt(n)
+    image = m @ complement
+    if frob(image) <= tol.rank_rtol * FRAGILITY_SCALES[1] * frob(m) / math.sqrt(n):
+        return complement
+    basis = _lapack("qr", np.subtract(complement, image, out=image))[0]  # (1 - m) N
+    one_minus = -m  # 1 - m, with no n x n identity formed
+    one_minus.flat[::n + 1] += 1.0
+    # in place: this n x n residual is the certificate's largest array
+    residual = basis @ (adjoint(basis) @ one_minus)
+    residual -= one_minus
+    return basis if _certified(one_minus, basis, frob(residual), tol) else None
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ for which
 giving four independent numerical routes that cross-validate each other.
 Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
 Ran(1-p) = Ker(p), from one view that takes each basis when a test first
-reads it: a's off one SVD, and an idempotent's from one certified sketch
-QR each from n = 32 on, or else off that idempotent's one SVD.  The
+reads it: a's off one SVD, and those of p and q by one rule, Ran(m) with
+Ran(m)^⊥ from one certified complete sketch QR from n = 32 on and Ker(m)
+from that Ran(m)^⊥, or else off m's one SVD.  The
 package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
 Ran(q)^⊥.  Then a w = (a U) N^H is a full-rank factorization, and the
 group route w (a w)^# collapses to U C^-1 N^H with the r x r core
@@ -48,8 +49,8 @@ from .densela import (
     DEFAULT_TOL,
     FRAGILITY_SCALES,
     PRODUCT_NOISE,
+    Factored,
     Tolerances,
-    _complement_is_kernel,
     as_matrix,
     check_residual,
     eigenvalues,
@@ -57,6 +58,7 @@ from .densela import (
     exp_integral,
     frob,
     idempotent_bases,
+    idempotent_kernel,
     rank,
     rank_factorization,
     record,
@@ -237,67 +239,56 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _witness(spaces)
 
 
-class _Spaces:
-    """The subspaces of a, p and q that one call reads, at one tolerance.
+class _Idempotent:
+    """Ran(m), its orthogonal complement Ran(m)^⊥ and Ker(m) = Ran(1 - m) of
+    one idempotent m at one tolerance, each taken when first read, by one
+    rule for p and q.  From n = ``densela._SKETCH_MIN`` on, Ran(m) and
+    Ran(m)^⊥ are one certified complete QR of a sketch of m
+    (:func:`densela.idempotent_bases`), and Ker(m) comes from that Ran(m)^⊥
+    (:func:`densela.idempotent_kernel`): itself where m maps it to within the
+    certificate's bound, else the QR of (1 - m) Ran(m)^⊥ under the same
+    certificate on 1 - m.  Below that order, or once either refuses, m's one
+    SVD is taken and kept, and every basis of m read after that is cut from
+    it; the sketch's rank decision, which Ker(m) starts from, is that SVD's."""
 
-    Each basis is taken the first time a test reads it, and no other: q
-    gives Ran(q) with Ran(q)^⊥, and Ker(q); p gives Ran(p) and Ker(p); a's
-    one SVD gives Ran(a), Ker(a) and the row space Ker(a)^⊥, so that each
-    test on principal angles reads the complement it needs from a basis
-    held here.  For idempotents Ran(1-q) = Ker(q) and
-    Ran(1-p) = Ker(p).  From n = ``densela._SKETCH_MIN`` on, Ran(m) comes
-    from one certified QR of a sketch of m (:func:`densela.idempotent_bases`),
-    complete only for q.  Below that order, or once a certificate refuses,
-    the view takes one SVD of m and keeps it, and every basis of m read
-    after that is cut from it: no decomposition is repeated, and no n x n
-    1 - m is formed where no sketch is taken.  A certificate proves that its
-    sketch makes the rank decision of its own matrix's SVD, not near the
-    cutoff, and the certificate on 1 - m proves nothing of m's.  So Ker(m)
-    reads Ran(m) first, and comes from a sketch of 1 - m only once m's
-    sketch was accepted; then both certificates hold, and the two
-    dimensions, the rounded traces of m and 1 - m, sum to n.  Where q's
-    sketch was accepted and q maps Ran(q)^⊥ to within that certificate's
-    bound (:func:`densela._complement_is_kernel`), as an orthogonal
-    projector does, Ker(q) is Ran(q)^⊥ and no sketch of 1 - q is taken.
-    An SVD of m taken after Ran(m) was sketched cuts a Ker(m) of the
-    complementary dimension too.  A basis no test reads, nor Ker(m) before it, is never
-    taken, so a test that fails early leaves the later ones untaken.  The
-    n x r product a U is taken once, when first read.
-    """
+    def __init__(self, m, tol: Tolerances):
+        self.m, self.tol = m, tol
+
+    @cached_property
+    def _sketch(self) -> tuple | None:
+        return idempotent_bases(self.m, self.tol)
+
+    @cached_property
+    def _svd(self) -> Factored:
+        return svd(self.m)
+
+    def _cut(self, sketched: np.ndarray | None, read) -> sub.Subspace:
+        """The ``sketched`` basis, or else the one that ``read``, a method of
+        :class:`densela.Factored`, cuts off m's one SVD."""
+        if sketched is None:
+            sketched = read(self._svd, self.tol)
+        return sub.Subspace._cut(sketched)
+
+    ran = cached_property(lambda self: self._cut(self._sketch and self._sketch[0],
+                                                 Factored.range_basis))
+    co = cached_property(lambda self: self._cut(self._sketch and self._sketch[1],
+                                                Factored.left_null_basis))
+    ker = cached_property(lambda self: self._cut(
+        self._sketch and idempotent_kernel(self.m, self._sketch[1], self.tol), Factored.null_basis))
+
+
+class _Spaces:
+    """The subspaces of a, p and q that one call reads, at one tolerance:
+    one :class:`_Idempotent` view each of p and q, and a's one SVD, which
+    gives Ran(a), Ker(a) and the row space Ker(a)^⊥.  Each basis is taken
+    the first time a test reads it, and no other, so a test that fails
+    early leaves the later ones untaken; the n x r product a U is taken
+    once, when first read."""
 
     def __init__(self, a, p, q, tol: Tolerances):
-        self.a, self.p, self.q, self.tol = a, p, q, tol
-        self._svds = {}  # the idempotent's name -> its one SVD, once taken
+        self.a, self.tol = a, tol
+        self.p, self.q = _Idempotent(p, tol), _Idempotent(q, tol)
 
-    def _bases(self, name: str, *, complement: bool = False, kernel: bool = False) -> tuple:
-        """Ran(m), then Ran(m)^⊥ when ``complement``, or Ker(m) alone when
-        ``kernel``, for the idempotent m named ``name``: from a certified
-        sketch while m has no SVD here, or else cut from m's one SVD.  Ker(m)
-        reads Ran(m) first, as only m's own certificate proves m's rank
-        decision, so 1 - m is sketched only once m's sketch was accepted,
-        and not at all for a q whose complement Ran(q)^⊥ is its kernel."""
-        if kernel:
-            getattr(self, "ran_p" if name == "p" else "_of_q")
-        m, tol, f = getattr(self, name), self.tol, self._svds.get(name)
-        if f is None:
-            if kernel and name == "q" and _complement_is_kernel(m, self.co_q.basis, tol):
-                return (self.co_q,)
-            sketched = -m if kernel else m
-            if kernel:  # 1 - m, with no n x n identity formed
-                sketched.flat[::m.shape[0] + 1] += 1.0
-            bases = idempotent_bases(sketched, tol, complement=complement)
-            if bases is not None:
-                return tuple(map(sub.Subspace._cut, bases))
-            f = self._svds[name] = svd(m)
-        reads = (f.null_basis,) if kernel else (f.range_basis, f.left_null_basis)[:1 + complement]
-        return tuple(sub.Subspace._cut(read(tol)) for read in reads)
-
-    ran_p = cached_property(lambda self: self._bases("p")[0])
-    ker_p = cached_property(lambda self: self._bases("p", kernel=True)[0])
-    _of_q = cached_property(lambda self: self._bases("q", complement=True))
-    ker_q = cached_property(lambda self: self._bases("q", kernel=True)[0])
-    ran_q = property(lambda self: self._of_q[0])
-    co_q = property(lambda self: self._of_q[1])
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
     row_a = property(lambda self: self._of_a[2])
@@ -314,7 +305,7 @@ class _Spaces:
     def a_u(self) -> np.ndarray:
         """a U, U the basis of Ran(p): the one n x r product that a . Ran(p),
         the core N^H a U and F = (1-q) a U read."""
-        return self.a @ self.ran_p.basis
+        return self.a @ self.p.ran.basis
 
     @cached_property
     def ker_a_meets_ran_p(self) -> bool:
@@ -322,13 +313,13 @@ class _Spaces:
         of the principal angles from Ran(p) to Ker(a) are the singular values
         of V^H U, U the basis of Ran(p) and V that of the row space Ker(a)^⊥
         (:func:`subspace._meets_complement_trivially`)."""
-        return sub._meets_complement_trivially(self.ran_p, self.row_a, self.tol)
+        return sub._meets_complement_trivially(self.p.ran, self.row_a, self.tol)
 
 
 def _dimension_failure(spaces: _Spaces) -> str:
     """The dimension obstruction to a w with Ran(w) = Ran(p) and
     Ker(w) = Ran(q), or "" when dim Ran(p) + dim Ran(q) = n."""
-    d_p, d_q, n = spaces.ran_p.dim, spaces.ran_q.dim, spaces.ran_p.ambient
+    d_p, d_q, n = spaces.p.ran.dim, spaces.q.ran.dim, spaces.p.ran.ambient
     if d_p + d_q == n:
         return ""
     return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {d_p} + {d_q} != {n}"
@@ -336,7 +327,7 @@ def _dimension_failure(spaces: _Spaces) -> str:
 
 def _witness(spaces: _Spaces) -> np.ndarray:
     """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥."""
-    return spaces.ran_p.basis @ spaces.co_q.basis.conj().T
+    return spaces.p.ran.basis @ spaces.q.co.basis.conj().T
 
 
 def _no_outer_inverse(reason: str) -> NonexistentInverseError:
@@ -373,9 +364,9 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     broken = _dimension_failure(spaces)
     if broken:
         raise _no_outer_inverse(broken)
-    tol, a_u, u = spaces.tol, spaces.a_u, spaces.ran_p.basis
+    tol, a_u, u = spaces.tol, spaces.a_u, spaces.p.ran.basis
     r = u.shape[1]
-    nh = spaces.co_q.basis.conj().T
+    nh = spaces.q.co.basis.conj().T
     # N and U have unit columns, so the factors' norms are sqrt(r) each
     xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * prob.a_norm, tol)
     if xn is None:
@@ -412,10 +403,10 @@ def _l12_failure(spaces: _Spaces) -> str:
     Ker(a) ∩ Ran(p) = {0}.  p is read only once C^n = Ran(a) ∔ Ran(q)
     holds.
     """
-    if not sub._is_direct_sum_with_complement(spaces.ran_a, spaces.co_q, spaces.tol):
+    if not sub._is_direct_sum_with_complement(spaces.ran_a, spaces.q.co, spaces.tol):
         return "C^n = Ran(a) ∔ Ran(q)"
     # dim Ker(a) + dim Ran(p) = n is dim Ran(p) = rank a
-    if spaces.ran_p.dim != spaces.ran_a.dim or not spaces.ker_a_meets_ran_p:
+    if spaces.p.ran.dim != spaces.ran_a.dim or not spaces.ker_a_meets_ran_p:
         return "C^n = Ker(a) ∔ Ran(p)"
     return ""
 
@@ -426,9 +417,9 @@ def _strict12_failure(spaces: _Spaces) -> str:
     Ran(1-q) and Ran(1-p) are Ker(q) and Ker(p); p is read only once
     Ran(a) = Ran(1-q) holds.
     """
-    if not sub.equals(spaces.ran_a, spaces.ker_q, spaces.tol):
+    if not sub.equals(spaces.ran_a, spaces.q.ker, spaces.tol):
         return "Ran(a) = Ran(1-q)"
-    if not sub.equals(spaces.ker_a, spaces.ker_p, spaces.tol):
+    if not sub.equals(spaces.ker_a, spaces.p.ker, spaces.tol):
         return "Ker(a) = Ran(1-p)"
     return ""
 
@@ -446,7 +437,7 @@ def _cond5_cond6(prob: PqProblem, spaces: _Spaces) -> tuple[bool, bool]:
     1-q, which no solution removes.  F is snapped to 0 at the rounding
     floor of its factors, as :func:`subspace.image` snaps.
     """
-    tol, u, ker_q, one_mq = spaces.tol, spaces.ran_p.basis, spaces.ker_q.basis, prob.one_minus_q
+    tol, u, ker_q, one_mq = spaces.tol, spaces.p.ran.basis, spaces.q.ker.basis, prob.one_minus_q
     r = u.shape[1]
     f = one_mq @ spaces.a_u
     f_norm = frob(f)
@@ -474,11 +465,10 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     """
     a = prob.a
     spaces = _Spaces(a, prob.p, prob.q, tol)
-    ran_p, ran_q = spaces.ran_p, spaces.ran_q
     a_ran_p = sub._image_of(spaces.a_u, prob.a_norm, tol)
 
-    direct = sub._is_direct_sum_with_complement(a_ran_p, spaces.co_q, tol)
-    image_match = sub.equals(a_ran_p, spaces.ker_q, tol)
+    direct = sub._is_direct_sum_with_complement(a_ran_p, spaces.q.co, tol)
+    image_match = sub.equals(a_ran_p, spaces.q.ker, tol)
     cond5, cond6 = _cond5_cond6(prob, spaces)
 
     try:
@@ -501,8 +491,8 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
         l_exists=l_exists,
         l12_exists=l12,
         strict12_exists=strict12,
-        dim_ran_p=ran_p.dim,
-        dim_ran_q=ran_q.dim,
+        dim_ran_p=spaces.p.ran.dim,
+        dim_ran_q=spaces.q.ran.dim,
         rank_a=spaces.ran_a.dim,
         fragile=False,
         tol=tol,
@@ -631,7 +621,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
     b_group = _candidate(prob, spaces)
-    ran_p, ran_q = spaces.ran_p, spaces.ran_q
+    ran_p, ran_q = spaces.p.ran, spaces.q.ran
     w = None if route == "group" else _witness(spaces)
     del spaces  # the view's n x r product a U is not held through the route
     b, route_name, _ = _route_result(prob, w, b_group, route)

@@ -23,6 +23,7 @@ from pqinv.densela import (
     exp_integral,
     frob,
     idempotent_bases,
+    idempotent_kernel,
     is_noise,
     matrix_exp,
     rank,
@@ -669,37 +670,53 @@ class TestIdempotentBases:
             u = _random_unitary(rng, n)[:, :r]
             m = _oblique(rng, u, t)
             with record() as rec:
-                basis, co = idempotent_bases(m, complement=True)
+                basis, co = idempotent_bases(m)
             assert rec.calls == {"qr": 1}
             assert self._svd_decision(m) == (r, False)
             assert basis.shape == (n, r) and co.shape == (n, n - r)
             q = np.hstack([basis, co])
             assert frob(q.conj().T @ q - np.eye(n)) <= 1e-13
             assert frob(u - basis @ (basis.conj().T @ u)) <= 1e-12 * t
-            (reduced,) = idempotent_bases(m)
-            assert frob(reduced @ reduced.conj().T - basis @ basis.conj().T) <= 1e-12 * t
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_the_complement_is_the_kernel_of_an_orthogonal_projector_only(self, n):
+    def test_an_orthogonal_projector_keeps_its_complement_as_kernel(self, n):
         # U U^H maps its sketched Ran^⊥ to rounding, within the bound the
-        # certificate puts on sigma_r+1, and that complement is the SVD's
-        # null space; U (U^H + t G^H) maps it to about t
+        # certificate puts on sigma_r+1: that complement is returned itself,
+        # with no QR, and it is the SVD's null space
         rng = np.random.default_rng(n)
         for r in (n // 4, n - 3):
             u = _random_unitary(rng, n)[:, :r]
             m = u @ u.conj().T
-            co = idempotent_bases(m, complement=True)[1]
-            assert densela._complement_is_kernel(m, co)
+            co = idempotent_bases(m)[1]
+            with record() as rec:
+                assert idempotent_kernel(m, co) is co
+            assert rec.calls == {}
             null = np.linalg.svd(m)[2][r:].conj().T
             assert frob(null - co @ (co.conj().T @ null)) <= 1e-12
-            for t in (1e-3, 1.0, 1e3):
-                m = _oblique(rng, u, t)
-                assert not densela._complement_is_kernel(m, idempotent_bases(m, complement=True)[1])
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_oblique_kernels_are_accepted(self, n, t):
+        # U (U^H + t G^H) maps its sketched Ran^⊥ to about t, so its kernel is
+        # the QR of (1 - m) N under the certificate on 1 - m, which accepts it
+        # at every t: at t = 1e6 ||m Q||_F alone lies above the sigma_r+1 bound
+        rng = np.random.default_rng(n)
+        for r in (n // 4, n - 3):
+            u = _random_unitary(rng, n)[:, :r]
+            m = _oblique(rng, u, t)
+            co = idempotent_bases(m)[1]
+            with record() as rec:
+                kernel = idempotent_kernel(m, co)
+            assert rec.calls == {"qr": 1}
+            assert kernel.shape == (n, n - r)
+            assert frob(kernel.conj().T @ kernel - np.eye(n - r)) <= 1e-13
+            # within 1e-13 max(1, t) of the SVD's null space (1.3e-9 seen at t = 1e6)
+            null = np.linalg.svd(m)[2][r:].conj().T
+            assert frob(null - kernel @ (kernel.conj().T @ null)) <= 1e-13 * max(1.0, t)
 
     def test_the_sketch_is_seeded_from_n_and_r(self):
         m = oblique_instance(np.random.default_rng(5), 32, 10.0)["p"]
-        assert all(np.array_equal(x, y) for x, y in zip(idempotent_bases(m, complement=True),
-                                                         idempotent_bases(m, complement=True)))
+        assert all(np.array_equal(x, y) for x, y in zip(idempotent_bases(m), idempotent_bases(m)))
 
     def test_a_straddling_perturbation_is_refused(self):
         # p + E passes PqProblem's p^2 = p check and has trace r to 1e-9,
@@ -709,14 +726,14 @@ class TestIdempotentBases:
         PqProblem(np.eye(40), m, np.eye(40) - m)
         assert self._svd_decision(m) == (16, True)
         with record() as rec:
-            assert idempotent_bases(m) is None and idempotent_bases(m, complement=True) is None
-        assert rec.calls == {"qr": 2}
+            assert idempotent_bases(m) is None
+        assert rec.calls == {"qr": 1}
 
     def test_below_the_crossover_no_qr_is_taken(self, monkeypatch):
         n = densela._SKETCH_MIN - 1
         m = oblique_instance(np.random.default_rng(1), n, 10.0)["p"]
         monkeypatch.setattr(np.linalg, "qr", None)
-        assert idempotent_bases(m) is None and idempotent_bases(m, complement=True) is None
+        assert idempotent_bases(m) is None
 
     def test_a_trace_off_an_integer_and_rank_zero_are_refused(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "qr", None)

@@ -39,6 +39,7 @@ from pqinv.verify import (
 
 from exact_rank import exact_rank
 from matrix_generators import (
+    _oblique,
     oblique_instance,
     planted_core_instance,
     straddling_idempotent,
@@ -149,7 +150,7 @@ class TestDiagnose:
         for prob in probs:
             assert diagnose(prob).cond6
             spaces = prescribed._Spaces(prob.a, prob.p, prob.q, prob.tol)
-            u, one_mq = spaces.ran_p.basis, prob.one_minus_q
+            u, one_mq = spaces.p.ran.basis, prob.one_minus_q
             f_pinv = densela.svd(one_mq @ spaces.a_u).pinv(prob.tol)
             t, s = u @ f_pinv, u @ f_pinv @ one_mq
             m = one_mq @ prob.a @ prob.p
@@ -666,13 +667,14 @@ class TestDecompositionCounts:
         # oblique p and q with dim Ran(p) = n/6 and dim Ran(q) = n/2: after
         # Ran(p), Ran(q) and Ran(q)^⊥ are read, the view holds its inputs,
         # those three bases and, below densela._SKETCH_MIN, the one SVD of
-        # each idempotent, which later bases are cut from; it holds no
-        # Ker(p) or Ker(q)
+        # each idempotent, which later bases are cut from; from that order
+        # on it holds p's Ran(p)^⊥ too, the other half of p's complete
+        # sketch QR.  It holds no Ker(p) or Ker(q)
         rng = np.random.default_rng(3)
         for n, svds in ((6, 2), (64, 0)):
             p, q = random_idempotent(rng, n, n // 6, 10.0), random_idempotent(rng, n, n // 2, 10.0)
             spaces = prescribed._Spaces(None, p, q, DEFAULT_TOL)
-            read = (spaces.ran_p, spaces.ran_q, spaces.co_q)
+            read = (spaces.p.ran, spaces.q.ran, spaces.q.co)
             held, factors, stack = [], [], [vars(spaces)]
             while stack:
                 item = stack.pop()
@@ -685,15 +687,17 @@ class TestDecompositionCounts:
                 elif isinstance(item, densela.Factored):
                     factors.append(item)
                     stack.append(vars(item))
-                elif isinstance(item, sub.Subspace):
+                elif isinstance(item, (sub.Subspace, prescribed._Idempotent)):
                     stack.append(vars(item))
             assert len(factors) == svds
-            expected = (p, q, *(s.basis for s in read), *(f.u for f in factors),
+            sketched = () if svds else (spaces.p._sketch[1],)
+            expected = (p, q, *(s.basis for s in read), *sketched, *(f.u for f in factors),
                         *(f.s for f in factors), *(f.vh for f in factors))
-            assert sorted(map(id, held)) == sorted(map(id, expected))
-            assert not {"ker_p", "ker_q"} & vars(spaces).keys()
+            # a sketched basis is held by the sketch and by the Subspace cut on it
+            assert set(map(id, held)) == set(map(id, expected))
+            assert "ker" not in vars(spaces.p) and "ker" not in vars(spaces.q)
 
-    @pytest.mark.parametrize("order", [("ran_q", "co_q", "ker_q"), ("ker_q", "ran_q", "co_q")])
+    @pytest.mark.parametrize("order", [("ran", "co", "ker"), ("ker", "ran", "co")])
     def test_bases_of_q_below_the_crossover_share_one_svd(self, count_linalg, order):
         # Ran(q) with Ran(q)^⊥ and Ker(q), in either order, are cut from q's
         # one SVD, with no QR and no SVD of 1 - q
@@ -703,11 +707,11 @@ class TestDecompositionCounts:
 
         def run():
             for name in order:
-                getattr(spaces, name)
+                getattr(spaces.q, name)
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 0}
-        assert (spaces.ran_q.dim, spaces.co_q.dim, spaces.ker_q.dim) == (10, n - 10, n - 10)
-        assert equals(spaces.ker_q, kernel_of(q))
+        assert (spaces.q.ran.dim, spaces.q.co.dim, spaces.q.ker.dim) == (10, n - 10, n - 10)
+        assert equals(spaces.q.ker, kernel_of(q))
 
 
 class TestCutBases:
@@ -805,9 +809,9 @@ class TestSketchedIdempotents:
         (rep, near, qrs), (rep_svd, near_svd, _) = self._on_both_paths(prob)
         assert (rep, near) == (rep_svd, near_svd) and near and qrs > 0
         assert densela.idempotent_bases(prob.p) is None
-        assert densela.idempotent_bases(prob.q, complement=True) is not None
+        assert densela.idempotent_bases(prob.q) is not None
 
-    @pytest.mark.parametrize("order", [("ran_p", "ker_p"), ("ker_p", "ran_p")],
+    @pytest.mark.parametrize("order", [("ran", "ker"), ("ker", "ran")],
                              ids=["ran_first", "ker_first"])
     def test_a_refused_sketch_leaves_every_basis_to_one_svd(self, count_linalg, order):
         # the sketch of the straddling p is refused; Ran(p) and Ker(p), in
@@ -820,22 +824,23 @@ class TestSketchedIdempotents:
 
         def run():
             for name in order:
-                getattr(spaces, name)
+                getattr(spaces.p, name)
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 1}
-        assert (spaces.ran_p.dim, spaces.ker_p.dim) == (21, 19)
+        assert (spaces.p.ran.dim, spaces.p.ker.dim) == (21, 19)
         assert densela.idempotent_bases(np.eye(40) - p) is not None
 
     def test_diagnose_sketches_ker_p_where_it_is_read(self, count_linalg):
         # p = a^+ a and q = 1 - a a^+ for a of rank 32: Ran(a) = Ran(1-q)
-        # holds, so the strict {1,2} test reads Ker(p) too, a third sketch;
-        # q is an orthogonal projector, so Ker(q) is Ran(q)^⊥ with no sketch
+        # holds, so the strict {1,2} test reads Ker(p) too; p and q are
+        # orthogonal projectors, so each kernel is the Ran^⊥ of its one
+        # complete sketch QR, with no further QR
         rng = np.random.default_rng(6)
         a = _complex_normal(rng, 64, 32) @ _complex_normal(rng, 32, 64)
         a_pinv = np.linalg.pinv(a)
         prob = PqProblem(a, a_pinv @ a, np.eye(64) - a @ a_pinv)
         report = []
-        assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 3}
+        assert count_linalg(lambda: report.append(diagnose(prob)), ("qr",)) == {"qr": 2}
         assert report[0].strict12_exists and not report[0].fragile
 
     def test_strict_reflexive_compute_sketches_no_ker_p(self, count_linalg, tmp_path):
@@ -858,7 +863,8 @@ class TestSketchedIdempotents:
     def test_ker_q_is_the_complement_where_q_maps_it_to_zero(self, count_linalg,
                                                               kind, svds, qrs):
         # Ker(q) is the sketched Ran(q)^⊥ for an orthogonal projector q; an
-        # oblique q maps that complement far from 0, so 1 - q is sketched;
+        # oblique q maps that complement far from 0, so Ker(q) is the QR of
+        # (1 - q) Ran(q)^⊥;
         # a straddling q refuses its own sketch, and its one SVD gives all
         # three bases.  diagnose's verdicts and near equal the SVD path's
         if kind == "oblique":
@@ -872,17 +878,48 @@ class TestSketchedIdempotents:
         spaces = prescribed._Spaces(None, None, prob.q, DEFAULT_TOL)
 
         def run():
-            for name in ("ran_q", "co_q", "ker_q"):
-                getattr(spaces, name)
+            for name in ("ran", "co", "ker"):
+                getattr(spaces.q, name)
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": svds, "qr": qrs}
-        assert (spaces.ker_q is spaces.co_q) == (kind == "orthogonal")
-        assert spaces.ker_q.dim == spaces.co_q.dim and equals(spaces.ker_q, kernel_of(prob.q))
+        ker, co = spaces.q.ker, spaces.q.co
+        assert (ker.basis is co.basis) == (kind == "orthogonal")
+        assert ker.dim == co.dim and equals(ker, kernel_of(prob.q))
         (rep, near, diagnose_qrs), (rep_svd, near_svd, _) = self._on_both_paths(prob)
         assert (rep, near) == (rep_svd, near_svd)
         assert near == (kind == "straddling")
         if kind != "straddling":  # Ran(p) is one QR more; no repeat runs
             assert diagnose_qrs == qrs + 1
+
+    @pytest.mark.parametrize("order", [("ran", "co", "ker"), ("ker", "co", "ran")],
+                             ids=["ran_first", "ker_first"])
+    @pytest.mark.parametrize("kind, calls", [("orthogonal", {"svd": 0, "qr": 1}),
+                                             ("oblique", {"svd": 0, "qr": 2}),
+                                             ("straddling", {"svd": 1, "qr": 1})])
+    def test_p_and_q_read_their_bases_by_one_rule(self, count_linalg, kind, calls, order):
+        # one idempotent m as both p and q of a bare view: each side reads
+        # Ran(m), Ran(m)^⊥ and Ker(m) with the same calls in either order,
+        # of dimensions r, n - r and n - r, and Ker(m) is m's SVD null space;
+        # an orthogonal projector's kernel is its held complement, no QR more
+        n, r = 48, 20
+        rng = np.random.default_rng(7)
+        if kind == "straddling":
+            m = straddling_idempotent(rng, n, r)
+        else:
+            u = np.linalg.qr(_complex_normal(rng, n, r))[0]
+            m = u @ u.conj().T if kind == "orthogonal" else _oblique(rng, u, 1e3)
+        spaces = prescribed._Spaces(None, m, m, DEFAULT_TOL)
+        for view in (spaces.p, spaces.q):
+            def run():
+                for name in order:
+                    getattr(view, name)
+
+            assert count_linalg(run, ("svd", "qr")) == calls
+            ran, co, ker = view.ran, view.co, view.ker
+            dim = r + (kind == "straddling")  # the straddling SVD counts rank_rtol 10^0.5
+            assert (ran.dim, co.dim, ker.dim) == (dim, n - dim, n - dim)
+            assert equals(ker, kernel_of(m)) and equals(ran, range_of(m))
+            assert (ker.basis is co.basis) == (kind == "orthogonal")
 
     @pytest.mark.parametrize("fn", [diagnose, outer_inverse, one_two_inverse_strict])
     def test_below_the_crossover_no_qr_is_taken(self, count_linalg, fn):
@@ -1145,7 +1182,7 @@ class TestSharedSubspaces:
     def _assert_ker_q_is_ran_1mq(q):
         # q and 1-q as a problem holds them, each snapped to 0 when it is noise
         prob = PqProblem(np.eye(q.shape[0]), q, q)
-        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL).ker_q
+        ker_q = prescribed._Spaces(prob.a, prob.p, prob.q, DEFAULT_TOL).q.ker
         ran_1mq = range_of(prob.one_minus_q)
         assert ker_q.dim == ran_1mq.dim
         assert equals(ker_q, ran_1mq)

@@ -54,7 +54,8 @@ shows decomposition-count changes next to output changes.  Covered:
 * on one line, for each t in CERTIFICATE_T, how many of the 2 x
   OBLIQUE_SEEDS idempotents p and q of ``oblique_instance(rng, n, t)`` at
   n = CERTIFICATE_N ``densela.idempotent_bases`` accepts and how many it
-  leaves to the SVD, then the same for the seed-0
+  leaves to the SVD, and, where ``densela.idempotent_kernel`` exists, for
+  how many Ker(m) is taken without an SVD, then the same for the seed-0
   ``straddling_idempotent`` (both from this checkout's
   ``tests/matrix_generators.py``), whose singular values straddle the
   rank cutoff; a checkout with no ``idempotent_bases`` takes every basis
@@ -350,10 +351,16 @@ def _certificate_line(densela) -> str:
     if not hasattr(densela, "idempotent_bases"):
         return f"{label}  no idempotent_bases: every basis from the SVD"
     generators = _generators()
+    kernel = getattr(densela, "idempotent_kernel", None)
 
     def cell(name: str, matrices: list) -> str:
-        accepted = sum(densela.idempotent_bases(m, complement=True) is not None for m in matrices)
-        return f"{name}:accept={accepted},fallback={len(matrices) - accepted}"
+        accepted = kernels = 0
+        for m in matrices:
+            if (bases := densela.idempotent_bases(m)) is not None:
+                accepted += 1
+                kernels += kernel is not None and kernel(m, bases[-1]) is not None
+        out = f"{name}:accept={accepted},fallback={len(matrices) - accepted}"
+        return out if kernel is None else f"{out},kernel={kernels}"
 
     cells = []
     for t in CERTIFICATE_T:
