@@ -34,7 +34,8 @@ C = N^H a U, r = dim Ran(p): the candidate that the compute functions
 return and :func:`diagnose` validates takes one SVD of C, which decides
 that C is invertible and inverts it, never an n x n group inverse.  The
 public route formulas take any admissible w and evaluate the paper's
-expressions as written.
+expressions as written; the group and inner routes read (a w)^#, (w a)^#
+and (w a w)^+ off one SVD of w, truncated at its rank.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .densela import (
     PRODUCT_NOISE,
     Factored,
     Tolerances,
+    adjoint,
     as_matrix,
     check_residual,
     eigenvalues,
@@ -77,8 +79,6 @@ from .errors import (
 from .ginv import (
     drazin_inverse,
     factored_group_inverse,
-    group_inverse,
-    inner_inverse,
     moore_penrose,
 )
 
@@ -709,41 +709,76 @@ def _route_operands(a, w) -> tuple[np.ndarray, np.ndarray]:
     return a, w
 
 
-def _group_route(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The group-route value b = w (a w)^# together with (w a)^#.
+def _group_route(a: np.ndarray, w: np.ndarray,
+                 tol: Tolerances) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The group-route value b = w (a w)^#, (w a)^#, and the factors
+    (U, s, V^H, V^H a U S) that :func:`_factored_pinv` reads (w a w)^+ off.
 
-    One full-rank factorization a w = F G decides the precondition and
-    gives (a w)^#: rank(a w) = rank(w) - dim(Ker(a) ∩ Ran(w)), so
-    Ker(a) ∩ Ran(w) = {0} exactly when F has rank(w) columns.  Every
-    cross-check of :func:`group_formula` runs here, so each caller of the
-    group route gets them all.
+    One SVD of w = U S V^H, truncated at k = rank(w), factors both products:
+    once rank(a w) = k, a w = (a U S) V^H and (w a)^H = (a^H V S) U^H are
+    full-rank factorizations with orthonormal G, so Cline's F (G F)^-2 G
+    (:func:`ginv.factored_group_inverse`) gives (a w)^# from the k x k core
+    V^H a U S and (w a)^# as the adjoint of its value on the core
+    U^H a^H V S.  As rank(a w) = rank(w) - dim(Ker(a) ∩ Ran(w)), the
+    precondition Ker(a) ∩ Ran(w) = {0} is rank(a w) = k, with rank(a w)
+    read off a w's own singular values.  Every cross-check of
+    :func:`group_formula` runs here, so each caller of the group route
+    gets them all.
     """
+    f = svd(w)
+    k = f.rank(tol)
+    u, s, vh = f.u[:, :k].copy(), f.s[:k], f.vh[:k].copy()
+    del f  # the whole n x n factors are not held through the route
     aw = a @ w
-    f, g = rank_factorization(aw, tol)
-    if f.shape[1] != rank(w, tol):
+    # rank(a U S) at its own scale would read an n x k a U S that is all
+    # noise, as when Ker(a) ∩ Ran(w) = Ran(w), as rank k; the noise of a w
+    # spreads over its n columns, so a w's own singular values show the loss
+    if rank(aw, tol) != k:
         raise NonexistentInverseError("Ker(a) ∩ Ran(w) ≠ {0}")
-    g_aw = factored_group_inverse(f, g @ f, g, tol)
-    del f, g  # G is a view of the SVD's whole n x n factor; not held through (w a)^#
+    fw = a @ (u * s)
+    core = vh @ fw
+    g_aw = factored_group_inverse(fw, core, vh, tol)
+    del fw
     # (w a)^# is factored only when (a w)^# exists
-    if g_aw is None or (g_wa := group_inverse(w @ a, tol)) is None:
+    if g_aw is None or (g_wa := _adjoint_group(a, u, s, vh, tol)) is None:
         raise NonexistentInverseError("aw (or wa) has no group inverse")
     b = w @ g_aw
     b_alt = g_wa @ w
     check_residual(frob(b - b_alt), eq_bound(b, b_alt, tol), "(wa)^# w and w (aw)^# disagree")
+    del b_alt
     # the anchor identities, with c = (aw)^#
     anchor = w @ aw @ g_aw
     check_residual(frob(anchor - w), eq_bound(anchor, w, tol), "w a w c = w failed")
+    del anchor
     anchor_b = b @ aw @ g_aw
     check_residual(frob(anchor_b - b), eq_bound(anchor_b, b, tol), "b a w c = b failed")
-    return b, g_wa
+    return b, g_wa, (u, s, vh, core)
+
+
+def _adjoint_group(a: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
+                   tol: Tolerances) -> np.ndarray | None:
+    """(w a)^# for w = U S V^H, or None when w a has index above one: the
+    adjoint of the group inverse of (w a)^H = (a^H V S) U^H."""
+    f2 = adjoint(a) @ (adjoint(vh) * s)
+    uh = adjoint(u)
+    g = factored_group_inverse(f2, uh @ f2, uh, tol)
+    return None if g is None else adjoint(g)
+
+
+def _factored_pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, core: np.ndarray,
+                   tol: Tolerances) -> np.ndarray:
+    """(w a w)^+ = V K^+ U^H for w = U S V^H and the core V^H a U S:
+    w a w = U K V^H with K = S V^H a U S, and U and V are orthonormal, so
+    K has the singular values of w a w and one SVD of K decides its rank."""
+    return adjoint(vh) @ svd(s[:, None] * core).pinv(tol) @ adjoint(u)
 
 
 def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """w (a w)^#, cross-checked against (w a)^# w and the anchor identities.
 
+    Both group inverses are read off one SVD of w (:func:`_group_route`).
     Raises NonexistentInverseError when Ker(a) ∩ Ran(w) ≠ {0}, decided as
-    rank(a w) ≠ rank(w) on the full-rank factorization a w = F G that also
-    gives (a w)^#, each rank at its own matrix's scale.  The anchor
+    rank(a w) ≠ rank(w), each rank at its own matrix's scale.  The anchor
     identities  w a w c = w  and  b a w c = b  with
     c = (a w)^# pin down that w really carries the prescribed range and
     kernel; their failure indicates a precondition violation rather than
@@ -753,17 +788,20 @@ def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """w (w a w)^- w with the canonical inner inverse.
+    """w (w a w)^- w with the canonical inner inverse, the Moore-Penrose
+    (w a w)^+, read off the SVD of w that gives the group route's value.
 
     Agreement with the group formula, and the explicit inner-inverse
     witness x = a ((w a)^#)^2 for w a w, are both asserted.
     """
     a, w = _route_operands(a, w)
-    b_ref, g_wa = _group_route(a, w, tol)
-    m = w @ a @ w
-    b = w @ inner_inverse(m, tol) @ w
+    b_ref, g_wa, factors = _group_route(a, w, tol)
+    b = w @ _factored_pinv(*factors, tol) @ w
+    del factors
     check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
                    "inner formula disagrees with group formula")
+    del b_ref
+    m = w @ a @ w
     mxm = m @ (a @ g_wa @ g_wa) @ m
     check_residual(frob(mxm - m), eq_bound(mxm, m, tol),
                    "explicit witness failed (w a w) x (w a w) = w a w")

@@ -10,7 +10,7 @@ from pqinv import subspace as sub
 from pqinv.cli import main, write_matrix
 from pqinv.densela import DEFAULT_TOL, Tolerances, frob
 from pqinv.errors import NonexistentInverseError, NumericalError, ShapeError, SpectrumError
-from pqinv.ginv import drazin_inverse, moore_penrose
+from pqinv.ginv import drazin_inverse, group_inverse, moore_penrose
 from pqinv.prescribed import (
     PqProblem,
     diagnose,
@@ -1361,11 +1361,11 @@ class TestGroupFormula:
             seen.add((style, reference))
         assert seen == {(0, False), (1, False), (1, True), (2, True)}
 
-    def test_one_factorization_of_aw(self, monkeypatch):
-        # a w's full SVD gives rank(a w) and the factors of (a w)^#; rank(w)
-        # takes singular values only, each of the two r x r cores one SVD
-        # that decides and inverts it, and no basis of Ker(a) or Ran(w) is
-        # built
+    def test_one_factorization_of_w(self, monkeypatch):
+        # w's full SVD gives rank(w) and the factors of both (a w)^# and
+        # (w a)^#; rank(a w) takes singular values only, each of the two
+        # r x r cores one SVD that decides and inverts it, and no basis of
+        # Ker(a) or Ran(w) is built
         svd = np.linalg.svd
         calls = []
 
@@ -1376,8 +1376,7 @@ class TestGroupFormula:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         b = group_formula(np.diag([2.0, 4.0, 1.0, 3.0]), np.diag([1.0, 1.0, 0.0, 0.0]))
         assert frob(b - np.diag([0.5, 0.25, 0.0, 0.0])) <= 1e-14
-        assert calls == [((4, 4), True), ((4, 4), False), ((2, 2), True),
-                         ((4, 4), True), ((2, 2), True)]
+        assert calls == [((4, 4), True), ((4, 4), False), ((2, 2), True), ((2, 2), True)]
 
     @pytest.mark.parametrize("formula", [group_formula, inner_formula])
     def test_kernel_of_a_is_read_at_the_scale_of_a_w(self, formula):
@@ -1396,12 +1395,78 @@ class TestGroupFormula:
     @pytest.mark.parametrize("formula", [group_formula, inner_formula])
     def test_a_w_without_group_inverse_skips_w_a(self, formula, count_linalg):
         # a w = [[0, 0], [1, 0]] has the rank of w but index 2: the route
-        # raises after the SVDs of a w and w, before (w a)^# is factored
+        # raises after the SVDs of w and a w, before (w a)^# is factored
         def run():
             with pytest.raises(NonexistentInverseError, match="aw \\(or wa\\) has no group inverse"):
                 formula(np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
 
         assert count_linalg(run) == {"svd": 2}
+
+    @pytest.mark.parametrize("formula", [group_formula, inner_formula])
+    def test_a_that_kills_a_rank_one_w_is_rejected(self, formula, rng):
+        # a = M (1 - x x^H) maps Ran(w) = span(x) to noise.  a U S is then an
+        # n x 1 column of noise, rank 1 = rank(w) at its own scale; a w's
+        # noise is rank n at its own scale, so the decision stays on a w's
+        # singular values, where Ker(a) ∩ Ran(w) = Ran(w) shows
+        for n in range(2, 17):
+            w = _complex_normal(rng, n, 1) @ _complex_normal(rng, 1, n)
+            x = range_of(w).basis
+            a = _complex_normal(rng, n, n) @ (np.eye(n) - x @ x.conj().T)
+            with pytest.raises(NonexistentInverseError, match="Ker\\(a\\) ∩ Ran\\(w\\) ≠ \\{0\\}"):
+                formula(a, w)
+
+    def test_inverses_off_the_svd_of_w_match_the_classical_ones(self, rng):
+        # (w a)^# and (w a w)^+ read off w = U S V^H against ginv's own, on
+        # random rank-deficient w and on diagonalizable instances' witnesses
+        pairs = []
+        for _ in range(50):
+            n = int(rng.integers(2, 17))
+            k = int(rng.integers(1, n))
+            pairs.append((_complex_normal(rng, n, n),
+                          _complex_normal(rng, n, k) @ _complex_normal(rng, k, n)))
+        for n in (2, 5, 8, 16):
+            inst = diagonalizable_instance(rng, n, r=n // 2)
+            pairs.append((inst["a"], inst["w"]))
+            pairs.append((inst["a"], matrix_with_range_kernel(inst["p"], inst["q"])))
+        for a, w in pairs:
+            _, g_wa, factors = prescribed._group_route(a, w, DEFAULT_TOL)
+            ref = group_inverse(w @ a)
+            assert frob(g_wa - ref) <= densela.eq_bound(g_wa, ref)
+            pinv = prescribed._factored_pinv(*factors, DEFAULT_TOL)
+            ref = moore_penrose(w @ a @ w)
+            assert frob(pinv - ref) <= densela.eq_bound(pinv, ref)
+
+    def test_no_full_svd_of_a_w_w_a_or_w_a_w(self, monkeypatch):
+        # at n = 16: group_formula takes one full SVD, of w, and the
+        # values of a w; the inner route adds to the group route the full
+        # SVDs of w and of its value b, for the gaps, and the values of a w
+        inst = diagonalizable_instance(np.random.default_rng(3), 16, r=8)
+        a, prob = inst["a"], PqProblem(inst["a"], inst["p"], inst["q"])
+        w = matrix_with_range_kernel(prob.p, prob.q)
+        svd = np.linalg.svd
+        calls = []
+
+        def recording_svd(m, *args, **kwargs):
+            if m.shape == (16, 16):
+                calls.append((m.copy(), kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+
+        def full_and_values(run):
+            calls.clear()
+            out = run()
+            return [m for m, uv in calls if uv], [m for m, uv in calls if not uv], out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        full, values, _ = full_and_values(lambda: group_formula(a, inst["w"]))
+        assert len(full) == 1 and len(values) == 1
+        assert np.array_equal(full[0], inst["w"]) and np.array_equal(values[0], a @ inst["w"])
+        group_full, group_values, _ = full_and_values(lambda: outer_inverse(prob, "group"))
+        full, values, res = full_and_values(lambda: outer_inverse(prob, "inner"))
+        assert len(full) == len(group_full) + 2 and len(values) == len(group_values) + 1
+        assert np.array_equal(full[-1], res.b)
+        products = (a @ w, w @ a, w @ a @ w)
+        for m in full:
+            assert all(frob(m - x) > 1e-8 * frob(x) for x in products)
 
 
 @pytest.mark.parametrize("formula", [group_formula, inner_formula])
