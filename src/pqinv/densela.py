@@ -12,7 +12,8 @@ here: :func:`count_rank` turns singular values into a rank,
 (with :data:`PRODUCT_NOISE` the floor for products) and :func:`snap`
 replaces such a matrix by an exact zero, :func:`solve_core`
 decides on one SVD whether the r x r core of a factorization is
-invertible and solves with it, and :meth:`Tolerances.to_json_dict` is the
+invertible and solves with it (the (p,q) candidate's, the group
+inverse's and the Drazin inverse's cores alike), and :meth:`Tolerances.to_json_dict` is the
 one serialised form of the thresholds.  :func:`svd`, :func:`idempotent_bases`
 and :func:`idempotent_kernel` (their QRs), :func:`solve` and
 :func:`eigenvalues` are the package's one calls of LAPACK; the
@@ -503,14 +504,12 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return svd(a, compute_uv=False).rank(tol)
 
 
-def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL,
-               norm: float | None = None) -> np.ndarray | None:
+def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """core^-1 rhs for an r x r ``core`` that a factorization needs invertible,
     or None when it is not: the one decision of whether such a core is.
 
     The core counts as singular when it is noise at ``floor`` (the rounding
-    floor of its factors, :func:`is_noise`, read from ``norm`` when the
-    caller has taken ||core||_F) or when the rank of its one SVD
+    floor of its factors, :func:`is_noise`) or when the rank of its one SVD
     is below r; otherwise that SVD's pseudo-inverse X, after one Newton step
     X + X (1 - core X), solves, and no second factorization of the core is
     taken.  The step brings the residual 1 - core X down to an LU solve's
@@ -519,18 +518,19 @@ def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL,
     core raises ShapeError, and a 0 x 0 core gives the 0 x m zero matrix,
     without LAPACK.
     """
-    return _solve_core(core, rhs, floor, tol, norm)[0]
+    return _solve_core(core, rhs, floor, tol)[0]
 
 
-def _solve_core(core, rhs, floor: float, tol: Tolerances,
-                norm: float | None) -> tuple[np.ndarray | None, Factored | None]:
+def _solve_core(core, rhs, floor: float,
+                tol: Tolerances) -> tuple[np.ndarray | None, Factored | None]:
     """(:func:`solve_core`'s answer, the core's SVD or None when none was
-    taken): a caller that goes on to factor a refused core reads that SVD
-    instead of taking a second one of the same matrix."""
+    taken): the Drazin inverse, which first tries a itself as its core,
+    starts its staircases on the SVD that refused a instead of taking a
+    second one of the same matrix."""
     r = _require_square(core, "core").shape[0]
     if r == 0:
         return np.zeros((0, rhs.shape[1]), dtype=np.complex128), None
-    if is_noise(core, floor, norm):
+    if is_noise(core, floor):
         return None, None
     if (f := svd(core)).rank(tol) < r:
         return None, f
@@ -571,11 +571,7 @@ def rank_factorization(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np
     to the singular-value scaling; consumers must be invariant under the
     regauging F -> F M, G -> M^-1 G.
     """
-    return _rank_factors(svd(as_matrix(a)), tol)
-
-
-def _rank_factors(f: Factored, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rank_factorization`'s F and G, read off the full SVD ``f``."""
+    f = svd(as_matrix(a))
     r = f.rank(tol)
     return f.u[:, :r] * f.s[:r], f.vh[:r, :]
 

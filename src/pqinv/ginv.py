@@ -2,12 +2,15 @@
 
 Covers the inner ({1}), reflexive ({1,2}), Moore-Penrose, group and
 Drazin inverses.  These are the building blocks the prescribed-idempotent
-constructions consume.
+constructions consume.  The group and Drazin inverses are outer inverses
+with a prescribed range and kernel, and both invert their r x r core by
+:func:`densela.solve_core`, the one rule of every (p,q) candidate: G F of
+a full-rank factorization for the group inverse, N^H a U on the bases of
+two unitary staircases for the Drazin inverse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +20,8 @@ from .densela import (
     PRODUCT_NOISE,
     Factored,
     Tolerances,
-    _rank_factors,
     _solve_core,
+    adjoint,
     as_matrix,
     check_residual,
     eq_bound,
@@ -26,6 +29,7 @@ from .densela import (
     rank_factorization,
     rounding_bound,
     snap,
+    solve_core,
     svd,
 )
 from .errors import NumericalError, ShapeError
@@ -88,23 +92,14 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     decides the rank and inverts the core; at r = 0 F G is 0, and so is
     its group inverse.
     """
-    return _group_of_core(f, gf, g, _core_floor(f), None, tol)[0]
+    core = solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), _core_floor(f), tol)
+    return None if core is None else f @ core @ core @ g
 
 
 def _core_floor(f: np.ndarray) -> float:
     """The rounding floor of the core G F, for G with r orthonormal rows."""
     # G has orthonormal rows, so its norm is sqrt(r)
     return PRODUCT_NOISE * frob(f) * np.sqrt(f.shape[1])
-
-
-def _group_of_core(f: np.ndarray, gf: np.ndarray, g: np.ndarray, floor: float,
-                   norm: float | None,
-                   tol: Tolerances) -> tuple[np.ndarray | None, Factored | None]:
-    """(:func:`factored_group_inverse` at the core's ``floor``, the SVD of
-    G F that decided it, or None when G F is noise), reading ||G F||_F from
-    ``norm`` when the caller has taken it."""
-    core, factored = _solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), floor, tol, norm)
-    return (None if core is None else f @ core @ core @ g), factored
 
 
 @dataclass(frozen=True)
@@ -117,49 +112,67 @@ class DrazinResult:
 
 
 def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
-    """Drazin inverse and index by Cline's factor sequence (:func:`_cline`),
-    with the three defining identities validated: a failure raises
-    NumericalError rather than handing back a silently inaccurate result."""
+    """Drazin inverse and index as the outer inverse with range Ran(a^k)
+    and kernel Ker(a^k), k = ind a, with the three defining identities
+    validated: a failure raises NumericalError rather than handing back a
+    silently inaccurate result.
+
+    In the paper's terms a^D = a^(2)_{p,q} with p = 1 - a^π and q = a^π,
+    so a^D = U (N^H a U)^-1 N^H for orthonormal bases U of Ran(a^k) and N
+    of Ker(a^k)^⊥ (Y. Wei, Linear Algebra Appl. 280 (1998) 87-96): the
+    core N^H a U is decided and inverted by :func:`densela.solve_core`,
+    the rank rule and Newton step of every (p,q) candidate.  One SVD of a
+    decides k = 0, where U = N = 1 and that SVD inverts a.  Otherwise it
+    starts two unitary staircases (:func:`_staircase`), one on a, whose
+    basis is N, and one on a^H, whose basis spans Ker((a^H)^k)^⊥ = Ran(a^k)
+    and is U; no power of a is formed.  Each reads k and r = rank a^k off
+    its own blocks, and when the two disagree NumericalError is raised.
+    """
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if n != a.shape[1]:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
-    d, k, r = _cline(a, tol)
-    spectral = np.eye(a.shape[0], dtype=np.complex128) - _validate_drazin(a, d, k, r, tol)
+    # a is no product: only the zero matrix is noise
+    d, f = _solve_core(a, np.eye(n, dtype=np.complex128), 0.0, tol)
+    k, r = 0, n
+    if d is None:
+        f = svd(a) if f is None else f
+        nh, k = _staircase(f, tol)
+        uh, k_adjoint = _staircase(Factored(adjoint(f.vh), f.s, adjoint(f.u)), tol)
+        r = nh.shape[0]
+        if (k, r) != (k_adjoint, uh.shape[0]):
+            raise NumericalError(f"the Drazin staircases of a and a^H disagree: index {k} "
+                                 f"and rank {r} against {k_adjoint} and {uh.shape[0]}")
+        u = adjoint(uh)
+        # N and U have unit columns, so the factors' norms are sqrt(r) each
+        x = solve_core(nh @ a @ u, nh, PRODUCT_NOISE * r * frob(a), tol)
+        if x is None:
+            raise NumericalError(f"the Drazin core N^H a U of rank {r} is singular")
+        d = u @ x
+    spectral = np.eye(n, dtype=np.complex128) - _validate_drazin(a, d, k, r, tol)
     check_residual(frob(spectral @ spectral - spectral), eq_bound(spectral, spectral, tol),
                    "spectral idempotent failed the idempotency check")
     return DrazinResult(inverse=d, index=k, spectral_idempotent=spectral)
 
 
-def _cline(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, int]:
-    """(a^D, ind a, r) by Cline's factor sequence (SIAM J. Numer. Anal. 5
-    (1968) 182-197): from m_0 = a, m_j = F_j G_j by :func:`rank_factorization`
-    and m_(j+1) = G_j F_j, of falling rank, until :func:`factored_group_inverse`
-    finds m_k group invertible.  (F G)^D = F ((G F)^D)^2 G unrolls to
-    a^D = F_0 ... F_(k-1) (m_k^#)^(k+1) G_(k-1) ... G_0, whose rounding errors
-    add where the nested form's double per level; ind a is k, plus one when
-    m_k is singular, and r = rank m_k is the rank of a a^D.  a is scaled
-    exactly, by a power of two, to keep the k-fold products in range; G F at
-    its rounding floor is snapped to 0.
+def _staircase(factored: Factored, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """(B^H, k) for the singular square m whose full SVD is ``factored``:
+    k = ind m and B an orthonormal basis of Ker(m^k)^⊥, by the unitary
+    staircase (G. H. Golub and J. H. Wilkinson, SIAM Rev. 18 (1976)
+    578-619).  With m = U S V^H of rank r and V = [V_r | V_0], m V_0 = 0
+    and m V_r = U_r S_r has full column rank, so Ker(m^(j+1))^⊥ =
+    V_r Ker(M^j)^⊥ for the r x r block M = V_r^H m V_r = V_r^H (U_r S_r).
+    Each block is snapped at its product's rounding floor and factored in
+    turn, until the rank rule reads one invertible; the levels taken are
+    k, and B^H is the product of the V_r^H.
     """
-    scale = 2.0 ** math.frexp(frob(a))[1]
-    m, left, right, factored = a / scale, None, None, None
-    for k in range(a.shape[0] + 1):  # the rank falls at every step
-        # a refused core is factored by the SVD that refused it
-        f, g = rank_factorization(m, tol) if factored is None else _rank_factors(factored, tol)
-        r = f.shape[1]
-        floor, gf = _core_floor(f), g @ f
-        norm = frob(gf)  # one norm for the snap and the core's noise test
-        gf = snap(gf, floor, norm)
-        group, factored = _group_of_core(f, gf, g, floor, norm, tol)
-        if group is not None:
-            break
-        left = f if left is None else left @ f
-        right = g if right is None else g @ right
-        m = gf
-    else:  # pragma: no cover - a core's rank cannot stay put n + 1 times
-        raise NumericalError("the factor ranks failed to fall")
-    d = group if k == 0 else left @ np.linalg.matrix_power(group, k + 1) @ right
-    return d / scale, k + int(r < m.shape[0]), r
+    basis, k = None, 0
+    # the block shrinks at every level, so a 0 x 0 one ends the descent
+    while (r := factored.rank(tol)) < factored.s.size:
+        g, f = factored.vh[:r], factored.u[:, :r] * factored.s[:r]
+        basis = g if basis is None else g @ basis
+        factored, k = svd(snap(g @ f, _core_floor(f))), k + 1
+    return basis, k
 
 
 def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, r: int, tol: Tolerances) -> np.ndarray:
@@ -167,17 +180,17 @@ def _validate_drazin(a: np.ndarray, d: np.ndarray, k: int, r: int, tol: Toleranc
     at its products' rounding floor (:func:`densela.rounding_bound`): a^k of
     a nilpotent part is the noise of k products.  Then the certificate:
     a d is idempotent, so its trace is its rank, which must read r, the
-    rank of the core the factor sequence ended on, to within 0.5.  It
+    rank of a^k that the staircases read, to within 0.5.  It
     catches a d that misses a core eigenvalue whose part of a^k the others
     swamp.  A non-finite residual fails :func:`densela.check_residual`.
     Returns a d, which the spectral idempotent 1 - a d reads."""
     ad, da = a @ d, d @ a
     norm_a = np.float64(frob(a))  # a float64 power overflows to inf, not an error
+    power = np.linalg.matrix_power(a, k)
     checks = {
         "outer": (d @ ad, d, 0.0),
         "commute": (ad, da, 0.0),
-        "power": (np.linalg.matrix_power(a, k + 1) @ d, np.linalg.matrix_power(a, k),
-                  norm_a ** k * (1.0 + norm_a * frob(d))),
+        "power": (power @ ad, power, norm_a ** k * (1.0 + norm_a * frob(d))),
     }
     for name, (lhs, rhs, scale) in checks.items():
         check_residual(frob(lhs - rhs), rounding_bound(lhs, rhs, scale, tol),

@@ -712,7 +712,7 @@ def _route_operands(a, w) -> tuple[np.ndarray, np.ndarray]:
 def _group_route(a: np.ndarray, w: np.ndarray,
                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The group-route value b = w (a w)^#, (w a)^#, and the factors
-    (U, s, V^H, V^H a U S) that :func:`_factored_pinv` reads (w a w)^+ off.
+    (U, s, V^H, V^H a U S) that :func:`_inner_value` reads w (w a w)^+ w off.
 
     One SVD of w = U S V^H, truncated at k = rank(w), factors both products:
     once rank(a w) = k, a w = (a U S) V^H and (w a)^H = (a^H V S) U^H are
@@ -745,12 +745,13 @@ def _group_route(a: np.ndarray, w: np.ndarray,
     b = w @ g_aw
     b_alt = g_wa @ w
     check_residual(frob(b - b_alt), eq_bound(b, b_alt, tol), "(wa)^# w and w (aw)^# disagree")
-    del b_alt
-    # the anchor identities, with c = (aw)^#
-    anchor = w @ aw @ g_aw
+    # the anchor identities, with c = (aw)^#, on one a w c
+    awc = aw @ g_aw
+    del b_alt, aw, g_aw
+    anchor = w @ awc
     check_residual(frob(anchor - w), eq_bound(anchor, w, tol), "w a w c = w failed")
     del anchor
-    anchor_b = b @ aw @ g_aw
+    anchor_b = b @ awc
     check_residual(frob(anchor_b - b), eq_bound(anchor_b, b, tol), "b a w c = b failed")
     return b, g_wa, (u, s, vh, core)
 
@@ -765,12 +766,13 @@ def _adjoint_group(a: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
     return None if g is None else adjoint(g)
 
 
-def _factored_pinv(u: np.ndarray, s: np.ndarray, vh: np.ndarray, core: np.ndarray,
-                   tol: Tolerances) -> np.ndarray:
-    """(w a w)^+ = V K^+ U^H for w = U S V^H and the core V^H a U S:
-    w a w = U K V^H with K = S V^H a U S, and U and V are orthonormal, so
-    K has the singular values of w a w and one SVD of K decides its rank."""
-    return adjoint(vh) @ svd(s[:, None] * core).pinv(tol) @ adjoint(u)
+def _inner_value(u: np.ndarray, s: np.ndarray, vh: np.ndarray, core: np.ndarray,
+                 tol: Tolerances) -> np.ndarray:
+    """w (w a w)^+ w = (U S) K^+ (S V^H) for w = U S V^H and the core
+    V^H a U S: w a w = U K V^H with K = S V^H a U S, and U and V are
+    orthonormal, so (w a w)^+ = V K^+ U^H, K has the singular values of
+    w a w, and one SVD of K decides its rank."""
+    return (u * s) @ svd(s[:, None] * core).pinv(tol) @ (s[:, None] * vh)
 
 
 def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -796,7 +798,7 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a, w = _route_operands(a, w)
     b_ref, g_wa, factors = _group_route(a, w, tol)
-    b = w @ _factored_pinv(*factors, tol) @ w
+    b = _inner_value(*factors, tol)
     del factors
     check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
                    "inner formula disagrees with group formula")

@@ -282,8 +282,8 @@ class TestDrazin:
         assert frob(res.inverse - d_ref) <= 1e-12
 
     def test_mildly_graded_core_is_accepted(self):
-        # core magnitudes over [1e-2, 1]: accepted, and near V J^+ V^-1 (the
-        # refusals from 1e3 on are open)
+        # core magnitudes over [1e-2, 1]: accepted, and near V J^+ V^-1, which
+        # is an oracle up to kappa = 1e2 only
         for seed in range(12):
             n = (8, 16, 32)[seed % 3]
             a, d_ref = graded_core_matrix(np.random.default_rng(seed), n, 1e2)
@@ -307,31 +307,77 @@ class TestDrazin:
         with pytest.raises(NumericalError, match="axiom 'outer'"):
             _validate_drazin(IDEM, d, 1, 1, DEFAULT_TOL)
 
-    def test_factor_sequence_takes_no_power_decomposition(self, count_linalg, monkeypatch):
-        # index 3: a factored once, and each core decided on one SVD, which
-        # factors the two refused cores and solves on the last; no solve, no
-        # matrix factored twice, no pseudo-inverse
+    def test_staircases_take_no_power_decomposition(self, count_linalg, monkeypatch):
+        # index 3: a factored once, its SVD starting both staircases, which
+        # factor three blocks each; one SVD of the core solves.  No solve, no
+        # matrix factored twice, no pseudo-inverse, and the one power of a is
+        # the validation's a^k
         from pqinv import ginv
 
         a = varied_index_matrix(np.random.default_rng(0), 16, core=8)["a"]
-        shapes, factored = [], set()
-        lapack_svd = np.linalg.svd
+        shapes, factored, powers = [], set(), []
+        lapack_svd, lapack_power = np.linalg.svd, np.linalg.matrix_power
 
         def svd(m, compute_uv=True):
             shapes.append(m.shape)
             factored.add(m.tobytes())
             return lapack_svd(m, compute_uv=compute_uv)
 
+        def matrix_power(m, k):
+            powers.append(k)
+            return lapack_power(m, k)
+
         def no_pinv(*args, **kwargs):
             raise AssertionError("moore_penrose called")
 
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "matrix_power", matrix_power)
         monkeypatch.setattr(ginv, "moore_penrose", no_pinv)
         result = {}
         counts = count_linalg(lambda: result.update(dz=drazin_inverse(a)), ("svd", "solve"))
         assert result["dz"].index == 3
-        assert counts == {"svd": 4, "solve": 0}
+        assert counts == {"svd": 8, "solve": 0}
         assert shapes.count(a.shape) == 1 and len(factored) == len(shapes)
+        assert powers == [3]
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e4])
+    def test_graded_core_is_accepted(self, kappa):
+        # the seeds and sizes of the stability line's graded-core count; the
+        # axioms are checked here, not V J^+ V^-1, which is no oracle past
+        # kappa = 1e2
+        for seed in range(100):
+            n = (8, 16, 32)[seed % 3]
+            a, _ = graded_core_matrix(np.random.default_rng(seed), n, kappa)
+            res = drazin_inverse(a)
+            d, pi = res.inverse, res.spectral_idempotent
+            assert res.index >= 1
+            assert abs(np.trace(a @ d) - n // 2) <= 1e-8
+            assert frob(d @ a @ d - d) <= 1e-10 * frob(d)
+            assert frob(a @ d - d @ a) <= 1e-10 * frob(a) * frob(d)
+            power = np.linalg.matrix_power(a, res.index)
+            assert frob(power @ a @ d - power) <= 1e-10 * frob(power) * frob(a) * frob(d)
+            assert frob(pi @ pi - pi) <= 1e-10 * frob(pi)
+
+    @pytest.mark.parametrize("skew", ["index", "rank"])
+    def test_staircase_disagreement_is_refused(self, monkeypatch, skew):
+        # the staircase of a^H runs second; whatever it reads against that
+        # of a, no value is returned
+        from pqinv import ginv
+
+        staircase, runs = ginv._staircase, []
+
+        def skewed(factored, tol):
+            basis, k = staircase(factored, tol)
+            runs.append(k)
+            if len(runs) == 2:
+                return (basis, k + 1) if skew == "index" else (basis[1:], k)
+            return basis, k
+
+        monkeypatch.setattr(ginv, "_staircase", skewed)
+        a = varied_index_matrix(np.random.default_rng(0), 16, core=8)["a"]
+        with pytest.raises(NumericalError, match=r"^the Drazin staircases of a and a\^H disagree"):
+            drazin_inverse(a)
+        assert runs == [3, 3]
 
 
 class TestGiIdempotents:

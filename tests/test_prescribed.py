@@ -1416,7 +1416,7 @@ class TestGroupFormula:
                 formula(a, w)
 
     def test_inverses_off_the_svd_of_w_match_the_classical_ones(self, rng):
-        # (w a)^# and (w a w)^+ read off w = U S V^H against ginv's own, on
+        # (w a)^# and w (w a w)^+ w read off w = U S V^H against ginv's own, on
         # random rank-deficient w and on diagonalizable instances' witnesses
         pairs = []
         for _ in range(50):
@@ -1432,9 +1432,9 @@ class TestGroupFormula:
             _, g_wa, factors = prescribed._group_route(a, w, DEFAULT_TOL)
             ref = group_inverse(w @ a)
             assert frob(g_wa - ref) <= densela.eq_bound(g_wa, ref)
-            pinv = prescribed._factored_pinv(*factors, DEFAULT_TOL)
-            ref = moore_penrose(w @ a @ w)
-            assert frob(pinv - ref) <= densela.eq_bound(pinv, ref)
+            inner = prescribed._inner_value(*factors, DEFAULT_TOL)
+            ref = w @ moore_penrose(w @ a @ w) @ w
+            assert frob(inner - ref) <= densela.eq_bound(inner, ref)
 
     def test_no_full_svd_of_a_w_w_a_or_w_a_w(self, monkeypatch):
         # at n = 16: group_formula takes one full SVD, of w, and the

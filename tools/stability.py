@@ -17,7 +17,7 @@ shows decomposition-count changes next to output changes.  Covered:
 * the stdout of ``compute --kind drazin`` on the seed-0 n = 16
   ``varied_index_matrix`` with an 8-dimensional core (from this
   checkout's ``tests/matrix_generators.py``), of index 3, on which the
-  Drazin inverse factors a and two successive cores;
+  Drazin inverse factors a, three blocks of each staircase and the core;
 * the stdout of ``represent --method limit|integral`` on an 8 x 8
   diagonal core, a = diag(1, 2, 0.5, 1.5, 0, 0, 0, 0) with
   p = diag(1, 1, 1, 1, 0, 0, 0, 0) and q = 1 - p, and on that core of
@@ -65,7 +65,9 @@ shows decomposition-count changes next to output changes.  Covered:
   ``graded_core_matrix(rng, n, kappa)`` (from this checkout's
   ``tests/matrix_generators.py``, seeds 0 to 99, n in GRADED_DIMS by seed),
   a core of dimension n/2 whose eigenvalue magnitudes spread over
-  [1/kappa, 1];
+  [1/kappa, 1], and how many of those each gate raised: the staircases'
+  disagreement on the index and rank, the core solve, or the axioms, so
+  that a diff shows which gate moved;
 * on one line, the verdict and the ``near`` flag of
   ``meets_trivially(S, T)`` on the seed-0 ``planted_angle_pair`` (from this
   checkout's ``tests/matrix_generators.py``) for each of its
@@ -373,19 +375,27 @@ def _certificate_line(densela) -> str:
 
 
 def _graded_core_line(ginv, errors) -> str:
-    """The Drazin refusals out of GRADED_SEEDS at each of GRADED_KAPPAS."""
+    """The Drazin refusals out of GRADED_SEEDS at each of GRADED_KAPPAS, and
+    how many of them each gate raised, told by its message's prefix: the
+    two staircases' disagreement, the core solve, and the axioms and
+    certificate that validate the value."""
+    prefixes_of = {"staircase": ("the Drazin staircases",), "core": ("the Drazin core",),
+                   "axioms": ("Drazin axiom", "Drazin certificate", "spectral idempotent")}
     graded_core_matrix = _generators().graded_core_matrix
     cells = []
     for kappa in GRADED_KAPPAS:
-        refused = 0
+        refused, gates = 0, dict.fromkeys(prefixes_of, 0)
         for seed in range(GRADED_SEEDS):
             n = GRADED_DIMS[seed % len(GRADED_DIMS)]
             a, _ = graded_core_matrix(np.random.default_rng(seed), n, kappa)
             try:
                 ginv.drazin_inverse(a)
-            except errors.NumericalError:
+            except errors.NumericalError as exc:
                 refused += 1
-        cells.append(f"kappa={kappa:g}:{refused}/{GRADED_SEEDS}")
+                for gate, prefixes in prefixes_of.items():
+                    gates[gate] += str(exc).startswith(prefixes)
+        counts = ",".join(f"{gate}={count}" for gate, count in gates.items())
+        cells.append(f"kappa={kappa:g}:{refused}/{GRADED_SEEDS}({counts})")
     return "graded core drazin refusals  " + " ".join(cells)
 
 
