@@ -12,9 +12,10 @@ here: :func:`count_rank` turns singular values into a rank,
 (with :data:`PRODUCT_NOISE` the floor for products) and :func:`snap`
 replaces such a matrix by an exact zero, :func:`solve_core`
 decides on one SVD whether the r x r core of a factorization is
-invertible and solves with it (the (p,q) candidate's, the group
-inverse's and the Drazin inverse's cores alike), and :meth:`Tolerances.to_json_dict` is the
-one serialised form of the thresholds.  :func:`svd`, :func:`idempotent_bases`
+invertible and returns its inverse with that SVD (the (p,q) candidate's,
+the group inverse's and the Drazin inverse's cores alike), and
+:meth:`Tolerances.to_json_dict` is the one serialised form of the
+thresholds.  :func:`svd`, :func:`idempotent_bases`
 and :func:`idempotent_kernel` (their QRs), :func:`solve` and
 :func:`eigenvalues` are the package's one calls of LAPACK; the
 :class:`Factored` SVD gives the rank, range and null-space bases and the
@@ -504,38 +505,33 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return svd(a, compute_uv=False).rank(tol)
 
 
-def solve_core(core, rhs, floor: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """core^-1 rhs for an r x r ``core`` that a factorization needs invertible,
-    or None when it is not: the one decision of whether such a core is.
+def solve_core(core, floor: float,
+               tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray | None, Factored | None]:
+    """(core^-1 or None, the SVD that decided it or None) for an r x r ``core``
+    that a factorization needs invertible: the one decision of whether such
+    a core is, and its one inversion; each caller applies its own factors.
 
     The core counts as singular when it is noise at ``floor`` (the rounding
-    floor of its factors, :func:`is_noise`) or when the rank of its one SVD
-    is below r; otherwise that SVD's pseudo-inverse X, after one Newton step
-    X + X (1 - core X), solves, and no second factorization of the core is
-    taken.  The step brings the residual 1 - core X down to an LU solve's
-    on a column-scaled core, such as G F with F = u diag(s) from an SVD:
-    the SVD's rounding grows with the scaling, LU's does not.  A non-square
-    core raises ShapeError, and a 0 x 0 core gives the 0 x m zero matrix,
-    without LAPACK.
+    floor of its factors, :func:`is_noise`), with no SVD taken, or when the
+    rank of its one SVD is below r; otherwise that SVD's pseudo-inverse X,
+    after one Newton step X + X (1 - core X), is the inverse, and no second
+    factorization of the core is taken.  The step brings the residual
+    1 - core X down to an LU solve's on a column-scaled core, such as G F
+    with F = u diag(s) from an SVD: the SVD's rounding grows with the
+    scaling, LU's does not.  The SVD is returned with the answer, so that
+    a caller that goes on from the core, as the Drazin inverse's staircases
+    do, takes no second one of the same matrix.  A non-square core raises
+    ShapeError, and a 0 x 0 core gives the 0 x 0 inverse, without LAPACK.
     """
-    return _solve_core(core, rhs, floor, tol)[0]
-
-
-def _solve_core(core, rhs, floor: float,
-                tol: Tolerances) -> tuple[np.ndarray | None, Factored | None]:
-    """(:func:`solve_core`'s answer, the core's SVD or None when none was
-    taken): the Drazin inverse, which first tries a itself as its core,
-    starts its staircases on the SVD that refused a instead of taking a
-    second one of the same matrix."""
     r = _require_square(core, "core").shape[0]
     if r == 0:
-        return np.zeros((0, rhs.shape[1]), dtype=np.complex128), None
+        return np.zeros((0, 0), dtype=np.complex128), None
     if is_noise(core, floor):
         return None, None
     if (f := svd(core)).rank(tol) < r:
         return None, f
     x = f.pinv(tol)
-    return (x + x @ (np.eye(r) - core @ x)) @ rhs, f
+    return x + x @ (np.eye(r) - core @ x), f
 
 
 def solve_right(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:

@@ -4,9 +4,10 @@ Covers the inner ({1}), reflexive ({1,2}), Moore-Penrose, group and
 Drazin inverses.  These are the building blocks the prescribed-idempotent
 constructions consume.  The group and Drazin inverses are outer inverses
 with a prescribed range and kernel, and both invert their r x r core by
-:func:`densela.solve_core`, the one rule of every (p,q) candidate: G F of
-a full-rank factorization for the group inverse, N^H a U on the bases of
-two unitary staircases for the Drazin inverse.
+:func:`densela.solve_core`, the one rule of every (p,q) candidate, and
+apply their own factors to the inverse it returns: G F of a full-rank
+factorization for the group inverse, N^H a U on the bases of two unitary
+staircases for the Drazin inverse.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .densela import (
     PRODUCT_NOISE,
     Factored,
     Tolerances,
-    _solve_core,
     adjoint,
     as_matrix,
     check_residual,
@@ -89,11 +89,11 @@ def factored_group_inverse(f: np.ndarray, gf: np.ndarray, g: np.ndarray,
     rows, as :func:`rank_factorization` gives them.  As (F G)^2 = F (G F) G,
     index one is G F invertible, decided by :func:`densela.solve_core` on
     the r x r core at the rounding floor of its factors, whose one SVD
-    decides the rank and inverts the core; at r = 0 F G is 0, and so is
-    its group inverse.
+    decides the rank and inverts the core, and the answer is
+    F (G F)^-1 (G F)^-1 G; at r = 0 F G is 0, and so is its group inverse.
     """
-    core = solve_core(gf, np.eye(f.shape[1], dtype=np.complex128), _core_floor(f), tol)
-    return None if core is None else f @ core @ core @ g
+    inverse = solve_core(gf, _core_floor(f), tol)[0]
+    return None if inverse is None else f @ inverse @ inverse @ g
 
 
 def _core_floor(f: np.ndarray) -> float:
@@ -121,9 +121,10 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
     so a^D = U (N^H a U)^-1 N^H for orthonormal bases U of Ran(a^k) and N
     of Ker(a^k)^⊥ (Y. Wei, Linear Algebra Appl. 280 (1998) 87-96): the
     core N^H a U is decided and inverted by :func:`densela.solve_core`,
-    the rank rule and Newton step of every (p,q) candidate.  One SVD of a
-    decides k = 0, where U = N = 1 and that SVD inverts a.  Otherwise it
-    starts two unitary staircases (:func:`_staircase`), one on a, whose
+    the rank rule and Newton step of every (p,q) candidate, and a^D is
+    U ((N^H a U)^-1 N^H).  One SVD of a decides k = 0, where U = N = 1 and
+    a^-1 itself is the answer.  Otherwise the SVD that refused a starts
+    two unitary staircases (:func:`_staircase`), one on a, whose
     basis is N, and one on a^H, whose basis spans Ker((a^H)^k)^⊥ = Ran(a^k)
     and is U; no power of a is formed.  Each reads k and r = rank a^k off
     its own blocks, and when the two disagree NumericalError is raised.
@@ -133,7 +134,7 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
     if n != a.shape[1]:
         raise ShapeError(f"Drazin inverse needs a square matrix, got {a.shape}")
     # a is no product: only the zero matrix is noise
-    d, f = _solve_core(a, np.eye(n, dtype=np.complex128), 0.0, tol)
+    d, f = solve_core(a, 0.0, tol)
     k, r = 0, n
     if d is None:
         f = svd(a) if f is None else f
@@ -145,10 +146,10 @@ def drazin_inverse(a, tol: Tolerances = DEFAULT_TOL) -> DrazinResult:
                                  f"and rank {r} against {k_adjoint} and {uh.shape[0]}")
         u = adjoint(uh)
         # N and U have unit columns, so the factors' norms are sqrt(r) each
-        x = solve_core(nh @ a @ u, nh, PRODUCT_NOISE * r * frob(a), tol)
-        if x is None:
+        inverse = solve_core(nh @ a @ u, PRODUCT_NOISE * r * frob(a), tol)[0]
+        if inverse is None:
             raise NumericalError(f"the Drazin core N^H a U of rank {r} is singular")
-        d = u @ x
+        d = u @ (inverse @ nh)
     spectral = np.eye(n, dtype=np.complex128) - _validate_drazin(a, d, k, r, tol)
     check_residual(frob(spectral @ spectral - spectral), eq_bound(spectral, spectral, tol),
                    "spectral idempotent failed the idempotency check")

@@ -343,7 +343,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     paper's w (a w)^# is  b = U C^-1 N^H  with the r x r core  C = N^H a U
     (the full-rank representation of A^(2)_{T,S}).  The inverse exists
     exactly when C is invertible, decided by :func:`densela.solve_core` on
-    the one SVD of C that also inverts it: C must have rank r = dim Ran(p)
+    the one SVD of C that also gives C^-1: C must have rank r = dim Ran(p)
     at rank_rtol, and a C at the rounding floor of its factors counts as 0;
     at r = 0, b = 0.  This is the definitional existence test, independent
     of the subspace criteria used by :func:`diagnose`; a failure, the
@@ -368,9 +368,10 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     r = u.shape[1]
     nh = spaces.q.co.basis.conj().T
     # N and U have unit columns, so the factors' norms are sqrt(r) each
-    xn = solve_core(nh @ a_u, nh, PRODUCT_NOISE * r * prob.a_norm, tol)
+    xn = solve_core(nh @ a_u, PRODUCT_NOISE * r * prob.a_norm, tol)[0]
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
+    xn = xn @ nh  # X = C^-1 N^H, rebound so that C^-1 is not held beside it
     xbx = xn @ a_u @ xn
     residual = frob(xbx - xn)
     # the product rounds at its factors' norms, ||X||^2 ||a U||, which grow
@@ -712,7 +713,8 @@ def _route_operands(a, w) -> tuple[np.ndarray, np.ndarray]:
 def _group_route(a: np.ndarray, w: np.ndarray,
                  tol: Tolerances) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The group-route value b = w (a w)^#, (w a)^#, and the factors
-    (U, s, V^H, V^H a U S) that :func:`_inner_value` reads w (w a w)^+ w off.
+    (U, s, V^H, V^H a U S) of w and of the k x k core that
+    :func:`inner_formula` reads w (w a w)^+ w and its witness off.
 
     One SVD of w = U S V^H, truncated at k = rank(w), factors both products:
     once rank(a w) = k, a w = (a U S) V^H and (w a)^H = (a^H V S) U^H are
@@ -766,13 +768,13 @@ def _adjoint_group(a: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
     return None if g is None else adjoint(g)
 
 
-def _inner_value(u: np.ndarray, s: np.ndarray, vh: np.ndarray, core: np.ndarray,
+def _inner_value(u: np.ndarray, s: np.ndarray, vh: np.ndarray, waw: np.ndarray,
                  tol: Tolerances) -> np.ndarray:
-    """w (w a w)^+ w = (U S) K^+ (S V^H) for w = U S V^H and the core
-    V^H a U S: w a w = U K V^H with K = S V^H a U S, and U and V are
+    """w (w a w)^+ w = (U S) K^+ (S V^H) for w = U S V^H and the k x k
+    ``waw`` K = S V^H a U S, with w a w = U K V^H: U and V are
     orthonormal, so (w a w)^+ = V K^+ U^H, K has the singular values of
     w a w, and one SVD of K decides its rank."""
-    return (u * s) @ svd(s[:, None] * core).pinv(tol) @ (s[:, None] * vh)
+    return (u * s) @ svd(waw).pinv(tol) @ (s[:, None] * vh)
 
 
 def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -794,18 +796,20 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     (w a w)^+, read off the SVD of w that gives the group route's value.
 
     Agreement with the group formula, and the explicit inner-inverse
-    witness x = a ((w a)^#)^2 for w a w, are both asserted.
+    witness x = a ((w a)^#)^2 for w a w, are both asserted.  Both read
+    the k x k K of w a w = U K V^H, formed once: U and V are orthonormal,
+    so ||(w a w) x (w a w) - w a w||_F = ||K (V^H x U) K - K||_F, and
+    eq_bound(K (V^H x U) K, K) is the n x n bound; no n x n w a w is formed.
     """
     a, w = _route_operands(a, w)
-    b_ref, g_wa, factors = _group_route(a, w, tol)
-    b = _inner_value(*factors, tol)
-    del factors
+    b_ref, g_wa, (u, s, vh, core) = _group_route(a, w, tol)
+    waw = s[:, None] * core
+    b = _inner_value(u, s, vh, waw, tol)
     check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
                    "inner formula disagrees with group formula")
     del b_ref
-    m = w @ a @ w
-    mxm = m @ (a @ g_wa @ g_wa) @ m
-    check_residual(frob(mxm - m), eq_bound(mxm, m, tol),
+    kxk = waw @ (vh @ a @ g_wa @ g_wa @ u) @ waw
+    check_residual(frob(kxk - waw), eq_bound(kxk, waw, tol),
                    "explicit witness failed (w a w) x (w a w) = w a w")
     return b
 
@@ -929,8 +933,7 @@ def integral_formula(
     if horizon * float(np.linalg.norm(aw, 1)) == np.inf:
         raise ValueError(f"horizon {horizon!r} overflows the block exponential")
 
-    n = aw.shape[0]
-    static_part = w @ (np.eye(n, dtype=np.complex128) - aw @ g_aw)
+    static_part = w - w @ aw @ g_aw
     check_residual(frob(static_part), eq_bound(w, w, tol),
                    "w does not annihilate the non-decaying spectral part of aw", SpectrumError)
     del g_aw, static_part  # not held through the exponential, which sets the peak

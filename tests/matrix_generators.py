@@ -119,8 +119,9 @@ def planted_core_instance(rng: np.random.Generator, n: int, k: float) -> dict:
     t = rank_rtol * sigma_max(C) * 10^k: a - (sigma_min - t) N y x^H U^H
     changes no other singular value of C, nor p and q.  So the core lies
     10^k times its rank cutoff above it, and the inverse exists for every
-    k > 0; at r < 2 sigma_min is sigma_max, and the instance is returned
-    unchanged.  b_ref is dropped, since the move changes b."""
+    k > 0; k = -inf gives t = 0, so sigma_min(C) = 0 and the inverse does
+    not exist.  At r < 2 sigma_min is sigma_max, and the instance is
+    returned unchanged.  b_ref is dropped, since the move changes b."""
     inst = guaranteed_instance(rng, n)
     r = inst["r"]
     out = {key: inst[key] for key in ("a", "p", "q", "r")}

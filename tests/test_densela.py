@@ -203,7 +203,7 @@ class TestAsMatrix:
     (lambda: Subspace.zero(0), "ambient dimension must be at least 1, got 0"),
     (lambda: Subspace.full(0), "ambient dimension must be at least 1, got 0"),
     (lambda: image(np.eye(3), Subspace.full(2)), "matrix has 3 cols, subspace lives in C^2"),
-    (lambda: solve_core(np.ones((2, 3)), np.eye(2), 0.0), "core must be square, got shape (2, 3)"),
+    (lambda: solve_core(np.ones((2, 3)), 0.0), "core must be square, got shape (2, 3)"),
 ], ids=["require_square", "solve_left", "drazin", "range_kernel", "ambient", "basis_columns",
         "zero_ambient", "full_ambient", "image", "solve_core"])
 def test_shape_error_names_the_mismatch(call, message):
@@ -255,15 +255,19 @@ class TestSolve:
 class TestSolveCore:
     def test_empty_core_is_the_zero_block_without_lapack(self):
         with record() as rec:
-            x = solve_core(np.zeros((0, 0), dtype=complex), np.zeros((0, 3), dtype=complex), 0.0)
-        assert (x.shape, x.dtype, sum(rec.calls.values())) == ((0, 3), np.complex128, 0)
+            inverse, f = solve_core(np.zeros((0, 0), dtype=complex), 0.0)
+        assert (inverse.shape, inverse.dtype, f, sum(rec.calls.values())) == (
+            (0, 0), np.complex128, None, 0)
 
     @pytest.mark.parametrize("core, floor", [
         (np.diag([1.0, 0.0]), 0.0),  # rank 1 < 2
         (1e-13 * np.eye(2), 1e-12),  # rank 2 at rank_rtol, but at the rounding floor
     ], ids=["rank", "noise"])
     def test_singular_core_is_none(self, core, floor):
-        assert solve_core(core.astype(complex), np.eye(2, dtype=complex), floor) is None
+        # a rank-deficient core comes with the SVD that refused it; noise takes none
+        inverse, f = solve_core(core.astype(complex), floor)
+        assert inverse is None
+        assert f is None if floor else f.rank() < 2
 
     @pytest.mark.parametrize("core, floor, svds", [
         (np.diag([1.0, 2.0]), 0.0, 1),
@@ -271,10 +275,12 @@ class TestSolveCore:
         (1e-13 * np.eye(2), 1e-12, 0),
     ], ids=["invertible", "rank", "noise"])
     def test_one_svd_and_no_solve_per_core(self, count_linalg, core, floor, svds):
-        # the SVD that decides the rank also solves; a noise core takes none
-        calls = count_linalg(lambda: solve_core(core.astype(complex), np.eye(2, dtype=complex),
-                                                floor), ("svd", "solve"))
+        # the SVD that decides the rank also inverts; a noise core takes none
+        outs = []
+        calls = count_linalg(lambda: outs.append(solve_core(core.astype(complex), floor)),
+                             ("svd", "solve"))
         assert calls == {"svd": svds, "solve": 0}
+        assert (outs[0][1] is None) == (svds == 0)
 
     @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
     def test_agrees_with_lu_on_graded_cores(self, kappa):
@@ -285,7 +291,11 @@ class TestSolveCore:
             sigmas = np.logspace(0.0, -np.log10(kappa), r)
             core = (_random_unitary(rng, r) * sigmas) @ _random_unitary(rng, r)
             rhs = _complex_normal(rng, r, 3)
-            x, x_lu = solve_core(core, rhs, 0.0), np.linalg.solve(core, rhs)
+            inverse, f = solve_core(core, 0.0)
+            # the returned SVD's pseudo-inverse, after the Newton step, is the answer
+            seed = f.pinv()
+            assert np.array_equal(inverse, seed + seed @ (np.eye(r) - core @ seed))
+            x, x_lu = inverse @ rhs, np.linalg.solve(core, rhs)
             assert frob(x - x_lu) <= r * kappa * np.finfo(float).eps * frob(x_lu)
 
     @pytest.mark.parametrize("kappa", [1e4, 1e8])
@@ -297,7 +307,8 @@ class TestSolveCore:
             rng = np.random.default_rng(seed)
             r = int(rng.integers(2, 17))
             core = _conditioned_matrix(rng, r, 10.0) * np.logspace(0.0, -np.log10(kappa), r)
-            x = solve_core(core, np.eye(r), 0.0)
+            x, f = solve_core(core, 0.0)
+            assert f.rank() == r
             assert frob(np.eye(r) - core @ x) <= r * np.finfo(float).eps
 
 

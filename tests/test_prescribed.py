@@ -954,21 +954,38 @@ class TestPlantedCore:
     its product, must not deny it."""
 
     @staticmethod
-    def _reports(k: float) -> list:
+    def _problems(k: float) -> list:
         # the 91 problems with r >= 2 among n = 2-16, seeds 0-7
-        reports = []
+        problems = []
         for n in range(2, 17):
             for seed in range(8):
                 inst = planted_core_instance(np.random.default_rng([seed, n]), n, k)
                 if inst["r"] >= 2:
-                    reports.append(diagnose(PqProblem(inst["a"], inst["p"], inst["q"])))
-        return reports
+                    problems.append(PqProblem(inst["a"], inst["p"], inst["q"]))
+        return problems
+
+    @classmethod
+    def _reports(cls, k: float) -> list:
+        return [diagnose(prob) for prob in cls._problems(k)]
 
     @pytest.mark.parametrize("k", [1.5, 2.0])
     def test_a_core_outside_the_band_exists_consistently(self, k):
         reports = self._reports(k)
         assert len(reports) == 91
         assert all(rep.l_exists and rep.equivalence_consistent for rep in reports)
+
+    def test_a_singular_core_has_no_inverse_by_every_criterion(self):
+        # k = -inf plants sigma_min(C) = 0: every equivalent criterion reads
+        # the inverse as absent, none near its cutoff, and the candidate refuses
+        problems = self._problems(-np.inf)
+        assert len(problems) == 91
+        for prob in problems:
+            rep = diagnose(prob)
+            assert not (rep.l_exists or rep.cond5 or rep.cond6
+                        or (rep.direct_sum and rep.ker_cap_ranp_trivial))
+            assert not rep.fragile
+            with pytest.raises(NonexistentInverseError):
+                outer_inverse(prob)
 
     def test_a_core_inside_the_band_exists(self):
         # at k = 0.5 the core's decision is near; one problem's a . Ran(p)
@@ -985,7 +1002,12 @@ class TestPlantedCore:
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         solve_core = prescribed.solve_core
-        monkeypatch.setattr(prescribed, "solve_core", lambda *args: factor * solve_core(*args))
+
+        def scaled_solve_core(*args):
+            inverse, f = solve_core(*args)
+            return factor * inverse, f
+
+        monkeypatch.setattr(prescribed, "solve_core", scaled_solve_core)
         with pytest.raises(NumericalError, match="b a b = b although its core is invertible"):
             outer_inverse(prob)
 
@@ -1429,12 +1451,26 @@ class TestGroupFormula:
             pairs.append((inst["a"], inst["w"]))
             pairs.append((inst["a"], matrix_with_range_kernel(inst["p"], inst["q"])))
         for a, w in pairs:
-            _, g_wa, factors = prescribed._group_route(a, w, DEFAULT_TOL)
+            _, g_wa, (u, s, vh, core) = prescribed._group_route(a, w, DEFAULT_TOL)
             ref = group_inverse(w @ a)
             assert frob(g_wa - ref) <= densela.eq_bound(g_wa, ref)
-            inner = prescribed._inner_value(*factors, DEFAULT_TOL)
-            ref = w @ moore_penrose(w @ a @ w) @ w
+            waw = s[:, None] * core
+            inner = prescribed._inner_value(u, s, vh, waw, DEFAULT_TOL)
+            m = w @ a @ w
+            ref = w @ moore_penrose(m) @ w
             assert frob(inner - ref) <= densela.eq_bound(inner, ref)
+            # inner_formula's witness residual on K, with w a w = U K V^H,
+            # against the n x n one; doubling the witness x fails both
+            for scale in (1.0, 2.0):
+                x = scale * a @ g_wa @ g_wa
+                kxk, mxm = waw @ (vh @ x @ u) @ waw, m @ x @ m
+                on_k, on_n = frob(kxk - waw), frob(mxm - m)
+                bound = densela.eq_bound(mxm, m)
+                assert densela.eq_bound(kxk, waw) == pytest.approx(bound, rel=1e-12)
+                if scale == 1.0:
+                    assert on_k <= bound and abs(on_k - on_n) <= bound
+                else:
+                    assert on_k > bound and on_n > bound
 
     def test_no_full_svd_of_a_w_w_a_or_w_a_w(self, monkeypatch):
         # at n = 16: group_formula takes one full SVD, of w, and the
