@@ -23,11 +23,12 @@ for which
 
 giving four independent numerical routes that cross-validate each other.
 Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
-Ran(1-p) = Ker(p), from one view that takes each basis when a test first
-reads it: a's off one SVD, and those of p and q by one rule, Ran(m) with
-Ran(m)^⊥ from one certified complete sketch QR from n = 32 on and Ker(m)
-from that Ran(m)^⊥, or else off m's one SVD.  The
-package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
+Ran(1-p) = Ker(p), from views that take each basis when a test first
+reads it: a's off one SVD per call, and those of p and q from one view
+each per problem, which every call on the problem at its tolerance reads,
+by one rule: Ran(m) with Ran(m)^⊥ from one certified complete sketch QR
+from n = 32 on and Ker(m) from that Ran(m)^⊥, or else off m's one SVD.
+The package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
 Ran(q)^⊥.  Then a w = (a U) N^H is a full-rank factorization, and the
 group route w (a w)^# collapses to U C^-1 N^H with the r x r core
 C = N^H a U, r = dim Ran(p): the candidate that the compute functions
@@ -113,7 +114,15 @@ _IDEMPOTENT_NOISE = 0.5
 
 @dataclass(frozen=True, eq=False)
 class PqProblem:
-    """A square matrix with two prescribed idempotents and tolerances."""
+    """A square matrix with two prescribed idempotents and tolerances.
+
+    a, p and q are held as given, not copied (``np.asarray``: a complex128
+    array is held itself), and must not be changed in place after
+    construction: the norm of a, 1 - q and one :class:`_Idempotent` view
+    each of p and q at ``tol`` are taken from them once, when first read,
+    and every call on the problem reads those.  The views hold no reference
+    to the problem.
+    """
 
     a: np.ndarray
     p: np.ndarray
@@ -150,6 +159,12 @@ class PqProblem:
         """||a||_F, which the rounding floors of the core, of F and of
         a . Ran(p) read, at every threshold diagnose repeats."""
         return frob(self.a)
+
+    @cached_property
+    def _views(self) -> tuple[_Idempotent, _Idempotent]:
+        """The :class:`_Idempotent` views of p and of q at ``tol``, which the
+        :class:`_Spaces` of every call on the problem at that tolerance share."""
+        return _Idempotent(self.p, self.tol), _Idempotent(self.q, self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +254,41 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _witness(spaces)
 
 
+class _Basis:
+    """One basis of an :class:`_Idempotent` view of m, taken when first read:
+    ``sketched(view)`` when m was sketched and it accepts, else the basis
+    that ``read``, a method of :class:`densela.Factored`, cuts off m's one
+    SVD.  It is held read-only and kept under its own name, where later
+    reads find it without coming here, unless it was cut off an SVD whose
+    rank decision is near its cutoff: such a basis is kept in the view's
+    ``_near`` instead, and each read comes here and reads that decision
+    again, so that every :func:`densela.record` block that reads the basis
+    sees that it is near, as on a fresh view.  A sketch's decision is
+    certified not near (:func:`densela.idempotent_bases`)."""
+
+    def __init__(self, sketched, read):
+        self.sketched, self.read = sketched, read
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if (space := view._near.get(self.name)) is not None:
+            view._svd.rank(view.tol)  # marks the active record near
+            return space
+        basis = view._sketch and self.sketched(view)
+        if basis is None:
+            basis = self.read(view._svd, view.tol)
+        basis.flags.writeable = False
+        space = sub.Subspace._cut(basis)
+        # read() took the SVD's (rank, near) decision, which it keeps per rank_rtol
+        if view._sketch is None and view._svd._ranks[view.tol.rank_rtol][1]:
+            view._near[self.name] = space
+        else:
+            view.__dict__[self.name] = space
+        return space
+
+
 class _Idempotent:
     """Ran(m), its orthogonal complement Ran(m)^⊥ and Ker(m) = Ran(1 - m) of
     one idempotent m at one tolerance, each taken when first read, by one
@@ -249,10 +299,13 @@ class _Idempotent:
     certificate's bound, else the QR of (1 - m) Ran(m)^⊥ under the same
     certificate on 1 - m.  Below that order, or once either refuses, m's one
     SVD is taken and kept, and every basis of m read after that is cut from
-    it; the sketch's rank decision, which Ker(m) starts from, is that SVD's."""
+    it; the sketch's rank decision, which Ker(m) starts from, is that SVD's.
+    A :class:`PqProblem` holds one view each of p and q, shared by its calls,
+    so each basis is held read-only (:class:`_Basis`)."""
 
     def __init__(self, m, tol: Tolerances):
         self.m, self.tol = m, tol
+        self._near = {}  # the bases cut off a near rank decision, by name
 
     @cached_property
     def _sketch(self) -> tuple | None:
@@ -262,19 +315,10 @@ class _Idempotent:
     def _svd(self) -> Factored:
         return svd(self.m)
 
-    def _cut(self, sketched: np.ndarray | None, read) -> sub.Subspace:
-        """The ``sketched`` basis, or else the one that ``read``, a method of
-        :class:`densela.Factored`, cuts off m's one SVD."""
-        if sketched is None:
-            sketched = read(self._svd, self.tol)
-        return sub.Subspace._cut(sketched)
-
-    ran = cached_property(lambda self: self._cut(self._sketch and self._sketch[0],
-                                                 Factored.range_basis))
-    co = cached_property(lambda self: self._cut(self._sketch and self._sketch[1],
-                                                Factored.left_null_basis))
-    ker = cached_property(lambda self: self._cut(
-        self._sketch and idempotent_kernel(self.m, self._sketch[1], self.tol), Factored.null_basis))
+    ran = _Basis(lambda view: view._sketch[0], Factored.range_basis)
+    co = _Basis(lambda view: view._sketch[1], Factored.left_null_basis)
+    ker = _Basis(lambda view: idempotent_kernel(view.m, view._sketch[1], view.tol),
+                 Factored.null_basis)
 
 
 class _Spaces:
@@ -283,11 +327,24 @@ class _Spaces:
     gives Ran(a), Ker(a) and the row space Ker(a)^⊥.  Each basis is taken
     the first time a test reads it, and no other, so a test that fails
     early leaves the later ones untaken; the n x r product a U is taken
-    once, when first read."""
+    once, when first read.  a's SVD and a U belong to the one call; the
+    views of p and q are the problem's own at its tolerance
+    (:meth:`of`), so a basis of p or q is taken once per problem."""
 
     def __init__(self, a, p, q, tol: Tolerances):
         self.a, self.tol = a, tol
         self.p, self.q = _Idempotent(p, tol), _Idempotent(q, tol)
+
+    @classmethod
+    def of(cls, prob: PqProblem, tol: Tolerances) -> _Spaces:
+        """The view of ``prob`` at ``tol``: on the problem's own views of p and
+        q when ``tol`` is prob.tol, else on fresh ones."""
+        if tol is not prob.tol:
+            return cls(prob.a, prob.p, prob.q, tol)
+        spaces = cls.__new__(cls)
+        spaces.a, spaces.tol = prob.a, tol
+        spaces.p, spaces.q = prob._views
+        return spaces
 
     ran_a = property(lambda self: self._of_a[0])
     ker_a = property(lambda self: self._of_a[1])
@@ -465,7 +522,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     ker_cap_ranp_trivial.
     """
     a = prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol)
+    spaces = _Spaces.of(prob, tol)
     a_ran_p = sub._image_of(spaces.a_u, prob.a_norm, tol)
 
     direct = sub._is_direct_sum_with_complement(a_ran_p, spaces.q.co, tol)
@@ -509,7 +566,8 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     N^H a U), so disagreement between fields is detectable.  The criteria
     share the bases of the inputs and the one n x r product a U only: each
     basis of a, p and q is taken once, when a test first reads it
-    (:class:`_Spaces`), with Ran(1-q) and Ran(1-p) read as Ker(q) and
+    (:class:`_Spaces`), those of p and q from the problem's own views,
+    which every call on it shares, with Ran(1-q) and Ran(1-p) read as Ker(q) and
     Ker(p); Ker(p) is read only by the strict {1,2} test, once
     Ran(a) = Ran(1-q) holds.  No n x n (1-q) a p, b a b or SVD of b is
     formed.  A verdict is fragile when it flips with the rank threshold
@@ -518,7 +576,8 @@ def diagnose(prob: PqProblem) -> ExistenceReport:
     (each a singular-value count) lies within that factor of its cutoff.
     Skipping the repeats otherwise is exact: the threshold enters only
     through those decisions, so each repeat would make the same decisions,
-    perform the same operations and return the same verdicts.
+    perform the same operations and return the same verdicts.  The repeats
+    take their own bases of p and q, at their own thresholds.
     """
     tol = prob.tol
     with record() as rec:
@@ -586,10 +645,10 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     difference, tail bound) rows, NaN for an absent value.
     """
     _check_route(route)
-    spaces = _Spaces(prob.a, prob.p, prob.q, prob.tol)
+    spaces = _Spaces.of(prob, prob.tol)
     b_group = _candidate(prob, spaces)
     w = _witness(spaces)
-    del spaces  # the view's n x r product a U is not held through the route
+    del spaces  # the call's n x r product a U is not held through the route
     b, _, trace = _route_result(prob, w, b_group, route, lambda_min, horizon)
     _check_drift(b, b_group, prob.tol, "representation drifts from the direct value")
     return b, trace
@@ -612,7 +671,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     """
     _check_route(route)
     tol, a = prob.tol, prob.a
-    spaces = _Spaces(a, prob.p, prob.q, tol)
+    spaces = _Spaces.of(prob, tol)
     if strict and reflexive:
         broken = _strict12_failure(spaces)
         if broken:
@@ -624,7 +683,7 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
     b_group = _candidate(prob, spaces)
     ran_p, ran_q = spaces.p.ran, spaces.q.ran
     w = None if route == "group" else _witness(spaces)
-    del spaces  # the view's n x r product a U is not held through the route
+    del spaces  # the call's n x r product a U is not held through the route
     b, route_name, _ = _route_result(prob, w, b_group, route)
     # the group value's Ran and Ker are the view's bases by construction (_candidate)
     range_gap = kernel_gap = 0.0

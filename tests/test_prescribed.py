@@ -1332,6 +1332,105 @@ class TestOnePassDiagnose:
         assert passes == [DEFAULT_TOL.rank_rtol]
 
 
+def _recording_factorizations(monkeypatch, prob) -> list:
+    """The kinds, "qr" or "svd", of the QRs and of the SVDs of p or q that
+    LAPACK takes from now on; every QR the package takes is of a sketch of p
+    or q, or of Ran(m)^⊥ mapped by 1 - m for m = p or q."""
+    taken = []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def recording_qr(m, *args, **kwargs):
+        taken.append("qr")
+        return qr(m, *args, **kwargs)
+
+    def recording_svd(m, *args, **kwargs):
+        if any(m.shape == x.shape and np.array_equal(m, x) for x in (prob.p, prob.q)):
+            taken.append("svd")
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return taken
+
+
+class TestProblemViews:
+    """A PqProblem factors p and q once at its tolerance: every call on it
+    reads the bases its first call took, and returns what it would return
+    on a fresh problem, bit for bit."""
+
+    CALLS = (("diagnose", diagnose),
+             *((f"outer_inverse {route}", lambda prob, route=route: outer_inverse(prob, route))
+               for route in ("group", "inner", "limit", "integral")),
+             ("one_two_inverse", one_two_inverse))
+
+    @staticmethod
+    def _outcome(call, prob):
+        try:
+            out = call(prob)
+        except (NonexistentInverseError, NumericalError) as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(out, prescribed.ExistenceReport):
+            return out.to_json_dict()
+        return out.kind, out.route, out.b.tobytes(), out.residuals
+
+    @pytest.mark.parametrize("n", [64, 8], ids=["sketched", "svd"])
+    def test_calls_on_one_problem_share_its_views(self, monkeypatch, n):
+        inst = diagonalizable_instance(np.random.default_rng(45), n, r=n // 2)
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        shared = problem()
+        taken = _recording_factorizations(monkeypatch, shared)
+        per_call = []
+        for name, call in self.CALLS:
+            taken.clear()
+            fresh_outcome = self._outcome(call, problem())
+            fresh = list(taken)
+            taken.clear()
+            assert self._outcome(call, shared) == fresh_outcome, name
+            per_call.append((name, fresh, list(taken)))
+        # from n = densela._SKETCH_MIN on, p and q are sketched, and no SVD of
+        # either is taken; below it each is factored by one SVD
+        kind = "qr" if n >= densela._SKETCH_MIN else "svd"
+        (_, first_fresh, first), *later = per_call
+        assert first == first_fresh and set(first) == {kind} and len(first) >= 2
+        for name, fresh, shared_taken in later:
+            assert set(fresh) == {kind} and shared_taken == [], name
+
+    def test_diagnose_after_a_compute_replays_a_near_decision(self, monkeypatch):
+        # Ran(p) ∔ Ran(q) = C^8 with a = 1; p is oblique, and rank_rtol is half
+        # the ratio of its smallest nonzero singular value to its largest, so
+        # p's rank decision is near, and the ten times larger cutoff drops a
+        # dimension of Ran(p): the verdicts flip, the report is fragile
+        rng = np.random.default_rng(45)
+        u = np.linalg.qr(_complex_normal(rng, 8, 8))[0]
+        p = _oblique(rng, u[:, :4], 100.0)
+        q = u[:, 4:] @ u[:, 4:].conj().T
+        s = np.linalg.svd(p, compute_uv=False)
+        tol = Tolerances(rank_rtol=0.5 * s[3] / s[0])
+
+        def problem():
+            return PqProblem(np.eye(8), p, q, tol)
+
+        def diagnosed(prob):
+            taken = _recording_factorizations(monkeypatch, prob)
+            with densela.record() as rec:
+                rep = diagnose(prob)
+            monkeypatch.undo()
+            return rep.to_json_dict(), rec.near, taken.count("svd")
+
+        fresh, fresh_near, fresh_svds = diagnosed(problem())
+        assert fresh_near and fresh["fragile"] and fresh["l_exists"]
+        used = problem()
+        outer_inverse(used)
+        shared, shared_near, shared_svds = diagnosed(used)
+        assert (shared, shared_near) == (fresh, fresh_near)
+        # the base pass reads the views the compute took; each scaled repeat
+        # factors p and q itself
+        assert fresh_svds - shared_svds == 2 and shared_svds >= 2
+
+
 class TestGroupFormula:
     def test_hand_value(self):
         assert frob(group_formula(A22, W22) - B22) <= 1e-12
@@ -1475,9 +1574,16 @@ class TestGroupFormula:
     def test_no_full_svd_of_a_w_w_a_or_w_a_w(self, monkeypatch):
         # at n = 16: group_formula takes one full SVD, of w, and the
         # values of a w; the inner route adds to the group route the full
-        # SVDs of w and of its value b, for the gaps, and the values of a w
+        # SVDs of w and of its value b, for the gaps, and the values of a w.
+        # Each call has its own problem, so the inner call factors p and q
+        # again, as the group call does, and only the route's SVDs differ
         inst = diagonalizable_instance(np.random.default_rng(3), 16, r=8)
-        a, prob = inst["a"], PqProblem(inst["a"], inst["p"], inst["q"])
+        a = inst["a"]
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        prob = problem()
         w = matrix_with_range_kernel(prob.p, prob.q)
         svd = np.linalg.svd
         calls = []
@@ -1496,8 +1602,8 @@ class TestGroupFormula:
         full, values, _ = full_and_values(lambda: group_formula(a, inst["w"]))
         assert len(full) == 1 and len(values) == 1
         assert np.array_equal(full[0], inst["w"]) and np.array_equal(values[0], a @ inst["w"])
-        group_full, group_values, _ = full_and_values(lambda: outer_inverse(prob, "group"))
-        full, values, res = full_and_values(lambda: outer_inverse(prob, "inner"))
+        group_full, group_values, _ = full_and_values(lambda: outer_inverse(problem(), "group"))
+        full, values, res = full_and_values(lambda: outer_inverse(problem(), "inner"))
         assert len(full) == len(group_full) + 2 and len(values) == len(group_values) + 1
         assert np.array_equal(full[-1], res.b)
         products = (a @ w, w @ a, w @ a @ w)

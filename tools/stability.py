@@ -30,6 +30,9 @@ shows decomposition-count changes next to output changes.  Covered:
   ``inner_formula(a, w)``, ``limit_formula(a, w)`` and
   ``integral_formula(a, w)`` return, called in-process on the n = 64
   diagonalizable instance with its own w, each followed by its counts;
+* on one line, the counts of ``diagnose`` and ``outer_inverse`` on each of
+  the four routes, called in turn in-process on one ``PqProblem`` of that
+  instance, so that a diff shows how often one problem factors p and q;
 * the tracemalloc peak (MiB) of ``diagnose``, of the four compute
   functions, of ``matrix_with_range_kernel(p, q)``, of
   ``represent(prob, "limit")`` and of ``group_formula(a, w)``,
@@ -233,6 +236,22 @@ def _formula_lines(prescribed, verify, errors) -> list[str]:
                 outcome = type(exc).__name__
         lines += [f"{label}  outcome={outcome}", _count_line(label, rec.calls)]
     return lines
+
+
+def _one_problem_line(prescribed, verify, errors) -> str:
+    """The counts of ``diagnose`` and the four ``outer_inverse`` routes, run
+    in turn on one problem of the diagonalizable instance."""
+    inst = _diagonalizable(verify)
+    prob = prescribed.PqProblem(inst["a"], inst["p"], inst["q"])
+    with importlib.import_module("pqinv.densela").record() as rec:
+        prescribed.diagnose(prob)
+        for route in ("group", *ROUTES):
+            try:
+                prescribed.outer_inverse(prob, route)
+            except (errors.NonexistentInverseError, errors.NumericalError):
+                pass
+    return _count_line(f"diagnose and outer_inverse x4 one problem diagonalizable-n{N}",
+                       rec.calls)
 
 
 def _peak_lines(cli, prescribed, verify, errors) -> list[str]:
@@ -472,6 +491,7 @@ def fingerprints() -> list[str]:
     prescribed = importlib.import_module("pqinv.prescribed")
     errors = importlib.import_module("pqinv.errors")
     lines += _formula_lines(prescribed, verify, errors)
+    lines.append(_one_problem_line(prescribed, verify, errors))
     lines += _peak_lines(cli, prescribed, verify, errors)
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
