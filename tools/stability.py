@@ -81,11 +81,22 @@ shows decomposition-count changes next to output changes.  Covered:
   each of SMALL_SCALES s: ``ok`` or the exception it raised, so that a
   diff shows on which decay rates the integral route runs.
 
-Run it on two checkouts and diff the output::
+The first line is a header, ``# environment`` and a JSON object: the
+Python, numpy and BLAS versions, the BLAS thread variables, the machine
+and the CPU count.  Run it on two checkouts and diff the output::
 
     python3 tools/stability.py > after.txt
     python3 tools/stability.py --src ../parent/src > before.txt
     diff before.txt after.txt
+
+``tools/stability.txt`` is this output, checked in; a change that moves a
+line regenerates it (``python3 tools/stability.py > tools/stability.txt``),
+so that its git diff lists the lines moved.  ``--check`` diffs a fresh run
+against it and exits 1 on any difference: every count, peak, verdict,
+outcome and refusal line is compared on any machine, and the sha256 of a
+value only when the header matches, since another numpy/LAPACK build or
+thread count moves the values by rounding; on another environment each
+sha256 is compared as a placeholder, so that the rest of its line still is.
 
 ``--src`` names the source directory to import pqinv from; it defaults
 to this checkout's ``src``.  A checkout whose densela has no ``record``
@@ -96,11 +107,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import importlib
 import io
 import json
 import os
+import platform
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -144,6 +158,8 @@ GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
 GRADED_DIMS = (8, 16, 32)
 GRADED_SEEDS = 100
 SMALL_SCALES = (1.0, 1e-6, 1e-8, 1e-9, 1e-12)
+RECORD = Path(__file__).with_name("stability.txt")
+SHA256 = re.compile(r"\b[0-9a-f]{64}\b")
 
 
 def _sha(text: str) -> str:
@@ -501,10 +517,38 @@ def fingerprints() -> list[str]:
                _small_scale_line(prescribed, errors)])
 
 
+def environment_line() -> str:
+    """The header: what the value hashes depend on, read only."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy without the dicts mode
+        blas = {"name": "unknown", "version": "unknown"}
+    env = {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+           "blas_thread_env": {var: os.environ.get(var) for var in
+                               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+           "machine": platform.machine(), "nproc": os.cpu_count()}
+    return "# environment " + json.dumps(env, sort_keys=True)
+
+
+def check(lines: list[str]) -> int:
+    """Diff ``lines``, a fresh listing, against RECORD; 0 when they agree."""
+    recorded = RECORD.read_text(encoding="utf-8").splitlines()
+    if recorded[:1] != lines[:1]:
+        print(f"environment differs from {RECORD.name}'s; value hashes are not compared")
+        recorded, lines = ([SHA256.sub("<sha256>", line) for line in listing[1:]]
+                           for listing in (recorded, lines))
+    diff = list(difflib.unified_diff(recorded, lines, str(RECORD), "this run", lineterm=""))
+    print("\n".join(diff) if diff else f"every line matches {RECORD.name}")
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the pqinv package (default: this checkout's src)")
+    parser.add_argument("--check", action="store_true",
+                        help=f"diff the output against {RECORD.name} and exit 1 on a difference")
     args = parser.parse_args(argv)
     if not (args.src / "pqinv" / "__init__.py").is_file():
         parser.error(f"no pqinv package under {args.src}")
@@ -512,7 +556,10 @@ def main(argv=None) -> int:
     if not hasattr(importlib.import_module("pqinv.densela"), "record"):
         parser.error(f"the pqinv under {args.src} has no densela.record to count LAPACK calls "
                      "with; run that checkout's own tools/stability.py instead")
-    print("\n".join(fingerprints()))
+    lines = [environment_line(), *fingerprints()]
+    if args.check:
+        return check(lines)
+    print("\n".join(lines))
     return 0
 
 
