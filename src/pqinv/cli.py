@@ -359,6 +359,7 @@ def _cmd_compute(args, tol: Tolerances) -> int:
         matrix = result.b
         doc["route"] = result.route
         doc["residuals"] = {k: float(v) for k, v in sorted(result.residuals.items())}
+        del prob, result  # a, p, q and what the problem holds are not kept while b is formatted
     else:
         a = read_matrix(args.a_file)
         doc["route"] = "direct"

@@ -34,9 +34,13 @@ group route w (a w)^# collapses to U C^-1 N^H with the r x r core
 C = N^H a U, r = dim Ran(p): the candidate that the compute functions
 return and :func:`diagnose` validates takes one SVD of C, which decides
 that C is invertible and inverts it, never an n x n group inverse.  The
-public route formulas take any admissible w and evaluate the paper's
-expressions as written; the group and inner routes read (a w)^#, (w a)^#
-and (w a w)^+ off one SVD of w, truncated at its rank.
+problem holds X = C^-1 N^H once a call at its tolerance has built it,
+unless that build read a rank decision near its cutoff, and each later
+call there forms b = U X from it; a near build is repeated per call,
+so no held X replays a decision.  The public route formulas take
+any admissible w and evaluate the paper's expressions as written; the
+group and inner routes read (a w)^#, (w a)^# and (w a w)^+ off one SVD
+of w, truncated at its rank.
 """
 
 from __future__ import annotations
@@ -120,8 +124,12 @@ class PqProblem:
     array is held itself), and must not be changed in place after
     construction: the norm of a, 1 - q and one :class:`_Idempotent` view
     each of p and q at ``tol`` are taken from them once, when first read,
-    and every call on the problem reads those.  The views hold no reference
-    to the problem.
+    and every call on the problem reads those.  Beside the views the
+    problem holds, read-only, the r x n factor X = C^-1 N^H of the
+    candidate b = U X at ``tol``, kept by the first call that builds it
+    (:func:`_candidate`) unless that build read a rank decision near its
+    cutoff: such a problem builds X per call, and X replays no decision.
+    Neither the views nor X hold a reference to the problem.
     """
 
     a: np.ndarray
@@ -417,7 +425,21 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     that scale, and no n x n product b a b is taken.  In exact arithmetic
     the identity holds whenever C is invertible, so a failure after the
     rank rule has called C invertible is numerical: NumericalError.
+
+    X is built here and nowhere else.  On the problem's own views
+    (``spaces`` at prob.tol, :meth:`_Spaces.of`), an X that passed every
+    check is kept on the problem read-only, and later calls there read it
+    and form b = U X themselves, so no returned b is a held array; U is
+    the view's own.  Not kept: a refusal, whose call raises again, an X at
+    any other tolerance, such as :func:`diagnose`'s scaled repeats, and an
+    X whose build read a rank decision near its cutoff, of the core or of
+    a basis of p or q.  Such an X is built per call, so that every
+    :func:`densela.record` block that reads the candidate sees that it is
+    near, as on a fresh problem, and a held X replays no decision.
     """
+    own = spaces.tol is prob.tol  # the spaces read the problem's own views (_Spaces.of)
+    if own and (xn := prob.__dict__.get("_x")) is not None:
+        return spaces.p.ran.basis @ xn
     broken = _dimension_failure(spaces)
     if broken:
         raise _no_outer_inverse(broken)
@@ -425,7 +447,7 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     r = u.shape[1]
     nh = spaces.q.co.basis.conj().T
     # N and U have unit columns, so the factors' norms are sqrt(r) each
-    xn = solve_core(nh @ a_u, PRODUCT_NOISE * r * prob.a_norm, tol)[0]
+    xn, core = solve_core(nh @ a_u, PRODUCT_NOISE * r * prob.a_norm, tol)
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
     xn = xn @ nh  # X = C^-1 N^H, rebound so that C^-1 is not held beside it
@@ -436,6 +458,12 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     if not residual <= eq_bound(xbx, xn, tol):
         check_residual(residual, rounding_bound(xbx, xn, frob(xn) ** 2 * frob(a_u), tol),
                        "candidate fails b a b = b although its core is invertible")
+    # the core's SVD keeps its (rank, near) decision per rank_rtol, and a view
+    # keeps in _near each basis cut off a near decision
+    if own and not (spaces.p._near or spaces.q._near
+                    or core is not None and core._ranks[tol.rank_rtol][1]):
+        xn.flags.writeable = False
+        prob.__dict__["_x"] = xn
     return u @ xn
 
 

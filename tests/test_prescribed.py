@@ -1430,6 +1430,100 @@ class TestProblemViews:
         # factors p and q itself
         assert fresh_svds - shared_svds == 2 and shared_svds >= 2
 
+    @staticmethod
+    def _core(prob) -> np.ndarray:
+        """C = N^H a U on the problem's views, formed as _candidate forms it."""
+        p_view, q_view = prob._views
+        return q_view.co.basis.conj().T @ (prob.a @ p_view.ran.basis)
+
+    @staticmethod
+    def _recording_svds_of(monkeypatch, m) -> list:
+        """One entry per SVD of ``m`` that LAPACK takes from now on."""
+        taken = []
+        svd = np.linalg.svd
+
+        def recording(x, *args, **kwargs):
+            if x.shape == m.shape and np.array_equal(x, m):
+                taken.append(x.shape)
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return taken
+
+    @pytest.mark.parametrize("n", [64, 8], ids=["sketched", "svd"])
+    def test_calls_after_diagnose_read_the_held_candidate(self, monkeypatch, n):
+        inst = diagonalizable_instance(np.random.default_rng(46), n, r=n // 2)
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        shared = problem()
+        diagnose(shared)
+        taken = self._recording_svds_of(monkeypatch, self._core(shared))
+        calls = (*self.CALLS[1:], ("outer_inverse_strict", outer_inverse_strict),
+                 ("one_two_inverse_strict", one_two_inverse_strict))
+        fresh_core_svds = 0
+        for name, call in calls:
+            taken.clear()
+            fresh_outcome = self._outcome(call, problem())
+            fresh_core_svds += len(taken)
+            taken.clear()
+            assert self._outcome(call, shared) == fresh_outcome, name
+            assert taken == [], name
+        # every call but the strict {1,2} kind, refused before the candidate,
+        # takes the core's SVD on a fresh problem
+        assert fresh_core_svds >= len(calls) - 1
+
+    def test_a_returned_b_is_not_the_held_factor(self):
+        inst = diagonalizable_instance(np.random.default_rng(46), 64, r=32)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        first = outer_inverse(prob).b
+        expected = first.copy()
+        first[:] = 0.0
+        second = outer_inverse(prob).b
+        assert np.array_equal(second, expected)
+        held = prob.__dict__["_x"]
+        assert held.shape == (32, 64) and not np.shares_memory(second, held)
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
+
+    def test_a_near_core_is_built_per_call(self):
+        # k = 0.5 plants sigma_min(C) inside the band about the core's cutoff:
+        # the candidate is not held, and diagnose after a compute sees the
+        # near decision and repeats at the scaled thresholds, as on a fresh problem
+        inst = planted_core_instance(np.random.default_rng([0, 12]), 12, 0.5)
+        assert inst["r"] >= 2
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        def diagnosed(prob):
+            with densela.record() as rec:
+                rep = diagnose(prob)
+            return rep.to_json_dict(), rec.near, rec.calls["svd"]
+
+        fresh = diagnosed(problem())
+        assert fresh[1] and fresh[0]["fragile"]
+        used = problem()
+        outer_inverse(used)
+        assert "_x" not in used.__dict__
+        shared = diagnosed(used)
+        assert shared[:2] == fresh[:2]
+        # the base pass reads p's and q's SVDs from the compute's views
+        assert fresh[2] - shared[2] == 2
+
+    def test_another_tolerance_reads_no_held_candidate(self):
+        inst = diagonalizable_instance(np.random.default_rng(46), 64, r=32)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"], Tolerances(rank_rtol=1e-10))
+        outer_inverse(prob)
+        held = prob.__dict__["_x"]
+        with densela.record() as rec:
+            b = prescribed._candidate(prob, prescribed._Spaces.of(prob, DEFAULT_TOL))
+        # the core's one SVD; p and q are sketched at n = 64
+        assert rec.calls["svd"] == 1
+        assert prob.__dict__["_x"] is held
+        assert np.array_equal(b, outer_inverse(PqProblem(inst["a"], inst["p"], inst["q"])).b)
+
 
 class TestGroupFormula:
     def test_hand_value(self):

@@ -74,14 +74,15 @@ class TestFuzz:
             fuzz(1, 5, 64)
 
     def test_svd_count(self, count_linalg):
-        # Ran(p), Ran(q) and the complement of Ran(q) once per problem, and
-        # one SVD for the range and kernel of each generated or classical
-        # matrix; the Drazin inverse takes one SVD of an invertible a and four
-        # at index one; at n <= 8 no idempotent is sketched, so no QR is counted
+        # Ran(p), Ran(q), the complement of Ran(q) and the candidate's core
+        # once per problem, and one SVD for the range and kernel of each
+        # generated or classical matrix; the Drazin inverse takes one SVD of
+        # an invertible a and four at index one; at n <= 8 no idempotent is
+        # sketched, so no QR is counted
         def run():
             assert fuzz(42, 20, 8).counts()["fail"] == 0
 
-        assert count_linalg(run, ("svd", "qr")) == {"svd": 847, "qr": 0}
+        assert count_linalg(run, ("svd", "qr")) == {"svd": 814, "qr": 0}
 
     def test_battery_routes_go_through_the_compute_dispatch(self, monkeypatch):
         # trial 0 carries an oracle and runs the integral route
