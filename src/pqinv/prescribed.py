@@ -34,19 +34,24 @@ group route w (a w)^# collapses to U C^-1 N^H with the r x r core
 C = N^H a U, r = dim Ran(p): the candidate that the compute functions
 return and :func:`diagnose` validates takes one SVD of C, which decides
 that C is invertible and inverts it, never an n x n group inverse.  The
-problem holds X = C^-1 N^H once a call at its tolerance has built it,
-unless that build read a rank decision near its cutoff, and each later
-call there forms b = U X from it; a near build is repeated per call,
-so no held X replays a decision.  The public route formulas take
-any admissible w and evaluate the paper's expressions as written; the
-group and inner routes read (a w)^#, (w a)^# and (w a w)^+ off one SVD
-of w, truncated at its rank.
+same SVD C = U_C S V_C^H gives sigma_min(C) and the unitary polar factor
+Q = V_C U_C^H, with C Q = (C C^H)^(1/2): the limit route of the compute
+functions runs in the polar gauge w = U Q N^H, where the nonzero
+spectrum of a w is sigma(C), and extrapolates over five shifts with no
+eigensolve.  The problem holds X = C^-1 N^H with Q and sigma_min(C) once
+a call at its tolerance has built them, unless that build read a rank
+decision near its cutoff, and each later call there forms b = U X from
+them; a near build is repeated per call, so nothing held replays a
+decision.  The public route formulas take any admissible w and evaluate
+the paper's expressions as written; the group and inner routes read
+(a w)^#, (w a)^# and (w a w)^+ off one SVD of w, truncated at its rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,11 +130,13 @@ class PqProblem:
     construction: the norm of a, 1 - q and one :class:`_Idempotent` view
     each of p and q at ``tol`` are taken from them once, when first read,
     and every call on the problem reads those.  Beside the views the
-    problem holds, read-only, the r x n factor X = C^-1 N^H of the
-    candidate b = U X at ``tol``, kept by the first call that builds it
-    (:func:`_candidate`) unless that build read a rank decision near its
-    cutoff: such a problem builds X per call, and X replays no decision.
-    Neither the views nor X hold a reference to the problem.
+    problem holds, read-only, the candidate's :class:`_Core` at ``tol``:
+    the r x n factor X = C^-1 N^H of b = U X, and the polar factor Q and
+    sigma_min(C) that the limit route reads, all from C's one SVD.  The
+    first call that builds them keeps them (:func:`_candidate`) unless that
+    build read a rank decision near its cutoff: such a problem builds them
+    per call, and nothing held replays a decision.  Neither the views nor
+    the core hold a reference to the problem.
     """
 
     a: np.ndarray
@@ -390,18 +397,39 @@ def _dimension_failure(spaces: _Spaces) -> str:
     return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {d_p} + {d_q} != {n}"
 
 
-def _witness(spaces: _Spaces) -> np.ndarray:
-    """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥."""
-    return spaces.p.ran.basis @ spaces.q.co.basis.conj().T
+def _witness(spaces: _Spaces, polar: np.ndarray | None = None) -> np.ndarray:
+    """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥, or,
+    given the core's polar factor Q, the polar gauge w = U Q N^H."""
+    u = spaces.p.ran.basis
+    return (u if polar is None else u @ polar) @ adjoint(spaces.q.co.basis)
 
 
 def _no_outer_inverse(reason: str) -> NonexistentInverseError:
     return NonexistentInverseError(f"subspace outer inverse does not exist: {reason}")
 
 
-def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
+class _Core(NamedTuple):
+    """What the candidate keeps of its r x r core C = N^H a U, all from C's
+    one SVD C = U_C S V_C^H: X = C^-1 N^H, which gives b = U X; the unitary
+    polar factor Q = V_C U_C^H, with C Q = U_C S U_C^H = (C C^H)^(1/2); and
+    sigma_min(C), inf at r = 0.  Q and sigma_min(C) are what the limit
+    route reads (:func:`_polar_limit`)."""
+
+    x: np.ndarray
+    polar: np.ndarray
+    s_min: float
+
+
+def _polar(core_svd: Factored) -> tuple[np.ndarray, float]:
+    """The polar factor Q = V_C U_C^H = (U_C V_C^H)^H and sigma_min(C), inf
+    for a 0 x 0 C, off the SVD C = U_C S V_C^H of an r x r core: no LAPACK."""
+    s = core_svd.s  # descending
+    return adjoint(core_svd.u @ core_svd.vh), float(s[-1]) if s.size else np.inf
+
+
+def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple[np.ndarray, _Core]:
     """The subspace-outer candidate b, from Ran(p), Ran(q) and its
-    orthogonal complement.
+    orthogonal complement, with the :class:`_Core` it was formed from.
 
     With U and N the orthonormal bases of Ran(p) and Ran(q)^⊥ and
     w = U N^H, the factorization a w = (a U) N^H has full rank, so the
@@ -412,7 +440,9 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     at rank_rtol, and a C at the rounding floor of its factors counts as 0;
     at r = 0, b = 0.  This is the definitional existence test, independent
     of the subspace criteria used by :func:`diagnose`; a failure, the
-    dimension obstruction included, raises NonexistentInverseError.
+    dimension obstruction included, raises NonexistentInverseError.  The
+    same SVD gives the core's polar factor and sigma_min(C)
+    (:func:`_polar`), with no LAPACK call.
 
     The rank decision on C is also b's: b's nonzero singular values are
     those of C^-1.  So Ran(b) = Ran(U) = Ran(p) and Ker(b) = Ker(N^H) =
@@ -426,20 +456,20 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     the identity holds whenever C is invertible, so a failure after the
     rank rule has called C invertible is numerical: NumericalError.
 
-    X is built here and nowhere else.  On the problem's own views
-    (``spaces`` at prob.tol, :meth:`_Spaces.of`), an X that passed every
+    The core is built here and nowhere else.  On the problem's own views
+    (``spaces`` at prob.tol, :meth:`_Spaces.of`), a core that passed every
     check is kept on the problem read-only, and later calls there read it
     and form b = U X themselves, so no returned b is a held array; U is
-    the view's own.  Not kept: a refusal, whose call raises again, an X at
-    any other tolerance, such as :func:`diagnose`'s scaled repeats, and an
-    X whose build read a rank decision near its cutoff, of the core or of
-    a basis of p or q.  Such an X is built per call, so that every
+    the view's own.  Not kept: a refusal, whose call raises again, a core
+    at any other tolerance, such as :func:`diagnose`'s scaled repeats, and
+    a core whose build read a rank decision near its cutoff, of C or of a
+    basis of p or q.  Such a core is built per call, so that every
     :func:`densela.record` block that reads the candidate sees that it is
-    near, as on a fresh problem, and a held X replays no decision.
+    near, as on a fresh problem, and nothing held replays a decision.
     """
     own = spaces.tol is prob.tol  # the spaces read the problem's own views (_Spaces.of)
-    if own and (xn := prob.__dict__.get("_x")) is not None:
-        return spaces.p.ran.basis @ xn
+    if own and (held := prob.__dict__.get("_core")) is not None:
+        return spaces.p.ran.basis @ held.x, held
     broken = _dimension_failure(spaces)
     if broken:
         raise _no_outer_inverse(broken)
@@ -450,6 +480,9 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     xn, core = solve_core(nh @ a_u, PRODUCT_NOISE * r * prob.a_norm, tol)
     if xn is None:
         raise _no_outer_inverse("the core C = N^H a U is singular (rank C < dim Ran(p))")
+    # the 0 x 0 core is inverted without an SVD, and its polar factor is 0 x 0
+    polar, s_min = (_polar(core) if core is not None
+                    else (np.zeros((0, 0), dtype=np.complex128), np.inf))
     xn = xn @ nh  # X = C^-1 N^H, rebound so that C^-1 is not held beside it
     xbx = xn @ a_u @ xn
     residual = frob(xbx - xn)
@@ -458,13 +491,14 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> np.ndarray:
     if not residual <= eq_bound(xbx, xn, tol):
         check_residual(residual, rounding_bound(xbx, xn, frob(xn) ** 2 * frob(a_u), tol),
                        "candidate fails b a b = b although its core is invertible")
+    found = _Core(xn, polar, s_min)
     # the core's SVD keeps its (rank, near) decision per rank_rtol, and a view
     # keeps in _near each basis cut off a near decision
     if own and not (spaces.p._near or spaces.q._near
                     or core is not None and core._ranks[tol.rank_rtol][1]):
-        xn.flags.writeable = False
-        prob.__dict__["_x"] = xn
-    return u @ xn
+        xn.flags.writeable = polar.flags.writeable = False
+        prob.__dict__["_core"] = found
+    return u @ xn, found
 
 
 def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str):
@@ -558,7 +592,7 @@ def _booleans_at(prob: PqProblem, tol: Tolerances) -> ExistenceReport:
     cond5, cond6 = _cond5_cond6(prob, spaces)
 
     try:
-        b = _candidate(prob, spaces)
+        b = _candidate(prob, spaces)[0]
     except NonexistentInverseError:
         b = None
     l_exists = b is not None
@@ -674,7 +708,7 @@ def represent(prob: PqProblem, route: str, lambda_min: float = DEFAULT_LAMBDA_SC
     """
     _check_route(route)
     spaces = _Spaces.of(prob, prob.tol)
-    b_group = _candidate(prob, spaces)
+    b_group = _candidate(prob, spaces)[0]
     w = _witness(spaces)
     del spaces  # the call's n x r product a U is not held through the route
     b, _, trace = _route_result(prob, w, b_group, route, lambda_min, horizon)
@@ -693,7 +727,8 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
 
     The tests run once each, in this order: the strict {1,2} subspace
     equalities, the {1,2} decompositions, the definitional candidate, the
-    route value's drift gate, a b a = a when ``reflexive``, and the strict
+    limit route's own estimate (:func:`_polar_limit`), the route value's
+    drift gate, a b a = a when ``reflexive``, and the strict
     products; a rejected strict outer inverse forms no a b a.  The residuals
     are built only after every test has passed.
     """
@@ -708,11 +743,15 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         broken = _l12_failure(spaces)
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
-    b_group = _candidate(prob, spaces)
+    b_group, core = _candidate(prob, spaces)
     ran_p, ran_q = spaces.p.ran, spaces.q.ran
-    w = None if route == "group" else _witness(spaces)
+    # the limit route runs in the polar gauge, on the core's factors
+    w = None if route == "group" else _witness(spaces, core.polar if route == "limit" else None)
     del spaces  # the call's n x r product a U is not held through the route
-    b, route_name, _ = _route_result(prob, w, b_group, route)
+    if route == "limit":
+        b, route_name = _polar_limit(a, w, core.s_min, frob(b_group), tol)[0], "limit"
+    else:
+        b, route_name, _ = _route_result(prob, w, b_group, route)
     # the group value's Ran and Ker are the view's bases by construction (_candidate)
     range_gap = kernel_gap = 0.0
     if route_name != "group_formula":
@@ -757,7 +796,9 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     Decides existence through the definitional candidate; when a
     representation route other than the group formula is requested the
     candidate is recomputed along it and checked against the group-route
-    value at the convergence tolerance.
+    value at the convergence tolerance.  The limit route extrapolates in
+    the polar gauge w = U Q N^H and checks its own estimate first
+    (:func:`_polar_limit`).
     """
     return _pq_inverse(prob, route, strict=False, reflexive=False)
 
@@ -912,7 +953,10 @@ def limit_formula(
     Returns the value at the smallest shift together with the trace of
     Cauchy differences (shift, ||X_k - X_{k-1}||_F).  Each shift must be
     finite and positive and keep a relative margin from the spectrum of
-    -a w; the trace must not grow from first to last entry.
+    -a w; the trace must not grow from first to last entry.  Each value is
+    one LU solve of the transposed system (s + a w)^T x^T = w^T.  The
+    value's error is first order in the smallest shift; the compute
+    functions' limit route extrapolates instead (:func:`_polar_limit`).
     """
     a, w = _route_operands(a, w)
     schedule = [float(s) for s in (DEFAULT_LAMBDA_SCHEDULE if lambdas is None else lambdas)]
@@ -930,11 +974,10 @@ def limit_formula(
         margin = float(np.min(np.abs(spectrum - s)))
         if margin <= tol.conv_tol * s:
             raise SpectrumError(f"shift {s:.3e} is within {margin:.3e} of the spectrum of -aw")
-        try:
-            resolvent = solve(s * ident + aw, ident)
+        try:  # w (s + a w)^-1 as one solve of the transposed system
+            x = solve(s * ident + aw.T, w.T).T
         except np.linalg.LinAlgError as exc:
             raise SpectrumError(f"shifted system singular at shift {s:.3e}") from exc
-        x = w @ resolvent
         if current is not None:
             trace.append((s, frob(x - current)))
         current = x
@@ -942,6 +985,50 @@ def limit_formula(
         check_residual(trace[-1][1], trace[0][1],
                        "Cauchy differences are not shrinking along the shift schedule")
     return current, trace
+
+
+# the limit route's shifts as multiples of sigma_min(C), 0.2 * 4^-k for
+# k = 0-4, and the ratio its Richardson tableau eliminates by
+_LIMIT_RATIO = 4.0
+_LIMIT_SHIFTS = tuple(0.2 / _LIMIT_RATIO ** k for k in range(5))
+
+
+def _polar_limit(a: np.ndarray, w: np.ndarray, s_min: float, b_norm: float,
+                 tol: Tolerances) -> tuple[np.ndarray, float]:
+    """lim_{s -> 0} w (s + a w)^-1 for w = U Q N^H in the polar gauge, by
+    Richardson extrapolation over the shifts s_k = 0.2 sigma_min(C) 4^-k,
+    k = 0-4, with Q the core's polar factor and sigma_min(C) its smallest
+    singular value (:func:`_polar`); ``b_norm`` is ||b||_F of the group value.
+
+    By the push-through identity w (s + a w)^-1 = U Q (s + C Q)^-1 N^H, and
+    C Q = (C C^H)^(1/2) is Hermitian positive definite, so the nonzero
+    spectrum of a w is sigma(C): every positive shift keeps a margin of at
+    least s from the spectrum of -a w, and no eigensolve checks it.  The
+    value is analytic in s for s < sigma_min(C), a power series in
+    s / sigma_min(C), so the shifted systems have condition about kappa(C),
+    not the kappa(C)^2 of the spectral gauge U C^H N^H, and each tableau level
+    removes one power of s.  Each shift takes one LU solve of the
+    transposed system (s + a w)^T x^T = w^T, with no identity right-hand
+    side.  Returns the tableau's R[4][4] and its error estimate
+    ||R[4][4] - R[4][3]||_F, the last row's, which above conv_tol
+    max(1, b_norm) raises NumericalError.  The estimate reads the
+    truncation of R[4][3], and the rounding of the smallest shift's solve
+    only through the last level's weight 1/255; the caller's drift gate
+    is what bounds the value.  w = 0, at r = 0, gives 0 with estimate 0.
+    """
+    if not w.any():
+        return np.zeros_like(w), 0.0
+    aw_t, w_t = (a @ w).T, w.T
+    ident = np.eye(w.shape[0], dtype=np.complex128)
+    row = []  # the tableau's last row, R[k][0..k], on the transposed values
+    for k, shift in enumerate(_LIMIT_SHIFTS):
+        level = [solve(shift * s_min * ident + aw_t, w_t)]
+        for j, above in enumerate(row, start=1):
+            level.append(level[-1] + (level[-1] - above) / (_LIMIT_RATIO ** j - 1.0))
+        row = level
+    estimate = check_residual(frob(row[-1] - row[-2]), tol.conv_tol * max(1.0, b_norm),
+                              "limit route's Richardson estimate exceeds conv_tol")
+    return row[-1].T, estimate
 
 
 def integral_formula(

@@ -29,6 +29,8 @@ from .ginv import (
 from .prescribed import (
     ExistenceReport,
     PqProblem,
+    _polar,
+    _polar_limit,
     _route_result,
     diagnose,
     drazin_as_outer,
@@ -506,9 +508,8 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
     if oracle_b is not None:
         rec.check("oracle_agreement", frob(b - oracle_b), ORACLE_TOL * bscale)
 
-    # the battery's own subspaces, taken once for every check below; the
-    # complement comes from Ran(q)'s basis because the limit route's error,
-    # first order in its shift, depends on the basis N of its w = U N^H
+    # the battery's own subspaces, taken once for every check below, apart
+    # from the problem's views
     ran_p, ran_q = sub.range_of(prob.p, tol), sub.range_of(prob.q, tol)
     co_q = ran_q.complement(tol)
 
@@ -538,10 +539,19 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
     _check_fixing_identities(rec, rng, prob, b, ran_p, ran_q)
 
     if oracle_b is not None:
-        w = ran_p.basis @ co_q.basis.conj().T
+        u, nh = ran_p.basis, co_q.basis.conj().T
+        w = u @ nh
         for route in ("inner", "limit", "integral") if run_integral else ("inner", "limit"):
             try:
-                b_route = _route_result(prob, w, b, route)[0]
+                if route == "limit":
+                    # the compute functions' own route, on the battery's own SVD of
+                    # C; the polar gauge w = U Q N^H is the same for every pair
+                    # of orthonormal bases, so this is another factorization of
+                    # the route's w
+                    polar, s_min = _polar(svd(nh @ prob.a @ u))
+                    b_route = _polar_limit(prob.a, u @ polar @ nh, s_min, frob(b), tol)[0]
+                else:
+                    b_route = _route_result(prob, w, b, route)[0]
             except SpectrumError:
                 if route != "integral":
                     raise

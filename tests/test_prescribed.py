@@ -1482,10 +1482,12 @@ class TestProblemViews:
         first[:] = 0.0
         second = outer_inverse(prob).b
         assert np.array_equal(second, expected)
-        held = prob.__dict__["_x"]
-        assert held.shape == (32, 64) and not np.shares_memory(second, held)
-        with pytest.raises(ValueError):
-            held[0, 0] = 1.0
+        held = prob.__dict__["_core"]
+        assert held.x.shape == (32, 64) and not np.shares_memory(second, held.x)
+        assert held.polar.shape == (32, 32)
+        for factor in (held.x, held.polar):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
 
     def test_a_near_core_is_built_per_call(self):
         # k = 0.5 plants sigma_min(C) inside the band about the core's cutoff:
@@ -1506,7 +1508,7 @@ class TestProblemViews:
         assert fresh[1] and fresh[0]["fragile"]
         used = problem()
         outer_inverse(used)
-        assert "_x" not in used.__dict__
+        assert "_core" not in used.__dict__
         shared = diagnosed(used)
         assert shared[:2] == fresh[:2]
         # the base pass reads p's and q's SVDs from the compute's views
@@ -1516,12 +1518,12 @@ class TestProblemViews:
         inst = diagonalizable_instance(np.random.default_rng(46), 64, r=32)
         prob = PqProblem(inst["a"], inst["p"], inst["q"], Tolerances(rank_rtol=1e-10))
         outer_inverse(prob)
-        held = prob.__dict__["_x"]
+        held = prob.__dict__["_core"]
         with densela.record() as rec:
-            b = prescribed._candidate(prob, prescribed._Spaces.of(prob, DEFAULT_TOL))
+            b = prescribed._candidate(prob, prescribed._Spaces.of(prob, DEFAULT_TOL))[0]
         # the core's one SVD; p and q are sketched at n = 64
         assert rec.calls["svd"] == 1
-        assert prob.__dict__["_x"] is held
+        assert prob.__dict__["_core"] is held
         assert np.array_equal(b, outer_inverse(PqProblem(inst["a"], inst["p"], inst["q"])).b)
 
 
@@ -1767,6 +1769,104 @@ class TestLimitFormula:
         monkeypatch.setattr(prescribed, "solve", singular)
         with pytest.raises(SpectrumError, match="shifted system singular at shift 1.000e-02"):
             limit_formula(np.eye(2), np.eye(2))
+
+
+def _baseline_problems():
+    """The diagonalizable problems at n = 4, 16, 64 and 128 with r = n/2,
+    drawn from default_rng([s, n]) for s = 0-3 at re_lo 0.4 and 1e-3."""
+    for n in (4, 16, 64, 128):
+        for seed in range(4):
+            for re_lo in (0.4, 1e-3):
+                inst = diagonalizable_instance(np.random.default_rng([seed, n]), n, r=n // 2,
+                                               re_lo=re_lo)
+                yield (n, seed, re_lo), PqProblem(inst["a"], inst["p"], inst["q"])
+
+
+class TestPolarLimitRoute:
+    """outer_inverse's limit route: Richardson extrapolation over five
+    shifts in the polar gauge w = U Q N^H, with no eigensolve."""
+
+    @staticmethod
+    def _measured(prob) -> tuple[float, float, float]:
+        """The limit route's distance from the group value, its own estimate
+        and the drift gate, on a problem that holds its core."""
+        b = outer_inverse(prob, route="limit").b
+        b_group = outer_inverse(prob).b
+        core = prob.__dict__["_core"]
+        w = prescribed._witness(prescribed._Spaces.of(prob, prob.tol), core.polar)
+        value, estimate = prescribed._polar_limit(prob.a, w, core.s_min, frob(b_group), prob.tol)
+        assert np.array_equal(value, b)
+        return frob(b - b_group), estimate, prob.tol.conv_tol * max(1.0, frob(b_group))
+
+    def test_baseline_problems_pass_within_their_estimate(self):
+        for label, prob in _baseline_problems():
+            error, estimate, gate = self._measured(prob)
+            assert error <= estimate <= gate, label
+
+    def test_guaranteed_instances_pass(self):
+        for n in range(2, 25):
+            for seed in range(20):
+                inst = guaranteed_instance(np.random.default_rng([seed, n]), n)
+                error, estimate, gate = self._measured(PqProblem(inst["a"], inst["p"], inst["q"]))
+                assert error <= gate and estimate <= gate, (n, seed)
+                # the estimate reads the rounding of the smallest shift's solve
+                # only through the last level's weight 1/255: where that rounding
+                # leads (n = 13, seed 5, kappa(C) = 238) the error is 1.25 times
+                # the estimate, and everywhere else at most 0.73 times it
+                assert error <= 2.0 * estimate, (n, seed)
+
+    def test_diagonal_unitaries_leave_the_polar_gauge_unchanged(self, rng):
+        inst = diagonalizable_instance(np.random.default_rng(47), 16, r=8)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        spaces = prescribed._Spaces.of(prob, prob.tol)
+        u, n_basis = spaces.p.ran.basis, spaces.q.co.basis
+
+        def witnesses(u, n_basis):
+            """U Q N^H on these bases' own core, and U N^H."""
+            polar = prescribed._polar(densela.svd(n_basis.conj().T @ prob.a @ u))[0]
+            return u @ polar @ n_basis.conj().T, u @ n_basis.conj().T
+
+        d_u, d_n = (np.exp(2j * np.pi * rng.random(k)) for k in (u.shape[1], n_basis.shape[1]))
+        (polar_w, plain_w), (polar_turned, plain_turned) = (
+            witnesses(u, n_basis), witnesses(u * d_u, n_basis * d_n))
+        assert frob(polar_turned - polar_w) <= 1e-12 * frob(polar_w)
+        assert frob(plain_turned - plain_w) > 0.1 * frob(plain_w)
+
+    def test_five_solves_no_eigensolve_and_the_held_core(self, monkeypatch):
+        inst = diagonalizable_instance(np.random.default_rng(46), 64, r=32)
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        with densela.record() as fresh:
+            expected = outer_inverse(problem(), route="limit").b
+        held = problem()
+        outer_inverse(held)
+        taken = TestProblemViews._recording_svds_of(monkeypatch, TestProblemViews._core(held))
+        with densela.record() as rec:
+            b = outer_inverse(held, route="limit").b
+        assert np.array_equal(b, expected)
+        for calls in (fresh.calls, rec.calls):
+            assert (calls["solve"], calls["eigvals"]) == (5, 0)
+        # p and q are sketched at n = 64; a fresh problem factors C, and one that
+        # holds its core does not: the SVDs left are the value's range and
+        # kernel and its two gaps
+        assert (fresh.calls["svd"], rec.calls["svd"], taken) == (4, 3, [])
+
+    def test_a_near_core_holds_nothing_and_agrees_with_a_fresh_problem(self):
+        inst = planted_core_instance(np.random.default_rng([0, 12]), 12, 0.5)
+
+        def problem():
+            return PqProblem(inst["a"], inst["p"], inst["q"])
+
+        def limit(prob):
+            return outer_inverse(prob, route="limit")
+
+        fresh = TestProblemViews._outcome(limit, problem())
+        used = problem()
+        for _ in range(2):
+            assert TestProblemViews._outcome(limit, used) == fresh
+            assert "_core" not in used.__dict__
 
 
 class TestDriftGate:

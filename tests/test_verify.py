@@ -77,25 +77,32 @@ class TestFuzz:
         # Ran(p), Ran(q), the complement of Ran(q) and the candidate's core
         # once per problem, and one SVD for the range and kernel of each
         # generated or classical matrix; the Drazin inverse takes one SVD of
-        # an invertible a and four at index one; at n <= 8 no idempotent is
-        # sketched, so no QR is counted
+        # an invertible a and four at index one; the limit route of each of
+        # the 10 trials with an oracle takes one SVD of the battery's own
+        # core; at n <= 8 no idempotent is sketched, so no QR is counted
         def run():
             assert fuzz(42, 20, 8).counts()["fail"] == 0
 
-        assert count_linalg(run, ("svd", "qr")) == {"svd": 814, "qr": 0}
+        assert count_linalg(run, ("svd", "qr")) == {"svd": 824, "qr": 0}
 
     def test_battery_routes_go_through_the_compute_dispatch(self, monkeypatch):
-        # trial 0 carries an oracle and runs the integral route
+        # trial 0 carries an oracle and runs the integral route; the limit
+        # route is the compute functions' own polar-gauge helper
         from pqinv import verify
 
         routes = []
-        dispatch = verify._route_result
+        dispatch, limit = verify._route_result, verify._polar_limit
 
         def recording(prob, w, b_group, route):
             routes.append(route)
             return dispatch(prob, w, b_group, route)
 
+        def recording_limit(*args):
+            routes.append("limit")
+            return limit(*args)
+
         monkeypatch.setattr(verify, "_route_result", recording)
+        monkeypatch.setattr(verify, "_polar_limit", recording_limit)
         assert fuzz(42, 1, 8).counts()["fail"] == 0
         assert routes == ["inner", "limit", "integral"]
 
