@@ -1812,7 +1812,7 @@ class TestPolarLimitRoute:
                 # the estimate reads the rounding of the smallest shift's solve
                 # only through the last level's weight 1/255: where that rounding
                 # leads (n = 13, seed 5, kappa(C) = 238) the error is 1.25 times
-                # the estimate, and everywhere else at most 0.73 times it
+                # the estimate, and on the others at most 0.61 times it
                 assert error <= 2.0 * estimate, (n, seed)
 
     def test_diagonal_unitaries_leave_the_polar_gauge_unchanged(self, rng):
