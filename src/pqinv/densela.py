@@ -20,8 +20,9 @@ and :func:`idempotent_kernel` (their QRs), :func:`solve` and
 :func:`eigenvalues` are the package's one calls of LAPACK; the
 :class:`Factored` SVD gives the rank, range and null-space bases and the
 pseudo-inverse, so a caller that needs several of them factors the matrix
-once, and an idempotent's bases come from sketch QRs once a certificate
-proves that its SVD would decide the same rank, not near.
+once.  An idempotent's rank is its trace, which its caller reads, and its
+bases come from sketch QRs once a certificate proves that they span its
+range and kernel to rounding.
 Inside :func:`record`, each LAPACK call is counted, and every rank decision
 read there marks whether it lies within :data:`FRAGILITY_FACTOR` of its
 cutoff.  One [13/13] Pade
@@ -303,29 +304,23 @@ def count_rank(s: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, scale: float | N
 _SKETCH_MIN = 32
 
 
-def idempotent_bases(m: np.ndarray,
+def idempotent_bases(m: np.ndarray, r: int,
                      tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
     """Orthonormal bases (Q, N) of Ran(m) and Ran(m)^⊥ for an n x n
-    idempotent ``m``, from one complete QR of a sketch; None when its SVD
-    is to be taken instead.
+    idempotent ``m`` of rank r, its trace, from one complete QR of a
+    sketch; None when its SVD is to be taken instead.
 
-    An idempotent's rank is its trace.  For r = round(Re tr m), when
-    |tr m - r| <= 0.25, the complete QR [Q N] of m Ω, Ω an n x r Gaussian
-    seeded from (n, r), gives a basis Q of Ran(m) (N. Halko, P.-G.
-    Martinsson and J. A. Tropp, SIAM Rev. 53 (2011) 217-288) and N of its
-    orthogonal complement.  They are accepted only under the certificate
-    of :func:`_certified`, with ||(1 - Q Q^H) m||_F = ||N^H m||_F, that
-    :func:`_decide_rank` on the singular values of m would return
-    (r, near=False), so that the SVD's bases span the same subspaces to
-    rounding.  Below n = _SKETCH_MIN, at r = 0, off an integer trace or
-    when the certificate fails, the answer is None.
+    The complete QR [Q N] of m Ω, Ω an n x r Gaussian seeded from (n, r),
+    gives a basis Q of Ran(m) (N. Halko, P.-G. Martinsson and J. A. Tropp,
+    SIAM Rev. 53 (2011) 217-288) and N of its orthogonal complement.  They
+    are accepted only under the certificate of :func:`_certified`, with
+    ||(1 - Q Q^H) m||_F = ||N^H m||_F, that Ran(Q) is Ran(m) to rounding:
+    the SVD's bases cut at r span the same subspaces.  Below
+    n = _SKETCH_MIN, at r = 0 or when the certificate fails, the answer is
+    None.
     """
-    n = m.shape[0]
-    if n < _SKETCH_MIN:  # first: the trace alone costs a small problem's call a few per cent
-        return None
-    trace = complex(np.trace(_require_square(m)))
-    r = round(trace.real)
-    if not 0 < r <= n or abs(trace - r) > 0.25:
+    n = _require_square(m).shape[0]
+    if n < _SKETCH_MIN or not 0 < r <= n:
         return None
     omega = np.random.default_rng((n, r)).standard_normal((n, r))
     q = _lapack("qr", m @ omega, mode="complete")[0]
@@ -401,8 +396,7 @@ class Factored:
     when thin, the n x k u and k x m vh of k = min(n, m) singular triplets;
     u and vh are None when only s was taken.  A thin SVD holds the column
     space and the row space, and no complement of either beyond its k
-    columns, so :meth:`left_null_basis` (:meth:`null_basis`) raises
-    ValueError when u (vh) is not square.
+    columns, so :meth:`null_basis` raises ValueError when vh is not square.
 
     The rank is :func:`count_rank`'s, decided once per rank_rtol: every
     basis, the pseudo-inverse and each caller of :meth:`rank` read that
@@ -439,7 +433,8 @@ class Factored:
 
     def null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Orthonormal basis of the (right) null space."""
-        _require_whole(self.vh, "null space")
+        if self.vh.shape[0] != self.vh.shape[1]:
+            raise ValueError("a thin SVD holds no basis of the null space; factor with thin=False")
         return self.vh[self.rank(tol):, :].conj().T
 
     def row_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -447,23 +442,10 @@ class Factored:
         of the (right) null space (m x d); a thin SVD holds it too."""
         return self.vh[:self.rank(tol), :].conj().T
 
-    def left_null_basis(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal basis of the left null space, the orthogonal
-        complement of the column space (n x (n - d))."""
-        _require_whole(self.u, "left null space")
-        return self.u[:, self.rank(tol):].copy()
-
     def pinv(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Moore-Penrose inverse (the zero matrix at rank 0)."""
         r = self.rank(tol)
         return (self.vh[:r, :].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
-
-
-def _require_whole(factor: np.ndarray, what: str) -> None:
-    """Raise ValueError when ``factor``, u or vh, is not square: a thin SVD's,
-    which holds no basis of the ``what``."""
-    if factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"a thin SVD holds no basis of the {what}; factor with thin=False")
 
 
 def svd(m, compute_uv: bool = True, *, thin: bool = False) -> Factored:

@@ -26,8 +26,9 @@ Each call reads Ran and Ker of a, p and q, with Ran(1-q) = Ker(q) and
 Ran(1-p) = Ker(p), from views that take each basis when a test first
 reads it: a's off one SVD per call, and those of p and q from one view
 each per problem, which every call on the problem at its tolerance reads,
-by one rule: Ran(m) with Ran(m)^⊥ from one certified complete sketch QR
-from n = 32 on and Ker(m) from that Ran(m)^⊥, or else off m's one SVD.
+by one rule: at rank r = tr m, the rank of an idempotent, Ran(m) with
+Ran(m)^⊥ from one certified complete sketch QR from n = 32 on and Ker(m)
+from that Ran(m)^⊥, or else cut at r off m's one SVD.
 The package's w is U N^H, with U an orthonormal basis of Ran(p) and N one of
 Ran(q)^⊥.  Then a w = (a U) N^H is a full-rank factorization, and the
 group route w (a w)^# collapses to U C^-1 N^H with the r x r core
@@ -39,10 +40,10 @@ Q = V_C U_C^H, with C Q = (C C^H)^(1/2): the limit route of the compute
 functions runs in the polar gauge w = U Q N^H, where the nonzero
 spectrum of a w is sigma(C), and extrapolates over five shifts with no
 eigensolve.  The problem holds X = C^-1 N^H with Q and sigma_min(C) once
-a call at its tolerance has built them, unless that build read a rank
-decision near its cutoff, and each later call there forms b = U X from
-them; a near build is repeated per call, so nothing held replays a
-decision.  The public route formulas take any admissible w and evaluate
+a call at its tolerance has built them, unless C's rank decision lies
+near its cutoff, and each later call there forms b = U X from them; a
+near build is repeated per call, so nothing held replays a decision.
+The public route formulas take any admissible w and evaluate
 the paper's expressions as written; the group and inner routes read
 (a w)^#, (w a)^# and (w a w)^+ off one SVD of w, truncated at its rank.
 """
@@ -116,9 +117,20 @@ DEFAULT_LAMBDA_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 9))
 
 
 # A nonzero idempotent has spectral norm at least 1, so one at or below
-# this Frobenius norm is cancellation noise standing in for 0; snapping it
-# keeps the relative rank cutoff from reading noise as full rank.
+# this Frobenius norm is cancellation noise standing in for 0, and is held as 0.
 _IDEMPOTENT_NOISE = 0.5
+
+
+def _check_idempotent(m: np.ndarray, name: str, tol: Tolerances) -> None:
+    """Raise ValueError unless m² = m within eq_bound(m, m) and tr m lies
+    within 0.25 of an integer, the rank that :class:`_Idempotent` reads off
+    it.  The trace is linear, so that of a rounded idempotent is off its
+    rank by about n ε ||m||, far inside that slack."""
+    check_residual(frob(m @ m - m), eq_bound(m, m, tol),
+                   f"{name} fails {name}² = {name}", ValueError)
+    trace = complex(np.trace(m))
+    check_residual(abs(trace - round(trace.real)), 0.25,
+                   f"tr {name} is off an integer", ValueError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +145,14 @@ class PqProblem:
     problem holds, read-only, the candidate's :class:`_Core` at ``tol``:
     the r x n factor X = C^-1 N^H of b = U X, and the polar factor Q and
     sigma_min(C) that the limit route reads, all from C's one SVD.  The
-    first call that builds them keeps them (:func:`_candidate`) unless that
-    build read a rank decision near its cutoff: such a problem builds them
-    per call, and nothing held replays a decision.  Neither the views nor
-    the core hold a reference to the problem.
+    first call that builds them keeps them (:func:`_candidate`) unless C's
+    rank decision lies near its cutoff: such a problem builds them per
+    call, and nothing held replays a decision.  Neither the views nor the
+    core hold a reference to the problem.
+
+    p and q must be idempotents: p² = p within eq_bound, and tr p within
+    0.25 of an integer, which is the rank that every view of p reads
+    (:func:`_check_idempotent`); either failing is a ValueError.
     """
 
     a: np.ndarray
@@ -154,9 +170,8 @@ class PqProblem:
             raise ShapeError(
                 f"a, p, q must share one shape, got {a.shape}, {p.shape}, {q.shape}"
             )
-        for name, m in (("p", p), ("q", q)):
-            check_residual(frob(m @ m - m), eq_bound(m, m, self.tol),
-                           f"{name} fails {name}² = {name}", ValueError)
+        _check_idempotent(p, "p", self.tol)
+        _check_idempotent(q, "q", self.tol)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "p", snap(p, _IDEMPOTENT_NOISE))
         object.__setattr__(self, "q", snap(q, _IDEMPOTENT_NOISE))
@@ -256,12 +271,16 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Built as U N^H from an orthonormal basis U of Ran(p) and an
     orthonormal basis N of the orthogonal complement of Ran(q).  Such a
     w exists exactly when dim Ran(p) + dim Ran(q) equals the ambient
-    dimension; otherwise NonexistentInverseError is raised.
+    dimension; otherwise NonexistentInverseError is raised.  p and q are
+    checked as :class:`PqProblem` checks them: a non-idempotent raises
+    ValueError.
     """
     p = as_matrix(p, "p")
     q = as_matrix(q, "q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"p and q must be square of one size, got {p.shape}, {q.shape}")
+    _check_idempotent(p, "p", tol)
+    _check_idempotent(q, "q", tol)
     spaces = _Spaces(None, p, q, tol)
     broken = _dimension_failure(spaces)
     if broken:
@@ -269,71 +288,63 @@ def matrix_with_range_kernel(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _witness(spaces)
 
 
-class _Basis:
-    """One basis of an :class:`_Idempotent` view of m, taken when first read:
-    ``sketched(view)`` when m was sketched and it accepts, else the basis
-    that ``read``, a method of :class:`densela.Factored`, cuts off m's one
-    SVD.  It is held read-only and kept under its own name, where later
-    reads find it without coming here, unless it was cut off an SVD whose
-    rank decision is near its cutoff: such a basis is kept in the view's
-    ``_near`` instead, and each read comes here and reads that decision
-    again, so that every :func:`densela.record` block that reads the basis
-    sees that it is near, as on a fresh view.  A sketch's decision is
-    certified not near (:func:`densela.idempotent_bases`)."""
-
-    def __init__(self, sketched, read):
-        self.sketched, self.read = sketched, read
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, view, owner=None):
-        if (space := view._near.get(self.name)) is not None:
-            view._svd.rank(view.tol)  # marks the active record near
-            return space
-        basis = view._sketch and self.sketched(view)
-        if basis is None:
-            basis = self.read(view._svd, view.tol)
-        basis.flags.writeable = False
-        space = sub.Subspace._cut(basis)
-        # read() took the SVD's (rank, near) decision, which it keeps per rank_rtol
-        if view._sketch is None and view._svd._ranks[view.tol.rank_rtol][1]:
-            view._near[self.name] = space
-        else:
-            view.__dict__[self.name] = space
-        return space
+def _held(basis: np.ndarray) -> sub.Subspace:
+    """The subspace of ``basis``, which is held read-only from here on."""
+    basis.flags.writeable = False
+    return sub.Subspace._cut(basis)
 
 
 class _Idempotent:
     """Ran(m), its orthogonal complement Ran(m)^⊥ and Ker(m) = Ran(1 - m) of
     one idempotent m at one tolerance, each taken when first read, by one
-    rule for p and q.  From n = ``densela._SKETCH_MIN`` on, Ran(m) and
-    Ran(m)^⊥ are one certified complete QR of a sketch of m
-    (:func:`densela.idempotent_bases`), and Ker(m) comes from that Ran(m)^⊥
-    (:func:`densela.idempotent_kernel`): itself where m maps it to within the
-    certificate's bound, else the QR of (1 - m) Ran(m)^⊥ under the same
-    certificate on 1 - m.  Below that order, or once either refuses, m's one
-    SVD is taken and kept, and every basis of m read after that is cut from
-    it; the sketch's rank decision, which Ker(m) starts from, is that SVD's.
-    A :class:`PqProblem` holds one view each of p and q, shared by its calls,
-    so each basis is held read-only (:class:`_Basis`)."""
+    rule for p and q.  m's rank is r = round(Re tr m), read once: the rank
+    of an idempotent is its trace, and every nonzero singular value of one
+    is at least 1, so no rank cutoff decides it.  From n =
+    ``densela._SKETCH_MIN`` on, Ran(m) and Ran(m)^⊥ are one certified
+    complete QR of a sketch of m at r (:func:`densela.idempotent_bases`),
+    and Ker(m) comes from that Ran(m)^⊥ (:func:`densela.idempotent_kernel`):
+    itself where m maps it to within the certificate's bound, else the QR of
+    (1 - m) Ran(m)^⊥ under the same certificate on 1 - m.  Below that
+    order, or once either refuses, m's one SVD is taken and kept, and every
+    basis of m read after that is cut from it at r: the leading r and the
+    trailing n - r left singular vectors, and the trailing n - r right
+    ones.  That SVD must put sigma_r+1(m) within eq_bound(m, m), the bound
+    that m² = m was checked to, else NumericalError.  A :class:`PqProblem`
+    holds one view each of p and q, shared by its calls, so each basis is
+    held read-only."""
 
     def __init__(self, m, tol: Tolerances):
         self.m, self.tol = m, tol
-        self._near = {}  # the bases cut off a near rank decision, by name
+
+    @cached_property
+    def r(self) -> int:
+        return round(complex(np.trace(self.m)).real)
 
     @cached_property
     def _sketch(self) -> tuple | None:
-        return idempotent_bases(self.m, self.tol)
+        return idempotent_bases(self.m, self.r, self.tol)
 
     @cached_property
     def _svd(self) -> Factored:
-        return svd(self.m)
+        f, r = svd(self.m), self.r
+        # to first order sigma_r+1(m) <= ||m² - m||, which the input check bounds
+        if r < f.s.size:
+            check_residual(f.s[r], eq_bound(self.m, self.m, self.tol),
+                           f"sigma_{r + 1} of an idempotent of trace {r} is not at its noise floor")
+        return f
 
-    ran = _Basis(lambda view: view._sketch[0], Factored.range_basis)
-    co = _Basis(lambda view: view._sketch[1], Factored.left_null_basis)
-    ker = _Basis(lambda view: idempotent_kernel(view.m, view._sketch[1], view.tol),
-                 Factored.null_basis)
+    @cached_property
+    def ran(self) -> sub.Subspace:
+        return _held(self._sketch[0] if self._sketch else self._svd.u[:, :self.r].copy())
+
+    @cached_property
+    def co(self) -> sub.Subspace:
+        return _held(self._sketch[1] if self._sketch else self._svd.u[:, self.r:].copy())
+
+    @cached_property
+    def ker(self) -> sub.Subspace:
+        basis = self._sketch and idempotent_kernel(self.m, self._sketch[1], self.tol)
+        return _held(self._svd.vh[self.r:].conj().T if basis is None else basis)
 
 
 class _Spaces:
@@ -462,10 +473,11 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple[np.ndarray, _Core]:
     and form b = U X themselves, so no returned b is a held array; U is
     the view's own.  Not kept: a refusal, whose call raises again, a core
     at any other tolerance, such as :func:`diagnose`'s scaled repeats, and
-    a core whose build read a rank decision near its cutoff, of C or of a
-    basis of p or q.  Such a core is built per call, so that every
-    :func:`densela.record` block that reads the candidate sees that it is
-    near, as on a fresh problem, and nothing held replays a decision.
+    a core whose rank decision lies near its cutoff; the bases of p and q
+    decide no rank (:class:`_Idempotent`).  A near core is built per call,
+    so that every :func:`densela.record` block that reads the candidate
+    sees that it is near, as on a fresh problem, and nothing held replays
+    a decision.
     """
     own = spaces.tol is prob.tol  # the spaces read the problem's own views (_Spaces.of)
     if own and (held := prob.__dict__.get("_core")) is not None:
@@ -492,10 +504,8 @@ def _candidate(prob: PqProblem, spaces: _Spaces) -> tuple[np.ndarray, _Core]:
         check_residual(residual, rounding_bound(xbx, xn, frob(xn) ** 2 * frob(a_u), tol),
                        "candidate fails b a b = b although its core is invertible")
     found = _Core(xn, polar, s_min)
-    # the core's SVD keeps its (rank, near) decision per rank_rtol, and a view
-    # keeps in _near each basis cut off a near decision
-    if own and not (spaces.p._near or spaces.q._near
-                    or core is not None and core._ranks[tol.rank_rtol][1]):
+    # the core's SVD keeps its (rank, near) decision per rank_rtol
+    if own and not (core is not None and core._ranks[tol.rank_rtol][1]):
         xn.flags.writeable = polar.flags.writeable = False
         prob.__dict__["_core"] = found
     return u @ xn, found

@@ -145,3 +145,13 @@ def straddling_idempotent(rng: np.random.Generator, n: int, r: int, x: float = 0
     u = _random_unitary(rng, n)
     v = u[:, r:r + 1]
     return u[:, :r] @ u[:, :r].conj().T + DEFAULT_TOL.rank_rtol * 10.0 ** x * (v @ v.conj().T)
+
+
+def off_integer_trace_matrix(t: float = 3e3) -> np.ndarray:
+    """A 3 x 3 upper-triangular m with eigenvalues 0.6, 0.4 and 0.6, so
+    tr m = 1.6, 0.4 off the integer 2, that passes PqProblem's m^2 = m
+    check: with m_12 = m_23 = t and m_13 = -t^2 / 0.2, m^2 - m is
+    diag(-0.24, -0.24, -0.24), ||m^2 - m||_F = 0.42, while eq_bound(m, m)
+    is about 1e-8 ||m||_F = 0.45 at t = 3e3.  No idempotent has a trace off
+    an integer; this one passes the product check only through its norm."""
+    return np.array([[0.6, t, -t * t / 0.2], [0.0, 0.4, t], [0.0, 0.0, 0.6]], dtype=complex)

@@ -12,6 +12,8 @@ from pqinv.cli import main, matrix_json, read_matrix, write_matrix
 from pqinv.densela import Tolerances
 from pqinv.verify import diagonalizable_instance, random_triple
 
+from matrix_generators import off_integer_trace_matrix
+
 A22 = np.array([[0, 0], [1, 0]], dtype=complex)
 P22 = np.array([[1, 1], [0, 0]], dtype=complex)
 Q22 = np.eye(2) - np.array([[0, 1], [0, 1]], dtype=complex)
@@ -361,6 +363,14 @@ class TestCheck:
         q = _write(tmp_path, "q", np.zeros((2, 2)))
         assert main(["check", a, p, q]) == 2
         assert "p fails" in capsys.readouterr().err
+
+    def test_a_trace_off_an_integer_exits_2(self, tmp_path, capsys):
+        # p passes p² = p only through its norm, and its trace 1.6 is no rank
+        a = _write(tmp_path, "a", np.eye(3))
+        p = _write(tmp_path, "p", off_integer_trace_matrix())
+        q = _write(tmp_path, "q", np.zeros((3, 3)))
+        assert main(["check", a, p, q]) == 2
+        assert "tr p is off an integer" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         a = _write(tmp_path, "a", np.eye(2))

@@ -641,14 +641,12 @@ class TestThinSvd:
 
     def test_a_complement_it_does_not_hold_is_refused(self, rng):
         tall, wide = svd(_complex_normal(rng, 6, 3), thin=True), svd(_complex_normal(rng, 3, 6), thin=True)
-        with pytest.raises(ValueError, match="left null space"):
-            tall.left_null_basis()
         with pytest.raises(ValueError, match="null space"):
             wide.null_basis()
-        # the square factor of each is whole, so its complement is read
-        assert tall.null_basis().shape == (3, 0) and wide.left_null_basis().shape == (3, 0)
+        # a tall matrix's vh is whole, so its null space is read
+        assert tall.null_basis().shape == (3, 0)
         square = svd(np.diag([1.0, 0.0, 0.0]), thin=True)
-        assert np.array_equal(square.left_null_basis(), svd(np.diag([1.0, 0.0, 0.0])).left_null_basis())
+        assert np.array_equal(square.null_basis(), svd(np.diag([1.0, 0.0, 0.0])).null_basis())
 
     def test_one_lapack_call_for_the_thin_factors(self, rng, monkeypatch):
         seen = []
@@ -681,7 +679,7 @@ class TestIdempotentBases:
             u = _random_unitary(rng, n)[:, :r]
             m = _oblique(rng, u, t)
             with record() as rec:
-                basis, co = idempotent_bases(m)
+                basis, co = idempotent_bases(m, r)
             assert rec.calls == {"qr": 1}
             assert self._svd_decision(m) == (r, False)
             assert basis.shape == (n, r) and co.shape == (n, n - r)
@@ -698,7 +696,7 @@ class TestIdempotentBases:
         for r in (n // 4, n - 3):
             u = _random_unitary(rng, n)[:, :r]
             m = u @ u.conj().T
-            co = idempotent_bases(m)[1]
+            co = idempotent_bases(m, r)[1]
             with record() as rec:
                 assert idempotent_kernel(m, co) is co
             assert rec.calls == {}
@@ -715,7 +713,7 @@ class TestIdempotentBases:
         for r in (n // 4, n - 3):
             u = _random_unitary(rng, n)[:, :r]
             m = _oblique(rng, u, t)
-            co = idempotent_bases(m)[1]
+            co = idempotent_bases(m, r)[1]
             with record() as rec:
                 kernel = idempotent_kernel(m, co)
             assert rec.calls == {"qr": 1}
@@ -727,7 +725,9 @@ class TestIdempotentBases:
 
     def test_the_sketch_is_seeded_from_n_and_r(self):
         m = oblique_instance(np.random.default_rng(5), 32, 10.0)["p"]
-        assert all(np.array_equal(x, y) for x, y in zip(idempotent_bases(m), idempotent_bases(m)))
+        r = round(np.trace(m).real)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(idempotent_bases(m, r), idempotent_bases(m, r)))
 
     def test_a_straddling_perturbation_is_refused(self):
         # p + E passes PqProblem's p^2 = p check and has trace r to 1e-9,
@@ -737,30 +737,31 @@ class TestIdempotentBases:
         PqProblem(np.eye(40), m, np.eye(40) - m)
         assert self._svd_decision(m) == (16, True)
         with record() as rec:
-            assert idempotent_bases(m) is None
+            assert idempotent_bases(m, 15) is None
         assert rec.calls == {"qr": 1}
 
     def test_below_the_crossover_no_qr_is_taken(self, monkeypatch):
         n = densela._SKETCH_MIN - 1
         m = oblique_instance(np.random.default_rng(1), n, 10.0)["p"]
         monkeypatch.setattr(np.linalg, "qr", None)
-        assert idempotent_bases(m) is None
+        assert idempotent_bases(m, round(np.trace(m).real)) is None
 
-    def test_a_trace_off_an_integer_and_rank_zero_are_refused(self, monkeypatch):
+    def test_rank_zero_is_refused(self, monkeypatch):
+        # a trace off an integer is refused where the input is checked
+        # (PqProblem), so only the rank is read here
         monkeypatch.setattr(np.linalg, "qr", None)
         n = densela._SKETCH_MIN + 1
-        assert idempotent_bases(np.zeros((n, n), dtype=complex)) is None
-        assert idempotent_bases(np.diag([0.5] * n).astype(complex)) is None  # trace n / 2
+        assert idempotent_bases(np.zeros((n, n), dtype=complex), 0) is None
 
     def test_the_bounds_follow_rank_rtol(self):
         # at rank_rtol = 1e-6 the high cutoff 10 rank_rtol ||m||_F passes
         # the 1 that sigma_r is known to exceed: the SVD there counts fewer
         # than tr m singular values, and the certificate refuses
         m = oblique_instance(np.random.default_rng(3), 32, 1e6)["p"]
-        tol = Tolerances(rank_rtol=1e-6)
-        assert idempotent_bases(m, tol) is None
-        assert self._svd_decision(m, tol) != (round(np.trace(m).real), False)
-        assert idempotent_bases(m) is not None
+        tol, r = Tolerances(rank_rtol=1e-6), round(np.trace(m).real)
+        assert idempotent_bases(m, r, tol) is None
+        assert self._svd_decision(m, tol) != (r, False)
+        assert idempotent_bases(m, r) is not None
 
 
 class TestRankFactorization:

@@ -41,6 +41,7 @@ from exact_rank import exact_rank
 from matrix_generators import (
     _oblique,
     oblique_instance,
+    off_integer_trace_matrix,
     planted_core_instance,
     straddling_idempotent,
     varied_index_matrix,
@@ -67,6 +68,15 @@ class TestPqProblem:
     def test_non_idempotent_q_rejected(self):
         with pytest.raises(ValueError, match="q fails"):
             PqProblem(np.eye(2), np.eye(2), 2 * np.eye(2))
+
+    def test_a_trace_off_an_integer_is_rejected(self):
+        # m passes m² = m only through its norm, and its trace 1.6 is no rank
+        m = off_integer_trace_matrix()
+        assert frob(m @ m - m) <= densela.eq_bound(m, m)
+        with pytest.raises(ValueError, match=r"tr p is off an integer \(residual 4.000e-01"):
+            PqProblem(np.eye(3), m, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="tr q is off an integer"):
+            PqProblem(np.eye(3), np.zeros((3, 3)), m)
 
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
@@ -173,12 +183,15 @@ class TestDiagnose:
         assert doc["dims"] == {"dim_ran_p": 1, "dim_ran_q": 1, "rank_a": 1}
 
     def test_knife_edge_rank_is_flagged_fragile(self):
-        # one singular value of p sits between rank_rtol and 10 * rank_rtol,
-        # so the dimension verdicts flip when the threshold moves
-        p = np.diag([1.0, 3e-10, 0.0]).astype(complex)
+        # one singular value of a sits between rank_rtol and 10 * rank_rtol,
+        # so the verdicts that read rank a flip when the threshold moves; an
+        # idempotent's rank is its trace, so p and q hold no knife edge
+        a = np.diag([1.0, 3e-10, 0.0]).astype(complex)
+        p = np.diag([1.0, 1.0, 0.0]).astype(complex)
         q = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        rep = diagnose(PqProblem(np.eye(3), p, q))
-        assert rep.fragile
+        with densela.record() as rec:
+            rep = diagnose(PqProblem(a, p, q))
+        assert rep.fragile and rec.near
 
 
 class TestMatrixWithRangeKernel:
@@ -200,6 +213,15 @@ class TestMatrixWithRangeKernel:
     def test_dimension_obstruction(self):
         with pytest.raises(NonexistentInverseError, match="dimension obstruction"):
             matrix_with_range_kernel(np.eye(2), np.eye(2))
+
+    def test_non_idempotents_are_rejected(self):
+        # p and q are checked as PqProblem checks them
+        with pytest.raises(ValueError, match="p fails p² = p"):
+            matrix_with_range_kernel(np.array([[1, 1], [1, 1]], dtype=complex), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="q fails q² = q"):
+            matrix_with_range_kernel(np.eye(2), 2 * np.eye(2))
+        with pytest.raises(ValueError, match="tr q is off an integer"):
+            matrix_with_range_kernel(np.zeros((3, 3)), off_integer_trace_matrix())
 
     def test_postconditions_random(self, rng):
         for _ in range(15):
@@ -602,11 +624,12 @@ class TestDecompositionCounts:
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         assert count_linalg(lambda: fn(prob), ("svd", "qr")) == {"svd": svds, "qr": 2}
 
-    @pytest.mark.parametrize("fn, decisions", [(diagnose, 9), (outer_inverse, 3)])
+    @pytest.mark.parametrize("fn, decisions", [(diagnose, 7), (outer_inverse, 1)])
     def test_one_rank_decision_per_factorization(self, monkeypatch, fn, decisions):
         # each SVD's rank is decided once, however many bases, pseudo-inverses
-        # and callers read it: diagnose takes 9 SVDs, outer_inverse 3 that
-        # decide a rank (those of p and q, and of the r x r core); count_rank
+        # and callers read it: diagnose takes 9 SVDs and outer_inverse 3, and
+        # all but those of p and q, whose bases are cut at their traces, decide
+        # a rank (9 and 3 when p's and q's SVDs decided theirs); count_rank
         # and Factored.rank both take densela's one decision function
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
@@ -799,17 +822,18 @@ class TestSketchedIdempotents:
 
     def test_a_straddling_idempotent_takes_the_svd(self):
         # p + E passes p^2 = p, but its (r+1)-st singular value lies inside
-        # the fragility band: the certificate refuses, p's SVD is taken,
-        # and its near decision is read as on the SVD path
+        # the fragility band: the certificate refuses and p's SVD is taken,
+        # cut at p's trace r, so it decides no rank and nothing is near
         rng = np.random.default_rng(4)
         n, r = 40, 20
         p = straddling_idempotent(rng, n, r)
         inst = diagonalizable_instance(rng, n, r=r)
         prob = PqProblem(inst["a"], p, inst["q"])
         (rep, near, qrs), (rep_svd, near_svd, _) = self._on_both_paths(prob)
-        assert (rep, near) == (rep_svd, near_svd) and near and qrs > 0
-        assert densela.idempotent_bases(prob.p) is None
-        assert densela.idempotent_bases(prob.q) is not None
+        assert (rep, near) == (rep_svd, near_svd) and not near and qrs > 0
+        assert rep["dims"]["dim_ran_p"] == r and not rep["fragile"]
+        assert densela.idempotent_bases(prob.p, r) is None
+        assert densela.idempotent_bases(prob.q, n - r) is not None
 
     @pytest.mark.parametrize("order", [("ran", "ker"), ("ker", "ran")],
                              ids=["ran_first", "ker_first"])
@@ -817,8 +841,8 @@ class TestSketchedIdempotents:
         # the sketch of the straddling p is refused; Ran(p) and Ker(p), in
         # either order, are cut from p's one SVD, and no sketch of 1 - p is
         # taken, though 1 - p's own certificate would accept one.  That SVD
-        # counts the 21st singular value, rank_rtol 10^0.5, and Ker(p) takes
-        # the other 19 columns of the one rank decision
+        # is cut at p's trace 20, so the 21st singular value, rank_rtol
+        # 10^0.5, falls to Ker(p), which takes the other 20 columns
         p = straddling_idempotent(np.random.default_rng(4), 40, 20)
         spaces = prescribed._Spaces(None, p, None, DEFAULT_TOL)
 
@@ -827,8 +851,8 @@ class TestSketchedIdempotents:
                 getattr(spaces.p, name)
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": 1, "qr": 1}
-        assert (spaces.p.ran.dim, spaces.p.ker.dim) == (21, 19)
-        assert densela.idempotent_bases(np.eye(40) - p) is not None
+        assert (spaces.p.ran.dim, spaces.p.ker.dim) == (20, 20)
+        assert densela.idempotent_bases(np.eye(40) - p, 20) is not None
 
     def test_diagnose_sketches_ker_p_where_it_is_read(self, count_linalg):
         # p = a^+ a and q = 1 - a a^+ for a of rank 32: Ran(a) = Ran(1-q)
@@ -865,8 +889,9 @@ class TestSketchedIdempotents:
         # Ker(q) is the sketched Ran(q)^⊥ for an orthogonal projector q; an
         # oblique q maps that complement far from 0, so Ker(q) is the QR of
         # (1 - q) Ran(q)^⊥;
-        # a straddling q refuses its own sketch, and its one SVD gives all
-        # three bases.  diagnose's verdicts and near equal the SVD path's
+        # a straddling q refuses its own sketch, and its one SVD, cut at q's
+        # trace, gives all three bases.  diagnose's verdicts and near equal
+        # the SVD path's, and no basis of q is near its cutoff
         if kind == "oblique":
             inst = oblique_instance(np.random.default_rng([2, 48]), 48, 1e3)
         else:
@@ -884,10 +909,12 @@ class TestSketchedIdempotents:
         assert count_linalg(run, ("svd", "qr")) == {"svd": svds, "qr": qrs}
         ker, co = spaces.q.ker, spaces.q.co
         assert (ker.basis is co.basis) == (kind == "orthogonal")
-        assert ker.dim == co.dim and equals(ker, kernel_of(prob.q))
+        # the straddling q's rank_rtol 10^0.5 lies in its kernel, cut at
+        # tr q, and a tenfold cutoff drops it from the SVD's range too
+        ref = Tolerances(rank_rtol=1e-9) if kind == "straddling" else DEFAULT_TOL
+        assert ker.dim == co.dim and equals(ker, kernel_of(prob.q, ref))
         (rep, near, diagnose_qrs), (rep_svd, near_svd, _) = self._on_both_paths(prob)
-        assert (rep, near) == (rep_svd, near_svd)
-        assert near == (kind == "straddling")
+        assert (rep, near) == (rep_svd, near_svd) and not near
         if kind != "straddling":  # Ran(p) is one QR more; no repeat runs
             assert diagnose_qrs == qrs + 1
 
@@ -916,9 +943,11 @@ class TestSketchedIdempotents:
 
             assert count_linalg(run, ("svd", "qr")) == calls
             ran, co, ker = view.ran, view.co, view.ker
-            dim = r + (kind == "straddling")  # the straddling SVD counts rank_rtol 10^0.5
-            assert (ran.dim, co.dim, ker.dim) == (dim, n - dim, n - dim)
-            assert equals(ker, kernel_of(m)) and equals(ran, range_of(m))
+            # the straddling SVD is cut at tr m, and its rank_rtol 10^0.5
+            # falls to the kernel, as at a tenfold cutoff
+            ref = Tolerances(rank_rtol=1e-9) if kind == "straddling" else DEFAULT_TOL
+            assert (ran.dim, co.dim, ker.dim) == (r, n - r, n - r)
+            assert equals(ker, kernel_of(m, ref)) and equals(ran, range_of(m, ref))
             assert (ker.basis is co.basis) == (kind == "orthogonal")
 
     @pytest.mark.parametrize("fn", [diagnose, outer_inverse, one_two_inverse_strict])
@@ -945,6 +974,35 @@ class TestSketchedIdempotents:
                 patch.setattr(densela, "_SKETCH_MIN", 10**6)
                 b_svd = outer_inverse(prob).b
             assert frob(b - b_svd) <= 1e-12 * frob(b_svd)
+
+
+class TestStraddlingIdempotent:
+    """An idempotent's rank is its trace: p = P + E, E = rank_rtol 10^x v v^H
+    with v in Ker(P), has a singular value inside the fragility band, yet
+    reads rank r on the SVD path (n = 8) and where its sketch is refused
+    (n = 40), and no decision of p is near its cutoff."""
+
+    @pytest.mark.parametrize("x", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_has_rank_r_and_is_not_near(self, n, x):
+        r = n // 2
+        p = straddling_idempotent(np.random.default_rng([4, n]), n, r, x)
+        inst = diagonalizable_instance(np.random.default_rng([4, n]), n, r=r)
+        prob = PqProblem(inst["a"], p, inst["q"])
+        with densela.record() as rec:
+            rep = diagnose(prob)
+        assert rep.dim_ran_p == r and not rep.fragile and not rec.near
+        view = prob._views[0]
+        assert view._sketch is None  # below densela._SKETCH_MIN, or refused
+        # P's range is spanned by p's r leading left singular vectors, of
+        # singular value 1; Ran(p) spans it, and Ran(p)^⊥ and Ker(p) lie
+        # orthogonal to it, as P is an orthogonal projector
+        proj = np.linalg.svd(p)[0][:, :r]
+        ran = view.ran.basis
+        assert frob(proj - ran @ (ran.conj().T @ proj)) <= 1e-12
+        for complement in (view.co, view.ker):
+            assert complement.dim == n - r
+            assert frob(complement.basis.conj().T @ proj) <= 1e-12
 
 
 class TestPlantedCore:
@@ -1398,38 +1456,6 @@ class TestProblemViews:
         for name, fresh, shared_taken in later:
             assert set(fresh) == {kind} and shared_taken == [], name
 
-    def test_diagnose_after_a_compute_replays_a_near_decision(self, monkeypatch):
-        # Ran(p) ∔ Ran(q) = C^8 with a = 1; p is oblique, and rank_rtol is half
-        # the ratio of its smallest nonzero singular value to its largest, so
-        # p's rank decision is near, and the ten times larger cutoff drops a
-        # dimension of Ran(p): the verdicts flip, the report is fragile
-        rng = np.random.default_rng(45)
-        u = np.linalg.qr(_complex_normal(rng, 8, 8))[0]
-        p = _oblique(rng, u[:, :4], 100.0)
-        q = u[:, 4:] @ u[:, 4:].conj().T
-        s = np.linalg.svd(p, compute_uv=False)
-        tol = Tolerances(rank_rtol=0.5 * s[3] / s[0])
-
-        def problem():
-            return PqProblem(np.eye(8), p, q, tol)
-
-        def diagnosed(prob):
-            taken = _recording_factorizations(monkeypatch, prob)
-            with densela.record() as rec:
-                rep = diagnose(prob)
-            monkeypatch.undo()
-            return rep.to_json_dict(), rec.near, taken.count("svd")
-
-        fresh, fresh_near, fresh_svds = diagnosed(problem())
-        assert fresh_near and fresh["fragile"] and fresh["l_exists"]
-        used = problem()
-        outer_inverse(used)
-        shared, shared_near, shared_svds = diagnosed(used)
-        assert (shared, shared_near) == (fresh, fresh_near)
-        # the base pass reads the views the compute took; each scaled repeat
-        # factors p and q itself
-        assert fresh_svds - shared_svds == 2 and shared_svds >= 2
-
     @staticmethod
     def _core(prob) -> np.ndarray:
         """C = N^H a U on the problem's views, formed as _candidate forms it."""
@@ -1505,7 +1531,7 @@ class TestProblemViews:
             return rep.to_json_dict(), rec.near, rec.calls["svd"]
 
         fresh = diagnosed(problem())
-        assert fresh[1] and fresh[0]["fragile"]
+        assert fresh[1] and fresh[0]["fragile"] and fresh[0]["l_exists"]
         used = problem()
         outer_inverse(used)
         assert "_core" not in used.__dict__

@@ -83,14 +83,11 @@ class TestRangeKernel:
         # a basis owns its data, of no columns or of many: a view of u or vh
         # would keep the whole n x n factor alive for as long as the subspace lives
         ran_zero = range_and_kernel(np.zeros((256, 256)))[0].basis
-        co_one = svd(np.eye(256)).left_null_basis()
-        for basis in (ran_zero, co_one):
-            assert basis.shape == (256, 0) and basis.base is None
+        assert ran_zero.shape == (256, 0) and ran_zero.base is None
         r = 100
         f = svd(_complex_normal(rng, 256, r) @ _complex_normal(rng, r, 256))
         for basis, columns in ((f.range_basis(), f.u[:, :r]),
-                               (f.null_basis(), f.vh[r:, :].conj().T),
-                               (f.left_null_basis(), f.u[:, r:])):
+                               (f.null_basis(), f.vh[r:, :].conj().T)):
             # LAPACK's own singular vectors, bit for bit, with no phase pinned
             assert np.array_equal(basis, columns)
             assert not np.shares_memory(basis, f.u) and not np.shares_memory(basis, f.vh)

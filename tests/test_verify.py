@@ -148,8 +148,9 @@ class TestRunCase:
         assert list(case.residuals) == ["gap"] and np.isnan(case.residuals["gap"])
 
     def test_fragile_diagnosis_ends_the_battery(self):
-        # the knife edge: p's second singular value sits inside the fragility band
-        prob = PqProblem(np.eye(3), np.diag([1.0, 3e-10, 0.0]), np.diag([0.0, 0.0, 1.0]))
+        # the knife edge: a's second singular value sits inside the fragility band
+        prob = PqProblem(np.diag([1.0, 3e-10, 0.0]), np.diag([1.0, 1.0, 0.0]),
+                         np.diag([0.0, 0.0, 1.0]))
         case = _run_case("case", lambda rec: _battery_prescribed(rec, None, prob, None, False))
         assert (case.status, case.residuals) == ("fragile", {})
         assert "detail" not in case.to_json_dict()

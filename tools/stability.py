@@ -63,6 +63,13 @@ shows decomposition-count changes next to output changes.  Covered:
   ``tests/matrix_generators.py``), whose singular values straddle the
   rank cutoff; a checkout with no ``idempotent_bases`` takes every basis
   from the SVD, and its line says so;
+* on one line, for each n in STRADDLING_DIMS, ``diagnose``'s ``dim_ran_p``
+  and ``fragile``, and the ``near`` of a ``densela.record`` block around
+  it, where p is ``straddling_idempotent(default_rng([4, n]), n, n/2)``
+  (from this checkout's ``tests/matrix_generators.py``) and a and q are
+  those of ``diagonalizable_instance(default_rng([4, n]), n, r=n/2)``:
+  below and above ``densela._SKETCH_MIN``, so that a diff shows whether
+  p's rank is read off its trace or decided by the rank cutoff;
 * on one line, for each kappa in GRADED_KAPPAS, how many of GRADED_SEEDS
   ``drazin_inverse`` calls raise NumericalError on
   ``graded_core_matrix(rng, n, kappa)`` (from this checkout's
@@ -117,6 +124,7 @@ import contextlib
 import difflib
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -162,6 +170,7 @@ SUBSPACE_VERDICTS = ("ker_cap_ranp_trivial", "direct_sum", "cond5", "cond6", "l_
 PLANTED_SEED = 0
 CERTIFICATE_N = 32
 CERTIFICATE_T = (1.0, 1e3, 1e6)
+STRADDLING_DIMS = (8, 40)
 GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
 GRADED_DIMS = (8, 16, 32)
 GRADED_SEEDS = 100
@@ -400,11 +409,14 @@ def _certificate_line(densela) -> str:
         return f"{label}  no idempotent_bases: every basis from the SVD"
     generators = _generators()
     kernel = getattr(densela, "idempotent_kernel", None)
+    # a checkout whose idempotent_bases takes the rank is handed the trace's
+    takes_rank = "r" in inspect.signature(densela.idempotent_bases).parameters
 
     def cell(name: str, matrices: list) -> str:
         accepted = kernels = 0
         for m in matrices:
-            if (bases := densela.idempotent_bases(m)) is not None:
+            rank = (round(complex(np.trace(m)).real),) if takes_rank else ()
+            if (bases := densela.idempotent_bases(m, *rank)) is not None:
                 accepted += 1
                 kernels += kernel is not None and kernel(m, bases[-1]) is not None
         out = f"{name}:accept={accepted},fallback={len(matrices) - accepted}"
@@ -418,6 +430,20 @@ def _certificate_line(densela) -> str:
     straddling = generators.straddling_idempotent(np.random.default_rng(0), CERTIFICATE_N,
                                                   CERTIFICATE_N // 2)
     return f"{label}  " + " ".join(cells + [cell("straddling", [straddling])])
+
+
+def _straddling_line(prescribed, verify, densela) -> str:
+    """diagnose's dim Ran(p), fragile and near where p straddles the rank
+    cutoff, at each of STRADDLING_DIMS."""
+    cells = []
+    for n in STRADDLING_DIMS:
+        p = _generators().straddling_idempotent(np.random.default_rng([4, n]), n, n // 2)
+        inst = verify.diagonalizable_instance(np.random.default_rng([4, n]), n, r=n // 2)
+        with densela.record() as rec:
+            rep = prescribed.diagnose(prescribed.PqProblem(inst["a"], p, inst["q"]))
+        cells.append(f"n={n}:dim_ran_p={rep.dim_ran_p},fragile={int(rep.fragile)},"
+                     f"near={int(rec.near)}")
+    return "straddling p diagnose r=n/2  " + " ".join(cells)
 
 
 def _graded_core_line(ginv, errors) -> str:
@@ -547,6 +573,7 @@ def fingerprints() -> list[str]:
     densela = importlib.import_module("pqinv.densela")
     return (lines + _exp_lines(densela) + _oblique_lines(prescribed)
             + [_certificate_line(densela),
+               _straddling_line(prescribed, verify, densela),
                _graded_core_line(importlib.import_module("pqinv.ginv"), errors),
                _planted_angle_line(densela, importlib.import_module("pqinv.subspace")),
                _small_scale_line(prescribed, errors),
