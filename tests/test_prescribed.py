@@ -629,8 +629,8 @@ class TestDecompositionCounts:
         # each SVD's rank is decided once, however many bases, pseudo-inverses
         # and callers read it: diagnose takes 9 SVDs and outer_inverse 3, and
         # all but those of p and q, whose bases are cut at their traces, decide
-        # a rank (9 and 3 when p's and q's SVDs decided theirs); count_rank
-        # and Factored.rank both take densela's one decision function
+        # a rank; count_rank and Factored.rank both take densela's one
+        # decision function
         inst = diagonalizable_instance(np.random.default_rng(1), 6, r=3)
         prob = PqProblem(inst["a"], inst["p"], inst["q"])
         calls = []
@@ -1003,6 +1003,13 @@ class TestStraddlingIdempotent:
         for complement in (view.co, view.ker):
             assert complement.dim == n - r
             assert frob(complement.basis.conj().T @ proj) <= 1e-12
+
+    def test_the_svd_path_refuses_a_singular_value_the_input_check_could_not_admit(self):
+        # trace 2, but sigma_3 = 0.5 lies far above eq_bound(m, m): no input
+        # that passes m² = m has it, and the view raises rather than cut at 2
+        view = prescribed._Idempotent(np.diag([1.0, 0.5, 0.5]).astype(complex), DEFAULT_TOL)
+        with pytest.raises(NumericalError, match="sigma_3 of an idempotent of trace 2"):
+            view.ran
 
 
 class TestPlantedCore:
