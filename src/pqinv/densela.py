@@ -410,10 +410,10 @@ class Factored:
     build and one thread count.  b = U C^-1 N^H and every existence
     verdict are invariant under U -> U D for a diagonal unitary D, so
     another build moves them only by rounding; the spectrum of a w for
-    the witness w = U N^H is not, so whether the integral route and
-    :func:`prescribed.represent`'s limit route accept a problem may
-    differ between builds (the compute functions' limit route reads the
-    basis-free polar gauge).
+    the witness w = U N^H is not, so whether :func:`prescribed.represent`'s
+    limit and integral routes accept a problem may differ between builds
+    (the compute functions' limit and integral routes read the basis-free
+    polar gauge).
     """
 
     u: np.ndarray | None

@@ -36,10 +36,13 @@ C = N^H a U, r = dim Ran(p): the candidate that the compute functions
 return and :func:`diagnose` validates takes one SVD of C, which decides
 that C is invertible and inverts it, never an n x n group inverse.  The
 same SVD C = U_C S V_C^H gives sigma_min(C) and the unitary polar factor
-Q = V_C U_C^H, with C Q = (C C^H)^(1/2): the limit route of the compute
-functions runs in the polar gauge w = U Q N^H, where the nonzero
-spectrum of a w is sigma(C), and extrapolates over five shifts with no
-eigensolve.  The problem holds X = C^-1 N^H with Q and sigma_min(C) once
+Q = V_C U_C^H, with C Q = (C C^H)^(1/2): the limit and integral routes
+of the compute functions run in the polar gauge w = U Q N^H, where the
+nonzero spectrum of a w is sigma(C), with no eigensolve: the limit route
+extrapolates over five shifts, and the integral route decays at
+sigma_min(C).  Every route value but the group one is formed as b = L Y,
+L orthonormal n x k and Y k x n, and its range and kernel gaps are read
+off one thin SVD of Y.  The problem holds X = C^-1 N^H with Q and sigma_min(C) once
 a call at its tolerance has built them, unless C's rank decision lies
 near its cutoff, and each later call there forms b = U X from them; a
 near build is repeated per call, so nothing held replays a decision.
@@ -144,7 +147,8 @@ class PqProblem:
     and every call on the problem reads those.  Beside the views the
     problem holds, read-only, the candidate's :class:`_Core` at ``tol``:
     the r x n factor X = C^-1 N^H of b = U X, and the polar factor Q and
-    sigma_min(C) that the limit route reads, all from C's one SVD.  The
+    sigma_min(C) that the limit and integral routes read, all from C's
+    one SVD.  The
     first call that builds them keeps them (:func:`_candidate`) unless C's
     rank decision lies near its cutoff: such a problem builds them per
     call, and nothing held replays a decision.  Neither the views nor the
@@ -408,11 +412,9 @@ def _dimension_failure(spaces: _Spaces) -> str:
     return f"dimension obstruction: dim Ran(p) + dim Ran(q) = {d_p} + {d_q} != {n}"
 
 
-def _witness(spaces: _Spaces, polar: np.ndarray | None = None) -> np.ndarray:
-    """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥, or,
-    given the core's polar factor Q, the polar gauge w = U Q N^H."""
-    u = spaces.p.ran.basis
-    return (u if polar is None else u @ polar) @ adjoint(spaces.q.co.basis)
+def _witness(spaces: _Spaces) -> np.ndarray:
+    """w = U N^H from the basis U of Ran(p) and the basis N of Ran(q)^⊥."""
+    return spaces.p.ran.basis @ adjoint(spaces.q.co.basis)
 
 
 def _no_outer_inverse(reason: str) -> NonexistentInverseError:
@@ -424,7 +426,7 @@ class _Core(NamedTuple):
     one SVD C = U_C S V_C^H: X = C^-1 N^H, which gives b = U X; the unitary
     polar factor Q = V_C U_C^H, with C Q = U_C S U_C^H = (C C^H)^(1/2); and
     sigma_min(C), inf at r = 0.  Q and sigma_min(C) are what the limit
-    route reads (:func:`_polar_limit`)."""
+    and integral routes read (:func:`_polar_limit`, :func:`_polar_integral`)."""
 
     x: np.ndarray
     polar: np.ndarray
@@ -515,6 +517,41 @@ def _check_drift(b: np.ndarray, b_group: np.ndarray, tol: Tolerances, what: str)
     """Raise NumericalError, its message begun by ``what``, when a route value
     b is farther than conv_tol · max(1, ||b_group||_F) from the group value."""
     check_residual(frob(b - b_group), tol.conv_tol * max(1.0, frob(b_group)), what)
+
+
+def _route_factors(a: np.ndarray, spaces: _Spaces, core: _Core, route: str, b_norm: float,
+                   tol: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The value b = L Y of the inner, limit or integral ``route`` with its
+    factors (L, Y), L orthonormal n x k and Y k x n.  The inner route reads
+    the witness w = U N^H and takes L off w's own SVD (:func:`_inner_route`).
+    The limit and integral routes run in the polar gauge w = U g, g = Q N^H,
+    on the call's a U and the core's Q and sigma_min(C), so L = U, the basis
+    of Ran(p), and Y is g's route value, r x n; ``b_norm`` is ||b||_F of the
+    group value, which the limit route's estimate is gated at."""
+    if route == "inner":
+        return _inner_route(a, _witness(spaces), tol)
+    u, g = spaces.p.ran.basis, core.polar @ adjoint(spaces.q.co.basis)
+    if route == "limit":
+        y = _polar_limit(spaces.a_u, g, core.s_min, b_norm, tol)[0]
+    else:
+        y = _polar_integral(spaces.a_u, g, core.s_min, tol)[0]
+    return u @ y, (u, y)
+
+
+def _factored_gaps(l: np.ndarray, y: np.ndarray, ran_p: sub.Subspace, co_q: sub.Subspace,
+                   tol: Tolerances) -> tuple[float, float]:
+    """gap(Ran(b), Ran(p)) and gap(Ker(b), Ran(q)) for b = L Y, L orthonormal
+    n x k and Y k x n, off one thin SVD of Y and the view's Ran(q)^⊥ ``co_q``.
+
+    L is orthonormal, so b has Y's singular values and Y's rank decision at
+    rank_rtol, Ran(b) = L Ran(Y), and Ker(b) = Ker(Y), the orthogonal
+    complement of Y's row space.  At equal dimensions gap(S, T) =
+    ||P_S - P_T||_2 = gap(S^⊥, T^⊥), so the kernel gap is that of Y's row
+    space from Ran(q)^⊥; at unequal ones both gaps are 1.0 (:func:`sub.gap`).
+    """
+    f = svd(y, thin=True)
+    ran_b = sub.Subspace._cut(l @ f.range_basis(tol))
+    return sub.gap(ran_b, ran_p), sub.gap(sub.Subspace._cut(f.row_basis(tol)), co_q)
 
 
 def _strict_products(prob: PqProblem, ba: np.ndarray, ab: np.ndarray,
@@ -737,10 +774,16 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
 
     The tests run once each, in this order: the strict {1,2} subspace
     equalities, the {1,2} decompositions, the definitional candidate, the
-    limit route's own estimate (:func:`_polar_limit`), the route value's
-    drift gate, a b a = a when ``reflexive``, and the strict
-    products; a rejected strict outer inverse forms no a b a.  The residuals
-    are built only after every test has passed.
+    limit route's own estimate (:func:`_polar_limit`) or the integral
+    route's tail bound (:func:`_polar_integral`), the route value's drift
+    gate, a b a = a when ``reflexive``, and the strict products; a rejected
+    strict outer inverse forms no a b a.  The residuals are built only
+    after every test has passed.
+
+    Every route but the group route gives its value as b = L Y, with L an
+    orthonormal n x k basis and Y a k x n factor (:func:`_route_factors`),
+    so its range and kernel gaps are read off one thin SVD of Y
+    (:func:`_factored_gaps`), never off an n x n SVD of b.
     """
     _check_route(route)
     tol, a = prob.tol, prob.a
@@ -754,20 +797,17 @@ def _pq_inverse(prob: PqProblem, route: str, strict: bool, reflexive: bool) -> P
         if broken:
             raise NonexistentInverseError(f"decomposition {broken} fails")
     b_group, core = _candidate(prob, spaces)
-    ran_p, ran_q = spaces.p.ran, spaces.q.ran
-    # the limit route runs in the polar gauge, on the core's factors
-    w = None if route == "group" else _witness(spaces, core.polar if route == "limit" else None)
-    del spaces  # the call's n x r product a U is not held through the route
-    if route == "limit":
-        b, route_name = _polar_limit(a, w, core.s_min, frob(b_group), tol)[0], "limit"
+    if route == "group":
+        del spaces  # the call's n x r product a U is not held through the products
+        # the group value's Ran and Ker are the view's bases by construction (_candidate)
+        b, route_name, range_gap, kernel_gap = b_group, "group_formula", 0.0, 0.0
     else:
-        b, route_name, _ = _route_result(prob, w, b_group, route)
-    # the group value's Ran and Ker are the view's bases by construction (_candidate)
-    range_gap = kernel_gap = 0.0
-    if route_name != "group_formula":
+        ran_p, co_q = spaces.p.ran, spaces.q.co
+        b, (l, y) = _route_factors(a, spaces, core, route, frob(b_group), tol)
+        del spaces
+        route_name = "inner_formula" if route == "inner" else route
         _check_drift(b, b_group, tol, f"route '{route_name}' disagrees with the group formula")
-        ran_b, ker_b = sub.range_and_kernel(b, tol)
-        range_gap, kernel_gap = sub.gap(ran_b, ran_p), sub.gap(ker_b, ran_q)
+        range_gap, kernel_gap = _factored_gaps(l, y, ran_p, co_q, tol)
     ba, ab = b @ a, a @ b
     holds, ba_res, ab_res = _strict_products(prob, ba, ab, tol)
     if strict and not holds and not reflexive:
@@ -806,9 +846,9 @@ def outer_inverse(prob: PqProblem, route: str = "group") -> PqResult:
     Decides existence through the definitional candidate; when a
     representation route other than the group formula is requested the
     candidate is recomputed along it and checked against the group-route
-    value at the convergence tolerance.  The limit route extrapolates in
-    the polar gauge w = U Q N^H and checks its own estimate first
-    (:func:`_polar_limit`).
+    value at the convergence tolerance.  The limit and integral routes run
+    in the polar gauge w = U Q N^H and check their own estimate or tail
+    bound first (:func:`_polar_limit`, :func:`_polar_integral`).
     """
     return _pq_inverse(prob, route, strict=False, reflexive=False)
 
@@ -906,13 +946,31 @@ def _adjoint_group(a: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
     return None if g is None else adjoint(g)
 
 
-def _inner_value(u: np.ndarray, s: np.ndarray, vh: np.ndarray, waw: np.ndarray,
-                 tol: Tolerances) -> np.ndarray:
-    """w (w a w)^+ w = (U S) K^+ (S V^H) for w = U S V^H and the k x k
-    ``waw`` K = S V^H a U S, with w a w = U K V^H: U and V are
-    orthonormal, so (w a w)^+ = V K^+ U^H, K has the singular values of
-    w a w, and one SVD of K decides its rank."""
-    return (u * s) @ svd(waw).pinv(tol) @ (s[:, None] * vh)
+def _inner_factor(s: np.ndarray, vh: np.ndarray, waw: np.ndarray,
+                  tol: Tolerances) -> np.ndarray:
+    """Y = S K^+ (S V^H), the k x n factor of w (w a w)^+ w = U Y, for
+    w = U S V^H and the k x k ``waw`` K = S V^H a U S, with w a w = U K V^H:
+    U and V are orthonormal, so (w a w)^+ = V K^+ U^H, K has the singular
+    values of w a w, and one SVD of K decides its rank."""
+    return (s[:, None] * svd(waw).pinv(tol)) @ (s[:, None] * vh)
+
+
+def _inner_route(a: np.ndarray, w: np.ndarray,
+                 tol: Tolerances) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """:func:`inner_formula`'s value b = U Y, after all its checks, with its
+    factors (U, Y): U the orthonormal n x k left singular vectors of w and
+    Y = S K^+ (S V^H) (:func:`_inner_factor`)."""
+    b_ref, g_wa, (u, s, vh, core) = _group_route(a, w, tol)
+    waw = s[:, None] * core
+    y = _inner_factor(s, vh, waw, tol)
+    b = u @ y
+    check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
+                   "inner formula disagrees with group formula")
+    del b_ref
+    kxk = waw @ (vh @ a @ g_wa @ g_wa @ u) @ waw
+    check_residual(frob(kxk - waw), eq_bound(kxk, waw, tol),
+                   "explicit witness failed (w a w) x (w a w) = w a w")
+    return b, (u, y)
 
 
 def group_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -939,17 +997,7 @@ def inner_formula(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     so ||(w a w) x (w a w) - w a w||_F = ||K (V^H x U) K - K||_F, and
     eq_bound(K (V^H x U) K, K) is the n x n bound; no n x n w a w is formed.
     """
-    a, w = _route_operands(a, w)
-    b_ref, g_wa, (u, s, vh, core) = _group_route(a, w, tol)
-    waw = s[:, None] * core
-    b = _inner_value(u, s, vh, waw, tol)
-    check_residual(frob(b - b_ref), eq_bound(b, b_ref, tol),
-                   "inner formula disagrees with group formula")
-    del b_ref
-    kxk = waw @ (vh @ a @ g_wa @ g_wa @ u) @ waw
-    check_residual(frob(kxk - waw), eq_bound(kxk, waw, tol),
-                   "explicit witness failed (w a w) x (w a w) = w a w")
-    return b
+    return _inner_route(*_route_operands(a, w), tol)[0]
 
 
 def limit_formula(
@@ -1003,42 +1051,86 @@ _LIMIT_RATIO = 4.0
 _LIMIT_SHIFTS = tuple(0.2 / _LIMIT_RATIO ** k for k in range(5))
 
 
-def _polar_limit(a: np.ndarray, w: np.ndarray, s_min: float, b_norm: float,
+def _polar_limit(a_u: np.ndarray, g: np.ndarray, s_min: float, b_norm: float,
                  tol: Tolerances) -> tuple[np.ndarray, float]:
-    """lim_{s -> 0} w (s + a w)^-1 for w = U Q N^H in the polar gauge, by
-    Richardson extrapolation over the shifts s_k = 0.2 sigma_min(C) 4^-k,
-    k = 0-4, with Q the core's polar factor and sigma_min(C) its smallest
+    """Y with U Y = lim_{s -> 0} w (s + a w)^-1 for w = U g in the polar gauge,
+    g = Q N^H, by Richardson extrapolation over the shifts
+    s_k = 0.2 sigma_min(C) 4^-k, k = 0-4, given the n x r a U and the r x n
+    g, with Q the core's polar factor and sigma_min(C) its smallest
     singular value (:func:`_polar`); ``b_norm`` is ||b||_F of the group value.
 
     By the push-through identity w (s + a w)^-1 = U Q (s + C Q)^-1 N^H, and
     C Q = (C C^H)^(1/2) is Hermitian positive definite, so the nonzero
-    spectrum of a w is sigma(C): every positive shift keeps a margin of at
-    least s from the spectrum of -a w, and no eigensolve checks it.  The
-    value is analytic in s for s < sigma_min(C), a power series in
+    spectrum of a w = (a U) g is sigma(C): every positive shift keeps a
+    margin of at least s from the spectrum of -a w, and no eigensolve checks
+    it.  The value is analytic in s for s < sigma_min(C), a power series in
     s / sigma_min(C), so the shifted systems have condition about kappa(C),
-    not the kappa(C)^2 of the spectral gauge U C^H N^H, and each tableau level
-    removes one power of s.  Each shift takes one LU solve of the
-    transposed system (s + a w)^T x^T = w^T, with no identity right-hand
-    side.  Returns the tableau's R[4][4] and its error estimate
-    ||R[4][4] - R[4][3]||_F, the last row's, which above conv_tol
-    max(1, b_norm) raises NumericalError.  The estimate reads the
+    not the kappa(C)^2 of the spectral gauge U C^H N^H, and each tableau
+    level removes one power of s.  Each shift takes one LU solve of the
+    transposed system (s + a w)^T Y^T = g^T, on g's r right-hand sides, so
+    the tableau runs on r x n values.  Returns the tableau's R[4][4] and its
+    error estimate ||R[4][4] - R[4][3]||_F, the last row's, which above
+    conv_tol max(1, b_norm) raises NumericalError; U is orthonormal, so
+    that is the estimate of U R[4][4] too.  The estimate reads the
     truncation of R[4][3], and the rounding of the smallest shift's solve
     only through the last level's weight 1/255; the caller's drift gate
-    is what bounds the value.  w = 0, at r = 0, gives 0 with estimate 0.
+    is what bounds the value.  At r = 0, Y is 0 x n with estimate 0.
     """
-    if not w.any():
-        return np.zeros_like(w), 0.0
-    aw_t, w_t = (a @ w).T, w.T
-    ident = np.eye(w.shape[0], dtype=np.complex128)
+    if not g.size:
+        return np.zeros_like(g), 0.0
+    aw_t, g_t = (a_u @ g).T, g.T
+    ident = np.eye(g.shape[1], dtype=np.complex128)
     row = []  # the tableau's last row, R[k][0..k], on the transposed values
     for k, shift in enumerate(_LIMIT_SHIFTS):
-        level = [solve(shift * s_min * ident + aw_t, w_t)]
+        level = [solve(shift * s_min * ident + aw_t, g_t)]
         for j, above in enumerate(row, start=1):
             level.append(level[-1] + (level[-1] - above) / (_LIMIT_RATIO ** j - 1.0))
         row = level
     estimate = check_residual(frob(row[-1] - row[-2]), tol.conv_tol * max(1.0, b_norm),
                               "limit route's Richardson estimate exceeds conv_tol")
     return row[-1].T, estimate
+
+
+def _check_conv_tol(tol: Tolerances) -> None:
+    """Raise ValueError unless conv_tol is positive, which the integral
+    route's horizon and tail bound divide by."""
+    if tol.conv_tol <= 0.0:
+        raise ValueError(f"conv_tol must be positive for the integral route, got {tol.conv_tol}")
+
+
+def _auto_horizon(alpha: float, w_norm: float, tol: Tolerances) -> float:
+    """The integral route's automatic horizon T at the decay rate ``alpha``
+    for a w of Frobenius norm ``w_norm``: exp(-alpha T) aims the raw tail at
+    1e-2 conv_tol alpha / max(1, ||w||_F), so conditioning has headroom."""
+    target = 0.01 * tol.conv_tol * alpha / max(1.0, w_norm)
+    return float(np.log(1.0 / target) / alpha)
+
+
+def _polar_integral(a_u: np.ndarray, g: np.ndarray, s_min: float,
+                    tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Y with U Y = integral_0^T w exp(-(a w) t) dt for w = U g in the polar
+    gauge, g = Q N^H, given the n x r a U and the r x n g, with its tail
+    bound; Q and ``s_min`` = sigma_min(C) are the core's (:func:`_polar`).
+
+    In this gauge the nonzero spectrum of a w = (a U) g is sigma(C) (see
+    :func:`_polar_limit`), so once C is invertible a w has index one and
+    decays at alpha = sigma_min(C), read off the core with no full-rank
+    factorization of a w, no eigensolve and no static-part check.  T is
+    :func:`integral_formula`'s automatic horizon at that alpha
+    (:func:`_auto_horizon`), and one :func:`densela.exp_integral` of
+    -a w T on the n x n blocks gives the integral, so Y = g times it.  The
+    tail bound ||g exp(-(a w) T)||_F / alpha, which is that of w since U
+    is orthonormal, must come in under conv_tol, else NumericalError;
+    conv_tol must be positive, else ValueError.  At r = 0, Y is 0 x n with
+    tail bound 0.  The caller's drift gate is what bounds the value.
+    """
+    _check_conv_tol(tol)
+    if not g.size:
+        return np.zeros_like(g), 0.0
+    decay, integral = exp_integral(-(a_u @ g), _auto_horizon(s_min, frob(g), tol))
+    tail = check_residual(frob(g @ decay) / s_min, tol.conv_tol,
+                          "tail bound exceeds conv_tol; increase the horizon")
+    return g @ integral, tail
 
 
 def integral_formula(
@@ -1075,8 +1167,7 @@ def integral_formula(
     is 0, so any horizon but NaN gives the value 0 with tail bound 0.
     """
     a, w = _route_operands(a, w)
-    if tol.conv_tol <= 0.0:  # the horizons below divide by it
-        raise ValueError(f"conv_tol must be positive for the integral route, got {tol.conv_tol}")
+    _check_conv_tol(tol)  # the horizons below divide by it
     if not w.any():
         if horizon is not None and np.isnan(horizon):
             raise ValueError(f"horizon {horizon} is not a number")
@@ -1101,11 +1192,7 @@ def integral_formula(
         )
 
     min_horizon = float(np.log(1.0 / tol.conv_tol) / alpha)
-    if horizon is None:
-        # aim the raw tail at 1e-2 * conv_tol so conditioning has headroom
-        target = 0.01 * tol.conv_tol * alpha / max(1.0, frob(w))
-        horizon = float(np.log(1.0 / target) / alpha)
-    horizon = float(horizon)
+    horizon = _auto_horizon(alpha, frob(w), tol) if horizon is None else float(horizon)
     if horizon == np.inf:  # would fill the exponential with inf and NaN
         raise ValueError(f"horizon {horizon} is not finite")
     if not horizon >= min_horizon:  # a NaN horizon fails too

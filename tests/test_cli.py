@@ -564,12 +564,21 @@ class TestCompute:
         doc = json.loads(capsys.readouterr().out)
         assert doc["route"] == "limit"
 
-    def test_integral_route_spectral_failure_exits_4(self, tmp_path, capsys):
-        # inside compute a spectral failure is a numerical failure, not exit 5
-        a = _write(tmp_path, "a", np.array([[0, 1], [-1, 0]], dtype=complex))
+    def test_integral_route_on_a_rotation_runs_in_the_polar_gauge(self, tmp_path, capsys):
+        # for the witness w = U N^H, a w has the spectrum ±i, which represent's
+        # integral route refuses (exit 5); compute's route runs in the polar
+        # gauge, where the nonzero spectrum of a w is sigma(C) = {1, 1}
+        rotation = np.array([[0, 1], [-1, 0]], dtype=complex)
+        a = _write(tmp_path, "a", rotation)
         p = _write(tmp_path, "p", np.eye(2))
         q = _write(tmp_path, "q", np.zeros((2, 2)))
-        assert main(["compute", a, p, q, "--kind", "2l", "--route", "integral"]) == 4
+        assert main(["represent", a, p, q, "--method", "integral"]) == 5
+        assert "spectral precondition" in capsys.readouterr().err
+        assert main(["compute", a, p, q, "--kind", "2l", "--route", "integral"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        matrix = np.array([complex(re, im) for re, im in doc["matrix"]["data"]]).reshape(2, 2)
+        assert doc["route"] == "integral"
+        assert np.allclose(matrix, np.linalg.inv(rotation), atol=1e-10)
 
     @pytest.mark.parametrize("route", ["group", "inner", "limit", "integral"])
     def test_every_route_at_zero_range_p(self, zero_p_files, capsys, route):

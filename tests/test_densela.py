@@ -518,10 +518,12 @@ class TestRecordMatchesNumpy:
         assert rec.calls == patched and patched["qr"] > 0
 
     def test_fuzz_calls_equal_a_numpy_linalg_count(self, monkeypatch):
+        # the battery's integral route reads its decay rate off the core's SVD,
+        # so fuzz takes no eigensolve
         patched = _counted_by_patch(monkeypatch)
         with record() as rec:
             fuzz(7, 20, 8)
-        assert rec.calls == patched and set(patched) == set(LAPACK_KINDS)
+        assert rec.calls == patched and set(patched) == set(LAPACK_KINDS) - {"eigvals"}
 
 
 def test_only_densela_calls_lapack():

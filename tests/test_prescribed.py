@@ -1683,7 +1683,7 @@ class TestGroupFormula:
             ref = group_inverse(w @ a)
             assert frob(g_wa - ref) <= densela.eq_bound(g_wa, ref)
             waw = s[:, None] * core
-            inner = prescribed._inner_value(u, s, vh, waw, DEFAULT_TOL)
+            inner = u @ prescribed._inner_factor(s, vh, waw, DEFAULT_TOL)
             m = w @ a @ w
             ref = w @ moore_penrose(m) @ w
             assert frob(inner - ref) <= densela.eq_bound(inner, ref)
@@ -1703,9 +1703,10 @@ class TestGroupFormula:
     def test_no_full_svd_of_a_w_w_a_or_w_a_w(self, monkeypatch):
         # at n = 16: group_formula takes one full SVD, of w, and the
         # values of a w; the inner route adds to the group route the full
-        # SVDs of w and of its value b, for the gaps, and the values of a w.
-        # Each call has its own problem, so the inner call factors p and q
-        # again, as the group call does, and only the route's SVDs differ
+        # SVD of w and the values of a w, and reads its gaps off a thin SVD
+        # of its 8 x 16 factor Y, with no SVD of its value b.  Each call has
+        # its own problem, so the inner call factors p and q again, as the
+        # group call does, and only the route's SVDs differ
         inst = diagonalizable_instance(np.random.default_rng(3), 16, r=8)
         a = inst["a"]
 
@@ -1733,8 +1734,9 @@ class TestGroupFormula:
         assert np.array_equal(full[0], inst["w"]) and np.array_equal(values[0], a @ inst["w"])
         group_full, group_values, _ = full_and_values(lambda: outer_inverse(problem(), "group"))
         full, values, res = full_and_values(lambda: outer_inverse(problem(), "inner"))
-        assert len(full) == len(group_full) + 2 and len(values) == len(group_values) + 1
-        assert np.array_equal(full[-1], res.b)
+        assert len(full) == len(group_full) + 1 and len(values) == len(group_values) + 1
+        assert np.array_equal(full[-1], w)
+        assert not any(np.array_equal(m, res.b) for m in full)
         products = (a @ w, w @ a, w @ a @ w)
         for m in full:
             assert all(frob(m - x) > 1e-8 * frob(x) for x in products)
@@ -1815,6 +1817,14 @@ def _baseline_problems():
                 yield (n, seed, re_lo), PqProblem(inst["a"], inst["p"], inst["q"])
 
 
+def _polar_factors(prob):
+    """U, the basis of Ran(p), g = Q N^H and the held core of a problem that
+    holds its core: the polar gauge w = U g of the limit and integral routes."""
+    core = prob.__dict__["_core"]
+    spaces = prescribed._Spaces.of(prob, prob.tol)
+    return spaces.p.ran.basis, core.polar @ spaces.q.co.basis.conj().T, core
+
+
 class TestPolarLimitRoute:
     """outer_inverse's limit route: Richardson extrapolation over five
     shifts in the polar gauge w = U Q N^H, with no eigensolve."""
@@ -1825,10 +1835,10 @@ class TestPolarLimitRoute:
         and the drift gate, on a problem that holds its core."""
         b = outer_inverse(prob, route="limit").b
         b_group = outer_inverse(prob).b
-        core = prob.__dict__["_core"]
-        w = prescribed._witness(prescribed._Spaces.of(prob, prob.tol), core.polar)
-        value, estimate = prescribed._polar_limit(prob.a, w, core.s_min, frob(b_group), prob.tol)
-        assert np.array_equal(value, b)
+        u, g, core = _polar_factors(prob)
+        value, estimate = prescribed._polar_limit(prob.a @ u, g, core.s_min, frob(b_group),
+                                                  prob.tol)
+        assert np.array_equal(u @ value, b)
         return frob(b - b_group), estimate, prob.tol.conv_tol * max(1.0, frob(b_group))
 
     def test_baseline_problems_pass_within_their_estimate(self):
@@ -1900,6 +1910,127 @@ class TestPolarLimitRoute:
         for _ in range(2):
             assert TestProblemViews._outcome(limit, used) == fresh
             assert "_core" not in used.__dict__
+
+
+class TestPolarIntegralRoute:
+    """outer_inverse's integral route: one exponential integral in the polar
+    gauge w = U Q N^H, at the decay rate sigma_min(C) the core holds."""
+
+    @staticmethod
+    def _drift(prob) -> tuple[float, float]:
+        """The integral route's distance from the group value and the drift
+        gate, checked bit for bit against the helper on the held core."""
+        result = outer_inverse(prob, route="integral")
+        b_group = outer_inverse(prob).b
+        u, g, core = _polar_factors(prob)
+        value, tail = prescribed._polar_integral(prob.a @ u, g, core.s_min, prob.tol)
+        assert np.array_equal(u @ value, result.b) and tail <= prob.tol.conv_tol
+        assert result.route == "integral"
+        return frob(result.b - b_group), prob.tol.conv_tol * max(1.0, frob(b_group))
+
+    def test_baseline_problems_pass(self):
+        # in the spectral gauge of integral_formula, w = U N^H, none of these
+        # passed: the nonzero spectrum of a w left Re > 0; the worst is 0.0065
+        for label, prob in _baseline_problems():
+            error, gate = self._drift(prob)
+            assert error <= 0.01 * gate, label
+
+    def test_guaranteed_instances_pass(self):
+        worst = 0.0
+        for n in range(2, 25):
+            for seed in range(20):
+                inst = guaranteed_instance(np.random.default_rng([seed, n]), n)
+                error, gate = self._drift(PqProblem(inst["a"], inst["p"], inst["q"]))
+                assert error <= gate, (n, seed)
+                worst = max(worst, error / gate)
+        assert worst <= 0.1
+
+    def test_rotation_passes_where_the_spectral_gauge_refuses(self):
+        # a w = a for w = 1 has the spectrum ±i, which integral_formula refuses
+        rotation = np.array([[0, 1], [-1, 0]], dtype=complex)
+        with pytest.raises(SpectrumError, match="Re"):
+            integral_formula(rotation, np.eye(2))
+        b = outer_inverse(PqProblem(rotation, np.eye(2), np.zeros((2, 2))), "integral").b
+        assert frob(b - np.linalg.inv(rotation)) <= 1e-10
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_zero_conv_tol_refused_before_any_division(self, r):
+        g = np.eye(r, 2, dtype=complex)
+        with pytest.raises(ValueError, match="conv_tol must be positive"):
+            prescribed._polar_integral(g.T, g, 1.0 if r else np.inf, Tolerances(conv_tol=0.0))
+
+    def test_rank_zero_is_the_zero_factor(self):
+        value, tail = prescribed._polar_integral(np.zeros((3, 0), dtype=complex),
+                                                 np.zeros((0, 3), dtype=complex), np.inf,
+                                                 DEFAULT_TOL)
+        assert value.shape == (0, 3) and tail == 0.0
+
+    @pytest.mark.parametrize("route", ["limit", "integral"])
+    def test_no_n_by_n_svd_on_a_held_core(self, monkeypatch, route):
+        # the value's range and kernel gaps are read off the r x n factor Y:
+        # the only SVDs left are Y's, thin, and the two gaps' singular values
+        # of n x r matrices, as Ran(q)^⊥ has dimension r
+        inst = diagonalizable_instance(np.random.default_rng(50), 16, r=6)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        outer_inverse(prob)
+        assert "_core" in prob.__dict__
+        svd, shapes = np.linalg.svd, []
+
+        def recording(m, *args, **kwargs):
+            shapes.append((m.shape, kwargs.get("full_matrices", True)))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        with densela.record() as rec:
+            outer_inverse(prob, route)
+        assert sorted(shapes) == [((6, 16), False), ((16, 6), True), ((16, 6), True)]
+        assert rec.calls["eigvals"] == 0
+
+
+class TestFactoredGaps:
+    """The range and kernel gaps of b = L Y off one thin SVD of Y against
+    sub.gap on the range and kernel of the formed b."""
+
+    @staticmethod
+    def _both(l, y, ran_p, co_q, ran_q, tol=DEFAULT_TOL):
+        factored = prescribed._factored_gaps(l, y, ran_p, co_q, tol)
+        ran_b, ker_b = sub.range_and_kernel(l @ y, tol)
+        return factored, (sub.gap(ran_b, ran_p), sub.gap(ker_b, ran_q))
+
+    def test_route_values_of_the_baseline_problems(self):
+        for label, prob in _baseline_problems():
+            spaces = prescribed._Spaces.of(prob, prob.tol)
+            b_group, core = prescribed._candidate(prob, spaces)
+            for route in ("inner", "limit", "integral"):
+                b, (l, y) = prescribed._route_factors(prob.a, spaces, core, route,
+                                                      frob(b_group), prob.tol)
+                assert np.array_equal(b, l @ y) or route == "inner"
+                factored, formed = self._both(l, y, spaces.p.ran, spaces.q.co, spaces.q.ran)
+                assert np.allclose(factored, formed, rtol=0, atol=1e-12), (label, route)
+                residuals = outer_inverse(prob, route).residuals
+                assert (residuals["range_gap"], residuals["kernel_gap"]) == factored
+
+    def test_rank_deficient_factor_has_both_gaps_one(self, rng):
+        inst = diagonalizable_instance(rng, 12, r=5)
+        prob = PqProblem(inst["a"], inst["p"], inst["q"])
+        p_view, q_view = prob._views
+        u = p_view.ran.basis
+        y = _complex_normal(rng, 5, 4) @ _complex_normal(rng, 4, 12)
+        factored, formed = self._both(u, y, p_view.ran, q_view.co, q_view.ran)
+        assert factored == formed == (1.0, 1.0)
+
+    @pytest.mark.parametrize("r", [0, 6])
+    def test_rank_zero_and_full_rank(self, rng, r):
+        n = 6
+        p, q = np.eye(n) * (r == n), np.eye(n) * (r == 0)
+        prob = PqProblem(_complex_normal(rng, n, n), p, q)
+        p_view, q_view = prob._views
+        y = _complex_normal(rng, r, n)
+        factored, formed = self._both(p_view.ran.basis, y, p_view.ran, q_view.co, q_view.ran)
+        assert np.allclose(factored, formed, rtol=0, atol=1e-12)
+        for route in ("inner", "limit", "integral"):
+            residuals = outer_inverse(prob, route).residuals
+            assert max(residuals["range_gap"], residuals["kernel_gap"]) <= 1e-12
 
 
 class TestDriftGate:

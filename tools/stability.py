@@ -87,9 +87,10 @@ shows decomposition-count changes next to output changes.  Covered:
   on a = s diag(1, 2, 0, 0) with p = diag(1, 1, 0, 0) and q = 1 - p, for
   each of SMALL_SCALES s: ``ok`` or the exception it raised, so that a
   diff shows on which decay rates the integral route runs;
-* last, on one line, how many of the LIMIT_SEEDS x LIMIT_RE_LO
+* last, one line for each of POLAR_ROUTES, the limit and the integral
+  route: how many of the ROUTE_SEEDS x ROUTE_RE_LO
   ``diagonalizable_instance(default_rng([s, n]), n, r=n/2, re_lo=...)``
-  problems at each n in LIMIT_DIMS ``outer_inverse(prob, route="limit")``
+  problems at each n in ROUTE_DIMS ``outer_inverse(prob, route=...)``
   returns a value for, and the power of ten at or above the worst distance
   of that value from the group value over the drift gate
   conv_tol * max(1, ||b||_F), which rounding on another build moves less
@@ -175,9 +176,10 @@ GRADED_KAPPAS = (1e2, 1e3, 1e4, 1e6, 1e8)
 GRADED_DIMS = (8, 16, 32)
 GRADED_SEEDS = 100
 SMALL_SCALES = (1.0, 1e-6, 1e-8, 1e-9, 1e-12)
-LIMIT_DIMS = (4, 16, 64)
-LIMIT_SEEDS = 4
-LIMIT_RE_LO = (0.4, 1e-3)
+POLAR_ROUTES = ("limit", "integral")
+ROUTE_DIMS = (4, 16, 64)
+ROUTE_SEEDS = 4
+ROUTE_RE_LO = (0.4, 1e-3)
 RECORD = Path(__file__).with_name("stability.txt")
 SHA256 = re.compile(r"\b[0-9a-f]{64}\b")
 
@@ -502,28 +504,33 @@ def _small_scale_line(prescribed, errors) -> str:
     return "integral route a=s*diag(1,2,0,0)  " + " ".join(cells)
 
 
-def _limit_route_line(prescribed, verify, errors) -> str:
-    """The limit route's passes over the LIMIT_DIMS problems, and its worst
-    distance from the group value over the drift gate."""
-    passed, total, worst = 0, 0, 0.0
-    for n in LIMIT_DIMS:
-        for seed in range(LIMIT_SEEDS):
-            for re_lo in LIMIT_RE_LO:
+def _route_lines(prescribed, verify, errors) -> list[str]:
+    """One line for each of POLAR_ROUTES: its passes over the ROUTE_DIMS
+    problems, and its worst distance from the group value over the drift
+    gate."""
+    passed, worst, total = dict.fromkeys(POLAR_ROUTES, 0), dict.fromkeys(POLAR_ROUTES, 0.0), 0
+    for n in ROUTE_DIMS:
+        for seed in range(ROUTE_SEEDS):
+            for re_lo in ROUTE_RE_LO:
                 inst = verify.diagonalizable_instance(np.random.default_rng([seed, n]), n,
                                                       r=n // 2, re_lo=re_lo)
                 prob = prescribed.PqProblem(inst["a"], inst["p"], inst["q"])
                 total += 1
-                try:
-                    b = prescribed.outer_inverse(prob, route="limit").b
-                except (errors.NonexistentInverseError, errors.NumericalError):
-                    continue
-                b_group = prescribed.outer_inverse(prob).b
-                gate = prob.tol.conv_tol * max(1.0, np.linalg.norm(b_group))
-                passed += 1
-                worst = max(worst, float(np.linalg.norm(b - b_group)) / gate)
-    decade = f"<=1e{math.ceil(math.log10(worst))}" if worst else "=0"
-    return (f"limit route diagonalizable n={','.join(map(str, LIMIT_DIMS))}  "
-            f"passed={passed}/{total}  worst_error/gate{decade}")
+                for route in POLAR_ROUTES:
+                    try:
+                        b = prescribed.outer_inverse(prob, route=route).b
+                    except (errors.NonexistentInverseError, errors.NumericalError):
+                        continue
+                    b_group = prescribed.outer_inverse(prob).b
+                    gate = prob.tol.conv_tol * max(1.0, np.linalg.norm(b_group))
+                    passed[route] += 1
+                    worst[route] = max(worst[route], float(np.linalg.norm(b - b_group)) / gate)
+    lines = []
+    for route in POLAR_ROUTES:
+        decade = f"<=1e{math.ceil(math.log10(worst[route]))}" if worst[route] else "=0"
+        lines.append(f"{route} route diagonalizable n={','.join(map(str, ROUTE_DIMS))}  "
+                     f"passed={passed[route]}/{total}  worst_error/gate{decade}")
+    return lines
 
 
 def fingerprints() -> list[str]:
@@ -576,8 +583,8 @@ def fingerprints() -> list[str]:
                _straddling_line(prescribed, verify, densela),
                _graded_core_line(importlib.import_module("pqinv.ginv"), errors),
                _planted_angle_line(densela, importlib.import_module("pqinv.subspace")),
-               _small_scale_line(prescribed, errors),
-               _limit_route_line(prescribed, verify, errors)])
+               _small_scale_line(prescribed, errors)]
+            + _route_lines(prescribed, verify, errors))
 
 
 def environment_line() -> str:
