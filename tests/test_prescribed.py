@@ -1853,9 +1853,9 @@ class TestPolarLimitRoute:
                 error, estimate, gate = self._measured(PqProblem(inst["a"], inst["p"], inst["q"]))
                 assert error <= gate and estimate <= gate, (n, seed)
                 # the estimate reads the rounding of the smallest shift's solve
-                # only through the last level's weight 1/255: where that rounding
-                # leads (n = 13, seed 5, kappa(C) = 238) the error is 1.25 times
-                # the estimate, and on the others at most 0.61 times it
+                # only through the last level's weight 1/255; solving for g's r
+                # right-hand sides, the error is at most 0.43 times the estimate
+                # here, where w's n gave 1.38 times it (n = 13, seed 5)
                 assert error <= 2.0 * estimate, (n, seed)
 
     def test_diagonal_unitaries_leave_the_polar_gauge_unchanged(self, rng):
@@ -2004,7 +2004,7 @@ class TestFactoredGaps:
             for route in ("inner", "limit", "integral"):
                 b, (l, y) = prescribed._route_factors(prob.a, spaces, core, route,
                                                       frob(b_group), prob.tol)
-                assert np.array_equal(b, l @ y) or route == "inner"
+                assert np.array_equal(b, l @ y)
                 factored, formed = self._both(l, y, spaces.p.ran, spaces.q.co, spaces.q.ran)
                 assert np.allclose(factored, formed, rtol=0, atol=1e-12), (label, route)
                 residuals = outer_inverse(prob, route).residuals
