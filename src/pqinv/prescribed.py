@@ -1101,9 +1101,12 @@ def _check_conv_tol(tol: Tolerances) -> None:
 def _auto_horizon(alpha: float, w_norm: float, tol: Tolerances) -> float:
     """The integral route's automatic horizon T at the decay rate ``alpha``
     for a w of Frobenius norm ``w_norm``: exp(-alpha T) aims the raw tail at
-    1e-2 conv_tol alpha / max(1, ||w||_F), so conditioning has headroom."""
+    1e-2 conv_tol alpha / max(1, ||w||_F), so conditioning has headroom, and
+    at most conv_tol, the minimum horizon log(1/conv_tol) / alpha, so that a
+    large alpha, where the first target exceeds conv_tol, still leaves the
+    value within conv_tol of its own scale and T is never negative."""
     target = 0.01 * tol.conv_tol * alpha / max(1.0, w_norm)
-    return float(np.log(1.0 / target) / alpha)
+    return float(max(np.log(1.0 / target), np.log(1.0 / tol.conv_tol), 0.0) / alpha)
 
 
 def _polar_integral(a_u: np.ndarray, g: np.ndarray, s_min: float,
@@ -1117,12 +1120,15 @@ def _polar_integral(a_u: np.ndarray, g: np.ndarray, s_min: float,
     decays at alpha = sigma_min(C), read off the core with no full-rank
     factorization of a w, no eigensolve and no static-part check.  T is
     :func:`integral_formula`'s automatic horizon at that alpha
-    (:func:`_auto_horizon`), and one :func:`densela.exp_integral` of
-    -a w T on the n x n blocks gives the integral, so Y = g times it.  The
-    tail bound ||g exp(-(a w) T)||_F / alpha, which is that of w since U
-    is orthonormal, must come in under conv_tol, else NumericalError;
+    (:func:`_auto_horizon`), never below log(1/conv_tol) / alpha, and one
+    :func:`densela.exp_integral` of -a w T on the n x n blocks gives the
+    integral, so Y = g times it.  The tail bound
+    ||g exp(-(a w) T)||_F / alpha, which is that of w since U is
+    orthonormal, must come in under conv_tol, else NumericalError;
     conv_tol must be positive, else ValueError.  At r = 0, Y is 0 x n with
-    tail bound 0.  The caller's drift gate is what bounds the value.
+    tail bound 0.  Both that bound and the caller's drift gate are
+    absolute, so at a large alpha it is the horizon's floor that keeps the
+    truncation within conv_tol of the value's own scale.
     """
     _check_conv_tol(tol)
     if not g.size:

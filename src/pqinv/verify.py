@@ -32,10 +32,10 @@ from .prescribed import (
     _polar,
     _polar_integral,
     _polar_limit,
-    _route_result,
     diagnose,
     drazin_as_outer,
     group_formula,
+    inner_formula,
     moore_penrose_as_outer,
     outer_inverse,
     outer_inverse_strict,
@@ -549,7 +549,7 @@ def _battery_prescribed(rec, rng, prob: PqProblem, oracle_b, run_integral: bool)
         a_u = prob.a @ u
         polar, s_min = _polar(svd(nh @ a_u))
         g = polar @ nh
-        values = {"inner": lambda: _route_result(prob, u @ nh, b, "inner")[0],
+        values = {"inner": lambda: inner_formula(prob.a, u @ nh, tol),
                   "limit": lambda: u @ _polar_limit(a_u, g, s_min, frob(b), tol)[0],
                   "integral": lambda: u @ _polar_integral(a_u, g, s_min, tol)[0]}
         for route in ("inner", "limit", "integral") if run_integral else ("inner", "limit"):

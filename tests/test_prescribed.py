@@ -2100,6 +2100,30 @@ class TestIntegralFormula:
         assert result.route == "integral"
         assert frob(result.b - b_ref) <= 1e-12 * frob(b_ref)
 
+    @pytest.mark.parametrize("s", [1e3, 1e10, 1e12])
+    def test_route_keeps_its_relative_error_at_large_scale(self, s):
+        # above alpha = 100 max(1, ||w||_F) the tail target exceeds conv_tol,
+        # and the horizon's floor log(1/conv_tol) / alpha keeps the error
+        # within conv_tol of the value's own scale; the tail bound and the
+        # drift gate are absolute and pass here whatever the horizon, and
+        # without the floor T was negative at s = 1e12 and b off 5000-fold
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        prob = PqProblem(s * np.diag([1.0, 2.0, 0.0, 0.0]), p, np.eye(4) - p)
+        result = outer_inverse(prob, route="integral")
+        b_ref = np.diag([1.0 / s, 0.5 / s, 0.0, 0.0])
+        assert result.route == "integral"
+        assert frob(result.b - b_ref) <= 2 * prob.tol.conv_tol * frob(b_ref)
+
+    @pytest.mark.parametrize("s", [1e3, 1e12])
+    def test_automatic_horizon_meets_the_minimum_at_large_scale(self, s):
+        # the automatic horizon is never below log(1/conv_tol) / alpha, which
+        # integral_formula requires of every horizon
+        a = s * np.diag([1.0, 2.0, 0.0, 0.0])
+        value, tail = integral_formula(a, np.diag([1.0, 1.0, 0.0, 0.0]))
+        ref = moore_penrose(a)
+        assert frob(value - ref) <= 2e-8 * frob(ref)
+        assert tail <= 1e-8
+
     def test_spectrum_is_read_off_the_r_by_r_core(self, monkeypatch):
         eigvals, shapes = np.linalg.eigvals, []
 

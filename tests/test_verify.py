@@ -86,28 +86,23 @@ class TestFuzz:
 
         assert count_linalg(run, ("svd", "qr")) == {"svd": 820, "qr": 0}
 
-    def test_battery_routes_go_through_the_compute_dispatch(self, monkeypatch):
-        # trial 0 carries an oracle and runs the integral route; the limit
-        # and integral routes are the compute functions' own polar-gauge helpers
+    def test_battery_routes_are_the_compute_functions_own(self, monkeypatch):
+        # trial 0 carries an oracle and runs the integral route; the inner
+        # route is inner_formula, and the limit and integral routes are the
+        # compute functions' own polar-gauge helpers
         from pqinv import verify
 
         routes = []
-        dispatch = verify._route_result
 
-        def recording(prob, w, b_group, route):
-            routes.append(route)
-            return dispatch(prob, w, b_group, route)
-
-        def recording_helper(route, helper):
+        def recording(route, helper):
             def run(*args):
                 routes.append(route)
                 return helper(*args)
             return run
 
-        monkeypatch.setattr(verify, "_route_result", recording)
-        for route in ("limit", "integral"):
-            name = f"_polar_{route}"
-            monkeypatch.setattr(verify, name, recording_helper(route, getattr(verify, name)))
+        for route, name in (("inner", "inner_formula"), ("limit", "_polar_limit"),
+                            ("integral", "_polar_integral")):
+            monkeypatch.setattr(verify, name, recording(route, getattr(verify, name)))
         assert fuzz(42, 1, 8).counts()["fail"] == 0
         assert routes == ["inner", "limit", "integral"]
 
